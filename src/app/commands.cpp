@@ -88,6 +88,25 @@ void write_stats(const std::string& path, const MetricsRegistry& metrics) {
   file << metrics.to_json();
 }
 
+/// The --threads flag shared by allocate, stream and serve.
+void add_threads_flag(CliParser& parser) {
+  parser.add_int("threads", 1,
+                 "candidate-scan threads: 1 = serial (default), 0 = hardware "
+                 "concurrency, N = exactly N; identical results at any count");
+}
+
+/// The scan configuration from --threads (add_threads_flag).
+ScanConfig scan_config(const CliParser& parser) {
+  ScanConfig scan;
+  const std::int64_t threads = parser.get_int("threads");
+  if (threads < 0)
+    throw std::invalid_argument("--threads must be >= 0 (0 = hardware "
+                                "concurrency), got " +
+                                std::to_string(threads));
+  scan.threads = static_cast<int>(threads);
+  return scan;
+}
+
 /// True when an output path asks for JSON Lines rather than CSV.
 bool wants_jsonl(const std::string& path) {
   return path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
@@ -203,26 +222,7 @@ int cmd_allocate(const std::vector<std::string>& args, std::ostream& out,
   parser.add_string("servers", "servers.csv", "server trace");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed for stochastic allocators");
-  parser.add_int("threads", 1,
-                 "candidate-scan threads: 1 = serial (default), 0 = hardware "
-                 "concurrency, N = exactly N; identical results at any count");
-  parser.add_bool("cache",
-                  "enable the shape-keyed scan cache (identical results; "
-                  "faster when VM shapes repeat — see docs/PERFORMANCE.md)");
-  parser.add_int("cache-warmup", 1024,
-                 "memo probes answered before the hit rate is judged once "
-                 "against --cache-min-hit-rate (with --cache)");
-  parser.add_double("cache-min-hit-rate", 0.05,
-                    "hit-rate floor below which the cache auto-disables after "
-                    "warmup; decisions are unchanged (with --cache)");
-  parser.add_bool("no-envelope",
-                  "disable the SoA envelope triage pass (identical results; "
-                  "for A/B timing — see docs/PERFORMANCE.md)");
-  parser.add_int("shards", 1,
-                 "fleet shard count for the two-level candidate scan "
-                 "(identical results at any count; see docs/PERFORMANCE.md)");
-  parser.add_string("shard-by", "contiguous",
-                    "shard layout: contiguous|type|band|hash (with --shards)");
+  add_threads_flag(parser);
   parser.add_string("out-assignment", "", "assignment CSV output (optional)");
   parser.add_string("trace", "",
                     "JSONL decision trace output: one record per VM with "
@@ -246,18 +246,7 @@ int cmd_allocate(const std::vector<std::string>& args, std::ostream& out,
                 << problem.num_servers() << " servers (horizon "
                 << problem.horizon << ")";
     AllocatorPtr allocator = make_allocator(parser.get_string("allocator"));
-    ScanConfig scan;
-    scan.threads = static_cast<int>(parser.get_int("threads"));
-    scan.cache = parser.get_bool("cache");
-    scan.cache_warmup_probes = static_cast<int>(parser.get_int("cache-warmup"));
-    scan.cache_min_hit_rate = parser.get_double("cache-min-hit-rate");
-    scan.envelope = !parser.get_bool("no-envelope");
-    scan.shards = static_cast<int>(parser.get_int("shards"));
-    if (!parse_shard_by(parser.get_string("shard-by"), &scan.shard_by))
-      throw std::invalid_argument(
-          "unknown --shard-by '" + parser.get_string("shard-by") +
-          "' (expected contiguous|type|band|hash)");
-    allocator->set_scan_config(scan);
+    allocator->set_scan_config(scan_config(parser));
     ObsContext obs;
     obs.trace = trace_sink.get();
     obs.metrics = &metrics;
@@ -321,25 +310,11 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
   parser.add_string("servers", "servers.csv", "server trace");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed");
-  parser.add_int("threads", 1,
-                 "candidate-scan threads: 1 = serial (default), 0 = hardware "
-                 "concurrency, N = exactly N; identical results at any count");
-  parser.add_bool("cache", "enable the shape-keyed scan cache");
-  parser.add_int("cache-warmup", 1024,
-                 "memo probes answered before the hit rate is judged once "
-                 "against --cache-min-hit-rate (with --cache)");
-  parser.add_double("cache-min-hit-rate", 0.05,
-                    "hit-rate floor below which the cache auto-disables after "
-                    "warmup; decisions are unchanged (with --cache)");
-  parser.add_bool("no-envelope",
-                  "disable the SoA envelope triage pass (identical results; "
-                  "for A/B timing)");
+  add_threads_flag(parser);
   parser.add_int("shards", 1,
-                 "fleet shard count for the two-level candidate scan "
-                 "(identical results at any count; sharded fleets add a "
-                 "per-shard breakdown to --timeseries-out JSONL)");
-  parser.add_string("shard-by", "contiguous",
-                    "shard layout: contiguous|type|band|hash (with --shards)");
+                 "slice the fleet into N contiguous server blocks and add a "
+                 "per-shard load breakdown to --timeseries-out JSONL "
+                 "(identical decisions at any count)");
   parser.add_bool("no-gc",
                   "keep full history instead of garbage-collecting behind the "
                   "frontier (identical decisions; more memory)");
@@ -392,17 +367,12 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
         load_server_trace(parser.get_string("servers"));
 
     AllocatorPtr allocator = make_allocator(parser.get_string("allocator"));
-    ScanConfig scan;
-    scan.threads = static_cast<int>(parser.get_int("threads"));
-    scan.cache = parser.get_bool("cache");
-    scan.cache_warmup_probes = static_cast<int>(parser.get_int("cache-warmup"));
-    scan.cache_min_hit_rate = parser.get_double("cache-min-hit-rate");
-    scan.envelope = !parser.get_bool("no-envelope");
-    scan.shards = static_cast<int>(parser.get_int("shards"));
-    if (!parse_shard_by(parser.get_string("shard-by"), &scan.shard_by))
-      throw std::invalid_argument(
-          "unknown --shard-by '" + parser.get_string("shard-by") +
-          "' (expected contiguous|type|band|hash)");
+    ScanConfig scan = scan_config(parser);
+    const std::int64_t shards = parser.get_int("shards");
+    if (shards < 1)
+      throw std::invalid_argument("--shards must be >= 1, got " +
+                                  std::to_string(shards));
+    scan.shards = static_cast<int>(shards);
     allocator->set_scan_config(scan);
     ObsContext obs;
     obs.trace = trace_sink.get();
@@ -659,14 +629,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
                  "snapshot/drain ops; needs --snapshot)");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed");
-  parser.add_int("threads", 1,
-                 "candidate-scan threads: 1 = serial (default), 0 = hardware "
-                 "concurrency, N = exactly N; identical results at any count");
-  parser.add_int("shards", 1,
-                 "fleet shard count for the two-level candidate scan "
-                 "(identical results at any count)");
-  parser.add_string("shard-by", "contiguous",
-                    "shard layout: contiguous|type|band|hash (with --shards)");
+  add_threads_flag(parser);
   parser.add_int("retry-max", 1,
                  "total placement attempts per request (initial included); "
                  "1 disables the retry queue");
@@ -699,12 +662,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
     dopts.retry.backoff = parser.get_double("retry-backoff");
     dopts.retry.queue_capacity =
         static_cast<std::size_t>(parser.get_int("retry-queue"));
-    dopts.scan.threads = static_cast<int>(parser.get_int("threads"));
-    dopts.scan.shards = static_cast<int>(parser.get_int("shards"));
-    if (!parse_shard_by(parser.get_string("shard-by"), &dopts.scan.shard_by))
-      throw std::invalid_argument(
-          "unknown --shard-by '" + parser.get_string("shard-by") +
-          "' (expected contiguous|type|band|hash)");
+    dopts.scan = scan_config(parser);
 
     serve::Daemon daemon(std::move(servers), dopts);
     if (daemon.recovered_from_snapshot() || daemon.replayed_records() > 0)

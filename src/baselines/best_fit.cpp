@@ -31,8 +31,7 @@ Allocation BestFitCpuAllocator::allocate(const ProblemInstance& problem,
                                          Rng& rng) {
   ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
   const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, options_.order, rng, obs_,
-                   options_.scan.shard_options());
+  return run_batch(problem, *policy, options_.order, rng, obs_);
 }
 
 }  // namespace esva

@@ -30,9 +30,8 @@ std::vector<ServerSpec> make_random_fleet(int count,
 /// servers cycling round-robin through `types` (server i gets
 /// types[i % types.size()]), all with the same transition time. No RNG and
 /// no per-row enumeration — the same count always yields the same fleet, on
-/// any host, which is what the sharded fleet bench's identity gates compare
-/// against (bench/perf_allocators.cpp, bench/ablation_sharding.cpp). Ids are
-/// 0..count-1.
+/// any host, which is what the fleet bench's identity gate compares against
+/// (bench/perf_allocators.cpp). Ids are 0..count-1.
 std::vector<ServerSpec> make_scaled_fleet(int count,
                                           const std::vector<ServerType>& types,
                                           double transition_time);

@@ -1,6 +1,5 @@
 #include "cluster/timeline.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace esva {
@@ -36,13 +35,8 @@ ServerTimeline::ServerTimeline(const ServerSpec& spec, Time base, Time horizon)
   assert(horizon >= base - 1);
 }
 
-void ServerTimeline::inherit_epoch(std::uint64_t floor) {
-  epoch_ = std::max(epoch_, floor);
-}
-
 void ServerTimeline::seed_busy(Time lo, Time hi) {
   assert(lo >= 1 && lo <= hi);
-  ++epoch_;
   busy_.insert(lo, hi);
 }
 
@@ -226,7 +220,6 @@ void apply_demand(RangeAddMaxTree& cpu, RangeAddMaxTree& mem,
 
 ServerTimeline::PlaceRecord ServerTimeline::place(const VmSpec& vm) {
   assert(can_fit(vm));
-  ++epoch_;
   apply_demand(cpu_, mem_, vm, base_, +1.0);
   PlaceRecord record;
   record.vm = vm.id;
@@ -239,7 +232,6 @@ void ServerTimeline::undo(const PlaceRecord& record, const VmSpec& vm) {
   assert(!vms_.empty() && vms_.back() == record.vm &&
          "placements must be undone in LIFO order");
   assert(vm.id == record.vm);
-  ++epoch_;
   vms_.pop_back();
   apply_demand(cpu_, mem_, vm, base_, -1.0);
   // Restore the busy structure: remove the merged interval, re-add whatever

@@ -78,19 +78,6 @@ class ServerTimeline {
   /// Resident window size in time units (the resource-tree footprint).
   Time window_units() const { return horizon_ - base_ + 1; }
 
-  /// Mutation counter: bumped by every place() and undo(), never reused.
-  /// Anything derived from this timeline's state (feasibility verdicts,
-  /// incremental-cost deltas) stays valid exactly while the epoch is
-  /// unchanged — the invariant behind the shape-keyed scan cache
-  /// (core/candidate_scan.h).
-  std::uint64_t epoch() const { return epoch_; }
-
-  /// Raises the epoch to at least `floor`. A rebuilt timeline (rolling
-  /// garbage collection) starts from the epoch of the timeline it replaces,
-  /// so external caches keyed by epoch can never mistake the fresh state
-  /// for a stale one.
-  void inherit_epoch(std::uint64_t floor);
-
   /// Inserts a raw busy interval without reserving resources. Used when
   /// rebuilding a garbage-collected timeline: a unit sentinel at the latest
   /// retired busy endpoint preserves every future structure-cost delta
@@ -106,8 +93,9 @@ class ServerTimeline {
   /// O(1) triage: decides can_fit(vm) from the window-wide usage envelope
   /// when possible, without touching the trees. kFits / kCannotFit agree
   /// with can_fit exactly (same floating-point comparisons); kUnknown means
-  /// the caller must fall back to can_fit. The scan cache skips its
-  /// bookkeeping entirely for probes decided here.
+  /// the caller must fall back to can_fit. The candidate scan evaluates the
+  /// same comparisons fleet-wide in EnvelopeStore::classify; this per-server
+  /// form is can_fit's first step and the classify fuzz's oracle.
   QuickFit quick_fit(const VmSpec& vm) const;
 
   /// can_fit with a diagnosis: which dimension failed first, and where.
@@ -167,7 +155,6 @@ class ServerTimeline {
   RangeAddMaxTree mem_;
   IntervalSet busy_;
   std::vector<VmId> vms_;
-  std::uint64_t epoch_ = 0;
 };
 
 /// Builds one timeline per server over the instance horizon.

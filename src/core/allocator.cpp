@@ -37,20 +37,6 @@ void record_allocation_metrics(MetricsRegistry* metrics,
   metrics->inc(prefix + "unallocated", static_cast<std::int64_t>(unallocated));
 }
 
-void record_scan_cache_metrics(MetricsRegistry* metrics,
-                               const std::string& allocator,
-                               std::int64_t cache_hits,
-                               std::int64_t cache_misses,
-                               std::int64_t cache_quick_decided,
-                               bool cache_auto_disabled) {
-  if (!metrics) return;
-  const std::string prefix = "allocator." + allocator + ".";
-  metrics->inc(prefix + "cache_hits", cache_hits);
-  metrics->inc(prefix + "cache_misses", cache_misses);
-  metrics->inc(prefix + "cache_quick_decided", cache_quick_decided);
-  metrics->inc(prefix + "cache_auto_disabled", cache_auto_disabled ? 1 : 0);
-}
-
 std::string to_string(VmOrder order) {
   switch (order) {
     case VmOrder::ByStartTime: return "by-start-time";

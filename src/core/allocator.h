@@ -15,7 +15,6 @@
 
 #include "core/allocation.h"
 #include "core/problem.h"
-#include "core/shard.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 
@@ -40,52 +39,31 @@ std::string to_string(VmOrder order);
 std::vector<std::size_t> ordered_indices(const ProblemInstance& problem,
                                          VmOrder order);
 
+/// How the streaming engine slices the fleet for per-shard load reporting:
+/// `shards` contiguous, balanced server-index blocks (clamped to
+/// [1, servers]). A multi-shard cluster adds a per-shard breakdown to every
+/// time-series sample (FleetSample::shards); nothing else reads it.
+struct ShardOptions {
+  int shards = 1;
+};
+
 /// Configuration of the candidate-scan engine (core/candidate_scan.h) shared
-/// by the allocators that probe every server per VM. The defaults produce
-/// the original serial, uncached loop's results exactly (the envelope triage
-/// pass, on by default, only reorganizes where the quick_fit comparisons are
-/// evaluated); every setting is proven bit-identical to every other
-/// (tests/test_parallel_scan.cpp, tests/test_envelope_scan.cpp,
-/// docs/PERFORMANCE.md).
+/// by the allocators that probe every server per VM. Every setting yields the
+/// assignment of the traced serial check_fit loop, bit for bit
+/// (tests/test_envelope_scan.cpp, docs/PERFORMANCE.md).
 struct ScanConfig {
   /// Worker threads per scan: 1 = serial (default), 0 = hardware
-  /// concurrency, N > 1 = exactly N. Results are identical at any count.
+  /// concurrency, N > 1 = the arg-min split into N contiguous chunks.
+  /// Results are identical at any count.
   int threads = 1;
-  /// Shape-keyed memoization of feasibility + score per server, invalidated
-  /// by the timeline epoch. Off by default: it pays off only on workloads
-  /// where (CPU, MEM, interval) shapes repeat (docs/PERFORMANCE.md).
-  bool cache = false;
-  /// Probes the cache memo must have answered (hits + misses; quick-decided
-  /// probes don't count) before the observed hit rate is judged once against
-  /// `cache_min_hit_rate`. Evaluated between scans, so the verdict is
-  /// deterministic at any thread count.
-  int cache_warmup_probes = 1024;
-  /// Hit-rate floor below which the cache auto-disables after warmup: the
-  /// remaining scans run uncached (decisions unchanged — the cache is
-  /// transparent — only the bookkeeping overhead disappears).
-  double cache_min_hit_rate = 0.05;
-  /// SoA envelope triage (core/envelope_store.h): classify every server with
-  /// one contiguous sweep over packed envelope rows before the arg-min scan
-  /// touches any timeline. Verdicts are bit-for-bit
-  /// ServerTimeline::quick_fit's, so results are identical on or off at any
-  /// thread count (fuzzed in tests/test_envelope_scan.cpp) — on by default
-  /// as a pure memory-layout optimization; off mainly for A/B timing
-  /// (bench's envelope gate, `--no-envelope`).
-  bool envelope = true;
-  /// Fleet sharding (core/shard.h): the cluster is partitioned into this
-  /// many contiguous shard blocks and the scan sweeps them concurrently as a
-  /// two-level arg-min (envelope triage per shard block, then a
-  /// lexicographic (score, index) merge). 1 (default) keeps the historical
-  /// single-level chunked scan. Assignments are byte-identical at any shard
-  /// count (tests/test_sharded_scan.cpp).
+  /// Shard count for the engine's per-shard load reporting (ShardOptions);
+  /// it does not reach the scan.
   int shards = 1;
-  /// Shard-assignment strategy; a pure layout knob (docs/PERFORMANCE.md).
-  ShardBy shard_by = ShardBy::kContiguous;
 
   /// `threads` with 0 resolved to the hardware concurrency (at least 1).
   int resolved_threads() const;
-  /// The sharding subset of this config, as ClusterState's partition input.
-  ShardOptions shard_options() const { return ShardOptions{shards, shard_by}; }
+  /// The sharding subset of this config, as EngineOptions::shard.
+  ShardOptions shard_options() const { return ShardOptions{shards}; }
 };
 
 class Allocator {
@@ -141,17 +119,5 @@ void record_allocation_metrics(MetricsRegistry* metrics,
                                std::int64_t feasible_candidates,
                                std::int64_t rejections,
                                std::size_t unallocated);
-
-/// Flushes the scan-cache counters ("allocator.<name>.cache_hits",
-/// ".cache_misses", ".cache_quick_decided", and ".cache_auto_disabled",
-/// the latter 1 when the warmup hit-rate check switched the cache off).
-/// Call only when the cache ran (ScanConfig::cache), so cache-less runs
-/// don't emit zero-valued counters; no-op when `metrics` is null.
-void record_scan_cache_metrics(MetricsRegistry* metrics,
-                               const std::string& allocator,
-                               std::int64_t cache_hits,
-                               std::int64_t cache_misses,
-                               std::int64_t cache_quick_decided,
-                               bool cache_auto_disabled);
 
 }  // namespace esva

@@ -1,72 +1,42 @@
 // The candidate-scan engine: every exhaustive allocator in the library spends
-// its time in the same loop — for each VM, probe all n server timelines
-// (feasibility + a per-server score) and keep the arg-min. This header owns
-// that loop once, in four layers:
+// its time in the same loop (paper §III) — for each VM, find the feasible
+// servers, price each one, and keep the arg-min, ties going to the lowest
+// server index. This header owns that loop once, as one path in two steps:
 //
-//   * the SoA envelope pass (core/envelope_store.h) — before each arg-min,
-//     one contiguous sweep over packed per-server envelope rows classifies
-//     every server quick-accept / quick-reject / needs-tree with
-//     ServerTimeline::quick_fit's exact comparisons (autovectorized; the
-//     fleet's triage no longer chases a timeline pointer per server). Only
-//     needs-tree servers fall through to segment-tree can_fit. Verdicts are
-//     bit-for-bit quick_fit's, so scan results, cache counters, and final
-//     assignments are byte-identical with the pass on or off at any thread
-//     count (tests/test_envelope_scan.cpp differential fuzz).
+//   * the SoA envelope pass (core/envelope_store.h) — one contiguous sweep
+//     over packed per-server envelope rows classifies the whole fleet
+//     quick-accept / quick-reject / needs-tree with ServerTimeline::quick_fit's
+//     exact comparisons (autovectorized; the fleet's triage does not chase a
+//     timeline pointer per server). Only needs-tree servers fall through to
+//     segment-tree can_fit. Verdicts are bit-for-bit quick_fit's.
 //
-//   * scan_candidates() — the arg-min itself, serial or partitioned across a
+//   * scan_candidates() — the arg-min itself, serial or split across a
 //     ThreadPool. Deterministic by construction: each thread takes one
 //     contiguous index chunk and runs the *same* strict-< loop the serial
 //     scan runs, and the per-chunk minima are reduced in increasing chunk
 //     order with the same strict <. Chunks are contiguous and ascending, so
 //     "first index with a strictly smaller score" — the serial winner — wins
 //     the reduction at any thread count; scores are computed independently
-//     per server, so they are bit-identical to the serial run's. Verified
-//     byte-for-byte in tests/test_parallel_scan.cpp.
+//     per server, so they are bit-identical to the serial run's.
 //
-//   * the two-level sharded scan (core/shard.h) — when the cluster is
-//     partitioned, shards sweep concurrently (one task per shard: envelope
-//     triage over the shard's contiguous block, tree queries only for
-//     survivors) and the per-shard minima merge in ascending shard order
-//     with a lexicographic (score, original index) strict-<, which is
-//     exactly the order the unsharded serial loop induces — so assignments
-//     are byte-identical at any shard count and thread count
-//     (tests/test_sharded_scan.cpp differential fuzz).
-//
-//   * ScanCache — per-(server, shape) memoization of feasibility + score,
-//     keyed by the VM's (CPU, MEM, start, end) shape and guarded by the
-//     timeline's epoch (cluster/timeline.h): the cached value is the very
-//     double the uncached probe would recompute, valid until the probed
-//     timeline actually mutates. Each scan probes each server exactly once,
-//     so per-server cache state evolves identically at any thread count.
-//     Probes that ServerTimeline::quick_fit decides in O(1) skip the memo
-//     entirely (no hash, no lookup, no insert); the shape hash is computed
-//     once per VM, not once per server; and after a warmup window the cache
-//     auto-disables when its observed hit rate cannot repay the bookkeeping
-//     (ScanConfig::cache_warmup_probes / cache_min_hit_rate) — decisions are
-//     unchanged in every case, the cache is transparent by construction.
-//     Profiled VMs (time-varying demand) bypass the cache — their demand is
-//     not captured by the shape key.
-//
-//   * ScanPolicy — the per-request decision loop shared by min-incremental
-//     and the scan-based baselines, as a streaming PlacementPolicy
-//     (core/streaming.h): tracing (serial, uncached — decision records are
-//     inherently ordered and need check_fit diagnostics), scoring, and probe
-//     accounting. Batch allocate() runs the same policy through run_batch
-//     ("sort by start time, feed the stream"), so the fast path with default
-//     ScanConfig is the exact pre-engine serial loop, preserving the
-//     null-sink zero-overhead contract (bench/perf_allocators).
+// ScanPolicy wraps both as the per-request decision loop shared by
+// min-incremental and the scan-based baselines, a streaming PlacementPolicy
+// (core/streaming.h). While tracing, it runs the serial check_fit loop
+// instead — decision records are inherently ordered and need rejection
+// diagnostics. That traced loop never reads the envelope store, which makes
+// it the reference the untraced path is checked against: assignments and
+// energies are byte-identical at every thread count
+// (tests/test_envelope_scan.cpp). Batch allocate() runs the same policy
+// through run_batch ("sort by start time, feed the stream").
 
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -74,7 +44,6 @@
 #include "core/allocator.h"
 #include "core/cost_model.h"
 #include "core/envelope_store.h"
-#include "core/shard.h"
 #include "core/streaming.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -153,251 +122,19 @@ ScanOutcome scan_candidates(std::size_t n, const Eval& eval,
   return total;
 }
 
-/// Arg-min over one contiguous *storage* block [lo, hi) of a sharded layout
-/// (core/shard.h): rows are visited ascending, each mapped back to its
-/// original server index through `original_of`, and `eval(original, row)`
-/// scores it. The partition keeps original indices ascending within a shard
-/// block, so the same strict-< that scan_range uses keeps the shard's
-/// lowest-original-index winner; ScanOutcome::best is the *original* index.
-template <typename Eval>
-ScanOutcome scan_block(std::size_t lo, std::size_t hi,
-                       const std::size_t* original_of, const Eval& eval) {
-  ScanOutcome out;
-  for (std::size_t r = lo; r < hi; ++r) {
-    const std::size_t i = original_of[r];
-    const std::optional<double> score = eval(i, r);
-    if (!score) {
-      ++out.rejected;
-      continue;
-    }
-    ++out.feasible;
-    if (*score < out.best_score) {
-      out.best_score = *score;
-      out.best = i;
-    }
-  }
-  return out;
-}
-
-/// Folds one shard's arg-min into the running total. Shards do not cover
-/// ascending index ranges in general (type/band/hash layouts interleave the
-/// fleet), so — unlike the chunked reduction above, where plain strict-<
-/// suffices — ties on score must break to the lower *original* index
-/// explicitly: the lexicographic (score, index) strict-< below is exactly
-/// the order the unsharded serial scan's "first strictly smaller score wins"
-/// loop induces, so the merged winner is the serial winner at any shard
-/// count. Scores are computed independently per server, hence bit-identical
-/// to the unsharded run's (tests/test_sharded_scan.cpp).
-inline void merge_shard_outcome(ScanOutcome& total, const ScanOutcome& shard) {
-  total.feasible += shard.feasible;
-  total.rejected += shard.rejected;
-  if (shard.best == kNoCandidate) return;
-  if (shard.best_score < total.best_score ||
-      (shard.best_score == total.best_score && shard.best < total.best)) {
-    total.best_score = shard.best_score;
-    total.best = shard.best;
-  }
-}
-
-/// Two-level sharded arg-min: `sweep(s)` scans shard s's block (typically
-/// envelope triage + scan_block) and the per-shard minima are merged in
-/// ascending shard order with the lexicographic reduction above. Shards
-/// sweep concurrently on the pool (one task per shard; the calling thread
-/// takes shard 0) or serially when `pool` is null — the merge order and
-/// therefore the result are identical either way.
-template <typename Sweep>
-ScanOutcome scan_shards(std::size_t num_shards, const Sweep& sweep,
-                        ThreadPool* pool) {
-  ScanOutcome total;
-  if (pool == nullptr || num_shards <= 1) {
-    for (std::size_t s = 0; s < num_shards; ++s)
-      merge_shard_outcome(total, sweep(s));
-    return total;
-  }
-  std::vector<std::future<ScanOutcome>> pending;
-  pending.reserve(num_shards - 1);
-  for (std::size_t s = 1; s < num_shards; ++s)
-    pending.push_back(pool->submit([&sweep, s] { return sweep(s); }));
-  total = sweep(0);
-  for (std::future<ScanOutcome>& future : pending)
-    merge_shard_outcome(total, future.get());
-  return total;
-}
-
-/// The (CPU, MEM, interval) shape of a stable VM — the cache key. Exact
-/// double equality is intended: VMs instantiated from the same catalog type
-/// carry bit-identical demands.
-struct VmShape {
-  double cpu = 0.0;
-  double mem = 0.0;
-  Time start = 0;
-  Time end = 0;
-
-  bool operator==(const VmShape& other) const {
-    return cpu == other.cpu && mem == other.mem && start == other.start &&
-           end == other.end;
-  }
-};
-
-/// One multiplicative round per 64-bit word (splitmix64-style finalization),
-/// reading the doubles' bit patterns directly — cheaper than chaining four
-/// std::hash calls, and exact-equality keys make bit hashing sound.
-struct VmShapeHash {
-  std::size_t operator()(const VmShape& shape) const {
-    const auto mix = [](std::uint64_t h, std::uint64_t v) {
-      h ^= v * 0x9e3779b97f4a7c15ULL;
-      return (h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL;
-    };
-    std::uint64_t h = std::bit_cast<std::uint64_t>(shape.cpu);
-    h = mix(h, std::bit_cast<std::uint64_t>(shape.mem));
-    h = mix(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                    shape.start))
-                << 32) |
-                   static_cast<std::uint32_t>(shape.end));
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
-/// Epoch-validated memo of (feasible, score) per (server, shape). Thread-safe
-/// under the scan engine's access pattern: a scan partitions servers across
-/// threads disjointly, so each per-server slot is touched by one thread at a
-/// time.
-class ScanCache {
- public:
-  /// A VM's shape with its hash precomputed — once per scanned VM, not once
-  /// per probed server (the map's hasher just reads it back).
-  struct Key {
-    VmShape shape;
-    std::size_t hash = 0;
-  };
-
-  static Key key_of(const VmSpec& vm) {
-    const VmShape shape{vm.demand.cpu, vm.demand.mem, vm.start, vm.end};
-    return Key{shape, VmShapeHash{}(shape)};
-  }
-
-  void resize(std::size_t num_servers) { servers_.resize(num_servers); }
-  bool enabled() const { return !servers_.empty(); }
-
-  /// Drops every slot and stops answering probes (enabled() turns false);
-  /// the counters survive into hits()/misses()/quick_decided(). Called by
-  /// the policy layer when the post-warmup hit rate cannot repay the
-  /// bookkeeping (auto-disable) — subsequent scans run uncached, which is
-  /// behaviorally identical because the cache is transparent.
-  void disable() {
-    base_hits_ += sum(&Slot::hits);
-    base_misses_ += sum(&Slot::misses);
-    base_quick_ += sum(&Slot::quick);
-    servers_.clear();
-  }
-
-  /// Cached equivalent of "can_fit(vm) ? score(timeline, vm) : nullopt" for
-  /// server `i`. The caller supplies the O(1) triage verdict `quick` —
-  /// either timeline.quick_fit(vm) or the envelope pass's bit-identical
-  /// precomputed copy (ScanPolicy computes it once per scan either way, so
-  /// cache counters and memo contents evolve identically with the envelope
-  /// pass on or off). Probes the triage decides never touch the memo (no
-  /// lookup, no insert — recomputing a quick-accepted score is cheaper than
-  /// memoizing it). Otherwise a stored entry is reused iff the timeline's
-  /// epoch is unchanged since it was stored; the first such probe after a
-  /// mutation drops the server's entries. The caller routes profiled VMs
-  /// around the cache entirely (their demand is not captured by `key`).
-  template <typename ScoreFn>
-  std::optional<double> probe(std::size_t i, const ServerTimeline& timeline,
-                              const VmSpec& vm, const Key& key, QuickFit quick,
-                              const ScoreFn& score) {
-    Slot& slot = servers_[i];
-    switch (quick) {
-      case QuickFit::kFits:
-        ++slot.quick;
-        return score(timeline, vm);
-      case QuickFit::kCannotFit:
-        ++slot.quick;
-        return std::nullopt;
-      case QuickFit::kUnknown: break;
-    }
-    if (slot.epoch != timeline.epoch() || !slot.valid) {
-      slot.entries.clear();
-      slot.epoch = timeline.epoch();
-      slot.valid = true;
-    }
-    if (const auto it = slot.entries.find(key); it != slot.entries.end()) {
-      ++slot.hits;
-      if (!it->second.feasible) return std::nullopt;
-      return it->second.score;
-    }
-    ++slot.misses;
-    Entry entry;
-    entry.feasible = timeline.can_fit(vm);
-    if (entry.feasible) entry.score = score(timeline, vm);
-    slot.entries.emplace(key, entry);
-    if (!entry.feasible) return std::nullopt;
-    return entry.score;
-  }
-
-  std::int64_t hits() const { return base_hits_ + sum(&Slot::hits); }
-  std::int64_t misses() const { return base_misses_ + sum(&Slot::misses); }
-
-  /// Probes answered by the O(1) quick_fit triage without touching the memo.
-  std::int64_t quick_decided() const { return base_quick_ + sum(&Slot::quick); }
-
- private:
-  struct Entry {
-    bool feasible = false;
-    double score = 0.0;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const { return key.hash; }
-  };
-  struct KeyEq {
-    bool operator()(const Key& a, const Key& b) const {
-      return a.shape == b.shape;
-    }
-  };
-  struct Slot {
-    std::uint64_t epoch = 0;
-    bool valid = false;  ///< false until the first probe adopts an epoch
-    std::unordered_map<Key, Entry, KeyHash, KeyEq> entries;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t quick = 0;
-  };
-
-  std::int64_t sum(std::int64_t Slot::* field) const {
-    std::int64_t total = 0;
-    for (const Slot& slot : servers_) total += slot.*field;
-    return total;
-  }
-
-  std::vector<Slot> servers_;
-  std::int64_t base_hits_ = 0;
-  std::int64_t base_misses_ = 0;
-  std::int64_t base_quick_ = 0;
-};
-
-/// Probe accounting for one allocate() run.
-struct ScanTotals {
-  std::int64_t feasible = 0;
-  std::int64_t rejected = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t cache_quick_decided = 0;
-  bool cache_auto_disabled = false;
-};
-
 /// The per-request decision loop shared by every scan-based allocator, as a
 /// streaming policy: arg-min-scans the fleet with `score` (lower is better;
 /// ties to the lowest server index). Batch allocate() and the streaming
 /// replay both run exactly this code (core/streaming.h run_batch /
 /// PlacementEngine), so they cannot diverge.
 ///
-/// While tracing, the scan runs serial and uncached — decision records are
-/// inherently ordered, and rejection diagnostics need check_fit — but flows
-/// through the same scan_candidates arg-min, so traced and untraced runs
-/// cannot diverge (tests/test_obs_trace.cpp). `score_is_energy_delta` tells
-/// the tracer whether `score` already *is* the Eq. 17 incremental energy;
-/// otherwise candidates are priced separately for the trace, as the baselines
-/// always did.
+/// While tracing, the scan runs the serial check_fit loop — decision records
+/// are inherently ordered, and rejection diagnostics need check_fit — through
+/// the same scan_range arg-min, so traced and untraced runs cannot diverge
+/// (tests/test_envelope_scan.cpp). `score_is_energy_delta` tells the tracer
+/// whether `score` already *is* the Eq. 17 incremental energy; otherwise
+/// candidates are priced separately for the trace, as the baselines always
+/// did.
 template <typename ScoreFn>
 class ScanPolicy final : public PlacementPolicy {
  public:
@@ -410,14 +147,12 @@ class ScanPolicy final : public PlacementPolicy {
         obs_(obs) {}
 
   std::string name() const override { return name_; }
-  const ScanTotals& totals() const { return totals_; }
 
   void begin(const ClusterState& cluster, Rng& /*rng*/) override {
     const std::size_t n = cluster.num_servers();
     if (!obs_.tracing() && config_.resolved_threads() > 1 && n > 1)
       pool_ = std::make_unique<ThreadPool>(
           static_cast<std::size_t>(config_.resolved_threads()) - 1);
-    if (!obs_.tracing() && config_.cache) cache_.resize(n);
   }
 
   PlacementDecision place_one(const ClusterState& cluster, const VmSpec& vm,
@@ -427,9 +162,8 @@ class ScanPolicy final : public PlacementPolicy {
     PlacementDecision result;
     if (obs_.tracing()) {
       DecisionBuilder decision(obs_, name_, vm.id);
-      const ScanOutcome out = scan_candidates(
-          n,
-          [&](std::size_t i) -> std::optional<double> {
+      const ScanOutcome out = scan_range(
+          std::size_t{0}, n, [&](std::size_t i) -> std::optional<double> {
             const FitCheck fit = timelines[i].check_fit(vm);
             if (!fit.ok) {
               decision.add_rejected(static_cast<ServerId>(i), fit);
@@ -441,10 +175,9 @@ class ScanPolicy final : public PlacementPolicy {
                                       ? s
                                       : incremental_cost(timelines[i], vm));
             return s;
-          },
-          nullptr);
-      totals_.feasible += out.feasible;
-      totals_.rejected += out.rejected;
+          });
+      feasible_ += out.feasible;
+      rejected_ += out.rejected;
       if (out.best == kNoCandidate) {
         decision.commit(kNoServer);
         return result;  // reported as unallocated
@@ -458,123 +191,30 @@ class ScanPolicy final : public PlacementPolicy {
       return result;
     }
 
-    // Hoisted VM-loop invariant: the shape key (and its hash) is computed
-    // once here, not inside the per-server loop. Profiled VMs take the
-    // uncached scan — their time-varying demand is not captured by the key.
-    const bool use_cache = cache_.enabled() && !vm.has_profile();
-    const ScanCache::Key key = use_cache ? ScanCache::key_of(vm)
-                                         : ScanCache::Key{};
     // SoA envelope pass (core/envelope_store.h): one contiguous sweep
     // classifies the whole fleet with quick_fit's exact comparisons before
     // the (possibly parallel) arg-min touches any timeline; only servers the
     // sweep leaves kUnknown fall through to the segment trees. The verdict
     // buffer is written here, serially, before any worker task is submitted
     // (scan_candidates' future machinery orders the reads after), and read
-    // by index — contiguous ascending like the scan itself.
-    const bool use_envelope = config_.envelope;
-    // Two-level sharded scan (core/shard.h): when the cluster is partitioned,
-    // each shard's task triages its own contiguous envelope block and
-    // arg-mins it (scan_block, ascending original indices within the block),
-    // and the per-shard minima merge with the lexicographic (score, index)
-    // reduction — the serial unsharded winner at any shard and thread count.
-    // The verdict buffer is sized serially here; shard tasks write and read
-    // disjoint [shard_begin, shard_end) slices of it, so the concurrent
-    // sweeps are race-free.
-    const FleetPartition& partition = cluster.partition();
-    const bool sharded = partition.num_shards() > 1;
-    if (use_envelope) {
-      verdicts_.resize(n);
-      if (!sharded)
-        cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
-                                     verdicts_.data());
-    }
-    const ScanOutcome out = [&] {
-      if (sharded) {
-        const std::size_t* original_of = partition.original_of().data();
-        const EnvelopeStore::Probe probe = EnvelopeStore::probe_of(vm);
-        // use_cache / use_envelope are loop-invariant; the branches below
-        // predict perfectly, so one eval covers all four dispatch modes the
-        // unsharded path specializes.
-        const auto eval_row = [&](std::size_t i,
-                                  std::size_t r) -> std::optional<double> {
-          const QuickFit quick = use_envelope
-                                     ? static_cast<QuickFit>(verdicts_[r])
-                                     : timelines[i].quick_fit(vm);
-          if (use_cache)
-            return cache_.probe(i, timelines[i], vm, key, quick, score_);
-          switch (quick) {
+    // by server index — contiguous ascending like the scan itself.
+    verdicts_.resize(n);
+    cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
+                                 verdicts_.data());
+    const ScanOutcome out = scan_candidates(
+        n,
+        [&](std::size_t i) -> std::optional<double> {
+          switch (static_cast<QuickFit>(verdicts_[i])) {
             case QuickFit::kFits: return score_(timelines[i], vm);
             case QuickFit::kCannotFit: return std::nullopt;
             case QuickFit::kUnknown: break;
           }
           if (!timelines[i].can_fit(vm)) return std::nullopt;
           return score_(timelines[i], vm);
-        };
-        const auto sweep = [&](std::size_t s) -> ScanOutcome {
-          const std::size_t lo = partition.shard_begin(s);
-          const std::size_t hi = partition.shard_end(s);
-          if (use_envelope && lo < hi)
-            cluster.envelopes().classify(probe, lo, hi, verdicts_.data());
-          return scan_block(lo, hi, original_of, eval_row);
-        };
-        return scan_shards(partition.num_shards(), sweep, pool_.get());
-      }
-      if (use_cache) {
-        if (use_envelope)
-          return scan_candidates(
-              n,
-              [&](std::size_t i) -> std::optional<double> {
-                return cache_.probe(i, timelines[i], vm, key,
-                                    static_cast<QuickFit>(verdicts_[i]),
-                                    score_);
-              },
-              pool_.get());
-        return scan_candidates(
-            n,
-            [&](std::size_t i) -> std::optional<double> {
-              return cache_.probe(i, timelines[i], vm, key,
-                                  timelines[i].quick_fit(vm), score_);
-            },
-            pool_.get());
-      }
-      if (use_envelope)
-        return scan_candidates(
-            n,
-            [&](std::size_t i) -> std::optional<double> {
-              switch (static_cast<QuickFit>(verdicts_[i])) {
-                case QuickFit::kFits: return score_(timelines[i], vm);
-                case QuickFit::kCannotFit: return std::nullopt;
-                case QuickFit::kUnknown: break;
-              }
-              if (!timelines[i].can_fit(vm)) return std::nullopt;
-              return score_(timelines[i], vm);
-            },
-            pool_.get());
-      return scan_candidates(
-          n,
-          [&](std::size_t i) -> std::optional<double> {
-            if (!timelines[i].can_fit(vm)) return std::nullopt;
-            return score_(timelines[i], vm);
-          },
-          pool_.get());
-    }();
-    totals_.feasible += out.feasible;
-    totals_.rejected += out.rejected;
-    // Auto-disable check, once, at a serial point between scans: per-slot
-    // counters evolve identically at any thread count, so the verdict (and
-    // everything downstream) is deterministic.
-    if (cache_.enabled() && !cache_warmup_judged_) {
-      const std::int64_t answered = cache_.hits() + cache_.misses();
-      if (answered >= config_.cache_warmup_probes) {
-        cache_warmup_judged_ = true;
-        const double hit_rate =
-            static_cast<double>(cache_.hits()) / static_cast<double>(answered);
-        if (hit_rate < config_.cache_min_hit_rate) {
-          cache_.disable();
-          totals_.cache_auto_disabled = true;
-        }
-      }
-    }
+        },
+        pool_.get());
+    feasible_ += out.feasible;
+    rejected_ += out.rejected;
     if (out.best == kNoCandidate) return result;  // reported as unallocated
     result.server = static_cast<ServerId>(out.best);
     if (score_is_energy_delta_) {
@@ -585,16 +225,8 @@ class ScanPolicy final : public PlacementPolicy {
   }
 
   void finish(std::size_t requests, std::size_t unallocated) override {
-    totals_.cache_hits = cache_.hits();
-    totals_.cache_misses = cache_.misses();
-    totals_.cache_quick_decided = cache_.quick_decided();
-    record_allocation_metrics(obs_.metrics, name_, requests, totals_.feasible,
-                              totals_.rejected, unallocated);
-    if (config_.cache)
-      record_scan_cache_metrics(obs_.metrics, name_, totals_.cache_hits,
-                                totals_.cache_misses,
-                                totals_.cache_quick_decided,
-                                totals_.cache_auto_disabled);
+    record_allocation_metrics(obs_.metrics, name_, requests, feasible_,
+                              rejected_, unallocated);
   }
 
  private:
@@ -604,12 +236,11 @@ class ScanPolicy final : public PlacementPolicy {
   ScanConfig config_;
   ObsContext obs_;
   std::unique_ptr<ThreadPool> pool_;
-  ScanCache cache_;
-  ScanTotals totals_;
+  std::int64_t feasible_ = 0;
+  std::int64_t rejected_ = 0;
   /// Per-scan QuickFit verdict bytes from the envelope pass, indexed by
   /// server. Written serially before each scan fans out; workers only read.
   std::vector<std::uint8_t> verdicts_;
-  bool cache_warmup_judged_ = false;
 };
 
 /// Deduces the ScoreFn type; the scan-based allocators' make_policy() and

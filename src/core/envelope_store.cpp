@@ -14,15 +14,7 @@ void EnvelopeStore::reset(const std::vector<ServerTimeline>& timelines) {
   cap_mem_.resize(count_);
   base_.resize(count_);
   horizon_.resize(count_);
-  epoch_.resize(count_);
   for (std::size_t i = 0; i < count_; ++i) refresh(i, timelines[i]);
-}
-
-void EnvelopeStore::reset(const std::vector<ServerTimeline>& timelines,
-                          const std::vector<std::size_t>& original_of) {
-  assert(original_of.size() == timelines.size());
-  reset(timelines);
-  for (std::size_t r = 0; r < count_; ++r) refresh(r, timelines[original_of[r]]);
 }
 
 void EnvelopeStore::refresh(std::size_t i, const ServerTimeline& timeline) {
@@ -35,7 +27,6 @@ void EnvelopeStore::refresh(std::size_t i, const ServerTimeline& timeline) {
   cap_mem_[i] = timeline.spec().capacity.mem;
   base_[i] = timeline.base();
   horizon_[i] = timeline.horizon();
-  epoch_[i] = timeline.epoch();
 }
 
 void EnvelopeStore::classify(const Probe& probe, std::size_t lo,
@@ -95,26 +86,6 @@ bool EnvelopeStore::debug_validate(
     if (cap_mem_[i] != t.spec().capacity.mem) return false;
     if (base_[i] != t.base()) return false;
     if (horizon_[i] != t.horizon()) return false;
-    if (epoch_[i] != t.epoch()) return false;
-  }
-  return true;
-}
-
-bool EnvelopeStore::debug_validate(
-    const std::vector<ServerTimeline>& timelines,
-    const std::vector<std::size_t>& original_of) const {
-  if (timelines.size() != count_ || original_of.size() != count_) return false;
-  for (std::size_t r = 0; r < count_; ++r) {
-    const ServerTimeline& t = timelines[original_of[r]];
-    if (peak_cpu_[r] != t.peak_cpu_usage()) return false;
-    if (peak_mem_[r] != t.peak_mem_usage()) return false;
-    if (floor_cpu_[r] != t.floor_cpu_usage()) return false;
-    if (floor_mem_[r] != t.floor_mem_usage()) return false;
-    if (cap_cpu_[r] != t.spec().capacity.cpu) return false;
-    if (cap_mem_[r] != t.spec().capacity.mem) return false;
-    if (base_[r] != t.base()) return false;
-    if (horizon_[r] != t.horizon()) return false;
-    if (epoch_[r] != t.epoch()) return false;
   }
   return true;
 }

@@ -27,9 +27,8 @@
 // so no comparison is algebraically rearranged. The store is owned by
 // ClusterState (core/streaming.h), which refreshes the mutated row — O(1),
 // five loads off the timeline — at every place, GC rebuild, fault stub, and
-// recovery; the row carries the timeline's epoch so coherence is checkable.
-// tests/test_envelope_scan.cpp fuzzes verdict equality and row coherence
-// (debug_validate) across randomized engine lifecycles.
+// recovery. tests/test_envelope_scan.cpp fuzzes verdict equality and row
+// coherence (debug_validate) across randomized engine lifecycles.
 
 #pragma once
 
@@ -46,7 +45,7 @@ namespace esva {
 class EnvelopeStore {
  public:
   /// The per-VM constants of one classify() sweep, hoisted out of the
-  /// per-server loop (the analogue of ScanCache::Key for triage).
+  /// per-server loop.
   struct Probe {
     double cpu = 0.0;      ///< peak CPU demand
     double mem = 0.0;      ///< peak memory demand
@@ -61,21 +60,12 @@ class EnvelopeStore {
   }
 
   /// Rebuilds every row from `timelines` (the ClusterState constructor),
-  /// row i mirroring timelines[i] (identity layout).
+  /// row i mirroring timelines[i].
   void reset(const std::vector<ServerTimeline>& timelines);
 
-  /// Permuted reset: row r mirrors timelines[original_of[r]]. ClusterState
-  /// uses this to lay rows out in *shard storage order* (core/shard.h), so
-  /// each shard's rows form one contiguous block the two-level scan sweeps
-  /// independently. `original_of` must be a permutation of
-  /// [0, timelines.size()).
-  void reset(const std::vector<ServerTimeline>& timelines,
-             const std::vector<std::size_t>& original_of);
-
   /// Re-reads row `i` from its timeline: peak/floor envelope (O(1) tree
-  /// roots), capacity, window bounds, epoch. Called after every mutation of
-  /// the mirrored timeline; under a sharded layout `i` is the *storage row*
-  /// (FleetPartition::storage_of), not the server index.
+  /// roots), capacity, window bounds. Called after every mutation of the
+  /// mirrored timeline.
   void refresh(std::size_t i, const ServerTimeline& timeline);
 
   std::size_t size() const { return count_; }
@@ -91,28 +81,17 @@ class EnvelopeStore {
   }
 
   /// Block view of the sweep: classifies rows [lo, hi) only, writing
-  /// verdicts[lo..hi) and touching nothing else. The sharded scan runs one
-  /// block per shard task — blocks are disjoint, so concurrent sweeps into a
-  /// shared verdict buffer are race-free. Row-for-row identical to the
-  /// full-fleet sweep (the loop body is the same arithmetic on the same
+  /// verdicts[lo..hi) and touching nothing else. Row-for-row identical to
+  /// the full-fleet sweep (the loop body is the same arithmetic on the same
   /// rows; splitting a contiguous sweep cannot change any verdict).
   void classify(const Probe& probe, std::size_t lo, std::size_t hi,
                 std::uint8_t* verdicts) const;
 
-  /// The epoch stored with row `i` — equals timelines[i].epoch() whenever
-  /// the store is coherent.
-  std::uint64_t epoch(std::size_t i) const { return epoch_[i]; }
-
   /// Coherence check for tests: every stored field equals the value
   /// recomputed from scratch off the timeline (exact ==, including the O(1)
-  /// segment-tree roots max_all/min_all and the epoch). Never called on hot
-  /// paths — it is O(servers) and asserts stay live in release builds here.
+  /// segment-tree roots max_all/min_all). Never called on hot paths — it is
+  /// O(servers).
   bool debug_validate(const std::vector<ServerTimeline>& timelines) const;
-
-  /// Permuted coherence check: row r must mirror timelines[original_of[r]]
-  /// (the sharded storage layout's twin of debug_validate).
-  bool debug_validate(const std::vector<ServerTimeline>& timelines,
-                      const std::vector<std::size_t>& original_of) const;
 
  private:
   std::size_t count_ = 0;
@@ -126,7 +105,6 @@ class EnvelopeStore {
   std::vector<double> cap_mem_;
   std::vector<Time> base_;
   std::vector<Time> horizon_;
-  std::vector<std::uint64_t> epoch_;
 };
 
 }  // namespace esva

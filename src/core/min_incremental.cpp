@@ -19,11 +19,11 @@ struct MinIncrementalScore {
 
 }  // namespace
 
-// The whole decision loop — traced and untraced, serial and parallel, cached
-// and uncached — lives in ScanPolicy (core/candidate_scan.h), so the traced
-// twin can never drift from the fast path (the equivalence test in
-// tests/test_obs_trace.cpp pins them together) and the batch and streaming
-// drivers share one code path (tests/test_streaming.cpp).
+// The whole decision loop — traced and untraced, serial and parallel — lives
+// in ScanPolicy (core/candidate_scan.h), so the traced twin can never drift
+// from the fast path (tests/test_obs_trace.cpp and
+// tests/test_envelope_scan.cpp pin them together) and the batch and
+// streaming drivers share one code path (tests/test_streaming.cpp).
 std::unique_ptr<PlacementPolicy> MinIncrementalAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/true,
                           MinIncrementalScore{options_.cost}, options_.scan,
@@ -34,8 +34,7 @@ Allocation MinIncrementalAllocator::allocate(const ProblemInstance& problem,
                                              Rng& rng) {
   ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
   const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, options_.order, rng, obs_,
-                   options_.scan.shard_options());
+  return run_batch(problem, *policy, options_.order, rng, obs_);
 }
 
 }  // namespace esva

@@ -16,9 +16,10 @@
 // Complexity: O(m · n · log T) — per VM, each server needs an O(log T)
 // feasibility probe (segment trees) plus an O(local) structure-cost delta.
 // The per-VM scan runs through the candidate-scan engine
-// (core/candidate_scan.h): Options::scan parallelizes it across a thread
-// pool and/or memoizes per-(server, shape) probes, bit-identical to the
-// serial scan by construction.
+// (core/candidate_scan.h): an envelope sweep triages the fleet, then the
+// arg-min runs serially or, with Options::scan.threads > 1, in contiguous
+// chunks on a thread pool — bit-identical to the serial scan by
+// construction.
 
 #pragma once
 
@@ -34,8 +35,8 @@ class MinIncrementalAllocator final : public Allocator {
     /// Presentation order; the paper uses ByStartTime. Exposed for the
     /// ordering ablation.
     VmOrder order = VmOrder::ByStartTime;
-    /// Scan-engine knobs (threads, shape cache); defaults are the serial
-    /// uncached loop. Any setting yields the identical assignment.
+    /// Scan-engine knobs (threads); the default is the serial scan. Any
+    /// setting yields the identical assignment.
     ScanConfig scan;
   };
 

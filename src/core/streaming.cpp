@@ -45,8 +45,9 @@ std::string to_string(PlacementReject reject) {
 ClusterState::ClusterState(std::vector<ServerSpec> servers,
                            Time initial_horizon, ShardOptions shard)
     : servers_(std::move(servers)),
-      partition_(servers_, shard),
-      shard_epochs_(partition_.num_shards(), 0),
+      num_shards_(std::min<std::size_t>(
+          static_cast<std::size_t>(std::max(1, shard.shards)),
+          std::max<std::size_t>(1, servers_.size()))),
       active_(servers_.size()),
       retired_hi_(servers_.size(), 0),
       health_(servers_.size(), ServerHealth::kUp),
@@ -54,14 +55,9 @@ ClusterState::ClusterState(std::vector<ServerSpec> servers,
   timelines_.reserve(servers_.size());
   for (const ServerSpec& spec : servers_)
     timelines_.emplace_back(spec, /*base=*/1, horizon_);
-  envelopes_.reset(timelines_, partition_.original_of());
+  envelopes_.reset(timelines_);
   resident_units_ =
       servers_.size() * static_cast<std::size_t>(horizon_);
-}
-
-void ClusterState::refresh_envelope(std::size_t i) {
-  envelopes_.refresh(partition_.storage_of(i), timelines_[i]);
-  ++shard_epochs_[partition_.shard_of(i)];
 }
 
 Time ClusterState::window_base(std::size_t i) const {
@@ -91,15 +87,12 @@ void ClusterState::rebuild(std::size_t i, Time base, Time horizon) {
   // request has end >= start >= frontier) extends and rebuilds it for real.
   horizon = std::max(horizon, base - 1);
   ServerTimeline fresh(servers_[i], base, horizon);
-  // Epochs must stay unique across rebuilds or the scan cache could mistake
-  // the fresh timeline for a stale snapshot it has entries for.
-  fresh.inherit_epoch(timelines_[i].epoch() + 1);
   if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
   for (const VmSpec& vm : active_[i]) fresh.place(vm);
   resident_units_ += static_cast<std::size_t>(fresh.window_units()) -
                      static_cast<std::size_t>(timelines_[i].window_units());
   timelines_[i] = std::move(fresh);
-  refresh_envelope(i);
+  envelopes_.refresh(i, timelines_[i]);
 }
 
 void ClusterState::stub_timeline(std::size_t i) {
@@ -107,10 +100,9 @@ void ClusterState::stub_timeline(std::size_t i) {
   // (Horizon), so the server disappears from every policy scan; the window
   // holds no resource trees, so it costs no resident memory.
   ServerTimeline stub(servers_[i], frontier_, frontier_ - 1);
-  stub.inherit_epoch(timelines_[i].epoch() + 1);
   resident_units_ -= static_cast<std::size_t>(timelines_[i].window_units());
   timelines_[i] = std::move(stub);
-  refresh_envelope(i);
+  envelopes_.refresh(i, timelines_[i]);
 }
 
 void ClusterState::recompute_next_retire() {
@@ -134,7 +126,7 @@ void ClusterState::place(std::size_t server, const VmSpec& vm) {
   assert(server < timelines_.size());
   assert(placeable(server));
   timelines_[server].place(vm);
-  refresh_envelope(server);
+  envelopes_.refresh(server, timelines_[server]);
   next_retire_ = next_retire_ == 0 ? vm.end : std::min(next_retire_, vm.end);
   active_[server].push_back(vm);
   ++active_count_;
@@ -181,13 +173,14 @@ FleetSample ClusterState::sample(Time t) const {
   FleetSample s;
   s.t = t;
   s.active_vms = static_cast<std::uint32_t>(active_count_);
-  // Partitioned fleets get the per-shard load breakdown alongside the
+  // Multi-shard clusters get the per-shard load breakdown alongside the
   // fleet-wide totals; single-shard clusters leave it empty (the historical
-  // sample shape).
-  const bool per_shard = partition_.num_shards() > 1;
-  if (per_shard) s.shards.resize(partition_.num_shards());
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    ShardLoad* shard = per_shard ? &s.shards[partition_.shard_of(i)] : nullptr;
+  // sample shape). Shards are contiguous, balanced server-index blocks.
+  const std::size_t n = servers_.size();
+  const bool per_shard = num_shards_ > 1;
+  if (per_shard) s.shards.resize(num_shards_);
+  for (std::size_t i = 0; i < n; ++i) {
+    ShardLoad* shard = per_shard ? &s.shards[i * num_shards_ / n] : nullptr;
     if (shard)
       shard->active_vms += static_cast<std::uint32_t>(active_[i].size());
     if (health_[i] == ServerHealth::kFailed) {
@@ -329,17 +322,15 @@ void ClusterState::restore(Time frontier, Time horizon,
     if (placeable(i)) {
       const Time base = window_base(i);
       ServerTimeline fresh(servers_[i], base, std::max(horizon_, base - 1));
-      fresh.inherit_epoch(timelines_[i].epoch() + 1);
       if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
       for (const VmSpec& vm : active_[i]) fresh.place(vm);
       resident_units_ += static_cast<std::size_t>(fresh.window_units());
       timelines_[i] = std::move(fresh);
     } else {
       ServerTimeline stub(servers_[i], frontier_, frontier_ - 1);
-      stub.inherit_epoch(timelines_[i].epoch() + 1);
       timelines_[i] = std::move(stub);
     }
-    refresh_envelope(i);
+    envelopes_.refresh(i, timelines_[i]);
   }
   recompute_next_retire();
   assert(active_count_ == active_vms_scan());
@@ -740,12 +731,10 @@ void PlacementEngine::drain_retries(Time now) {
 }
 
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,
-                     VmOrder order, Rng& rng, const ObsContext& obs,
-                     const ShardOptions& shard) {
+                     VmOrder order, Rng& rng, const ObsContext& obs) {
   EngineOptions options;
   options.initial_horizon = problem.horizon;
   options.obs = obs;
-  options.shard = shard;
   PlacementEngine engine(problem.servers, policy, rng, options);
   Allocation alloc;
   alloc.assignment.assign(problem.num_vms(), kNoServer);

@@ -62,7 +62,6 @@
 #include "core/envelope_store.h"
 #include "core/cost_model.h"
 #include "core/fault_plan.h"
-#include "core/shard.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -87,9 +86,8 @@ std::string to_string(ServerHealth health);
 class ClusterState {
  public:
   /// Timelines over [1, initial_horizon]; pass 0 to grow on demand via
-  /// ensure_horizon (the streaming replay default). `shard` partitions the
-  /// fleet into contiguous envelope blocks (core/shard.h); the default
-  /// single-shard partition reproduces the historical unsharded layout.
+  /// ensure_horizon (the streaming replay default). `shard` slices the fleet
+  /// into contiguous server blocks for sample()'s per-shard breakdown.
   ClusterState(std::vector<ServerSpec> servers, Time initial_horizon,
                ShardOptions shard = {});
 
@@ -100,27 +98,10 @@ class ClusterState {
   /// Packed SoA mirror of every timeline's window envelope
   /// (core/envelope_store.h), refreshed O(1) at each timeline mutation —
   /// place, GC rebuild, fault stub, recovery — so the candidate scan's
-  /// envelope triage pass always reads coherent rows. Rows are laid out in
-  /// the partition's *storage order* (one contiguous block per shard); row
-  /// partition().storage_of(i) mirrors timelines()[i] and carries its
-  /// epoch(). Under the default single-shard partition storage order is the
-  /// identity, exactly the historical layout. Coherence is fuzzed via
-  /// EnvelopeStore::debug_validate in tests/test_envelope_scan.cpp and
-  /// tests/test_sharded_scan.cpp.
+  /// envelope triage pass always reads coherent rows. Row i mirrors
+  /// timelines()[i]. Coherence is fuzzed via EnvelopeStore::debug_validate
+  /// in tests/test_envelope_scan.cpp.
   const EnvelopeStore& envelopes() const { return envelopes_; }
-
-  /// The deterministic server -> shard-block mapping the envelope rows are
-  /// laid out by. Immutable for the cluster's lifetime.
-  const FleetPartition& partition() const { return partition_; }
-
-  /// Per-shard mutation counter: bumped whenever any timeline in shard `s`
-  /// mutates (place, GC rebuild, fault stub, recovery). Faults and rebuilds
-  /// are per-server operations, so activity in one shard never advances
-  /// another shard's epoch — the isolation property behind per-shard
-  /// incremental consumers (tests/test_sharded_scan.cpp pins it). The one
-  /// deliberate exception is ensure_horizon growth, which rebuilds every
-  /// placeable timeline and therefore advances every shard.
-  std::uint64_t shard_epoch(std::size_t s) const { return shard_epochs_[s]; }
 
   /// Requests must start at or after the frontier; structure strictly before
   /// it is garbage-collectible.
@@ -220,22 +201,17 @@ class ClusterState {
   Time window_base(std::size_t i) const;
   bool should_rebuild(std::size_t i) const;
   void rebuild(std::size_t i, Time base, Time horizon);
-  /// Replaces timeline `i` with an empty-window stub at the frontier
-  /// (epoch-advanced so scan caches cannot confuse it with live state).
+  /// Replaces timeline `i` with an empty-window stub at the frontier.
   void stub_timeline(std::size_t i);
   void recompute_next_retire();
-  /// Re-reads server i's envelope row (at its storage position) after a
-  /// timeline mutation, and advances its shard's epoch.
-  void refresh_envelope(std::size_t i);
 
   std::vector<ServerSpec> servers_;
-  /// Deterministic shard layout (built from servers_ at construction).
-  FleetPartition partition_;
+  /// `shard.shards` clamped to [1, servers]; sample() slices server i into
+  /// shard i * num_shards_ / servers.
+  std::size_t num_shards_ = 1;
   std::vector<ServerTimeline> timelines_;
-  /// SoA envelope rows mirroring timelines_, in storage order (envelopes()).
+  /// SoA envelope rows mirroring timelines_ (envelopes()).
   EnvelopeStore envelopes_;
-  /// Per-shard mutation counters (shard_epoch()).
-  std::vector<std::uint64_t> shard_epochs_;
   /// Active VMs per server, in placement order (rebuild replays them).
   std::vector<std::vector<VmSpec>> active_;
   /// Latest end among retired VMs per server (0 = none): the sentinel busy
@@ -361,9 +337,8 @@ struct EngineOptions {
   /// the engine's own energy accumulation is untouched, so assignments and
   /// total_energy() stay byte-identical with or without a ledger bound.
   EnergyLedger* ledger = nullptr;
-  /// Fleet partition for the cluster (core/shard.h). A pure layout /
-  /// parallelism knob: decisions are byte-identical at any shard count
-  /// (tests/test_sharded_scan.cpp).
+  /// Per-shard load slices for time-series samples (ClusterState::sample);
+  /// never changes a decision.
   ShardOptions shard;
 };
 
@@ -575,11 +550,8 @@ VmSpec clip_to(VmSpec vm, Time t);
 /// pre-streaming batch loops (tests/test_streaming.cpp).
 /// `obs` flows into EngineOptions::obs so the engine's submit timer and
 /// request counters record under the caller's registry (the Allocator
-/// subclasses pass their own ObsContext; default = null sinks). `shard`
-/// flows into EngineOptions::shard (the scan allocators pass
-/// ScanConfig::shard_options(); the default is the unsharded layout).
+/// subclasses pass their own ObsContext; default = null sinks).
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,
-                     VmOrder order, Rng& rng, const ObsContext& obs = {},
-                     const ShardOptions& shard = {});
+                     VmOrder order, Rng& rng, const ObsContext& obs = {});
 
 }  // namespace esva

@@ -89,9 +89,9 @@ void TimeSeriesSampler::write_jsonl(std::ostream& out) const {
         << ",\"rejected_final\":" << s.rejected_final
         << ",\"total_energy\":" << num(s.total_energy);
     if (!s.shards.empty()) {
-      // Sharded fleets carry the per-shard load breakdown (core/shard.h);
-      // unsharded samples omit the key entirely, keeping the historical
-      // line shape byte-identical.
+      // Sharded fleets carry the per-shard load breakdown; unsharded
+      // samples omit the key entirely, keeping the historical line shape
+      // byte-identical.
       out << ",\"shards\":[";
       for (std::size_t i = 0; i < s.shards.size(); ++i) {
         const ShardLoad& shard = s.shards[i];

@@ -27,8 +27,9 @@
 namespace esva {
 
 /// Per-shard slice of one FleetSample (populated only when the cluster is
-/// partitioned into more than one shard, core/shard.h): how load, power, and
-/// occupancy distribute across shard blocks. Indexed by shard id.
+/// sliced into more than one shard, EngineOptions::shard): how load, power,
+/// and occupancy distribute across contiguous server blocks. Indexed by
+/// shard id.
 struct ShardLoad {
   std::uint32_t active_vms = 0;
   std::uint32_t busy_servers = 0;

@@ -59,8 +59,8 @@ struct DaemonOptions {
   /// Deferred-retry configuration, forwarded to the engine. Recorded in the
   /// journal header and validated on recovery.
   RetryPolicy retry;
-  /// Candidate-scan configuration (threads/cache/shards) — a pure
-  /// performance knob, decisions are identical at any setting.
+  /// Candidate-scan configuration (threads) — a pure performance knob,
+  /// decisions are identical at any setting.
   ScanConfig scan;
   CostOptions cost;
   Energy migration_cost_per_gib = 25.0;

@@ -43,11 +43,9 @@ struct ReplayOptions {
   TimeSeriesSampler* timeseries = nullptr;
   /// Energy-attribution ledger passed through to the engine; null = none.
   EnergyLedger* ledger = nullptr;
-  /// Fleet partition (core/shard.h) passed through to the engine's cluster.
-  /// A pure layout/parallelism knob: the replayed decisions are
-  /// byte-identical at any shard count (tests/test_sharded_scan.cpp); a
-  /// multi-shard partition additionally annotates every time-series sample
-  /// with the per-shard load breakdown.
+  /// Passed through to the engine's cluster: a multi-shard count annotates
+  /// every time-series sample with the per-shard load breakdown. Never
+  /// changes a decision.
   ShardOptions shard;
 };
 

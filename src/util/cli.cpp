@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.h"
+
 namespace esva {
 
 CliParser::CliParser(std::string program_summary)
@@ -88,13 +90,15 @@ bool CliParser::parse(int argc, const char* const* argv) {
       parse_error_ = true;
       return false;
     }
+    // Numeric values must parse as a whole token: "5x" or "3.9" for an int
+    // flag is a usage error, not 5 or 3.
     try {
       switch (flag.kind) {
         case Kind::Int:
-          flag.int_value = std::stoll(value);
+          flag.int_value = parse_int_field(value, "flag --" + name);
           break;
         case Kind::Double:
-          flag.double_value = std::stod(value);
+          flag.double_value = parse_double_field(value, "flag --" + name);
           break;
         case Kind::String:
           flag.string_value = value;
@@ -102,9 +106,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
         case Kind::Bool:
           break;  // handled above
       }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "flag --%s: cannot parse value '%s'\n", name.c_str(),
-                   value.c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       parse_error_ = true;
       return false;
     }

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "ilp/model.h"
 #include "ilp/validate.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "test_util.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "workload/trace.h"
 
@@ -134,7 +137,7 @@ TEST_F(AppTest, FullPipelineGenerateAllocateEvaluateSimulate) {
   EXPECT_EQ(header, "t,total_power_w,active_servers,running_vms");
 }
 
-TEST_F(AppTest, AllocateThreadsAndCacheFlagsPreserveTheAssignment) {
+TEST_F(AppTest, AllocateThreadsFlagPreservesTheAssignment) {
   ASSERT_EQ(run("generate",
                 {"--vms", "60", "--servers", "24", "--out-vms",
                  path("t_vms.csv"), "--out-servers", path("t_srv.csv")}),
@@ -144,11 +147,11 @@ TEST_F(AppTest, AllocateThreadsAndCacheFlagsPreserveTheAssignment) {
                  "--out-assignment", path("t_serial.csv")}),
             0)
       << err();
-  // --threads 0 resolves to hardware concurrency; --cache memoizes scores.
-  // Either way the assignment must be the serial one, byte for byte.
+  // --threads 0 resolves to hardware concurrency; the assignment must be
+  // the serial one, byte for byte.
   ASSERT_EQ(run("allocate",
                 {"--vms", path("t_vms.csv"), "--servers", path("t_srv.csv"),
-                 "--threads", "0", "--cache", "--out-assignment",
+                 "--threads", "0", "--out-assignment",
                  path("t_parallel.csv")}),
             0)
       << err();
@@ -158,6 +161,88 @@ TEST_F(AppTest, AllocateThreadsAndCacheFlagsPreserveTheAssignment) {
   serial_body << serial.rdbuf();
   parallel_body << parallel.rdbuf();
   EXPECT_EQ(serial_body.str(), parallel_body.str());
+}
+
+TEST_F(AppTest, ScanFlagsRejectOutOfRangeCounts) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "10", "--servers", "4", "--out-vms",
+                 path("r_vms.csv"), "--out-servers", path("r_srv.csv")}),
+            0);
+  for (const std::string command : {"allocate", "stream"}) {
+    EXPECT_EQ(run(command, {"--vms", path("r_vms.csv"), "--servers",
+                            path("r_srv.csv"), "--threads", "-1"}),
+              1)
+        << command;
+    EXPECT_NE(err().find("--threads must be >= 0"), std::string::npos)
+        << err();
+  }
+  for (const std::string shards : {"0", "-2"}) {
+    EXPECT_EQ(run("stream", {"--vms", path("r_vms.csv"), "--servers",
+                             path("r_srv.csv"), "--shards", shards}),
+              1)
+        << shards;
+    EXPECT_NE(err().find("--shards must be >= 1"), std::string::npos)
+        << err();
+  }
+  EXPECT_EQ(run("serve", {"--servers", path("r_srv.csv"), "--socket",
+                          path("r.sock"), "--wal", path("r.wal"), "--threads",
+                          "-3"}),
+            1);
+  EXPECT_NE(err().find("--threads must be >= 0"), std::string::npos) << err();
+}
+
+// --shards only slices the time series: 3 shards add a 3-element "shards"
+// array summing to the fleet fields, 1 shard omits the key, and the
+// assignment is the same either way.
+TEST_F(AppTest, StreamShardsSliceTheTimeSeriesOnly) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "80", "--servers", "12", "--seed", "5", "--out-vms",
+                 path("sh_vms.csv"), "--out-servers", path("sh_srv.csv")}),
+            0);
+  const auto stream = [&](const std::string& shards) {
+    EXPECT_EQ(run("stream", {"--vms", path("sh_vms.csv"), "--servers",
+                             path("sh_srv.csv"), "--shards", shards,
+                             "--timeseries-out",
+                             path("sh_" + shards + ".jsonl"),
+                             "--out-assignment",
+                             path("sh_" + shards + ".csv")}),
+              0)
+        << err();
+    std::vector<json::Value> samples;
+    std::ifstream series(path("sh_" + shards + ".jsonl"));
+    for (std::string line; std::getline(series, line);)
+      samples.push_back(json::parse(line));
+    std::stringstream assignment;
+    assignment << std::ifstream(path("sh_" + shards + ".csv")).rdbuf();
+    return std::make_pair(samples, assignment.str());
+  };
+  const auto [flat, flat_assignment] = stream("1");
+  const auto [sliced, sliced_assignment] = stream("3");
+  EXPECT_EQ(flat_assignment, sliced_assignment);
+  ASSERT_FALSE(flat.empty());
+  ASSERT_EQ(flat.size(), sliced.size());
+  bool saw_load = false;
+  for (std::size_t k = 0; k < sliced.size(); ++k) {
+    EXPECT_EQ(flat[k].find("shards"), nullptr);
+    const json::Value* shards = sliced[k].find("shards");
+    ASSERT_NE(shards, nullptr);
+    ASSERT_EQ(shards->array.size(), 3u);
+    for (const char* field : {"active_vms", "busy_servers", "idle_servers"}) {
+      double sum = 0.0;
+      for (const json::Value& shard : shards->array)
+        sum += json::require_number(shard, field, "shard");
+      EXPECT_EQ(sum, json::require_number(sliced[k], field, "sample"))
+          << field << " at sample " << k;
+    }
+    double power = 0.0;
+    for (const json::Value& shard : shards->array)
+      power += json::require_number(shard, "power_w", "shard");
+    EXPECT_NEAR(power, json::require_number(sliced[k], "total_power_w", "sample"),
+                1e-9 * std::max(1.0, power));
+    saw_load = saw_load || json::require_number(sliced[k], "busy_servers",
+                                                "sample") > 0;
+  }
+  EXPECT_TRUE(saw_load);
 }
 
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {

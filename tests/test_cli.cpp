@@ -67,8 +67,16 @@ TEST(CliParser, MissingValueFails) {
 }
 
 TEST(CliParser, MalformedNumberFails) {
+  // Whole-token parsing: a numeric prefix ("5x"), a fraction on an int flag
+  // ("3.9") and an empty value are all errors, never truncated values.
+  for (const char* value : {"not-a-number", "5x", "3.9", ""}) {
+    auto parser = make_parser();
+    const char* argv[] = {"prog", "--vms", value};
+    EXPECT_FALSE(parser.parse(3, argv)) << "'" << value << "'";
+    EXPECT_TRUE(parser.parse_error()) << "'" << value << "'";
+  }
   auto parser = make_parser();
-  const char* argv[] = {"prog", "--vms", "not-a-number"};
+  const char* argv[] = {"prog", "--interarrival", "1.5x"};
   EXPECT_FALSE(parser.parse(3, argv));
   EXPECT_TRUE(parser.parse_error());
 }

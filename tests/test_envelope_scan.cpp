@@ -1,21 +1,23 @@
-// Differential fuzz harness for the SoA envelope triage pass
-// (core/envelope_store.h): the packed per-server envelope rows must answer
-// every probe with *bit-for-bit* ServerTimeline::quick_fit verdicts, stay
-// coherent with the timelines through every lifecycle transition (place /
-// undo / GC rebuild / fault stub / recovery), and — composed into the
-// candidate scan — leave every scan-based allocator's assignment
-// byte-identical with the envelope pass on or off, at any thread count,
-// cache on or off, under faults or not.
+// Differential harness for the candidate scan (core/candidate_scan.h +
+// core/envelope_store.h). The untraced scan is one path: an EnvelopeStore
+// sweep triages the fleet, then the strict-< arg-min runs serially or in
+// contiguous chunks on a thread pool. The traced scan is the serial check_fit
+// loop, which never reads the envelope store — so it is the reference.
 //
-// Three layers of evidence:
+// Four layers of evidence:
 //   1. timeline-level fuzz: random place/undo interleavings on raw
 //      ServerTimelines, classify() vs quick_fit() per server per probe, and
-//      decided verdicts cross-checked against can_fit();
+//      decided verdicts cross-checked against can_fit(); a ranged classify
+//      writes exactly its own rows;
 //   2. lifecycle property fuzz: EnvelopeStore::debug_validate() after every
 //      ClusterState transition (place, advance_to, ensure_horizon, fail,
 //      drain, recover), eager-rebuild on and off;
-//   3. end-to-end identity: full allocations and chaos replays, envelope on
-//      vs off — assignments, energies, and fault counters must match exactly.
+//   3. end-to-end identity: every scan allocator's untraced assignment and
+//      energy equal the traced run's (and, for min-incremental, the
+//      historical batch loop's) on stable and profiled workloads at 1, 2, 4
+//      and 8 threads, and chaos replays with faults and retries match the
+//      traced replay in every counter;
+//   4. the arg-min primitive: ties, empty ranges, exceptions, thread counts.
 //
 // ESVA_FUZZ_QUICK=1 (set by ctest in Debug CI; see tests/CMakeLists.txt)
 // shrinks iteration counts so sanitizer jobs fit their time budget. The
@@ -26,7 +28,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -36,8 +41,11 @@
 #include "core/candidate_scan.h"
 #include "core/fault_plan.h"
 #include "core/streaming.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/replay.h"
 #include "test_util.h"
+#include "testsupport/historical_min_incremental.h"
 #include "util/rng.h"
 #include "workload/arrival_stream.h"
 #include "workload/generator.h"
@@ -214,6 +222,49 @@ TEST(EnvelopeStoreTest, ProbeOfCarriesPeakDemandWindowAndProfileFlag) {
   EXPECT_TRUE(q.profiled);
 }
 
+// classify(probe, lo, hi) is the full sweep restricted to rows [lo, hi): it
+// writes exactly those verdicts and leaves every other byte untouched.
+TEST(EnvelopeStoreTest, BlockClassifyMatchesFullSweepAndWritesOnlyItsRange) {
+  const std::vector<ServerSpec> fleet = make_fleet(kNumServers);
+  std::vector<ServerTimeline> timelines;
+  for (const ServerSpec& spec : fleet) timelines.emplace_back(spec, 120);
+  Rng rng(42);
+  for (int k = 0; k < 40; ++k) {
+    const std::size_t i = rng.index(timelines.size());
+    const Time start = static_cast<Time>(rng.uniform_int(1, 80));
+    const VmSpec vm = testing::vm(
+        100 + k, start, start + static_cast<Time>(rng.uniform_int(1, 30)),
+        rng.uniform_double(0.1, 4.0), rng.uniform_double(0.1, 4.0));
+    if (timelines[i].can_fit(vm)) timelines[i].place(vm);
+  }
+  EnvelopeStore store;
+  store.reset(timelines);
+
+  const EnvelopeStore::Probe probe =
+      EnvelopeStore::probe_of(testing::vm(9000, 30, 55, 2.0, 2.0));
+  std::vector<std::uint8_t> full(timelines.size());
+  store.classify(probe, full.data());
+
+  constexpr std::uint8_t kSentinel = 0xCD;
+  const std::vector<std::size_t> cuts = {0, 1, 9, 10, 27, kNumServers};
+  std::vector<std::uint8_t> blocked(timelines.size(), kSentinel);
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    const std::size_t lo = cuts[c];
+    const std::size_t hi = cuts[c + 1];
+    std::vector<std::uint8_t> scratch(timelines.size(), kSentinel);
+    store.classify(probe, lo, hi, scratch.data());
+    for (std::size_t r = 0; r < timelines.size(); ++r) {
+      if (r >= lo && r < hi) {
+        EXPECT_EQ(scratch[r], full[r]) << "block " << c << " row " << r;
+        blocked[r] = scratch[r];
+      } else {
+        EXPECT_EQ(scratch[r], kSentinel) << "block " << c << " row " << r;
+      }
+    }
+  }
+  EXPECT_EQ(blocked, full);  // the blocks tile the fleet exactly
+}
+
 // --- layer 2: envelope/timeline coherence across the lifecycle --------------
 
 // debug_validate after *every* ClusterState transition, with the GC
@@ -229,10 +280,6 @@ TEST(EnvelopeCoherence, DebugValidateSurvivesRandomLifecycle) {
       const auto validate = [&](const char* when) {
         ASSERT_TRUE(cluster.envelopes().debug_validate(cluster.timelines()))
             << when << " round " << round << (eager ? " (eager)" : "");
-        for (std::size_t i = 0; i < cluster.num_servers(); ++i)
-          ASSERT_EQ(cluster.envelopes().epoch(i),
-                    cluster.timelines()[i].epoch())
-              << when << " server " << i;
       };
       validate("ctor");
 
@@ -305,85 +352,120 @@ TEST(EnvelopeCoherence, DebugValidateDetectsStaleRows) {
   EXPECT_FALSE(store.debug_validate(timelines));
 }
 
-// --- layer 3: end-to-end byte identity, envelope on vs off ------------------
+// --- layer 3: end-to-end byte identity, untraced vs traced ----------------
 
+/// One allocate() run. With `trace` bound the scan is the serial check_fit
+/// loop (no envelope store, no pool); without it, the envelope-triaged scan
+/// at `threads`.
 Allocation run_alloc(const std::string& name, const ProblemInstance& problem,
-                     int threads, bool cache, bool envelope) {
+                     int threads, MemoryTraceSink* trace = nullptr,
+                     MetricsRegistry* metrics = nullptr) {
   AllocatorPtr allocator = make_allocator(name);
   ScanConfig scan;
   scan.threads = threads;
-  scan.cache = cache;
-  scan.envelope = envelope;
   allocator->set_scan_config(scan);
+  ObsContext obs;
+  obs.trace = trace;
+  obs.metrics = metrics;
+  allocator->set_observability(obs);
   Rng rng(7);
   return allocator->allocate(problem, rng);
 }
 
-TEST(EnvelopeDifferential, OnOffByteIdenticalAcrossThreadsAndCache) {
+/// The reference: the traced run, checked to have actually taken the traced
+/// path (one decision record per VM, each naming the assigned server).
+Allocation traced_alloc(const std::string& name,
+                        const ProblemInstance& problem) {
+  MemoryTraceSink sink;
+  Allocation alloc = run_alloc(name, problem, /*threads=*/1, &sink);
+  const std::vector<VmDecisionTrace> decisions = sink.decisions();
+  EXPECT_EQ(decisions.size(), problem.num_vms()) << name;
+  std::map<VmId, ServerId> chosen;
+  for (const VmDecisionTrace& d : decisions) {
+    EXPECT_EQ(d.candidates.size(), problem.num_servers()) << name;
+    chosen[d.vm] = d.chosen;
+  }
+  for (std::size_t j = 0; j < problem.num_vms(); ++j)
+    EXPECT_EQ(chosen.at(problem.vms[j].id), alloc.assignment[j])
+        << name << " vm " << problem.vms[j].id;
+  return alloc;
+}
+
+TEST(ScanIdentity, UntracedMatchesTracedAcrossThreadsAndWorkloads) {
   const int seeds = fuzz_iters(2, 1);
-  const std::vector<int> thread_counts =
-      fuzz_quick() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
   for (int s = 0; s < seeds; ++s) {
     const std::uint64_t seed = 11u + 18u * static_cast<std::uint64_t>(s);
     for (const bool profiled : {false, true}) {
       const ProblemInstance problem =
           profiled ? profiled_instance(seed) : stable_instance(seed);
       for (const std::string& name : scan_allocators()) {
-        // The reference: envelope off = the historical quick_fit loop.
-        const Allocation reference =
-            run_alloc(name, problem, /*threads=*/1, /*cache=*/false,
-                      /*envelope=*/false);
-        for (const int threads : thread_counts) {
-          for (const bool cache : {false, true}) {
-            const Allocation with_envelope =
-                run_alloc(name, problem, threads, cache, /*envelope=*/true);
-            ASSERT_EQ(reference.assignment, with_envelope.assignment)
-                << name << " threads=" << threads << " cache=" << cache
-                << " seed=" << seed
-                << (profiled ? " (profiled)" : " (stable)");
-            const Allocation without_envelope =
-                run_alloc(name, problem, threads, cache, /*envelope=*/false);
-            ASSERT_EQ(reference.assignment, without_envelope.assignment)
-                << name << " threads=" << threads << " cache=" << cache;
-          }
+        const Allocation reference = traced_alloc(name, problem);
+        if (name == "min-incremental") {
+          ASSERT_EQ(testsupport::historical_min_incremental(problem).assignment,
+                    reference.assignment)
+              << "seed=" << seed << (profiled ? " (profiled)" : " (stable)");
         }
-        // Same double bits in, same bits out: energies match exactly.
-        EXPECT_EQ(
-            evaluate_cost(problem, reference).total(),
-            evaluate_cost(problem, run_alloc(name, problem, 1, false, true))
-                .total())
-            << name;
+        const Energy reference_energy =
+            evaluate_cost(problem, reference).total();
+        for (const int threads : {1, 2, 4, 8}) {
+          const Allocation untraced = run_alloc(name, problem, threads);
+          ASSERT_EQ(reference.assignment, untraced.assignment)
+              << name << " threads=" << threads << " seed=" << seed
+              << (profiled ? " (profiled)" : " (stable)");
+          // Same double bits in, same bits out: energies match exactly.
+          EXPECT_EQ(reference_energy, evaluate_cost(problem, untraced).total())
+              << name << " threads=" << threads;
+        }
       }
     }
   }
 }
 
-// The cache's counters evolve from the same quick verdicts either way, so
-// its warmup self-disable judgment cannot diverge envelope on vs off.
-TEST(EnvelopeDifferential, CacheAutoDisableJudgmentUnchanged) {
-  Rng rng(77);
-  const ProblemInstance problem =
-      make_problem(generate_workload(workload_config(), rng), make_fleet(8));
-  const auto run_cached = [&](bool envelope) {
-    AllocatorPtr allocator = make_allocator("min-incremental");
-    ScanConfig scan;
-    scan.cache = true;
-    scan.cache_warmup_probes = 64;
-    scan.envelope = envelope;
-    allocator->set_scan_config(scan);
-    Rng run_rng(7);
-    return allocator->allocate(problem, run_rng);
+TEST(ScanIdentity, HardwareConcurrencyThreadsMatchTraced) {
+  const ProblemInstance problem = stable_instance(3);
+  for (const std::string& name : scan_allocators()) {
+    EXPECT_EQ(traced_alloc(name, problem).assignment,
+              run_alloc(name, problem, /*threads=*/0).assignment)
+        << name;
+  }
+}
+
+// Probe accounting: the envelope verdicts and the chunked reduction count
+// exactly the feasible/rejected candidates the traced check_fit loop counts.
+TEST(ScanIdentity, ProbeCountersMatchTracedAcrossThreadCounts) {
+  const ProblemInstance problem = stable_instance(19);
+  const auto counters = [&](int threads, bool traced) {
+    MemoryTraceSink sink;
+    MetricsRegistry metrics;
+    (void)run_alloc("min-incremental", problem, threads,
+                    traced ? &sink : nullptr, &metrics);
+    std::vector<std::int64_t> out;
+    for (const char* counter :
+         {"allocator.min-incremental.feasible_candidates",
+          "allocator.min-incremental.rejections",
+          "allocator.min-incremental.unallocated"})
+      out.push_back(metrics.counter(counter).value());
+    return out;
   };
-  EXPECT_EQ(run_cached(true).assignment, run_cached(false).assignment);
+  const std::vector<std::int64_t> reference = counters(1, /*traced=*/true);
+  EXPECT_GT(reference[0], 0);
+  EXPECT_GT(reference[1], 0);
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(counters(threads, /*traced=*/false), reference) << threads;
+  }
 }
 
 ReplayReport replay_chaos(const std::string& name,
                           const ProblemInstance& problem,
-                          const FaultPlan& plan, bool envelope) {
+                          const FaultPlan& plan, int threads,
+                          MemoryTraceSink* trace) {
   AllocatorPtr allocator = make_allocator(name);
   ScanConfig scan;
-  scan.envelope = envelope;
+  scan.threads = threads;
   allocator->set_scan_config(scan);
+  ObsContext obs;
+  obs.trace = trace;
+  allocator->set_observability(obs);
   std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
   EXPECT_NE(policy, nullptr) << name;
   Rng rng(7);
@@ -394,14 +476,19 @@ ReplayReport replay_chaos(const std::string& name,
   return replay_stream(arrivals, problem.servers, *policy, rng, options);
 }
 
-// Chaos stream: failures stub timelines, recoveries rebuild them, retries
-// interleave extra scans — the envelope rows must track every transition, so
-// assignments, energies, and every fault counter match envelope on vs off.
-TEST(EnvelopeDifferential, ChaosReplayByteIdentical) {
-  const ProblemInstance problem = stable_instance(31);
+// Chaos stream: failures stub timelines, recoveries rebuild them, retries and
+// evacuations interleave extra scans — the envelope rows must track every
+// transition, so the untraced replay matches the traced one in assignments,
+// energy and every fault counter. The fleet is small enough that requests
+// queue for retries.
+TEST(ScanIdentity, ChaosReplayMatchesTracedAcrossThreads) {
+  constexpr int kTightFleet = 10;
+  Rng rng(31);
+  const ProblemInstance problem = make_problem(
+      generate_workload(workload_config(), rng), make_fleet(kTightFleet));
   ChaosConfig chaos;
-  chaos.num_servers = static_cast<std::size_t>(kNumServers);
-  chaos.failures = 6;
+  chaos.num_servers = static_cast<std::size_t>(kTightFleet);
+  chaos.failures = 4;
   chaos.window_lo = 5;
   chaos.window_hi = 200;
   chaos.mean_repair = 40;
@@ -409,18 +496,97 @@ TEST(EnvelopeDifferential, ChaosReplayByteIdentical) {
   const FaultPlan plan = random_fault_plan(chaos, plan_rng);
   for (const std::string& name :
        {std::string("min-incremental"), std::string("lowest-idle-power")}) {
-    const ReplayReport on = replay_chaos(name, problem, plan, true);
-    const ReplayReport off = replay_chaos(name, problem, plan, false);
-    ASSERT_EQ(on.assignment, off.assignment) << name;
-    EXPECT_EQ(on.total_energy, off.total_energy) << name;
-    EXPECT_EQ(on.placed, off.placed) << name;
-    EXPECT_EQ(on.rejected, off.rejected) << name;
-    EXPECT_EQ(on.faults.displaced, off.faults.displaced) << name;
-    EXPECT_EQ(on.faults.evacuated, off.faults.evacuated) << name;
-    EXPECT_EQ(on.faults.retries, off.faults.retries) << name;
-    EXPECT_EQ(on.faults.rejected_final, off.faults.rejected_final) << name;
-    EXPECT_EQ(on.faults.downtime_units, off.faults.downtime_units) << name;
-    EXPECT_GT(on.faults.fault_events, 0) << name;
+    MemoryTraceSink sink;
+    const ReplayReport reference = replay_chaos(name, problem, plan, 1, &sink);
+    EXPECT_GT(sink.size(), problem.num_vms()) << name << ": retries traced";
+    EXPECT_GT(reference.faults.fault_events, 0) << name;
+    EXPECT_GT(reference.faults.retries, 0) << name;
+    for (const int threads : {1, 2, 4, 8}) {
+      const ReplayReport run =
+          replay_chaos(name, problem, plan, threads, nullptr);
+      ASSERT_EQ(reference.assignment, run.assignment)
+          << name << " threads=" << threads;
+      EXPECT_EQ(reference.total_energy, run.total_energy) << name;
+      EXPECT_EQ(reference.placed, run.placed) << name;
+      EXPECT_EQ(reference.rejected, run.rejected) << name;
+      EXPECT_EQ(reference.faults.displaced, run.faults.displaced) << name;
+      EXPECT_EQ(reference.faults.evacuated, run.faults.evacuated) << name;
+      EXPECT_EQ(reference.faults.retries, run.faults.retries) << name;
+      EXPECT_EQ(reference.faults.rejected_final, run.faults.rejected_final)
+          << name;
+      EXPECT_EQ(reference.faults.downtime_units, run.faults.downtime_units)
+          << name;
+    }
+  }
+}
+
+// --- layer 4: the arg-min primitive ------------------------------------------
+
+TEST(ScanCandidates, EmptyAndTinyRangesStaySerial) {
+  ThreadPool pool(3);
+  const auto nothing = [](std::size_t) -> std::optional<double> {
+    return std::nullopt;
+  };
+  ScanOutcome empty = scan_candidates(0, nothing, &pool);
+  EXPECT_EQ(empty.best, kNoCandidate);
+  EXPECT_EQ(empty.feasible, 0);
+  EXPECT_EQ(empty.rejected, 0);
+
+  const auto identity = [](std::size_t i) -> std::optional<double> {
+    return static_cast<double>(i);
+  };
+  ScanOutcome tiny = scan_candidates(3, identity, &pool);
+  EXPECT_EQ(tiny.best, 0u);
+  EXPECT_EQ(tiny.feasible, 3);
+}
+
+TEST(ScanCandidates, TiesBreakToLowestIndexAtAnyThreadCount) {
+  // Scores: all equal except a strict minimum duplicated at 18 and 90 —
+  // the serial rule (strict <) keeps index 18 everywhere.
+  const auto eval = [](std::size_t i) -> std::optional<double> {
+    if (i % 7 == 3) return std::nullopt;  // sprinkle infeasibles
+    return (i == 18 || i == 90) ? 1.0 : 2.0;
+  };
+  const ScanOutcome serial = scan_range(std::size_t{0}, std::size_t{100}, eval);
+  EXPECT_EQ(serial.best, 18u);
+  for (const std::size_t workers : {1u, 2u, 3u, 7u}) {
+    ThreadPool pool(workers);
+    const ScanOutcome parallel = scan_candidates(100, eval, &pool);
+    EXPECT_EQ(parallel.best, serial.best) << workers;
+    EXPECT_EQ(parallel.best_score, serial.best_score);
+    EXPECT_EQ(parallel.feasible, serial.feasible);
+    EXPECT_EQ(parallel.rejected, serial.rejected);
+  }
+}
+
+TEST(ScanCandidates, EvalExceptionPropagatesFromWorkerChunk) {
+  ThreadPool pool(3);
+  const auto eval = [](std::size_t i) -> std::optional<double> {
+    if (i == 97) throw std::runtime_error("probe exploded");
+    return static_cast<double>(i);
+  };
+  EXPECT_THROW(scan_candidates(100, eval, &pool), std::runtime_error);
+}
+
+TEST(ScanConfigTest, ResolvedThreadsPassesExplicitCountsThrough) {
+  ScanConfig config;
+  EXPECT_EQ(config.resolved_threads(), 1);  // serial default
+  config.threads = 1;
+  EXPECT_EQ(config.resolved_threads(), 1);
+  config.threads = 7;
+  EXPECT_EQ(config.resolved_threads(), 7);
+}
+
+TEST(ScanConfigTest, ResolvedThreadsZeroMeansHardwareConcurrency) {
+  ScanConfig config;
+  config.threads = 0;
+  const int resolved = config.resolved_threads();
+  // hardware_concurrency() may return 0 on exotic platforms; the contract is
+  // "at least 1", and where the runtime does report a count, exactly that.
+  EXPECT_GE(resolved, 1);
+  const unsigned reported = std::thread::hardware_concurrency();
+  if (reported > 0) {
+    EXPECT_EQ(resolved, static_cast<int>(reported));
   }
 }
 

@@ -26,7 +26,9 @@ TEST(HistogramBuckets, EdgesAreMonotoneAndIndexRoundTrips) {
     const double lower = LatencyHistogram::bucket_lower(b);
     const double upper = LatencyHistogram::bucket_upper(b);
     ASSERT_LT(lower, upper) << "bucket " << b;
-    if (b > 0) ASSERT_DOUBLE_EQ(lower, prev_upper) << "bucket " << b;
+    if (b > 0) {
+      ASSERT_DOUBLE_EQ(lower, prev_upper) << "bucket " << b;
+    }
     prev_upper = upper;
     // A point safely inside the bucket maps back to it.
     const double inside = std::isfinite(upper)

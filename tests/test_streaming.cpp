@@ -26,6 +26,7 @@
 #include "ext/register.h"
 #include "sim/replay.h"
 #include "test_util.h"
+#include "testsupport/historical_min_incremental.h"
 #include "util/rng.h"
 #include "workload/arrival_stream.h"
 #include "workload/diurnal.h"
@@ -75,7 +76,7 @@ ProblemInstance profiled_instance(std::uint64_t seed) {
 }
 
 /// Batch reference: the registered allocator's allocate() at default
-/// settings (serial scan, no cache).
+/// settings (serial scan).
 Allocation batch_run(const std::string& name, const ProblemInstance& problem) {
   AllocatorPtr allocator = make_allocator(name);
   Rng rng(7);
@@ -146,35 +147,10 @@ TEST(StreamingDifferential, ReplayMatchesBatchForEveryStreamableAllocator) {
 
 // --- absolute anchor: the historical serial loop ---------------------------
 
-/// The pre-streaming min-incremental batch loop, verbatim: serial scan over
-/// all servers per VM in start-time order, Eq. 17 incremental cost, strict <
-/// so ties break to the lowest server id. The refactored allocate() and the
-/// streaming replay must both reproduce this exactly.
-Allocation historical_min_incremental(const ProblemInstance& problem) {
-  std::vector<ServerTimeline> timelines;
-  timelines.reserve(problem.num_servers());
-  for (const ServerSpec& server : problem.servers)
-    timelines.emplace_back(server, problem.horizon);
-  Allocation alloc;
-  alloc.assignment.assign(problem.num_vms(), kNoServer);
-  for (const std::size_t j : ordered_indices(problem, VmOrder::ByStartTime)) {
-    const VmSpec& vm = problem.vms[j];
-    ServerId best = kNoServer;
-    Energy best_cost = 0.0;
-    for (std::size_t i = 0; i < timelines.size(); ++i) {
-      if (!timelines[i].can_fit(vm)) continue;
-      const Energy cost = incremental_cost(timelines[i], vm, CostOptions{});
-      if (best == kNoServer || cost < best_cost) {
-        best = static_cast<ServerId>(i);
-        best_cost = cost;
-      }
-    }
-    if (best == kNoServer) continue;
-    timelines[static_cast<std::size_t>(best)].place(vm);
-    alloc.assignment[j] = best;
-  }
-  return alloc;
-}
+// testsupport/historical_min_incremental.h: the pre-streaming batch loop,
+// verbatim. The refactored allocate() and the streaming replay must both
+// reproduce it exactly.
+using testsupport::historical_min_incremental;
 
 TEST(StreamingDifferential, MinIncrementalAnchoredToHistoricalSerialLoop) {
   for (std::uint64_t seed : {7u, 19u}) {

@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "sim/replay.h"
+#include "test_util.h"
 #include "util/rng.h"
 #include "workload/arrival_stream.h"
 #include "workload/generator.h"
@@ -256,6 +257,47 @@ TEST(TimeSeries, SamplesPartitionTheFleetAndGrowMonotonically) {
   bool saw_busy = false;
   for (const FleetSample& s : samples) saw_busy |= s.busy_servers > 0;
   EXPECT_TRUE(saw_busy);
+}
+
+// sample(t) on a multi-shard cluster slices the fleet totals exactly: per-
+// shard counts and power sum back to the fleet-wide fields, and the slices
+// land in the right contiguous server block.
+TEST(TimeSeries, FleetSampleSlicesTotalsPerShard) {
+  ClusterState cluster(make_fleet(12), /*initial_horizon=*/100,
+                       ShardOptions{3});
+  const VmSpec a = testing::vm(1, 2, 40, 1.0, 1.0);   // server 0 -> shard 0
+  const VmSpec b = testing::vm(2, 2, 40, 2.0, 1.0);   // server 5 -> shard 1
+  ASSERT_TRUE(cluster.timelines()[0].can_fit(a));
+  ASSERT_TRUE(cluster.timelines()[5].can_fit(b));
+  cluster.place(0, a);
+  cluster.place(5, b);
+
+  const FleetSample sample = cluster.sample(/*t=*/10);
+  ASSERT_EQ(sample.shards.size(), 3u);
+  std::uint32_t active = 0, busy = 0, idle = 0;
+  double power = 0.0;
+  for (const ShardLoad& shard : sample.shards) {
+    active += shard.active_vms;
+    busy += shard.busy_servers;
+    idle += shard.idle_servers;
+    power += shard.power_w;
+  }
+  EXPECT_EQ(active, sample.active_vms);
+  EXPECT_EQ(busy, sample.busy_servers);
+  EXPECT_EQ(idle, sample.idle_servers);
+  EXPECT_DOUBLE_EQ(power, sample.total_power_w);
+  EXPECT_EQ(sample.shards[0].active_vms, 1u);
+  EXPECT_EQ(sample.shards[1].active_vms, 1u);
+  EXPECT_EQ(sample.shards[2].active_vms, 0u);
+  EXPECT_EQ(sample.shards[2].power_w, 0.0);
+
+  // An unsharded cluster leaves the per-shard vector empty (CSV/JSONL schema
+  // stability for existing consumers), and the count clamps to the fleet.
+  ClusterState flat(make_fleet(4), /*initial_horizon=*/50);
+  EXPECT_TRUE(flat.sample(5).shards.empty());
+  ClusterState clamped(make_fleet(2), /*initial_horizon=*/50,
+                       ShardOptions{64});
+  EXPECT_EQ(clamped.sample(5).shards.size(), 2u);
 }
 
 TEST(TimeSeries, CadenceGateAndFirstSampleAlwaysDue) {

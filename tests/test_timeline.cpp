@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/candidate_scan.h"
-#include "core/cost_model.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -129,145 +125,6 @@ TEST(ServerTimeline, LifoUndoPropertyOnRandomPlacements) {
     ASSERT_EQ(timeline.busy().intervals(), busy_before) << "trial " << trial;
     ASSERT_DOUBLE_EQ(timeline.max_cpu_usage(1, 19), 0.0);
     ASSERT_DOUBLE_EQ(timeline.max_cpu_usage(61, 99), 0.0);
-  }
-}
-
-// --- epoch counter (backs core/candidate_scan.h's ScanCache) ---------------
-
-TEST(ServerTimeline, EpochStartsAtZeroAndBumpsOnEveryMutation) {
-  ServerTimeline timeline(basic_server(), 100);
-  EXPECT_EQ(timeline.epoch(), 0u);
-
-  const VmSpec first = vm(0, 10, 20, 3.0, 2.0);
-  timeline.place(first);
-  EXPECT_EQ(timeline.epoch(), 1u);
-
-  const VmSpec second = vm(1, 15, 40, 2.0, 1.0);
-  const auto record = timeline.place(second);
-  EXPECT_EQ(timeline.epoch(), 2u);
-
-  // Undo restores the *state* but advances the epoch — the timeline mutated,
-  // so any cached probe against epoch 2 must not be reused.
-  timeline.undo(record, second);
-  EXPECT_EQ(timeline.epoch(), 3u);
-}
-
-TEST(ServerTimeline, ReadsDoNotAdvanceEpoch) {
-  ServerTimeline timeline(basic_server(), 100);
-  timeline.place(vm(0, 10, 20, 3.0, 2.0));
-  const std::uint64_t before = timeline.epoch();
-  (void)timeline.can_fit(vm(1, 5, 50, 1.0, 1.0));
-  (void)timeline.check_fit(vm(2, 5, 50, 20.0, 1.0));
-  (void)timeline.max_cpu_usage(1, 100);
-  (void)timeline.busy_time();
-  EXPECT_EQ(timeline.epoch(), before);
-}
-
-// Property: a probe the O(1) envelope triage decides (quick_fit != kUnknown)
-// never touches the memo — no hit, no miss, no entry, no epoch adoption; an
-// undecided probe's entry is reused iff the timeline's epoch is unchanged
-// since that shape was last probed — and whichever path answers, the probe
-// returns exactly what a direct can_fit/incremental_cost evaluation returns.
-TEST(ScanCacheProperty, QuickProbesSkipMemoAndEntriesReusedIffEpochUnchanged) {
-  Rng rng(123);
-  const CostOptions cost_options;
-  const auto score = [&](const ServerTimeline& t,
-                         const VmSpec& v) { return incremental_cost(t, v, cost_options); };
-
-  for (int trial = 0; trial < 20; ++trial) {
-    ServerTimeline timeline(basic_server(), 200);
-    // A heavy resident keeps the window peak at 8 CPU, so probes needing
-    // more than 2 CPU are envelope-undecided (memo path) while light probes
-    // quick-accept; a >10 CPU shape quick-rejects against the 0-usage floor.
-    timeline.place(vm(999, 1, 100, 8.0, 1.0));
-
-    ScanCache cache;
-    cache.resize(1);
-
-    // Reference model of the slot: the epoch its entries were stored under,
-    // and the set of shapes stored. Mirrors the documented invalidation
-    // rule, which only undecided probes engage.
-    std::optional<std::uint64_t> model_epoch;
-    std::unordered_map<VmShape, bool, VmShapeHash> model_shapes;
-
-    // A small pool of repeating shapes so hits actually occur (CPU 1..6
-    // spans quick-accepted and undecided; 10.5 always quick-rejects), plus
-    // LIFO place/undo mutations interleaved with probes.
-    std::vector<VmSpec> shapes;
-    for (int s = 0; s < 5; ++s) {
-      const Time start = static_cast<Time>(rng.uniform_int(1, 150));
-      const Time end =
-          static_cast<Time>(rng.uniform_int(start, start + 40));
-      shapes.push_back(vm(100 + s, start, end, 1.0 + s * 1.25, 1.0 + s));
-    }
-    shapes.push_back(vm(106, 10, 40, 10.5, 1.0));  // beyond capacity
-    std::vector<std::pair<ServerTimeline::PlaceRecord, VmSpec>> stack;
-    int next_id = 0;
-
-    for (int step = 0; step < 300; ++step) {
-      const int action = static_cast<int>(rng.uniform_int(0, 9));
-      if (action < 6) {  // probe a random repeating shape
-        const VmSpec& probe_vm = shapes[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(shapes.size()) - 1))];
-        const QuickFit quick = timeline.quick_fit(probe_vm);
-        bool expect_hit = false;
-        if (quick == QuickFit::kUnknown) {
-          if (model_epoch != timeline.epoch()) {
-            model_epoch = timeline.epoch();
-            model_shapes.clear();
-          }
-          const VmShape key{probe_vm.demand.cpu, probe_vm.demand.mem,
-                            probe_vm.start, probe_vm.end};
-          expect_hit = model_shapes.count(key) > 0;
-          model_shapes.emplace(key, true);
-        }
-
-        const std::int64_t hits_before = cache.hits();
-        const std::int64_t misses_before = cache.misses();
-        const std::int64_t quick_before = cache.quick_decided();
-        const std::optional<double> cached =
-            cache.probe(0, timeline, probe_vm, ScanCache::key_of(probe_vm),
-                        quick, score);
-        if (quick == QuickFit::kUnknown) {
-          ASSERT_EQ(cache.hits() - hits_before, expect_hit ? 1 : 0)
-              << "trial " << trial << " step " << step;
-          ASSERT_EQ(cache.misses() - misses_before, expect_hit ? 0 : 1);
-          ASSERT_EQ(cache.quick_decided(), quick_before);
-        } else {
-          // Envelope-decided: counted as quick, memo untouched.
-          ASSERT_EQ(cache.quick_decided() - quick_before, 1)
-              << "trial " << trial << " step " << step;
-          ASSERT_EQ(cache.hits(), hits_before);
-          ASSERT_EQ(cache.misses(), misses_before);
-          // The triage verdict itself must agree with can_fit.
-          ASSERT_EQ(quick == QuickFit::kFits, timeline.can_fit(probe_vm));
-        }
-
-        // Whichever path answered, the value must be the direct
-        // recomputation bit-for-bit.
-        const std::optional<double> direct =
-            timeline.can_fit(probe_vm)
-                ? std::optional<double>(score(timeline, probe_vm))
-                : std::nullopt;
-        ASSERT_EQ(cached.has_value(), direct.has_value());
-        if (cached) {
-          ASSERT_EQ(*cached, *direct);  // exact, not approximate
-        }
-      } else if (action < 8 || stack.empty()) {  // place
-        const Time start = static_cast<Time>(rng.uniform_int(1, 150));
-        const Time end = static_cast<Time>(rng.uniform_int(start, start + 30));
-        const VmSpec extra = vm(next_id++, start, end, 0.5, 0.5);
-        if (!timeline.can_fit(extra)) continue;
-        stack.emplace_back(timeline.place(extra), extra);
-      } else {  // undo (LIFO)
-        timeline.undo(stack.back().first, stack.back().second);
-        stack.pop_back();
-      }
-    }
-    // All three probe paths must have been exercised.
-    EXPECT_GT(cache.hits(), 0) << "trial " << trial;
-    EXPECT_GT(cache.misses(), 0) << "trial " << trial;
-    EXPECT_GT(cache.quick_decided(), 0) << "trial " << trial;
   }
 }
 
