@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -243,6 +244,87 @@ TEST_F(AppTest, StreamShardsSliceTheTimeSeriesOnly) {
                                                 "sample") > 0;
   }
   EXPECT_TRUE(saw_load);
+}
+
+// A count larger than the fleet clamps to one shard per server.
+TEST_F(AppTest, StreamShardsClampToFleetSize) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "30", "--servers", "5", "--seed", "9", "--out-vms",
+                 path("cl_vms.csv"), "--out-servers", path("cl_srv.csv")}),
+            0);
+  ASSERT_EQ(run("stream", {"--vms", path("cl_vms.csv"), "--servers",
+                           path("cl_srv.csv"), "--shards", "64",
+                           "--timeseries-out", path("cl.jsonl")}),
+            0)
+      << err();
+  std::ifstream series(path("cl.jsonl"));
+  std::size_t samples = 0;
+  for (std::string line; std::getline(series, line); ++samples) {
+    const json::Value sample = json::parse(line);
+    const json::Value* shards = sample.find("shards");
+    ASSERT_NE(shards, nullptr) << line;
+    EXPECT_EQ(shards->array.size(), 5u) << line;
+  }
+  EXPECT_GT(samples, 0u);
+}
+
+TEST_F(AppTest, StreamThreadsFlagPreservesTheAssignment) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "80", "--servers", "24", "--seed", "3", "--out-vms",
+                 path("thr_vms.csv"), "--out-servers", path("thr_srv.csv")}),
+            0);
+  const auto stream = [&](const std::string& threads) {
+    EXPECT_EQ(run("stream", {"--vms", path("thr_vms.csv"), "--servers",
+                             path("thr_srv.csv"), "--threads", threads,
+                             "--out-assignment",
+                             path("thr_" + threads + ".csv")}),
+              0)
+        << err();
+    std::stringstream body;
+    body << std::ifstream(path("thr_" + threads + ".csv")).rdbuf();
+    return body.str();
+  };
+  const std::string serial = stream("1");
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(stream("4"), serial);
+  EXPECT_EQ(stream("0"), serial);
+}
+
+// Numeric flags parse the whole token: "--vms 5x" or "--servers 3.9" used to
+// run with 5 VMs on 3 servers. Each is a usage error now, and nothing is
+// written.
+TEST_F(AppTest, GenerateRejectsMalformedCounts) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--vms", "5x"}, {"--servers", "3.9"}, {"--vms", ""},
+      {"--seed", "1e3"}, {"--interarrival", "2.0s"}};
+  for (const auto& [flag, value] : cases) {
+    std::remove(path("m_vms.csv").c_str());
+    EXPECT_EQ(run("generate", {flag, value, "--out-vms", path("m_vms.csv"),
+                               "--out-servers", path("m_srv.csv")}),
+              2)
+        << flag << " '" << value << "'";
+    EXPECT_FALSE(std::ifstream(path("m_vms.csv")).good())
+        << flag << " '" << value << "'";
+  }
+}
+
+// --shards slices only the stream time series, so only stream takes it:
+// on allocate and serve it is an unknown flag (a usage error).
+TEST_F(AppTest, ShardsFlagExistsOnlyOnStream) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "10", "--servers", "4", "--out-vms",
+                 path("so_vms.csv"), "--out-servers", path("so_srv.csv")}),
+            0);
+  EXPECT_EQ(run("stream", {"--vms", path("so_vms.csv"), "--servers",
+                           path("so_srv.csv"), "--shards", "2"}),
+            0)
+      << err();
+  EXPECT_EQ(run("allocate", {"--vms", path("so_vms.csv"), "--servers",
+                             path("so_srv.csv"), "--shards", "2"}),
+            2);
+  EXPECT_EQ(run("serve", {"--servers", path("so_srv.csv"), "--socket",
+                          path("so.sock"), "--shards", "2"}),
+            2);
 }
 
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {

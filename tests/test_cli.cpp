@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 namespace esva {
 namespace {
 
@@ -79,6 +83,69 @@ TEST(CliParser, MalformedNumberFails) {
   const char* argv[] = {"prog", "--interarrival", "1.5x"};
   EXPECT_FALSE(parser.parse(3, argv));
   EXPECT_TRUE(parser.parse_error());
+}
+
+TEST(CliParser, SignedNumbersParseAsWholeTokens) {
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--vms", "-3", "--interarrival=-0.25"};
+  ASSERT_TRUE(parser.parse(4, argv));
+  EXPECT_EQ(parser.get_int("vms"), -3);
+  EXPECT_DOUBLE_EQ(parser.get_double("interarrival"), -0.25);
+
+  auto plus = make_parser();
+  const char* argv2[] = {"prog", "--vms=+12"};
+  ASSERT_TRUE(plus.parse(2, argv2));
+  EXPECT_EQ(plus.get_int("vms"), 12);
+}
+
+TEST(CliParser, DoubleFlagAcceptsExponentAndHexfloatForms) {
+  const std::pair<const char*, double> cases[] = {
+      {"1e3", 1000.0}, {"2.5E-1", 0.25}, {".5", 0.5}, {"7", 7.0},
+      {"0x1.8p1", 3.0}};
+  for (const auto& [value, expected] : cases) {
+    auto parser = make_parser();
+    const char* argv[] = {"prog", "--interarrival", value};
+    ASSERT_TRUE(parser.parse(3, argv)) << value;
+    EXPECT_EQ(parser.get_double("interarrival"), expected) << value;
+  }
+}
+
+TEST(CliParser, OutOfRangeNumbersFail) {
+  auto max = make_parser();
+  const char* argv[] = {"prog", "--vms", "9223372036854775807"};
+  ASSERT_TRUE(max.parse(3, argv));
+  EXPECT_EQ(max.get_int("vms"), INT64_MAX);
+
+  for (const char* value : {"9223372036854775808", "-99999999999999999999"}) {
+    auto parser = make_parser();
+    const char* argv2[] = {"prog", "--vms", value};
+    EXPECT_FALSE(parser.parse(3, argv2)) << value;
+    EXPECT_TRUE(parser.parse_error()) << value;
+  }
+  auto parser = make_parser();
+  const char* argv3[] = {"prog", "--interarrival", "1e999"};
+  EXPECT_FALSE(parser.parse(3, argv3));
+  EXPECT_TRUE(parser.parse_error());
+}
+
+TEST(CliParser, EqualsFormParsesStrictly) {
+  for (const char* arg : {"--vms=5x", "--vms=", "--vms=3.9",
+                          "--interarrival=1.5.2", "--interarrival="}) {
+    auto parser = make_parser();
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(parser.parse(2, argv)) << arg;
+    EXPECT_TRUE(parser.parse_error()) << arg;
+  }
+}
+
+TEST(CliParser, MalformedNumberErrorNamesTheFlagAndValue) {
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--vms", "5x"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parser.parse(3, argv));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--vms"), std::string::npos) << err;
+  EXPECT_NE(err.find("'5x'"), std::string::npos) << err;
 }
 
 TEST(CliParser, HelpReturnsFalseWithoutError) {

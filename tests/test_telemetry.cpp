@@ -13,6 +13,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -25,6 +26,7 @@
 #include "obs/timeseries.h"
 #include "sim/replay.h"
 #include "test_util.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "workload/arrival_stream.h"
 #include "workload/generator.h"
@@ -298,6 +300,108 @@ TEST(TimeSeries, FleetSampleSlicesTotalsPerShard) {
   ClusterState clamped(make_fleet(2), /*initial_horizon=*/50,
                        ShardOptions{64});
   EXPECT_EQ(clamped.sample(5).shards.size(), 2u);
+}
+
+// Shard s is the contiguous server block {i : i * N / n == s}: a VM on
+// server i shows up in exactly that slice, and the blocks tile the fleet in
+// index order with sizes differing by at most one.
+TEST(ClusterShards, ContiguousBlocksAreBalanced) {
+  const std::pair<int, int> layouts[] = {{10, 4}, {12, 3}, {7, 7}, {9, 2},
+                                         {16, 5}};
+  for (const auto& [servers, shards] : layouts) {
+    const std::size_t n = static_cast<std::size_t>(servers);
+    const std::size_t count = static_cast<std::size_t>(shards);
+    ClusterState empty(make_fleet(servers), /*initial_horizon=*/50,
+                       ShardOptions{shards});
+    const FleetSample idle = empty.sample(5);
+    ASSERT_EQ(idle.shards.size(), count);
+    std::uint32_t smallest = idle.shards[0].idle_servers;
+    std::uint32_t largest = smallest;
+    std::uint32_t total = 0;
+    for (const ShardLoad& shard : idle.shards) {
+      smallest = std::min(smallest, shard.idle_servers);
+      largest = std::max(largest, shard.idle_servers);
+      total += shard.idle_servers;
+    }
+    EXPECT_EQ(total, static_cast<std::uint32_t>(servers));
+    EXPECT_LE(largest - smallest, 1u) << servers << "/" << shards;
+    EXPECT_GE(smallest, 1u) << servers << "/" << shards;
+
+    for (std::size_t i = 0; i < n; ++i) {
+      ClusterState cluster(make_fleet(servers), /*initial_horizon=*/50,
+                           ShardOptions{shards});
+      cluster.place(i, testing::vm(1, 2, 20, 1.0, 1.0));
+      const FleetSample sample = cluster.sample(5);
+      for (std::size_t s = 0; s < count; ++s) {
+        const std::uint32_t expected = (s == i * count / n) ? 1u : 0u;
+        EXPECT_EQ(sample.shards[s].active_vms, expected)
+            << servers << "/" << shards << " server " << i << " shard " << s;
+        EXPECT_EQ(sample.shards[s].busy_servers, expected)
+            << servers << "/" << shards << " server " << i << " shard " << s;
+      }
+    }
+  }
+}
+
+// Fewer than two shards — including non-positive counts and any count on a
+// one-server fleet — means no per-shard breakdown at all.
+TEST(ClusterShards, CountBelowTwoOmitsTheBreakdown) {
+  for (const int shards : {-3, 0, 1}) {
+    ClusterState cluster(make_fleet(8), /*initial_horizon=*/50,
+                         ShardOptions{shards});
+    cluster.place(3, testing::vm(1, 2, 20, 1.0, 1.0));
+    const FleetSample sample = cluster.sample(5);
+    EXPECT_EQ(sample.active_vms, 1u) << shards;
+    EXPECT_TRUE(sample.shards.empty()) << shards;
+  }
+  ClusterState single(make_fleet(1), /*initial_horizon=*/50, ShardOptions{4});
+  EXPECT_TRUE(single.sample(5).shards.empty());
+}
+
+// The per-shard breakdown is JSONL-only: it appends a "shards" array to the
+// sample object (the rest of the line is byte-identical to the unsharded
+// one) and leaves the CSV row untouched.
+TEST(TimeSeries, ShardBreakdownExportsToJsonlOnly) {
+  FleetSample s;
+  s.t = 3;
+  s.active_vms = 3;
+  s.busy_servers = 2;
+  s.idle_servers = 1;
+  s.total_power_w = 250.5;
+  TimeSeriesSampler flat;
+  flat.record(s);
+  s.shards = {ShardLoad{2, 1, 0, 150.25}, ShardLoad{1, 1, 1, 100.25}};
+  TimeSeriesSampler sliced;
+  sliced.record(s);
+
+  std::ostringstream flat_csv, sliced_csv;
+  flat.write_csv(flat_csv);
+  sliced.write_csv(sliced_csv);
+  EXPECT_EQ(sliced_csv.str(), flat_csv.str());
+
+  std::ostringstream flat_jsonl, sliced_jsonl;
+  flat.write_jsonl(flat_jsonl);
+  sliced.write_jsonl(sliced_jsonl);
+  std::string flat_line = flat_jsonl.str();
+  const std::string sliced_line = sliced_jsonl.str();
+  ASSERT_GE(flat_line.size(), 2u);
+  flat_line.resize(flat_line.size() - 2);  // drop the closing "}\n"
+  EXPECT_EQ(sliced_line.rfind(flat_line + ",\"shards\":[", 0), 0u)
+      << sliced_line;
+
+  EXPECT_EQ(json::parse(flat_jsonl.str()).find("shards"), nullptr);
+  const json::Value parsed = json::parse(sliced_line);
+  const json::Value* shards = parsed.find("shards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_EQ(shards->array.size(), 2u);
+  EXPECT_EQ(json::require_number(shards->array[0], "active_vms", "shard"),
+            2.0);
+  EXPECT_EQ(json::require_number(shards->array[0], "busy_servers", "shard"),
+            1.0);
+  EXPECT_EQ(json::require_number(shards->array[1], "idle_servers", "shard"),
+            1.0);
+  EXPECT_EQ(json::require_number(shards->array[1], "power_w", "shard"),
+            100.25);
 }
 
 TEST(TimeSeries, CadenceGateAndFirstSampleAlwaysDue) {
