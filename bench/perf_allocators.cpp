@@ -1,53 +1,38 @@
 // P1/P2 — allocator performance harness with a machine-readable artifact.
 //
 // Two modes:
-//   * default          — measures the paper-scale allocators, checks the
-//                        zero-overhead contract of the observability layer
-//                        (obs/), measures the candidate-scan engine
-//                        (core/candidate_scan.h): serial-vs-parallel
-//                        speedup, and writes
-//                        BENCH_perf.json so the perf trajectory accumulates
-//                        across PRs. Exits nonzero if allocation with a
-//                        *null* TraceSink is more than --overhead-budget
-//                        (default 5%) slower than the uninstrumented
-//                        reference loop, if any parallel run diverges from
-//                        the serial assignment, if the
-//                        single-thread min-incremental run is less than
-//                        --single-thread-budget (default 2x) faster than the
-//                        committed pre-flat-tree baseline medians (enforced
-//                        outside --quick whenever a baseline exists for the
-//                        scenario size), or if the 4-thread
-//                        speedup misses --speedup-budget (default 2x; only
-//                        enforced on machines with >= 4 hardware threads and
-//                        outside --quick — never gated on smaller hosts,
-//                        but always labeled in the artifact), or if the SoA
-//                        envelope triage sweep is less than
-//                        --envelope-budget (default 1.3x) faster than the
-//                        AoS quick_fit loop it replaces (enforced outside
-//                        --quick; verdicts must be bit-identical always),
-//                        or if the 4-thread fleet scan diverges from the
-//                        serial assignment at any tier (enforced always),
-//                        or if the 4-thread 100k-server scan is less than
-//                        --fleet-speedup-budget (default 1.5x) faster than
-//                        the serial scan (enforced at the
-//                        --fleet-full 100k tier on >= 4-thread machines,
-//                        full mode), or if the serve daemon's write-ahead
-//                        journal (on tmpfs, group commit every 32 records)
-//                        costs more than --overhead-budget over the bare
-//                        stream replay at fig2@500 (enforced
-//                        outside --quick; the journal must round-trip to
-//                        the batch assignment and exact total energy
-//                        always). Medians from
-//                        the previous BENCH_perf.json at the same path are
-//                        echoed into an informational "regression" section.
+//   * default          — measures the paper-scale allocators and writes
+//                        BENCH_perf.json. Exits nonzero on any identity
+//                        failure (the measured variant's assignment or
+//                        energy diverging from its reference, the streaming
+//                        replay from the batch run, a seeded chaos replay
+//                        from itself) or when a gate misses its budget:
+//                          - null-sink overhead: min-incremental with a
+//                            metrics registry bound and no trace sink vs the
+//                            same allocator with no observability context,
+//                            at most --overhead-budget (default 5%) slower
+//                            (always enforced);
+//                          - single-thread speedup: min-incremental vs the
+//                            committed pre-flat-tree baseline medians, at
+//                            least --single-thread-budget (default 2x)
+//                            (outside --quick, when a baseline exists for
+//                            --vms: 100, 500, 1000);
+//                          - envelope triage: the SoA classify() sweep at
+//                            least --envelope-budget (default 1.3x) faster
+//                            than the quick_fit loop it replaces (outside
+//                            --quick);
+//                          - telemetry and WAL overhead: the full telemetry
+//                            stack, and the serve daemon's journal (tmpfs,
+//                            group commit of 32), each at most
+//                            --overhead-budget over the bare stream replay
+//                            at fig2@500 (outside --quick).
+//                        The four overhead and speedup gates are paired:
+//                        time_paired() alternates the two variants and gates
+//                        on the median per-pair ratio.
 //   * --gbench         — additionally runs the google-benchmark
 //                        microbenchmarks (hot primitives: feasibility probe,
 //                        incremental cost delta), forwarding --benchmark_*
 //                        flags.
-//
-// The uninstrumented reference is a verbatim copy of the pre-observability
-// MinIncrementalAllocator::allocate loop: same timelines, same cost calls, no
-// obs hook — the honest "what did instrumentation cost us" baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -66,7 +51,6 @@
 #include <vector>
 
 #include "baselines/registry.h"
-#include "cluster/datacenter.h"
 #include "cluster/timeline.h"
 #include "core/cost_model.h"
 #include "core/envelope_store.h"
@@ -82,7 +66,6 @@
 #include "sim/replay.h"
 #include "util/cli.h"
 #include "workload/arrival_stream.h"
-#include "workload/generator.h"
 #include "workload/scenarios.h"
 
 namespace {
@@ -178,32 +161,6 @@ void BM_IncrementalCostDelta(benchmark::State& state) {
 // Overhead guard + BENCH_perf.json
 // ---------------------------------------------------------------------------
 
-/// Verbatim copy of MinIncrementalAllocator::allocate as it existed before
-/// the observability hook: the reference the null-sink path is held to.
-Allocation allocate_uninstrumented(const ProblemInstance& problem) {
-  Allocation alloc;
-  alloc.assignment.assign(problem.num_vms(), kNoServer);
-  std::vector<ServerTimeline> timelines =
-      make_timelines(problem.servers, problem.horizon);
-  for (std::size_t j : ordered_indices(problem, VmOrder::ByStartTime)) {
-    const VmSpec& vm = problem.vms[j];
-    ServerId best_server = kNoServer;
-    Energy best_delta = kInf;
-    for (std::size_t i = 0; i < timelines.size(); ++i) {
-      if (!timelines[i].can_fit(vm)) continue;
-      const Energy delta = incremental_cost(timelines[i], vm);
-      if (delta < best_delta) {
-        best_delta = delta;
-        best_server = static_cast<ServerId>(i);
-      }
-    }
-    if (best_server == kNoServer) continue;
-    timelines[static_cast<std::size_t>(best_server)].place(vm);
-    alloc.assignment[j] = best_server;
-  }
-  return alloc;
-}
-
 double time_ms(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
@@ -218,6 +175,39 @@ double median(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
+/// Per-pair timings of a reference and a measured variant, and the gate
+/// statistic: the median over pairs of measured_ms[i] / reference_ms[i].
+struct PairedTiming {
+  std::vector<double> reference_ms;
+  std::vector<double> measured_ms;
+  double median_ratio = 0.0;
+};
+
+/// Runs both variants once to warm up, then `pairs` times each, alternating
+/// which goes first so drift within a pair (a frequency step, load arriving
+/// mid-pair) penalizes each variant on half the pairs. The median per-pair
+/// ratio cancels drift between pairs, and unlike the best or worst pair it
+/// moves when either variant really gets slower.
+PairedTiming time_paired(int pairs, const std::function<void()>& reference,
+                         const std::function<void()>& measured) {
+  PairedTiming timing;
+  reference();
+  measured();
+  std::vector<double> ratios;
+  for (int pair = 0; pair < pairs; ++pair) {
+    if (pair % 2 == 0) {
+      timing.reference_ms.push_back(time_ms(reference));
+      timing.measured_ms.push_back(time_ms(measured));
+    } else {
+      timing.measured_ms.push_back(time_ms(measured));
+      timing.reference_ms.push_back(time_ms(reference));
+    }
+    ratios.push_back(timing.measured_ms.back() / timing.reference_ms.back());
+  }
+  timing.median_ratio = median(ratios);
+  return timing;
+}
+
 std::string json_array(const std::vector<double>& xs) {
   std::string out = "[";
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -230,10 +220,11 @@ std::string json_array(const std::vector<double>& xs) {
 
 struct OverheadReport {
   int num_vms = 0;
-  std::vector<double> uninstrumented_ms;
-  std::vector<double> null_sink_ms;
+  /// reference: no observability context; measured: a metrics registry
+  /// bound, no trace sink.
+  PairedTiming timing;
   std::vector<double> traced_ms;
-  double overhead = 0.0;  ///< min over reps of null_sink[i]/uninstrumented[i], minus 1
+  double overhead = 0.0;  ///< median paired ratio minus 1
   bool assignments_match = false;
   std::size_t trace_records = 0;
 };
@@ -243,32 +234,33 @@ OverheadReport measure_overhead(int num_vms, int reps) {
   report.num_vms = num_vms;
   const ProblemInstance problem = instance_for(num_vms, 42);
 
-  // The guard compares a ~2-5% effect, so it needs more samples than the
-  // throughput sections: the best-rep estimator is only as good as the
-  // chance that both variants caught a quiet scheduling window. Extra reps
-  // are nearly free now that the feasibility kernel shrank each run ~7x.
+  // The guard compares a few-percent effect, so it needs more pairs than
+  // the throughput sections for a stable median.
   reps = std::max(reps, 11);
 
-  Allocation reference;
-  Allocation instrumented;
-  // Warm-up (touches every timeline allocation path once), then alternate
-  // the variants so drift (thermal, frequency scaling) hits both equally.
-  (void)allocate_uninstrumented(problem);
-  for (int rep = 0; rep < reps; ++rep) {
-    report.uninstrumented_ms.push_back(
-        time_ms([&] { reference = allocate_uninstrumented(problem); }));
-    report.null_sink_ms.push_back(time_ms([&] {
-      MinIncrementalAllocator allocator;
-      Rng rng(7);
-      instrumented = allocator.allocate(problem, rng);
-    }));
-  }
-  report.assignments_match =
-      reference.assignment == instrumented.assignment;
+  Allocation unobserved;
+  Allocation observed;
+  MetricsRegistry registry;
+  report.timing = time_paired(
+      reps,
+      [&] {
+        MinIncrementalAllocator allocator;
+        Rng rng(7);
+        unobserved = allocator.allocate(problem, rng);
+      },
+      [&] {
+        MinIncrementalAllocator allocator;
+        ObsContext obs;
+        obs.metrics = &registry;
+        allocator.set_observability(obs);
+        Rng rng(7);
+        observed = allocator.allocate(problem, rng);
+      });
+  report.assignments_match = unobserved.assignment == observed.assignment;
+  report.overhead = report.timing.median_ratio - 1.0;
 
   // Informational: the cost of a *live* trace (memory sink + registry).
   MemoryTraceSink sink;
-  MetricsRegistry registry;
   for (int rep = 0; rep < std::max(1, reps / 2); ++rep) {
     sink.clear();
     report.traced_ms.push_back(time_ms([&] {
@@ -283,23 +275,6 @@ OverheadReport measure_overhead(int num_vms, int reps) {
     }));
   }
   report.trace_records = sink.size();
-
-  // Gate on the best *paired* ratio, not min-vs-min across the whole run:
-  // timing noise on a shared container is one-sided (interrupts, frequency
-  // dips) and drifts on the scale of seconds, so the two variants of the
-  // same rep — measured back to back — share a scheduling window while reps
-  // minutes of load apart do not. min-vs-min breaks exactly there: if the
-  // uninstrumented variant catches one quiet window the null-sink run never
-  // matches, the ratio reports load drift as overhead. The per-rep ratio
-  // cancels the drift; taking the min over reps then discards the pairs a
-  // blip landed in. This matters more now that the feasibility kernel shrank
-  // these runs ~7x — a single descheduling blip is a double-digit percentage
-  // of the run. Medians and full rep arrays still go in the JSON.
-  double best_ratio = kInf;
-  for (std::size_t i = 0; i < report.uninstrumented_ms.size(); ++i)
-    best_ratio = std::min(
-        best_ratio, report.null_sink_ms[i] / report.uninstrumented_ms[i]);
-  report.overhead = best_ratio - 1.0;
   return report;
 }
 
@@ -361,45 +336,6 @@ SingleThreadGate check_single_thread(const std::vector<AllocatorPoint>& points,
   return gate;
 }
 
-// ---------------------------------------------------------------------------
-// Previous-run medians (regression section)
-// ---------------------------------------------------------------------------
-
-/// One allocator data point recovered from the previous BENCH_perf.json.
-/// Parsed with a dumb line scanner — the artifact writes each point as a
-/// single `{"name": ..., "num_vms": ..., "median_ms": ...}` line and this
-/// tool has no JSON reader; anything that doesn't match is skipped.
-struct PreviousPoint {
-  std::string name;
-  int num_vms = 0;
-  double median_ms = 0.0;
-};
-
-std::vector<PreviousPoint> read_previous_points(const std::string& path) {
-  std::vector<PreviousPoint> points;
-  std::ifstream in(path);
-  if (!in) return points;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string name_key = "{\"name\": \"";
-    const auto name_pos = line.find(name_key);
-    if (name_pos == std::string::npos) continue;
-    const auto name_begin = name_pos + name_key.size();
-    const auto name_end = line.find('"', name_begin);
-    const auto vms_pos = line.find("\"num_vms\": ");
-    const auto ms_pos = line.find("\"median_ms\": ");
-    if (name_end == std::string::npos || vms_pos == std::string::npos ||
-        ms_pos == std::string::npos)
-      continue;
-    PreviousPoint p;
-    p.name = line.substr(name_begin, name_end - name_begin);
-    p.num_vms = std::atoi(line.c_str() + vms_pos + 11);
-    p.median_ms = std::atof(line.c_str() + ms_pos + 13);
-    points.push_back(std::move(p));
-  }
-  return points;
-}
-
 AllocatorPoint measure_allocator(const std::string& name, int num_vms,
                                  int reps) {
   AllocatorPoint point;
@@ -421,103 +357,17 @@ AllocatorPoint measure_allocator(const std::string& name, int num_vms,
 }
 
 // ---------------------------------------------------------------------------
-// Candidate-scan engine: serial vs parallel
-// ---------------------------------------------------------------------------
-
-struct TimedRun {
-  double median_ms = 0.0;
-  Allocation alloc;
-};
-
-TimedRun run_scan_config(const ProblemInstance& problem, int threads,
-                         int reps) {
-  TimedRun result;
-  ScanConfig scan;
-  scan.threads = threads;
-  std::vector<double> times;
-  for (int rep = 0; rep < reps; ++rep) {
-    times.push_back(time_ms([&] {
-      MinIncrementalAllocator allocator;
-      allocator.set_scan_config(scan);
-      Rng rng(7);
-      result.alloc = allocator.allocate(problem, rng);
-      benchmark::DoNotOptimize(result.alloc.assignment.data());
-    }));
-  }
-  result.median_ms = median(times);
-  return result;
-}
-
-struct ParallelScanReport {
-  unsigned hardware_threads = 0;
-  double serial_ms = 0.0;
-  std::vector<std::pair<int, double>> parallel_ms;  ///< (threads, median ms)
-  double speedup_at_4 = 0.0;
-  bool assignments_match = true;
-  bool speedup_enforced = false;
-  std::string speedup_unenforced_reason;  ///< empty when enforced
-  bool pass = true;
-};
-
-ParallelScanReport measure_parallel_scan(int num_vms, int reps,
-                                         double speedup_budget, bool quick) {
-  ParallelScanReport report;
-  report.hardware_threads = std::thread::hardware_concurrency();
-  const ProblemInstance problem = instance_for(num_vms, 42);
-
-  std::printf("measuring candidate-scan engine (%d VMs, %u hardware "
-              "threads)...\n",
-              num_vms, report.hardware_threads);
-  const TimedRun serial = run_scan_config(problem, 1, reps);
-  report.serial_ms = serial.median_ms;
-  std::printf("  threads=1       %8.2f ms (median)\n", report.serial_ms);
-
-  for (const int threads : {2, 4}) {
-    const TimedRun parallel = run_scan_config(problem, threads, reps);
-    report.parallel_ms.emplace_back(threads, parallel.median_ms);
-    const bool match = parallel.alloc.assignment == serial.alloc.assignment;
-    report.assignments_match = report.assignments_match && match;
-    const double speedup =
-        parallel.median_ms > 0 ? report.serial_ms / parallel.median_ms : 0.0;
-    if (threads == 4) report.speedup_at_4 = speedup;
-    std::printf("  threads=%-7d %8.2f ms (median)  -> %.2fx  assignments %s\n",
-                threads, parallel.median_ms, speedup,
-                match ? "identical" : "DIVERGED (BUG)");
-  }
-
-  // The speedup budget only means something with real cores to scale onto;
-  // on hosts with fewer than 4 hardware threads (and in --quick smoke runs)
-  // the number is reported and labeled but never gates the build.
-  report.speedup_enforced = !quick && report.hardware_threads >= 4;
-  if (!report.speedup_enforced) {
-    report.speedup_unenforced_reason =
-        quick ? "quick mode"
-              : "host has fewer than 4 hardware threads";
-  }
-  report.pass = report.assignments_match &&
-                (!report.speedup_enforced ||
-                 report.speedup_at_4 >= speedup_budget);
-  std::printf("  speedup at 4 threads: %.2fx (budget %.1fx, %s%s) %s\n",
-              report.speedup_at_4, speedup_budget,
-              report.speedup_enforced ? "enforced" : "not enforced: ",
-              report.speedup_enforced
-                  ? ""
-                  : report.speedup_unenforced_reason.c_str(),
-              report.pass ? "OK" : "FAIL");
-  return report;
-}
-
-// ---------------------------------------------------------------------------
 // SoA envelope triage: the packed classify() sweep vs the AoS quick_fit loop
 // it replaces
 // ---------------------------------------------------------------------------
 
 struct EnvelopeReport {
   int num_vms = 0;
-  std::vector<double> sweep_ms;     ///< per rep: classify() for every VM
-  std::vector<double> quickfit_ms;  ///< paired: per-server quick_fit loop
-  double triage_speedup = 0.0;      ///< best paired quickfit/sweep ratio
-  bool verdicts_match = true;       ///< classify == quick_fit, every probe row
+  /// reference: the per-server quick_fit loop; measured: classify() for
+  /// every VM.
+  PairedTiming timing;
+  double triage_speedup = 0.0;  ///< 1 / median paired sweep/loop ratio
+  bool verdicts_match = true;   ///< classify == quick_fit, every probe row
   bool triage_enforced = false;     ///< outside --quick
   double triage_budget = 0.0;
   bool pass = true;
@@ -554,31 +404,25 @@ EnvelopeReport measure_envelope(int num_vms, int reps, double triage_budget,
   const std::size_t n = cluster.num_servers();
   std::vector<std::uint8_t> sweep_verdicts(n);
   std::vector<std::uint8_t> loop_verdicts(n);
-  for (int rep = 0; rep < reps; ++rep) {
-    report.sweep_ms.push_back(time_ms([&] {
-      for (const VmSpec& vm : problem.vms) {
-        cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
-                                     sweep_verdicts.data());
-        benchmark::DoNotOptimize(sweep_verdicts.data());
-      }
-    }));
-    report.quickfit_ms.push_back(time_ms([&] {
-      const std::vector<ServerTimeline>& timelines = cluster.timelines();
-      for (const VmSpec& vm : problem.vms) {
-        for (std::size_t i = 0; i < n; ++i)
-          loop_verdicts[i] =
-              static_cast<std::uint8_t>(timelines[i].quick_fit(vm));
-        benchmark::DoNotOptimize(loop_verdicts.data());
-      }
-    }));
-  }
-  // Paired best ratio (see measure_overhead: the two variants of one rep
-  // share a scheduling window; reps apart do not).
-  double best_ratio = 0.0;
-  for (std::size_t i = 0; i < report.sweep_ms.size(); ++i)
-    best_ratio =
-        std::max(best_ratio, report.quickfit_ms[i] / report.sweep_ms[i]);
-  report.triage_speedup = best_ratio;
+  report.timing = time_paired(
+      reps,
+      [&] {
+        const std::vector<ServerTimeline>& timelines = cluster.timelines();
+        for (const VmSpec& vm : problem.vms) {
+          for (std::size_t i = 0; i < n; ++i)
+            loop_verdicts[i] =
+                static_cast<std::uint8_t>(timelines[i].quick_fit(vm));
+          benchmark::DoNotOptimize(loop_verdicts.data());
+        }
+      },
+      [&] {
+        for (const VmSpec& vm : problem.vms) {
+          cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
+                                       sweep_verdicts.data());
+          benchmark::DoNotOptimize(sweep_verdicts.data());
+        }
+      });
+  report.triage_speedup = 1.0 / report.timing.median_ratio;
 
   for (const VmSpec& vm : problem.vms) {
     cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
@@ -590,9 +434,9 @@ EnvelopeReport measure_envelope(int num_vms, int reps, double triage_budget,
     }
   }
   std::printf("  triage sweep:   %8.3f ms vs %.3f ms quick_fit loop "
-              "(medians) -> %.2fx best paired, verdicts %s\n",
-              median(report.sweep_ms), median(report.quickfit_ms),
-              report.triage_speedup,
+              "(medians) -> %.2fx median paired, verdicts %s\n",
+              median(report.timing.measured_ms),
+              median(report.timing.reference_ms), report.triage_speedup,
               report.verdicts_match ? "bit-identical" : "DIVERGED (BUG)");
 
   report.triage_enforced = !quick;
@@ -701,9 +545,9 @@ StreamingReport measure_streaming(int num_vms, int reps) {
 
 struct TelemetryReport {
   int num_vms = 0;
-  std::vector<double> plain_ms;
-  std::vector<double> telemetry_ms;
-  double overhead = 0.0;  ///< best paired ratio minus 1 (see measure_overhead)
+  /// reference: the bare replay; measured: the full telemetry stack.
+  PairedTiming timing;
+  double overhead = 0.0;  ///< median paired ratio minus 1
   bool assignments_match = false;  ///< always enforced
   bool conserves = false;          ///< always enforced, 1e-6 relative
   double ledger_total = 0.0;
@@ -717,9 +561,8 @@ struct TelemetryReport {
 /// fig2@num_vms replay, bare vs with the full telemetry stack bound: metrics
 /// registry (histogram-backed submit timer), per-tick time-series sampler,
 /// energy ledger. Gates: assignments byte-identical and ledger conservation
-/// always; the overhead budget outside --quick. Same paired-best-ratio
-/// estimator as the null-sink guard — the two variants of one rep share a
-/// scheduling window, reps minutes apart do not.
+/// always; the overhead budget (median paired ratio, time_paired) outside
+/// --quick.
 TelemetryReport measure_telemetry(int num_vms, int reps, double budget,
                                   bool quick) {
   TelemetryReport report;
@@ -753,15 +596,12 @@ TelemetryReport measure_telemetry(int num_vms, int reps, double budget,
   ReplayReport plain;
   ReplayReport full;
   EnergyLedger ledger;
-  // Warm-up, then alternate so drift hits both variants equally.
-  run(false, plain, nullptr, nullptr);
-  for (int rep = 0; rep < reps; ++rep) {
-    report.plain_ms.push_back(
-        time_ms([&] { run(false, plain, nullptr, nullptr); }));
-    ledger.clear();
-    report.telemetry_ms.push_back(time_ms(
-        [&] { run(true, full, &ledger, &report.samples); }));
-  }
+  report.timing = time_paired(
+      reps, [&] { run(false, plain, nullptr, nullptr); },
+      [&] {
+        ledger.clear();
+        run(true, full, &ledger, &report.samples);
+      });
   report.ledger_entries = ledger.size();
   report.assignments_match = plain.assignment == full.assignment &&
                              plain.total_energy == full.total_energy;
@@ -769,11 +609,7 @@ TelemetryReport measure_telemetry(int num_vms, int reps, double budget,
   report.engine_total = full.total_energy;
   report.conserves = ledger.conserves(full.total_energy);
 
-  double best_ratio = kInf;
-  for (std::size_t i = 0; i < report.plain_ms.size(); ++i)
-    best_ratio =
-        std::min(best_ratio, report.telemetry_ms[i] / report.plain_ms[i]);
-  report.overhead = best_ratio - 1.0;
+  report.overhead = report.timing.median_ratio - 1.0;
   report.overhead_enforced = !quick;
   report.pass = report.assignments_match && report.conserves &&
                 (!report.overhead_enforced || report.overhead <= budget);
@@ -782,10 +618,10 @@ TelemetryReport measure_telemetry(int num_vms, int reps, double budget,
               "histogram + ledger)...\n",
               num_vms);
   std::printf("  bare replay:    %8.2f ms (median)\n",
-              median(report.plain_ms));
+              median(report.timing.reference_ms));
   std::printf("  full telemetry: %8.2f ms (median)  -> overhead %+.2f%% "
-              "(best paired ratio, budget %.0f%%, %s) %s\n",
-              median(report.telemetry_ms), 100.0 * report.overhead,
+              "(median paired ratio, budget %.0f%%, %s) %s\n",
+              median(report.timing.measured_ms), 100.0 * report.overhead,
               100.0 * budget,
               report.overhead_enforced ? "enforced" : "not enforced (--quick)",
               !report.overhead_enforced || report.overhead <= budget
@@ -810,9 +646,9 @@ struct WalReport {
   std::string journal_dir;
   bool tmpfs = false;  ///< journal landed on /dev/shm (vs TMPDIR fallback)
   int sync_every = 32;  ///< group-commit batch (the daemon's --wal-sync-every)
-  std::vector<double> stream_ms;
-  std::vector<double> wal_ms;
-  double overhead = 0.0;  ///< best paired ratio minus 1 (see measure_overhead)
+  /// reference: the bare stream replay; measured: the journaled loop.
+  PairedTiming timing;
+  double overhead = 0.0;  ///< median paired ratio minus 1
   /// Journal read back through decisions_from_wal + assignment_from_trace
   /// equals the batch replay's assignment; always enforced.
   bool assignments_match = false;
@@ -834,8 +670,8 @@ struct WalReport {
 /// write, fsync — not a spinning disk. Identity gates always: the journal
 /// must round-trip through the real trace loader to the replay's
 /// assignment, and the journaled run's total energy must equal the
-/// replay's exactly. The <= budget overhead gate enforces outside --quick,
-/// with the same paired-best-ratio estimator as the telemetry guard.
+/// replay's exactly. The <= budget overhead gate (median paired ratio,
+/// time_paired) enforces outside --quick.
 WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
   WalReport report;
   report.num_vms = num_vms;
@@ -898,21 +734,8 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
 
   ReplayReport stream;
   Energy wal_energy = 0.0;
-  // Warm-up, then pair the variants per rep, alternating which goes first:
-  // within-pair drift (frequency step, background load arriving mid-rep)
-  // then penalizes each variant on half the pairs instead of always the
-  // journaled one, and the best-ratio estimator picks the cleanest pair.
-  run_stream(stream);
-  run_wal(&wal_energy);
-  for (int rep = 0; rep < reps; ++rep) {
-    if (rep % 2 == 0) {
-      report.stream_ms.push_back(time_ms([&] { run_stream(stream); }));
-      report.wal_ms.push_back(time_ms([&] { run_wal(&wal_energy); }));
-    } else {
-      report.wal_ms.push_back(time_ms([&] { run_wal(&wal_energy); }));
-      report.stream_ms.push_back(time_ms([&] { run_stream(stream); }));
-    }
-  }
+  report.timing = time_paired(reps, [&] { run_stream(stream); },
+                              [&] { run_wal(&wal_energy); });
 
   // Round-trip the surviving journal through the real trace loader: the WAL
   // is a decision trace, so last-write-wins folding must reproduce the batch
@@ -930,10 +753,7 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
   report.energy_match = wal_energy == stream.total_energy;
   ::unlink(journal_path.c_str());
 
-  double best_ratio = kInf;
-  for (std::size_t i = 0; i < report.stream_ms.size(); ++i)
-    best_ratio = std::min(best_ratio, report.wal_ms[i] / report.stream_ms[i]);
-  report.overhead = best_ratio - 1.0;
+  report.overhead = report.timing.median_ratio - 1.0;
   report.overhead_enforced = !quick;
   report.pass = report.assignments_match && report.energy_match &&
                 (!report.overhead_enforced || report.overhead <= budget);
@@ -942,10 +762,11 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
               "every %d)...\n",
               num_vms, report.journal_dir.c_str(), report.sync_every);
   std::printf("  bare stream:     %8.2f ms (median)\n",
-              median(report.stream_ms));
+              median(report.timing.reference_ms));
   std::printf("  journaled:       %8.2f ms (median)  -> overhead %+.2f%% "
-              "(best paired ratio, budget %.0f%%, %s) %s\n",
-              median(report.wal_ms), 100.0 * report.overhead, 100.0 * budget,
+              "(median paired ratio, budget %.0f%%, %s) %s\n",
+              median(report.timing.measured_ms), 100.0 * report.overhead,
+              100.0 * budget,
               report.overhead_enforced ? "enforced" : "not enforced (--quick)",
               !report.overhead_enforced || report.overhead <= budget
                   ? "OK"
@@ -1039,177 +860,19 @@ ChaosReport measure_chaos(int num_vms, int reps) {
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Fleet scale: the candidate scan at 10k / 100k servers, serial vs 4 threads
-// ---------------------------------------------------------------------------
-
-/// One thread-count replay of the fleet tier's stream.
-struct FleetVariant {
-  int threads = 1;
-  double median_ms = 0.0;
-  double requests_per_sec = 0.0;
-  double submit_p99_ms = 0.0;
-  double hist_p99_ms = 0.0;
-  std::size_t peak_resident_time_units = 0;
-  std::vector<ServerId> assignment;
-};
-
-/// One fleet size tier (10k always, 100k behind --fleet-full).
-struct FleetTier {
-  int num_servers = 0;
-  int num_vms = 0;
-  std::vector<FleetVariant> variants;  ///< threads 1 (reference), then 4
-  double parallel_speedup = 0.0;  ///< serial / 4-thread median
-  bool identity = true;           ///< 4-thread byte-identical — enforced
-  bool speedup_enforced = false;
-  std::string speedup_unenforced_reason;
-  bool pass = true;
-};
-
-struct FleetReport {
-  unsigned hardware_threads = 0;
-  double speedup_budget = 0.0;
-  std::vector<FleetTier> tiers;
-  bool pass = true;
-};
-
-/// The fleet bench uses lowest-idle-power: a representative scan policy with
-/// an O(1) score, so the measurement isolates the scan machinery the threads
-/// split (triage sweep + tree fallback + chunk reduction) rather than the
-/// Eq. 17 scoring arithmetic the fig2 sections already gate. The
-/// deterministic round-robin fleet (make_scaled_fleet) keeps the identity
-/// comparison meaningful across hosts.
-FleetVariant run_fleet_variant(const ProblemInstance& problem, int threads,
-                               int reps) {
-  FleetVariant variant;
-  variant.threads = threads;
-  std::vector<double> times;
-  ReplayReport report;
-  for (int rep = 0; rep < reps; ++rep) {
-    times.push_back(time_ms([&] {
-      AllocatorPtr allocator = make_allocator("lowest-idle-power");
-      ScanConfig scan;
-      scan.threads = threads;
-      allocator->set_scan_config(scan);
-      std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
-      Rng rng(7);
-      VectorArrivalStream arrivals(problem.vms);
-      report = replay_stream(arrivals, problem.servers, *policy, rng,
-                             ReplayOptions{});
-      benchmark::DoNotOptimize(report.assignment.data());
-    }));
-  }
-  variant.median_ms = median(times);
-  variant.requests_per_sec = report.requests_per_sec;
-  variant.submit_p99_ms = report.latency.p99_ms;
-  variant.hist_p99_ms = report.latency.hist_p99_ms;
-  variant.peak_resident_time_units = report.peak_resident_time_units;
-  variant.assignment = std::move(report.assignment);
-  return variant;
-}
-
-FleetTier measure_fleet_tier(int num_servers, int num_vms, int reps,
-                             double speedup_budget, bool quick) {
-  FleetTier tier;
-  tier.num_servers = num_servers;
-  tier.num_vms = num_vms;
-
-  WorkloadConfig config;
-  config.num_vms = num_vms;
-  config.mean_interarrival = 0.5;
-  config.mean_duration = 50.0;
-  config.vm_types = all_vm_types();
-  Rng rng(42);
-  ProblemInstance problem =
-      make_problem(generate_workload(config, rng),
-                   make_scaled_fleet(num_servers, all_server_types(), 1.0));
-
-  std::printf("measuring fleet-scale scan (%d servers, %d VMs, "
-              "lowest-idle-power stream)...\n",
-              num_servers, num_vms);
-  for (const int threads : {1, 4}) {
-    FleetVariant variant = run_fleet_variant(problem, threads, reps);
-    const bool match = tier.variants.empty() ||
-                       variant.assignment == tier.variants.front().assignment;
-    tier.identity = tier.identity && match;
-    std::printf("  threads=%d %10.2f ms  %8.0f req/s  p99 %.4f ms  "
-                "peak resident %zu units  assignments %s\n",
-                variant.threads, variant.median_ms, variant.requests_per_sec,
-                variant.submit_p99_ms, variant.peak_resident_time_units,
-                match ? "identical" : "DIVERGED (BUG)");
-    tier.variants.push_back(std::move(variant));
-  }
-  tier.parallel_speedup =
-      tier.variants[0].median_ms / tier.variants[1].median_ms;
-
-  // The >= 1.5x parallel gate is a large-fleet property: below 100k servers
-  // the per-request scan is too short for the fan-out to amortize, and
-  // without real cores there is nothing to scale onto — so it enforces only
-  // at the 100k tier on >= 4-thread hosts, outside --quick (always labeled
-  // in the artifact).
-  const unsigned hw = std::thread::hardware_concurrency();
-  tier.speedup_enforced = !quick && num_servers >= 100000 && hw >= 4;
-  if (!tier.speedup_enforced) {
-    tier.speedup_unenforced_reason =
-        quick ? "quick mode"
-        : num_servers < 100000
-            ? "sub-100k tier"
-            : "host has fewer than 4 hardware threads";
-  }
-  tier.pass = tier.identity &&
-              (!tier.speedup_enforced ||
-               tier.parallel_speedup >= speedup_budget);
-  std::printf("  4-thread speedup: %.2fx (budget %.1fx, %s%s) %s\n",
-              tier.parallel_speedup, speedup_budget,
-              tier.speedup_enforced ? "enforced" : "not enforced: ",
-              tier.speedup_enforced ? ""
-                                    : tier.speedup_unenforced_reason.c_str(),
-              tier.pass ? "OK" : "FAIL");
-  return tier;
-}
-
-FleetReport measure_fleet(int reps, double speedup_budget, bool quick,
-                          bool full) {
-  FleetReport report;
-  report.hardware_threads = std::thread::hardware_concurrency();
-  report.speedup_budget = speedup_budget;
-  const int fleet_reps = std::max(2, reps / 2);
-  if (quick) {
-    // Smoke scale: the identity gate still runs, the tier is just small
-    // enough for the Release CI overhead-guard job.
-    report.tiers.push_back(
-        measure_fleet_tier(2000, 400, fleet_reps, speedup_budget, quick));
-  } else {
-    report.tiers.push_back(
-        measure_fleet_tier(10000, 2000, fleet_reps, speedup_budget, quick));
-    if (full)
-      report.tiers.push_back(
-          measure_fleet_tier(100000, 600, std::max(2, fleet_reps / 2),
-                             speedup_budget, quick));
-  }
-  for (const FleetTier& tier : report.tiers)
-    report.pass = report.pass && tier.pass;
-  return report;
-}
-
 int run_perf_report(const std::string& out_path, int num_vms, int reps,
-                    double overhead_budget, double speedup_budget,
-                    double single_thread_budget, double envelope_budget,
-                    double fleet_speedup_budget, bool fleet_full,
-                    bool quick) {
-  // Harvest the previous artifact's medians before this run overwrites it.
-  const std::vector<PreviousPoint> previous = read_previous_points(out_path);
-  std::printf("measuring null-sink observability overhead (%d VMs, %d reps "
-              "per variant)...\n",
-              num_vms, reps);
+                    double overhead_budget, double single_thread_budget,
+                    double envelope_budget, bool quick) {
+  std::printf("measuring null-sink observability overhead (%d VMs)...\n",
+              num_vms);
   const OverheadReport overhead = measure_overhead(num_vms, reps);
   const bool pass = overhead.overhead <= overhead_budget;
 
-  std::printf("  uninstrumented: %8.2f ms (median)\n",
-              median(overhead.uninstrumented_ms));
+  std::printf("  no obs context: %8.2f ms (median)\n",
+              median(overhead.timing.reference_ms));
   std::printf("  null sink:      %8.2f ms (median)  -> overhead %+.2f%% "
-              "(best paired ratio, budget %.0f%%) %s\n",
-              median(overhead.null_sink_ms), 100.0 * overhead.overhead,
+              "(median paired ratio, budget %.0f%%) %s\n",
+              median(overhead.timing.measured_ms), 100.0 * overhead.overhead,
               100.0 * overhead_budget, pass ? "OK" : "FAIL");
   std::printf("  live trace:     %8.2f ms (median), %zu decision records\n",
               median(overhead.traced_ms), overhead.trace_records);
@@ -1231,9 +894,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   const SingleThreadGate single_thread =
       check_single_thread(points, num_vms, single_thread_budget, quick);
 
-  const ParallelScanReport scan =
-      measure_parallel_scan(num_vms, reps, speedup_budget, quick);
-
   const EnvelopeReport envelope =
       measure_envelope(num_vms, reps, envelope_budget, quick);
 
@@ -1253,25 +913,25 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
 
   const ChaosReport chaos = measure_chaos(num_vms, std::max(2, reps / 2));
 
-  const FleetReport fleet =
-      measure_fleet(reps, fleet_speedup_budget, quick, fleet_full);
-
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  out << "{\n  \"scenario\": {\"family\": \"fig2\", \"num_vms\": " << num_vms
+  out << "{\n  \"host\": {\"hardware_threads\": "
+      << std::thread::hardware_concurrency() << "},\n";
+  out << "  \"scenario\": {\"family\": \"fig2\", \"num_vms\": " << num_vms
       << ", \"mean_interarrival\": 2.0, \"seed\": 42},\n";
   out << "  \"overhead_guard\": {\n"
-      << "    \"uninstrumented_ms\": " << json_array(overhead.uninstrumented_ms)
+      << "    \"no_obs_ms\": " << json_array(overhead.timing.reference_ms)
       << ",\n"
-      << "    \"null_sink_ms\": " << json_array(overhead.null_sink_ms) << ",\n"
+      << "    \"null_sink_ms\": " << json_array(overhead.timing.measured_ms)
+      << ",\n"
       << "    \"traced_ms\": " << json_array(overhead.traced_ms) << ",\n"
-      << "    \"median_uninstrumented_ms\": "
-      << median(overhead.uninstrumented_ms) << ",\n"
-      << "    \"median_null_sink_ms\": " << median(overhead.null_sink_ms)
+      << "    \"median_no_obs_ms\": " << median(overhead.timing.reference_ms)
       << ",\n"
+      << "    \"median_null_sink_ms\": "
+      << median(overhead.timing.measured_ms) << ",\n"
       << "    \"median_traced_ms\": " << median(overhead.traced_ms) << ",\n"
       << "    \"null_sink_overhead\": " << overhead.overhead << ",\n"
       << "    \"overhead_budget\": " << overhead_budget << ",\n"
@@ -1299,52 +959,16 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << ",\n"
       << "    \"pass\": " << (single_thread.pass ? "true" : "false")
       << "\n  },\n";
-  out << "  \"regression\": {\n"
-      << "    \"note\": \"previous-run medians from the prior artifact at "
-         "this path; informational, the gates live in single_thread and "
-         "parallel_scan\",\n"
-      << "    \"points\": [\n";
-  {
-    bool first_point = true;
-    for (const AllocatorPoint& p : points) {
-      for (const PreviousPoint& prev : previous) {
-        if (prev.name != p.name || prev.num_vms != p.num_vms) continue;
-        if (!first_point) out << ",\n";
-        first_point = false;
-        const double ratio =
-            prev.median_ms > 0 ? p.median_ms / prev.median_ms : 0.0;
-        out << "      {\"name\": \"" << p.name
-            << "\", \"num_vms\": " << p.num_vms
-            << ", \"previous_ms\": " << prev.median_ms
-            << ", \"median_ms\": " << p.median_ms
-            << ", \"ratio\": " << ratio << "}";
-        break;
-      }
-    }
-    out << "\n    ]\n  },\n";
-  }
-  out << "  \"parallel_scan\": {\n"
-      << "    \"hardware_threads\": " << scan.hardware_threads << ",\n"
-      << "    \"serial_ms\": " << scan.serial_ms << ",\n";
-  for (const auto& [threads, ms] : scan.parallel_ms)
-    out << "    \"parallel_ms_t" << threads << "\": " << ms << ",\n";
-  out << "    \"speedup_at_4_threads\": " << scan.speedup_at_4 << ",\n"
-      << "    \"speedup_budget\": " << speedup_budget << ",\n"
-      << "    \"speedup_enforced\": "
-      << (scan.speedup_enforced ? "true" : "false") << ",\n"
-      << "    \"speedup_unenforced_reason\": \""
-      << scan.speedup_unenforced_reason << "\",\n"
-      << "    \"assignments_match\": "
-      << (scan.assignments_match ? "true" : "false") << ",\n"
-      << "    \"pass\": " << (scan.pass ? "true" : "false") << "\n  },\n";
   out << "  \"envelope\": {\n"
       << "    \"num_vms\": " << envelope.num_vms << ",\n"
-      << "    \"sweep_ms\": " << json_array(envelope.sweep_ms) << ",\n"
-      << "    \"quickfit_loop_ms\": " << json_array(envelope.quickfit_ms)
+      << "    \"sweep_ms\": " << json_array(envelope.timing.measured_ms)
       << ",\n"
-      << "    \"median_sweep_ms\": " << median(envelope.sweep_ms) << ",\n"
-      << "    \"median_quickfit_loop_ms\": " << median(envelope.quickfit_ms)
+      << "    \"quickfit_loop_ms\": "
+      << json_array(envelope.timing.reference_ms) << ",\n"
+      << "    \"median_sweep_ms\": " << median(envelope.timing.measured_ms)
       << ",\n"
+      << "    \"median_quickfit_loop_ms\": "
+      << median(envelope.timing.reference_ms) << ",\n"
       << "    \"triage_speedup\": " << envelope.triage_speedup << ",\n"
       << "    \"triage_budget\": " << envelope.triage_budget << ",\n"
       << "    \"triage_enforced\": "
@@ -1373,12 +997,14 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   out << "  \"telemetry\": {\n"
       << "    \"allocator\": \"min-incremental\",\n"
       << "    \"num_vms\": " << telemetry.num_vms << ",\n"
-      << "    \"plain_ms\": " << json_array(telemetry.plain_ms) << ",\n"
-      << "    \"telemetry_ms\": " << json_array(telemetry.telemetry_ms)
+      << "    \"plain_ms\": " << json_array(telemetry.timing.reference_ms)
       << ",\n"
-      << "    \"median_plain_ms\": " << median(telemetry.plain_ms) << ",\n"
-      << "    \"median_telemetry_ms\": " << median(telemetry.telemetry_ms)
+      << "    \"telemetry_ms\": " << json_array(telemetry.timing.measured_ms)
       << ",\n"
+      << "    \"median_plain_ms\": " << median(telemetry.timing.reference_ms)
+      << ",\n"
+      << "    \"median_telemetry_ms\": "
+      << median(telemetry.timing.measured_ms) << ",\n"
       << "    \"overhead\": " << telemetry.overhead << ",\n"
       << "    \"overhead_budget\": " << overhead_budget << ",\n"
       << "    \"overhead_enforced\": "
@@ -1398,10 +1024,11 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"journal_dir\": \"" << wal.journal_dir << "\",\n"
       << "    \"tmpfs\": " << (wal.tmpfs ? "true" : "false") << ",\n"
       << "    \"sync_every\": " << wal.sync_every << ",\n"
-      << "    \"stream_ms\": " << json_array(wal.stream_ms) << ",\n"
-      << "    \"wal_ms\": " << json_array(wal.wal_ms) << ",\n"
-      << "    \"median_stream_ms\": " << median(wal.stream_ms) << ",\n"
-      << "    \"median_wal_ms\": " << median(wal.wal_ms) << ",\n"
+      << "    \"stream_ms\": " << json_array(wal.timing.reference_ms) << ",\n"
+      << "    \"wal_ms\": " << json_array(wal.timing.measured_ms) << ",\n"
+      << "    \"median_stream_ms\": " << median(wal.timing.reference_ms)
+      << ",\n"
+      << "    \"median_wal_ms\": " << median(wal.timing.measured_ms) << ",\n"
       << "    \"overhead\": " << wal.overhead << ",\n"
       << "    \"overhead_budget\": " << overhead_budget << ",\n"
       << "    \"overhead_enforced\": "
@@ -1430,48 +1057,14 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"downtime_units\": " << chaos.stats.downtime_units << ",\n"
       << "    \"reproducible\": " << (chaos.reproducible ? "true" : "false")
       << ",\n"
-      << "    \"pass\": " << (chaos.pass ? "true" : "false") << "\n  },\n";
-  out << "  \"fleet\": {\n"
-      << "    \"allocator\": \"lowest-idle-power\",\n"
-      << "    \"hardware_threads\": " << fleet.hardware_threads << ",\n"
-      << "    \"speedup_budget\": " << fleet.speedup_budget << ",\n"
-      << "    \"tiers\": [\n";
-  for (std::size_t t = 0; t < fleet.tiers.size(); ++t) {
-    const FleetTier& tier = fleet.tiers[t];
-    out << "      {\"num_servers\": " << tier.num_servers
-        << ", \"num_vms\": " << tier.num_vms << ",\n"
-        << "       \"variants\": [\n";
-    for (std::size_t v = 0; v < tier.variants.size(); ++v) {
-      const FleetVariant& var = tier.variants[v];
-      out << "         {\"threads\": " << var.threads
-          << ", \"median_ms\": " << var.median_ms
-          << ", \"requests_per_sec\": " << var.requests_per_sec
-          << ", \"submit_p99_ms\": " << var.submit_p99_ms
-          << ", \"hist_p99_ms\": " << var.hist_p99_ms
-          << ", \"peak_resident_time_units\": "
-          << var.peak_resident_time_units << "}"
-          << (v + 1 < tier.variants.size() ? "," : "") << "\n";
-    }
-    out << "       ],\n"
-        << "       \"parallel_speedup\": " << tier.parallel_speedup << ",\n"
-        << "       \"identity\": " << (tier.identity ? "true" : "false")
-        << ",\n"
-        << "       \"speedup_enforced\": "
-        << (tier.speedup_enforced ? "true" : "false") << ",\n"
-        << "       \"speedup_unenforced_reason\": \""
-        << tier.speedup_unenforced_reason << "\",\n"
-        << "       \"pass\": " << (tier.pass ? "true" : "false") << "}"
-        << (t + 1 < fleet.tiers.size() ? "," : "") << "\n";
-  }
-  out << "    ],\n"
-      << "    \"pass\": " << (fleet.pass ? "true" : "false") << "\n  }\n";
+      << "    \"pass\": " << (chaos.pass ? "true" : "false") << "\n  }\n";
   out << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!overhead.assignments_match) {
     std::fprintf(stderr,
-                 "FAIL: instrumented allocator diverged from the reference "
-                 "loop\n");
+                 "FAIL: binding a metrics registry changed the "
+                 "min-incremental assignment\n");
     return 1;
   }
   if (!pass) {
@@ -1486,17 +1079,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
                  "below budget %.1fx (n=%d)\n",
                  single_thread.speedup, single_thread_budget,
                  single_thread.num_vms);
-    return 1;
-  }
-  if (!scan.assignments_match) {
-    std::fprintf(stderr,
-                 "FAIL: parallel scan diverged from the serial assignment\n");
-    return 1;
-  }
-  if (!scan.pass) {
-    std::fprintf(stderr,
-                 "FAIL: 4-thread speedup %.2fx below budget %.1fx\n",
-                 scan.speedup_at_4, speedup_budget);
     return 1;
   }
   if (!envelope.verdicts_match) {
@@ -1556,23 +1138,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
                  "run-to-run\n");
     return 1;
   }
-  for (const FleetTier& tier : fleet.tiers) {
-    if (!tier.identity) {
-      std::fprintf(stderr,
-                   "FAIL: 4-thread fleet scan diverged from the serial "
-                   "assignment at %d servers\n",
-                   tier.num_servers);
-      return 1;
-    }
-    if (!tier.pass) {
-      std::fprintf(stderr,
-                   "FAIL: 4-thread fleet speedup %.2fx below budget "
-                   "%.1fx at %d servers\n",
-                   tier.parallel_speedup, fleet.speedup_budget,
-                   tier.num_servers);
-      return 1;
-    }
-  }
   return 0;
 }
 
@@ -1618,10 +1183,8 @@ int main(int argc, char** argv) {
   parser.add_int("vms", 1000, "VM count of the overhead-guard scenario");
   parser.add_int("reps", 7, "timed repetitions per variant");
   parser.add_double("overhead-budget", 0.05,
-                    "max tolerated null-sink slowdown (fraction)");
-  parser.add_double("speedup-budget", 2.0,
-                    "min required 4-thread scan speedup (enforced only on "
-                    ">=4-thread machines, full mode)");
+                    "max tolerated null-sink, telemetry and WAL slowdown "
+                    "(fraction, median paired ratio)");
   parser.add_double("single-thread-budget", 2.0,
                     "min required single-thread min-incremental speedup vs "
                     "the committed baseline medians (enforced in full mode "
@@ -1629,13 +1192,6 @@ int main(int argc, char** argv) {
   parser.add_double("envelope-budget", 1.3,
                     "min required SoA envelope sweep speedup vs the AoS "
                     "quick_fit loop (enforced in full mode)");
-  parser.add_double("fleet-speedup-budget", 1.5,
-                    "min required 4-thread fleet scan speedup vs the serial "
-                    "scan (enforced at the 100k tier on >=4-thread machines, "
-                    "full mode)");
-  parser.add_bool("fleet-full",
-                  "also run the 100k-server fleet tier (default stops at "
-                  "10k; the committed BENCH_perf.json carries both)");
   parser.add_bool("quick", "300-VM scenario, 3 reps (smoke test)");
   if (!parser.parse(static_cast<int>(own_argv.size()), own_argv.data()))
     return parser.parse_error() ? 1 : 0;
@@ -1650,11 +1206,8 @@ int main(int argc, char** argv) {
   const int status =
       run_perf_report(parser.get_string("out"), num_vms, reps,
                       parser.get_double("overhead-budget"),
-                      parser.get_double("speedup-budget"),
                       parser.get_double("single-thread-budget"),
                       parser.get_double("envelope-budget"),
-                      parser.get_double("fleet-speedup-budget"),
-                      parser.get_bool("fleet-full"),
                       parser.get_bool("quick"));
   if (run_gbench) {
     int gbench_argc = static_cast<int>(gbench_argv.size());

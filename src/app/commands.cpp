@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstddef>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -32,6 +33,7 @@
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/sparkline.h"
 #include "util/table.h"
 #include "workload/diurnal.h"
@@ -88,23 +90,26 @@ void write_stats(const std::string& path, const MetricsRegistry& metrics) {
   file << metrics.to_json();
 }
 
-/// The --threads flag shared by allocate, stream and serve.
-void add_threads_flag(CliParser& parser) {
-  parser.add_int("threads", 1,
-                 "candidate-scan threads: 1 = serial (default), 0 = hardware "
-                 "concurrency, N = exactly N; identical results at any count");
+/// The deferred-retry flags shared by stream and serve.
+void add_retry_flags(CliParser& parser) {
+  parser.add_int("retry-max", 1,
+                 "total placement attempts per request (initial included); "
+                 "1 disables the retry queue");
+  parser.add_int("retry-delay", 8,
+                 "base delay before the first retry (time units)");
+  parser.add_double("retry-backoff", 2.0,
+                    "multiplier applied to the delay after each failed retry "
+                    "(finite, > 0)");
+  parser.add_int("retry-queue", 64,
+                 "retry queue capacity; admissions beyond it are rejected");
 }
 
-/// The scan configuration from --threads (add_threads_flag).
-ScanConfig scan_config(const CliParser& parser) {
-  ScanConfig scan;
-  const std::int64_t threads = parser.get_int("threads");
-  if (threads < 0)
-    throw std::invalid_argument("--threads must be >= 0 (0 = hardware "
-                                "concurrency), got " +
-                                std::to_string(threads));
-  scan.threads = static_cast<int>(threads);
-  return scan;
+/// The retry policy from add_retry_flags' flags; out-of-range values throw
+/// naming the flag (checked_retry_policy).
+RetryPolicy retry_flags(const CliParser& parser) {
+  return checked_retry_policy(
+      parser.get_int("retry-max"), parser.get_int("retry-delay"),
+      parser.get_double("retry-backoff"), parser.get_int("retry-queue"));
 }
 
 /// True when an output path asks for JSON Lines rather than CSV.
@@ -222,7 +227,6 @@ int cmd_allocate(const std::vector<std::string>& args, std::ostream& out,
   parser.add_string("servers", "servers.csv", "server trace");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed for stochastic allocators");
-  add_threads_flag(parser);
   parser.add_string("out-assignment", "", "assignment CSV output (optional)");
   parser.add_string("trace", "",
                     "JSONL decision trace output: one record per VM with "
@@ -246,7 +250,6 @@ int cmd_allocate(const std::vector<std::string>& args, std::ostream& out,
                 << problem.num_servers() << " servers (horizon "
                 << problem.horizon << ")";
     AllocatorPtr allocator = make_allocator(parser.get_string("allocator"));
-    allocator->set_scan_config(scan_config(parser));
     ObsContext obs;
     obs.trace = trace_sink.get();
     obs.metrics = &metrics;
@@ -310,7 +313,6 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
   parser.add_string("servers", "servers.csv", "server trace");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed");
-  add_threads_flag(parser);
   parser.add_int("shards", 1,
                  "slice the fleet into N contiguous server blocks and add a "
                  "per-shard load breakdown to --timeseries-out JSONL "
@@ -322,15 +324,7 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
                     "fault-plan CSV (time,event,server with event in "
                     "fail|drain|recover) applied at frontier advances "
                     "(optional)");
-  parser.add_int("retry-max", 1,
-                 "total placement attempts per request (initial included); "
-                 "1 disables the retry queue");
-  parser.add_int("retry-delay", 8,
-                 "base delay before the first retry (time units)");
-  parser.add_double("retry-backoff", 2.0,
-                    "multiplier applied to the delay after each failed retry");
-  parser.add_int("retry-queue", 64,
-                 "retry queue capacity; admissions beyond it are rejected");
+  add_retry_flags(parser);
   parser.add_string("out-assignment", "", "assignment CSV output (optional)");
   parser.add_string("latency-json", "",
                     "per-request latency report output: requests/sec plus "
@@ -367,13 +361,10 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
         load_server_trace(parser.get_string("servers"));
 
     AllocatorPtr allocator = make_allocator(parser.get_string("allocator"));
-    ScanConfig scan = scan_config(parser);
     const std::int64_t shards = parser.get_int("shards");
     if (shards < 1)
       throw std::invalid_argument("--shards must be >= 1, got " +
                                   std::to_string(shards));
-    scan.shards = static_cast<int>(shards);
-    allocator->set_scan_config(scan);
     ObsContext obs;
     obs.trace = trace_sink.get();
     obs.metrics = &metrics;
@@ -399,13 +390,8 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
       fault_plan.validate(servers.size());
       options.faults = &fault_plan;
     }
-    options.retry.max_attempts = static_cast<int>(parser.get_int("retry-max"));
-    options.retry.base_delay =
-        static_cast<Time>(parser.get_int("retry-delay"));
-    options.retry.backoff = parser.get_double("retry-backoff");
-    options.retry.queue_capacity =
-        static_cast<std::size_t>(parser.get_int("retry-queue"));
-    options.shard = scan.shard_options();
+    options.retry = retry_flags(parser);
+    options.shard = ShardOptions{static_cast<int>(shards)};
     options.obs.metrics = &metrics;
     // Telemetry sinks are bound only when their output was requested; none
     // of them changes a single decision (docs/OBSERVABILITY.md).
@@ -622,48 +608,43 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
                     "snapshot path (optional); bounds startup replay to the "
                     "journal suffix past the snapshot");
   parser.add_int("wal-sync-every", 1,
-                 "fsync the journal every N records; 1 = every op durable "
-                 "before its ack, N > 1 = group commit");
+                 "fsync the journal every N >= 1 records; 1 = every op "
+                 "durable before its ack, N > 1 = group commit");
   parser.add_int("snapshot-every", 0,
                  "auto-snapshot after N journaled ops (0 = only on explicit "
                  "snapshot/drain ops; needs --snapshot)");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed");
-  add_threads_flag(parser);
-  parser.add_int("retry-max", 1,
-                 "total placement attempts per request (initial included); "
-                 "1 disables the retry queue");
-  parser.add_int("retry-delay", 8,
-                 "base delay before the first retry (time units)");
-  parser.add_double("retry-backoff", 2.0,
-                    "multiplier applied to the delay after each failed retry");
-  parser.add_int("retry-queue", 64,
-                 "retry queue capacity; admissions beyond it are rejected");
+  parser.add_int("threads", 1,
+                 "candidate-scan threads; must be 1 (the scan is serial)");
+  add_retry_flags(parser);
   if (!parse_args(parser, args)) return parser_exit_code(parser);
 
   try {
     register_extension_allocators();
     if (parser.get_string("socket").empty())
       throw std::invalid_argument("--socket is required");
-
-    std::vector<ServerSpec> servers =
-        load_server_trace(parser.get_string("servers"));
+    if (parser.get_int("threads") != 1)
+      throw std::invalid_argument(
+          "--threads must be 1: the candidate scan is serial (got " +
+          std::to_string(parser.get_int("threads")) + ")");
 
     serve::DaemonOptions dopts;
     dopts.allocator = parser.get_string("allocator");
     dopts.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
     dopts.wal_path = parser.get_string("wal");
     dopts.snapshot_path = parser.get_string("snapshot");
-    dopts.wal_sync_every = static_cast<int>(parser.get_int("wal-sync-every"));
-    dopts.snapshot_every =
-        static_cast<std::uint64_t>(parser.get_int("snapshot-every"));
-    dopts.retry.max_attempts = static_cast<int>(parser.get_int("retry-max"));
-    dopts.retry.base_delay = static_cast<Time>(parser.get_int("retry-delay"));
-    dopts.retry.backoff = parser.get_double("retry-backoff");
-    dopts.retry.queue_capacity =
-        static_cast<std::size_t>(parser.get_int("retry-queue"));
-    dopts.scan = scan_config(parser);
+    dopts.wal_sync_every = static_cast<int>(
+        checked_flag(parser.get_int("wal-sync-every"), 1,
+                     std::numeric_limits<int>::max(), "wal-sync-every"));
+    dopts.snapshot_every = static_cast<std::uint64_t>(
+        checked_flag(parser.get_int("snapshot-every"), 0,
+                     std::numeric_limits<std::int64_t>::max(),
+                     "snapshot-every"));
+    dopts.retry = retry_flags(parser);
 
+    std::vector<ServerSpec> servers =
+        load_server_trace(parser.get_string("servers"));
     serve::Daemon daemon(std::move(servers), dopts);
     if (daemon.recovered_from_snapshot() || daemon.replayed_records() > 0)
       out << "recovered: snapshot="

@@ -24,7 +24,7 @@ struct BestFitCpuScore {
 
 std::unique_ptr<PlacementPolicy> BestFitCpuAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/false,
-                          BestFitCpuScore{}, options_.scan, obs_);
+                          BestFitCpuScore{}, obs_);
 }
 
 Allocation BestFitCpuAllocator::allocate(const ProblemInstance& problem,

@@ -14,9 +14,6 @@ class BestFitCpuAllocator final : public Allocator {
  public:
   struct Options {
     VmOrder order = VmOrder::ByStartTime;
-    /// Scan-engine knobs (core/candidate_scan.h); any setting yields the
-    /// identical assignment.
-    ScanConfig scan;
   };
 
   BestFitCpuAllocator() = default;
@@ -24,10 +21,6 @@ class BestFitCpuAllocator final : public Allocator {
   explicit BestFitCpuAllocator(Options options) : options_(options) {}
 
   std::string name() const override { return "best-fit-cpu"; }
-
-  void set_scan_config(const ScanConfig& config) override {
-    options_.scan = config;
-  }
 
   Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
 

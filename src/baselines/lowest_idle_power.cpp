@@ -22,7 +22,7 @@ struct LowestIdlePowerScore {
 std::unique_ptr<PlacementPolicy> LowestIdlePowerAllocator::make_policy()
     const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/false,
-                          LowestIdlePowerScore{}, options_.scan, obs_);
+                          LowestIdlePowerScore{}, obs_);
 }
 
 Allocation LowestIdlePowerAllocator::allocate(const ProblemInstance& problem,

@@ -14,9 +14,6 @@ class LowestIdlePowerAllocator final : public Allocator {
  public:
   struct Options {
     VmOrder order = VmOrder::ByStartTime;
-    /// Scan-engine knobs (core/candidate_scan.h); any setting yields the
-    /// identical assignment.
-    ScanConfig scan;
   };
 
   LowestIdlePowerAllocator() = default;
@@ -24,10 +21,6 @@ class LowestIdlePowerAllocator final : public Allocator {
   explicit LowestIdlePowerAllocator(Options options) : options_(options) {}
 
   std::string name() const override { return "lowest-idle-power"; }
-
-  void set_scan_config(const ScanConfig& config) override {
-    options_.scan = config;
-  }
 
   Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
 

@@ -41,7 +41,7 @@ struct DotProductFitScore {
 
 std::unique_ptr<PlacementPolicy> DotProductFitAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/false,
-                          DotProductFitScore{}, options_.scan, obs_);
+                          DotProductFitScore{}, obs_);
 }
 
 Allocation DotProductFitAllocator::allocate(const ProblemInstance& problem,

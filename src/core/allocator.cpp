@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
+#include <stdexcept>
 
 #include "core/streaming.h"
 #include "obs/metrics.h"
@@ -13,10 +13,11 @@ std::unique_ptr<PlacementPolicy> Allocator::make_policy() const {
   return nullptr;
 }
 
-int ScanConfig::resolved_threads() const {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+void Allocator::set_scan_config(const ScanConfig& config) const {
+  if (config.threads != 1)
+    throw std::invalid_argument(
+        "ScanConfig::threads must be 1: the candidate scan is serial (got " +
+        std::to_string(config.threads) + ")");
 }
 
 Timer* allocate_timer(MetricsRegistry* metrics, const std::string& allocator) {

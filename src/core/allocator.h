@@ -47,21 +47,17 @@ struct ShardOptions {
   int shards = 1;
 };
 
-/// Configuration of the candidate-scan engine (core/candidate_scan.h) shared
-/// by the allocators that probe every server per VM. Every setting yields the
-/// assignment of the traced serial check_fit loop, bit for bit
-/// (tests/test_envelope_scan.cpp, docs/PERFORMANCE.md).
+/// Candidate-scan configuration (core/candidate_scan.h) plus the engine's
+/// shard slicing. The scan is serial, so `threads` accepts exactly 1:
+/// Allocator::set_scan_config and `esva serve --threads` reject any other
+/// value rather than ignore it.
 struct ScanConfig {
-  /// Worker threads per scan: 1 = serial (default), 0 = hardware
-  /// concurrency, N > 1 = the arg-min split into N contiguous chunks.
-  /// Results are identical at any count.
+  /// Scan threads; must be 1 (the candidate scan is serial).
   int threads = 1;
   /// Shard count for the engine's per-shard load reporting (ShardOptions);
   /// it does not reach the scan.
   int shards = 1;
 
-  /// `threads` with 0 resolved to the hardware concurrency (at least 1).
-  int resolved_threads() const;
   /// The sharding subset of this config, as EngineOptions::shard.
   ShardOptions shard_options() const { return ShardOptions{shards}; }
 };
@@ -85,11 +81,11 @@ class Allocator {
   /// allocators (the ext lookahead/reoptimization passes).
   virtual std::unique_ptr<PlacementPolicy> make_policy() const;
 
-  /// Configures the candidate-scan engine for allocators built on it
-  /// (min-incremental, best-fit-cpu, lowest-idle-power, dot-product-fit).
-  /// Default: no-op — allocators without an exhaustive scan (ffps,
-  /// random-fit) ignore it.
-  virtual void set_scan_config(const ScanConfig& /*config*/) {}
+  /// Checks a candidate-scan configuration. The scan is serial, so
+  /// `config.threads` must be 1; any other value throws
+  /// std::invalid_argument. There is nothing else to configure:
+  /// `config.shards` reaches the engine through EngineOptions::shard.
+  void set_scan_config(const ScanConfig& config) const;
 
   /// Observability hook shared by every allocator (obs/trace.h): a trace
   /// sink receiving one VmDecisionTrace per VM, and a metrics registry for

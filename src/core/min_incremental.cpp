@@ -19,15 +19,14 @@ struct MinIncrementalScore {
 
 }  // namespace
 
-// The whole decision loop — traced and untraced, serial and parallel — lives
-// in ScanPolicy (core/candidate_scan.h), so the traced twin can never drift
-// from the fast path (tests/test_obs_trace.cpp and
-// tests/test_envelope_scan.cpp pin them together) and the batch and
-// streaming drivers share one code path (tests/test_streaming.cpp).
+// The whole decision loop — traced and untraced — lives in ScanPolicy
+// (core/candidate_scan.h), so the traced twin can never drift from the fast
+// path (tests/test_obs_trace.cpp and tests/test_envelope_scan.cpp pin them
+// together) and the batch and streaming drivers share one code path
+// (tests/test_streaming.cpp).
 std::unique_ptr<PlacementPolicy> MinIncrementalAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/true,
-                          MinIncrementalScore{options_.cost}, options_.scan,
-                          obs_);
+                          MinIncrementalScore{options_.cost}, obs_);
 }
 
 Allocation MinIncrementalAllocator::allocate(const ProblemInstance& problem,

@@ -16,10 +16,8 @@
 // Complexity: O(m · n · log T) — per VM, each server needs an O(log T)
 // feasibility probe (segment trees) plus an O(local) structure-cost delta.
 // The per-VM scan runs through the candidate-scan engine
-// (core/candidate_scan.h): an envelope sweep triages the fleet, then the
-// arg-min runs serially or, with Options::scan.threads > 1, in contiguous
-// chunks on a thread pool — bit-identical to the serial scan by
-// construction.
+// (core/candidate_scan.h): an envelope sweep triages the fleet, then one
+// serial arg-min in server-index order picks the winner.
 
 #pragma once
 
@@ -35,9 +33,6 @@ class MinIncrementalAllocator final : public Allocator {
     /// Presentation order; the paper uses ByStartTime. Exposed for the
     /// ordering ablation.
     VmOrder order = VmOrder::ByStartTime;
-    /// Scan-engine knobs (threads); the default is the serial scan. Any
-    /// setting yields the identical assignment.
-    ScanConfig scan;
   };
 
   MinIncrementalAllocator() = default;
@@ -45,12 +40,8 @@ class MinIncrementalAllocator final : public Allocator {
 
   std::string name() const override { return "min-incremental"; }
 
-  void set_scan_config(const ScanConfig& config) override {
-    options_.scan = config;
-  }
-
   /// Deterministic (ignores rng): ties on incremental cost break toward the
-  /// lowest server id, at every thread count.
+  /// lowest server id.
   Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
 
   /// The same decision loop as allocate(), one request at a time

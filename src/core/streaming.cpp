@@ -11,6 +11,7 @@
 #include "obs/energy_ledger.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "util/parse.h"
 
 namespace esva {
 
@@ -295,7 +296,6 @@ void ClusterState::restore(Time frontier, Time horizon,
         std::to_string(servers_.size()));
   frontier_ = std::max<Time>(1, frontier);
   horizon_ = std::max<Time>(0, horizon);
-  resident_units_ = 0;
   active_count_ = 0;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const ServerStateSnapshot& snap = servers[i];
@@ -315,22 +315,16 @@ void ClusterState::restore(Time frontier, Time horizon,
     active_[i] = snap.active;
     active_count_ += active_[i].size();
   }
-  // Timelines are rebuilt from scratch: placeable servers get the full
-  // window with sentinel + actives replayed (byte-identical future deltas,
-  // per the GC-invariance argument), non-up servers the frontier stub.
+  // Timelines are rebuilt from scratch through the same two paths the live
+  // cluster uses — placeable servers by rebuild() (sentinel + actives
+  // replayed: byte-identical future deltas, per the GC-invariance
+  // argument), non-up servers by the frontier stub — which also keep
+  // resident_units_ in step.
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    if (placeable(i)) {
-      const Time base = window_base(i);
-      ServerTimeline fresh(servers_[i], base, std::max(horizon_, base - 1));
-      if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
-      for (const VmSpec& vm : active_[i]) fresh.place(vm);
-      resident_units_ += static_cast<std::size_t>(fresh.window_units());
-      timelines_[i] = std::move(fresh);
-    } else {
-      ServerTimeline stub(servers_[i], frontier_, frontier_ - 1);
-      timelines_[i] = std::move(stub);
-    }
-    envelopes_.refresh(i, timelines_[i]);
+    if (placeable(i))
+      rebuild(i, window_base(i), horizon_);
+    else
+      stub_timeline(i);
   }
   recompute_next_retire();
   assert(active_count_ == active_vms_scan());
@@ -343,9 +337,38 @@ void PlacementPolicy::finish(std::size_t /*requests*/,
 
 Time RetryPolicy::delay_for(int attempts) const {
   assert(attempts >= 1);
+  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+  // A zero base stays zero (floored to one unit) even when the backoff power
+  // overflows to infinity; anything past the Time range saturates.
+  if (base_delay == 0) return 1;
   const double delay = static_cast<double>(base_delay) *
                        std::pow(backoff, static_cast<double>(attempts - 1));
+  if (!(delay < static_cast<double>(kMaxTime))) return kMaxTime;
   return std::max<Time>(1, static_cast<Time>(std::llround(delay)));
+}
+
+Time RetryPolicy::retry_at(Time now, int attempts) const {
+  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+  const Time delay = delay_for(attempts);
+  return now > kMaxTime - delay ? kMaxTime : now + delay;
+}
+
+RetryPolicy checked_retry_policy(std::int64_t max_attempts,
+                                 std::int64_t base_delay, double backoff,
+                                 std::int64_t queue_capacity) {
+  if (!std::isfinite(backoff) || backoff <= 0.0)
+    throw std::invalid_argument(
+        "--retry-backoff must be finite and > 0, got " +
+        std::to_string(backoff));
+  RetryPolicy policy;
+  policy.max_attempts = static_cast<int>(checked_flag(
+      max_attempts, 0, std::numeric_limits<int>::max(), "retry-max"));
+  policy.base_delay = static_cast<Time>(checked_flag(
+      base_delay, 0, std::numeric_limits<Time>::max(), "retry-delay"));
+  policy.backoff = backoff;
+  policy.queue_capacity = static_cast<std::size_t>(
+      checked_flag(queue_capacity, 0, kMaxRetryQueue, "retry-queue"));
+  return policy;
 }
 
 VmSpec clip_to(VmSpec vm, Time t) {
@@ -633,7 +656,7 @@ PlacementReject PlacementEngine::defer_or_reject(VmSpec vm, Time now,
   if (options_.retry.enabled() && attempts < options_.retry.max_attempts) {
     if (retry_queue_.size() < options_.retry.queue_capacity) {
       PendingRequest pending;
-      pending.not_before = now + options_.retry.delay_for(attempts);
+      pending.not_before = options_.retry.retry_at(now, attempts);
       pending.attempts = attempts;
       pending.displaced = displaced;
       pending.waiting_since = displaced ? now : vm.start;
@@ -724,7 +747,7 @@ void PlacementEngine::drain_retries(Time now) {
       final_reject(pending);
     } else {
       pending.attempts = attempts;
-      pending.not_before = at + options_.retry.delay_for(attempts);
+      pending.not_before = options_.retry.retry_at(at, attempts);
       enqueue(std::move(pending));
     }
   }

@@ -284,14 +284,33 @@ struct RetryPolicy {
   /// Queue capacity; admissions beyond it are rejected with kQueueFull.
   std::size_t queue_capacity = 64;
   /// Attempt k+1 fires base_delay × backoff^(k-1) time units after attempt
-  /// k fails (k >= 1), rounded, floored at one unit.
+  /// k fails (k >= 1), rounded, floored at one unit and saturated at the
+  /// largest Time.
   Time base_delay = 8;
   double backoff = 2.0;
 
   bool enabled() const { return max_attempts > 1 && queue_capacity > 0; }
   /// Delay before the attempt following `attempts` failed ones.
   Time delay_for(int attempts) const;
+  /// now + delay_for(attempts), saturated at the largest Time (such a retry
+  /// only comes due in the end-of-stream drain, past every VM's end).
+  Time retry_at(Time now, int attempts) const;
 };
+
+/// The largest accepted RetryPolicy::queue_capacity: 2^53, the last integer
+/// a double-backed JSON number carries exactly (the serve journal header
+/// records the policy that way and refuses to restart on a mismatch).
+inline constexpr std::int64_t kMaxRetryQueue = std::int64_t{1} << 53;
+
+/// A RetryPolicy from raw option values: max_attempts in [0, INT_MAX],
+/// base_delay in [0, max Time], queue_capacity in [0, kMaxRetryQueue] and a
+/// finite, positive backoff — exactly the policies the serve journal header
+/// reads back unchanged. Anything else throws std::invalid_argument naming
+/// the `--retry-*` flag. `esva stream`, `esva serve` and the serve::Daemon
+/// constructor all check their policy here.
+RetryPolicy checked_retry_policy(std::int64_t max_attempts,
+                                 std::int64_t base_delay, double backoff,
+                                 std::int64_t queue_capacity);
 
 struct EngineOptions {
   /// Fixed horizon to pre-build timelines for; 0 grows on demand.

@@ -9,12 +9,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "baselines/registry.h"
 #include "serve/snapshot.h"
 #include "util/json.h"
+#include "util/parse.h"
 
 namespace esva::serve {
 
@@ -40,11 +42,19 @@ std::string fmt_energy17(Energy e) {
 
 Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
     : options_(std::move(options)), rng_(options_.seed) {
+  // Every check runs before the journal is opened, so a rejected
+  // configuration writes no WAL; the retry policy must be one the header
+  // reads back unchanged, or the daemon could not restart on its own WAL.
   if (options_.wal_path.empty())
-    throw std::invalid_argument("serve: a --wal path is required");
+    throw std::invalid_argument("a --wal path is required");
+  checked_flag(options_.wal_sync_every, 1, std::numeric_limits<int>::max(),
+               "wal-sync-every");
   if (options_.snapshot_every > 0 && options_.snapshot_path.empty())
-    throw std::invalid_argument(
-        "serve: --snapshot-every needs a --snapshot path");
+    throw std::invalid_argument("--snapshot-every needs a --snapshot path");
+  options_.retry = checked_retry_policy(
+      options_.retry.max_attempts, options_.retry.base_delay,
+      options_.retry.backoff,
+      static_cast<std::int64_t>(options_.retry.queue_capacity));
 
   header_.allocator = options_.allocator;
   header_.seed = options_.seed;

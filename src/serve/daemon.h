@@ -51,16 +51,18 @@ struct DaemonOptions {
   /// whole journal).
   std::string snapshot_path;
   /// Journal fsync batching (WalWriter): 1 = every op durable before its
-  /// ack, N = group commit of N.
+  /// ack, N = group commit of N. Must be >= 1.
   int wal_sync_every = 1;
   /// Auto-snapshot after this many journaled ops (0 = only on explicit
   /// snapshot/drain ops). Needs snapshot_path.
   std::uint64_t snapshot_every = 0;
-  /// Deferred-retry configuration, forwarded to the engine. Recorded in the
-  /// journal header and validated on recovery.
+  /// Deferred-retry configuration, forwarded to the engine. Must pass
+  /// checked_retry_policy; recorded in the journal header and validated on
+  /// recovery.
   RetryPolicy retry;
-  /// Candidate-scan configuration (threads) — a pure performance knob,
-  /// decisions are identical at any setting.
+  /// `scan.threads` must be 1 (the candidate scan is serial;
+  /// Allocator::set_scan_config); `scan.shards` slices the engine's
+  /// per-shard load reporting.
   ScanConfig scan;
   CostOptions cost;
   Energy migration_cost_per_gib = 25.0;

@@ -74,6 +74,16 @@ long long checked_integer(double value, long long lo, long long hi,
   return static_cast<long long>(value);
 }
 
+std::int64_t checked_flag(std::int64_t value, std::int64_t lo,
+                          std::int64_t hi, const std::string& flag) {
+  if (value < lo || value > hi)
+    throw std::invalid_argument("--" + flag + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(value));
+  return value;
+}
+
 std::uint64_t parse_u64_field(const std::string& raw,
                               const std::string& context) {
   const std::string field = strip_cr(raw);

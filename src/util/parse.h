@@ -63,6 +63,12 @@ T checked_integer_as(double value, const std::string& context) {
                                         context));
 }
 
+/// `value` when it lies in [lo, hi]; otherwise throws std::invalid_argument
+/// "--<flag> must be in [lo, hi], got <value>" — the range check for a
+/// command-line option (or the option struct it fills) before narrowing.
+std::int64_t checked_flag(std::int64_t value, std::int64_t lo,
+                          std::int64_t hi, const std::string& flag);
+
 /// Parses a decimal std::uint64_t (the snapshot format's 64-bit rng words,
 /// which a double-backed JSON number cannot carry exactly).
 std::uint64_t parse_u64_field(const std::string& field,

@@ -1,8 +1,8 @@
 // Differential harness for the candidate scan (core/candidate_scan.h +
 // core/envelope_store.h). The untraced scan is one path: an EnvelopeStore
-// sweep triages the fleet, then the strict-< arg-min runs serially or in
-// contiguous chunks on a thread pool. The traced scan is the serial check_fit
-// loop, which never reads the envelope store — so it is the reference.
+// sweep triages the fleet, then the serial strict-< arg-min (scan_range)
+// picks the winner. The traced scan is the check_fit loop, which never reads
+// the envelope store — so it is the reference.
 //
 // Four layers of evidence:
 //   1. timeline-level fuzz: random place/undo interleavings on raw
@@ -16,13 +16,13 @@
 //      other shard's time-series slice untouched;
 //   3. end-to-end identity: every scan allocator's untraced assignment and
 //      energy equal the traced run's (and, for min-incremental, the
-//      historical batch loop's) on stable and profiled workloads at 1, 2, 4
-//      and 8 threads, on tiny fleets around the fan-out cutoffs and with
-//      unplaceable VMs; decision by decision (server and delta bits); and
-//      chaos replays with faults and retries match the traced replay in
-//      every counter at any thread and shard count;
-//   4. the arg-min primitive: ties, empty ranges, exceptions, thread counts,
-//      each index evaluated once, random scores against the serial loop.
+//      historical batch loop's) on stable and profiled workloads, on tiny
+//      fleets and with unplaceable VMs; decision by decision (server and
+//      delta bits); and chaos replays with faults and retries match the
+//      traced replay in every counter at any shard count;
+//   4. the arg-min primitive: ties, empty and all-infeasible ranges, each
+//      index evaluated once, counts, random scores against a brute-force
+//      arg-min.
 //
 // ESVA_FUZZ_QUICK=1 (set by ctest in Debug CI; see tests/CMakeLists.txt)
 // shrinks iteration counts so sanitizer jobs fit their time budget. The
@@ -33,14 +33,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -539,16 +538,12 @@ TEST(ShardIsolation, FaultInOneShardLeavesOtherShardsUntouched) {
 
 // --- layer 3: end-to-end byte identity, untraced vs traced ----------------
 
-/// One allocate() run. With `trace` bound the scan is the serial check_fit
-/// loop (no envelope store, no pool); without it, the envelope-triaged scan
-/// at `threads`.
+/// One allocate() run. With `trace` bound the scan is the check_fit loop (no
+/// envelope store); without it, the envelope-triaged scan.
 Allocation run_alloc(const std::string& name, const ProblemInstance& problem,
-                     int threads, MemoryTraceSink* trace = nullptr,
+                     MemoryTraceSink* trace = nullptr,
                      MetricsRegistry* metrics = nullptr) {
   AllocatorPtr allocator = make_allocator(name);
-  ScanConfig scan;
-  scan.threads = threads;
-  allocator->set_scan_config(scan);
   ObsContext obs;
   obs.trace = trace;
   obs.metrics = metrics;
@@ -562,7 +557,7 @@ Allocation run_alloc(const std::string& name, const ProblemInstance& problem,
 Allocation traced_alloc(const std::string& name,
                         const ProblemInstance& problem) {
   MemoryTraceSink sink;
-  Allocation alloc = run_alloc(name, problem, /*threads=*/1, &sink);
+  Allocation alloc = run_alloc(name, problem, &sink);
   const std::vector<VmDecisionTrace> decisions = sink.decisions();
   EXPECT_EQ(decisions.size(), problem.num_vms()) << name;
   std::map<VmId, ServerId> chosen;
@@ -576,7 +571,7 @@ Allocation traced_alloc(const std::string& name,
   return alloc;
 }
 
-TEST(ScanIdentity, UntracedMatchesTracedAcrossThreadsAndWorkloads) {
+TEST(ScanIdentity, UntracedMatchesTracedAcrossWorkloads) {
   const int seeds = fuzz_iters(2, 1);
   for (int s = 0; s < seeds; ++s) {
     const std::uint64_t seed = 11u + 18u * static_cast<std::uint64_t>(s);
@@ -590,40 +585,28 @@ TEST(ScanIdentity, UntracedMatchesTracedAcrossThreadsAndWorkloads) {
                     reference.assignment)
               << "seed=" << seed << (profiled ? " (profiled)" : " (stable)");
         }
-        const Energy reference_energy =
-            evaluate_cost(problem, reference).total();
-        for (const int threads : {1, 2, 4, 8}) {
-          const Allocation untraced = run_alloc(name, problem, threads);
-          ASSERT_EQ(reference.assignment, untraced.assignment)
-              << name << " threads=" << threads << " seed=" << seed
-              << (profiled ? " (profiled)" : " (stable)");
-          // Same double bits in, same bits out: energies match exactly.
-          EXPECT_EQ(reference_energy, evaluate_cost(problem, untraced).total())
-              << name << " threads=" << threads;
-        }
+        const Allocation untraced = run_alloc(name, problem);
+        ASSERT_EQ(reference.assignment, untraced.assignment)
+            << name << " seed=" << seed
+            << (profiled ? " (profiled)" : " (stable)");
+        // Same double bits in, same bits out: energies match exactly.
+        EXPECT_EQ(evaluate_cost(problem, reference).total(),
+                  evaluate_cost(problem, untraced).total())
+            << name;
       }
     }
   }
 }
 
-TEST(ScanIdentity, HardwareConcurrencyThreadsMatchTraced) {
-  const ProblemInstance problem = stable_instance(3);
-  for (const std::string& name : scan_allocators()) {
-    EXPECT_EQ(traced_alloc(name, problem).assignment,
-              run_alloc(name, problem, /*threads=*/0).assignment)
-        << name;
-  }
-}
-
-// Probe accounting: the envelope verdicts and the chunked reduction count
-// exactly the feasible/rejected candidates the traced check_fit loop counts.
-TEST(ScanIdentity, ProbeCountersMatchTracedAcrossThreadCounts) {
+// Probe accounting: the envelope verdicts count exactly the
+// feasible/rejected candidates the traced check_fit loop counts.
+TEST(ScanIdentity, ProbeCountersMatchTraced) {
   const ProblemInstance problem = stable_instance(19);
-  const auto counters = [&](int threads, bool traced) {
+  const auto counters = [&](bool traced) {
     MemoryTraceSink sink;
     MetricsRegistry metrics;
-    (void)run_alloc("min-incremental", problem, threads,
-                    traced ? &sink : nullptr, &metrics);
+    (void)run_alloc("min-incremental", problem, traced ? &sink : nullptr,
+                    &metrics);
     std::vector<std::int64_t> out;
     for (const char* counter :
          {"allocator.min-incremental.feasible_candidates",
@@ -632,18 +615,15 @@ TEST(ScanIdentity, ProbeCountersMatchTracedAcrossThreadCounts) {
       out.push_back(metrics.counter(counter).value());
     return out;
   };
-  const std::vector<std::int64_t> reference = counters(1, /*traced=*/true);
+  const std::vector<std::int64_t> reference = counters(/*traced=*/true);
   EXPECT_GT(reference[0], 0);
   EXPECT_GT(reference[1], 0);
-  for (const int threads : {1, 4}) {
-    EXPECT_EQ(counters(threads, /*traced=*/false), reference) << threads;
-  }
+  EXPECT_EQ(counters(/*traced=*/false), reference);
 }
 
 // VMs no server can host (oversized in one dimension) leave the untraced
-// scan with no candidate at every thread count — every row quick-rejects —
-// exactly where the traced loop finds none, and the unallocated counters
-// agree.
+// scan with no candidate — every row quick-rejects — exactly where the
+// traced loop finds none, and the unallocated counters agree.
 TEST(ScanIdentity, UnplaceableVmsMatchTraced) {
   ProblemInstance problem = stable_instance(5);
   std::size_t oversized = 0;
@@ -654,36 +634,29 @@ TEST(ScanIdentity, UnplaceableVmsMatchTraced) {
       problem.vms[j].demand.mem = 1000.0;
     }
   }
-  const auto unallocated = [&](const std::string& name, int threads,
+  const auto unallocated = [&](const std::string& name,
                                MemoryTraceSink* trace, Allocation& alloc) {
     MetricsRegistry metrics;
-    alloc = run_alloc(name, problem, threads, trace, &metrics);
+    alloc = run_alloc(name, problem, trace, &metrics);
     return metrics.counter("allocator." + name + ".unallocated").value();
   };
   for (const std::string& name : scan_allocators()) {
     MemoryTraceSink sink;
     Allocation reference;
     const std::int64_t reference_unallocated =
-        unallocated(name, 1, &sink, reference);
+        unallocated(name, &sink, reference);
     EXPECT_GE(reference_unallocated, static_cast<std::int64_t>(oversized))
         << name;
     for (std::size_t j = 0; j < problem.num_vms(); j += 9)
       EXPECT_EQ(reference.assignment[j], kNoServer) << name << " vm " << j;
-    for (const int threads : {1, 2, 4, 8}) {
-      Allocation run;
-      EXPECT_EQ(unallocated(name, threads, nullptr, run),
-                reference_unallocated)
-          << name << " threads=" << threads;
-      EXPECT_EQ(run.assignment, reference.assignment)
-          << name << " threads=" << threads;
-    }
+    Allocation run;
+    EXPECT_EQ(unallocated(name, nullptr, run), reference_unallocated) << name;
+    EXPECT_EQ(run.assignment, reference.assignment) << name;
   }
 }
 
-// Fleets around the fan-out cutoffs — one server (no pool is built) and
-// 7/8/9 servers (scan_candidates' serial threshold) — match the traced run
-// at every thread count, including more threads than servers.
-TEST(ScanIdentity, TinyFleetsMatchTracedAroundTheSerialCutoff) {
+// Tiny fleets, down to a single server, match the traced run.
+TEST(ScanIdentity, TinyFleetsMatchTraced) {
   for (const int servers : {1, 2, 7, 8, 9}) {
     WorkloadConfig config = workload_config();
     config.num_vms = 60;
@@ -691,12 +664,9 @@ TEST(ScanIdentity, TinyFleetsMatchTracedAroundTheSerialCutoff) {
     const ProblemInstance problem =
         make_problem(generate_workload(config, rng), make_fleet(servers));
     for (const std::string& name : scan_allocators()) {
-      const Allocation reference = traced_alloc(name, problem);
-      for (const int threads : {1, 2, 4, 8, 16}) {
-        EXPECT_EQ(run_alloc(name, problem, threads).assignment,
-                  reference.assignment)
-            << name << " servers=" << servers << " threads=" << threads;
-      }
+      EXPECT_EQ(run_alloc(name, problem).assignment,
+                traced_alloc(name, problem).assignment)
+          << name << " servers=" << servers;
     }
   }
 }
@@ -711,43 +681,36 @@ TEST(ScanPolicyTest, UntracedDecisionsMatchTracedStepByStep) {
                    [](const VmSpec& a, const VmSpec& b) {
                      return a.start < b.start;
                    });
-  for (const int threads : {1, 4}) {
-    MemoryTraceSink sink;
-    AllocatorPtr traced_allocator = make_allocator("min-incremental");
-    ObsContext obs;
-    obs.trace = &sink;
-    traced_allocator->set_observability(obs);
-    AllocatorPtr untraced_allocator = make_allocator("min-incremental");
-    ScanConfig scan;
-    scan.threads = threads;
-    untraced_allocator->set_scan_config(scan);
-    const std::unique_ptr<PlacementPolicy> traced =
-        traced_allocator->make_policy();
-    const std::unique_ptr<PlacementPolicy> untraced =
-        untraced_allocator->make_policy();
-    ASSERT_NE(traced, nullptr);
-    ASSERT_NE(untraced, nullptr);
+  MemoryTraceSink sink;
+  AllocatorPtr traced_allocator = make_allocator("min-incremental");
+  ObsContext obs;
+  obs.trace = &sink;
+  traced_allocator->set_observability(obs);
+  const std::unique_ptr<PlacementPolicy> traced =
+      traced_allocator->make_policy();
+  const std::unique_ptr<PlacementPolicy> untraced =
+      make_allocator("min-incremental")->make_policy();
+  ASSERT_NE(traced, nullptr);
+  ASSERT_NE(untraced, nullptr);
 
-    ClusterState cluster(problem.servers, /*initial_horizon=*/0);
-    Rng rng(7);
-    traced->begin(cluster, rng);
-    untraced->begin(cluster, rng);
-    std::size_t placed = 0;
-    for (const VmSpec& vm : order) {
-      cluster.ensure_horizon(vm.end);
-      const PlacementDecision expected = traced->place_one(cluster, vm, rng);
-      const PlacementDecision actual = untraced->place_one(cluster, vm, rng);
-      ASSERT_EQ(actual.server, expected.server)
-          << "vm " << vm.id << " threads=" << threads;
-      ASSERT_EQ(actual.has_delta, expected.has_delta) << "vm " << vm.id;
-      EXPECT_EQ(actual.delta, expected.delta) << "vm " << vm.id;
-      if (expected.server == kNoServer) continue;
-      cluster.place(static_cast<std::size_t>(expected.server), vm);
-      ++placed;
-    }
-    EXPECT_EQ(sink.size(), order.size());
-    EXPECT_GT(placed, 0u);
+  ClusterState cluster(problem.servers, /*initial_horizon=*/0);
+  Rng rng(7);
+  traced->begin(cluster, rng);
+  untraced->begin(cluster, rng);
+  std::size_t placed = 0;
+  for (const VmSpec& vm : order) {
+    cluster.ensure_horizon(vm.end);
+    const PlacementDecision expected = traced->place_one(cluster, vm, rng);
+    const PlacementDecision actual = untraced->place_one(cluster, vm, rng);
+    ASSERT_EQ(actual.server, expected.server) << "vm " << vm.id;
+    ASSERT_EQ(actual.has_delta, expected.has_delta) << "vm " << vm.id;
+    EXPECT_EQ(actual.delta, expected.delta) << "vm " << vm.id;
+    if (expected.server == kNoServer) continue;
+    cluster.place(static_cast<std::size_t>(expected.server), vm);
+    ++placed;
   }
+  EXPECT_EQ(sink.size(), order.size());
+  EXPECT_GT(placed, 0u);
 }
 
 /// A fleet small enough that requests queue for retries, and a fault plan
@@ -771,13 +734,10 @@ FaultPlan chaos_plan(std::size_t num_servers) {
 
 ReplayReport replay_chaos(const std::string& name,
                           const ProblemInstance& problem,
-                          const FaultPlan& plan, int threads,
-                          MemoryTraceSink* trace, int shards = 1,
+                          const FaultPlan& plan, MemoryTraceSink* trace,
+                          int shards = 1,
                           TimeSeriesSampler* sampler = nullptr) {
   AllocatorPtr allocator = make_allocator(name);
-  ScanConfig scan;
-  scan.threads = threads;
-  allocator->set_scan_config(scan);
   ObsContext obs;
   obs.trace = trace;
   allocator->set_observability(obs);
@@ -813,44 +773,35 @@ void expect_same_replay(const ReplayReport& reference, const ReplayReport& run,
 // evacuations interleave extra scans — the envelope rows must track every
 // transition, so the untraced replay matches the traced one in assignments,
 // energy and every fault counter.
-TEST(ScanIdentity, ChaosReplayMatchesTracedAcrossThreads) {
+TEST(ScanIdentity, ChaosReplayMatchesTraced) {
   const ProblemInstance problem = chaos_problem();
   const FaultPlan plan = chaos_plan(problem.num_servers());
-  for (const std::string& name :
-       {std::string("min-incremental"), std::string("lowest-idle-power")}) {
+  for (const std::string& name : scan_allocators()) {
     MemoryTraceSink sink;
-    const ReplayReport reference = replay_chaos(name, problem, plan, 1, &sink);
+    const ReplayReport reference = replay_chaos(name, problem, plan, &sink);
     EXPECT_GT(sink.size(), problem.num_vms()) << name << ": retries traced";
     EXPECT_GT(reference.faults.fault_events, 0) << name;
     EXPECT_GT(reference.faults.retries, 0) << name;
-    for (const int threads : {1, 2, 4, 8}) {
-      expect_same_replay(reference,
-                         replay_chaos(name, problem, plan, threads, nullptr),
-                         name + " threads=" + std::to_string(threads));
-    }
+    expect_same_replay(reference, replay_chaos(name, problem, plan, nullptr),
+                       name);
   }
 }
 
 // Shards only slice the time series: a chaos replay at any shard count —
-// including more shards than servers, which clamps — and any thread count
-// matches the unsharded traced replay in assignments, energy and every
-// fault counter.
+// including more shards than servers, which clamps — matches the unsharded
+// traced replay in assignments, energy and every fault counter.
 TEST(ShardedDifferential, ChaosReplayByteIdentical) {
   const ProblemInstance problem = chaos_problem();
   const FaultPlan plan = chaos_plan(problem.num_servers());
   for (const std::string& name :
        {std::string("min-incremental"), std::string("best-fit-cpu")}) {
     MemoryTraceSink sink;
-    const ReplayReport reference = replay_chaos(name, problem, plan, 1, &sink);
+    const ReplayReport reference = replay_chaos(name, problem, plan, &sink);
     EXPECT_GT(reference.faults.retries, 0) << name;
     for (const int shards : {2, 3, 7, 64}) {
-      for (const int threads : {1, 4}) {
-        expect_same_replay(
-            reference,
-            replay_chaos(name, problem, plan, threads, nullptr, shards),
-            name + " shards=" + std::to_string(shards) +
-                " threads=" + std::to_string(threads));
-      }
+      expect_same_replay(reference,
+                         replay_chaos(name, problem, plan, nullptr, shards),
+                         name + " shards=" + std::to_string(shards));
     }
   }
 }
@@ -862,8 +813,8 @@ TEST(ShardedDifferential, ChaosSamplesSliceFleetTotals) {
   const FaultPlan plan = chaos_plan(problem.num_servers());
   const auto sampled = [&](int shards) {
     TimeSeriesSampler sampler(TimeSeriesOptions{/*every=*/1, /*capacity=*/0});
-    (void)replay_chaos("min-incremental", problem, plan, /*threads=*/1,
-                       nullptr, shards, &sampler);
+    (void)replay_chaos("min-incremental", problem, plan, nullptr, shards,
+                       &sampler);
     return sampler.samples();
   };
   const std::vector<FleetSample> flat = sampled(1);
@@ -911,115 +862,82 @@ TEST(ShardedDifferential, ChaosSamplesSliceFleetTotals) {
 
 // --- layer 4: the arg-min primitive ------------------------------------------
 
-TEST(ScanCandidates, EmptyAndTinyRangesStaySerial) {
-  ThreadPool pool(3);
-  const auto nothing = [](std::size_t) -> std::optional<double> {
-    return std::nullopt;
-  };
-  ScanOutcome empty = scan_candidates(0, nothing, &pool);
+TEST(ScanRange, EmptyRangeFindsNothing) {
+  const ScanOutcome empty = scan_range(
+      std::size_t{0}, std::size_t{0},
+      [](std::size_t) -> std::optional<double> { return 1.0; });
   EXPECT_EQ(empty.best, kNoCandidate);
+  EXPECT_EQ(empty.best_score, kInf);
   EXPECT_EQ(empty.feasible, 0);
   EXPECT_EQ(empty.rejected, 0);
-
-  const auto identity = [](std::size_t i) -> std::optional<double> {
-    return static_cast<double>(i);
-  };
-  ScanOutcome tiny = scan_candidates(3, identity, &pool);
-  EXPECT_EQ(tiny.best, 0u);
-  EXPECT_EQ(tiny.feasible, 3);
 }
 
-TEST(ScanCandidates, TiesBreakToLowestIndexAtAnyThreadCount) {
+TEST(ScanRange, TiesBreakToLowestIndex) {
   // Scores: all equal except a strict minimum duplicated at 18 and 90 —
-  // the serial rule (strict <) keeps index 18 everywhere.
+  // strict < keeps index 18.
   const auto eval = [](std::size_t i) -> std::optional<double> {
     if (i % 7 == 3) return std::nullopt;  // sprinkle infeasibles
     return (i == 18 || i == 90) ? 1.0 : 2.0;
   };
-  const ScanOutcome serial = scan_range(std::size_t{0}, std::size_t{100}, eval);
-  EXPECT_EQ(serial.best, 18u);
-  for (const std::size_t workers : {1u, 2u, 3u, 7u}) {
-    ThreadPool pool(workers);
-    const ScanOutcome parallel = scan_candidates(100, eval, &pool);
-    EXPECT_EQ(parallel.best, serial.best) << workers;
-    EXPECT_EQ(parallel.best_score, serial.best_score);
-    EXPECT_EQ(parallel.feasible, serial.feasible);
-    EXPECT_EQ(parallel.rejected, serial.rejected);
+  const ScanOutcome out = scan_range(std::size_t{0}, std::size_t{100}, eval);
+  EXPECT_EQ(out.best, 18u);
+  EXPECT_EQ(out.best_score, 1.0);
+  EXPECT_EQ(out.rejected, 14);
+  EXPECT_EQ(out.feasible, 86);
+}
+
+TEST(ScanRange, AllInfeasibleFindsNoCandidate) {
+  for (const std::size_t n : {1u, 9u, 100u}) {
+    const ScanOutcome out = scan_range(
+        std::size_t{0}, n,
+        [](std::size_t) -> std::optional<double> { return std::nullopt; });
+    EXPECT_EQ(out.best, kNoCandidate) << n;
+    EXPECT_EQ(out.best_score, kInf);
+    EXPECT_EQ(out.feasible, 0);
+    EXPECT_EQ(out.rejected, static_cast<std::int64_t>(n));
   }
 }
 
-TEST(ScanCandidates, EvalExceptionPropagatesFromWorkerChunk) {
-  ThreadPool pool(3);
-  const auto eval = [](std::size_t i) -> std::optional<double> {
-    if (i == 97) throw std::runtime_error("probe exploded");
-    return static_cast<double>(i);
-  };
-  EXPECT_THROW(scan_candidates(100, eval, &pool), std::runtime_error);
-}
-
-TEST(ScanCandidates, AllInfeasibleFindsNoCandidateAtAnyThreadCount) {
-  const auto nothing = [](std::size_t) -> std::optional<double> {
-    return std::nullopt;
-  };
-  for (const std::size_t workers : {1u, 2u, 3u, 7u}) {
-    ThreadPool pool(workers);
-    for (const std::size_t n : {8u, 9u, 100u}) {
-      const ScanOutcome out = scan_candidates(n, nothing, &pool);
-      EXPECT_EQ(out.best, kNoCandidate) << workers << " " << n;
-      EXPECT_EQ(out.best_score, kInf);
-      EXPECT_EQ(out.feasible, 0);
-      EXPECT_EQ(out.rejected, static_cast<std::int64_t>(n));
-    }
-  }
-}
-
-// A single feasible candidate wins wherever it sits — first, last, or on a
-// chunk boundary — even when every chunk before it found nothing.
-TEST(ScanCandidates, LoneFeasibleCandidateWinsFromAnyChunk) {
+// A single feasible candidate wins wherever it sits, first to last.
+TEST(ScanRange, LoneFeasibleCandidateWinsAnywhere) {
   constexpr std::size_t kN = 29;
-  for (const std::size_t workers : {1u, 2u, 3u, 7u}) {
-    ThreadPool pool(workers);
-    for (std::size_t lone = 0; lone < kN; ++lone) {
-      const auto eval = [lone](std::size_t i) -> std::optional<double> {
-        if (i != lone) return std::nullopt;
-        return 42.0;
-      };
-      const ScanOutcome out = scan_candidates(kN, eval, &pool);
-      EXPECT_EQ(out.best, lone) << workers;
-      EXPECT_EQ(out.best_score, 42.0);
-      EXPECT_EQ(out.feasible, 1);
-      EXPECT_EQ(out.rejected, static_cast<std::int64_t>(kN) - 1);
-    }
+  for (std::size_t lone = 0; lone < kN; ++lone) {
+    const ScanOutcome out = scan_range(
+        std::size_t{0}, kN, [lone](std::size_t i) -> std::optional<double> {
+          if (i != lone) return std::nullopt;
+          return 42.0;
+        });
+    EXPECT_EQ(out.best, lone);
+    EXPECT_EQ(out.best_score, 42.0);
+    EXPECT_EQ(out.feasible, 1);
+    EXPECT_EQ(out.rejected, static_cast<std::int64_t>(kN) - 1);
   }
 }
 
-// The chunks tile [0, n): every candidate is evaluated exactly once at any
-// worker count, including more workers than candidates.
-TEST(ScanCandidates, EveryIndexEvaluatedExactlyOnce) {
-  for (const std::size_t workers : {1u, 2u, 3u, 7u, 15u}) {
-    ThreadPool pool(workers);
-    for (const std::size_t n : {8u, 9u, 31u, 100u, 257u}) {
-      std::vector<std::atomic<int>> calls(n);
-      const auto eval = [&calls](std::size_t i) -> std::optional<double> {
-        calls[i].fetch_add(1);
-        if (i % 5 == 0) return std::nullopt;
-        return static_cast<double>(i % 13);
-      };
-      const ScanOutcome out = scan_candidates(n, eval, &pool);
-      EXPECT_EQ(out.feasible + out.rejected, static_cast<std::int64_t>(n));
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(calls[i].load(), 1)
-            << "workers=" << workers << " n=" << n << " i=" << i;
-    }
+// Every index of [lo, hi) is evaluated exactly once, in increasing order,
+// and nothing outside it is touched.
+TEST(ScanRange, EveryIndexEvaluatedExactlyOnceInOrder) {
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 31},
+                              {5, 6}, {7, 257}}) {
+    std::vector<std::size_t> calls;
+    const ScanOutcome out =
+        scan_range(lo, hi, [&calls](std::size_t i) -> std::optional<double> {
+          calls.push_back(i);
+          if (i % 5 == 0) return std::nullopt;
+          return static_cast<double>(i % 13);
+        });
+    ASSERT_EQ(calls.size(), hi - lo);
+    for (std::size_t k = 0; k < calls.size(); ++k)
+      ASSERT_EQ(calls[k], lo + k) << "lo=" << lo << " hi=" << hi;
+    EXPECT_EQ(out.feasible + out.rejected,
+              static_cast<std::int64_t>(hi - lo));
   }
 }
 
 // Property: on random score vectors with many ties and infeasibles, the
-// chunked reduction returns exactly the serial scan_range outcome.
-TEST(ScanCandidates, MatchesSerialOnRandomScores) {
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (const std::size_t workers : {1u, 2u, 3u, 5u, 7u})
-    pools.push_back(std::make_unique<ThreadPool>(workers));
+// outcome is the brute-force arg-min (first index of the minimum) with the
+// right counts.
+TEST(ScanRange, MatchesBruteForceOnRandomScores) {
   Rng rng(91);
   const int rounds = fuzz_iters(200, 30);
   for (int round = 0; round < rounds; ++round) {
@@ -1030,50 +948,55 @@ TEST(ScanCandidates, MatchesSerialOnRandomScores) {
       if (!rng.bernoulli(0.3))
         score = 0.25 * static_cast<double>(rng.uniform_int(0, 12));
     }
-    const auto eval = [&scores](std::size_t i) { return scores[i]; };
-    const ScanOutcome serial = scan_range(std::size_t{0}, n, eval);
-    for (const std::unique_ptr<ThreadPool>& pool : pools) {
-      const ScanOutcome parallel = scan_candidates(n, eval, pool.get());
-      ASSERT_EQ(parallel.best, serial.best)
-          << "round " << round << " n=" << n << " workers=" << pool->size();
-      ASSERT_EQ(parallel.best_score, serial.best_score);
-      ASSERT_EQ(parallel.feasible, serial.feasible);
-      ASSERT_EQ(parallel.rejected, serial.rejected);
+    ScanOutcome expected;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!scores[i]) {
+        ++expected.rejected;
+        continue;
+      }
+      ++expected.feasible;
+      if (expected.best == kNoCandidate || *scores[i] < expected.best_score) {
+        expected.best = i;
+        expected.best_score = *scores[i];
+      }
+    }
+    const ScanOutcome out = scan_range(
+        std::size_t{0}, n, [&scores](std::size_t i) { return scores[i]; });
+    ASSERT_EQ(out.best, expected.best) << "round " << round << " n=" << n;
+    ASSERT_EQ(out.best_score, expected.best_score);
+    ASSERT_EQ(out.feasible, expected.feasible);
+    ASSERT_EQ(out.rejected, expected.rejected);
+  }
+}
+
+// The scan is serial: every allocator's set_scan_config accepts exactly one
+// thread and rejects any other count instead of ignoring it.
+TEST(ScanConfigTest, SetScanConfigAcceptsOnlyOneThread) {
+  for (const std::string& name :
+       {std::string("min-incremental"), std::string("lowest-idle-power"),
+        std::string("ffps")}) {
+    AllocatorPtr allocator = make_allocator(name);
+    ScanConfig config;
+    EXPECT_NO_THROW(allocator->set_scan_config(config)) << name;
+    for (const int threads : {0, 2, 4, -3}) {
+      config.threads = threads;
+      try {
+        allocator->set_scan_config(config);
+        ADD_FAILURE() << name << " accepted threads=" << threads;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("serial"), std::string::npos)
+            << e.what();
+      }
     }
   }
 }
 
-TEST(ScanConfigTest, ResolvedThreadsPassesExplicitCountsThrough) {
-  ScanConfig config;
-  EXPECT_EQ(config.resolved_threads(), 1);  // serial default
-  config.threads = 1;
-  EXPECT_EQ(config.resolved_threads(), 1);
-  config.threads = 7;
-  EXPECT_EQ(config.resolved_threads(), 7);
-}
-
-TEST(ScanConfigTest, ResolvedThreadsZeroMeansHardwareConcurrency) {
-  ScanConfig config;
-  config.threads = 0;
-  const int resolved = config.resolved_threads();
-  // hardware_concurrency() may return 0 on exotic platforms; the contract is
-  // "at least 1", and where the runtime does report a count, exactly that.
-  EXPECT_GE(resolved, 1);
-  const unsigned reported = std::thread::hardware_concurrency();
-  if (reported > 0) {
-    EXPECT_EQ(resolved, static_cast<int>(reported));
-  }
-}
-
 // The shard count travels to the engine (EngineOptions::shard) through
-// shard_options(); the thread count does not.
+// shard_options().
 TEST(ScanConfigTest, ShardOptionsCarryTheShardCount) {
   ScanConfig config;
   EXPECT_EQ(config.shard_options().shards, 1);
   config.shards = 5;
-  config.threads = 3;
-  EXPECT_EQ(config.shard_options().shards, 5);
-  config.threads = 0;
   EXPECT_EQ(config.shard_options().shards, 5);
 }
 

@@ -17,11 +17,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -585,6 +588,19 @@ void crash_and_recover(const std::string& allocator, bool with_snapshot,
       if (e.at <= head_last) head.fault_events.push_back(e);
     feed_daemon(first, head);
     if (with_snapshot) first.checkpoint();
+    if (with_snapshot && with_faults) {
+      // The snapshot must hold a drained or failed server, so the restart
+      // restores a frontier stub and not only rebuilt timelines.
+      bool found = false;
+      const serve::SnapshotData snap =
+          serve::load_snapshot(options.snapshot_path, &found);
+      ASSERT_TRUE(found);
+      EXPECT_TRUE(std::any_of(snap.engine.servers.begin(),
+                              snap.engine.servers.end(),
+                              [](const ServerStateSnapshot& server) {
+                                return server.health != ServerHealth::kUp;
+                              }));
+    }
     seq_at_cut = first.last_seq();
     // `first` goes out of scope without drain or checkpoint: everything it
     // acked is on disk via the WAL appends; nothing else survives.
@@ -628,6 +644,95 @@ TEST(ServeRecovery, CrashMidStreamWithSnapshotBoundsReplay) {
 
 TEST(ServeRecovery, CrashMidStreamUnderFaultsAndRetries) {
   crash_and_recover("ffps", /*with_snapshot=*/false, /*with_faults=*/true);
+}
+
+TEST(ServeRecovery, CrashMidStreamWithSnapshotUnderFaults) {
+  crash_and_recover("min-incremental", /*with_snapshot=*/true,
+                    /*with_faults=*/true);
+}
+
+// Every boundary value the daemon accepts is one it can restart on: the
+// journal header reads the configuration back unchanged. Two servers make
+// requests defer, so the delay and backoff extremes run through the retry
+// queue (saturating, never overflowing Time).
+TEST(ServeRecovery, AcceptedBoundaryOptionsRestartOnTheirOwnWal) {
+  Workload w = make_workload(0xb0b, /*with_faults=*/false);
+  w.servers.resize(2);
+  const std::vector<std::function<void(DaemonOptions&)>> edits = {
+      [](DaemonOptions& o) { o.retry.max_attempts = 0; },
+      [](DaemonOptions& o) {
+        o.retry.max_attempts = std::numeric_limits<int>::max();
+      },
+      [](DaemonOptions& o) { o.retry.base_delay = 0; },
+      [](DaemonOptions& o) {
+        o.retry.base_delay = std::numeric_limits<Time>::max();
+      },
+      [](DaemonOptions& o) {
+        o.retry.backoff = std::numeric_limits<double>::denorm_min();
+      },
+      [](DaemonOptions& o) {
+        o.retry.backoff = std::numeric_limits<double>::max();
+      },
+      [](DaemonOptions& o) { o.retry.queue_capacity = 0; },
+      [](DaemonOptions& o) { o.retry.queue_capacity = kMaxRetryQueue; },
+      [](DaemonOptions& o) {
+        o.wal_sync_every = std::numeric_limits<int>::max();
+      },
+      [](DaemonOptions& o) {
+        o.snapshot_path = temp_path("bound.snap");
+        o.snapshot_every = std::numeric_limits<std::uint64_t>::max();
+      },
+  };
+  for (std::size_t k = 0; k < edits.size(); ++k) {
+    DaemonOptions options =
+        daemon_options("min-incremental", 42, test_retry(), "bound");
+    edits[k](options);
+    std::uint64_t acked = 0;
+    {
+      Daemon first(w.servers, options);
+      feed_daemon(first, w);
+      acked = first.last_seq();
+      if (options.retry.enabled()) {
+        EXPECT_GT(first.engine().fault_stats().deferred, 0) << "case " << k;
+      }
+    }
+    try {
+      Daemon second(w.servers, options);
+      EXPECT_EQ(second.last_seq(), acked) << "case " << k;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << k << ": " << e.what();
+    }
+    ::unlink(options.wal_path.c_str());
+    ::unlink(temp_path("bound.snap").c_str());
+  }
+}
+
+// Out-of-range options fail in the Daemon constructor itself — the path
+// every caller goes through — before any journal is written.
+TEST(ServeRecovery, OutOfRangeOptionsThrowBeforeWritingAWal) {
+  const Workload w = make_workload(0xbad, /*with_faults=*/false);
+  const std::vector<std::function<void(DaemonOptions&)>> edits = {
+      [](DaemonOptions& o) { o.retry.max_attempts = -1; },
+      [](DaemonOptions& o) { o.retry.base_delay = -1; },
+      [](DaemonOptions& o) {
+        o.retry.backoff = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](DaemonOptions& o) { o.retry.backoff = 0.0; },
+      [](DaemonOptions& o) {
+        o.retry.queue_capacity = static_cast<std::size_t>(-1);
+      },
+      [](DaemonOptions& o) { o.retry.queue_capacity = kMaxRetryQueue + 1; },
+      [](DaemonOptions& o) { o.wal_sync_every = 0; },
+      [](DaemonOptions& o) { o.scan.threads = 2; },
+  };
+  for (std::size_t k = 0; k < edits.size(); ++k) {
+    DaemonOptions options =
+        daemon_options("min-incremental", 42, test_retry(), "reject");
+    edits[k](options);
+    EXPECT_THROW(Daemon(w.servers, options), std::invalid_argument)
+        << "case " << k;
+    EXPECT_FALSE(std::ifstream(options.wal_path).good()) << "case " << k;
+  }
 }
 
 TEST(ServeRecovery, TornTailIsDroppedAndFlagged) {
