@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "util/parse.h"
 
 namespace esva {
 namespace {
@@ -176,6 +180,44 @@ TEST(CliParser, UsageMentionsEveryFlag) {
   const std::string usage = parser.usage();
   for (const char* flag : {"--vms", "--interarrival", "--csv", "--verbose"})
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+}
+
+// checked_flag is the range check every bounded option goes through after
+// parsing: both ends of [lo, hi] pass through unchanged, including the
+// int64 extremes a parsed flag can carry.
+TEST(CheckedFlag, AcceptsBothInclusiveBounds) {
+  EXPECT_EQ(checked_flag(1, 1, 5, "x"), 1);
+  EXPECT_EQ(checked_flag(5, 1, 5, "x"), 5);
+  EXPECT_EQ(checked_flag(7, 7, 7, "x"), 7);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(checked_flag(kMin, kMin, kMax, "x"), kMin);
+  EXPECT_EQ(checked_flag(kMax, kMin, kMax, "x"), kMax);
+}
+
+// One past either end is an std::invalid_argument whose message names the
+// flag, the accepted range and the offending value — never a clamp or a
+// wrap into the narrower type the caller stores.
+TEST(CheckedFlag, RejectsOutsideTheRangeNamingFlagBoundsAndValue) {
+  const auto message = [](std::int64_t value, std::int64_t lo,
+                          std::int64_t hi, const std::string& flag) {
+    try {
+      checked_flag(value, lo, hi, flag);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message(0, 1, 2147483647, "wal-sync-every"),
+            "--wal-sync-every must be in [1, 2147483647], got 0");
+  EXPECT_EQ(message(2147483648, 1, 2147483647, "wal-sync-every"),
+            "--wal-sync-every must be in [1, 2147483647], got 2147483648");
+  // 2^32 + 1 would wrap to 1 in an int; the check sees the full value.
+  EXPECT_EQ(message(4294967297, 0, 2147483647, "retry-max"),
+            "--retry-max must be in [0, 2147483647], got 4294967297");
+  EXPECT_EQ(message(-1, 0, std::numeric_limits<std::int64_t>::max(),
+                    "snapshot-every"),
+            "--snapshot-every must be in [0, 9223372036854775807], got -1");
 }
 
 }  // namespace
