@@ -2,22 +2,12 @@
 
 #include "cluster/timeline.h"
 #include "core/candidate_scan.h"
+#include "core/scan_scores.h"
 #include "core/streaming.h"
 #include "obs/metrics.h"
 #include "util/types.h"
 
 namespace esva {
-
-namespace {
-
-struct LowestIdlePowerScore {
-  double operator()(const ServerTimeline& timeline,
-                    const VmSpec& /*vm*/) const {
-    return timeline.spec().p_idle;
-  }
-};
-
-}  // namespace
 
 std::unique_ptr<PlacementPolicy> LowestIdlePowerAllocator::make_policy()
     const {

@@ -35,6 +35,16 @@ ServerTimeline::ServerTimeline(const ServerSpec& spec, Time base, Time horizon)
   assert(horizon >= base - 1);
 }
 
+void ServerTimeline::rewindow(Time base, Time horizon) {
+  assert(untouched());
+  assert(base >= 1);
+  assert(horizon >= base - 1);
+  base_ = base;
+  horizon_ = horizon;
+  cpu_ = RangeAddMaxTree(static_cast<std::size_t>(horizon - base + 1));
+  mem_ = RangeAddMaxTree(static_cast<std::size_t>(horizon - base + 1));
+}
+
 void ServerTimeline::seed_busy(Time lo, Time hi) {
   assert(lo >= 1 && lo <= hi);
   busy_.insert(lo, hi);

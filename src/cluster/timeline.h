@@ -17,6 +17,11 @@
 //
 // Placements can be undone in LIFO order, which is what the exact
 // branch-and-bound solver uses for backtracking.
+//
+// The trees are lazy (util/segment_tree.h): a timeline that has never hosted
+// a VM holds no tree storage and answers every query as the all-zero window
+// an eager timeline would report. resident_units() counts only materialized
+// windows; rewindow() moves such an untouched window without allocating.
 
 #pragma once
 
@@ -75,8 +80,25 @@ class ServerTimeline {
   Time base() const { return base_; }
   Time horizon() const { return horizon_; }
 
-  /// Resident window size in time units (the resource-tree footprint).
+  /// Window size in time units.
   Time window_units() const { return horizon_ - base_ + 1; }
+
+  /// Time units of allocated resource trees: window_units() once a placement
+  /// has materialized a tree, 0 before (the trees are lazy).
+  Time resident_units() const {
+    return cpu_.materialized() || mem_.materialized() ? window_units() : 0;
+  }
+
+  /// True while nothing has been placed or seeded: no tree storage, an empty
+  /// busy set and no VMs.
+  bool untouched() const {
+    return !cpu_.materialized() && !mem_.materialized() && busy_.empty() &&
+           vms_.empty();
+  }
+
+  /// Moves an untouched() timeline's window to base..horizon (same bounds
+  /// rules as the constructor). A bound update: nothing is allocated.
+  void rewindow(Time base, Time horizon);
 
   /// Inserts a raw busy interval without reserving resources. Used when
   /// rebuilding a garbage-collected timeline: a unit sentinel at the latest

@@ -4,25 +4,56 @@
 // server index. This header owns that loop once, as one serial path in two
 // steps:
 //
-//   * the SoA envelope pass (core/envelope_store.h) — one contiguous sweep
-//     over packed per-server envelope rows classifies the whole fleet
+//   * the SoA envelope pass (core/envelope_store.h) — one gathered sweep
+//     over the packed envelope rows of the scan's candidates classifies them
 //     quick-accept / quick-reject / needs-tree with ServerTimeline::quick_fit's
-//     exact comparisons (autovectorized; the fleet's triage does not chase a
-//     timeline pointer per server). Only needs-tree servers fall through to
-//     segment-tree can_fit. Verdicts are bit-for-bit quick_fit's.
+//     exact comparisons (the triage does not chase a timeline pointer per
+//     server). Only needs-tree servers fall through to segment-tree can_fit.
+//     Verdicts are bit-for-bit quick_fit's.
 //
-//   * scan_range() — the arg-min itself: one strict-< loop over the fleet in
-//     increasing server index, so the first index with the smallest score
-//     wins.
+//   * scan_range() — the arg-min itself: one strict-< loop over the
+//     candidates in increasing server index, so the first index with the
+//     smallest score wins.
 //
 // ScanPolicy wraps both as the per-request decision loop shared by
 // min-incremental and the scan-based baselines, a streaming PlacementPolicy
-// (core/streaming.h). While tracing, it runs the check_fit loop instead —
-// decision records need rejection diagnostics. That traced loop never reads
-// the envelope store, which makes it the reference the untraced path is
-// checked against: assignments and energies are byte-identical
-// (tests/test_envelope_scan.cpp). Batch allocate() runs the same policy
-// through run_batch ("sort by start time, feed the stream").
+// (core/streaming.h). While tracing, it runs the check_fit loop over every
+// server instead — decision records need rejection diagnostics. That traced
+// loop never reads the envelope store or the pristine classes, which makes
+// it the reference the untraced path is checked against: assignments and
+// energies are byte-identical (tests/test_envelope_scan.cpp). Batch
+// allocate() runs the same policy through run_batch ("sort by start time,
+// feed the stream").
+//
+// Pristine classes. The untraced scan does not visit the whole fleet, only
+// ClusterState::scan_candidates(): every placeable server that is not
+// pristine, plus the lowest-index pristine server of each class (servers
+// whose specs agree bit for bit in capacity, p_idle, p_peak and
+// transition_time; core/streaming.h defines pristine). On a fleet that is
+// mostly idle that is a few dozen servers, not thousands. It is exact:
+//
+//   * A server is pristine iff it is placeable, has no active VMs and has
+//     retired_hi == 0. Its timeline is then fresh — zero (unmaterialized)
+//     trees and an empty busy set — because every way into the state
+//     rebuilds it fresh: construction, retire_active at frontier 1,
+//     recover_server and restore. All pristine timelines share one window,
+//     [pristine_base, horizon] with pristine_base <= frontier.
+//   * So every member of a class passes or fails the same feasibility test:
+//     the same window, and demand (per equal-demand run for profiled VMs)
+//     compared with capacity + kEps against zero usage. quick_fit, can_fit
+//     and check_fit read nothing else.
+//   * The four scores (core/scan_scores.h: min-incremental, best-fit-cpu,
+//     lowest-idle-power, dot-product-fit) read only the VM, the spec's
+//     capacity, power and transition doubles, and the timeline's usage and
+//     busy set. None reads the server index, id or type_name, so class
+//     members score bit-identically.
+//   * The strict-< arg-min runs in ascending index order, so only a class's
+//     lowest-index member can win. Candidates are therefore visited in
+//     ascending server index — scan_candidates() is kept sorted.
+//
+// The probe counters stay the traced loop's: a representative's verdict is
+// weighed by its class size (ClusterState::represented), and everything
+// else counts as rejected (rejected = servers − feasible).
 
 #pragma once
 
@@ -82,9 +113,11 @@ ScanOutcome scan_range(std::size_t lo, std::size_t hi, const Eval& eval) {
 /// replay both run exactly this code (core/streaming.h run_batch /
 /// PlacementEngine), so they cannot diverge.
 ///
-/// While tracing, the scan runs the check_fit loop — rejection diagnostics
-/// need check_fit — through the same scan_range arg-min, so traced and
-/// untraced runs cannot diverge (tests/test_envelope_scan.cpp).
+/// Untraced, it scans ClusterState::scan_candidates() (header comment,
+/// "Pristine classes"). While tracing, the scan runs the check_fit loop over
+/// every server — rejection diagnostics need check_fit — through the same
+/// scan_range arg-min, so traced and untraced runs cannot diverge
+/// (tests/test_envelope_scan.cpp).
 /// `score_is_energy_delta` tells the tracer whether `score` already *is* the
 /// Eq. 17 incremental energy; otherwise candidates are priced separately for
 /// the trace, as the baselines always did.
@@ -136,28 +169,37 @@ class ScanPolicy final : public PlacementPolicy {
       return result;
     }
 
-    // SoA envelope pass (core/envelope_store.h): one contiguous sweep
-    // classifies the whole fleet with quick_fit's exact comparisons before
-    // the arg-min touches any timeline; only servers the sweep leaves
-    // kUnknown fall through to the segment trees. The verdict buffer is read
-    // by server index — contiguous ascending like the scan itself.
-    verdicts_.resize(n);
+    // Only the scan candidates (header comment): the non-pristine placeable
+    // servers and one representative per pristine class, ascending by
+    // index. The gathered envelope pass classifies them with quick_fit's
+    // exact comparisons; only kUnknown verdicts fall through to the segment
+    // trees. A representative's verdict holds for its whole class, so the
+    // probe counters weigh it by the class size; every server not counted
+    // feasible counts as rejected, as in the traced loop.
+    const std::vector<std::size_t>& candidates = cluster.scan_candidates();
+    verdicts_.resize(candidates.size());
     cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
+                                 candidates.data(), candidates.size(),
                                  verdicts_.data());
+    std::int64_t feasible = 0;
     const ScanOutcome out = scan_range(
-        std::size_t{0}, n, [&](std::size_t i) -> std::optional<double> {
-          switch (static_cast<QuickFit>(verdicts_[i])) {
-            case QuickFit::kFits: return score_(timelines[i], vm);
+        std::size_t{0}, candidates.size(),
+        [&](std::size_t k) -> std::optional<double> {
+          const std::size_t i = candidates[k];
+          switch (static_cast<QuickFit>(verdicts_[k])) {
+            case QuickFit::kFits: break;
             case QuickFit::kCannotFit: return std::nullopt;
-            case QuickFit::kUnknown: break;
+            case QuickFit::kUnknown:
+              if (!timelines[i].can_fit(vm)) return std::nullopt;
+              break;
           }
-          if (!timelines[i].can_fit(vm)) return std::nullopt;
+          feasible += static_cast<std::int64_t>(cluster.represented(i));
           return score_(timelines[i], vm);
         });
-    feasible_ += out.feasible;
-    rejected_ += out.rejected;
+    feasible_ += feasible;
+    rejected_ += static_cast<std::int64_t>(n) - feasible;
     if (out.best == kNoCandidate) return result;  // reported as unallocated
-    result.server = static_cast<ServerId>(out.best);
+    result.server = static_cast<ServerId>(candidates[out.best]);
     if (score_is_energy_delta_) {
       result.has_delta = true;
       result.delta = out.best_score;

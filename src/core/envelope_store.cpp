@@ -29,14 +29,15 @@ void EnvelopeStore::refresh(std::size_t i, const ServerTimeline& timeline) {
   horizon_[i] = timeline.horizon();
 }
 
-void EnvelopeStore::classify(const Probe& probe, std::size_t lo,
-                             std::size_t hi, std::uint8_t* verdicts) const {
+template <typename RowOf>
+void EnvelopeStore::sweep(const Probe& probe, std::size_t count, RowOf row_of,
+                          std::uint8_t* verdicts) const {
   // The branch-free verdict arithmetic below encodes the selects as
   // (!fits) * (2 - reject), which maps (fits, reject) onto the enum values.
   static_assert(static_cast<int>(QuickFit::kFits) == 0);
   static_assert(static_cast<int>(QuickFit::kCannotFit) == 1);
   static_assert(static_cast<int>(QuickFit::kUnknown) == 2);
-  assert(lo <= hi && hi <= count_);
+  assert(count <= count_);
   const double cpu = probe.cpu;
   const double mem = probe.mem;
   const Time start = probe.start;
@@ -57,8 +58,9 @@ void EnvelopeStore::classify(const Probe& probe, std::size_t lo,
   // evaluated unconditionally (they are pure, so evaluating a comparison
   // quick_fit short-circuits past cannot change any verdict), then combined
   // with non-short-circuiting & / | into two selects. No branches in the
-  // loop body -> the compiler vectorizes the sweep across servers.
-  for (std::size_t i = lo; i < hi; ++i) {
+  // loop body -> the compiler vectorizes the full sweep across servers.
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = row_of(k);
     const bool window_ok = (start >= base[i]) & (end <= horizon[i]);
     const bool cpu_free = peak_cpu[i] + cpu <= cap_cpu[i] + kEps;
     const bool mem_free = peak_mem[i] + mem <= cap_mem[i] + kEps;
@@ -69,8 +71,19 @@ void EnvelopeStore::classify(const Probe& probe, std::size_t lo,
         (!window_ok) |
         (stable & ((!cpu_free) & cpu_full)) |
         (stable & ((!mem_free) & mem_full));
-    out[i] = static_cast<std::uint8_t>((1 - fits) * (2 - reject));
+    out[k] = static_cast<std::uint8_t>((1 - fits) * (2 - reject));
   }
+}
+
+void EnvelopeStore::classify(const Probe& probe,
+                             std::uint8_t* verdicts) const {
+  sweep(probe, count_, [](std::size_t k) { return k; }, verdicts);
+}
+
+void EnvelopeStore::classify(const Probe& probe, const std::size_t* rows,
+                             std::size_t count,
+                             std::uint8_t* verdicts) const {
+  sweep(probe, count, [rows](std::size_t k) { return rows[k]; }, verdicts);
 }
 
 bool EnvelopeStore::debug_validate(

@@ -8,9 +8,11 @@
 // eight scalars that triage actually reads in structure-of-arrays form
 // (peak/floor usage and capacity per resource dimension, plus the window
 // bounds), contiguous and ascending by server index. classify() sweeps the
-// block once per scanned VM and emits a QuickFit verdict byte per server;
-// the loop is branch-free over straight arrays, so the compiler
-// autovectorizes it 8-16 servers wide (4 doubles per AVX2 lane x the unroll).
+// block once per VM and emits a QuickFit verdict byte per server; the loop
+// is branch-free over straight arrays, so the compiler autovectorizes it
+// 8-16 servers wide (4 doubles per AVX2 lane x the unroll). The candidate
+// scan uses the gathered form, which runs the same loop body over a list of
+// rows — its candidates — instead of the whole block.
 //
 // The contract that makes the pass transparent: classify() evaluates the
 // *same floating-point comparisons* quick_fit evaluates, on copies of the
@@ -27,8 +29,10 @@
 // so no comparison is algebraically rearranged. The store is owned by
 // ClusterState (core/streaming.h), which refreshes the mutated row — O(1),
 // five loads off the timeline — at every place, GC rebuild, fault stub, and
-// recovery. tests/test_envelope_scan.cpp fuzzes verdict equality and row
-// coherence (debug_validate) across randomized engine lifecycles.
+// recovery, and every pristine row when horizon growth moves the pristine
+// window, so every row stays coherent whether or not the scan visits it.
+// tests/test_envelope_scan.cpp fuzzes verdict equality and row coherence
+// (debug_validate) across randomized engine lifecycles.
 
 #pragma once
 
@@ -76,15 +80,13 @@ class EnvelopeStore {
   /// ascending by server index, so the scan's strict-< arg-min reduction is
   /// untouched. Bit-for-bit equal to calling timelines[i].quick_fit(vm) for
   /// each i (header comment; fuzzed in tests/test_envelope_scan.cpp).
-  void classify(const Probe& probe, std::uint8_t* verdicts) const {
-    classify(probe, 0, count_, verdicts);
-  }
+  void classify(const Probe& probe, std::uint8_t* verdicts) const;
 
-  /// Block view of the sweep: classifies rows [lo, hi) only, writing
-  /// verdicts[lo..hi) and touching nothing else. Row-for-row identical to
-  /// the full-fleet sweep (the loop body is the same arithmetic on the same
-  /// rows; splitting a contiguous sweep cannot change any verdict).
-  void classify(const Probe& probe, std::size_t lo, std::size_t hi,
+  /// Gathered form of the sweep: writes row rows[k]'s verdict into
+  /// verdicts[k] for k < count, and touches nothing else. The candidate scan
+  /// (core/candidate_scan.h) triages only its candidate servers this way.
+  /// The arithmetic per row is the full sweep's, so each verdict is too.
+  void classify(const Probe& probe, const std::size_t* rows, std::size_t count,
                 std::uint8_t* verdicts) const;
 
   /// Coherence check for tests: every stored field equals the value
@@ -94,6 +96,12 @@ class EnvelopeStore {
   bool debug_validate(const std::vector<ServerTimeline>& timelines) const;
 
  private:
+  /// The verdict loop behind both classify() forms: out[k] is the verdict of
+  /// row row_of(k), for k < count.
+  template <typename RowOf>
+  void sweep(const Probe& probe, std::size_t count, RowOf row_of,
+             std::uint8_t* out) const;
+
   std::size_t count_ = 0;
   // One row per server, split by field. Kept as parallel arrays (not an
   // array of structs) so classify() streams each field sequentially.

@@ -1,23 +1,11 @@
 #include "core/min_incremental.h"
 
 #include "core/candidate_scan.h"
+#include "core/scan_scores.h"
 #include "core/streaming.h"
 #include "obs/metrics.h"
 
 namespace esva {
-
-namespace {
-
-/// The Eq. 17 incremental energy — the score *is* the quantity the paper
-/// minimizes, which is also what the trace reports.
-struct MinIncrementalScore {
-  CostOptions cost;
-  double operator()(const ServerTimeline& timeline, const VmSpec& vm) const {
-    return incremental_cost(timeline, vm, cost);
-  }
-};
-
-}  // namespace
 
 // The whole decision loop — traced and untraced — lives in ScanPolicy
 // (core/candidate_scan.h), so the traced twin can never drift from the fast

@@ -1,10 +1,14 @@
 #include "core/streaming.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "core/power_model.h"
@@ -43,6 +47,35 @@ std::string to_string(PlacementReject reject) {
   return "?";
 }
 
+namespace {
+
+/// The bits of the five spec doubles a scan reads (capacity, power and
+/// transition time). Bit equality, not ==, so -0.0 and 0.0 split a class
+/// rather than merge it; splitting is always exact.
+using SpecKey = std::array<std::uint64_t, 5>;
+
+SpecKey spec_key(const ServerSpec& spec) {
+  return {std::bit_cast<std::uint64_t>(spec.capacity.cpu),
+          std::bit_cast<std::uint64_t>(spec.capacity.mem),
+          std::bit_cast<std::uint64_t>(spec.p_idle),
+          std::bit_cast<std::uint64_t>(spec.p_peak),
+          std::bit_cast<std::uint64_t>(spec.transition_time)};
+}
+
+struct SpecKeyHash {
+  std::size_t operator()(const SpecKey& key) const {
+    std::uint64_t h = 0;
+    for (const std::uint64_t word : key) {
+      h ^= word;
+      h *= 0x9E3779B97F4A7C15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+}  // namespace
+
 ClusterState::ClusterState(std::vector<ServerSpec> servers,
                            Time initial_horizon, ShardOptions shard)
     : servers_(std::move(servers)),
@@ -52,13 +85,72 @@ ClusterState::ClusterState(std::vector<ServerSpec> servers,
       active_(servers_.size()),
       retired_hi_(servers_.size(), 0),
       health_(servers_.size(), ServerHealth::kUp),
+      pristine_(servers_.size(), 0),
+      class_of_(servers_.size(), 0),
       horizon_(std::max<Time>(initial_horizon, 0)) {
+  // Every timeline starts pristine: lazy trees over the shared window, so
+  // nothing is resident yet.
   timelines_.reserve(servers_.size());
   for (const ServerSpec& spec : servers_)
-    timelines_.emplace_back(spec, /*base=*/1, horizon_);
+    timelines_.emplace_back(spec, pristine_base_, horizon_);
   envelopes_.reset(timelines_);
-  resident_units_ =
-      servers_.size() * static_cast<std::size_t>(horizon_);
+  std::unordered_map<SpecKey, std::size_t, SpecKeyHash> ids;
+  for (std::size_t i = 0; i < servers_.size(); ++i)
+    class_of_[i] = ids.try_emplace(spec_key(servers_[i]), ids.size())
+                       .first->second;
+  class_members_.resize(ids.size());
+  reindex();
+}
+
+void ClusterState::reindex() {
+  for (std::vector<std::size_t>& members : class_members_) members.clear();
+  nonpristine_.clear();
+  candidates_.clear();
+  const std::size_t n = servers_.size();
+  for (std::size_t i = n; i-- > 0;) {
+    pristine_[i] = placeable(i) && active_[i].empty() && retired_hi_[i] == 0;
+    if (pristine(i)) class_members_[class_of_[i]].push_back(i);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!pristine(i)) nonpristine_.push_back(i);
+    if (scanned(i)) candidates_.push_back(i);
+  }
+}
+
+void ClusterState::reclassify(std::size_t i) {
+  const bool now =
+      placeable(i) && active_[i].empty() && retired_hi_[i] == 0;
+  std::vector<std::size_t>& members = class_members_[class_of_[i]];
+  const std::size_t old_rep = members.empty() ? i : members.back();
+  if (now != pristine(i)) {
+    pristine_[i] = now;
+    const auto member = std::lower_bound(members.begin(), members.end(), i,
+                                         std::greater<std::size_t>());
+    const auto other =
+        std::lower_bound(nonpristine_.begin(), nonpristine_.end(), i);
+    if (now) {
+      assert(other != nonpristine_.end() && *other == i);
+      members.insert(member, i);
+      nonpristine_.erase(other);
+    } else {
+      assert(member != members.end() && *member == i);
+      members.erase(member);
+      nonpristine_.insert(other, i);
+    }
+  }
+  // Only i and its class's old and new representatives can change scan
+  // membership.
+  sync_candidate(i);
+  sync_candidate(old_rep);
+  if (!members.empty()) sync_candidate(members.back());
+}
+
+void ClusterState::sync_candidate(std::size_t i) {
+  const auto at = std::lower_bound(candidates_.begin(), candidates_.end(), i);
+  const bool listed = at != candidates_.end() && *at == i;
+  const bool wanted = scanned(i);
+  if (wanted && !listed) candidates_.insert(at, i);
+  if (!wanted && listed) candidates_.erase(at);
 }
 
 Time ClusterState::window_base(std::size_t i) const {
@@ -80,19 +172,22 @@ bool ClusterState::should_rebuild(std::size_t i) const {
   return dead >= std::max<Time>(32, live);
 }
 
-void ClusterState::rebuild(std::size_t i, Time base, Time horizon) {
+void ClusterState::rebuild(std::size_t i) {
+  // A server hosting nothing and carrying no sentinel is pristine once
+  // rebuilt, so it joins the shared pristine window.
+  const bool fresh = active_[i].empty() && retired_hi_[i] == 0;
+  const Time base = fresh ? pristine_base_ : window_base(i);
   // The frontier can outrun the lazily-extended planning horizon (a fault
   // event or an arrival far past every previous VM's end). Nothing can be
   // active there — place() ensured end <= horizon_ and the sweep retired the
   // rest — so rebuild an empty window; the next ensure_horizon (every later
   // request has end >= start >= frontier) extends and rebuilds it for real.
-  horizon = std::max(horizon, base - 1);
-  ServerTimeline fresh(servers_[i], base, horizon);
-  if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
-  for (const VmSpec& vm : active_[i]) fresh.place(vm);
-  resident_units_ += static_cast<std::size_t>(fresh.window_units()) -
-                     static_cast<std::size_t>(timelines_[i].window_units());
-  timelines_[i] = std::move(fresh);
+  ServerTimeline rebuilt(servers_[i], base, std::max(horizon_, base - 1));
+  if (retired_hi_[i] > 0) rebuilt.seed_busy(retired_hi_[i], retired_hi_[i]);
+  for (const VmSpec& vm : active_[i]) rebuilt.place(vm);
+  resident_units_ -= static_cast<std::size_t>(timelines_[i].resident_units());
+  resident_units_ += static_cast<std::size_t>(rebuilt.resident_units());
+  timelines_[i] = std::move(rebuilt);
   envelopes_.refresh(i, timelines_[i]);
 }
 
@@ -101,36 +196,61 @@ void ClusterState::stub_timeline(std::size_t i) {
   // (Horizon), so the server disappears from every policy scan; the window
   // holds no resource trees, so it costs no resident memory.
   ServerTimeline stub(servers_[i], frontier_, frontier_ - 1);
-  resident_units_ -= static_cast<std::size_t>(timelines_[i].window_units());
+  resident_units_ -= static_cast<std::size_t>(timelines_[i].resident_units());
   timelines_[i] = std::move(stub);
   envelopes_.refresh(i, timelines_[i]);
 }
 
 void ClusterState::recompute_next_retire() {
+  // Pristine servers host nothing.
   next_retire_ = 0;
-  for (const std::vector<VmSpec>& vms : active_)
-    for (const VmSpec& vm : vms)
+  for (const std::size_t i : nonpristine_)
+    for (const VmSpec& vm : active_[i])
       next_retire_ = next_retire_ == 0 ? vm.end : std::min(next_retire_, vm.end);
 }
 
 void ClusterState::ensure_horizon(Time end) {
   if (end <= horizon_) return;
   // Double the forward window (with a floor) so repeated small extensions
-  // cost O(1) rebuild work per time unit, amortized.
+  // cost O(1) rebuild work per time unit, amortized. Saturate rather than
+  // overflow near the largest Time.
+  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
   const Time slack = std::max<Time>(256, horizon_ - frontier_ + 1);
-  horizon_ = std::max<Time>(end, horizon_ + slack);
-  for (std::size_t i = 0; i < timelines_.size(); ++i)
-    if (placeable(i)) rebuild(i, window_base(i), horizon_);
+  horizon_ =
+      std::max<Time>(end, horizon_ > kMaxTime - slack ? kMaxTime
+                                                      : horizon_ + slack);
+  for (const std::size_t i : nonpristine_)
+    if (placeable(i)) rebuild(i);
+  // Pristine timelines hold no trees: moving the shared window is a bound
+  // update per server, with no allocation.
+  pristine_base_ = frontier_;
+  const Time pristine_horizon = std::max(horizon_, pristine_base_ - 1);
+  for (const std::vector<std::size_t>& members : class_members_) {
+    for (const std::size_t i : members) {
+      timelines_[i].rewindow(pristine_base_, pristine_horizon);
+      envelopes_.refresh(i, timelines_[i]);
+    }
+  }
 }
 
 void ClusterState::place(std::size_t server, const VmSpec& vm) {
   assert(server < timelines_.size());
   assert(placeable(server));
-  timelines_[server].place(vm);
-  envelopes_.refresh(server, timelines_[server]);
+  ServerTimeline& timeline = timelines_[server];
+  if (pristine(server)) {
+    // The first placement materializes the trees: narrow the shared window
+    // to the live one first, as a rebuild would.
+    assert(timeline.can_fit(vm));
+    timeline.rewindow(std::min(frontier_, vm.start), timeline.horizon());
+  }
+  resident_units_ -= static_cast<std::size_t>(timeline.resident_units());
+  timeline.place(vm);
+  resident_units_ += static_cast<std::size_t>(timeline.resident_units());
+  envelopes_.refresh(server, timeline);
   next_retire_ = next_retire_ == 0 ? vm.end : std::min(next_retire_, vm.end);
   active_[server].push_back(vm);
   ++active_count_;
+  if (pristine(server)) reclassify(server);
 }
 
 void ClusterState::advance_to(Time t) {
@@ -138,8 +258,11 @@ void ClusterState::advance_to(Time t) {
   frontier_ = t;
   if (next_retire_ == 0 || next_retire_ >= frontier_) return;
 
+  // Only non-pristine servers host VMs or hold trees; retirement leaves a
+  // sentinel, so none of them turns pristine here.
   Time next = 0;
-  for (std::size_t i = 0; i < timelines_.size(); ++i) {
+  std::size_t still_active = 0;
+  for (const std::size_t i : nonpristine_) {
     std::vector<VmSpec>& vms = active_[i];
     std::size_t kept = 0;
     for (std::size_t k = 0; k < vms.size(); ++k) {
@@ -156,12 +279,13 @@ void ClusterState::advance_to(Time t) {
       }
     }
     vms.resize(kept);
+    still_active += kept;
     // Stubs stay stubs: rebuilding a non-up server would resurrect its
     // capacity for policy scans.
-    if (placeable(i) && should_rebuild(i)) rebuild(i, window_base(i), horizon_);
+    if (placeable(i) && should_rebuild(i)) rebuild(i);
   }
   next_retire_ = next;
-  assert(active_count_ == active_vms_scan());
+  assert(active_count_ == still_active);
 }
 
 std::size_t ClusterState::active_vms_scan() const {
@@ -236,6 +360,7 @@ std::vector<VmSpec> ClusterState::fail_server(std::size_t i) {
   if (!displaced.empty() && frontier_ > 1)
     retired_hi_[i] = std::max(retired_hi_[i], frontier_ - 1);
   stub_timeline(i);
+  reclassify(i);
   recompute_next_retire();
   return displaced;
 }
@@ -247,17 +372,20 @@ void ClusterState::drain_server(std::size_t i) {
   // Active VMs stay in active_[i] and retire through the normal sweep; only
   // the placement surface disappears.
   stub_timeline(i);
+  reclassify(i);
 }
 
 void ClusterState::recover_server(std::size_t i) {
   assert(i < timelines_.size());
   if (health_[i] == ServerHealth::kUp) return;
   health_[i] = ServerHealth::kUp;
-  rebuild(i, window_base(i), horizon_);
+  rebuild(i);
+  reclassify(i);
 }
 
 ServerId ClusterState::retire_active(VmId vm) {
-  for (std::size_t i = 0; i < active_.size(); ++i) {
+  // Pristine servers host nothing; the rest are searched in index order.
+  for (const std::size_t i : nonpristine_) {
     std::vector<VmSpec>& vms = active_[i];
     for (std::size_t k = 0; k < vms.size(); ++k) {
       if (vms[k].id != vm) continue;
@@ -267,8 +395,11 @@ ServerId ClusterState::retire_active(VmId vm) {
       // future structure deltas there, exactly like the fail_server path.
       if (frontier_ > 1) retired_hi_[i] = std::max(retired_hi_[i], frontier_ - 1);
       // Placeable hosts must drop the freed occupancy from their timeline;
-      // a drained host's timeline is already a stub holding nothing.
-      if (placeable(i)) rebuild(i, window_base(i), horizon_);
+      // a drained host's timeline is already a stub holding nothing. At
+      // frontier 1 no sentinel is left, so the host may turn pristine (the
+      // list walked here changes, and the loop ends).
+      if (placeable(i)) rebuild(i);
+      reclassify(i);
       recompute_next_retire();
       assert(active_count_ == active_vms_scan());
       return static_cast<ServerId>(i);
@@ -296,6 +427,7 @@ void ClusterState::restore(Time frontier, Time horizon,
         std::to_string(servers_.size()));
   frontier_ = std::max<Time>(1, frontier);
   horizon_ = std::max<Time>(0, horizon);
+  pristine_base_ = frontier_;
   active_count_ = 0;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const ServerStateSnapshot& snap = servers[i];
@@ -322,10 +454,11 @@ void ClusterState::restore(Time frontier, Time horizon,
   // resident_units_ in step.
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     if (placeable(i))
-      rebuild(i, window_base(i), horizon_);
+      rebuild(i);
     else
       stub_timeline(i);
   }
+  reindex();
   recompute_next_retire();
   assert(active_count_ == active_vms_scan());
 }

@@ -47,6 +47,20 @@
 // (ServerTimeline::seed_busy) preserves both exactly, so every subsequent
 // delta — and therefore every subsequent decision — is bitwise unchanged.
 // tests/test_streaming.cpp pins this property differentially.
+//
+// Pristine servers. A server is pristine while it is placeable, hosts no
+// active VM and has no retired-busy sentinel (retired_hi == 0). Its timeline
+// is then untouched: lazy trees that were never materialized
+// (util/segment_tree.h), an empty busy set, and the window every pristine
+// timeline shares, [pristine_base_, horizon]. Every way into the state
+// builds the timeline fresh: construction, retire_active at frontier 1,
+// recover_server and restore. Pristine servers whose specs agree bit
+// for bit in the five doubles the scan scores read form one class, and the
+// candidate scan (core/candidate_scan.h) visits only each class's
+// lowest-index member; advance_to and retire_active walk only the
+// non-pristine servers, and ensure_horizon moves pristine windows without
+// tree work. So per-op cost follows the servers that ever held a VM, not
+// the fleet, and resident_time_units() counts materialized trees only.
 
 #pragma once
 
@@ -97,11 +111,37 @@ class ClusterState {
 
   /// Packed SoA mirror of every timeline's window envelope
   /// (core/envelope_store.h), refreshed O(1) at each timeline mutation —
-  /// place, GC rebuild, fault stub, recovery — so the candidate scan's
-  /// envelope triage pass always reads coherent rows. Row i mirrors
-  /// timelines()[i]. Coherence is fuzzed via EnvelopeStore::debug_validate
-  /// in tests/test_envelope_scan.cpp.
+  /// place, GC rebuild, fault stub, recovery, and a pristine window's move
+  /// at horizon growth — so every row is coherent, pristine ones included.
+  /// Row i mirrors timelines()[i]. Coherence is fuzzed via
+  /// EnvelopeStore::debug_validate in tests/test_envelope_scan.cpp.
   const EnvelopeStore& envelopes() const { return envelopes_; }
+
+  // --- pristine classes (header comment, "Pristine servers") ---------------
+
+  /// Placeable, no active VMs and no retired-busy sentinel: the timeline is
+  /// untouched and shares the one pristine window with every other
+  /// pristine server.
+  bool pristine(std::size_t i) const { return pristine_[i] != 0; }
+
+  /// Class of server i: servers whose specs agree bit for bit in capacity,
+  /// p_idle, p_peak and transition_time share one. Fixed at construction.
+  std::size_t class_of(std::size_t i) const { return class_of_[i]; }
+  std::size_t num_classes() const { return class_members_.size(); }
+
+  /// The servers the candidate scan visits, ascending by index: every
+  /// placeable server that is not pristine, plus each class's
+  /// lowest-index pristine server (its representative). O(1); maintained
+  /// at every state change.
+  const std::vector<std::size_t>& scan_candidates() const {
+    return candidates_;
+  }
+
+  /// How many servers scan candidate `i` answers for: its class's pristine
+  /// count when `i` is pristine, else 1.
+  std::size_t represented(std::size_t i) const {
+    return pristine(i) ? class_members_[class_of_[i]].size() : 1;
+  }
 
   /// Requests must start at or after the frontier; structure strictly before
   /// it is garbage-collectible.
@@ -109,7 +149,9 @@ class ClusterState {
   Time horizon() const { return horizon_; }
 
   /// Grows the horizon to cover `end` (amortized doubling of the forward
-  /// window). No-op when already covered.
+  /// window, saturating at the largest Time). No-op when already covered.
+  /// Rebuilds the non-pristine placeable timelines; pristine ones only get
+  /// their window bounds moved, which allocates nothing.
   void ensure_horizon(Time end);
 
   /// Commits a placement chosen by a policy. The VM must fit (asserted by
@@ -119,12 +161,15 @@ class ClusterState {
 
   /// Advances the frontier to `t` (no-op backwards), retires VMs ending
   /// before it, and — amortized — rebuilds timelines over the shrunken
-  /// window. Never changes any subsequent decision (header comment).
+  /// window. Walks only the non-pristine servers: a pristine one hosts
+  /// nothing and holds no trees. Never changes any subsequent decision
+  /// (header comment).
   void advance_to(Time t);
 
   /// VMs placed and not yet retired by advance_to. O(1) — place() and the
-  /// retire sweep maintain a running count, asserted against
-  /// active_vms_scan() wherever the sweep already walks the fleet.
+  /// retire sweep maintain a running count; the sweep asserts it against
+  /// its own recount, and the rare fault and retire paths against
+  /// active_vms_scan().
   std::size_t active_vms() const { return active_count_; }
 
   /// The O(num_servers) verification twin of active_vms(): recounts from
@@ -138,8 +183,9 @@ class ClusterState {
   /// for PlacementEngine to fill. O(active VMs + servers).
   FleetSample sample(Time t) const;
 
-  /// Total resident window size, in time units summed over servers — the
-  /// resource-tree memory footprint the rolling horizon bounds. O(1).
+  /// Materialized tree window, in time units summed over servers
+  /// (ServerTimeline::resident_units) — the resource-tree memory footprint
+  /// the rolling horizon bounds. Pristine servers contribute nothing. O(1).
   std::size_t resident_time_units() const { return resident_units_; }
 
   // --- server health (core/fault_plan.h events) ----------------------------
@@ -200,10 +246,26 @@ class ClusterState {
  private:
   Time window_base(std::size_t i) const;
   bool should_rebuild(std::size_t i) const;
-  void rebuild(std::size_t i, Time base, Time horizon);
+  /// Rebuilds placeable timeline `i` over [window_base(i), horizon_], or
+  /// over the pristine window when it hosts nothing and has no sentinel.
+  void rebuild(std::size_t i);
   /// Replaces timeline `i` with an empty-window stub at the frontier.
   void stub_timeline(std::size_t i);
   void recompute_next_retire();
+  /// Recomputes every server's pristine flag and the class, non-pristine
+  /// and candidate lists from scratch. O(servers).
+  void reindex();
+  /// Re-derives server i's pristine flag after a change to its health,
+  /// active VMs or sentinel, and patches the lists: binary searches plus
+  /// sorted-vector inserts and erases.
+  void reclassify(std::size_t i);
+  /// True when the candidate scan must visit server i.
+  bool scanned(std::size_t i) const {
+    return placeable(i) &&
+           (!pristine(i) || class_members_[class_of_[i]].back() == i);
+  }
+  /// Lists or unlists `i` in candidates_ to match scanned(i).
+  void sync_candidate(std::size_t i);
 
   std::vector<ServerSpec> servers_;
   /// `shard.shards` clamped to [1, servers]; sample() slices server i into
@@ -218,8 +280,20 @@ class ClusterState {
   /// endpoint seeded into rebuilt timelines.
   std::vector<Time> retired_hi_;
   std::vector<ServerHealth> health_;
+  /// Pristine-class bookkeeping (reindex / reclassify). pristine_[i] is the
+  /// pristine flag; class_members_[c] lists class c's pristine servers in
+  /// descending index order, so back() is the representative;
+  /// nonpristine_ and candidates_ are ascending.
+  std::vector<std::uint8_t> pristine_;
+  std::vector<std::size_t> class_of_;
+  std::vector<std::vector<std::size_t>> class_members_;
+  std::vector<std::size_t> nonpristine_;
+  std::vector<std::size_t> candidates_;
   Time frontier_ = 1;
   Time horizon_ = 0;
+  /// Base of the pristine window; <= frontier_. Moves to the frontier at
+  /// each horizon growth and restore.
+  Time pristine_base_ = 1;
   /// Earliest end among all active VMs (0 = none): advance_to's fast path.
   Time next_retire_ = 0;
   std::size_t resident_units_ = 0;

@@ -31,6 +31,16 @@ std::string error_response(const Request* req, const std::string& what) {
   return out;
 }
 
+/// vm.duration() > kMaxPlaceDuration, without overflowing on the extreme
+/// times the wire accepts: end - start is exact in unsigned arithmetic once
+/// end >= start.
+bool exceeds_duration_limit(const VmSpec& vm) {
+  return vm.end >= vm.start &&
+         static_cast<std::uint64_t>(vm.end) -
+                 static_cast<std::uint64_t>(vm.start) >=
+             static_cast<std::uint64_t>(kMaxPlaceDuration);
+}
+
 std::string fmt_energy17(Energy e) {
   std::ostringstream out;
   out.precision(17);
@@ -324,6 +334,12 @@ std::string Daemon::dispatch(const Request& req) {
   out += ",\"op\":" + json::escape(to_string(req.op));
   switch (req.op) {
     case OpKind::kPlace: {
+      if (exceeds_duration_limit(req.vm))
+        throw std::invalid_argument(
+            "place: vm " + std::to_string(req.vm.id) + " spans [" +
+            std::to_string(req.vm.start) + ", " + std::to_string(req.vm.end) +
+            "], longer than the limit of " +
+            std::to_string(kMaxPlaceDuration) + " time units");
       const PlacementDecision decision = apply_place(req.vm);
       const std::uint64_t seq = next_seq_;
       journal(encode_place_record(seq, options_.allocator, req.vm, decision,

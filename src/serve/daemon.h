@@ -42,6 +42,14 @@
 
 namespace esva::serve {
 
+/// The longest VM a place op may request, in time units (end - start + 1).
+/// Longer ones get an error response before the engine is touched, so one
+/// request cannot stretch the planning horizon, and with it every touched
+/// server's resource trees (80 B per time unit of window), without bound.
+/// docs/SERVE.md gives the per-server tree bytes this bounds. WAL replay
+/// does not re-check it: a journal only ever holds accepted places.
+inline constexpr Time kMaxPlaceDuration = 100000;
+
 struct DaemonOptions {
   std::string allocator = "min-incremental";
   std::uint64_t seed = 42;

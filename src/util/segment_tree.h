@@ -28,6 +28,12 @@
 //     first_above(lo, hi, pred) == npos  <=>  !pred(max(lo, hi))
 // holds bit-for-bit, which is what keeps check_fit and can_fit in exact
 // agreement.
+//
+// Storage is lazy: a tree allocates its arrays on its first add(), and until
+// then reads as the all-zero tree it would be if eager — max, max_all,
+// min_all and first_above return exactly the eager zero tree's answers. A
+// server that never hosts a VM (core/streaming.h, "pristine") therefore
+// holds no tree storage at all, whatever its window size.
 
 #pragma once
 
@@ -44,20 +50,24 @@ class RangeAddMaxTree {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// Tree over positions 0..n-1, all initially 0. n may be 0 (empty tree).
-  explicit RangeAddMaxTree(std::size_t n) : n_(n) {
-    if (n_ > 0) {
-      mx_.assign(2 * n_, 0.0);
-      mn_.assign(2 * n_, 0.0);
-      d_.assign(n_, 0.0);
-    }
-  }
+  /// Allocates nothing; the first add() does.
+  explicit RangeAddMaxTree(std::size_t n) : n_(n) {}
 
   std::size_t size() const { return n_; }
+
+  /// True once an add() has allocated the arrays. An unmaterialized tree
+  /// reads as all zeros.
+  bool materialized() const { return !mx_.empty(); }
 
   /// Adds `delta` to every position in [lo, hi] (inclusive). Requires
   /// lo <= hi < size().
   void add(std::size_t lo, std::size_t hi, double delta) {
     assert(lo <= hi && hi < n_);
+    if (!materialized()) {
+      mx_.assign(2 * n_, 0.0);
+      mn_.assign(2 * n_, 0.0);
+      d_.assign(n_, 0.0);
+    }
     const std::size_t ll = lo + n_;
     const std::size_t rr = hi + n_;
     std::size_t l = ll;
@@ -75,6 +85,7 @@ class RangeAddMaxTree {
   /// Maximum value over [lo, hi] (inclusive). Requires lo <= hi < size().
   double max(std::size_t lo, std::size_t hi) const {
     assert(lo <= hi && hi < n_);
+    if (!materialized()) return 0.0;
     double resl = kNone;
     double resr = kNone;
     std::size_t l = lo + n_;
@@ -102,13 +113,13 @@ class RangeAddMaxTree {
   }
 
   /// Maximum over the whole range; 0 for an empty tree. O(1).
-  double max_all() const { return n_ == 0 ? 0.0 : mx_[1]; }
+  double max_all() const { return materialized() ? mx_[1] : 0.0; }
 
   /// Minimum over the whole range; 0 for an empty tree. O(1). Together with
   /// max_all this brackets the usage envelope: max_all is the window-wide
   /// peak (quick-accept when peak + demand fits) and min_all the window-wide
   /// floor (quick-reject when even the emptiest unit lacks spare capacity).
-  double min_all() const { return n_ == 0 ? 0.0 : mn_[1]; }
+  double min_all() const { return materialized() ? mn_[1] : 0.0; }
 
   /// First position in [lo, hi] whose value v satisfies pred(v), or npos.
   /// `pred` must be monotone in v (true stays true as v grows), e.g.
@@ -116,6 +127,9 @@ class RangeAddMaxTree {
   template <typename Pred>
   std::size_t first_above(std::size_t lo, std::size_t hi, Pred pred) const {
     assert(lo <= hi && hi < n_);
+    // All zeros: every position holds the same value, so the first one
+    // fires or none does.
+    if (!materialized()) return pred(0.0) ? lo : npos;
     // Canonical border nodes with running delta-corrected subtree maxima.
     // The running values v are folded exactly like max()'s resl/resr, so the
     // "does any node fire" verdict matches max() bit-for-bit; ctx tracks the

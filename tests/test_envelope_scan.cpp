@@ -4,11 +4,11 @@
 // picks the winner. The traced scan is the check_fit loop, which never reads
 // the envelope store — so it is the reference.
 //
-// Four layers of evidence:
+// Five layers of evidence:
 //   1. timeline-level fuzz: random place/undo interleavings on raw
-//      ServerTimelines, classify() vs quick_fit() per server per probe, and
-//      decided verdicts cross-checked against can_fit(); a ranged classify
-//      writes exactly its own rows, and refresh(i) re-reads exactly row i;
+//      ServerTimelines, classify() vs quick_fit() per server per probe, the
+//      gathered classify() over random row subsets, and decided verdicts
+//      cross-checked against can_fit(); refresh(i) re-reads exactly row i;
 //   2. lifecycle property fuzz: EnvelopeStore::debug_validate() after every
 //      ClusterState transition (place, advance_to, ensure_horizon, fail,
 //      drain, recover), eager-rebuild on and off; stubbed rows reject every
@@ -20,7 +20,14 @@
 //      fleets and with unplaceable VMs; decision by decision (server and
 //      delta bits); and chaos replays with faults and retries match the
 //      traced replay in every counter at any shard count;
-//   4. the arg-min primitive: ties, empty and all-infeasible ranges, each
+//   4. pristine classes: class keys are the five spec doubles bit for bit;
+//      a class representative scores like an eager empty timeline under all
+//      four scores; and on fleets of thousands of servers with a few dozen
+//      touched, every scan allocator matches the traced run through
+//      retire-at-frontier-1, fail/drain/recover of pristine and touched
+//      servers and a mid-stream restore, with the class bookkeeping
+//      recounted after every op;
+//   5. the arg-min primitive: ties, empty and all-infeasible ranges, each
 //      index evaluated once, counts, random scores against a brute-force
 //      arg-min.
 //
@@ -33,7 +40,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -48,6 +59,7 @@
 #include "core/allocation.h"
 #include "core/candidate_scan.h"
 #include "core/fault_plan.h"
+#include "core/scan_scores.h"
 #include "core/streaming.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -142,7 +154,8 @@ VmSpec random_probe(Rng& rng, Time horizon) {
 // --- layer 1: classify() is quick_fit(), bit for bit ------------------------
 
 // Random place/undo interleavings on raw timelines with a manually refreshed
-// store: every probe's classify() verdict equals quick_fit() per server, and
+// store: every probe's classify() verdict equals quick_fit() per server, the
+// gathered classify() over any subset of rows repeats those verdicts, and
 // every *decided* verdict is consistent with the exact can_fit() answer
 // (kFits implies can_fit, kCannotFit implies !can_fit) — so the scan's
 // segment-tree fallback only ever runs on genuinely undecided servers.
@@ -193,6 +206,23 @@ TEST(EnvelopeFuzz, ClassifyMatchesQuickFitUnderRandomInterleavings) {
       for (int probe = 0; probe < 4; ++probe) {
         const VmSpec vm = random_probe(rng, horizon);
         store.classify(EnvelopeStore::probe_of(vm), verdicts.data());
+        // The gathered form over a random ascending subset of rows writes
+        // exactly the full sweep's verdicts for those rows, into the first
+        // count bytes, and nothing past them.
+        std::vector<std::size_t> rows;
+        for (std::size_t s = 0; s < timelines.size(); ++s)
+          if (rng.bernoulli(0.5)) rows.push_back(s);
+        constexpr std::uint8_t kUntouched = 0xCD;
+        std::vector<std::uint8_t> gathered(timelines.size() + 1, kUntouched);
+        store.classify(EnvelopeStore::probe_of(vm), rows.data(), rows.size(),
+                       gathered.data());
+        for (std::size_t k = 0; k < gathered.size(); ++k) {
+          if (k < rows.size()) {
+            ASSERT_EQ(gathered[k], verdicts[rows[k]]) << "row " << rows[k];
+          } else {
+            ASSERT_EQ(gathered[k], kUntouched) << "byte " << k;
+          }
+        }
         for (std::size_t s = 0; s < timelines.size(); ++s) {
           const QuickFit expected = timelines[s].quick_fit(vm);
           ASSERT_EQ(static_cast<QuickFit>(verdicts[s]), expected)
@@ -229,49 +259,6 @@ TEST(EnvelopeStoreTest, ProbeOfCarriesPeakDemandWindowAndProfileFlag) {
   EXPECT_EQ(q.cpu, 3.0);  // set_profile lifts demand to the peak
   EXPECT_EQ(q.mem, 2.0);
   EXPECT_TRUE(q.profiled);
-}
-
-// classify(probe, lo, hi) is the full sweep restricted to rows [lo, hi): it
-// writes exactly those verdicts and leaves every other byte untouched.
-TEST(EnvelopeStoreTest, BlockClassifyMatchesFullSweepAndWritesOnlyItsRange) {
-  const std::vector<ServerSpec> fleet = make_fleet(kNumServers);
-  std::vector<ServerTimeline> timelines;
-  for (const ServerSpec& spec : fleet) timelines.emplace_back(spec, 120);
-  Rng rng(42);
-  for (int k = 0; k < 40; ++k) {
-    const std::size_t i = rng.index(timelines.size());
-    const Time start = static_cast<Time>(rng.uniform_int(1, 80));
-    const VmSpec vm = testing::vm(
-        100 + k, start, start + static_cast<Time>(rng.uniform_int(1, 30)),
-        rng.uniform_double(0.1, 4.0), rng.uniform_double(0.1, 4.0));
-    if (timelines[i].can_fit(vm)) timelines[i].place(vm);
-  }
-  EnvelopeStore store;
-  store.reset(timelines);
-
-  const EnvelopeStore::Probe probe =
-      EnvelopeStore::probe_of(testing::vm(9000, 30, 55, 2.0, 2.0));
-  std::vector<std::uint8_t> full(timelines.size());
-  store.classify(probe, full.data());
-
-  constexpr std::uint8_t kSentinel = 0xCD;
-  const std::vector<std::size_t> cuts = {0, 1, 9, 10, 27, kNumServers};
-  std::vector<std::uint8_t> blocked(timelines.size(), kSentinel);
-  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-    const std::size_t lo = cuts[c];
-    const std::size_t hi = cuts[c + 1];
-    std::vector<std::uint8_t> scratch(timelines.size(), kSentinel);
-    store.classify(probe, lo, hi, scratch.data());
-    for (std::size_t r = 0; r < timelines.size(); ++r) {
-      if (r >= lo && r < hi) {
-        EXPECT_EQ(scratch[r], full[r]) << "block " << c << " row " << r;
-        blocked[r] = scratch[r];
-      } else {
-        EXPECT_EQ(scratch[r], kSentinel) << "block " << c << " row " << r;
-      }
-    }
-  }
-  EXPECT_EQ(blocked, full);  // the blocks tile the fleet exactly
 }
 
 // reset() mirrors timelines[i] into row i, and refresh(i) re-reads exactly
@@ -444,8 +431,8 @@ TEST(EnvelopeStoreTest, StubbedRowsRejectEveryProbe) {
 // A place, fault, recovery or drain on one server is local to it: every
 // other envelope row keeps classifying exactly as before, and every other
 // shard's time-series slice is unchanged. ensure_horizon is the exception
-// (it rebuilds every placeable timeline), so the horizon is grown once up
-// front.
+// (it rebuilds every touched placeable timeline and moves every pristine
+// window), so the horizon is grown once up front.
 TEST(ShardIsolation, FaultInOneShardLeavesOtherShardsUntouched) {
   constexpr std::size_t kServers = 16;
   constexpr std::size_t kShards = 4;
@@ -860,7 +847,299 @@ TEST(ShardedDifferential, ChaosSamplesSliceFleetTotals) {
   }
 }
 
-// --- layer 4: the arg-min primitive ------------------------------------------
+// --- layer 4: pristine classes ----------------------------------------------
+
+// A class is keyed on the bits of capacity (cpu, mem), p_idle, p_peak and
+// transition_time: the id and type name do not matter, and a one-ulp change
+// in any one of the five doubles splits the class.
+TEST(PristineClasses, KeyedOnTheFiveSpecDoublesBitForBit) {
+  const ServerSpec base = testing::server(0, 16.0, 32.0, 105.0, 210.0, 1.5,
+                                          "server-type-3");
+  std::vector<ServerSpec> fleet{base};
+  ServerSpec renamed = base;
+  renamed.id = 1;
+  renamed.type_name = "another-name";
+  fleet.push_back(renamed);
+  for (int field = 0; field < 5; ++field) {
+    ServerSpec bumped = base;
+    bumped.id = 2 + field;
+    double* value[] = {&bumped.capacity.cpu, &bumped.capacity.mem,
+                       &bumped.p_idle, &bumped.p_peak,
+                       &bumped.transition_time};
+    *value[field] = std::nextafter(*value[field],
+                                   std::numeric_limits<double>::infinity());
+    fleet.push_back(bumped);
+  }
+  const ClusterState cluster(fleet, /*initial_horizon=*/0);
+  EXPECT_EQ(cluster.num_classes(), 6u);
+  EXPECT_EQ(cluster.class_of(1), cluster.class_of(0));
+  for (std::size_t i = 2; i < fleet.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j)
+      EXPECT_NE(cluster.class_of(i), cluster.class_of(j)) << i << " vs " << j;
+  }
+  // The scan visits server 0 for both members of the shared class.
+  EXPECT_EQ(cluster.scan_candidates(),
+            (std::vector<std::size_t>{0, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(cluster.represented(0), 2u);
+  EXPECT_EQ(cluster.represented(2), 1u);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every scan score of a class representative — a pristine timeline with no
+// trees — is bit-equal to the same score on an eager empty timeline (trees
+// materialized by one placement and its undo) over the same window.
+TEST(PristineClasses, RepresentativeScoresMatchAnEagerEmptyTimeline) {
+  ClusterState cluster(make_fleet(30), /*initial_horizon=*/0);
+  cluster.ensure_horizon(200);
+  cluster.advance_to(37);
+  cluster.ensure_horizon(600);  // the pristine window is now [37, 805]
+  Rng rng(4242);
+  std::size_t representatives = 0;
+  for (const std::size_t i : cluster.scan_candidates()) {
+    ASSERT_TRUE(cluster.pristine(i));
+    ++representatives;
+    const ServerTimeline& rep = cluster.timelines()[i];
+    ASSERT_TRUE(rep.untouched());
+    ServerTimeline eager(rep.spec(), rep.base(), rep.horizon());
+    const VmSpec filler = testing::vm(99999, rep.base(), rep.base(), 1.0, 1.0);
+    eager.undo(eager.place(filler), filler);
+    ASSERT_FALSE(eager.untouched());
+    for (int k = 0; k < 60; ++k) {
+      VmSpec vm = random_probe(rng, 700);
+      if (vm.start < cluster.frontier() || vm.end > rep.horizon()) continue;
+      ASSERT_EQ(rep.can_fit(vm), eager.can_fit(vm)) << i;
+      for (const bool initial : {true, false}) {
+        const MinIncrementalScore score{CostOptions{initial}};
+        ASSERT_EQ(bits(score(rep, vm)), bits(score(eager, vm))) << i;
+      }
+      ASSERT_EQ(bits(BestFitCpuScore{}(rep, vm)),
+                bits(BestFitCpuScore{}(eager, vm)))
+          << i;
+      ASSERT_EQ(bits(LowestIdlePowerScore{}(rep, vm)),
+                bits(LowestIdlePowerScore{}(eager, vm)))
+          << i;
+      ASSERT_EQ(bits(DotProductFitScore{}(rep, vm)),
+                bits(DotProductFitScore{}(eager, vm)))
+          << i;
+    }
+  }
+  EXPECT_EQ(representatives, cluster.num_classes());
+}
+
+/// Counts decisions without keeping them: the traced reference on
+/// thousands of servers would otherwise buffer every candidate record.
+class CountingTraceSink final : public TraceSink {
+ public:
+  void on_decision(const VmDecisionTrace& /*decision*/) override { ++count_; }
+  std::size_t count() const { return count_; }
+
+ private:
+  std::atomic<std::size_t> count_{0};
+};
+
+/// A cluster's bookkeeping against a recount: envelope rows, resident units
+/// (materialized trees only), the pristine flags (recomputed from the
+/// exported state), the one untouched window every pristine timeline shares,
+/// and the candidate list (non-pristine placeable servers plus each class's
+/// lowest-index pristine server).
+void expect_pristine_bookkeeping(const ClusterState& c,
+                                 const std::string& when) {
+  ASSERT_TRUE(c.envelopes().debug_validate(c.timelines())) << when;
+  std::size_t units = 0;
+  for (const ServerTimeline& t : c.timelines())
+    units += static_cast<std::size_t>(t.resident_units());
+  ASSERT_EQ(c.resident_time_units(), units) << when;
+  ASSERT_EQ(c.active_vms(), c.active_vms_scan()) << when;
+  const std::vector<ServerStateSnapshot> state = c.export_servers();
+  std::vector<bool> class_seen(c.num_classes(), false);
+  std::vector<std::size_t> candidates;
+  const ServerTimeline* window = nullptr;
+  for (std::size_t i = 0; i < c.num_servers(); ++i) {
+    const bool pristine = state[i].health == ServerHealth::kUp &&
+                          state[i].active.empty() && state[i].retired_hi == 0;
+    ASSERT_EQ(c.pristine(i), pristine) << when << " server " << i;
+    if (!c.placeable(i)) continue;
+    if (!pristine) {
+      candidates.push_back(i);
+      continue;
+    }
+    const ServerTimeline& t = c.timelines()[i];
+    ASSERT_TRUE(t.untouched()) << when << " server " << i;
+    if (window == nullptr) window = &t;
+    ASSERT_EQ(t.base(), window->base()) << when << " server " << i;
+    ASSERT_EQ(t.horizon(), window->horizon()) << when << " server " << i;
+    ASSERT_LE(t.base(), c.frontier()) << when << " server " << i;
+    ASSERT_EQ(t.horizon(), std::max(c.horizon(), t.base() - 1)) << when;
+    if (!class_seen[c.class_of(i)]) {
+      class_seen[c.class_of(i)] = true;
+      candidates.push_back(i);
+    }
+  }
+  ASSERT_EQ(c.scan_candidates(), candidates) << when;
+}
+
+struct PristineRun {
+  std::vector<ServerId> decisions;
+  std::vector<Resolution> resolutions;
+  Energy energy = 0.0;
+  FaultStats faults;
+  std::int64_t feasible = 0;
+  std::int64_t rejected = 0;
+  std::size_t touched = 0;  ///< non-pristine servers at the end
+  std::size_t traced_decisions = 0;
+};
+
+/// One scan allocator over a pristine-heavy fleet, through every way into
+/// and out of the pristine state: a retire at frontier 1 that returns its
+/// host to its class; fail and drain of a touched host and of a class
+/// representative, then their recovery; and a mid-stream restore into a
+/// fresh engine. The bookkeeping is checked after every op. `traced` runs
+/// the check_fit reference path.
+PristineRun run_pristine_heavy(const std::string& name,
+                               const std::vector<ServerSpec>& fleet,
+                               const std::vector<VmSpec>& vms, bool traced) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  AllocatorPtr allocator = make_allocator(name);
+  CountingTraceSink sink;
+  MetricsRegistry metrics;
+  ObsContext obs;
+  obs.trace = traced ? &sink : nullptr;
+  obs.metrics = &metrics;
+  allocator->set_observability(obs);
+  EngineOptions options;
+  options.auto_advance = true;
+  options.account_energy = true;
+  options.tolerate_late_arrivals = true;
+  options.retry.max_attempts = 3;
+  Rng rng(7);
+  // A restore continues in a fresh engine with a fresh policy, as the serve
+  // daemon's recovery does.
+  std::vector<std::unique_ptr<PlacementPolicy>> policies;
+  policies.push_back(allocator->make_policy());
+  auto engine = std::make_unique<PlacementEngine>(fleet, *policies.back(),
+                                                  rng, options);
+  PristineRun run;
+  const auto check = [&](const std::string& when) {
+    expect_pristine_bookkeeping(engine->cluster(), name + ": " + when);
+  };
+  check("ctor");
+
+  // A VM retired at frontier 1 leaves no sentinel: its host turns pristine.
+  const PlacementDecision first = engine->submit(vms[0]);
+  run.decisions.push_back(first.server);
+  check("first place");
+  EXPECT_NE(first.server, kNoServer) << name;
+  const auto host = static_cast<std::size_t>(first.server);
+  EXPECT_FALSE(engine->cluster().pristine(host)) << name;
+  EXPECT_EQ(engine->retire_vm(vms[0].id), first.server) << name;
+  EXPECT_EQ(engine->cluster().frontier(), 1) << name;
+  EXPECT_TRUE(engine->cluster().pristine(host)) << name;
+  check("retire at frontier 1");
+
+  std::vector<std::size_t> downed;
+  for (std::size_t k = 1; k < vms.size(); ++k) {
+    if (k == vms.size() / 4 || k == vms.size() / 3) {
+      // One touched host with active VMs and the first class representative.
+      const ClusterState& c = engine->cluster();
+      std::size_t touched = kNone;
+      std::size_t pristine = kNone;
+      for (const std::size_t i : c.scan_candidates()) {
+        if (c.pristine(i)) {
+          if (pristine == kNone) pristine = i;
+        } else if (touched == kNone && !c.timelines()[i].vms().empty()) {
+          touched = i;
+        }
+      }
+      EXPECT_NE(touched, kNone) << name;
+      EXPECT_NE(pristine, kNone) << name;
+      const FaultKind kind =
+          k == vms.size() / 4 ? FaultKind::kFail : FaultKind::kDrain;
+      for (const std::size_t s : {touched, pristine}) {
+        if (s == kNone) continue;
+        engine->apply_fault(
+            FaultEvent{c.frontier(), kind, static_cast<ServerId>(s)});
+        downed.push_back(s);
+        check(to_string(kind) + " " + std::to_string(s));
+      }
+    }
+    if (k == vms.size() / 2) {
+      for (const std::size_t s : downed) {
+        engine->apply_fault(FaultEvent{engine->cluster().frontier(),
+                                       FaultKind::kRecover,
+                                       static_cast<ServerId>(s)});
+        check("recover " + std::to_string(s));
+      }
+    }
+    if (k == 2 * vms.size() / 3) {
+      const EngineStateSnapshot snap = engine->export_state();
+      const auto words = rng.state();
+      policies.push_back(allocator->make_policy());
+      engine = std::make_unique<PlacementEngine>(fleet, *policies.back(), rng,
+                                                 options);
+      engine->import_state(snap);
+      rng.set_state(words);
+      check("restore");
+    }
+    run.decisions.push_back(engine->submit(vms[k]).server);
+    check("place " + std::to_string(k));
+  }
+  engine->finish_stream();
+  check("finish");
+  for (const auto& policy : policies) policy->finish(0, 0);
+  run.resolutions = engine->resolutions();
+  run.energy = engine->total_energy();
+  run.faults = engine->fault_stats();
+  run.feasible =
+      metrics.counter("allocator." + name + ".feasible_candidates").value();
+  run.rejected = metrics.counter("allocator." + name + ".rejections").value();
+  for (std::size_t i = 0; i < fleet.size(); ++i)
+    run.touched += engine->cluster().pristine(i) ? 0 : 1;
+  run.traced_decisions = sink.count();
+  return run;
+}
+
+// Thousands of servers with a few dozen ever touched: every scan allocator's
+// untraced run (one representative per pristine class) matches the traced
+// check_fit loop over the whole fleet in decisions, resolutions, energy bits,
+// fault counters and the allocator's probe counters.
+TEST(ScanIdentity, PristineHeavyFleetsMatchTraced) {
+  const std::vector<ServerSpec> fleet =
+      make_fleet(fuzz_iters(2500, 2000));
+  WorkloadConfig config = workload_config();
+  config.num_vms = fuzz_iters(240, 80);
+  config.mean_interarrival = 1.0;
+  Rng rng(606);
+  const std::vector<VmSpec> vms = generate_workload(config, rng);
+  for (const std::string& name : scan_allocators()) {
+    const PristineRun reference = run_pristine_heavy(name, fleet, vms, true);
+    const PristineRun run = run_pristine_heavy(name, fleet, vms, false);
+    EXPECT_GE(reference.traced_decisions, vms.size()) << name;
+    EXPECT_EQ(run.traced_decisions, 0u) << name;
+    EXPECT_GT(reference.faults.displaced, 0) << name;
+    EXPECT_GE(reference.touched, 4u) << name;
+    EXPECT_LT(reference.touched, fleet.size() / 10) << name;
+    ASSERT_EQ(run.decisions, reference.decisions) << name;
+    ASSERT_EQ(run.resolutions.size(), reference.resolutions.size()) << name;
+    for (std::size_t r = 0; r < run.resolutions.size(); ++r) {
+      EXPECT_EQ(run.resolutions[r].vm, reference.resolutions[r].vm) << name;
+      EXPECT_EQ(run.resolutions[r].server, reference.resolutions[r].server)
+          << name;
+    }
+    EXPECT_EQ(bits(run.energy), bits(reference.energy)) << name;
+    EXPECT_EQ(run.faults.displaced, reference.faults.displaced) << name;
+    EXPECT_EQ(run.faults.evacuated, reference.faults.evacuated) << name;
+    EXPECT_EQ(run.faults.retries, reference.faults.retries) << name;
+    EXPECT_EQ(run.faults.rejected_final, reference.faults.rejected_final)
+        << name;
+    EXPECT_EQ(run.feasible, reference.feasible) << name;
+    EXPECT_EQ(run.rejected, reference.rejected) << name;
+    EXPECT_GT(reference.feasible, 0) << name;
+    EXPECT_EQ(run.touched, reference.touched) << name;
+  }
+}
+
+// --- layer 5: the arg-min primitive ------------------------------------------
 
 TEST(ScanRange, EmptyRangeFindsNothing) {
   const ScanOutcome empty = scan_range(

@@ -812,7 +812,7 @@ void expect_same_decisions(const ClusterState& a, const ClusterState& b,
     EXPECT_TRUE(c->envelopes().debug_validate(c->timelines())) << when;
     std::size_t units = 0;
     for (const ServerTimeline& t : c->timelines())
-      units += static_cast<std::size_t>(t.window_units());
+      units += static_cast<std::size_t>(t.resident_units());
     EXPECT_EQ(c->resident_time_units(), units) << when;
   }
   const std::vector<ServerStateSnapshot> sa = a.export_servers();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "testsupport/reference_segment_tree.h"
@@ -216,6 +218,103 @@ TEST(RangeAddMaxTreeProperty, FirstAboveAndMinAllMatchNaive) {
         ASSERT_NEAR(tree.max_all(), *std::max_element(naive.begin(), naive.end()),
                     1e-9);
       }
+    }
+  }
+}
+
+// --- lazy storage ------------------------------------------------------------
+
+/// Bit pattern of a double: lazy and eager trees must agree bit for bit, and
+/// == would equate -0.0 with 0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A tree whose arrays exist from the start: adding +0.0 everywhere
+/// materializes it without changing any value.
+RangeAddMaxTree eager_tree(std::size_t n) {
+  RangeAddMaxTree tree(n);
+  if (n > 0) tree.add(0, n - 1, 0.0);
+  return tree;
+}
+
+/// Every query the library makes agrees bit for bit between two trees of
+/// one size: max over random ranges, both roots, and first_above for
+/// thresholds on either side of the stored values.
+void expect_same_answers(const RangeAddMaxTree& lazy,
+                         const RangeAddMaxTree& eager, Rng& rng,
+                         const char* when) {
+  ASSERT_EQ(lazy.size(), eager.size()) << when;
+  ASSERT_EQ(bits(lazy.max_all()), bits(eager.max_all())) << when;
+  ASSERT_EQ(bits(lazy.min_all()), bits(eager.min_all())) << when;
+  const auto n = static_cast<std::int64_t>(lazy.size());
+  if (n == 0) return;
+  for (int q = 0; q < 12; ++q) {
+    const auto lo = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    const auto hi = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(lo), n - 1));
+    ASSERT_EQ(bits(lazy.max(lo, hi)), bits(eager.max(lo, hi)))
+        << when << " [" << lo << ", " << hi << "]";
+    for (const double threshold :
+         {-1.0, -0.0, 0.0, rng.uniform_double(-6.0, 12.0)}) {
+      const auto pred = [threshold](double v) { return v > threshold; };
+      ASSERT_EQ(lazy.first_above(lo, hi, pred), eager.first_above(lo, hi, pred))
+          << when << " [" << lo << ", " << hi << "] threshold " << threshold;
+    }
+  }
+}
+
+// A tree allocates nothing until its first add, and until then answers
+// every query exactly as the materialized all-zero tree does.
+TEST(RangeAddMaxTreeLazy, UnmaterializedReadsAsTheEagerZeroTree) {
+  Rng rng(31);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 64u, 255u}) {
+    const RangeAddMaxTree lazy(n);
+    EXPECT_FALSE(lazy.materialized()) << n;
+    const RangeAddMaxTree eager = eager_tree(n);
+    EXPECT_EQ(eager.materialized(), n > 0) << n;
+    expect_same_answers(lazy, eager, rng, "unmaterialized");
+    if (n == 0) continue;
+    // Against the eager recursive reference too: zero everywhere.
+    const ReferenceRangeAddMaxTree reference(n);
+    EXPECT_EQ(bits(lazy.max(0, n - 1)), bits(reference.max(0, n - 1))) << n;
+    EXPECT_EQ(lazy.first_above(0, n - 1, [](double v) { return v >= 0.0; }),
+              0u)
+        << n;
+  }
+}
+
+// From the first add on, a lazy tree is the eager tree fed the same
+// sequence: random range adds and their LIFO undos leave every answer bit
+// equal after each step.
+TEST(RangeAddMaxTreeLazy, AddsAndUndosMatchAnEagerTreeBitForBit) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(
+        trial < 20 ? rng.uniform_int(1, 9) : rng.uniform_int(1, 300));
+    RangeAddMaxTree lazy(n);
+    RangeAddMaxTree eager = eager_tree(n);
+    struct Add {
+      std::size_t lo, hi;
+      double delta;
+    };
+    std::vector<Add> stack;
+    for (int op = 0; op < 80; ++op) {
+      if (!stack.empty() && rng.bernoulli(0.4)) {
+        const Add undo = stack.back();
+        stack.pop_back();
+        lazy.add(undo.lo, undo.hi, -undo.delta);
+        eager.add(undo.lo, undo.hi, -undo.delta);
+      } else {
+        const auto lo = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        const auto hi = static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(lo), static_cast<std::int64_t>(n) - 1));
+        const Add add{lo, hi, rng.uniform_double(0.01, 8.0)};
+        stack.push_back(add);
+        lazy.add(add.lo, add.hi, add.delta);
+        eager.add(add.lo, add.hi, add.delta);
+      }
+      ASSERT_TRUE(lazy.materialized());
+      expect_same_answers(lazy, eager, rng, "after add/undo");
     }
   }
 }

@@ -937,6 +937,87 @@ TEST(ServeDaemon, HandleLineTurnsFailuresIntoStructuredErrors) {
   ::unlink(options.wal_path.c_str());
 }
 
+/// The "energy_hex" field of a stats response.
+std::string energy_hex_of(const std::string& stats) {
+  const std::string key = "\"energy_hex\":\"";
+  const std::size_t at = stats.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t from = at + key.size();
+  return stats.substr(from, stats.find('"', from) - from);
+}
+
+// One far-future place must not wedge the daemon. It is refused before the
+// engine sees it (kMaxPlaceDuration), so nothing moves — not the request
+// count, the frontier or the horizon — and nothing is journaled; later VMs
+// still land on the idle fleet, and the daemon restarts on its own journal
+// to the same energy bits.
+TEST(ServeDaemon, OverlongPlaceIsRefusedBeforeTheEngine) {
+  const std::vector<ServerSpec> servers{testing::basic_server(0),
+                                        testing::basic_server(1),
+                                        testing::basic_server(2)};
+  DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "overlong");
+  std::string energy_hex;
+  {
+    Daemon daemon(servers, options);
+    const std::string stats_before = daemon.handle_line(R"({"op":"stats"})");
+    const Time horizon_before = daemon.engine().cluster().horizon();
+
+    Request far;
+    far.op = OpKind::kPlace;
+    far.vm = testing::vm(0, 2, 2000000000, 1.0, 1.0);
+    const std::string refused = daemon.handle_line(serve::encode_request(far));
+    EXPECT_EQ(refused.rfind("{\"ok\":false", 0), 0u) << refused;
+    EXPECT_NE(refused.find("limit"), std::string::npos) << refused;
+    EXPECT_EQ(daemon.handle_line(R"({"op":"stats"})"), stats_before);
+    EXPECT_EQ(daemon.engine().cluster().horizon(), horizon_before);
+    EXPECT_EQ(daemon.last_seq(), 0u);
+
+    // Extreme times the wire accepts are refused without overflow.
+    far.vm.start = std::numeric_limits<Time>::min();
+    far.vm.end = std::numeric_limits<Time>::max();
+    EXPECT_EQ(daemon.handle_line(serve::encode_request(far))
+                  .rfind("{\"ok\":false", 0),
+              0u);
+
+    for (const VmSpec& vm : {testing::vm(1, 400, 450, 2.0, 2.0),
+                             testing::vm(2, 600, 640, 2.0, 2.0)}) {
+      Request place;
+      place.op = OpKind::kPlace;
+      place.vm = vm;
+      const std::string placed =
+          daemon.handle_line(serve::encode_request(place));
+      EXPECT_EQ(placed.rfind("{\"ok\":true", 0), 0u) << placed;
+      EXPECT_NE(placed.find("\"reject\":\"none\""), std::string::npos)
+          << placed;
+      EXPECT_NE(daemon.assignment().at(vm.id), kNoServer) << vm.id;
+    }
+    EXPECT_EQ(daemon.last_seq(), 2u);
+    energy_hex = energy_hex_of(daemon.handle_line(R"({"op":"stats"})"));
+    EXPECT_FALSE(energy_hex.empty());
+  }
+  Daemon recovered(servers, options);
+  EXPECT_EQ(recovered.replayed_records(), 2u);
+  EXPECT_EQ(energy_hex_of(recovered.handle_line(R"({"op":"stats"})")),
+            energy_hex);
+  ::unlink(options.wal_path.c_str());
+}
+
+// A place exactly at the duration limit is accepted.
+TEST(ServeDaemon, PlaceAtTheDurationLimitIsAccepted) {
+  const std::vector<ServerSpec> servers{testing::basic_server(0)};
+  DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "at_limit");
+  Daemon daemon(servers, options);
+  Request place;
+  place.op = OpKind::kPlace;
+  place.vm = testing::vm(0, 5, 5 + serve::kMaxPlaceDuration - 1, 1.0, 1.0);
+  ASSERT_EQ(place.vm.duration(), serve::kMaxPlaceDuration);
+  const std::string placed = daemon.handle_line(serve::encode_request(place));
+  EXPECT_NE(placed.find("\"server\":0"), std::string::npos) << placed;
+  ::unlink(options.wal_path.c_str());
+}
+
 // --- socket loop ------------------------------------------------------------
 
 /// Raw client socket (no protocol): tests that need to vanish mid-exchange

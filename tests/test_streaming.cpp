@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -230,6 +231,27 @@ TEST(StreamingProperty, AdvanceBackwardsIsANoOp) {
   EXPECT_EQ(cluster.frontier(), 20);
   EXPECT_EQ(cluster.resident_time_units(), resident);
   EXPECT_EQ(cluster.active_vms(), cluster.active_vms_scan());
+}
+
+// Doubling the forward window near the largest Time saturates instead of
+// overflowing: a horizon past half the range cannot be doubled, so the next
+// growth lands on the largest Time. The fleet is pristine, so the windows
+// move without allocating trees of that size.
+TEST(StreamingProperty, HorizonGrowthSaturatesAtTheLargestTime) {
+  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+  ClusterState cluster({testing::basic_server(0), testing::basic_server(1)},
+                       /*initial_horizon=*/0);
+  cluster.ensure_horizon(kMaxTime / 2 + 2);
+  EXPECT_EQ(cluster.horizon(), kMaxTime / 2 + 2);
+  cluster.ensure_horizon(kMaxTime / 2 + 3);
+  EXPECT_EQ(cluster.horizon(), kMaxTime);
+  for (const ServerTimeline& t : cluster.timelines()) {
+    EXPECT_EQ(t.horizon(), kMaxTime);
+    EXPECT_TRUE(t.untouched());
+  }
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+  EXPECT_TRUE(cluster.envelopes().debug_validate(cluster.timelines()));
+  EXPECT_TRUE(cluster.timelines()[0].can_fit(testing::vm(1, 1, kMaxTime)));
 }
 
 TEST(StreamingProperty, EqualEndVmsRetireTogether) {

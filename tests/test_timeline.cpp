@@ -2,14 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
+#include "core/streaming.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace esva {
 namespace {
+
+/// Global operator new calls in this test binary (the replacements are at
+/// the end of the file), so a test can show that a call allocates nothing.
+std::atomic<std::size_t> g_allocations{0};
+
+std::size_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 using testing::basic_server;
 using testing::vm;
@@ -300,6 +314,155 @@ TEST(ProfiledTimeline, CoalescedRunsMatchPerUnitSemantics) {
   }
 }
 
+// --- lazy trees ---------------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The eager twin of a never-placed timeline: trees materialized by one
+/// placement and its undo, so they hold exact zeros, with an empty busy set.
+ServerTimeline eager_empty(const ServerSpec& spec, Time base, Time horizon) {
+  ServerTimeline timeline(spec, base, horizon);
+  const VmSpec filler = vm(99999, base, base, 1.0, 1.0);
+  const ServerTimeline::PlaceRecord record = timeline.place(filler);
+  timeline.undo(record, filler);
+  return timeline;
+}
+
+/// A probe that may reach outside [base, horizon] and exceed the capacity,
+/// profiled with probability 0.3.
+VmSpec random_probe(Rng& rng, Time horizon) {
+  const Time start = static_cast<Time>(rng.uniform_int(1, horizon + 5));
+  const Time end = start + static_cast<Time>(rng.uniform_int(0, 50));
+  VmSpec probe = vm(500, start, end, rng.uniform_double(0.1, 12.0),
+                    rng.uniform_double(0.1, 12.0));
+  if (rng.bernoulli(0.3)) {
+    std::vector<Resources> profile(static_cast<std::size_t>(probe.duration()));
+    for (Resources& r : profile)
+      r = {rng.uniform_double(0.1, 12.0), rng.uniform_double(0.1, 12.0)};
+    probe.set_profile(std::move(profile));
+  }
+  return probe;
+}
+
+// A never-placed timeline holds no trees yet decides every probe — quick_fit,
+// can_fit, check_fit's diagnosis, usage maxima and the envelope — exactly as
+// an eager empty timeline over the same window does.
+TEST(LazyTimeline, NeverPlacedAnswersLikeAnEagerEmptyTimeline) {
+  Rng rng(1017);
+  constexpr Time kHorizon = 160;
+  for (const Time base : {1, 40}) {
+    const ServerTimeline lazy(basic_server(), base, kHorizon);
+    const ServerTimeline eager = eager_empty(basic_server(), base, kHorizon);
+    EXPECT_TRUE(lazy.untouched());
+    EXPECT_EQ(lazy.resident_units(), 0);
+    EXPECT_FALSE(eager.untouched());
+    EXPECT_EQ(eager.resident_units(), eager.window_units());
+    EXPECT_EQ(bits(lazy.peak_cpu_usage()), bits(eager.peak_cpu_usage()));
+    EXPECT_EQ(bits(lazy.peak_mem_usage()), bits(eager.peak_mem_usage()));
+    EXPECT_EQ(bits(lazy.floor_cpu_usage()), bits(eager.floor_cpu_usage()));
+    EXPECT_EQ(bits(lazy.floor_mem_usage()), bits(eager.floor_mem_usage()));
+    int profiled = 0;
+    int undecided = 0;
+    for (int k = 0; k < 600; ++k) {
+      const VmSpec probe = random_probe(rng, kHorizon);
+      profiled += probe.has_profile() ? 1 : 0;
+      const QuickFit quick = lazy.quick_fit(probe);
+      undecided += quick == QuickFit::kUnknown ? 1 : 0;
+      ASSERT_EQ(quick, eager.quick_fit(probe)) << "probe " << k;
+      ASSERT_EQ(lazy.can_fit(probe), eager.can_fit(probe)) << "probe " << k;
+      const FitCheck a = lazy.check_fit(probe);
+      const FitCheck b = eager.check_fit(probe);
+      ASSERT_EQ(a.ok, b.ok) << "probe " << k;
+      ASSERT_EQ(a.reject, b.reject) << "probe " << k;
+      ASSERT_EQ(a.at, b.at) << "probe " << k;
+      if (probe.start >= base && probe.end <= kHorizon) {
+        ASSERT_EQ(bits(lazy.max_cpu_usage(probe.start, probe.end)),
+                  bits(eager.max_cpu_usage(probe.start, probe.end)));
+        ASSERT_EQ(bits(lazy.max_mem_usage(probe.start, probe.end)),
+                  bits(eager.max_mem_usage(probe.start, probe.end)));
+      }
+    }
+    // Both triage outcomes and the profiled tree path were exercised.
+    EXPECT_GT(profiled, 0);
+    EXPECT_GT(undecided, 0);
+  }
+}
+
+// rewindow moves an untouched window without materializing anything; the
+// timeline then answers like one built over the new window, and its first
+// placement materializes trees of exactly that window.
+TEST(LazyTimeline, RewindowMovesTheWindowOfAnUntouchedTimeline) {
+  ServerTimeline timeline(basic_server(), 1, 50);
+  const std::size_t before = allocations();
+  timeline.rewindow(30, 400);
+  EXPECT_EQ(allocations(), before);
+  EXPECT_TRUE(timeline.untouched());
+  const ServerTimeline fresh(basic_server(), 30, 400);
+  EXPECT_EQ(timeline.base(), fresh.base());
+  EXPECT_EQ(timeline.horizon(), fresh.horizon());
+  for (const VmSpec& probe : {vm(1, 29, 40), vm(2, 30, 400), vm(3, 30, 401),
+                              vm(4, 100, 200, 11.0, 1.0)})
+    EXPECT_EQ(timeline.quick_fit(probe), fresh.quick_fit(probe)) << probe.id;
+  timeline.place(vm(5, 100, 120, 2.0, 2.0));
+  EXPECT_FALSE(timeline.untouched());
+  EXPECT_EQ(timeline.resident_units(), 371);
+}
+
+/// A fleet of `n` servers in five spec classes, like the benchmark fleets.
+std::vector<ServerSpec> five_class_fleet(std::size_t n) {
+  std::vector<ServerSpec> fleet;
+  fleet.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double k = static_cast<double>(i % 5);
+    fleet.push_back(testing::server(static_cast<ServerId>(i), 8.0 + 4.0 * k,
+                                    16.0 + 8.0 * k, 80.0 + 10.0 * k,
+                                    170.0 + 20.0 * k));
+  }
+  return fleet;
+}
+
+// On an all-pristine fleet, growing the horizon and advancing the frontier
+// allocate nothing at all: every window move is a bound update.
+TEST(LazyTimeline, PristineFleetGrowsAndAdvancesWithoutAllocating) {
+  ClusterState cluster(five_class_fleet(10000), /*initial_horizon=*/0);
+  const std::size_t before = allocations();
+  cluster.ensure_horizon(300);
+  cluster.advance_to(120);
+  cluster.ensure_horizon(2000);
+  cluster.advance_to(1500);
+  cluster.ensure_horizon(1000000);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+  for (const ServerTimeline& t : cluster.timelines()) {
+    ASSERT_TRUE(t.untouched());
+    ASSERT_EQ(t.base(), 1500);
+    ASSERT_EQ(t.horizon(), cluster.horizon());
+  }
+  EXPECT_TRUE(cluster.envelopes().debug_validate(cluster.timelines()));
+}
+
+/// Allocations made by growth and retire ticks on a fleet of `n` servers of
+/// which only one ever hosts a VM.
+std::size_t allocations_with_one_touched_server(std::size_t n) {
+  ClusterState cluster(five_class_fleet(n), /*initial_horizon=*/0);
+  cluster.ensure_horizon(100);
+  cluster.place(3, vm(1, 1, 60, 2.0, 2.0));
+  const std::size_t before = allocations();
+  cluster.ensure_horizon(400);  // rebuilds the touched server
+  cluster.advance_to(80);       // retires the VM
+  cluster.ensure_horizon(3000);
+  cluster.advance_to(2000);     // GC rebuild of the touched server
+  return allocations() - before;
+}
+
+// The same growth and retire ticks allocate exactly as much on 10,000
+// servers as on 10: only the touched server's trees are ever rebuilt.
+TEST(LazyTimeline, GrowthAndRetireAllocateForTouchedServersOnly) {
+  const std::size_t small = allocations_with_one_touched_server(10);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(allocations_with_one_touched_server(10000), small);
+}
+
 TEST(MakeTimelines, OnePerServer) {
   std::vector<ServerSpec> servers{basic_server(0), basic_server(1)};
   const auto timelines = make_timelines(servers, 42);
@@ -310,3 +473,25 @@ TEST(MakeTimelines, OnePerServer) {
 
 }  // namespace
 }  // namespace esva
+
+// Counting replacements of the global allocation functions (see
+// g_allocations). The nothrow and aligned forms keep their library
+// definitions, which forward here or to the aligned allocator. noinline
+// keeps GCC from pairing an inlined malloc with an inlined free at call
+// sites (its -Wmismatched-new-delete would then fire on std::vector).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  esva::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
