@@ -31,16 +31,6 @@ std::string error_response(const Request* req, const std::string& what) {
   return out;
 }
 
-/// vm.duration() > kMaxPlaceDuration, without overflowing on the extreme
-/// times the wire accepts: end - start is exact in unsigned arithmetic once
-/// end >= start.
-bool exceeds_duration_limit(const VmSpec& vm) {
-  return vm.end >= vm.start &&
-         static_cast<std::uint64_t>(vm.end) -
-                 static_cast<std::uint64_t>(vm.start) >=
-             static_cast<std::uint64_t>(kMaxPlaceDuration);
-}
-
 std::string fmt_energy17(Energy e) {
   std::ostringstream out;
   out.precision(17);
@@ -334,12 +324,6 @@ std::string Daemon::dispatch(const Request& req) {
   out += ",\"op\":" + json::escape(to_string(req.op));
   switch (req.op) {
     case OpKind::kPlace: {
-      if (exceeds_duration_limit(req.vm))
-        throw std::invalid_argument(
-            "place: vm " + std::to_string(req.vm.id) + " spans [" +
-            std::to_string(req.vm.start) + ", " + std::to_string(req.vm.end) +
-            "], longer than the limit of " +
-            std::to_string(kMaxPlaceDuration) + " time units");
       const PlacementDecision decision = apply_place(req.vm);
       const std::uint64_t seq = next_seq_;
       journal(encode_place_record(seq, options_.allocator, req.vm, decision,
@@ -427,7 +411,10 @@ namespace {
 
 struct Connection {
   int fd = -1;
+  /// Bytes read but not yet consumed as complete lines.
   std::string inbuf;
+  /// inbuf[0, scanned) holds no '\n': the next search starts there.
+  std::size_t scanned = 0;
 };
 
 void write_all(int fd, const std::string& data) {
@@ -510,14 +497,34 @@ int Daemon::serve_loop(const std::string& socket_path,
       }
       if (n <= 0) continue;  // EINTR
       c.inbuf.append(buf, static_cast<std::size_t>(n));
+      // Each byte is searched once; the consumed prefix is dropped once per
+      // read, not once per line.
+      std::size_t consumed = 0;
+      bool overlong = false;
       std::size_t nl;
-      while ((nl = c.inbuf.find('\n')) != std::string::npos) {
-        std::string line = c.inbuf.substr(0, nl);
-        c.inbuf.erase(0, nl + 1);
+      while ((nl = c.inbuf.find('\n', c.scanned)) != std::string::npos) {
+        c.scanned = nl + 1;
+        std::string line = c.inbuf.substr(consumed, nl - consumed);
+        consumed = nl + 1;
+        if (line.size() > kMaxRequestBytes) {
+          overlong = true;
+          break;
+        }
         if (!line.empty() && line.back() == '\r') line.pop_back();
         if (line.empty()) continue;
         write_all(c.fd, handle_line(line) + "\n");
         if (halted()) break;  // journal failure: stop accepting ops
+      }
+      c.inbuf.erase(0, consumed);
+      c.scanned = c.inbuf.size();
+      if (overlong || c.inbuf.size() > kMaxRequestBytes) {
+        write_all(c.fd, error_response(nullptr,
+                                       "request line longer than " +
+                                           std::to_string(kMaxRequestBytes) +
+                                           " bytes; closing the connection") +
+                            "\n");
+        ::close(c.fd);
+        c.fd = -1;  // compacted below
       }
     }
     conns.erase(std::remove_if(conns.begin(), conns.end(),

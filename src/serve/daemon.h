@@ -23,6 +23,11 @@
 // Threading: the daemon is single-threaded; serve_loop multiplexes
 // connections with poll() and handles one request at a time, so the engine
 // needs no locking and responses are totally ordered.
+//
+// Framing: each connection's input is scanned once, from where the last
+// read stopped, and consumed lines are compacted away once per read, so a
+// long line or a deep pipeline costs linear time. A line longer than
+// kMaxRequestBytes closes its connection after an error line.
 
 #pragma once
 
@@ -42,13 +47,13 @@
 
 namespace esva::serve {
 
-/// The longest VM a place op may request, in time units (end - start + 1).
-/// Longer ones get an error response before the engine is touched, so one
-/// request cannot stretch the planning horizon, and with it every touched
-/// server's resource trees (80 B per time unit of window), without bound.
-/// docs/SERVE.md gives the per-server tree bytes this bounds. WAL replay
-/// does not re-check it: a journal only ever holds accepted places.
-inline constexpr Time kMaxPlaceDuration = 100000;
+/// The longest request line serve_loop buffers, newline excluded. A client
+/// whose line grows past it gets an {"ok":false,...} line and is
+/// disconnected, so an unterminated line cannot grow the daemon without
+/// bound. The longest legal place encode_request writes — kMaxPlaceDuration
+/// units that are all distinct runs, every double at full hexfloat length —
+/// is about 5.3 MiB.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
 
 struct DaemonOptions {
   std::string allocator = "min-incremental";

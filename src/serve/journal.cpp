@@ -19,7 +19,12 @@ namespace esva::serve {
 
 namespace {
 
-constexpr int kWalVersion = 1;
+/// Version 2 writes profiles as runs (serve/wire.h); version 1 wrote one
+/// [cpu,mem] entry per unit. The decoder reads both entry forms, so both
+/// versions recover, and the bump stops an older daemon at the header
+/// instead of at the first run-form record.
+constexpr int kWalVersion = 2;
+constexpr int kOldestWalVersion = 1;
 
 /// u64 quantities (seq, seed) ride as decimal strings: a double-backed JSON
 /// number loses exactness past 2^53.
@@ -48,7 +53,7 @@ WalHeader decode_header(const json::Value& root, std::size_t line) {
     fail_line(line, "not an esva-wal header");
   const long long version = json::require_integer(
       root, "version", 1, std::numeric_limits<int>::max(), "wal header");
-  if (version != kWalVersion)
+  if (version < kOldestWalVersion || version > kWalVersion)
     fail_line(line, "unsupported wal version " + std::to_string(version));
   WalHeader h;
   h.allocator = json::require_string(root, "allocator", "wal header");

@@ -4,7 +4,7 @@
 //
 // Record schema (docs/FORMATS.md#wal):
 //
-//   header   {"op":"hdr","format":"esva-wal","version":1,"allocator":...,
+//   header   {"op":"hdr","format":"esva-wal","version":2,"allocator":...,
 //             "seed":"S","servers":N,"retry_max":...,"retry_delay":...,
 //             "retry_backoff":"0x...","retry_queue":N}
 //   place    {"op":"place","seq":"K","allocator":...,"vm":J,
@@ -15,6 +15,13 @@
 //   advance  {"op":"advance","seq":"K","to":T}
 //   fault    {"op":"fault","seq":"K","at":T,"kind":"fail","server":S}
 //   drain    {"op":"drain","seq":"K"}
+//
+// The "spec" is serve/wire.h's VM codec, so version 2 writes a profiled
+// VM's demands as [len,cpu,mem] runs. read_wal accepts versions 1 and 2:
+// version 1 journals wrote one [cpu,mem] entry per unit, which the decoder
+// still reads, so a daemon recovering a version 1 journal appends run-form
+// records to it, and from then on the file needs a reader of version 2 or
+// later (docs/FORMATS.md#wal).
 //
 // place and retire records are deliberate *supersets* of the decision-trace
 // schema (obs/trace.h): they carry "vm" and "chosen" exactly as to_jsonl

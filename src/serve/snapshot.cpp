@@ -19,7 +19,10 @@ namespace esva::serve {
 
 namespace {
 
-constexpr int kSnapshotVersion = 1;
+/// Version 2 writes profiles as runs (serve/wire.h); version 1 documents
+/// still load, since the decoder reads both entry forms.
+constexpr int kSnapshotVersion = 2;
+constexpr int kOldestSnapshotVersion = 1;
 
 std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
 
@@ -235,7 +238,7 @@ SnapshotData decode_snapshot(const std::string& text) {
     throw std::runtime_error("snapshot: not an esva-snapshot document");
   const long long version = json::require_integer(
       root, "version", 1, std::numeric_limits<int>::max(), "snapshot");
-  if (version != kSnapshotVersion)
+  if (version < kOldestSnapshotVersion || version > kSnapshotVersion)
     throw std::runtime_error("snapshot: unsupported version " +
                              std::to_string(version));
   SnapshotData snap;

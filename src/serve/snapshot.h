@@ -9,7 +9,9 @@
 // hexfloat string (bit-exact round trip, so the restored engine's cumulative
 // energy compares == against WAL checksums); every u64 (seed, sequence
 // numbers, rng words) rides as a decimal string, because a double-backed
-// JSON number cannot carry 64 bits.
+// JSON number cannot carry 64 bits. VMs use serve/wire.h's codec, so
+// version 2 writes profiles as [len,cpu,mem] runs; version 1 documents,
+// with one [cpu,mem] entry per unit, still load.
 //
 // A restored daemon replays the WAL records with seq > wal_seq on top of the
 // snapshot — snapshotting just bounds replay work; it never changes state.
@@ -46,7 +48,8 @@ struct SnapshotData {
 
 std::string encode_snapshot(const SnapshotData& snap);
 
-/// Throws std::runtime_error on malformed or version-mismatched input.
+/// Accepts versions 1 and 2. Throws std::runtime_error on malformed input
+/// or any other version.
 SnapshotData decode_snapshot(const std::string& text);
 
 /// Atomic durable write: <path>.tmp + fsync + rename + fsync(dirname).

@@ -1,9 +1,14 @@
 #include "serve/wire.h"
 
+#include <bit>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "util/parse.h"
 
@@ -84,6 +89,106 @@ std::string hex_double(double value) {
   return out;
 }
 
+namespace {
+
+/// A number or a hexfloat/decimal string read without building any context
+/// string: strtod straight on the text, refusing what parse_double_field
+/// refuses. False sends the caller to number_or_hex, which throws with its
+/// context (or accepts the one extra spelling it strips, a trailing '\r').
+bool fast_number(const json::Value& v, double* out) {
+  if (v.kind == json::Value::Kind::Number) {
+    *out = v.number;
+    return true;
+  }
+  if (v.kind != json::Value::Kind::String || v.string.empty()) return false;
+  const char* text = v.string.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end != text + v.string.size() || errno == ERANGE) return false;
+  *out = value;
+  return true;
+}
+
+Time require_time(const json::Value& obj, const std::string& key,
+                  const std::string& context) {
+  return static_cast<Time>(json::require_integer(
+      obj, key, std::numeric_limits<Time>::min(),
+      std::numeric_limits<Time>::max(), context));
+}
+
+/// Runs merge only units whose doubles have identical bit patterns, so
+/// +0.0 beside -0.0 (equal under ==) stays two runs and every unit decodes
+/// back to its own bits.
+bool same_bits(const Resources& a, const Resources& b) {
+  return std::bit_cast<std::uint64_t>(a.cpu) ==
+             std::bit_cast<std::uint64_t>(b.cpu) &&
+         std::bit_cast<std::uint64_t>(a.mem) ==
+             std::bit_cast<std::uint64_t>(b.mem);
+}
+
+/// The units one profile entry stands for: 1 for a [cpu,mem] unit, len for
+/// a [len,cpu,mem] run. Throws naming the field for any other shape and for
+/// a len that is not an integer >= 1.
+long long entry_units(const json::Value& entry, const std::string& context) {
+  if (entry.kind == json::Value::Kind::Array && entry.array.size() == 2)
+    return 1;
+  if (entry.kind != json::Value::Kind::Array || entry.array.size() != 3)
+    throw std::runtime_error(context +
+                             ": profile entries are [len,cpu,mem] runs or "
+                             "[cpu,mem] units");
+  long long len = 0;
+  if (!json::exact_integer(entry.array[0], &len) || len < 1)
+    throw std::runtime_error(context +
+                             ": profile run length must be an integer >= 1");
+  return len;
+}
+
+double profile_value(const json::Value& v, const std::string& context,
+                     const char* what) {
+  double value = 0.0;
+  if (fast_number(v, &value)) return value;
+  return number_or_hex(v, context + " profile " + what);
+}
+
+/// Expands a profile's entries into `duration` per-unit demands. The first
+/// pass reads only shapes and lengths: each length is checked against the
+/// units still unclaimed, so the running sum never passes `duration` (which
+/// decode_vm has bounded) and cannot overflow, and nothing is reserved until
+/// the lengths add up.
+std::vector<Resources> decode_profile(const json::Value& p,
+                                      std::int64_t duration,
+                                      const std::string& context) {
+  if (p.kind != json::Value::Kind::Array)
+    throw std::runtime_error(context + ": profile must be an array");
+  std::int64_t left = duration;
+  for (const json::Value& entry : p.array) {
+    const long long len = entry_units(entry, context);
+    if (len > left)
+      throw std::runtime_error(context + ": profile covers more than the " +
+                               std::to_string(duration) +
+                               " time units of the vm");
+    left -= len;
+  }
+  if (left != 0)
+    throw std::runtime_error(context + ": profile covers " +
+                             std::to_string(duration - left) + " of the " +
+                             std::to_string(duration) +
+                             " time units of the vm");
+  std::vector<Resources> units;
+  units.reserve(static_cast<std::size_t>(duration));
+  for (const json::Value& entry : p.array) {
+    const std::size_t at = entry.array.size() - 2;  // past a run's len
+    const Resources demand{profile_value(entry.array[at], context, "cpu"),
+                           profile_value(entry.array[at + 1], context, "mem")};
+    units.insert(units.end(),
+                 static_cast<std::size_t>(entry_units(entry, context)), demand);
+  }
+  return units;
+}
+
+}  // namespace
+
 double number_or_hex(const json::Value& v, const std::string& context) {
   if (v.kind == json::Value::Kind::Number) return v.number;
   if (v.kind == json::Value::Kind::String)
@@ -96,19 +201,10 @@ double require_number_or_hex(const json::Value& obj, const std::string& key,
   const json::Value* v = obj.find(key);
   if (!v)
     throw std::runtime_error(context + ": missing field '" + key + "'");
+  double value = 0.0;
+  if (fast_number(*v, &value)) return value;
   return number_or_hex(*v, context + " field '" + key + "'");
 }
-
-namespace {
-
-Time require_time(const json::Value& obj, const std::string& key,
-                  const std::string& context) {
-  return static_cast<Time>(json::require_integer(
-      obj, key, std::numeric_limits<Time>::min(),
-      std::numeric_limits<Time>::max(), context));
-}
-
-}  // namespace
 
 void append_vm(std::string& out, const VmSpec& vm) {
   out += "{\"id\":";
@@ -126,14 +222,20 @@ void append_vm(std::string& out, const VmSpec& vm) {
   out += ",\"end\":";
   out += std::to_string(vm.end);
   if (vm.has_profile()) {
+    const std::vector<Resources>& units = vm.profile;
     out += ",\"profile\":[";
-    for (std::size_t k = 0; k < vm.profile.size(); ++k) {
+    for (std::size_t k = 0; k < units.size();) {
+      std::size_t next = k + 1;
+      while (next < units.size() && same_bits(units[next], units[k])) ++next;
       if (k > 0) out += ',';
       out += '[';
-      append_hex_double(out, vm.profile[k].cpu);
+      out += std::to_string(next - k);
       out += ',';
-      append_hex_double(out, vm.profile[k].mem);
+      append_hex_double(out, units[k].cpu);
+      out += ',';
+      append_hex_double(out, units[k].mem);
       out += ']';
+      k = next;
     }
     out += ']';
   }
@@ -160,21 +262,18 @@ VmSpec decode_vm(const json::Value& obj, const std::string& context) {
   vm.demand.mem = require_number_or_hex(obj, "mem", context);
   vm.start = require_time(obj, "start", context);
   vm.end = require_time(obj, "end", context);
-  if (const json::Value* p = obj.find("profile"); p && !p->is_null()) {
-    if (p->kind != json::Value::Kind::Array)
-      throw std::runtime_error(context + ": profile must be an array");
-    std::vector<Resources> profile;
-    profile.reserve(p->array.size());
-    for (const json::Value& entry : p->array) {
-      if (entry.kind != json::Value::Kind::Array || entry.array.size() != 2)
-        throw std::runtime_error(context +
-                                 ": profile entries are [cpu,mem] pairs");
-      profile.push_back(
-          Resources{number_or_hex(entry.array[0], context + " profile cpu"),
-                    number_or_hex(entry.array[1], context + " profile mem")});
-    }
-    vm.set_profile(std::move(profile));
-  }
+  // In 64 bits: the extreme times the wire accepts would overflow Time.
+  const std::int64_t duration = std::int64_t{vm.end} - vm.start + 1;
+  if (duration > kMaxPlaceDuration)
+    throw std::runtime_error(
+        context + ": vm " + std::to_string(vm.id) + " spans [" +
+        std::to_string(vm.start) + ", " + std::to_string(vm.end) +
+        "], longer than the limit of " + std::to_string(kMaxPlaceDuration) +
+        " time units");
+  // An inverted interval has no units to expand; valid() refuses it below.
+  if (const json::Value* p = obj.find("profile");
+      p && !p->is_null() && duration >= 1)
+    vm.set_profile(decode_profile(*p, duration, context));
   if (!vm.valid())
     throw std::runtime_error(context + ": invalid vm spec (interval or "
                                        "demands malformed)");

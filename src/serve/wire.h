@@ -10,6 +10,12 @@
 // ("0x1.8p+1"); the decoder accepts either a hexfloat string or a plain JSON
 // number, so handwritten client requests stay ergonomic while daemon-emitted
 // records round-trip exactly.
+//
+// Profiles travel as runs: "profile":[[len,cpu,mem],...], one entry per
+// maximal stretch of units whose two doubles are bit-identical, so a VM that
+// holds a few demand phases costs a few entries, not one per time unit. The
+// decoder also accepts the older one-unit [cpu,mem] entries, in any mix with
+// runs, and expands both into the per-unit VmSpec::profile.
 
 #pragma once
 
@@ -21,6 +27,15 @@
 #include "util/types.h"
 
 namespace esva::serve {
+
+/// The longest VM the codec accepts, in time units (end - start + 1).
+/// decode_vm refuses a longer one right after reading its interval, before
+/// it expands any profile, so a short run-form line cannot make the decoder
+/// allocate without bound; the daemon therefore never hands the engine a
+/// place that would stretch the planning horizon, and with it every touched
+/// server's resource trees (80 B per time unit of window), without bound.
+/// docs/SERVE.md gives the per-server tree bytes this bounds.
+inline constexpr Time kMaxPlaceDuration = 100000;
 
 /// Operations a client can request.
 enum class OpKind {
@@ -64,14 +79,19 @@ double require_number_or_hex(const json::Value& obj, const std::string& key,
                              const std::string& context);
 
 /// VmSpec as a JSON object: {"id","type","cpu","mem","start","end"} plus
-/// "profile":[[cpu,mem],...] when profiled. Demands are hexfloat strings.
+/// "profile":[[len,cpu,mem],...] when profiled, one entry per run of
+/// bit-identical units. Demands are hexfloat strings.
 std::string encode_vm(const VmSpec& vm);
 
 /// encode_vm appended in place (journal hot path).
 void append_vm(std::string& out, const VmSpec& vm);
 
-/// Inverse of encode_vm; also accepts plain numbers for the demands.
-/// Validates VmSpec::valid() and throws std::runtime_error otherwise.
+/// Inverse of encode_vm; also accepts plain numbers for the demands and
+/// one-unit [cpu,mem] profile entries beside [len,cpu,mem] runs. Throws
+/// std::runtime_error naming the field for a VM longer than
+/// kMaxPlaceDuration (checked before any profile is expanded), a malformed
+/// profile entry, a run length that is not an integer >= 1, lengths that do
+/// not sum to the duration, or a spec that fails VmSpec::valid().
 VmSpec decode_vm(const json::Value& obj, const std::string& context);
 
 /// Serializes a request as one line (no trailing newline).

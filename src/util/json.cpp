@@ -1,6 +1,8 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -193,8 +195,9 @@ class Parser {
     if (pos_ == start) fail("expected a value");
     Value v;
     v.kind = Value::Kind::Number;
+    v.string.assign(text_, start, pos_ - start);
     try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
+      v.number = std::stod(v.string);
     } catch (const std::exception&) {
       fail("malformed number");
     }
@@ -243,11 +246,40 @@ double require_number(const Value& obj, const std::string& key,
   return v->number;
 }
 
+bool exact_integer(const Value& v, long long* out) {
+  if (v.kind != Value::Kind::Number) return false;
+  const char* first = v.string.data();
+  const char* last = first + v.string.size();
+  long long value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (end == last && ec == std::errc{}) {
+    *out = value;
+    return true;
+  }
+  // An all-digit token that overflows long long has no exact value; one
+  // that stops early ("1e3", "5.0", or a Value built without its token)
+  // falls back to the double, which is exact only up to 2^53.
+  if (end == last && ec == std::errc::result_out_of_range) return false;
+  if (!std::isfinite(v.number) || v.number != std::floor(v.number) ||
+      std::fabs(v.number) > kMaxExactInteger)
+    return false;
+  *out = static_cast<long long>(v.number);
+  return true;
+}
+
 long long require_integer(const Value& obj, const std::string& key,
                           long long lo, long long hi,
                           const std::string& context) {
-  return checked_integer(require_number(obj, key, context), lo, hi,
-                         context + ": field '" + key + "'");
+  const Value* v = obj.find(key);
+  if (!v || v->kind != Value::Kind::Number)
+    throw std::runtime_error(context + ": missing numeric field '" + key + "'");
+  long long value = 0;
+  if (!exact_integer(*v, &value) || value < lo || value > hi)
+    throw std::runtime_error(context + ": field '" + key +
+                             "' must be an integer in [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "], got " +
+                             v->string);
+  return value;
 }
 
 const std::string& require_string(const Value& obj, const std::string& key,

@@ -4,11 +4,14 @@
 // arrays, strings with escapes, numbers, booleans, null — with no external
 // dependency.
 //
-// Numbers are held as doubles (the JSON model); consumers that need an exact
-// integer go through the checked accessors below or util/parse.h's
-// checked_integer, which reject non-integral and out-of-range values instead
-// of casting blindly. 64-bit-exact quantities (rng words, sequence numbers
-// beyond 2^53) are carried as decimal *strings* in our formats.
+// Numbers are held as doubles (the JSON model) together with their token
+// text. Consumers that need an exact integer go through exact_integer or the
+// checked accessors below: a plain integer token is read exactly from its
+// text over the whole long long range, so a client's 64-bit correlation id
+// round-trips; any other spelling goes through the double, which must be
+// integral and within +-2^53. Nothing casts blindly. Unsigned 64-bit
+// quantities (rng words, sequence numbers, seeds) are carried as decimal
+// *strings* in our formats.
 
 #pragma once
 
@@ -23,6 +26,8 @@ struct Value {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
+  /// String: the decoded text. Number: the token as written ("-12",
+  /// "1e3"), which exact_integer reads.
   std::string string;
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;
@@ -43,10 +48,18 @@ Value parse(const std::string& text);
 /// characters become \uXXXX escapes).
 std::string escape(const std::string& s);
 
+/// The exact integer a Number holds. A plain integer token ("-12",
+/// "9007199254740993") is read from its text over the whole long long
+/// range; other spellings ("1e3", "5.0") go through the double and must be
+/// integral and at most 2^53 in magnitude. False for anything else: not a
+/// number, fractional, non-finite, or out of range.
+bool exact_integer(const Value& v, long long* out);
+
 // --- checked field accessors ------------------------------------------------
 // All throw std::runtime_error("<context>: ...") when the key is missing or
-// the wrong kind; the integer form additionally rejects non-integral and
-// out-of-range numbers.
+// the wrong kind; the integer form additionally rejects what exact_integer
+// refuses and values outside [lo, hi]. Messages are built only when
+// throwing.
 
 double require_number(const Value& obj, const std::string& key,
                       const std::string& context);

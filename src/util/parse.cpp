@@ -66,8 +66,11 @@ long long checked_integer(double value, long long lo, long long hi,
     fail(context, "expected a finite integer");
   if (value != std::floor(value))
     fail(context, "expected an integer, got a fractional value");
-  // Compare in double space: every int32-scale bound is exact in a double,
-  // and a value beyond ±2^53 is out of range for all callers anyway.
+  // A double beyond 2^53 no longer names one integer, and the extreme
+  // long long bounds round up in double space, so without this check 2^63
+  // would pass them into an undefined cast.
+  if (std::fabs(value) > kMaxExactInteger)
+    fail(context, "integer magnitude beyond 2^53 is not exact");
   if (value < static_cast<double>(lo) || value > static_cast<double>(hi))
     fail(context, "integer outside [" + std::to_string(lo) + ", " +
                       std::to_string(hi) + "]");

@@ -48,9 +48,14 @@ T parse_field_as(const std::string& field, const std::string& context) {
                       std::numeric_limits<T>::max(), context));
 }
 
+/// 2^53: every integer up to this magnitude is exact in a double, and the
+/// double-to-integer paths refuse anything beyond it.
+inline constexpr double kMaxExactInteger = 9007199254740992.0;
+
 /// Checked conversion of an already-parsed double (e.g. a JSON number) to an
 /// integer in [lo, hi]: rejects non-finite and non-integral values and
-/// out-of-range magnitudes instead of invoking the undefined cast.
+/// magnitudes beyond kMaxExactInteger or the range, instead of invoking the
+/// undefined cast.
 long long checked_integer(double value, long long lo, long long hi,
                           const std::string& context);
 

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/fault_plan.h"
 #include "ilp/solution_io.h"
@@ -15,6 +18,53 @@
 #include "util/json.h"
 #include "util/rng.h"
 #include "workload/trace.h"
+
+namespace {
+
+// Bytes requested from operator new while g_counting is set, so the run-form
+// decoder's allocation bound below is measured rather than estimated.
+bool g_counting = false;
+std::size_t g_allocated = 0;
+
+}  // namespace
+
+// Every form of global new in this binary is malloc, and every delete is
+// free: ASan pairs allocations with deallocations, and the library's nothrow
+// new (std::stable_sort's temporary buffer) would otherwise meet this free.
+// noinline keeps GCC from pairing an inlined malloc with an inlined free at
+// call sites (its -Wmismatched-new-delete would then fire on std::vector).
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  if (g_counting) g_allocated += size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = ::operator new(size, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace esva {
 namespace {
@@ -296,6 +346,116 @@ TEST(FuzzParsers, ServeRequestDecoderNeverCrashes) {
     } catch (const std::runtime_error&) {
     }
   }
+}
+
+/// A place line whose profile is `entries`, over [start, end].
+std::string run_place(const std::string& entries, long long start = 5,
+                      long long end = 16) {
+  return R"({"op":"place","vm":{"id":3,"cpu":2,"mem":4,"start":)" +
+         std::to_string(start) + R"(,"end":)" + std::to_string(end) +
+         R"(,"profile":[)" + entries + "]}}";
+}
+
+/// Decodes one line the way the daemon does, with allocations counted.
+/// The decoder may only throw std::runtime_error; an accepted place must be
+/// a valid VM with one profile unit per time unit; and a line under 1 KB
+/// may not make it allocate more than 2 MiB. Returns whether it decoded.
+bool decode_checked(const std::string& line) {
+  g_allocated = 0;
+  g_counting = true;
+  bool accepted = false;
+  try {
+    const serve::Request req = serve::decode_request(line);
+    g_counting = false;
+    accepted = true;
+    EXPECT_EQ(req.op, serve::OpKind::kPlace) << line;
+    EXPECT_TRUE(req.vm.valid()) << line;
+    EXPECT_EQ(static_cast<Time>(req.vm.profile.size()), req.vm.duration())
+        << line;
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-runtime_error " << e.what() << " for " << line;
+  }
+  g_counting = false;
+  if (line.size() < 1024) {
+    EXPECT_LE(g_allocated, std::size_t{2} << 20) << line;
+  }
+  return accepted;
+}
+
+TEST(FuzzParsers, RunFormPlaceMutationsAreCaught) {
+  // Each profile covers the 12 units of [5, 16] unless the comment says
+  // otherwise.
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {R"([4,2,1],[5,1,4],[3,1.5,2])", true},
+      {R"([2,1],[3,2,1],["0x1p+0",4],[6,1.5,2],[1,1])", true},  // mixed
+      {R"([1e1,2,1],[2,1,4])", true},  // an exponent that names an integer
+      {R"([0,2,1],[9,1,4],[3,1.5,2])", false},   // len 0
+      {R"([-1,2,1],[10,1,4],[3,1.5,2])", false},  // len -1
+      {R"([1.5,2,1],[7.5,1,4],[3,1.5,2])", false},  // fractional len
+      {R"([9007199254740992,2,1])", false},     // 2^53
+      {R"([9223372036854775807,2,1])", false},  // 2^63 - 1
+      {R"([9223372036854775808,2,1])", false},  // 2^63
+      {R"([18446744073709551628,2,1])", false},  // 2^64 + 12
+      // Two lengths whose sum would overflow a signed 64-bit running total.
+      {R"([9223372036854775807,2,1],[9223372036854775807,2,1])", false},
+      {R"([4,2,1],[5,1,4],[2,1.5,2])", false},  // one short
+      {R"([4,2,1],[5,1,4],[4,1.5,2])", false},  // one long
+      {R"([12],[1,1])", false},                 // one element
+      {R"([4,2,1,7],[8,1,4])", false},          // four elements
+      {R"(["4",2,1],[8,1,4])", false},          // a string len
+      {R"([null,2,1],[8,1,4])", false},
+      {R"([4,2,1],5,[3,1.5,2])", false},        // a bare number
+      {R"([4,2,1],[5,1,4],[3,1.5,-2])", false},  // negative demand
+      {R"([4,2,1],[5,1,4],[3,1.5,"x"])", false},
+      {R"([1000000000000,2,1])", false},        // 10^12 units
+      {"", false},                              // no units at all
+  };
+  for (const auto& [entries, valid] : cases)
+    EXPECT_EQ(decode_checked(run_place(entries)), valid) << entries;
+
+  // The claimed length is checked against the interval before anything is
+  // sized by it: 10^12 units fail on the interval or the duration limit,
+  // and the longest legal run allocates its 1.6 MB and no more.
+  EXPECT_FALSE(decode_checked(run_place("[1000000000000,2,1]", 1,
+                                        1000000000000LL)));
+  EXPECT_FALSE(decode_checked(run_place("[100001,2,1]", 1, 100001)));
+  EXPECT_TRUE(decode_checked(run_place("[100000,2,1]", 1, 100000)));
+  EXPECT_GE(g_allocated, 100000 * sizeof(Resources)) << "counter is live";
+  EXPECT_FALSE(decode_checked(run_place("[1,2,1]", 3, 2)));  // inverted
+}
+
+TEST(FuzzParsers, RunFormPlaceRandomMutationsNeverCrash) {
+  Rng rng(0x5e125);
+  static const std::vector<std::string> kTokens = {
+      "0",     "1",      "-1",   "1.5",  "12",  "9007199254740992",
+      "9223372036854775808", "1e12", "-0",   "1e308", R"("4")",
+      R"("0x1p+0")",         "null", "[]",   "true", "100000", "0.1"};
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Between one and four entries, each a run or a unit, every field drawn
+    // from a valid value or a hostile token.
+    std::string entries;
+    const int count = static_cast<int>(rng.uniform_int(1, 4));
+    for (int e = 0; e < count; ++e) {
+      if (e > 0) entries += ',';
+      const int fields = static_cast<int>(rng.uniform_int(1, 4));
+      entries += '[';
+      for (int f = 0; f < fields; ++f) {
+        if (f > 0) entries += ',';
+        entries += rng.bernoulli(0.7)
+                       ? std::to_string(rng.uniform_int(1, 6))
+                       : kTokens[rng.index(kTokens.size())];
+      }
+      entries += ']';
+    }
+    const long long start = rng.uniform_int(1, 4);
+    const long long end = rng.bernoulli(0.9)
+                              ? start + rng.uniform_int(0, 11)
+                              : start + rng.uniform_int(-2, 200000);
+    if (decode_checked(run_place(entries, start, end))) ++accepted;
+  }
+  EXPECT_GT(accepted, 0u) << "the mutator should also produce valid lines";
 }
 
 TEST(FuzzParsers, JsonParserBoundsRecursionDepth) {

@@ -12,6 +12,7 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +28,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -156,6 +159,156 @@ TEST(ServeWire, DecodeRejectsMalformedRequests) {
                    R"({"op":"place","vm":{"id":1,"type":"t","cpu":-1,)"
                    R"("mem":3,"start":4,"end":2}})"),
                std::runtime_error);
+}
+
+/// The profile writer of format version 1: one [cpu,mem] entry per time
+/// unit. The codec only reads this form now, so the old-format tests carry
+/// their own writer.
+std::string per_unit_vm(const VmSpec& vm) {
+  std::string out = serve::encode_vm(vm);
+  if (!vm.has_profile()) return out;
+  out.erase(out.find(",\"profile\":"));
+  out += ",\"profile\":[";
+  for (std::size_t k = 0; k < vm.profile.size(); ++k) {
+    if (k > 0) out += ',';
+    out += '[' + serve::hex_double(vm.profile[k].cpu) + ',' +
+           serve::hex_double(vm.profile[k].mem) + ']';
+  }
+  out += "]}";
+  return out;
+}
+
+/// Maximal runs of bit-identical units: one plus the bit changes between
+/// neighbours.
+std::size_t bit_runs(const std::vector<Resources>& units) {
+  std::size_t runs = units.empty() ? 0 : 1;
+  for (std::size_t k = 1; k < units.size(); ++k)
+    if (std::memcmp(&units[k], &units[k - 1], sizeof(Resources)) != 0) ++runs;
+  return runs;
+}
+
+void expect_same_units(const std::vector<Resources>& got,
+                       const std::vector<Resources>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k)
+    EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(Resources)), 0)
+        << "unit " << k;
+}
+
+VmSpec decode_vm_text(const std::string& text) {
+  return serve::decode_vm(json::parse(text), "test");
+}
+
+TEST(ServeWire, ProfileRunsRoundTripBitExact) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<Resources>> profiles = {
+      std::vector<Resources>(9, Resources{0.1, 6.8}),  // a single run
+      {{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {0.7, 0.8}, {0.9, 1.0}},
+      {{0.1, 6.8}},  // a one-unit VM
+      {{0.0, 1.0}, {-0.0, 1.0}, {-0.0, 1.0}, {0.0, 1.0}, {0.0, -0.0}},
+      {{tiny, 3 * tiny}, {tiny, 3 * tiny}, {2 * tiny, tiny}, {0x1p-1070, 0.5}},
+      // 0.1 + 0.2 and 0.3 print alike in decimal but differ in bits.
+      {{0.1, 0.7}, {0.1, 0.7}, {0.1 + 0.2, 0.7}, {0.3, 0.7}, {0.3, 0.7}},
+  };
+  for (std::size_t c = 0; c < profiles.size(); ++c) {
+    SCOPED_TRACE("profile " + std::to_string(c));
+    const std::vector<Resources>& units = profiles[c];
+    VmSpec vm = testing::vm(
+        3, 5, 5 + static_cast<Time>(units.size()) - 1, 1.0, 1.0);
+    vm.set_profile(units);
+    const std::string text = serve::encode_vm(vm);
+    const json::Value parsed = json::parse(text);
+    const json::Value* entries = parsed.find("profile");
+    ASSERT_NE(entries, nullptr);
+    EXPECT_EQ(entries->array.size(), bit_runs(units)) << text;
+    for (const json::Value& entry : entries->array)
+      EXPECT_EQ(entry.array.size(), 3u) << text;
+    const VmSpec back = serve::decode_vm(parsed, "test");
+    expect_same_units(back.profile, units);
+    EXPECT_EQ(std::memcmp(&back.demand, &vm.demand, sizeof(Resources)), 0);
+    EXPECT_EQ(serve::encode_vm(back), text);
+  }
+}
+
+TEST(ServeWire, PerUnitAndMixedProfilesDecodeLikeRuns) {
+  VmSpec vm = testing::vm(4, 10, 17, 1.0, 1.0);
+  vm.set_profile({{0.5, 1.5}, {0.5, 1.5}, {0.5, 1.5}, {0.25, 2.0},
+                  {0.25, 2.0}, {0.1, 0.7}, {0.1, 0.7}, {0.1, 0.7}});
+  const VmSpec runs = decode_vm_text(serve::encode_vm(vm));
+  const VmSpec units = decode_vm_text(per_unit_vm(vm));
+  // Runs and one-unit entries in any mix, numbers or hexfloat strings.
+  const VmSpec mixed = decode_vm_text(
+      R"({"id":4,"cpu":1,"mem":1,"start":10,"end":17,"profile":)"
+      R"([[2,0.5,1.5],["0x1p-1","0x1.8p+0"],[2,"0x1p-2",2],)"
+      R"([0.1,0.7],[2,0.1,"0x1.6666666666666p-1"]]})");
+  for (const VmSpec* back : {&runs, &units, &mixed}) {
+    EXPECT_EQ(back->id, vm.id);
+    EXPECT_EQ(back->start, vm.start);
+    EXPECT_EQ(back->end, vm.end);
+    expect_same_units(back->profile, vm.profile);
+    EXPECT_EQ(std::memcmp(&back->demand, &vm.demand, sizeof(Resources)), 0);
+  }
+}
+
+TEST(ServeWire, StableVmEncodesWithoutAProfile) {
+  VmSpec vm = testing::vm(7, 3, 12, 1.5, 6.75);
+  vm.type_name = "m1.small";
+  EXPECT_EQ(serve::encode_vm(vm),
+            R"({"id":7,"type":"m1.small","cpu":"0x1.8p+0","mem":"0x1.bp+2",)"
+            R"("start":3,"end":12})");
+}
+
+TEST(ServeWire, RequestIdsKeepEveryBitOfALongLong) {
+  for (const std::string id :
+       {"9007199254740993", "9223372036854775807", "-9223372036854775808"}) {
+    const std::string line = R"({"op":"stats","id":)" + id + "}";
+    const Request req = serve::decode_request(line);
+    ASSERT_TRUE(req.has_id);
+    EXPECT_EQ(std::to_string(req.id), id);
+    EXPECT_EQ(serve::encode_request(req), line);
+  }
+  try {
+    serve::decode_request(R"({"op":"stats","id":9223372036854775808})");
+    ADD_FAILURE() << "2^63 does not fit a long long";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'id'"), std::string::npos)
+        << e.what();
+  }
+  // Other spellings go through the double: exact to 2^53, refused beyond.
+  EXPECT_EQ(serve::decode_request(R"({"op":"advance","to":1e3})").to, 1000);
+  EXPECT_EQ(serve::decode_request(R"({"op":"stats","id":9.007199254740992e15})")
+                .id,
+            9007199254740992LL);
+  for (const char* line : {R"({"op":"stats","id":9.3e18})",
+                           R"({"op":"stats","id":-1e19})",
+                           R"({"op":"stats","id":1.5})"})
+    EXPECT_THROW(serve::decode_request(line), std::runtime_error) << line;
+}
+
+// The longest place encode_request writes for a VM the decoder accepts:
+// kMaxPlaceDuration units that are all distinct runs, every double at full
+// hexfloat length. It must fit under the daemon's line cap.
+TEST(ServeWire, LongestLegalPlaceLineFitsTheRequestCap) {
+  Request place;
+  place.op = OpKind::kPlace;
+  place.has_id = true;
+  place.id = std::numeric_limits<long long>::min();
+  place.vm = testing::vm(std::numeric_limits<VmId>::max(), 1,
+                         serve::kMaxPlaceDuration, 1.0, 1.0);
+  std::vector<Resources> units(
+      static_cast<std::size_t>(serve::kMaxPlaceDuration));
+  for (std::size_t k = 0; k < units.size(); ++k) {
+    const double wide =
+        k % 2 ? 0x1.fffffffffffffp+1023 : 0x1.ffffffffffffep+1022;
+    units[k] = {wide, wide};
+  }
+  place.vm.set_profile(units);
+  const std::string line = serve::encode_request(place);
+  EXPECT_GT(line.size(), std::size_t{5} << 20);
+  EXPECT_LT(line.size(), serve::kMaxRequestBytes);
+  const Request back = serve::decode_request(line);
+  EXPECT_EQ(back.id, place.id);
+  expect_same_units(back.vm.profile, units);
 }
 
 // --- WAL --------------------------------------------------------------------
@@ -293,6 +446,51 @@ TEST(ServeWal, MissingHeaderIsFatal) {
   ::unlink(path.c_str());
 }
 
+// A complete run-form place on the last line is a record, not a torn tail.
+TEST(ServeWal, CompleteRunFormPlaceOnTheLastLineIsKept) {
+  const std::string path = temp_path("runs_tail.wal");
+  ::unlink(path.c_str());
+  VmSpec vm = testing::vm(2, 4, 11, 1.0, 1.0);
+  vm.set_profile({{1.0, 2.0}, {1.0, 2.0}, {1.0, 2.0}, {0.5, 2.0},
+                  {0.5, 2.0}, {0.5, 2.0}, {0.5, 2.0}, {0.25, 1.0}});
+  PlacementDecision decision;
+  decision.server = 1;
+  {
+    serve::WalWriter writer(path, test_header(), 1);
+    writer.append(
+        serve::encode_place_record(1, "min-incremental", vm, decision, 7.5));
+  }
+  const WalFile wal = serve::read_wal(path);
+  EXPECT_FALSE(wal.torn_tail);
+  ASSERT_EQ(wal.records.size(), 1u);
+  EXPECT_NE(wal.records[0].raw.find(R"("profile":[[3,)"), std::string::npos)
+      << wal.records[0].raw;
+  expect_same_units(wal.records[0].vm.profile, vm.profile);
+  EXPECT_EQ(wal.records[0].chosen, 1);
+  ::unlink(path.c_str());
+}
+
+// Versions 1 and 2 read; anything else stops at the header, so a reader
+// never meets a record form it does not know. (A record follows the header:
+// a malformed last line would read as a torn tail.)
+TEST(ServeWal, UnknownVersionsAreRefused) {
+  const std::string path = temp_path("version.wal");
+  const std::string header = serve::encode_wal_header(test_header());
+  ASSERT_NE(header.find("\"version\":2"), std::string::npos) << header;
+  for (const std::string version : {"0", "1", "2", "3"}) {
+    std::string line = header;
+    line.replace(line.find("\"version\":2"), 11, "\"version\":" + version);
+    std::ofstream(path, std::ios::trunc)
+        << line << '\n' << serve::encode_advance_record(1, 5) << '\n';
+    if (version == "1" || version == "2") {
+      EXPECT_TRUE(serve::read_wal(path).has_header) << version;
+    } else {
+      EXPECT_THROW(serve::read_wal(path), std::runtime_error) << version;
+    }
+  }
+  ::unlink(path.c_str());
+}
+
 TEST(ServeWal, RecordsDoubleAsDecisionTrace) {
   // The journal's place/retire lines must stay loadable by the *real*
   // decision-trace loader, with last-write-wins resolving a retired VM to
@@ -401,6 +599,22 @@ TEST(ServeSnapshot, AbsentFileReportsNotFound) {
   EXPECT_FALSE(found);
 }
 
+TEST(ServeSnapshot, UnknownVersionsAreRefused) {
+  serve::SnapshotData snap;
+  snap.allocator = "min-incremental";
+  const std::string text = serve::encode_snapshot(snap);
+  ASSERT_NE(text.find("\"version\":2"), std::string::npos) << text;
+  for (const std::string version : {"0", "1", "2", "3"}) {
+    std::string doc = text;
+    doc.replace(doc.find("\"version\":2"), 11, "\"version\":" + version);
+    if (version == "1" || version == "2") {
+      EXPECT_EQ(serve::decode_snapshot(doc).allocator, "min-incremental");
+    } else {
+      EXPECT_THROW(serve::decode_snapshot(doc), std::runtime_error) << version;
+    }
+  }
+}
+
 // --- daemon vs replay_stream equivalence ------------------------------------
 
 struct Workload {
@@ -454,32 +668,44 @@ ReplayReport reference_run(const Workload& w, const std::string& allocator,
   return replay_stream(arrivals, w.servers, *policy, rng, options);
 }
 
-/// Feeds the workload to `daemon` the way `esva client` would: places in
-/// start-time order, each fault event sent before the first arrival at or
-/// after it.
-void feed_daemon(Daemon& daemon, const Workload& w) {
+/// The request lines `esva client` would send for `w`: places in start-time
+/// order, each fault event before the first arrival at or after it.
+std::vector<std::string> request_lines(const Workload& w) {
+  std::vector<std::string> lines;
   std::size_t next_fault = 0;
-  const auto send_fault = [&](const FaultEvent& event) {
+  const auto fault_line = [&](const FaultEvent& event) {
     Request req;
     req.op = OpKind::kFault;
     req.fault = event;
-    const std::string response =
-        daemon.handle_line(serve::encode_request(req));
-    ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    lines.push_back(serve::encode_request(req));
   };
   for (const std::size_t j : order_by_start(w.vms)) {
     while (next_fault < w.fault_events.size() &&
            w.fault_events[next_fault].at <= w.vms[j].start)
-      send_fault(w.fault_events[next_fault++]);
+      fault_line(w.fault_events[next_fault++]);
     Request req;
     req.op = OpKind::kPlace;
     req.vm = w.vms[j];
-    const std::string response =
-        daemon.handle_line(serve::encode_request(req));
-    ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    lines.push_back(serve::encode_request(req));
   }
   while (next_fault < w.fault_events.size())
-    send_fault(w.fault_events[next_fault++]);
+    fault_line(w.fault_events[next_fault++]);
+  return lines;
+}
+
+/// Sends lines [from, to) to `daemon`; each must be acked.
+void send_lines(Daemon& daemon, const std::vector<std::string>& lines,
+                std::size_t from, std::size_t to) {
+  for (std::size_t k = from; k < to; ++k) {
+    const std::string response = daemon.handle_line(lines[k]);
+    ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+  }
+}
+
+/// Feeds the workload to `daemon` the way `esva client` would.
+void feed_daemon(Daemon& daemon, const Workload& w) {
+  const std::vector<std::string> lines = request_lines(w);
+  send_lines(daemon, lines, 0, lines.size());
 }
 
 void expect_matches_reference(const Daemon& daemon,
@@ -918,6 +1144,25 @@ TEST(ServeDaemon, StatsEchoesRequestId) {
   ::unlink(options.wal_path.c_str());
 }
 
+TEST(ServeDaemon, LongLongRequestIdsEchoExactly) {
+  const Workload w = make_workload(0x1d5, false);
+  DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "long_ids");
+  Daemon daemon(w.servers, options);
+  for (const std::string id :
+       {"9007199254740993", "9223372036854775807", "-9223372036854775808"}) {
+    const std::string response =
+        daemon.handle_line(R"({"op":"stats","id":)" + id + "}");
+    EXPECT_EQ(response.rfind("{\"ok\":true,\"id\":" + id + ",", 0), 0u)
+        << response;
+  }
+  const std::string refused =
+      daemon.handle_line(R"({"op":"stats","id":9223372036854775808})");
+  EXPECT_EQ(refused.rfind("{\"ok\":false,\"error\":", 0), 0u) << refused;
+  EXPECT_NE(refused.find("'id'"), std::string::npos) << refused;
+  ::unlink(options.wal_path.c_str());
+}
+
 TEST(ServeDaemon, HandleLineTurnsFailuresIntoStructuredErrors) {
   const Workload w = make_workload(0xbead, false);
   DaemonOptions options =
@@ -1016,6 +1261,131 @@ TEST(ServeDaemon, PlaceAtTheDurationLimitIsAccepted) {
   const std::string placed = daemon.handle_line(serve::encode_request(place));
   EXPECT_NE(placed.find("\"server\":0"), std::string::npos) << placed;
   ::unlink(options.wal_path.c_str());
+}
+
+// --- format version 1 -------------------------------------------------------
+
+/// make_workload with each VM's demand held in three constant phases (full,
+/// then 0.3x, then 0.65x), so its spec encodes as up to three runs.
+Workload make_profiled_workload(std::uint64_t seed) {
+  Workload w = make_workload(seed, /*with_faults=*/true);
+  for (VmSpec& vm : w.vms) {
+    const auto units = static_cast<std::size_t>(vm.duration());
+    std::vector<Resources> profile(units, vm.demand);
+    for (std::size_t k = units / 3; k < units; ++k)
+      profile[k] = vm.demand * (k < 2 * units / 3 ? 0.3 : 0.65);
+    vm.set_profile(std::move(profile));
+  }
+  return w;
+}
+
+/// Replaces every occurrence of `from`; false when there was none.
+bool replace_all(std::string& text, const std::string& from,
+                 const std::string& to) {
+  bool found = false;
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+    found = true;
+  }
+  return found;
+}
+
+/// Copies a daemon's WAL and snapshot as format version 1 wrote them:
+/// version 1 headers, and every profiled VM with one entry per unit.
+void write_version_one(const DaemonOptions& from, const DaemonOptions& to) {
+  const WalFile wal = serve::read_wal(from.wal_path);
+  std::string header = serve::encode_wal_header(wal.header);
+  ASSERT_TRUE(replace_all(header, "\"version\":2", "\"version\":1"));
+  std::ofstream out(to.wal_path, std::ios::trunc);
+  out << header << '\n';
+  for (const WalRecord& rec : wal.records) {
+    std::string line = rec.raw;
+    if (rec.op == WalRecord::Op::kPlace) {
+      ASSERT_TRUE(replace_all(line, serve::encode_vm(rec.vm),
+                              per_unit_vm(rec.vm)));
+    }
+    out << line << '\n';
+  }
+  bool found = false;
+  const serve::SnapshotData snap =
+      serve::load_snapshot(from.snapshot_path, &found);
+  ASSERT_TRUE(found);
+  std::string text = serve::encode_snapshot(snap);
+  ASSERT_TRUE(replace_all(text, "\"version\":2", "\"version\":1"));
+  std::size_t profiled = 0;
+  const auto rewrite = [&](const VmSpec& vm) {
+    if (!vm.has_profile()) return;
+    ++profiled;
+    replace_all(text, serve::encode_vm(vm), per_unit_vm(vm));
+  };
+  for (const ServerStateSnapshot& server : snap.engine.servers)
+    for (const VmSpec& vm : server.active) rewrite(vm);
+  for (const PendingSnapshot& pending : snap.engine.retry_queue)
+    rewrite(pending.vm);
+  EXPECT_GT(profiled, 0u) << "the snapshot must hold profiled VMs";
+  std::ofstream(to.snapshot_path, std::ios::trunc) << text << '\n';
+}
+
+void expect_same_state(Daemon& got, Daemon& want) {
+  EXPECT_EQ(got.last_seq(), want.last_seq());
+  EXPECT_EQ(got.assignment(), want.assignment());
+  const std::string stats = R"({"op":"stats"})";
+  EXPECT_EQ(energy_hex_of(got.handle_line(stats)),
+            energy_hex_of(want.handle_line(stats)));
+}
+
+// A version 1 WAL and snapshot, with per-unit profiles, recover to the state
+// a daemon reached through the current codec; the recovered daemon then
+// appends run-form records to the old journal, and a restart on that mixed
+// file reaches the same state again.
+TEST(ServeRecovery, VersionOneFilesRecoverAndTakeRunFormAppends) {
+  const Workload w = make_profiled_workload(0x01d);
+  const std::vector<std::string> lines = request_lines(w);
+  const std::size_t third = lines.size() / 3;
+  const DaemonOptions live_options = daemon_options(
+      "min-incremental", 42, test_retry(), "v1_live", /*with_snapshot=*/true);
+  const DaemonOptions old_options = daemon_options(
+      "min-incremental", 42, test_retry(), "v1_old", /*with_snapshot=*/true);
+
+  Daemon live(w.servers, live_options);
+  send_lines(live, lines, 0, third);
+  live.checkpoint();
+  send_lines(live, lines, third, 2 * third);
+  write_version_one(live_options, old_options);
+  const std::regex per_unit_entry(R"("profile":\[\["0x)");
+  const std::regex run_entry(R"("profile":\[\[[0-9]+,")");
+  {
+    std::ifstream in(old_options.wal_path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_TRUE(std::regex_search(text, per_unit_entry));
+    EXPECT_FALSE(std::regex_search(text, run_entry));
+  }
+  {
+    Daemon old(w.servers, old_options);
+    EXPECT_TRUE(old.recovered_from_snapshot());
+    EXPECT_GT(old.replayed_records(), 0u);
+    expect_same_state(old, live);
+    send_lines(old, lines, 2 * third, lines.size());
+  }
+  send_lines(live, lines, 2 * third, lines.size());
+
+  std::ifstream in(old_options.wal_path);
+  const std::string mixed((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(mixed.rfind("{\"op\":\"hdr\",\"format\":\"esva-wal\",\"version\":1",
+                        0),
+            0u);
+  EXPECT_TRUE(std::regex_search(mixed, per_unit_entry));
+  EXPECT_TRUE(std::regex_search(mixed, run_entry));
+  Daemon restarted(w.servers, old_options);
+  expect_same_state(restarted, live);
+
+  for (const DaemonOptions* o : {&live_options, &old_options}) {
+    ::unlink(o->wal_path.c_str());
+    ::unlink(o->snapshot_path.c_str());
+  }
 }
 
 // --- socket loop ------------------------------------------------------------
@@ -1205,6 +1575,173 @@ TEST(ServeSocket, ConnectionsStayAlignedAcrossCloseAndAcceptInOneRound) {
   stop.store(true);
   server.join();
   ::unlink(options.wal_path.c_str());
+}
+
+/// Bounds every blocking read and send on `fd`, so a daemon that stops
+/// answering or reading fails the test instead of hanging it.
+void set_io_timeout(int fd, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
+/// Reads newline-terminated lines through a buffer: the pipelining tests
+/// read megabytes, which read_line's one read() per byte would crawl
+/// through.
+class LineReader {
+ public:
+  explicit LineReader(int fd) : fd_(fd) {}
+
+  /// The next line without its newline; empty at EOF or on an error.
+  std::string next() {
+    for (;;) {
+      const std::size_t nl = buf_.find('\n', pos_);
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(pos_, nl - pos_);
+        pos_ = nl + 1;
+        return line;
+      }
+      buf_.erase(0, pos_);
+      pos_ = 0;
+      char chunk[65536];
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return "";
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
+  std::size_t pos_ = 0;
+};
+
+/// A daemon serving on its own socket from a thread, stopped on scope exit.
+class ServingDaemon {
+ public:
+  ServingDaemon(const Workload& w, const std::string& tag)
+      : options_(daemon_options("min-incremental", 42, RetryPolicy{}, tag)),
+        daemon_(w.servers, options_),
+        socket_(temp_path(tag + ".sock")) {
+    ::unlink(socket_.c_str());
+    thread_ = std::thread([this] {
+      try {
+        daemon_.serve_loop(socket_, stop_, [this] { listening_.store(true); });
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "serve_loop: " << e.what();
+        listening_.store(true);
+      }
+    });
+    while (!listening_.load()) std::this_thread::yield();
+  }
+  ~ServingDaemon() {
+    stop_.store(true);
+    thread_.join();
+    ::unlink(options_.wal_path.c_str());
+  }
+  ServingDaemon(const ServingDaemon&) = delete;
+  ServingDaemon& operator=(const ServingDaemon&) = delete;
+
+  const std::string& socket() const { return socket_; }
+
+ private:
+  DaemonOptions options_;
+  Daemon daemon_;
+  std::string socket_;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> listening_{false};
+  std::thread thread_;
+};
+
+// A line that grows past kMaxRequestBytes without a newline is refused with
+// an error line and its connection closed, while another connection keeps
+// being served and the daemon's state does not move.
+TEST(ServeSocket, OverlongLineIsRefusedAndDisconnected) {
+  ServingDaemon serving(make_workload(0x10a6, false), "overlong_line");
+  const int bystander = raw_connect(serving.socket());
+  ASSERT_GE(bystander, 0);
+  set_io_timeout(bystander, 30);
+  ASSERT_TRUE(send_line(bystander, R"({"op":"stats"})"));
+  const std::string stats_before = read_line(bystander);
+  ASSERT_EQ(stats_before.rfind("{\"ok\":true", 0), 0u) << stats_before;
+
+  const int flood = raw_connect(serving.socket());
+  ASSERT_GE(flood, 0);
+  set_io_timeout(flood, 30);
+  std::thread sender([flood] {
+    const std::string chunk(std::size_t{1} << 16, 'x');
+    std::size_t left = serve::kMaxRequestBytes + 1;
+    while (left > 0) {
+      const ssize_t n = ::send(flood, chunk.data(),
+                               std::min(left, chunk.size()), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;
+      left -= static_cast<std::size_t>(n);
+    }
+  });
+  for (int k = 0; k < 20; ++k) {
+    EXPECT_TRUE(send_line(bystander, R"({"op":"stats"})"));
+    EXPECT_EQ(read_line(bystander), stats_before);
+  }
+  sender.join();
+
+  const std::string refusal = read_line(flood);
+  EXPECT_EQ(refusal.rfind("{\"ok\":false,\"error\":", 0), 0u) << refusal;
+  EXPECT_NE(refusal.find(std::to_string(serve::kMaxRequestBytes)),
+            std::string::npos)
+      << refusal;
+  char byte = 0;
+  ssize_t n = 0;
+  do {
+    n = ::read(flood, &byte, 1);
+  } while (n < 0 && errno == EINTR);
+  EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET))
+      << "expected EOF after the refusal, read returned " << n;
+
+  ASSERT_TRUE(send_line(bystander, R"({"op":"stats"})"));
+  EXPECT_EQ(read_line(bystander), stats_before);
+  ::close(flood);
+  ::close(bystander);
+}
+
+// A pipelining client: 10,000 lines in one write, answered in order.
+TEST(ServeSocket, TenThousandPipelinedLinesAreAnsweredInOrder) {
+  ServingDaemon serving(make_workload(0x9193, false), "pipelined");
+  const int fd = raw_connect(serving.socket());
+  ASSERT_GE(fd, 0);
+  set_io_timeout(fd, 30);
+  constexpr int kLines = 10000;
+  std::string batch;
+  for (int k = 0; k < kLines; ++k)
+    batch += R"({"op":"stats","id":)" + std::to_string(k) + "}\n";
+  // The answers outgrow the socket buffers, so the write runs beside the
+  // reads.
+  std::thread sender([&batch, fd] {
+    std::size_t off = 0;
+    while (off < batch.size()) {
+      const ssize_t n = ::send(fd, batch.data() + off, batch.size() - off,
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;
+      off += static_cast<std::size_t>(n);
+    }
+  });
+  LineReader reader(fd);
+  int answered = 0;
+  for (; answered < kLines; ++answered) {
+    const std::string response = reader.next();
+    if (response.rfind(
+            "{\"ok\":true,\"id\":" + std::to_string(answered) + ",", 0) != 0) {
+      ADD_FAILURE() << "answer " << answered << ": " << response;
+      break;
+    }
+  }
+  ::shutdown(fd, SHUT_RDWR);  // frees the sender if answers stopped early
+  sender.join();
+  EXPECT_EQ(answered, kLines);
+  ::close(fd);
 }
 
 // --- end-to-end: real process, SIGKILL mid-stream ---------------------------
