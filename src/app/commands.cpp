@@ -608,8 +608,10 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
                     "snapshot path (optional); bounds startup replay to the "
                     "journal suffix past the snapshot");
   parser.add_int("wal-sync-every", 1,
-                 "fsync the journal every N >= 1 records; 1 = every op "
-                 "durable before its ack, N > 1 = group commit");
+                 "fsync the journal once N >= 1 records have been written "
+                 "since the last fsync; 1 = every ack follows the fsync of "
+                 "its record, N > 1 = every ack follows the write of its "
+                 "record (a power loss can lose N-1)");
   parser.add_int("snapshot-every", 0,
                  "auto-snapshot after N journaled ops (0 = only on explicit "
                  "snapshot/drain ops; needs --snapshot)");

@@ -1,7 +1,10 @@
 #include "serve/daemon.h"
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/file.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -24,11 +27,17 @@ namespace {
 
 std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
 
-std::string error_response(const Request* req, const std::string& what) {
+std::string error_response(const std::optional<long long>& id,
+                           const std::string& what) {
   std::string out = "{\"ok\":false";
-  if (req && req->has_id) out += ",\"id\":" + std::to_string(req->id);
+  if (id) out += ",\"id\":" + std::to_string(*id);
   out += ",\"error\":" + json::escape(what) + '}';
   return out;
+}
+
+std::string halt_reason(const std::exception& e) {
+  return std::string("journal I/O failed (") + e.what() +
+         "); engine state is ahead of the durable journal, halting";
 }
 
 std::string fmt_energy17(Energy e) {
@@ -83,6 +92,23 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   eopts.shard = options_.scan.shard_options();
   engine_ = std::make_unique<PlacementEngine>(std::move(servers), *policy_,
                                               rng_, eopts);
+
+  // One daemon per journal, decided before recovery reads it: a second
+  // writer would ack records under seqs this daemon already used, and the
+  // next recovery would refuse the file.
+  wal_lock_.fd =
+      ::open(options_.wal_path.c_str(), O_RDONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (wal_lock_.fd < 0)
+    throw std::runtime_error("cannot open wal '" + options_.wal_path +
+                             "': " + std::strerror(errno));
+  if (::flock(wal_lock_.fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    throw std::runtime_error(
+        err == EWOULDBLOCK
+            ? "wal '" + options_.wal_path + "' is locked by another daemon"
+            : "cannot lock wal '" + options_.wal_path +
+                  "': " + std::strerror(err));
+  }
 
   // --- recovery: snapshot restore, then journal replay past it ------------
   std::uint64_t applied = 0;
@@ -144,6 +170,10 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
 }
 
 Daemon::~Daemon() = default;
+
+Daemon::WalLock::~WalLock() {
+  if (fd >= 0) ::close(fd);
+}
 
 PlacementDecision Daemon::apply_place(const VmSpec& vm) {
   const PlacementDecision decision = engine_->submit(vm);
@@ -212,32 +242,37 @@ void Daemon::sync_resolutions() {
     assignment_[rs[resolutions_applied_].vm] = rs[resolutions_applied_].server;
 }
 
-void Daemon::wal_append(const std::string& record) {
-  try {
-    wal_->append(record);
-  } catch (const std::exception& e) {
-    // The engine already applied the op this record describes: in-memory
-    // state is now ahead of the durable journal, and every later record's
-    // chosen/energy checksums would be computed from state a replay can
-    // never reach. Serving on would be silent divergence — halt instead.
-    fatal_ = std::string("journal append failed (") + e.what() +
-             "); engine state is ahead of the durable journal, halting";
-    throw std::runtime_error(fatal_);
-  }
-}
-
+// A failed journal write or fsync halts the daemon: the engine already
+// applied the ops being written, so in-memory state is ahead of the durable
+// journal, and every later record's chosen/energy checksums would be
+// computed from state a replay can never reach. Serving on would be silent
+// divergence.
 void Daemon::wal_sync() {
   try {
     wal_->sync();
   } catch (const std::exception& e) {
-    fatal_ = std::string("journal sync failed (") + e.what() +
-             "); acked records may not be durable, halting";
+    fatal_ = halt_reason(e);
     throw std::runtime_error(fatal_);
   }
 }
 
+bool Daemon::commit_round() {
+  if (halted()) return false;
+  try {
+    wal_->commit();
+    return true;
+  } catch (const std::exception& e) {
+    fatal_ = halt_reason(e);
+    return false;
+  }
+}
+
+std::string Daemon::halt_response(const LineId& id) const {
+  return error_response(id, "daemon halted: " + fatal_);
+}
+
 void Daemon::journal(const std::string& record) {
-  wal_append(record);
+  wal_->stage(record);
   ++next_seq_;
   if (options_.snapshot_every > 0 &&
       ++ops_since_snapshot_ >= options_.snapshot_every)
@@ -263,6 +298,7 @@ void Daemon::do_snapshot() {
 }
 
 void Daemon::drain() {
+  if (halted()) throw std::runtime_error("daemon halted: " + fatal_);
   engine_->finish_stream();
   sync_resolutions();
   journal(encode_drain_record(next_seq_));
@@ -271,6 +307,7 @@ void Daemon::drain() {
 }
 
 void Daemon::checkpoint() {
+  if (halted()) throw std::runtime_error("daemon halted: " + fatal_);
   wal_sync();
   do_snapshot();
 }
@@ -291,6 +328,7 @@ std::string Daemon::stats_json(bool with_assignment, bool with_id,
   out += ",\"peak_resident\":" +
          std::to_string(engine_->peak_resident_time_units());
   out += ",\"wal_seq\":" + u64_field(next_seq_ - 1);
+  out += ",\"wal_fsyncs\":" + std::to_string(wal_->fsyncs());
   out += ",\"replayed\":" + std::to_string(replayed_);
   out += ",\"torn_tail_recovered\":";
   out += torn_tail_ ? "true" : "false";
@@ -388,19 +426,26 @@ std::string Daemon::dispatch(const Request& req) {
   return out;
 }
 
-std::string Daemon::handle_line(const std::string& line) {
-  if (halted()) return error_response(nullptr, "daemon halted: " + fatal_);
+std::string Daemon::apply_line(const std::string& line, LineId& id) {
   Request req;
   try {
     req = decode_request(line);
   } catch (const std::exception& e) {
-    return error_response(nullptr, e.what());
+    return error_response(std::nullopt, e.what());
   }
+  if (req.has_id) id = req.id;
+  if (halted()) return halt_response(id);
   try {
     return dispatch(req);
   } catch (const std::exception& e) {
-    return error_response(&req, e.what());
+    return error_response(id, e.what());
   }
+}
+
+std::string Daemon::handle_line(const std::string& line) {
+  LineId id;
+  std::string response = apply_line(line, id);
+  return commit_round() ? response : halt_response(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -415,6 +460,12 @@ struct Connection {
   std::string inbuf;
   /// inbuf[0, scanned) holds no '\n': the next search starts there.
   std::size_t scanned = 0;
+  /// The round's responses, held until it commits, and the id of each line
+  /// they answer (a halted round answers every line with the halt error).
+  std::string out;
+  std::vector<std::optional<long long>> ids;
+  /// Close once the round's responses are out (an overlong line).
+  bool closing = false;
 };
 
 void write_all(int fd, const std::string& data) {
@@ -433,6 +484,39 @@ void write_all(int fd, const std::string& data) {
   }
 }
 
+/// Removes a stale socket at `path` — one a killed daemon left behind, on
+/// which connect() is refused. Anything else there (a regular file, a
+/// directory, a socket another process listens on) is left untouched and
+/// throws.
+void remove_stale_socket(const std::string& path, const sockaddr_un& addr) {
+  struct stat st{};
+  if (::lstat(path.c_str(), &st) != 0) {
+    if (errno == ENOENT) return;
+    throw std::runtime_error("cannot stat socket path '" + path +
+                             "': " + std::strerror(errno));
+  }
+  if (!S_ISSOCK(st.st_mode))
+    throw std::runtime_error("socket path '" + path +
+                             "' exists and is not a socket; not replacing it");
+  const int probe =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (probe < 0)
+    throw std::runtime_error(std::string("socket() failed: ") +
+                             std::strerror(errno));
+  const int rc = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr));
+  const int err = errno;
+  ::close(probe);
+  // A full backlog (EAGAIN) still means someone is listening.
+  if (rc == 0 || err == EAGAIN)
+    throw std::runtime_error("socket '" + path +
+                             "' is served by another process");
+  if (err != ECONNREFUSED)
+    throw std::runtime_error("cannot probe socket '" + path +
+                             "': " + std::strerror(err));
+  ::unlink(path.c_str());
+}
+
 }  // namespace
 
 int Daemon::serve_loop(const std::string& socket_path,
@@ -443,13 +527,13 @@ int Daemon::serve_loop(const std::string& socket_path,
     throw std::invalid_argument("socket path too long (" +
                                 std::to_string(socket_path.size()) + " >= " +
                                 std::to_string(sizeof(addr.sun_path)) + ")");
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  remove_stale_socket(socket_path, addr);
   const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listener < 0)
     throw std::runtime_error(std::string("socket() failed: ") +
                              std::strerror(errno));
-  ::unlink(socket_path.c_str());  // a stale socket from a killed daemon
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
   if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     const int err = errno;
@@ -467,6 +551,30 @@ int Daemon::serve_loop(const std::string& socket_path,
   if (on_listening) on_listening();
 
   std::vector<Connection> conns;
+  // Ends a round: one commit of every record it staged, then each
+  // connection's responses in one write — or, when the daemon halted at
+  // any point in the round, the halt error for each of its lines.
+  const auto end_round = [&] {
+    const bool committed = commit_round();
+    for (Connection& c : conns) {
+      if (c.ids.empty()) continue;
+      if (!committed) {
+        c.out.clear();
+        for (const LineId& id : c.ids) {
+          c.out += halt_response(id);
+          c.out += '\n';
+        }
+      }
+      if (c.fd >= 0) write_all(c.fd, c.out);
+      c.out.clear();
+      c.ids.clear();
+      if (c.closing && c.fd >= 0) {
+        ::close(c.fd);
+        c.fd = -1;  // compacted after the round
+      }
+    }
+  };
+
   while (!stop.load(std::memory_order_relaxed)) {
     std::vector<pollfd> fds;
     fds.push_back({listener, POLLIN, 0});
@@ -483,8 +591,8 @@ int Daemon::serve_loop(const std::string& socket_path,
     // and only compact / accept afterwards — erasing mid-scan would shift
     // survivors onto the wrong pollfd's revents (a blocking read() on an
     // idle socket), and accepting first would grow conns past fds.
-    const std::size_t scanned = fds.size() - 1;
-    for (std::size_t k = 0; k < scanned && !halted(); ++k) {
+    const std::size_t polled = fds.size() - 1;
+    for (std::size_t k = 0; k < polled && !halted(); ++k) {
       const short revents = fds[k + 1].revents;
       if (!(revents & (POLLIN | POLLHUP | POLLERR))) continue;
       Connection& c = conns[k];
@@ -492,7 +600,7 @@ int Daemon::serve_loop(const std::string& socket_path,
       const ssize_t n = ::read(c.fd, buf, sizeof(buf));
       if (n <= 0 && !(n < 0 && errno == EINTR)) {
         ::close(c.fd);
-        c.fd = -1;  // compacted below
+        c.fd = -1;  // compacted after the round
         continue;
       }
       if (n <= 0) continue;  // EINTR
@@ -500,40 +608,43 @@ int Daemon::serve_loop(const std::string& socket_path,
       // Each byte is searched once; the consumed prefix is dropped once per
       // read, not once per line.
       std::size_t consumed = 0;
-      bool overlong = false;
       std::size_t nl;
       while ((nl = c.inbuf.find('\n', c.scanned)) != std::string::npos) {
         c.scanned = nl + 1;
-        std::string line = c.inbuf.substr(consumed, nl - consumed);
-        consumed = nl + 1;
-        if (line.size() > kMaxRequestBytes) {
-          overlong = true;
+        if (nl - consumed > kMaxRequestBytes) {
+          c.closing = true;
           break;
         }
+        std::string line = c.inbuf.substr(consumed, nl - consumed);
+        consumed = nl + 1;
         if (!line.empty() && line.back() == '\r') line.pop_back();
         if (line.empty()) continue;
-        write_all(c.fd, handle_line(line) + "\n");
-        if (halted()) break;  // journal failure: stop accepting ops
+        LineId id;
+        c.out += apply_line(line, id);
+        c.out += '\n';
+        c.ids.push_back(id);
+        if (c.out.size() > kMaxRoundOutputBytes) end_round();
       }
       c.inbuf.erase(0, consumed);
       c.scanned = c.inbuf.size();
-      if (overlong || c.inbuf.size() > kMaxRequestBytes) {
-        write_all(c.fd, error_response(nullptr,
-                                       "request line longer than " +
-                                           std::to_string(kMaxRequestBytes) +
-                                           " bytes; closing the connection") +
-                            "\n");
-        ::close(c.fd);
-        c.fd = -1;  // compacted below
+      if (c.closing || c.inbuf.size() > kMaxRequestBytes) {
+        c.out += error_response(std::nullopt,
+                                "request line longer than " +
+                                    std::to_string(kMaxRequestBytes) +
+                                    " bytes; closing the connection");
+        c.out += '\n';
+        c.ids.emplace_back();
+        c.closing = true;
       }
     }
+    end_round();
     conns.erase(std::remove_if(conns.begin(), conns.end(),
                                [](const Connection& c) { return c.fd < 0; }),
                 conns.end());
     if (halted()) break;
     if (fds[0].revents & POLLIN) {
       const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd >= 0) conns.push_back({fd, {}});
+      if (fd >= 0) conns.emplace_back().fd = fd;
     }
   }
   for (const Connection& c : conns) ::close(c.fd);

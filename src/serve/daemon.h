@@ -4,16 +4,24 @@
 // (serve/snapshot.h).
 //
 // Durability contract: every state-changing op is applied to the engine
-// first, then journaled, then acked (append-after-apply; the fsync schedule
-// is WalWriter's). A restarted daemon reconstructs its state by loading the
-// latest snapshot (if any) and *re-running the engine* over the journal
-// records after it — the same deterministic policy with the same seed makes
-// replay reproduce every decision bit-for-bit, and the journal's recorded
-// outcomes (chosen server, cumulative energy as hexfloat) are verified as
-// replay-fidelity checksums. tests/test_serve.cpp pins that a daemon-fed
-// stream — including one SIGKILLed and restarted mid-stream — produces
-// assignments and total energy byte-identical to the same workload through
-// `esva stream` (sim/replay.cpp).
+// first, then journaled, then acked (append-after-apply). The unit of commit
+// is the poll round: serve_loop applies every complete line it read from
+// every readable connection, writes the round's records with one write(),
+// fsyncs per WalWriter's schedule (at most once), and only then releases
+// the round's responses. With --wal-sync-every 1 no ack precedes the fsync
+// of its record; with N > 1 no ack precedes the write() of its record, so a
+// process crash loses no acked op and a power loss at most N-1
+// (docs/SERVE.md, "Durability model"). handle_line is a round of one line.
+//
+// A restarted daemon reconstructs its state by loading the latest snapshot
+// (if any) and *re-running the engine* over the journal records after it —
+// the same deterministic policy with the same seed makes replay reproduce
+// every decision bit-for-bit, and the journal's recorded outcomes (chosen
+// server, cumulative energy as hexfloat) are verified as replay-fidelity
+// checksums. tests/test_serve.cpp pins that a daemon-fed stream — including
+// one SIGKILLed and restarted mid-stream — produces assignments and total
+// energy byte-identical to the same workload through `esva stream`
+// (sim/replay.cpp).
 //
 // Engine configuration mirrors replay_stream exactly (grow-on-demand
 // horizon, auto-advance, energy accounting, tolerated late arrivals); fault
@@ -21,8 +29,13 @@
 // of a pre-bound plan, which runs the identical per-event code path.
 //
 // Threading: the daemon is single-threaded; serve_loop multiplexes
-// connections with poll() and handles one request at a time, so the engine
-// needs no locking and responses are totally ordered.
+// connections with poll() and handles one round at a time, applying its
+// lines one after another, so the engine needs no locking and each
+// connection's responses keep its request order.
+//
+// Exclusivity: a daemon holds an exclusive flock on its WAL for its
+// lifetime, taken before recovery reads the file, and serve_loop replaces
+// an existing socket path only when it is a socket nobody listens on.
 //
 // Framing: each connection's input is scanned once, from where the last
 // read stopped, and consumed lines are compacted away once per read, so a
@@ -36,6 +49,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +69,13 @@ namespace esva::serve {
 /// is about 5.3 MiB.
 inline constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
 
+/// The response bytes one connection may hold back in a round. Once its
+/// pending responses pass this, the round ends early — commit, then flush
+/// every connection — and the remaining lines start the next one, so a
+/// pipeline of large responses (stats with the assignment) cannot grow the
+/// daemon's output without bound.
+inline constexpr std::size_t kMaxRoundOutputBytes = std::size_t{1} << 20;
+
 struct DaemonOptions {
   std::string allocator = "min-incremental";
   std::uint64_t seed = 42;
@@ -63,8 +84,9 @@ struct DaemonOptions {
   /// Snapshot path; empty disables snapshots (recovery then replays the
   /// whole journal).
   std::string snapshot_path;
-  /// Journal fsync batching (WalWriter): 1 = every op durable before its
-  /// ack, N = group commit of N. Must be >= 1.
+  /// Journal fsync schedule (WalWriter): 1 = every op fsynced before its
+  /// ack; N > 1 = every op written before its ack, fsynced once N records
+  /// have been written since the last fsync. Must be >= 1.
   int wal_sync_every = 1;
   /// Auto-snapshot after this many journaled ops (0 = only on explicit
   /// snapshot/drain ops). Needs snapshot_path.
@@ -83,37 +105,42 @@ struct DaemonOptions {
 
 class Daemon {
  public:
-  /// Builds the engine and runs recovery: snapshot restore (if one exists),
-  /// then journal replay of every record past it, with checksum
-  /// verification. Throws std::runtime_error on header/config mismatches,
+  /// Builds the engine, locks the WAL and runs recovery: snapshot restore
+  /// (if one exists), then journal replay of every record past it, with
+  /// checksum verification. Throws std::runtime_error when another daemon
+  /// holds the WAL (before reading it), on header/config mismatches,
   /// mid-journal corruption, or replay divergence.
   Daemon(std::vector<ServerSpec> servers, DaemonOptions options);
   ~Daemon();
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Handles one request line, returns one response line (never throws —
-  /// failures become {"ok":false,...} responses). A journal append/sync
-  /// failure (ENOSPC, EIO) is NOT an ordinary op error: the engine already
-  /// applied the op, so in-memory state is ahead of the durable journal and
-  /// replay could no longer reproduce it. The daemon then halts — the
-  /// failing op gets its error response, every later line is refused, and
-  /// serve_loop exits — matching the refuse-to-serve-on-divergence
-  /// philosophy of recovery.
+  /// Handles one request line as a round of its own — apply, commit, then
+  /// respond — and returns one response line (never throws: failures become
+  /// {"ok":false,...} responses). A journal write or fsync failure (ENOSPC,
+  /// EIO, a short write) is NOT an ordinary op error: the engine already
+  /// applied the round's ops, so in-memory state is ahead of the durable
+  /// journal and replay could no longer reproduce it. The daemon then halts
+  /// — every line of the failing round gets a "daemon halted" error (its
+  /// outcome is unknown: the record may be in the file), every later line
+  /// is refused, and serve_loop exits — matching the
+  /// refuse-to-serve-on-divergence philosophy of recovery.
   std::string handle_line(const std::string& line);
 
-  /// Non-empty once a journal write failed and the daemon refuses further
-  /// ops (the message explains why).
+  /// Non-empty once a journal write or fsync failed and the daemon refuses
+  /// further ops (the message explains why).
   const std::string& fatal_error() const { return fatal_; }
   bool halted() const { return !fatal_.empty(); }
 
   /// End-of-stream drain: finish_stream + journal + sync + snapshot. The
-  /// same code path as the wire-level drain op.
+  /// same code path as the wire-level drain op. Throws once halted.
   void drain();
 
   /// Durability checkpoint without draining: journal sync + snapshot (when
   /// configured). Called on graceful shutdown — deliberately NOT drain(), so
   /// a restarted daemon continues the stream with its retry queue intact.
+  /// Throws once halted: a snapshot then would capture state the journal
+  /// never recorded.
   void checkpoint();
 
   /// Serves the wire protocol on a unix stream socket until `stop` becomes
@@ -122,7 +149,9 @@ class Daemon {
   /// Returns 0 on a clean stop, 1 when the daemon halted on a journal
   /// failure (fatal_error() has the reason — do NOT checkpoint then, the
   /// snapshot would capture state the journal never recorded); throws on
-  /// socket setup failures.
+  /// socket setup failures, and when `socket_path` exists and is not a
+  /// stale socket (a regular file, or a socket another process serves),
+  /// leaving that path untouched.
   int serve_loop(const std::string& socket_path, const std::atomic<bool>& stop,
                  const std::function<void()>& on_listening = {});
 
@@ -140,19 +169,33 @@ class Daemon {
                          long long id = 0) const;
 
  private:
+  /// The request id a response echoes, when the request carried one.
+  using LineId = std::optional<long long>;
+
   PlacementDecision apply_place(const VmSpec& vm);
   ServerId apply_retire(VmId vm);
   void replay_record(const WalRecord& rec);
   /// Folds engine resolutions (evacuations, retry placements, unresolved
   /// displacements) accrued since the last call into the assignment map.
   void sync_resolutions();
+  /// Stages `record` for the round's commit, and snapshots when
+  /// --snapshot-every is due.
   void journal(const std::string& record);
-  /// WalWriter::append / ::sync with halt-on-failure semantics: a throw
-  /// records fatal_ (the engine is ahead of the journal) and rethrows.
-  void wal_append(const std::string& record);
+  /// WalWriter::sync with halt-on-failure semantics: a throw records fatal_
+  /// (the engine is ahead of the journal) and rethrows.
   void wal_sync();
   void do_snapshot();
   std::string dispatch(const Request& req);
+  /// Applies one line as part of the current round: the engine moves and
+  /// its record is staged; the response it returns must wait for
+  /// commit_round. `id` receives the request's id.
+  std::string apply_line(const std::string& line, LineId& id);
+  /// Ends a round: one write() of the staged records, then the fsync the
+  /// schedule calls for. Returns false when the daemon is halted — now or
+  /// earlier in the round — and then no response of the round may go out;
+  /// each line gets halt_response instead.
+  bool commit_round();
+  std::string halt_response(const LineId& id) const;
 
   DaemonOptions options_;
   WalHeader header_;
@@ -160,6 +203,15 @@ class Daemon {
   std::unique_ptr<PlacementPolicy> policy_;
   Rng rng_;
   std::unique_ptr<PlacementEngine> engine_;
+  /// The descriptor holding the exclusive flock on the WAL. Declared before
+  /// wal_, so the writer closes before the lock is released.
+  struct WalLock {
+    int fd = -1;
+    WalLock() = default;
+    WalLock(const WalLock&) = delete;
+    WalLock& operator=(const WalLock&) = delete;
+    ~WalLock();
+  } wal_lock_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_seq_ = 1;
   std::map<VmId, ServerId> assignment_;
@@ -168,7 +220,8 @@ class Daemon {
   std::uint64_t replayed_ = 0;
   bool torn_tail_ = false;
   bool from_snapshot_ = false;
-  /// Set on the first journal write failure; the daemon refuses ops after.
+  /// Set on the first journal write or fsync failure; the daemon refuses
+  /// ops after.
   std::string fatal_;
 };
 

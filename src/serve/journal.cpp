@@ -246,27 +246,43 @@ WalFile read_wal(const std::string& path) {
     if (last && !lines[k].newline) {
       // A completed append batch always ends in '\n', so a newline-less
       // tail — even one that happens to parse — is a partial write whose op
-      // was never acked as durable: drop it.
+      // was never acked: drop it.
       wal.torn_tail = true;
       break;
     }
+    WalRecord rec;
+    bool header = false;
     try {
       const json::Value root = json::parse(lines[k].text);
       if (root.kind != json::Value::Kind::Object)
         fail_line(lines[k].number, "record is not a JSON object");
       const std::string& op = json::require_string(root, "op", "wal record");
-      if (op == "hdr") {
+      header = op == "hdr";
+      if (header) {
         if (have_header) fail_line(lines[k].number, "duplicate header");
         if (k != 0) fail_line(lines[k].number, "header not on the first line");
         wal.header = decode_header(root, lines[k].number);
-        wal.has_header = true;
-        have_header = true;
-        wal.valid_bytes = lines[k].end;
-        continue;
+      } else {
+        if (!have_header)
+          fail_line(lines[k].number, "journal does not start with a header");
+        rec = decode_record(root, op, lines[k].text, lines[k].number);
       }
-      if (!have_header)
-        fail_line(lines[k].number, "journal does not start with a header");
-      WalRecord rec = decode_record(root, op, lines[k].text, lines[k].number);
+    } catch (const std::exception&) {
+      if (last) {
+        // The crash window of an append: a torn final line is dropped, not
+        // fatal — the op it would have recorded was never acked.
+        wal.torn_tail = true;
+        break;
+      }
+      throw;  // mid-file corruption is a hard error, never skipped
+    }
+    if (header) {
+      wal.has_header = true;
+      have_header = true;
+    } else {
+      // Checked outside the torn-tail catch: a complete record that reuses
+      // a seq was written by a second daemon on this journal, and dropping
+      // it as torn would lose an op that daemon acked.
       if (rec.seq <= prev_seq)
         fail_line(lines[k].number,
                   "sequence numbers must strictly increase (" +
@@ -274,16 +290,8 @@ WalFile read_wal(const std::string& path) {
                       std::to_string(prev_seq) + ")");
       prev_seq = rec.seq;
       wal.records.push_back(std::move(rec));
-      wal.valid_bytes = lines[k].end;
-    } catch (const std::exception&) {
-      if (last) {
-        // The crash window of an append: a torn final line is dropped, not
-        // fatal — the op it would have recorded was never acked as durable.
-        wal.torn_tail = true;
-        break;
-      }
-      throw;  // mid-file corruption is a hard error, never skipped
     }
+    wal.valid_bytes = lines[k].end;
   }
   return wal;
 }
@@ -323,7 +331,7 @@ std::vector<VmDecisionTrace> decisions_from_wal(
 
 WalWriter::WalWriter(const std::string& path, const WalHeader& fresh_header,
                      int sync_every)
-    : sync_every_(sync_every < 1 ? 1 : sync_every) {
+    : sync_every_(static_cast<std::uint64_t>(sync_every < 1 ? 1 : sync_every)) {
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0)
     throw std::runtime_error("cannot open wal '" + path +
@@ -340,8 +348,8 @@ WalWriter::WalWriter(const std::string& path, const WalHeader& fresh_header,
 }
 
 WalWriter::~WalWriter() {
-  // Best-effort flush of a pending batch (a clean destruction mid-batch
-  // should reach the kernel like every completed batch did), then close.
+  // Best-effort write of staged records (a clean destruction mid-batch
+  // should reach the kernel like every committed batch did), then close.
   // Durability against power loss stays the sync schedule's job, not the
   // destructor's, and destructor errors are swallowed — a crashing daemon
   // never gets here, which is exactly what the SIGKILL recovery tests
@@ -354,22 +362,27 @@ WalWriter::~WalWriter() {
   ::close(fd_);
 }
 
-bool WalWriter::append(const std::string& line) {
-  // Group commit: records accumulate in the user-space batch buffer and hit
-  // the kernel as one write() + one fsync() per sync_every records (the
-  // write() syscall, not the encode, dominates per-record journal cost —
-  // see the BENCH_perf.json "wal" gate). With sync_every == 1 this is the
-  // classic write+fsync before every ack. The batch write is a single
-  // O_APPEND write(), so concurrent writers interleave at batch
-  // granularity, never mid-line.
+void WalWriter::stage(const std::string& line) {
   pending_ += line;
   pending_ += '\n';
   ++appended_;
-  if (++since_sync_ >= sync_every_) {
-    sync();
-    return true;
-  }
-  return false;
+  ++since_sync_;
+}
+
+bool WalWriter::append(const std::string& line) {
+  // With sync_every == 1 this is the classic write+fsync before every ack;
+  // larger values batch sync_every records into one write() + fsync() (the
+  // write() syscall, not the encode, dominates per-record journal cost —
+  // see the BENCH_perf.json "wal" gate).
+  stage(line);
+  return since_sync_ >= sync_every_ && commit();
+}
+
+bool WalWriter::commit() {
+  flush_pending();
+  if (since_sync_ < sync_every_) return false;
+  sync();
+  return true;
 }
 
 void WalWriter::flush_pending() {
@@ -379,8 +392,10 @@ void WalWriter::flush_pending() {
                               pending_.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
+      const int err = errno;
+      pending_.clear();
       throw std::runtime_error(std::string("wal append failed: ") +
-                               std::strerror(errno));
+                               std::strerror(err));
     }
     off += static_cast<std::size_t>(n);
   }
@@ -393,6 +408,7 @@ void WalWriter::sync() {
     throw std::runtime_error(std::string("wal fsync failed: ") +
                              std::strerror(errno));
   since_sync_ = 0;
+  ++fsyncs_;
 }
 
 }  // namespace esva::serve

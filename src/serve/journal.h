@@ -1,6 +1,7 @@
 // Write-ahead journal of the esva serve daemon: one JSONL record per
 // state-changing operation, appended *after* the engine applied it and
-// fsynced (in configurable batches) before the client sees the ack.
+// written (and, per the fsync schedule, fsynced) before the client sees the
+// ack.
 //
 // Record schema (docs/FORMATS.md#wal):
 //
@@ -40,11 +41,13 @@
 //
 // Torn tails: a malformed LAST line, or any final line missing its
 // terminating newline (the crash window of an append — a completed batch
-// always ends in '\n', so a newline-less tail was never acked durable), is
+// always ends in '\n', so a newline-less tail was never acked), is
 // dropped and flagged; malformed records anywhere else are hard errors.
 // Recovery then truncates the file back to the well-formed prefix
 // (truncate_wal) before appending, so the next record starts a fresh line
-// instead of being concatenated onto the torn bytes.
+// instead of being concatenated onto the torn bytes. A complete last record
+// whose seq does not increase is no torn append but a second writer's
+// record, and is a hard error like any other seq regression.
 
 #pragma once
 
@@ -135,44 +138,59 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
 std::vector<VmDecisionTrace> decisions_from_wal(
     const std::vector<WalRecord>& records);
 
-/// Append-only journal writer over a raw fd (O_APPEND) with group commit:
-/// appended records accumulate in a user-space batch buffer that reaches
-/// the kernel as one write() followed by one fsync() per `sync_every`
-/// records (and on explicit sync()). With sync_every == 1 every record is
-/// written and durable before its ack; larger values widen the crash
-/// window — a process or power crash loses at most the un-synced batch of
-/// sync_every - 1 acked records, which replay-after-restart recovers from
-/// the clients' perspective as at-least-once. Each batch lands in a single
-/// O_APPEND write(), so concurrent writers never interleave mid-line.
+/// Append-only journal writer over a raw fd (O_APPEND) with group commit.
+/// Records are staged in a user-space buffer; commit() hands every staged
+/// record to the kernel in one write() and fsyncs once `sync_every` records
+/// have been written since the last fsync. One counter drives that schedule
+/// for both entry points: append() is stage() plus a commit() whenever the
+/// counter reaches `sync_every`, and the daemon stages a whole poll round
+/// and commits once at its end (serve/daemon.h). sync() writes and fsyncs
+/// regardless of the counter. Each commit lands in a single O_APPEND
+/// write(), so concurrent writers never interleave mid-line. A failed
+/// write() drops the batch it was writing and throws: a retry would write a
+/// second copy of the bytes a short write already wrote.
 class WalWriter {
  public:
   /// Opens (creating if absent) for append. `fresh_header` is written — and
   /// synced — only when the file is empty.
   WalWriter(const std::string& path, const WalHeader& fresh_header,
             int sync_every);
-  /// Best-effort flush of any pending batch, then close (never throws).
+  /// Best-effort write of any staged records, then close (never throws).
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one record line (newline added here). Returns true when the
-  /// batch boundary was reached and the journal was fsynced.
+  /// batch boundary was reached and the journal was written and fsynced;
+  /// until then the record stays staged.
   bool append(const std::string& line);
 
-  /// Writes any pending batch and fsyncs (drain, snapshot, shutdown).
+  /// Stages one record line (newline added here) without writing it.
+  void stage(const std::string& line);
+
+  /// Writes every staged record with one write(), then fsyncs when
+  /// `sync_every` records have been staged since the last fsync. Returns
+  /// true when it fsynced.
+  bool commit();
+
+  /// Writes any staged records and fsyncs (drain, snapshot, shutdown).
   void sync();
 
   std::uint64_t appended() const { return appended_; }
+  /// fsyncs of the journal since this writer opened it.
+  std::uint64_t fsyncs() const { return fsyncs_; }
 
  private:
-  /// write()s the pending batch buffer to the fd and clears it.
+  /// write()s the staged buffer to the fd and clears it.
   void flush_pending();
 
   int fd_ = -1;
-  int sync_every_ = 1;
-  int since_sync_ = 0;
+  std::uint64_t sync_every_ = 1;
+  /// Records staged since the last fsync, written or not.
+  std::uint64_t since_sync_ = 0;
   std::uint64_t appended_ = 0;
-  std::string pending_;  ///< buffered un-written records, capacity reused
+  std::uint64_t fsyncs_ = 0;
+  std::string pending_;  ///< staged, un-written records; capacity reused
 };
 
 }  // namespace esva::serve

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "ilp/validate.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "serve/daemon.h"
 #include "test_util.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -190,6 +192,34 @@ TEST_F(AppTest, ThreadsFlagAcceptsOnlyOneAndOnlyOnServe) {
             1);
   EXPECT_NE(err().find("bind("), std::string::npos) << err();
   EXPECT_TRUE(std::ifstream(wal).good());
+  std::remove(wal.c_str());
+}
+
+// One daemon per journal: `esva serve` on a journal another daemon holds
+// exits 1 naming it, and leaves the file as it was. (Its socket is
+// unbindable, so a daemon that wrongly took the journal exits too.)
+TEST_F(AppTest, ServeRefusesAWalAnotherDaemonHolds) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "10", "--servers", "4", "--out-vms",
+                 path("ex_vms.csv"), "--out-servers", path("ex_srv.csv")}),
+            0);
+  const std::string wal = path("ex.wal");
+  std::remove(wal.c_str());
+  serve::DaemonOptions options;
+  options.wal_path = wal;
+  serve::Daemon holder(load_server_trace(path("ex_srv.csv")), options);
+  const auto contents = [&wal] {
+    std::ifstream in(wal, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string before = contents();
+  EXPECT_EQ(run("serve", {"--servers", path("ex_srv.csv"), "--socket",
+                          path("no_such_dir/ex.sock"), "--wal", wal}),
+            1);
+  EXPECT_NE(err().find("wal '" + wal + "' is locked"), std::string::npos)
+      << err();
+  EXPECT_EQ(contents(), before);
   std::remove(wal.c_str());
 }
 

@@ -74,14 +74,7 @@
 namespace esva {
 namespace {
 
-/// True when ESVA_FUZZ_QUICK is set to anything non-empty except "0" — the
-/// Debug-CI and sanitizer budget (tests/CMakeLists.txt wires it through
-/// ctest). The properties checked are identical; only iteration counts and
-/// sweep widths shrink.
-bool fuzz_quick() {
-  const char* env = std::getenv("ESVA_FUZZ_QUICK");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
+using testing::fuzz_quick;
 
 /// Iteration budget: `full` normally, `quick` under ESVA_FUZZ_QUICK.
 int fuzz_iters(int full, int quick) { return fuzz_quick() ? quick : full; }

@@ -435,6 +435,21 @@ TEST(ServeWal, NonMonotonicSeqIsFatal) {
   ::unlink(path.c_str());
 }
 
+// A complete, newline-terminated last record that reuses a seq is a second
+// writer's, not a torn append: dropping it would lose an op that writer
+// acked, so it is refused like a seq regression anywhere else.
+TEST(ServeWal, DuplicateSeqOnTheLastLineIsFatal) {
+  const std::string path = temp_path("wal_dup_tail.wal");
+  {
+    std::ofstream out(path);
+    out << serve::encode_wal_header(test_header()) << '\n';
+    out << serve::encode_advance_record(1, 9) << '\n';
+    out << serve::encode_advance_record(1, 10) << '\n';
+  }
+  EXPECT_THROW(serve::read_wal(path), std::runtime_error);
+  ::unlink(path.c_str());
+}
+
 TEST(ServeWal, MissingHeaderIsFatal) {
   const std::string path = temp_path("wal_nohdr.wal");
   {
@@ -1076,56 +1091,62 @@ TEST(ServeDaemon, RetireFreesCapacityAndPinsAssignment) {
   std::vector<ServerSpec> servers{testing::basic_server(0)};
   DaemonOptions options =
       daemon_options("min-incremental", 42, RetryPolicy{}, "retire");
-  Daemon daemon(servers, options);
+  // The journal is locked while a daemon holds it, so the live daemon is
+  // closed before the recovery below; its seq and energy are kept.
+  std::uint64_t acked = 0;
+  Energy energy = 0;
+  {
+    Daemon daemon(servers, options);
 
-  // The server fits exactly one 10-CPU VM at a time.
-  Request big;
-  big.op = OpKind::kPlace;
-  big.vm = testing::vm(0, 1, 50, 10.0, 1.0);
-  ASSERT_EQ(daemon.handle_line(serve::encode_request(big))
-                .rfind("{\"ok\":true", 0),
-            0u);
-  EXPECT_EQ(daemon.assignment().at(0), 0);
+    // The server fits exactly one 10-CPU VM at a time.
+    Request big;
+    big.op = OpKind::kPlace;
+    big.vm = testing::vm(0, 1, 50, 10.0, 1.0);
+    ASSERT_EQ(daemon.handle_line(serve::encode_request(big))
+                  .rfind("{\"ok\":true", 0),
+              0u);
+    EXPECT_EQ(daemon.assignment().at(0), 0);
 
-  Request blocked;
-  blocked.op = OpKind::kPlace;
-  blocked.vm = testing::vm(1, 5, 20, 10.0, 1.0);
-  const std::string rejected =
-      daemon.handle_line(serve::encode_request(blocked));
-  EXPECT_NE(rejected.find("\"server\":null"), std::string::npos) << rejected;
+    Request blocked;
+    blocked.op = OpKind::kPlace;
+    blocked.vm = testing::vm(1, 5, 20, 10.0, 1.0);
+    const std::string rejected =
+        daemon.handle_line(serve::encode_request(blocked));
+    EXPECT_NE(rejected.find("\"server\":null"), std::string::npos) << rejected;
 
-  Request retire;
-  retire.op = OpKind::kRetire;
-  retire.vm_id = 0;
-  const std::string response =
-      daemon.handle_line(serve::encode_request(retire));
-  EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
-  EXPECT_EQ(daemon.assignment().at(0), kNoServer);
+    Request retire;
+    retire.op = OpKind::kRetire;
+    retire.vm_id = 0;
+    const std::string response =
+        daemon.handle_line(serve::encode_request(retire));
+    EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    EXPECT_EQ(daemon.assignment().at(0), kNoServer);
 
-  // Capacity is free again from the current frontier on.
-  Request after;
-  after.op = OpKind::kPlace;
-  after.vm = testing::vm(2, 6, 20, 10.0, 1.0);
-  const std::string placed = daemon.handle_line(serve::encode_request(after));
-  EXPECT_NE(placed.find("\"server\":0"), std::string::npos) << placed;
+    // Capacity is free again from the current frontier on.
+    Request after;
+    after.op = OpKind::kPlace;
+    after.vm = testing::vm(2, 6, 20, 10.0, 1.0);
+    const std::string placed = daemon.handle_line(serve::encode_request(after));
+    EXPECT_NE(placed.find("\"server\":0"), std::string::npos) << placed;
 
-  // Retiring an unknown VM is a no-op with a null host, not an error.
-  Request unknown;
-  unknown.op = OpKind::kRetire;
-  unknown.vm_id = 999;
-  const std::string noop = daemon.handle_line(serve::encode_request(unknown));
-  EXPECT_EQ(noop.rfind("{\"ok\":true", 0), 0u) << noop;
-  EXPECT_NE(noop.find("\"server\":null"), std::string::npos) << noop;
+    // Retiring an unknown VM is a no-op with a null host, not an error.
+    Request unknown;
+    unknown.op = OpKind::kRetire;
+    unknown.vm_id = 999;
+    const std::string noop = daemon.handle_line(serve::encode_request(unknown));
+    EXPECT_EQ(noop.rfind("{\"ok\":true", 0), 0u) << noop;
+    EXPECT_NE(noop.find("\"server\":null"), std::string::npos) << noop;
+    acked = daemon.last_seq();
+    energy = daemon.engine().total_energy();
+  }
 
   // Retire survives recovery: the journal replays to the same state.
-  const std::uint64_t acked = daemon.last_seq();
   {
     Daemon recovered(servers, options);
     EXPECT_EQ(recovered.replayed_records(), acked);
     EXPECT_EQ(recovered.assignment().at(0), kNoServer);
     EXPECT_EQ(recovered.assignment().at(2), 0);
-    EXPECT_EQ(recovered.engine().total_energy(),
-              daemon.engine().total_energy());
+    EXPECT_EQ(recovered.engine().total_energy(), energy);
   }
   ::unlink(options.wal_path.c_str());
 }
@@ -1388,6 +1409,153 @@ TEST(ServeRecovery, VersionOneFilesRecoverAndTakeRunFormAppends) {
   }
 }
 
+// --- crash-point sweep ------------------------------------------------------
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// A crash can cut the journal at any byte. Recovery from every cut of a
+// daemon's journal — faults, evacuations and retries included — never
+// throws, recovers exactly the records whose newline lies before the cut, at
+// the energy the live daemon had after that seq, and appends one more op
+// that reads back whole. ESVA_FUZZ_QUICK keeps only the cuts within 2 bytes
+// of a newline.
+TEST(ServeCrashSweep, EveryWalCutRecoversTheRecordsBeforeIt) {
+  // Three servers, one of them failed and one drained mid-stream, keep
+  // requests waiting in the retry queue.
+  Workload w = make_workload(0xc07, /*with_faults=*/true);
+  w.servers.resize(3);
+  const std::vector<std::string> lines = request_lines(w);
+  const DaemonOptions live_options =
+      daemon_options("min-incremental", 42, test_retry(), "sweep_live");
+  std::vector<Energy> energy_at;  // [seq]: every line journals one record
+  {
+    Daemon live(w.servers, live_options);
+    energy_at.push_back(live.engine().total_energy());
+    for (const std::string& line : lines) {
+      ASSERT_EQ(live.handle_line(line).rfind("{\"ok\":true", 0), 0u) << line;
+      ASSERT_EQ(live.last_seq(), energy_at.size());
+      energy_at.push_back(live.engine().total_energy());
+    }
+    EXPECT_GT(live.engine().fault_stats().evacuated, 0);
+    EXPECT_GT(live.engine().fault_stats().retries, 0);
+  }
+  const std::string wal = file_bytes(live_options.wal_path);
+  std::vector<std::size_t> ends;  // past each line's '\n'; [0] is the header
+  for (std::size_t at = wal.find('\n'); at != std::string::npos;
+       at = wal.find('\n', at + 1))
+    ends.push_back(at + 1);
+  ASSERT_EQ(ends.size(), lines.size() + 1);
+
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 0; cut <= wal.size(); ++cut) {
+    const bool near_newline = std::any_of(
+        ends.begin(), ends.end(), [cut](std::size_t end) {
+          return cut + 2 >= end && cut <= end + 2;
+        });
+    if (!testing::fuzz_quick() || cut == 0 || near_newline)
+      cuts.push_back(cut);
+  }
+
+  // The appended op is checked by reading it back, not for durability, so
+  // the cut daemons skip its fsync.
+  DaemonOptions options =
+      daemon_options("min-incremental", 42, test_retry(), "sweep_cut");
+  options.wal_sync_every = 64;
+  Request retire;
+  retire.op = OpKind::kRetire;
+  retire.vm_id = w.vms.front().id;
+  const std::string retire_line = serve::encode_request(retire);
+  for (const std::size_t cut : cuts) {
+    std::ofstream(options.wal_path, std::ios::binary | std::ios::trunc)
+        << wal.substr(0, cut);
+    std::size_t records = 0;
+    std::size_t whole = 0;
+    for (std::size_t k = 0; k < ends.size() && ends[k] <= cut; ++k) {
+      records = k;
+      whole = ends[k];
+    }
+    try {
+      Daemon recovered(w.servers, options);
+      ASSERT_EQ(recovered.last_seq(), records) << "cut " << cut;
+      EXPECT_EQ(recovered.engine().total_energy(), energy_at[records])
+          << "cut " << cut;
+      EXPECT_EQ(recovered.recovered_torn_tail(), cut > whole) << "cut " << cut;
+      EXPECT_EQ(recovered.handle_line(retire_line).rfind("{\"ok\":true", 0),
+                0u)
+          << "cut " << cut;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "cut " << cut << ": " << e.what();
+      continue;
+    }
+    const WalFile appended = serve::read_wal(options.wal_path);
+    EXPECT_FALSE(appended.torn_tail) << "cut " << cut;
+    ASSERT_EQ(appended.records.size(), records + 1) << "cut " << cut;
+    EXPECT_EQ(appended.records.back().seq, records + 1) << "cut " << cut;
+  }
+  ::unlink(options.wal_path.c_str());
+  ::unlink(live_options.wal_path.c_str());
+}
+
+// A snapshot is written to <path>.tmp, fsynced and renamed over <path>. A
+// crash can stop it after part of the .tmp, after the whole .tmp, or after
+// the rename; recovery from each, on the same journal, reaches the state of
+// the daemon that was not interrupted, and can snapshot again.
+TEST(ServeCrashSweep, InterruptedSnapshotsRecoverTheUninterruptedState) {
+  const Workload w = make_workload(0x5a9, /*with_faults=*/true);
+  const std::vector<std::string> lines = request_lines(w);
+  const DaemonOptions live_options = daemon_options(
+      "min-incremental", 42, test_retry(), "snapcut_live", true);
+  Daemon live(w.servers, live_options);
+  send_lines(live, lines, 0, lines.size() / 2);
+  live.checkpoint();
+  const std::string older = file_bytes(live_options.snapshot_path);
+  send_lines(live, lines, lines.size() / 2, lines.size());
+  live.checkpoint();
+  const std::string newer = file_bytes(live_options.snapshot_path);
+  const std::string wal = file_bytes(live_options.wal_path);
+  ASSERT_NE(older, newer);
+
+  struct Interrupted {
+    const char* name;
+    std::string snapshot;  // empty: none
+    std::string tmp;       // empty: none
+  };
+  const std::vector<Interrupted> cases = {
+      {"first snapshot, partial tmp", "", older.substr(0, older.size() / 2)},
+      {"partial tmp", older, newer.substr(0, newer.size() / 2)},
+      {"complete tmp", older, newer},
+      {"renamed", newer, ""},
+  };
+  for (const Interrupted& c : cases) {
+    const DaemonOptions options = daemon_options(
+        "min-incremental", 42, test_retry(), "snapcut", true);
+    const std::string tmp = options.snapshot_path + ".tmp";
+    std::ofstream(options.wal_path, std::ios::binary) << wal;
+    if (!c.snapshot.empty())
+      std::ofstream(options.snapshot_path, std::ios::binary) << c.snapshot;
+    ::unlink(tmp.c_str());
+    if (!c.tmp.empty()) std::ofstream(tmp, std::ios::binary) << c.tmp;
+    {
+      Daemon recovered(w.servers, options);
+      EXPECT_EQ(recovered.recovered_from_snapshot(), !c.snapshot.empty())
+          << c.name;
+      expect_same_state(recovered, live);
+      recovered.checkpoint();
+    }
+    Daemon again(w.servers, options);
+    EXPECT_TRUE(again.recovered_from_snapshot()) << c.name;
+    EXPECT_EQ(again.replayed_records(), 0u) << c.name;
+    expect_same_state(again, live);
+    for (const std::string& f : {options.wal_path, options.snapshot_path, tmp})
+      ::unlink(f.c_str());
+  }
+  ::unlink(live_options.wal_path.c_str());
+  ::unlink(live_options.snapshot_path.c_str());
+}
+
 // --- socket loop ------------------------------------------------------------
 
 /// Raw client socket (no protocol): tests that need to vanish mid-exchange
@@ -1645,6 +1813,7 @@ class ServingDaemon {
   ServingDaemon& operator=(const ServingDaemon&) = delete;
 
   const std::string& socket() const { return socket_; }
+  const std::string& wal() const { return options_.wal_path; }
 
  private:
   DaemonOptions options_;
@@ -1744,17 +1913,287 @@ TEST(ServeSocket, TenThousandPipelinedLinesAreAnsweredInOrder) {
   ::close(fd);
 }
 
+// --- group commit -----------------------------------------------------------
+
+/// A stats response's integer field.
+long long stats_field(const std::string& stats, const std::string& key) {
+  return json::require_integer(json::parse(stats), key, 0,
+                               std::numeric_limits<long long>::max(), "stats");
+}
+
+/// A stats response's wal_seq (a decimal string: u64 fields ride as text).
+std::uint64_t stats_seq(const std::string& stats) {
+  return std::stoull(
+      json::require_string(json::parse(stats), "wal_seq", "stats"));
+}
+
+/// `count` places in start order, request k carrying id k, over a fleet of
+/// `servers`.
+std::pair<std::vector<ServerSpec>, std::vector<std::string>> place_lines(
+    std::uint64_t seed, int count, int servers) {
+  Rng rng(seed);
+  const ProblemInstance problem =
+      testing::random_problem(rng, count, servers);
+  std::vector<std::string> lines;
+  for (const std::size_t j : order_by_start(problem.vms)) {
+    Request req;
+    req.op = OpKind::kPlace;
+    req.vm = problem.vms[j];
+    req.has_id = true;
+    req.id = static_cast<long long>(lines.size());
+    lines.push_back(serve::encode_request(req));
+  }
+  return {problem.servers, lines};
+}
+
+/// Sends `text` from a thread, so the caller can read answers that outgrow
+/// the socket buffers meanwhile; join() waits for the last byte.
+class Sender {
+ public:
+  Sender(int fd, std::string text)
+      : text_(std::move(text)), thread_([this, fd] {
+          std::size_t off = 0;
+          while (off < text_.size()) {
+            const ssize_t n = ::send(fd, text_.data() + off,
+                                     text_.size() - off, MSG_NOSIGNAL);
+            if (n < 0 && errno == EINTR) continue;
+            if (n <= 0) return;
+            off += static_cast<std::size_t>(n);
+          }
+        }) {}
+  ~Sender() { join(); }
+  Sender(const Sender&) = delete;
+  Sender& operator=(const Sender&) = delete;
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::string text_;
+  std::thread thread_;
+};
+
+// --wal-sync-every 1: 256 places pipelined in one write are answered in
+// order, all journaled, and the acks of each poll round share one fsync —
+// far fewer fsyncs than places.
+TEST(ServeGroupCommit, PipelinedPlacesShareFsyncsAtSyncEveryOne) {
+  const auto [servers, lines] = place_lines(0x6c0, 256, 20);
+  Workload w;
+  w.servers = servers;
+  ServingDaemon serving(w, "group_commit");
+  const int fd = raw_connect(serving.socket());
+  ASSERT_GE(fd, 0);
+  set_io_timeout(fd, 30);
+  LineReader reader(fd);
+  ASSERT_TRUE(send_line(fd, R"({"op":"stats"})"));
+  const long long fsyncs_before = stats_field(reader.next(), "wal_fsyncs");
+
+  std::string batch;
+  for (const std::string& line : lines) batch += line + "\n";
+  Sender sender(fd, batch);
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    const std::string response = reader.next();
+    ASSERT_EQ(response.rfind("{\"ok\":true,\"id\":" + std::to_string(k) + ",",
+                             0),
+              0u)
+        << response;
+  }
+  sender.join();
+  ASSERT_TRUE(send_line(fd, R"({"op":"stats"})"));
+  const std::string stats = reader.next();
+  EXPECT_EQ(stats_seq(stats), 256u);
+  EXPECT_LT(stats_field(stats, "wal_fsyncs") - fsyncs_before, 64) << stats;
+  const WalFile wal = serve::read_wal(serving.wal());
+  EXPECT_FALSE(wal.torn_tail);
+  EXPECT_EQ(wal.records.size(), 256u);
+  ::close(fd);
+}
+
+// A round ends early once a connection's pending responses pass
+// kMaxRoundOutputBytes: it commits, flushes and goes on with the lines it
+// already read. The stats responses of one pipelined read show it — at
+// --wal-sync-every 1 the early commit fsyncs the place before them, so
+// wal_fsyncs steps up right after the response that crossed the bound, and
+// not before.
+TEST(ServeGroupCommit, LargeResponsesEndTheRoundEarly) {
+  const auto [servers, lines] = place_lines(0xb16, 2002, 10);
+  Workload w;
+  w.servers = servers;
+  ServingDaemon serving(w, "round_bound");
+  const int fd = raw_connect(serving.socket());
+  ASSERT_GE(fd, 0);
+  set_io_timeout(fd, 30);
+  LineReader reader(fd);
+  {
+    // 2000 VMs make a stats response with the assignment about 18 KB.
+    std::string batch;
+    for (std::size_t k = 0; k < 2000; ++k) batch += lines[k] + "\n";
+    Sender sender(fd, batch);
+    for (std::size_t k = 0; k < 2000; ++k)
+      ASSERT_EQ(reader.next().rfind("{\"ok\":true", 0), 0u) << k;
+  }
+  // One read's worth: a place, 100 large stats, a place.
+  constexpr int kStats = 100;
+  std::string pipeline = lines[2000] + "\n";
+  for (int k = 0; k < kStats; ++k)
+    pipeline += R"({"op":"stats","assignment":true})" "\n";
+  pipeline += lines[2001] + "\n";
+  ASSERT_LE(pipeline.size(), 4096u);
+  ASSERT_TRUE(send_line(fd, pipeline.substr(0, pipeline.size() - 1)));
+
+  std::size_t pending = reader.next().size() + 1;  // the first place's ack
+  std::size_t crossed_at = 0;  // the stats response that crossed the bound
+  std::vector<long long> fsyncs;
+  for (int k = 0; k < kStats; ++k) {
+    const std::string stats = reader.next();
+    ASSERT_EQ(stats.rfind("{\"ok\":true", 0), 0u) << k;
+    fsyncs.push_back(stats_field(stats, "wal_fsyncs"));
+    pending += stats.size() + 1;
+    if (crossed_at == 0 && pending > serve::kMaxRoundOutputBytes)
+      crossed_at = static_cast<std::size_t>(k);
+  }
+  EXPECT_EQ(reader.next().rfind("{\"ok\":true,\"id\":2001,", 0), 0u);
+  ASSERT_GT(crossed_at, 0u) << "the pipeline never passed the bound";
+  ASSERT_LT(crossed_at + 1, fsyncs.size());
+  EXPECT_EQ(fsyncs[crossed_at], fsyncs.front());
+  EXPECT_EQ(fsyncs[crossed_at + 1], fsyncs.front() + 1);
+  EXPECT_EQ(fsyncs.back(), fsyncs.front() + 1);
+  ::close(fd);
+}
+
+// --- one daemon per socket and per journal --------------------------------
+
+bool error_names(const std::function<void()>& call, const std::string& what) {
+  try {
+    call();
+  } catch (const std::runtime_error& e) {
+    return std::string(e.what()).find(what) != std::string::npos;
+  }
+  return false;
+}
+
+TEST(ServeExclusive, RegularFileAtTheSocketPathIsLeftAlone) {
+  const Workload w = make_workload(0xf11e, false);
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "precious");
+  Daemon daemon(w.servers, options);
+  const std::string path = temp_path("precious.txt");
+  std::ofstream(path) << "precious\n";
+  // Already stopped: a loop that wrongly took the path over returns at once.
+  const std::atomic<bool> stop{true};
+  EXPECT_TRUE(error_names([&] { daemon.serve_loop(path, stop); }, path));
+  EXPECT_EQ(file_bytes(path), "precious\n");
+  ::unlink(path.c_str());
+  ::unlink(options.wal_path.c_str());
+}
+
+TEST(ServeExclusive, LiveSocketKeepsItsDaemon) {
+  const Workload w = make_workload(0x11fe, false);
+  ServingDaemon first(w, "live_first");
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "live_second");
+  Daemon second(w.servers, options);
+  const std::atomic<bool> stop{true};
+  EXPECT_TRUE(error_names([&] { second.serve_loop(first.socket(), stop); },
+                          first.socket()));
+  try {
+    serve::Client client(first.socket());
+    EXPECT_EQ(client.call(R"({"op":"stats"})").rfind("{\"ok\":true", 0),
+              0u);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "the first daemon lost its socket: " << e.what();
+  }
+  ::unlink(options.wal_path.c_str());
+}
+
+TEST(ServeExclusive, StaleSocketIsReplaced) {
+  const Workload w = make_workload(0x57a1e, false);
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "stale");
+  const std::string path = temp_path("stale.sock");
+  ::unlink(path.c_str());
+  {
+    // What a killed daemon leaves behind: a bound socket nobody listens on.
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ::close(fd);
+    struct stat st{};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    ASSERT_TRUE(S_ISSOCK(st.st_mode));
+  }
+  Daemon daemon(w.servers, options);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> listening{false};
+  std::atomic<bool> served{false};
+  std::thread server([&] {
+    try {
+      daemon.serve_loop(path, stop, [&] { listening.store(true); });
+      served.store(true);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "serve_loop: " << e.what();
+      listening.store(true);
+    }
+  });
+  while (!listening.load()) std::this_thread::yield();
+  std::string stats;
+  try {
+    serve::Client client(path);
+    stats = client.call(R"({"op":"stats"})");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  stop.store(true);
+  server.join();
+  EXPECT_TRUE(served.load());
+  EXPECT_EQ(stats.rfind("{\"ok\":true", 0), 0u) << stats;
+  ::unlink(options.wal_path.c_str());
+}
+
+// Two daemons on one journal would both ack seq 1; the second one refuses
+// the journal before it reads, truncates or appends anything.
+TEST(ServeExclusive, SecondDaemonOnAHeldWalThrowsAndLeavesItAlone) {
+  const Workload w = make_workload(0x10c, false);
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "held");
+  const std::vector<std::string> lines = request_lines(w);
+  Daemon first(w.servers, options);
+  send_lines(first, lines, 0, 5);
+  {
+    // A torn tail the second daemon must not truncate.
+    std::ofstream out(options.wal_path, std::ios::app);
+    out << R"({"op":"place","seq":"6","vm":1)";
+  }
+  const std::string before = file_bytes(options.wal_path);
+  EXPECT_TRUE(error_names([&] { Daemon second(w.servers, options); },
+                          options.wal_path));
+  EXPECT_EQ(file_bytes(options.wal_path), before);
+  ::unlink(options.wal_path.c_str());
+}
+
 // --- end-to-end: real process, SIGKILL mid-stream ---------------------------
 
 #ifdef ESVA_BIN_PATH
 
 pid_t spawn_serve(const std::string& servers_csv, const std::string& socket,
-                  const std::string& wal) {
+                  const std::string& wal,
+                  const std::vector<std::string>& extra = {}) {
+  std::vector<std::string> args = {"esva",      "serve",   "--servers",
+                                   servers_csv, "--socket", socket,
+                                   "--wal",     wal,       "--seed",
+                                   "42",        "--allocator",
+                                   "min-incremental"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
-  ::execl(ESVA_BIN_PATH, "esva", "serve", "--servers", servers_csv.c_str(),
-          "--socket", socket.c_str(), "--wal", wal.c_str(), "--seed", "42",
-          "--allocator", "min-incremental", static_cast<char*>(nullptr));
+  ::execv(ESVA_BIN_PATH, argv.data());
   ::_exit(127);
 }
 
@@ -1867,6 +2306,76 @@ TEST(ServeEndToEnd, SigkilledDaemonRecoversToByteIdenticalStream) {
   ::unlink(servers_csv.c_str());
   ::unlink(socket_path.c_str());
   ::unlink(wal_path.c_str());
+}
+
+// --wal-sync-every 32: every ack follows the write() of its record, so a
+// SIGKILL right after the acks loses none of them, although the last
+// records were never fsynced. The restart on the killed daemon's stale
+// socket recovers every acked op at the live energy.
+TEST(ServeAckContract, SigkillAfterTheAcksLosesNoneAtSyncEvery32) {
+  struct stat st{};
+  if (::stat(ESVA_BIN_PATH, &st) != 0)
+    GTEST_SKIP() << "esva binary not built at " << ESVA_BIN_PATH;
+  const auto [servers, lines] = place_lines(0xac7, 100, 8);
+  const std::string servers_csv = temp_path("acks_servers.csv");
+  save_server_trace(servers_csv, servers);
+  const std::string socket_path = temp_path("acks.sock");
+  const std::string wal_path = temp_path("acks.wal");
+  ::unlink(socket_path.c_str());
+  ::unlink(wal_path.c_str());
+  const std::vector<std::string> extra = {"--wal-sync-every", "32"};
+
+  pid_t pid = spawn_serve(servers_csv, socket_path, wal_path, extra);
+  ASSERT_GT(pid, 0);
+  // A failed assertion must not leave a daemon running.
+  struct Reaper {
+    pid_t& pid;
+    ~Reaper() {
+      if (pid <= 0) return;
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  } reaper{pid};
+  ASSERT_TRUE(wait_for_socket(socket_path)) << "daemon never listened";
+  std::string live_energy;
+  {
+    const int fd = raw_connect(socket_path);
+    ASSERT_GE(fd, 0);
+    set_io_timeout(fd, 30);
+    LineReader reader(fd);
+    std::string batch;
+    for (const std::string& line : lines) batch += line + "\n";
+    Sender sender(fd, batch);
+    for (std::size_t k = 0; k < lines.size(); ++k)
+      ASSERT_EQ(reader.next().rfind("{\"ok\":true", 0), 0u) << k;
+    sender.join();
+    ASSERT_TRUE(send_line(fd, R"({"op":"stats"})"));
+    const std::string stats = reader.next();
+    EXPECT_EQ(stats_seq(stats), 100u);
+    live_energy = energy_hex_of(stats);
+    ::close(fd);
+  }
+  int status = 0;
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  pid = 0;
+
+  pid = spawn_serve(servers_csv, socket_path, wal_path, extra);
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(wait_for_socket(socket_path)) << "restart never listened";
+  std::string recovered;
+  {
+    serve::Client client(socket_path);
+    recovered = client.call(R"({"op":"stats"})");
+  }
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+  pid = 0;
+  EXPECT_EQ(stats_seq(recovered), 100u) << recovered;
+  EXPECT_EQ(energy_hex_of(recovered), live_energy);
+  EXPECT_FALSE(live_energy.empty());
+  for (const std::string& f : {servers_csv, socket_path, wal_path})
+    ::unlink(f.c_str());
 }
 
 #endif  // ESVA_BIN_PATH

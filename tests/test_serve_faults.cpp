@@ -1,0 +1,526 @@
+// The serve daemon's halt path, driven by an I/O fault shim.
+//
+// This binary defines write() and fsync(), so every call the esva library
+// makes resolves here first. A call on any file but the armed journal
+// (matched by device and inode) passes straight through to the next
+// definition (dlsym(RTLD_NEXT): libc, or a sanitizer's interceptor). On the
+// journal the shim fails the k-th write with ENOSPC or EIO, makes it short
+// (half the bytes, then ENOSPC on the next write), or fails the k-th fsync
+// with EIO. It can also hold a journal write until the test releases it,
+// which lines up requests on two connections for one poll round.
+//
+// Each fault runs at --wal-sync-every 1 and 4, through handle_line (a round
+// of one line) and through serve_loop (one round of two connections). No
+// response of the failing round may be ok:true, later requests are refused,
+// serve_loop returns 1, no snapshot is written, and a restart without
+// faults recovers every acked op — at the energy a fault-free daemon had at
+// the recovered seq — dropping and truncating a torn tail.
+
+#include <dlfcn.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <mutex>
+#include <ostream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "serve/daemon.h"
+#include "serve/journal.h"
+#include "serve/wire.h"
+#include "test_util.h"
+#include "util/rng.h"
+
+namespace esva::faultshim {
+
+enum class Fault { kWriteErrno, kShortWrite, kFsyncEio };
+
+struct State {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  dev_t dev = 0;
+  ino_t ino = 0;
+  Fault fault = Fault::kWriteErrno;
+  int err = 0;
+  /// Journal calls of the faulted kind (writes, or fsyncs) up to and
+  /// including the failing one.
+  int countdown = 0;
+  /// The write after a short one fails with ENOSPC.
+  bool fail_next_write = false;
+  bool hold = false;  ///< hold the next journal write until release()
+  bool held = false;  ///< a journal write waits at the gate
+};
+
+State& state() {
+  static State s;
+  return s;
+}
+
+template <typename Fn>
+Fn next_definition(const char* name) {
+  return reinterpret_cast<Fn>(::dlsym(RTLD_NEXT, name));
+}
+
+/// Whether `fd` is the armed journal; the caller holds the lock.
+bool is_journal(const State& s, int fd) {
+  if (!s.armed) return false;
+  struct stat st{};
+  return ::fstat(fd, &st) == 0 && st.st_dev == s.dev && st.st_ino == s.ino;
+}
+
+/// The k-th journal write (fsync for kFsyncEio) from now fails as `fault`.
+void arm(const std::string& journal, Fault fault, int k, int err = 0) {
+  struct stat st{};
+  ASSERT_EQ(::stat(journal.c_str(), &st), 0) << journal;
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.armed = true;
+  s.dev = st.st_dev;
+  s.ino = st.st_ino;
+  s.fault = fault;
+  s.err = err;
+  s.countdown = k;
+  s.fail_next_write = false;
+}
+
+void disarm() {
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.armed = false;
+  s.fail_next_write = false;
+}
+
+void hold_next_write() {
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.hold = true;
+}
+
+bool wait_until_held() {
+  State& s = state();
+  std::unique_lock<std::mutex> lock(s.mu);
+  return s.cv.wait_for(lock, std::chrono::seconds(30), [&] { return s.held; });
+}
+
+void release() {
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.hold = false;
+  s.cv.notify_all();
+}
+
+}  // namespace esva::faultshim
+
+extern "C" ssize_t write(int fd, const void* buf, size_t count) {
+  using esva::faultshim::Fault;
+  static const auto real =
+      esva::faultshim::next_definition<ssize_t (*)(int, const void*, size_t)>(
+          "write");
+  esva::faultshim::State& s = esva::faultshim::state();
+  std::unique_lock<std::mutex> lock(s.mu);
+  if (!esva::faultshim::is_journal(s, fd)) {
+    lock.unlock();
+    return real(fd, buf, count);
+  }
+  if (s.hold) {
+    s.held = true;
+    s.cv.notify_all();
+    s.cv.wait(lock, [&] { return !s.hold; });
+    s.held = false;
+  }
+  if (s.fail_next_write) {
+    s.fail_next_write = false;
+    errno = ENOSPC;
+    return -1;
+  }
+  if (s.fault != Fault::kFsyncEio && s.countdown > 0 && --s.countdown == 0) {
+    if (s.fault == Fault::kWriteErrno) {
+      errno = s.err;
+      return -1;
+    }
+    s.fail_next_write = true;
+    count /= 2;
+  }
+  lock.unlock();
+  return real(fd, buf, count);
+}
+
+extern "C" int fsync(int fd) {
+  using esva::faultshim::Fault;
+  static const auto real =
+      esva::faultshim::next_definition<int (*)(int)>("fsync");
+  esva::faultshim::State& s = esva::faultshim::state();
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (esva::faultshim::is_journal(s, fd) && s.fault == Fault::kFsyncEio &&
+        s.countdown > 0 && --s.countdown == 0) {
+      errno = EIO;
+      return -1;
+    }
+  }
+  return real(fd);
+}
+
+namespace esva {
+namespace {
+
+using faultshim::Fault;
+using serve::Daemon;
+using serve::DaemonOptions;
+
+struct Case {
+  const char* name;
+  Fault fault;
+  int err;
+  int sync_every;
+};
+
+// Names the case in test listings (gtest would print its bytes).
+void PrintTo(const Case& c, std::ostream* out) { *out << c.name; }
+
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/esva_faults_" + std::to_string(::getpid()) +
+         "_" + name;
+}
+
+bool exists(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool is_ok(const std::string& response) {
+  return response.rfind("{\"ok\":true", 0) == 0;
+}
+
+/// The error a line gets once the daemon halted: it echoes the line's id.
+bool is_halt_error(const std::string& response, std::size_t id) {
+  return response.rfind("{\"ok\":false,\"id\":" + std::to_string(id) +
+                            ",\"error\":\"daemon halted: ",
+                        0) == 0;
+}
+
+/// Forty places in start order, request k carrying id k; each journals one
+/// record, so line k is seq k + 1.
+struct Workload {
+  std::vector<ServerSpec> servers;
+  std::vector<std::string> lines;
+};
+
+Workload make_workload() {
+  Rng rng(0xfa11);
+  const ProblemInstance problem = testing::random_problem(rng, 40, 5);
+  Workload w;
+  w.servers = problem.servers;
+  for (const std::size_t j : order_by_start(problem.vms)) {
+    serve::Request req;
+    req.op = serve::OpKind::kPlace;
+    req.vm = problem.vms[j];
+    req.has_id = true;
+    req.id = static_cast<long long>(w.lines.size());
+    w.lines.push_back(serve::encode_request(req));
+  }
+  return w;
+}
+
+DaemonOptions daemon_options(const std::string& tag, int sync_every) {
+  DaemonOptions o;
+  o.seed = 42;
+  o.wal_sync_every = sync_every;
+  o.wal_path = temp_path(tag + ".wal");
+  o.snapshot_path = temp_path(tag + ".snap");
+  ::unlink(o.wal_path.c_str());
+  ::unlink(o.snapshot_path.c_str());
+  return o;
+}
+
+/// Energy after each seq of a fault-free daemon fed every line: [0] is the
+/// empty engine.
+std::vector<Energy> reference_energies(const Workload& w) {
+  const DaemonOptions o = daemon_options("reference", 1);
+  Daemon daemon(w.servers, o);
+  std::vector<Energy> energy{daemon.engine().total_energy()};
+  for (const std::string& line : w.lines) {
+    EXPECT_TRUE(is_ok(daemon.handle_line(line)));
+    energy.push_back(daemon.engine().total_energy());
+  }
+  ::unlink(o.wal_path.c_str());
+  return energy;
+}
+
+/// A restart without faults recovers a seq in [lowest, highest] at the
+/// reference energy, drops and truncates a torn tail exactly when the file
+/// ends mid-line, and takes one more op that a further restart reads back.
+void expect_recovery(const Workload& w, const DaemonOptions& o,
+                     std::uint64_t lowest, std::uint64_t highest) {
+  const std::vector<Energy> reference = reference_energies(w);
+  const std::string before = read_file(o.wal_path);
+  const bool torn = !before.empty() && before.back() != '\n';
+  std::uint64_t seq = 0;
+  {
+    Daemon recovered(w.servers, o);
+    seq = recovered.last_seq();
+    EXPECT_GE(seq, lowest);
+    EXPECT_LE(seq, highest);
+    ASSERT_LT(seq, w.lines.size());
+    EXPECT_EQ(recovered.engine().total_energy(), reference[seq]);
+    EXPECT_EQ(recovered.recovered_torn_tail(), torn);
+    const std::string after = read_file(o.wal_path);
+    EXPECT_EQ(after.size(), serve::read_wal(o.wal_path).valid_bytes);
+    EXPECT_EQ(before.compare(0, after.size(), after), 0)
+        << "recovery may only cut the torn tail";
+    EXPECT_TRUE(is_ok(recovered.handle_line(w.lines[seq])));
+  }
+  Daemon again(w.servers, o);
+  EXPECT_FALSE(again.recovered_torn_tail());
+  EXPECT_EQ(again.last_seq(), seq + 1);
+  EXPECT_EQ(again.engine().total_energy(), reference[seq + 1]);
+}
+
+class JournalFault : public ::testing::TestWithParam<Case> {
+ protected:
+  void TearDown() override { faultshim::disarm(); }
+};
+
+TEST_P(JournalFault, HandleLineHaltsAndKeepsTheAckedPrefix) {
+  const Case& c = GetParam();
+  const Workload w = make_workload();
+  const DaemonOptions o =
+      daemon_options(std::string("line_") + c.name, c.sync_every);
+  constexpr std::size_t kWarm = 5;
+  std::uint64_t acked = 0;
+  std::uint64_t applied = 0;
+  {
+    Daemon daemon(w.servers, o);
+    for (std::size_t k = 0; k < kWarm; ++k)
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[k])));
+    acked = daemon.last_seq();
+    faultshim::arm(o.wal_path, c.fault, 1, c.err);
+    std::size_t k = kWarm;
+    std::string failed;
+    for (; k + 1 < w.lines.size(); ++k) {
+      failed = daemon.handle_line(w.lines[k]);
+      if (!is_ok(failed)) break;
+      acked = daemon.last_seq();  // acked only once its record is written
+    }
+    faultshim::disarm();
+    ASSERT_LT(k + 1, w.lines.size()) << "the fault never fired";
+    EXPECT_TRUE(is_halt_error(failed, k)) << failed;
+    EXPECT_TRUE(daemon.halted());
+    applied = daemon.last_seq();
+    EXPECT_EQ(applied, acked + 1);
+    const std::string later = daemon.handle_line(w.lines[k + 1]);
+    EXPECT_TRUE(is_halt_error(later, k + 1)) << later;
+    EXPECT_EQ(daemon.last_seq(), applied) << "a halted daemon applied an op";
+    EXPECT_THROW(daemon.checkpoint(), std::runtime_error);
+    EXPECT_THROW(daemon.drain(), std::runtime_error);
+  }
+  EXPECT_FALSE(exists(o.snapshot_path)) << "a halted daemon took a snapshot";
+  // A failed write leaves nothing of its record but a torn fragment; after a
+  // failed fsync the record is in the file.
+  const std::uint64_t expected = c.fault == Fault::kFsyncEio ? applied : acked;
+  expect_recovery(w, o, expected, expected);
+  ::unlink(o.wal_path.c_str());
+}
+
+// --- serve_loop: one round of two connections --------------------------------
+
+int connect_to(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  // A daemon that stops answering fails the test instead of hanging it.
+  timeval tv{};
+  tv.tv_sec = 30;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+bool send_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// The next response line on `fd`; empty at EOF or on a timeout.
+std::string read_line(int fd) {
+  std::string out;
+  char ch = 0;
+  for (;;) {
+    const ssize_t n = ::read(fd, &ch, 1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0 || ch == '\n') return out;
+    out += ch;
+  }
+}
+
+TEST_P(JournalFault, ServeLoopHaltsTheWholeRound) {
+  const Case& c = GetParam();
+  const Workload w = make_workload();
+  const DaemonOptions o =
+      daemon_options(std::string("loop_") + c.name, c.sync_every);
+  const std::string socket_path = temp_path(std::string(c.name) + ".sock");
+  ::unlink(socket_path.c_str());
+  {
+    // Recovery below runs once this daemon has released the journal.
+    auto daemon = std::make_unique<Daemon>(w.servers, o);
+    std::atomic<int> rc{-1};
+    std::atomic<bool> stop{false};
+    std::atomic<bool> listening{false};
+    std::thread server([&] {
+      try {
+        rc = daemon->serve_loop(socket_path, stop,
+                                [&] { listening.store(true); });
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "serve_loop: " << e.what();
+        listening.store(true);
+      }
+    });
+    // Stops and joins the loop on every exit from this scope, a failed
+    // assertion included; a daemon that failed to halt stops here.
+    struct Joiner {
+      std::atomic<bool>& stop;
+      std::thread& server;
+      void operator()() {
+        stop.store(true);
+        faultshim::release();
+        if (server.joinable()) server.join();
+      }
+      ~Joiner() { (*this)(); }
+    } join_server{stop, server};
+    while (!listening.load()) std::this_thread::yield();
+
+    // Accepted in this order, so a round reads a before b.
+    const int a = connect_to(socket_path);
+    const int b = connect_to(socket_path);
+    const int p = connect_to(socket_path);
+    ASSERT_GE(a, 0);
+    ASSERT_GE(b, 0);
+    ASSERT_GE(p, 0);
+    for (const int fd : {a, b, p}) {
+      ASSERT_TRUE(send_all(fd, "{\"op\":\"stats\"}\n"));
+      ASSERT_TRUE(is_ok(read_line(fd)));
+    }
+    ASSERT_TRUE(send_all(p, w.lines[0] + "\n"));
+    EXPECT_TRUE(is_ok(read_line(p)));
+
+    // Hold p's next round in its journal write while a and b queue two
+    // places each, so the round after it holds both connections. It is the
+    // second journal write from here, and at N = 1 also the second fsync;
+    // at N = 4 its six records cross the fsync boundary for the first time.
+    const int k = c.fault == Fault::kFsyncEio && c.sync_every > 1 ? 1 : 2;
+    faultshim::arm(o.wal_path, c.fault, k, c.err);
+    faultshim::hold_next_write();
+    ASSERT_TRUE(send_all(p, w.lines[1] + "\n"));
+    ASSERT_TRUE(faultshim::wait_until_held());
+    ASSERT_TRUE(send_all(a, w.lines[2] + "\n" + w.lines[3] + "\n"));
+    ASSERT_TRUE(send_all(b, w.lines[4] + "\n" + w.lines[5] + "\n"));
+    faultshim::release();
+
+    EXPECT_TRUE(is_ok(read_line(p)));
+    const std::uint64_t acked = 2;
+    for (const auto& [fd, first] : {std::pair{a, 2}, std::pair{b, 4}}) {
+      for (int j = first; j < first + 2; ++j) {
+        const std::string response = read_line(fd);
+        EXPECT_TRUE(is_halt_error(response, static_cast<std::size_t>(j)))
+            << response;
+      }
+    }
+    join_server();
+    faultshim::disarm();
+    EXPECT_EQ(rc.load(), 1);
+    EXPECT_TRUE(daemon->halted());
+    const std::uint64_t applied = daemon->last_seq();
+    EXPECT_EQ(applied, 6u);
+    EXPECT_TRUE(is_halt_error(daemon->handle_line(w.lines[6]), 6));
+    EXPECT_THROW(daemon->checkpoint(), std::runtime_error);
+    for (const int fd : {a, b, p}) ::close(fd);
+    daemon.reset();
+
+    EXPECT_FALSE(exists(o.snapshot_path)) << "a halted daemon took a snapshot";
+    // A failed write leaves the round's records out of the file, a short
+    // one may leave some of them whole, and after a failed fsync all of
+    // them are in the file.
+    expect_recovery(w, o, c.fault == Fault::kFsyncEio ? applied : acked,
+                    c.fault == Fault::kWriteErrno ? acked : applied);
+  }
+  ::unlink(o.wal_path.c_str());
+  ::unlink(socket_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, JournalFault,
+    ::testing::Values(Case{"write_enospc_n1", Fault::kWriteErrno, ENOSPC, 1},
+                      Case{"write_eio_n1", Fault::kWriteErrno, EIO, 1},
+                      Case{"short_write_n1", Fault::kShortWrite, 0, 1},
+                      Case{"fsync_eio_n1", Fault::kFsyncEio, 0, 1},
+                      Case{"write_enospc_n4", Fault::kWriteErrno, ENOSPC, 4},
+                      Case{"write_eio_n4", Fault::kWriteErrno, EIO, 4},
+                      Case{"short_write_n4", Fault::kShortWrite, 0, 4},
+                      Case{"fsync_eio_n4", Fault::kFsyncEio, 0, 4}),
+    [](const ::testing::TestParamInfo<Case>& param) {
+      return std::string(param.param.name);
+    });
+
+// The sync that runs before a periodic snapshot halts the daemon like a
+// round's commit: the snapshot is never written.
+TEST(JournalFaultSnapshot, FailedSyncBeforeAPeriodicSnapshotHalts) {
+  const Workload w = make_workload();
+  for (const Fault fault : {Fault::kWriteErrno, Fault::kFsyncEio}) {
+    DaemonOptions o = daemon_options("periodic", 1);
+    o.snapshot_every = 3;
+    std::uint64_t applied = 0;
+    {
+      Daemon daemon(w.servers, o);
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[0])));
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[1])));
+      faultshim::arm(o.wal_path, fault, 1, ENOSPC);
+      const std::string response = daemon.handle_line(w.lines[2]);
+      faultshim::disarm();
+      EXPECT_TRUE(is_halt_error(response, 2)) << response;
+      EXPECT_NE(response.find("journal I/O failed"), std::string::npos)
+          << response;
+      applied = daemon.last_seq();
+      EXPECT_EQ(applied, 3u);
+    }
+    EXPECT_FALSE(exists(o.snapshot_path));
+    const std::uint64_t expected = fault == Fault::kFsyncEio ? 3 : 2;
+    expect_recovery(w, o, expected, expected);
+    ::unlink(o.wal_path.c_str());
+  }
+}
+
+}  // namespace
+}  // namespace esva

@@ -4,6 +4,9 @@
 
 #pragma once
 
+#include <cstdlib>
+#include <string>
+
 #include "testsupport/instance_builders.h"
 
 namespace esva::testing {
@@ -12,5 +15,14 @@ using esva::testsupport::basic_server;
 using esva::testsupport::random_problem;
 using esva::testsupport::server;
 using esva::testsupport::vm;
+
+/// True when ESVA_FUZZ_QUICK is set to anything non-empty except "0" — the
+/// Debug-CI and sanitizer budget (tests/CMakeLists.txt wires it through
+/// ctest). The properties checked are identical; only iteration counts and
+/// sweep widths shrink.
+inline bool fuzz_quick() {
+  const char* env = std::getenv("ESVA_FUZZ_QUICK");
+  return env != nullptr && *env != '\0' && std::string(env) != "0";
+}
 
 }  // namespace esva::testing
