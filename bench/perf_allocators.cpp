@@ -1,22 +1,16 @@
 // P1/P2 — allocator performance harness with a machine-readable artifact.
 //
 // Two modes:
-//   * default          — measures the paper-scale allocators and writes
+//   * default          — runs four paired gates and writes
 //                        BENCH_perf.json. Exits nonzero on any identity
 //                        failure (the measured variant's assignment or
-//                        energy diverging from its reference, the streaming
-//                        replay from the batch run, a seeded chaos replay
-//                        from itself) or when a gate misses its budget:
+//                        energy diverging from its reference) or when a gate
+//                        misses its budget:
 //                          - null-sink overhead: min-incremental with a
 //                            metrics registry bound and no trace sink vs the
 //                            same allocator with no observability context,
 //                            at most --overhead-budget (default 5%) slower
 //                            (always enforced);
-//                          - single-thread speedup: min-incremental vs the
-//                            committed pre-flat-tree baseline medians, at
-//                            least --single-thread-budget (default 2x)
-//                            (outside --quick, when a baseline exists for
-//                            --vms: 100, 500, 1000);
 //                          - envelope triage: the SoA classify() sweep at
 //                            least --envelope-budget (default 1.3x) faster
 //                            than the quick_fit loop it replaces (outside
@@ -26,9 +20,9 @@
 //                            group commit of 32), each at most
 //                            --overhead-budget over the bare stream replay
 //                            at fig2@500 (outside --quick).
-//                        The four overhead and speedup gates are paired:
-//                        time_paired() alternates the two variants and gates
-//                        on the median per-pair ratio.
+//                        Each gate is paired: time_paired() alternates the
+//                        two variants and gates on the median per-pair
+//                        ratio.
 //   * --gbench         — additionally runs the google-benchmark
 //                        microbenchmarks (hot primitives: feasibility probe,
 //                        incremental cost delta), forwarding --benchmark_*
@@ -55,7 +49,6 @@
 #include "core/cost_model.h"
 #include "core/envelope_store.h"
 #include "core/streaming.h"
-#include "core/fault_plan.h"
 #include "core/min_incremental.h"
 #include "obs/energy_ledger.h"
 #include "obs/metrics.h"
@@ -234,8 +227,8 @@ OverheadReport measure_overhead(int num_vms, int reps) {
   report.num_vms = num_vms;
   const ProblemInstance problem = instance_for(num_vms, 42);
 
-  // The guard compares a few-percent effect, so it needs more pairs than
-  // the throughput sections for a stable median.
+  // The guard compares a few-percent effect, so it needs at least 11 pairs
+  // for a stable median.
   reps = std::max(reps, 11);
 
   Allocation unobserved;
@@ -276,84 +269,6 @@ OverheadReport measure_overhead(int num_vms, int reps) {
   }
   report.trace_records = sink.size();
   return report;
-}
-
-struct AllocatorPoint {
-  std::string name;
-  int num_vms = 0;
-  double median_ms = 0.0;
-  double vms_per_sec = 0.0;
-};
-
-// ---------------------------------------------------------------------------
-// Single-thread speedup gate vs the committed pre-optimization baselines
-// ---------------------------------------------------------------------------
-
-/// min-incremental fig2 medians (ms) from the BENCH_perf.json committed
-/// before the flat-segment-tree / spare-capacity-pruning kernel landed —
-/// the denominators of the single-thread speedup gate. Measured on the CI
-/// container class; the gate demands a margin (2x) far above machine noise.
-struct BaselinePoint {
-  int num_vms;
-  double median_ms;
-};
-constexpr BaselinePoint kMinIncrementalBaseline[] = {
-    {100, 1.03396}, {500, 61.1332}, {1000, 266.366}};
-
-double baseline_for(int num_vms) {
-  for (const BaselinePoint& b : kMinIncrementalBaseline)
-    if (b.num_vms == num_vms) return b.median_ms;
-  return 0.0;
-}
-
-struct SingleThreadGate {
-  int num_vms = 0;
-  double baseline_ms = 0.0;  ///< 0 when no baseline exists for num_vms
-  double measured_ms = 0.0;
-  double speedup = 0.0;
-  bool enforced = false;
-  bool pass = true;
-};
-
-SingleThreadGate check_single_thread(const std::vector<AllocatorPoint>& points,
-                                     int num_vms, double budget, bool quick) {
-  SingleThreadGate gate;
-  gate.num_vms = num_vms;
-  gate.baseline_ms = baseline_for(num_vms);
-  for (const AllocatorPoint& p : points)
-    if (p.name == "min-incremental" && p.num_vms == num_vms)
-      gate.measured_ms = p.median_ms;
-  if (gate.baseline_ms > 0 && gate.measured_ms > 0)
-    gate.speedup = gate.baseline_ms / gate.measured_ms;
-  gate.enforced = !quick && gate.baseline_ms > 0 && gate.measured_ms > 0;
-  gate.pass = !gate.enforced || gate.speedup >= budget;
-  std::printf("  single-thread vs committed baseline (n=%d): %.2f ms vs "
-              "%.2f ms -> %.2fx (budget %.1fx, %s) %s\n",
-              gate.num_vms, gate.measured_ms, gate.baseline_ms, gate.speedup,
-              budget,
-              gate.enforced ? "enforced" : "not enforced (no baseline or --quick)",
-              gate.pass ? "OK" : "FAIL");
-  return gate;
-}
-
-AllocatorPoint measure_allocator(const std::string& name, int num_vms,
-                                 int reps) {
-  AllocatorPoint point;
-  point.name = name;
-  point.num_vms = num_vms;
-  const ProblemInstance problem = instance_for(num_vms, 42);
-  std::vector<double> times;
-  for (int rep = 0; rep < reps; ++rep) {
-    times.push_back(time_ms([&] {
-      Rng rng(7);
-      Allocation alloc = make_allocator(name)->allocate(problem, rng);
-      benchmark::DoNotOptimize(alloc.assignment.data());
-    }));
-  }
-  point.median_ms = median(times);
-  point.vms_per_sec =
-      point.median_ms > 0 ? 1000.0 * num_vms / point.median_ms : 0.0;
-  return point;
 }
 
 // ---------------------------------------------------------------------------
@@ -447,95 +362,6 @@ EnvelopeReport measure_envelope(int num_vms, int reps, double triage_budget,
               report.triage_speedup, triage_budget,
               report.triage_enforced ? "enforced" : "not enforced in --quick",
               report.pass ? "OK" : "FAIL");
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Streaming engine: request throughput, submit latency, GC memory bound
-// ---------------------------------------------------------------------------
-
-struct StreamingVariant {
-  double median_ms = 0.0;
-  double requests_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  std::size_t peak_resident_time_units = 0;
-  bool matches_batch = false;
-};
-
-struct StreamingReport {
-  int num_vms = 0;
-  StreamingVariant gc;
-  StreamingVariant no_gc;
-  bool pass = true;
-};
-
-StreamingVariant run_streaming(const ProblemInstance& problem,
-                               const Allocation& batch, bool rolling_gc,
-                               int reps) {
-  StreamingVariant variant;
-  std::vector<double> times;
-  ReplayReport report;
-  for (int rep = 0; rep < reps; ++rep) {
-    times.push_back(time_ms([&] {
-      AllocatorPtr allocator = make_allocator("min-incremental");
-      std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
-      Rng rng(7);
-      VectorArrivalStream arrivals(problem.vms);
-      ReplayOptions options;
-      options.rolling_gc = rolling_gc;
-      report = replay_stream(arrivals, problem.servers, *policy, rng, options);
-      benchmark::DoNotOptimize(report.assignment.data());
-    }));
-  }
-  variant.median_ms = median(times);
-  variant.requests_per_sec = report.requests_per_sec;
-  variant.p50_ms = report.latency.p50_ms;
-  variant.p99_ms = report.latency.p99_ms;
-  variant.peak_resident_time_units = report.peak_resident_time_units;
-
-  Allocation streamed;
-  streamed.assignment.assign(problem.num_vms(), kNoServer);
-  for (std::size_t j = 0; j < problem.num_vms(); ++j) {
-    const auto id = static_cast<std::size_t>(problem.vms[j].id);
-    if (id < report.assignment.size())
-      streamed.assignment[j] = report.assignment[id];
-  }
-  variant.matches_batch = streamed.assignment == batch.assignment;
-  return variant;
-}
-
-StreamingReport measure_streaming(int num_vms, int reps) {
-  StreamingReport report;
-  report.num_vms = num_vms;
-  const ProblemInstance problem = instance_for(num_vms, 42);
-  Rng rng(7);
-  const Allocation batch =
-      make_allocator("min-incremental")->allocate(problem, rng);
-
-  std::printf("measuring streaming engine (%d VMs, min-incremental)...\n",
-              num_vms);
-  report.gc = run_streaming(problem, batch, /*rolling_gc=*/true, reps);
-  report.no_gc = run_streaming(problem, batch, /*rolling_gc=*/false, reps);
-  report.pass = report.gc.matches_batch && report.no_gc.matches_batch;
-  for (const auto& [label, v] :
-       {std::pair<const char*, const StreamingVariant&>{"gc on ", report.gc},
-        {"gc off", report.no_gc}}) {
-    std::printf("  %s: %8.2f ms, %9.0f req/s, p50 %.4f ms, p99 %.4f ms, "
-                "peak resident %zu units, batch match %s\n",
-                label, v.median_ms, v.requests_per_sec, v.p50_ms, v.p99_ms,
-                v.peak_resident_time_units,
-                v.matches_batch ? "yes" : "NO (BUG)");
-  }
-  std::printf("  GC memory: %zu / %zu peak resident units (%.1f%%)\n",
-              report.gc.peak_resident_time_units,
-              report.no_gc.peak_resident_time_units,
-              report.no_gc.peak_resident_time_units > 0
-                  ? 100.0 *
-                        static_cast<double>(report.gc.peak_resident_time_units) /
-                        static_cast<double>(
-                            report.no_gc.peak_resident_time_units)
-                  : 0.0);
   return report;
 }
 
@@ -780,89 +606,9 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Chaos: streaming under a seeded fault plan with the retry queue enabled
-// ---------------------------------------------------------------------------
-
-struct ChaosReport {
-  int num_vms = 0;
-  int failures = 0;
-  double median_ms = 0.0;
-  FaultStats stats;
-  std::size_t placed = 0;
-  std::size_t rejected = 0;
-  Energy total_energy = 0.0;
-  bool reproducible = false;  ///< two seeded runs byte-identical
-  bool pass = true;
-};
-
-ChaosReport measure_chaos(int num_vms, int reps) {
-  ChaosReport report;
-  report.num_vms = num_vms;
-  const ProblemInstance problem = instance_for(num_vms, 42);
-  // min-incremental packs onto low-id servers, so uniform failures need to
-  // cover a decent fraction of the fleet before evacuation actually triggers.
-  report.failures =
-      std::max(4, static_cast<int>(problem.num_servers()) / 3);
-
-  ChaosConfig chaos;
-  chaos.num_servers = problem.num_servers();
-  chaos.failures = report.failures;
-  chaos.window_lo = 5;
-  chaos.window_hi = std::max<Time>(10, problem.horizon / 2);
-  chaos.mean_repair = std::max<Time>(10, problem.horizon / 10);
-  Rng plan_rng(42);
-  const FaultPlan plan = random_fault_plan(chaos, plan_rng);
-
-  const auto run = [&] {
-    AllocatorPtr allocator = make_allocator("min-incremental");
-    std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
-    Rng rng(7);
-    VectorArrivalStream arrivals(problem.vms);
-    ReplayOptions options;
-    options.faults = &plan;
-    options.retry.max_attempts = 3;
-    return replay_stream(arrivals, problem.servers, *policy, rng, options);
-  };
-
-  std::printf("measuring chaos streaming (%d VMs, %d seeded failures, "
-              "retries on)...\n",
-              num_vms, report.failures);
-  std::vector<double> times;
-  ReplayReport first;
-  ReplayReport last;
-  for (int rep = 0; rep < std::max(2, reps); ++rep) {
-    times.push_back(time_ms([&] {
-      last = run();
-      benchmark::DoNotOptimize(last.assignment.data());
-    }));
-    if (rep == 0) first = last;
-  }
-  report.median_ms = median(times);
-  report.stats = last.faults;
-  report.placed = last.placed;
-  report.rejected = last.rejected;
-  report.total_energy = last.total_energy;
-  // The chaos gate: a seeded plan must replay byte-identically run-to-run.
-  report.reproducible = first.assignment == last.assignment &&
-                        first.total_energy == last.total_energy &&
-                        first.faults.rejected_final ==
-                            last.faults.rejected_final &&
-                        first.faults.downtime_units ==
-                            last.faults.downtime_units;
-  report.pass = report.reproducible;
-  std::printf("  %8.2f ms (median), %zu placed / %zu rejected, "
-              "%lld evacuated, %lld downtime units, reproducible %s\n",
-              report.median_ms, report.placed, report.rejected,
-              static_cast<long long>(report.stats.evacuated),
-              static_cast<long long>(report.stats.downtime_units),
-              report.reproducible ? "yes" : "NO (BUG)");
-  return report;
-}
-
 int run_perf_report(const std::string& out_path, int num_vms, int reps,
-                    double overhead_budget, double single_thread_budget,
-                    double envelope_budget, bool quick) {
+                    double overhead_budget, double envelope_budget,
+                    bool quick) {
   std::printf("measuring null-sink observability overhead (%d VMs)...\n",
               num_vms);
   const OverheadReport overhead = measure_overhead(num_vms, reps);
@@ -879,26 +625,8 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   std::printf("  assignments identical: %s\n",
               overhead.assignments_match ? "yes" : "NO (BUG)");
 
-  std::vector<AllocatorPoint> points;
-  for (const std::string& name :
-       {std::string("min-incremental"), std::string("ffps"),
-        std::string("best-fit-cpu")}) {
-    for (int n : {100, 500, num_vms}) {
-      points.push_back(measure_allocator(name, n, std::max(3, reps / 2)));
-      const AllocatorPoint& p = points.back();
-      std::printf("  %-16s n=%-5d %8.2f ms  (%.0f VMs/s)\n", p.name.c_str(),
-                  p.num_vms, p.median_ms, p.vms_per_sec);
-    }
-  }
-
-  const SingleThreadGate single_thread =
-      check_single_thread(points, num_vms, single_thread_budget, quick);
-
   const EnvelopeReport envelope =
       measure_envelope(num_vms, reps, envelope_budget, quick);
-
-  const StreamingReport streaming =
-      measure_streaming(num_vms, std::max(3, reps / 2));
 
   // The telemetry gate runs at the fig2@500 acceptance point in full mode
   // (quick keeps the smoke-test scenario size).
@@ -910,8 +638,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   // bare stream replay.
   const WalReport wal =
       measure_wal(quick ? num_vms : 500, reps, overhead_budget, quick);
-
-  const ChaosReport chaos = measure_chaos(num_vms, std::max(2, reps / 2));
 
   std::ofstream out(out_path);
   if (!out) {
@@ -939,26 +665,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"assignments_match\": "
       << (overhead.assignments_match ? "true" : "false") << ",\n"
       << "    \"pass\": " << (pass ? "true" : "false") << "\n  },\n";
-  out << "  \"allocators\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const AllocatorPoint& p = points[i];
-    out << "    {\"name\": \"" << p.name << "\", \"num_vms\": " << p.num_vms
-        << ", \"median_ms\": " << p.median_ms
-        << ", \"vms_per_sec\": " << p.vms_per_sec << "}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"single_thread\": {\n"
-      << "    \"allocator\": \"min-incremental\",\n"
-      << "    \"num_vms\": " << single_thread.num_vms << ",\n"
-      << "    \"baseline_ms\": " << single_thread.baseline_ms << ",\n"
-      << "    \"measured_ms\": " << single_thread.measured_ms << ",\n"
-      << "    \"speedup_vs_baseline\": " << single_thread.speedup << ",\n"
-      << "    \"budget\": " << single_thread_budget << ",\n"
-      << "    \"enforced\": " << (single_thread.enforced ? "true" : "false")
-      << ",\n"
-      << "    \"pass\": " << (single_thread.pass ? "true" : "false")
-      << "\n  },\n";
   out << "  \"envelope\": {\n"
       << "    \"num_vms\": " << envelope.num_vms << ",\n"
       << "    \"sweep_ms\": " << json_array(envelope.timing.measured_ms)
@@ -976,24 +682,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"verdicts_match\": "
       << (envelope.verdicts_match ? "true" : "false") << ",\n"
       << "    \"pass\": " << (envelope.pass ? "true" : "false") << "\n  },\n";
-  out << "  \"streaming\": {\n"
-      << "    \"allocator\": \"min-incremental\",\n"
-      << "    \"num_vms\": " << streaming.num_vms << ",\n";
-  const auto emit_variant = [&out](const char* key,
-                                   const StreamingVariant& v, bool last) {
-    out << "    \"" << key << "\": {\n"
-        << "      \"median_ms\": " << v.median_ms << ",\n"
-        << "      \"requests_per_sec\": " << v.requests_per_sec << ",\n"
-        << "      \"submit_p50_ms\": " << v.p50_ms << ",\n"
-        << "      \"submit_p99_ms\": " << v.p99_ms << ",\n"
-        << "      \"peak_resident_time_units\": " << v.peak_resident_time_units
-        << ",\n"
-        << "      \"matches_batch\": " << (v.matches_batch ? "true" : "false")
-        << "\n    }" << (last ? "" : ",") << "\n";
-  };
-  emit_variant("rolling_gc", streaming.gc, false);
-  emit_variant("no_gc", streaming.no_gc, false);
-  out << "    \"pass\": " << (streaming.pass ? "true" : "false") << "\n  },\n";
   out << "  \"telemetry\": {\n"
       << "    \"allocator\": \"min-incremental\",\n"
       << "    \"num_vms\": " << telemetry.num_vms << ",\n"
@@ -1039,25 +727,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << (wal.assignments_match ? "true" : "false") << ",\n"
       << "    \"energy_match\": " << (wal.energy_match ? "true" : "false")
       << ",\n"
-      << "    \"pass\": " << (wal.pass ? "true" : "false") << "\n  },\n";
-  out << "  \"chaos\": {\n"
-      << "    \"allocator\": \"min-incremental\",\n"
-      << "    \"num_vms\": " << chaos.num_vms << ",\n"
-      << "    \"seeded_failures\": " << chaos.failures << ",\n"
-      << "    \"median_ms\": " << chaos.median_ms << ",\n"
-      << "    \"placed\": " << chaos.placed << ",\n"
-      << "    \"rejected\": " << chaos.rejected << ",\n"
-      << "    \"total_energy\": " << chaos.total_energy << ",\n"
-      << "    \"fault_events\": " << chaos.stats.fault_events << ",\n"
-      << "    \"displaced\": " << chaos.stats.displaced << ",\n"
-      << "    \"evacuated\": " << chaos.stats.evacuated << ",\n"
-      << "    \"retries\": " << chaos.stats.retries << ",\n"
-      << "    \"retried_placed\": " << chaos.stats.retried_placed << ",\n"
-      << "    \"rejected_final\": " << chaos.stats.rejected_final << ",\n"
-      << "    \"downtime_units\": " << chaos.stats.downtime_units << ",\n"
-      << "    \"reproducible\": " << (chaos.reproducible ? "true" : "false")
-      << ",\n"
-      << "    \"pass\": " << (chaos.pass ? "true" : "false") << "\n  }\n";
+      << "    \"pass\": " << (wal.pass ? "true" : "false") << "\n  }\n";
   out << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -1073,14 +743,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
                  100.0 * overhead.overhead, 100.0 * overhead_budget);
     return 1;
   }
-  if (!single_thread.pass) {
-    std::fprintf(stderr,
-                 "FAIL: single-thread speedup %.2fx vs committed baseline "
-                 "below budget %.1fx (n=%d)\n",
-                 single_thread.speedup, single_thread_budget,
-                 single_thread.num_vms);
-    return 1;
-  }
   if (!envelope.verdicts_match) {
     std::fprintf(stderr,
                  "FAIL: envelope classify() verdicts diverged from "
@@ -1091,12 +753,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
     std::fprintf(stderr,
                  "FAIL: envelope triage speedup %.2fx below budget %.1fx\n",
                  envelope.triage_speedup, envelope.triage_budget);
-    return 1;
-  }
-  if (!streaming.pass) {
-    std::fprintf(stderr,
-                 "FAIL: streaming replay diverged from the batch "
-                 "assignment\n");
     return 1;
   }
   if (!telemetry.assignments_match) {
@@ -1130,12 +786,6 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
     std::fprintf(stderr,
                  "FAIL: WAL submit overhead %.2f%% exceeds budget %.0f%%\n",
                  100.0 * wal.overhead, 100.0 * overhead_budget);
-    return 1;
-  }
-  if (!chaos.pass) {
-    std::fprintf(stderr,
-                 "FAIL: seeded chaos replay was not reproducible "
-                 "run-to-run\n");
     return 1;
   }
   return 0;
@@ -1177,18 +827,14 @@ int main(int argc, char** argv) {
   }
 
   esva::CliParser parser(
-      "bench/perf_allocators — allocator throughput, observability overhead "
-      "guard, BENCH_perf.json artifact (add --gbench for microbenchmarks)");
+      "bench/perf_allocators — paired overhead and envelope gates, "
+      "BENCH_perf.json artifact (add --gbench for microbenchmarks)");
   parser.add_string("out", "BENCH_perf.json", "JSON artifact output path");
   parser.add_int("vms", 1000, "VM count of the overhead-guard scenario");
   parser.add_int("reps", 7, "timed repetitions per variant");
   parser.add_double("overhead-budget", 0.05,
                     "max tolerated null-sink, telemetry and WAL slowdown "
                     "(fraction, median paired ratio)");
-  parser.add_double("single-thread-budget", 2.0,
-                    "min required single-thread min-incremental speedup vs "
-                    "the committed baseline medians (enforced in full mode "
-                    "when a baseline exists for --vms)");
   parser.add_double("envelope-budget", 1.3,
                     "min required SoA envelope sweep speedup vs the AoS "
                     "quick_fit loop (enforced in full mode)");
@@ -1206,7 +852,6 @@ int main(int argc, char** argv) {
   const int status =
       run_perf_report(parser.get_string("out"), num_vms, reps,
                       parser.get_double("overhead-budget"),
-                      parser.get_double("single-thread-budget"),
                       parser.get_double("envelope-budget"),
                       parser.get_bool("quick"));
   if (run_gbench) {

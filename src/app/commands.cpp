@@ -313,13 +313,6 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
   parser.add_string("servers", "servers.csv", "server trace");
   parser.add_string("allocator", "min-incremental", "policy name");
   parser.add_int("seed", 42, "seed");
-  parser.add_int("shards", 1,
-                 "slice the fleet into N contiguous server blocks and add a "
-                 "per-shard load breakdown to --timeseries-out JSONL "
-                 "(identical decisions at any count)");
-  parser.add_bool("no-gc",
-                  "keep full history instead of garbage-collecting behind the "
-                  "frontier (identical decisions; more memory)");
   parser.add_string("faults", "",
                     "fault-plan CSV (time,event,server with event in "
                     "fail|drain|recover) applied at frontier advances "
@@ -361,10 +354,6 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
         load_server_trace(parser.get_string("servers"));
 
     AllocatorPtr allocator = make_allocator(parser.get_string("allocator"));
-    const std::int64_t shards = parser.get_int("shards");
-    if (shards < 1)
-      throw std::invalid_argument("--shards must be >= 1, got " +
-                                  std::to_string(shards));
     ObsContext obs;
     obs.trace = trace_sink.get();
     obs.metrics = &metrics;
@@ -384,14 +373,12 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
 
     FaultPlan fault_plan;
     ReplayOptions options;
-    options.rolling_gc = !parser.get_bool("no-gc");
     if (!parser.get_string("faults").empty()) {
       fault_plan = load_fault_plan(parser.get_string("faults"));
       fault_plan.validate(servers.size());
       options.faults = &fault_plan;
     }
     options.retry = retry_flags(parser);
-    options.shard = ShardOptions{static_cast<int>(shards)};
     options.obs.metrics = &metrics;
     // Telemetry sinks are bound only when their output was requested; none
     // of them changes a single decision (docs/OBSERVABILITY.md).
@@ -493,8 +480,6 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
       file.precision(17);
       file << "{\n"
            << "  \"allocator\": \"" << allocator->name() << "\",\n"
-           << "  \"rolling_gc\": " << (options.rolling_gc ? "true" : "false")
-           << ",\n"
            << "  \"requests\": " << report.requests << ",\n"
            << "  \"placed\": " << report.placed << ",\n"
            << "  \"rejected\": " << report.rejected << ",\n"

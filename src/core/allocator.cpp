@@ -18,6 +18,10 @@ void Allocator::set_scan_config(const ScanConfig& config) const {
     throw std::invalid_argument(
         "ScanConfig::threads must be 1: the candidate scan is serial (got " +
         std::to_string(config.threads) + ")");
+  if (config.shards != 1)
+    throw std::invalid_argument(
+        "ScanConfig::shards must be 1: the fleet is one block (got " +
+        std::to_string(config.shards) + ")");
 }
 
 Timer* allocate_timer(MetricsRegistry* metrics, const std::string& allocator) {

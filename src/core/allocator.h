@@ -39,26 +39,23 @@ std::string to_string(VmOrder order);
 std::vector<std::size_t> ordered_indices(const ProblemInstance& problem,
                                          VmOrder order);
 
-/// How the streaming engine slices the fleet for per-shard load reporting:
-/// `shards` contiguous, balanced server-index blocks (clamped to
-/// [1, servers]). A multi-shard cluster adds a per-shard breakdown to every
-/// time-series sample (FleetSample::shards); nothing else reads it.
+/// The engine's fleet layout (EngineOptions::shard): one block, so `shards`
+/// must be 1.
 struct ShardOptions {
   int shards = 1;
 };
 
-/// Candidate-scan configuration (core/candidate_scan.h) plus the engine's
-/// shard slicing. The scan is serial, so `threads` accepts exactly 1:
-/// Allocator::set_scan_config and `esva serve --threads` reject any other
-/// value rather than ignore it.
+/// Candidate-scan configuration (core/candidate_scan.h). The scan is serial
+/// over one block, so `threads` and `shards` each accept exactly 1:
+/// Allocator::set_scan_config, the PlacementEngine constructor and
+/// `esva serve --threads` reject any other value rather than ignore it.
 struct ScanConfig {
   /// Scan threads; must be 1 (the candidate scan is serial).
   int threads = 1;
-  /// Shard count for the engine's per-shard load reporting (ShardOptions);
-  /// it does not reach the scan.
+  /// Fleet blocks; must be 1.
   int shards = 1;
 
-  /// The sharding subset of this config, as EngineOptions::shard.
+  /// The layout subset of this config, as EngineOptions::shard.
   ShardOptions shard_options() const { return ShardOptions{shards}; }
 };
 
@@ -81,10 +78,9 @@ class Allocator {
   /// allocators (the ext lookahead/reoptimization passes).
   virtual std::unique_ptr<PlacementPolicy> make_policy() const;
 
-  /// Checks a candidate-scan configuration. The scan is serial, so
-  /// `config.threads` must be 1; any other value throws
-  /// std::invalid_argument. There is nothing else to configure:
-  /// `config.shards` reaches the engine through EngineOptions::shard.
+  /// Checks a candidate-scan configuration: `config.threads` and
+  /// `config.shards` must each be 1, and any other value throws
+  /// std::invalid_argument. There is nothing else to configure.
   void set_scan_config(const ScanConfig& config) const;
 
   /// Observability hook shared by every allocator (obs/trace.h): a trace

@@ -77,11 +77,8 @@ struct SpecKeyHash {
 }  // namespace
 
 ClusterState::ClusterState(std::vector<ServerSpec> servers,
-                           Time initial_horizon, ShardOptions shard)
+                           Time initial_horizon)
     : servers_(std::move(servers)),
-      num_shards_(std::min<std::size_t>(
-          static_cast<std::size_t>(std::max(1, shard.shards)),
-          std::max<std::size_t>(1, servers_.size()))),
       active_(servers_.size()),
       retired_hi_(servers_.size(), 0),
       health_(servers_.size(), ServerHealth::kUp),
@@ -298,16 +295,7 @@ FleetSample ClusterState::sample(Time t) const {
   FleetSample s;
   s.t = t;
   s.active_vms = static_cast<std::uint32_t>(active_count_);
-  // Multi-shard clusters get the per-shard load breakdown alongside the
-  // fleet-wide totals; single-shard clusters leave it empty (the historical
-  // sample shape). Shards are contiguous, balanced server-index blocks.
-  const std::size_t n = servers_.size();
-  const bool per_shard = num_shards_ > 1;
-  if (per_shard) s.shards.resize(num_shards_);
-  for (std::size_t i = 0; i < n; ++i) {
-    ShardLoad* shard = per_shard ? &s.shards[i * num_shards_ / n] : nullptr;
-    if (shard)
-      shard->active_vms += static_cast<std::uint32_t>(active_[i].size());
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
     if (health_[i] == ServerHealth::kFailed) {
       ++s.failed_servers;
       continue;
@@ -325,21 +313,15 @@ FleetSample ClusterState::sample(Time t) const {
       }
     }
     const bool hosting = cpu > 0.0 || mem > 0.0;
-    if (hosting) {
-      const double power = power_at_usage(servers_[i], cpu);
-      s.total_power_w += power;
-      if (shard) shard->power_w += power;
-    }
+    if (hosting) s.total_power_w += power_at_usage(servers_[i], cpu);
     if (health_[i] == ServerHealth::kDrained) {
       ++s.drained_servers;
       continue;  // not placeable: no spare capacity contribution
     }
     if (hosting) {
       ++s.busy_servers;
-      if (shard) ++shard->busy_servers;
     } else {
       ++s.idle_servers;
-      if (shard) ++shard->idle_servers;
     }
     s.spare_cpu += servers_[i].capacity.cpu - cpu;
     s.spare_mem += servers_[i].capacity.mem - mem;
@@ -522,10 +504,14 @@ VmSpec clip_to(VmSpec vm, Time t) {
 PlacementEngine::PlacementEngine(std::vector<ServerSpec> servers,
                                  PlacementPolicy& policy, Rng& rng,
                                  EngineOptions options)
-    : cluster_(std::move(servers), options.initial_horizon, options.shard),
+    : cluster_(std::move(servers), options.initial_horizon),
       policy_(policy),
       rng_(rng),
       options_(options) {
+  if (options_.shard.shards != 1)
+    throw std::invalid_argument(
+        "EngineOptions::shard must be 1: the fleet is one block (got " +
+        std::to_string(options_.shard.shards) + ")");
   if (options_.faults) options_.faults->validate(cluster_.num_servers());
   if (options_.obs.metrics) {
     // Histogram-backed: esva stream --latency-json and the Prometheus

@@ -100,10 +100,8 @@ std::string to_string(ServerHealth health);
 class ClusterState {
  public:
   /// Timelines over [1, initial_horizon]; pass 0 to grow on demand via
-  /// ensure_horizon (the streaming replay default). `shard` slices the fleet
-  /// into contiguous server blocks for sample()'s per-shard breakdown.
-  ClusterState(std::vector<ServerSpec> servers, Time initial_horizon,
-               ShardOptions shard = {});
+  /// ensure_horizon (the streaming replay default).
+  ClusterState(std::vector<ServerSpec> servers, Time initial_horizon);
 
   std::size_t num_servers() const { return timelines_.size(); }
   const std::vector<ServerTimeline>& timelines() const { return timelines_; }
@@ -268,9 +266,6 @@ class ClusterState {
   void sync_candidate(std::size_t i);
 
   std::vector<ServerSpec> servers_;
-  /// `shard.shards` clamped to [1, servers]; sample() slices server i into
-  /// shard i * num_shards_ / servers.
-  std::size_t num_shards_ = 1;
   std::vector<ServerTimeline> timelines_;
   /// SoA envelope rows mirroring timelines_ (envelopes()).
   EnvelopeStore envelopes_;
@@ -430,8 +425,8 @@ struct EngineOptions {
   /// the engine's own energy accumulation is untouched, so assignments and
   /// total_energy() stay byte-identical with or without a ledger bound.
   EnergyLedger* ledger = nullptr;
-  /// Per-shard load slices for time-series samples (ClusterState::sample);
-  /// never changes a decision.
+  /// Must be 1: the fleet is one block. The constructor throws
+  /// std::invalid_argument naming any other count.
   ShardOptions shard;
 };
 

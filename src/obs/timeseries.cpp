@@ -87,23 +87,7 @@ void TimeSeriesSampler::write_jsonl(std::ostream& out) const {
         << ",\"evacuated\":" << s.evacuated
         << ",\"displaced\":" << s.displaced
         << ",\"rejected_final\":" << s.rejected_final
-        << ",\"total_energy\":" << num(s.total_energy);
-    if (!s.shards.empty()) {
-      // Sharded fleets carry the per-shard load breakdown; unsharded
-      // samples omit the key entirely, keeping the historical line shape
-      // byte-identical.
-      out << ",\"shards\":[";
-      for (std::size_t i = 0; i < s.shards.size(); ++i) {
-        const ShardLoad& shard = s.shards[i];
-        if (i > 0) out << ',';
-        out << "{\"active_vms\":" << shard.active_vms
-            << ",\"busy_servers\":" << shard.busy_servers
-            << ",\"idle_servers\":" << shard.idle_servers
-            << ",\"power_w\":" << num(shard.power_w) << '}';
-      }
-      out << ']';
-    }
-    out << "}\n";
+        << ",\"total_energy\":" << num(s.total_energy) << "}\n";
   }
 }
 

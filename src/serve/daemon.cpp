@@ -19,6 +19,7 @@
 #include "baselines/registry.h"
 #include "serve/snapshot.h"
 #include "util/json.h"
+#include "util/logging.h"
 #include "util/parse.h"
 
 namespace esva::serve {
@@ -89,7 +90,6 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   eopts.faults = nullptr;
   eopts.retry = options_.retry;
   eopts.migration_cost_per_gib = options_.migration_cost_per_gib;
-  eopts.shard = options_.scan.shard_options();
   engine_ = std::make_unique<PlacementEngine>(std::move(servers), *policy_,
                                               rng_, eopts);
 
@@ -274,9 +274,20 @@ std::string Daemon::halt_response(const LineId& id) const {
 void Daemon::journal(const std::string& record) {
   wal_->stage(record);
   ++next_seq_;
-  if (options_.snapshot_every > 0 &&
-      ++ops_since_snapshot_ >= options_.snapshot_every)
+  if (options_.snapshot_every == 0 ||
+      ++ops_since_snapshot_ < options_.snapshot_every)
+    return;
+  // Once do_snapshot's sync returns, the op is applied and its record
+  // durable; a snapshot file that cannot be written only lengthens the next
+  // replay, so it is logged and the op acked. A failed sync has halted the
+  // daemon and still fails the op.
+  try {
     do_snapshot();
+  } catch (const std::exception& e) {
+    if (halted()) throw;
+    log_warn() << "periodic snapshot failed: " << e.what();
+    ops_since_snapshot_ = 0;
+  }
 }
 
 void Daemon::do_snapshot() {

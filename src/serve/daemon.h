@@ -95,9 +95,8 @@ struct DaemonOptions {
   /// checked_retry_policy; recorded in the journal header and validated on
   /// recovery.
   RetryPolicy retry;
-  /// `scan.threads` must be 1 (the candidate scan is serial;
-  /// Allocator::set_scan_config); `scan.shards` slices the engine's
-  /// per-shard load reporting.
+  /// `scan.threads` and `scan.shards` must each be 1
+  /// (Allocator::set_scan_config).
   ScanConfig scan;
   CostOptions cost;
   Energy migration_cost_per_gib = 25.0;
@@ -179,7 +178,8 @@ class Daemon {
   /// displacements) accrued since the last call into the assignment map.
   void sync_resolutions();
   /// Stages `record` for the round's commit, and snapshots when
-  /// --snapshot-every is due.
+  /// --snapshot-every is due. A snapshot write that fails there is logged,
+  /// not thrown: the op stands.
   void journal(const std::string& record);
   /// WalWriter::sync with halt-on-failure semantics: a throw records fatal_
   /// (the engine is ahead of the journal) and rethrows.

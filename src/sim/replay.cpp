@@ -26,7 +26,6 @@ ReplayReport replay_stream(ArrivalStream& arrivals,
   engine_options.obs = options.obs;
   engine_options.timeseries = options.timeseries;
   engine_options.ledger = options.ledger;
-  engine_options.shard = options.shard;
   PlacementEngine engine(servers, policy, rng, engine_options);
 
   ReplayReport report;

@@ -43,10 +43,6 @@ struct ReplayOptions {
   TimeSeriesSampler* timeseries = nullptr;
   /// Energy-attribution ledger passed through to the engine; null = none.
   EnergyLedger* ledger = nullptr;
-  /// Passed through to the engine's cluster: a multi-shard count annotates
-  /// every time-series sample with the per-shard load breakdown. Never
-  /// changes a decision.
-  ShardOptions shard;
 };
 
 /// Per-request submit latency, milliseconds. The p50/p99 pair comes from the
