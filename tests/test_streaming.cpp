@@ -36,20 +36,10 @@
 namespace esva {
 namespace {
 
+using testing::make_fleet;
+
 constexpr int kNumVms = 220;
 constexpr int kNumServers = 44;
-
-std::vector<ServerSpec> make_fleet(int num_servers) {
-  std::vector<ServerSpec> servers;
-  const auto& types = all_server_types();
-  for (int i = 0; i < num_servers; ++i) {
-    const double transition_time = 0.5 + static_cast<double>(i % 3);
-    const std::size_t type_index =
-        types.size() - 1 - static_cast<std::size_t>(i) % types.size();
-    servers.push_back(make_server(types[type_index], i, transition_time));
-  }
-  return servers;
-}
 
 WorkloadConfig workload_config() {
   WorkloadConfig config;

@@ -12,6 +12,7 @@
 namespace esva::testing {
 
 using esva::testsupport::basic_server;
+using esva::testsupport::make_fleet;
 using esva::testsupport::random_problem;
 using esva::testsupport::server;
 using esva::testsupport::vm;

@@ -49,10 +49,23 @@ inline ServerSpec basic_server(ServerId id = 0) {
   return server(id, 10.0, 10.0, 100.0, 200.0, 1.0);
 }
 
+/// A mixed fleet: servers cycle Table II from the largest type down, with
+/// transition times 0.5, 1.5 and 2.5 in turn.
+inline std::vector<ServerSpec> make_fleet(int num_servers) {
+  std::vector<ServerSpec> servers;
+  const auto& types = all_server_types();
+  for (int i = 0; i < num_servers; ++i) {
+    const double transition_time = 0.5 + static_cast<double>(i % 3);
+    const std::size_t type_index =
+        types.size() - 1 - static_cast<std::size_t>(i) % types.size();
+    servers.push_back(make_server(types[type_index], i, transition_time));
+  }
+  return servers;
+}
+
 /// A small random instance: VMs drawn from Table I types over a short
-/// horizon, servers cycling Table II from the largest type down (so every VM
-/// fits somewhere), transition times varied for diversity. Intended for
-/// property tests and solver-certified benches.
+/// horizon on make_fleet(num_servers), so every VM fits somewhere. Intended
+/// for property tests and solver-certified benches.
 inline ProblemInstance random_problem(Rng& rng, int num_vms = 12,
                                       int num_servers = 6,
                                       double mean_interarrival = 2.0,
@@ -63,16 +76,7 @@ inline ProblemInstance random_problem(Rng& rng, int num_vms = 12,
   config.mean_duration = mean_duration;
   config.vm_types = all_vm_types();
   std::vector<VmSpec> vms = generate_workload(config, rng);
-
-  std::vector<ServerSpec> servers;
-  const auto& types = all_server_types();
-  for (int i = 0; i < num_servers; ++i) {
-    const double transition_time = 0.5 + static_cast<double>(i % 3);
-    const std::size_t type_index =
-        types.size() - 1 - static_cast<std::size_t>(i) % types.size();
-    servers.push_back(make_server(types[type_index], i, transition_time));
-  }
-  return make_problem(std::move(vms), std::move(servers));
+  return make_problem(std::move(vms), make_fleet(num_servers));
 }
 
 }  // namespace esva::testsupport
