@@ -5,8 +5,9 @@
 
 #include <cstdio>
 
-#include "baselines/ordering.h"
+#include "baselines/registry.h"
 #include "bench_util.h"
+#include "core/streaming.h"
 #include "sim/metrics.h"
 #include "util/table.h"
 
@@ -34,8 +35,8 @@ int main(int argc, char** argv) {
         Rng instance_rng = run_master.split();
         const ProblemInstance problem = scenario.instantiate(instance_rng);
         Rng alloc_rng = run_master.split();
-        AllocatorPtr allocator = make_with_order(base, order);
-        const Allocation alloc = allocator->allocate(problem, alloc_rng);
+        const Allocation alloc = run_batch(
+            problem, *make_allocator(base)->make_policy(), order, alloc_rng);
         cost.add(evaluate_cost(problem, alloc).total());
       }
       if (order == VmOrder::ByStartTime) reference = cost.mean();

@@ -5,7 +5,6 @@
 #include "cluster/timeline.h"
 #include "core/cost_model.h"
 #include "core/streaming.h"
-#include "obs/metrics.h"
 
 namespace esva {
 
@@ -49,8 +48,6 @@ class FfpsPolicy final : public PlacementPolicy {
         const Energy delta = incremental_cost(timelines[i], vm);
         decision.add_feasible(static_cast<ServerId>(i), delta);
         decision.commit(static_cast<ServerId>(i), delta);
-        result.has_delta = true;
-        result.delta = delta;
       } else if (!timelines[i].can_fit(vm)) {
         ++rejections_;
         continue;
@@ -81,12 +78,6 @@ class FfpsPolicy final : public PlacementPolicy {
 
 std::unique_ptr<PlacementPolicy> FfpsAllocator::make_policy() const {
   return std::make_unique<FfpsPolicy>(name(), options_, obs_);
-}
-
-Allocation FfpsAllocator::allocate(const ProblemInstance& problem, Rng& rng) {
-  ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
-  const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, options_.order, rng, obs_);
 }
 
 }  // namespace esva

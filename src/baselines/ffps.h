@@ -10,16 +10,12 @@
 #pragma once
 
 #include "core/allocator.h"
-#include "core/cost_model.h"
 
 namespace esva {
 
 class FfpsAllocator final : public Allocator {
  public:
   struct Options {
-    /// Presentation order; the paper uses ByStartTime. Exposed for the
-    /// ordering ablation.
-    VmOrder order = VmOrder::ByStartTime;
     /// If false, servers are probed in id order instead of a random order —
     /// degenerates to plain First Fit (used in tests for determinism).
     bool shuffle_servers = true;
@@ -38,11 +34,8 @@ class FfpsAllocator final : public Allocator {
 
   std::string name() const override { return "ffps"; }
 
-  /// The server probe order is shuffled once per call using `rng`.
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
-  /// First-fit as a stream policy; the probe-order shuffle happens at
-  /// begin(), exactly where allocate() drew it.
+  /// First-fit as a stream policy. The probe order is shuffled at begin(),
+  /// once per allocate() or replay, using its rng.
   std::unique_ptr<PlacementPolicy> make_policy() const override;
 
  private:

@@ -3,7 +3,6 @@
 #include "cluster/timeline.h"
 #include "core/cost_model.h"
 #include "core/streaming.h"
-#include "obs/metrics.h"
 
 namespace esva {
 
@@ -45,11 +44,9 @@ class RandomFitPolicy final : public PlacementPolicy {
       return result;
     }
     const std::size_t pick = feasible_[rng.index(feasible_.size())];
-    if (decision.active()) {
-      result.has_delta = true;
-      result.delta = incremental_cost(timelines[pick], vm);
-      decision.commit(static_cast<ServerId>(pick), result.delta);
-    }
+    if (decision.active())
+      decision.commit(static_cast<ServerId>(pick),
+                      incremental_cost(timelines[pick], vm));
     result.server = static_cast<ServerId>(pick);
     return result;
   }
@@ -71,13 +68,6 @@ class RandomFitPolicy final : public PlacementPolicy {
 
 std::unique_ptr<PlacementPolicy> RandomFitAllocator::make_policy() const {
   return std::make_unique<RandomFitPolicy>(name(), obs_);
-}
-
-Allocation RandomFitAllocator::allocate(const ProblemInstance& problem,
-                                        Rng& rng) {
-  ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
-  const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, order_, rng, obs_);
 }
 
 }  // namespace esva

@@ -10,17 +10,9 @@ namespace esva {
 
 class RandomFitAllocator final : public Allocator {
  public:
-  explicit RandomFitAllocator(VmOrder order = VmOrder::ByStartTime)
-      : order_(order) {}
-
   std::string name() const override { return "random-fit"; }
 
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
   std::unique_ptr<PlacementPolicy> make_policy() const override;
-
- private:
-  VmOrder order_;
 };
 
 }  // namespace esva

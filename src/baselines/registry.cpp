@@ -3,12 +3,11 @@
 #include <map>
 #include <stdexcept>
 
-#include "baselines/best_fit.h"
 #include "baselines/ffps.h"
-#include "baselines/lowest_idle_power.h"
 #include "baselines/random_fit.h"
-#include "baselines/vector_fit.h"
+#include "core/candidate_scan.h"
 #include "core/min_incremental.h"
+#include "core/scan_scores.h"
 
 namespace esva {
 
@@ -54,12 +53,13 @@ AllocatorPtr make_builtin(const std::string& name) {
     options.shuffle_servers = false;
     return std::make_unique<FfpsAllocator>(options);
   }
-  if (name == "best-fit-cpu") return std::make_unique<BestFitCpuAllocator>();
+  if (name == "best-fit-cpu")
+    return std::make_unique<ScanAllocator<BestFitCpuScore>>();
   if (name == "dot-product-fit")
-    return std::make_unique<DotProductFitAllocator>();
+    return std::make_unique<ScanAllocator<DotProductFitScore>>();
   if (name == "random-fit") return std::make_unique<RandomFitAllocator>();
   if (name == "lowest-idle-power")
-    return std::make_unique<LowestIdlePowerAllocator>();
+    return std::make_unique<ScanAllocator<LowestIdlePowerScore>>();
   return nullptr;
 }
 

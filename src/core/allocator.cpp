@@ -9,6 +9,12 @@
 
 namespace esva {
 
+Allocation Allocator::allocate(const ProblemInstance& problem, Rng& rng) {
+  ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
+  const std::unique_ptr<PlacementPolicy> policy = make_policy();
+  return run_batch(problem, *policy, VmOrder::ByStartTime, rng, obs_);
+}
+
 std::unique_ptr<PlacementPolicy> Allocator::make_policy() const {
   return nullptr;
 }
@@ -50,6 +56,13 @@ std::string to_string(VmOrder order) {
     case VmOrder::ByCpuDesc: return "by-cpu-desc";
   }
   return "?";
+}
+
+const std::vector<VmOrder>& all_vm_orders() {
+  static const std::vector<VmOrder> kOrders = {
+      VmOrder::ByStartTime, VmOrder::ByArrivalId, VmOrder::ByDurationDesc,
+      VmOrder::ByCpuDesc};
+  return kOrders;
 }
 
 std::vector<std::size_t> ordered_indices(const ProblemInstance& problem,

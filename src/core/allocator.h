@@ -5,6 +5,14 @@
 // decisions (no migration — §V contrasts this problem with migration-based
 // work). Stochastic allocators (FFPS's server shuffle, RandomFit) draw from
 // the Rng passed to allocate(), keeping runs reproducible.
+//
+// An allocator is its per-request policy (make_policy(), core/streaming.h):
+// the default allocate() is the one batch driver, "sort by start time, feed
+// the stream" (run_batch). Only the batch-only ext passes (lookahead,
+// delayed admission), which have no policy, override it. The VM order is
+// the batch driver's argument, not an allocator option: the ordering
+// ablation (bench/ablation_ordering) calls run_batch with the other orders
+// itself.
 
 #pragma once
 
@@ -22,9 +30,9 @@ namespace esva {
 
 class PlacementPolicy;  // core/streaming.h
 
-/// Order in which VMs are presented to an allocator. The paper always uses
-/// ByStartTime; the others exist for the ordering ablation
-/// (bench/ablation_ordering).
+/// Order in which run_batch presents VMs to a policy. The paper always uses
+/// ByStartTime, and so does Allocator::allocate(); the others exist for the
+/// ordering ablation (bench/ablation_ordering).
 enum class VmOrder {
   ByStartTime,     ///< increasing t^s (the paper's order)
   ByArrivalId,     ///< request id order (== arrival order for generated loads)
@@ -33,6 +41,9 @@ enum class VmOrder {
 };
 
 std::string to_string(VmOrder order);
+
+/// All orders, for sweep loops.
+const std::vector<VmOrder>& all_vm_orders();
 
 /// Indices of problem.vms in the given presentation order (deterministic;
 /// ties broken by id).
@@ -66,16 +77,17 @@ class Allocator {
   /// Short stable name used in reports ("min-incremental", "ffps", ...).
   virtual std::string name() const = 0;
 
-  /// Produces an assignment for every VM (kNoServer where infeasible).
-  virtual Allocation allocate(const ProblemInstance& problem, Rng& rng) = 0;
+  /// Produces an assignment for every VM (kNoServer where infeasible). The
+  /// default runs make_policy()'s policy through run_batch in start-time
+  /// order, timed as "allocator.<name>.allocate_ms", so the batch and
+  /// streaming paths cannot drift (tests/test_streaming.cpp). Allocators
+  /// whose make_policy() returns null must override it.
+  virtual Allocation allocate(const ProblemInstance& problem, Rng& rng);
 
   /// Streaming counterpart of allocate(): a fresh per-request policy
   /// (core/streaming.h) bound to the allocator's current options and
-  /// observability context. For every allocator that overrides this,
-  /// allocate() is implemented as "sort by start time, feed the stream" over
-  /// exactly this policy, so the batch and streaming paths cannot drift
-  /// (tests/test_streaming.cpp). Returns null for inherently batch
-  /// allocators (the ext lookahead/reoptimization passes).
+  /// observability context. Returns null for inherently batch allocators
+  /// (the ext lookahead/reoptimization passes).
   virtual std::unique_ptr<PlacementPolicy> make_policy() const;
 
   /// Checks a candidate-scan configuration: `config.threads` and

@@ -15,15 +15,16 @@
 //     candidates in increasing server index, so the first index with the
 //     smallest score wins.
 //
-// ScanPolicy wraps both as the per-request decision loop shared by
+// ScanPolicy<Score> wraps both as the per-request decision loop shared by
 // min-incremental and the scan-based baselines, a streaming PlacementPolicy
-// (core/streaming.h). While tracing, it runs the check_fit loop over every
-// server instead — decision records need rejection diagnostics. That traced
-// loop never reads the envelope store or the pristine classes, which makes
-// it the reference the untraced path is checked against: assignments and
-// energies are byte-identical (tests/test_envelope_scan.cpp). Batch
-// allocate() runs the same policy through run_batch ("sort by start time,
-// feed the stream").
+// (core/streaming.h); the allocators differ only in their Score
+// (core/scan_scores.h), so one ScanAllocator<Score> serves them all and
+// Allocator::allocate() runs its policy through run_batch. While tracing,
+// the policy runs the check_fit loop over every server instead — decision
+// records need rejection diagnostics. That traced loop never reads the
+// envelope store or the pristine classes, which makes it the reference the
+// untraced path is checked against: assignments and energies are
+// byte-identical (tests/test_envelope_scan.cpp).
 //
 // Pristine classes. The untraced scan does not visit the whole fleet, only
 // ClusterState::scan_candidates(): every placeable server that is not
@@ -108,7 +109,7 @@ ScanOutcome scan_range(std::size_t lo, std::size_t hi, const Eval& eval) {
 }
 
 /// The per-request decision loop shared by every scan-based allocator, as a
-/// streaming policy: arg-min-scans the fleet with `score` (lower is better;
+/// streaming policy: arg-min-scans the fleet with `Score` (lower is better;
 /// ties to the lowest server index). Batch allocate() and the streaming
 /// replay both run exactly this code (core/streaming.h run_batch /
 /// PlacementEngine), so they cannot diverge.
@@ -117,21 +118,17 @@ ScanOutcome scan_range(std::size_t lo, std::size_t hi, const Eval& eval) {
 /// "Pristine classes"). While tracing, the scan runs the check_fit loop over
 /// every server — rejection diagnostics need check_fit — through the same
 /// scan_range arg-min, so traced and untraced runs cannot diverge
-/// (tests/test_envelope_scan.cpp).
-/// `score_is_energy_delta` tells the tracer whether `score` already *is* the
-/// Eq. 17 incremental energy; otherwise candidates are priced separately for
-/// the trace, as the baselines always did.
-template <typename ScoreFn>
+/// (tests/test_envelope_scan.cpp). The trace reports each feasible
+/// candidate's Eq. 17 delta: the score itself when Score::kIsEnergyDelta,
+/// otherwise priced separately, as the baselines always did. The engine
+/// prices the placement itself (PlacementEngine::commit).
+template <typename Score>
 class ScanPolicy final : public PlacementPolicy {
  public:
-  ScanPolicy(std::string name, bool score_is_energy_delta, ScoreFn score,
-             const ObsContext& obs)
-      : name_(std::move(name)),
-        score_is_energy_delta_(score_is_energy_delta),
-        score_(std::move(score)),
-        obs_(obs) {}
+  ScanPolicy(Score score, const ObsContext& obs)
+      : score_(std::move(score)), obs_(obs) {}
 
-  std::string name() const override { return name_; }
+  std::string name() const override { return Score::kName; }
 
   PlacementDecision place_one(const ClusterState& cluster, const VmSpec& vm,
                               Rng& /*rng*/) override {
@@ -139,7 +136,7 @@ class ScanPolicy final : public PlacementPolicy {
     const std::size_t n = timelines.size();
     PlacementDecision result;
     if (obs_.tracing()) {
-      DecisionBuilder decision(obs_, name_, vm.id);
+      DecisionBuilder decision(obs_, Score::kName, vm.id);
       const ScanOutcome out = scan_range(
           std::size_t{0}, n, [&](std::size_t i) -> std::optional<double> {
             const FitCheck fit = timelines[i].check_fit(vm);
@@ -149,7 +146,7 @@ class ScanPolicy final : public PlacementPolicy {
             }
             const double s = score_(timelines[i], vm);
             decision.add_feasible(static_cast<ServerId>(i),
-                                  score_is_energy_delta_
+                                  Score::kIsEnergyDelta
                                       ? s
                                       : incremental_cost(timelines[i], vm));
             return s;
@@ -161,11 +158,10 @@ class ScanPolicy final : public PlacementPolicy {
         return result;  // reported as unallocated
       }
       result.server = static_cast<ServerId>(out.best);
-      result.has_delta = true;
-      result.delta = score_is_energy_delta_
-                         ? out.best_score
-                         : incremental_cost(timelines[out.best], vm);
-      decision.commit(result.server, result.delta);
+      decision.commit(result.server,
+                      Score::kIsEnergyDelta
+                          ? out.best_score
+                          : incremental_cost(timelines[out.best], vm));
       return result;
     }
 
@@ -200,22 +196,16 @@ class ScanPolicy final : public PlacementPolicy {
     rejected_ += static_cast<std::int64_t>(n) - feasible;
     if (out.best == kNoCandidate) return result;  // reported as unallocated
     result.server = static_cast<ServerId>(candidates[out.best]);
-    if (score_is_energy_delta_) {
-      result.has_delta = true;
-      result.delta = out.best_score;
-    }
     return result;
   }
 
   void finish(std::size_t requests, std::size_t unallocated) override {
-    record_allocation_metrics(obs_.metrics, name_, requests, feasible_,
+    record_allocation_metrics(obs_.metrics, Score::kName, requests, feasible_,
                               rejected_, unallocated);
   }
 
  private:
-  std::string name_;
-  bool score_is_energy_delta_;
-  ScoreFn score_;
+  Score score_;
   ObsContext obs_;
   std::int64_t feasible_ = 0;
   std::int64_t rejected_ = 0;
@@ -224,14 +214,23 @@ class ScanPolicy final : public PlacementPolicy {
   std::vector<std::uint8_t> verdicts_;
 };
 
-/// Deduces the ScoreFn type; the scan-based allocators' make_policy() and
-/// allocate() both construct their policy through this.
-template <typename ScoreFn>
-std::unique_ptr<ScanPolicy<ScoreFn>> make_scan_policy(
-    std::string name, bool score_is_energy_delta, ScoreFn score,
-    const ObsContext& obs) {
-  return std::make_unique<ScanPolicy<ScoreFn>>(
-      std::move(name), score_is_energy_delta, std::move(score), obs);
-}
+/// The allocator of one scan score (core/scan_scores.h): named after the
+/// score, it hands out ScanPolicy<Score>, and Allocator::allocate() runs
+/// that policy through run_batch. Deterministic — it ignores the rng.
+template <typename Score>
+class ScanAllocator final : public Allocator {
+ public:
+  ScanAllocator() = default;
+  explicit ScanAllocator(Score score) : score_(std::move(score)) {}
+
+  std::string name() const override { return Score::kName; }
+
+  std::unique_ptr<PlacementPolicy> make_policy() const override {
+    return std::make_unique<ScanPolicy<Score>>(score_, obs_);
+  }
+
+ private:
+  Score score_;
+};
 
 }  // namespace esva

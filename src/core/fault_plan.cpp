@@ -22,13 +22,6 @@ std::string line_context(std::size_t line) {
   return "fault plan line " + std::to_string(line);
 }
 
-FaultKind parse_kind(const std::string& field, std::size_t line) {
-  if (field == "fail") return FaultKind::kFail;
-  if (field == "drain") return FaultKind::kDrain;
-  if (field == "recover") return FaultKind::kRecover;
-  fail_line(line, "unknown event '" + field + "' (fail|drain|recover)");
-}
-
 }  // namespace
 
 std::string to_string(FaultKind kind) {
@@ -41,6 +34,13 @@ std::string to_string(FaultKind kind) {
       return "recover";
   }
   return "?";
+}
+
+std::optional<FaultKind> parse_fault_kind(const std::string& text) {
+  if (text == "fail") return FaultKind::kFail;
+  if (text == "drain") return FaultKind::kDrain;
+  if (text == "recover") return FaultKind::kRecover;
+  return std::nullopt;
 }
 
 FaultPlan::FaultPlan(std::vector<FaultEvent> events)
@@ -83,7 +83,10 @@ FaultPlan read_fault_plan(std::istream& in) {
     // overflowing field is a structured parse error, never a silent
     // truncation or an uncaught std::out_of_range (util/parse.h).
     e.at = parse_field_as<Time>(row[0], line_context(line));
-    e.kind = parse_kind(row[1], line);
+    const std::optional<FaultKind> kind = parse_fault_kind(row[1]);
+    if (!kind)
+      fail_line(line, "unknown event '" + row[1] + "' (fail|drain|recover)");
+    e.kind = *kind;
     e.server = parse_field_as<ServerId>(row[2], line_context(line));
     if (e.at < 1) fail_line(line, "event time must be >= 1");
     if (e.server < 0) fail_line(line, "server id must be >= 0");

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,11 @@ enum class FaultKind {
 };
 
 std::string to_string(FaultKind kind);
+
+/// Inverse of to_string: "fail", "drain" or "recover"; nullopt for anything
+/// else, which each reader (fault-plan CSV, wire request, WAL record)
+/// reports in its own context.
+std::optional<FaultKind> parse_fault_kind(const std::string& text);
 
 struct FaultEvent {
   Time at = 1;  ///< fires when the engine's frontier reaches this time

@@ -17,39 +17,19 @@
 // feasibility probe (segment trees) plus an O(local) structure-cost delta.
 // The per-VM scan runs through the candidate-scan engine
 // (core/candidate_scan.h): an envelope sweep triages the fleet, then one
-// serial arg-min in server-index order picks the winner.
+// serial arg-min in server-index order picks the winner. The heuristic is
+// that scan with the Eq. 17 score (MinIncrementalScore, core/scan_scores.h),
+// whose one option is the CostOptions it prices with. Deterministic (it
+// ignores the rng): ties on incremental cost break toward the lowest
+// server id.
 
 #pragma once
 
-#include "core/allocator.h"
-#include "core/cost_model.h"
+#include "core/candidate_scan.h"
+#include "core/scan_scores.h"
 
 namespace esva {
 
-class MinIncrementalAllocator final : public Allocator {
- public:
-  struct Options {
-    CostOptions cost;
-    /// Presentation order; the paper uses ByStartTime. Exposed for the
-    /// ordering ablation.
-    VmOrder order = VmOrder::ByStartTime;
-  };
-
-  MinIncrementalAllocator() = default;
-  explicit MinIncrementalAllocator(Options options) : options_(options) {}
-
-  std::string name() const override { return "min-incremental"; }
-
-  /// Deterministic (ignores rng): ties on incremental cost break toward the
-  /// lowest server id.
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
-  /// The same decision loop as allocate(), one request at a time
-  /// (core/streaming.h).
-  std::unique_ptr<PlacementPolicy> make_policy() const override;
-
- private:
-  Options options_;
-};
+using MinIncrementalAllocator = ScanAllocator<MinIncrementalScore>;
 
 }  // namespace esva

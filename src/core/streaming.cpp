@@ -718,10 +718,7 @@ void PlacementEngine::commit(const PlacementDecision& decision,
                              const VmSpec& vm, bool charge_migration) {
   const auto i = static_cast<std::size_t>(decision.server);
   if (options_.account_energy) {
-    energy_ += decision.has_delta
-                   ? decision.delta
-                   : incremental_cost(cluster_.timelines()[i], vm,
-                                      options_.cost);
+    energy_ += incremental_cost(cluster_.timelines()[i], vm, options_.cost);
     if (charge_migration)
       energy_ += migration_energy(vm, options_.migration_cost_per_gib);
   }

@@ -23,8 +23,8 @@
 //     placement, so batch and streaming drivers share one decision path.
 //
 //   * PlacementEngine — submit(VmSpec) -> PlacementDecision per request,
-//     plus advance_to(t). run_batch() reimplements the historical
-//     Allocator::allocate() as "sort by start time, feed the stream",
+//     plus advance_to(t). run_batch() is the batch driver behind
+//     Allocator::allocate(): "sort by start time, feed the stream",
 //     bit-identical to the pre-refactor batch loops
 //     (tests/test_streaming.cpp). The engine is also the fault-tolerance
 //     layer: it steps through an optional FaultPlan at advance_to
@@ -308,13 +308,10 @@ enum class PlacementReject {
 
 std::string to_string(PlacementReject reject);
 
-/// One placement decision. `delta` carries the Eq. 17 incremental energy
-/// when the policy priced the winner anyway (min-incremental, traced runs);
-/// consumers needing energy otherwise price it themselves.
+/// One placement decision: the server chosen and, when none was, why not.
+/// Policies do not price it; the engine does (EngineOptions::account_energy).
 struct PlacementDecision {
   ServerId server = kNoServer;
-  bool has_delta = false;
-  Energy delta = 0.0;
   PlacementReject reject = PlacementReject::kNone;
 };
 
@@ -389,11 +386,13 @@ struct EngineOptions {
   /// present VMs with non-monotone start times.
   bool auto_advance = false;
   /// Accumulate the Eq. 17 incremental energy of every placement (the
-  /// telescoped total equals the batch post-hoc evaluation). Off by default:
-  /// policies that don't price candidates would pay an extra delta per
-  /// request.
+  /// telescoped total equals the batch post-hoc evaluation). The engine
+  /// prices each placement itself with `cost`, whatever the policy scored
+  /// it with and whether or not it is traced, so total_energy() and the
+  /// ledger always agree. Off by default: the batch driver does not need
+  /// the total and would pay one extra delta per request.
   bool account_energy = false;
-  /// Cost options used when account_energy prices a placement itself.
+  /// Cost options account_energy and the ledger price placements with.
   CostOptions cost;
   /// Tolerate requests that start behind the frontier: return a structured
   /// kLateArrival rejection instead of throwing. Off by default — on the
@@ -634,11 +633,12 @@ VmSpec clip_to(VmSpec vm, Time t);
 /// The historical batch contract as a stream driver: presents problem.vms in
 /// `order` to a PlacementEngine over a fixed problem.horizon window and
 /// collects the assignment. With the policy an allocator's make_policy()
-/// returns, this *is* that allocator's allocate() — bit-identical to the
-/// pre-streaming batch loops (tests/test_streaming.cpp).
+/// returns and VmOrder::ByStartTime, this *is* that allocator's allocate()
+/// — bit-identical to the pre-streaming batch loops
+/// (tests/test_streaming.cpp); the ordering ablation passes other orders.
 /// `obs` flows into EngineOptions::obs so the engine's submit timer and
-/// request counters record under the caller's registry (the Allocator
-/// subclasses pass their own ObsContext; default = null sinks).
+/// request counters record under the caller's registry (Allocator::allocate
+/// passes the allocator's own ObsContext; default = null sinks).
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,
                      VmOrder order, Rng& rng, const ObsContext& obs = {});
 

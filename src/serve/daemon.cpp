@@ -26,8 +26,6 @@ namespace esva::serve {
 
 namespace {
 
-std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
-
 std::string error_response(const std::optional<long long>& id,
                            const std::string& what) {
   std::string out = "{\"ok\":false";

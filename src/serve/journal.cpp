@@ -26,23 +26,6 @@ namespace {
 constexpr int kWalVersion = 2;
 constexpr int kOldestWalVersion = 1;
 
-/// u64 quantities (seq, seed) ride as decimal strings: a double-backed JSON
-/// number loses exactness past 2^53.
-std::string u64_field(std::uint64_t v) {
-  std::string out(1, '"');
-  out += std::to_string(v);
-  out += '"';
-  return out;
-}
-
-std::uint64_t require_u64(const json::Value& obj, const std::string& key,
-                          const std::string& context) {
-  const json::Value* v = obj.find(key);
-  if (!v || v->kind != json::Value::Kind::String)
-    throw std::runtime_error(context + ": missing string field '" + key + "'");
-  return parse_u64_field(v->string, context + " field '" + key + "'");
-}
-
 [[noreturn]] void fail_line(std::size_t line, const std::string& what) {
   throw std::runtime_error("wal line " + std::to_string(line) + ": " + what);
 }
@@ -114,14 +97,9 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
     rec.fault.at = static_cast<Time>(json::require_integer(
         root, "at", 1, std::numeric_limits<Time>::max(), ctx));
     const std::string& kind = json::require_string(root, "kind", ctx);
-    if (kind == "fail")
-      rec.fault.kind = FaultKind::kFail;
-    else if (kind == "drain")
-      rec.fault.kind = FaultKind::kDrain;
-    else if (kind == "recover")
-      rec.fault.kind = FaultKind::kRecover;
-    else
-      fail_line(line, "unknown fault kind '" + kind + "'");
+    const std::optional<FaultKind> parsed = parse_fault_kind(kind);
+    if (!parsed) fail_line(line, "unknown fault kind '" + kind + "'");
+    rec.fault.kind = *parsed;
     rec.fault.server = static_cast<ServerId>(json::require_integer(
         root, "server", 0, std::numeric_limits<ServerId>::max(), ctx));
   } else if (op == "drain") {
@@ -365,7 +343,6 @@ WalWriter::~WalWriter() {
 void WalWriter::stage(const std::string& line) {
   pending_ += line;
   pending_ += '\n';
-  ++appended_;
   ++since_sync_;
 }
 

@@ -176,7 +176,6 @@ class WalWriter {
   /// Writes any staged records and fsyncs (drain, snapshot, shutdown).
   void sync();
 
-  std::uint64_t appended() const { return appended_; }
   /// fsyncs of the journal since this writer opened it.
   std::uint64_t fsyncs() const { return fsyncs_; }
 
@@ -188,7 +187,6 @@ class WalWriter {
   std::uint64_t sync_every_ = 1;
   /// Records staged since the last fsync, written or not.
   std::uint64_t since_sync_ = 0;
-  std::uint64_t appended_ = 0;
   std::uint64_t fsyncs_ = 0;
   std::string pending_;  ///< staged, un-written records; capacity reused
 };

@@ -24,16 +24,6 @@ namespace {
 constexpr int kSnapshotVersion = 2;
 constexpr int kOldestSnapshotVersion = 1;
 
-std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
-
-std::uint64_t require_u64(const json::Value& obj, const std::string& key,
-                          const std::string& context) {
-  const json::Value* v = obj.find(key);
-  if (!v || v->kind != json::Value::Kind::String)
-    throw std::runtime_error(context + ": missing string field '" + key + "'");
-  return parse_u64_field(v->string, context + " field '" + key + "'");
-}
-
 template <typename T>
 T require_int(const json::Value& obj, const std::string& key,
               const std::string& context) {
@@ -293,15 +283,18 @@ void write_snapshot_atomic(const std::string& path, const SnapshotData& snap) {
     const ssize_t n = ::write(fd, body.data() + off, body.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
+      const int err = errno;  // close() may overwrite it
       ::close(fd);
       throw std::runtime_error(std::string("snapshot write failed: ") +
-                               std::strerror(errno));
+                               std::strerror(err));
     }
     off += static_cast<std::size_t>(n);
   }
   if (::fsync(fd) != 0) {
+    const int err = errno;
     ::close(fd);
-    throw std::runtime_error("snapshot fsync failed");
+    throw std::runtime_error(std::string("snapshot fsync failed: ") +
+                             std::strerror(err));
   }
   ::close(fd);
   if (::rename(tmp.c_str(), path.c_str()) != 0)

@@ -89,6 +89,21 @@ std::string hex_double(double value) {
   return out;
 }
 
+std::string u64_field(std::uint64_t value) {
+  std::string out(1, '"');
+  out += std::to_string(value);
+  out += '"';
+  return out;
+}
+
+std::uint64_t require_u64(const json::Value& obj, const std::string& key,
+                          const std::string& context) {
+  const json::Value* v = obj.find(key);
+  if (!v || v->kind != json::Value::Kind::String)
+    throw std::runtime_error(context + ": missing string field '" + key + "'");
+  return parse_u64_field(v->string, context + " field '" + key + "'");
+}
+
 namespace {
 
 /// A number or a hexfloat/decimal string read without building any context
@@ -340,15 +355,11 @@ Request decode_request(const std::string& line) {
     req.op = OpKind::kFault;
     req.fault.at = require_time(root, "at", "fault");
     const std::string& kind = json::require_string(root, "kind", "fault");
-    if (kind == "fail")
-      req.fault.kind = FaultKind::kFail;
-    else if (kind == "drain")
-      req.fault.kind = FaultKind::kDrain;
-    else if (kind == "recover")
-      req.fault.kind = FaultKind::kRecover;
-    else
+    const std::optional<FaultKind> parsed = parse_fault_kind(kind);
+    if (!parsed)
       throw std::runtime_error("fault: unknown kind '" + kind +
                                "' (fail|drain|recover)");
+    req.fault.kind = *parsed;
     req.fault.server = static_cast<ServerId>(json::require_integer(
         root, "server", 0, std::numeric_limits<ServerId>::max(), "fault"));
   } else if (op == "stats") {

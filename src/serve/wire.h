@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "cluster/vm.h"
@@ -65,6 +66,16 @@ struct Request {
 
 /// Exact double encoding: a JSON string holding the C99 %a hexfloat.
 std::string hex_double(double value);
+
+/// Exact u64 encoding (seqs, seeds, rng words): a JSON string holding the
+/// decimal value, since a double-backed JSON number loses exactness past
+/// 2^53.
+std::string u64_field(std::uint64_t value);
+
+/// Reads a u64_field member; throws std::runtime_error("<context>: ...")
+/// when it is missing, not a string, or not a decimal u64.
+std::uint64_t require_u64(const json::Value& obj, const std::string& key,
+                          const std::string& context);
 
 /// hex_double appended in place — the journal hot path (encode_place_record
 /// runs once per acked placement) avoids the temporary.

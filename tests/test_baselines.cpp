@@ -2,12 +2,12 @@
 
 #include <set>
 
-#include "baselines/best_fit.h"
 #include "baselines/ffps.h"
-#include "baselines/lowest_idle_power.h"
-#include "baselines/ordering.h"
 #include "baselines/random_fit.h"
 #include "baselines/registry.h"
+#include "core/candidate_scan.h"
+#include "core/scan_scores.h"
+#include "core/streaming.h"
 #include "test_util.h"
 
 namespace esva {
@@ -96,7 +96,7 @@ TEST(BestFitCpu, PicksTightestServer) {
   const ProblemInstance p = make_problem(
       {vm(0, 1, 5, 6.0, 1.0)},
       {server(0, 10, 10, 100, 200), server(1, 7, 10, 100, 200)});
-  BestFitCpuAllocator allocator;
+  ScanAllocator<BestFitCpuScore> allocator;
   Rng rng(1);
   EXPECT_EQ(allocator.allocate(p, rng).assignment[0], 1);
 }
@@ -107,7 +107,7 @@ TEST(BestFitCpu, AccountsForExistingLoad) {
   const ProblemInstance p = make_problem(
       {vm(0, 1, 10, 3.0, 1.0), vm(1, 5, 8, 5.0, 1.0)},
       {basic_server(0), basic_server(1)});
-  BestFitCpuAllocator allocator;
+  ScanAllocator<BestFitCpuScore> allocator;
   Rng rng(1);
   const Allocation alloc = allocator.allocate(p, rng);
   EXPECT_EQ(alloc.assignment[0], 0);  // first VM: tie -> server 0
@@ -144,7 +144,7 @@ TEST(LowestIdlePower, PicksMostEfficientFeasibleServer) {
       {vm(0, 1, 5, 6.0, 6.0)},
       {server(0, 10, 10, 80, 200), server(1, 10, 10, 60, 210),
        server(2, 4, 4, 40, 100)});  // server 2 is cheapest but too small
-  LowestIdlePowerAllocator allocator;
+  ScanAllocator<LowestIdlePowerScore> allocator;
   Rng rng(1);
   EXPECT_EQ(allocator.allocate(p, rng).assignment[0], 1);
 }
@@ -175,20 +175,29 @@ TEST(Registry, EveryAllocatorSolvesARandomInstanceFeasibly) {
   }
 }
 
-TEST(Ordering, WrapperAppliesRequestedOrder) {
-  // With ByDurationDesc, the long VM is placed first and grabs server 0
-  // under plain first-fit semantics... use min-incremental determinism
-  // instead: two clashing VMs, order decides who gets consolidated where.
-  AllocatorPtr by_start = make_with_order("ffps", VmOrder::ByStartTime);
-  AllocatorPtr by_duration = make_with_order("ffps", VmOrder::ByDurationDesc);
-  EXPECT_EQ(by_start->name(), "ffps");
-  EXPECT_NE(by_start, nullptr);
-  EXPECT_NE(by_duration, nullptr);
-
-  AllocatorPtr mi = make_with_order("min-incremental", VmOrder::ByCpuDesc);
-  EXPECT_EQ(mi->name(), "min-incremental");
-  EXPECT_THROW(make_with_order("random-fit", VmOrder::ByStartTime),
-               std::invalid_argument);
+// The VM order is run_batch's argument, and it reaches the decisions: two
+// VMs that clash on equal servers go to server 0 in the order they are
+// presented. By start time the short early VM is presented first; by
+// duration the long late one is.
+TEST(Ordering, RunBatchPresentsVmsInTheRequestedOrder) {
+  const ProblemInstance p = make_problem(
+      {vm(0, 1, 5, 8.0, 8.0), vm(1, 2, 20, 8.0, 8.0)},
+      {basic_server(0), basic_server(1)});
+  for (const std::string name : {"min-incremental", "ffps-noshuffle"}) {
+    const AllocatorPtr allocator = make_allocator(name);
+    Rng by_start_rng(1);
+    EXPECT_EQ(run_batch(p, *allocator->make_policy(), VmOrder::ByStartTime,
+                        by_start_rng)
+                  .assignment,
+              (std::vector<ServerId>{0, 1}))
+        << name;
+    Rng by_duration_rng(1);
+    EXPECT_EQ(run_batch(p, *allocator->make_policy(), VmOrder::ByDurationDesc,
+                        by_duration_rng)
+                  .assignment,
+              (std::vector<ServerId>{1, 0}))
+        << name;
+  }
 }
 
 TEST(Ordering, AllOrdersEnumerated) {

@@ -16,9 +16,9 @@
 //   3. end-to-end identity: every scan allocator's untraced assignment and
 //      energy equal the traced run's (and, for min-incremental, the
 //      historical batch loop's) on stable and profiled workloads, on tiny
-//      fleets and with unplaceable VMs; decision by decision (server and
-//      delta bits); and chaos replays with faults and retries match the
-//      traced replay in every counter;
+//      fleets and with unplaceable VMs; decision by decision (the server,
+//      and the trace's record of it); and chaos replays with faults and
+//      retries match the traced replay in every counter;
 //   4. pristine classes: class keys are the five spec doubles bit for bit;
 //      a class representative scores like an eager empty timeline under all
 //      four scores; and on fleets of thousands of servers with a few dozen
@@ -613,9 +613,10 @@ TEST(ScanIdentity, TinyFleetsMatchTraced) {
   }
 }
 
-// Decision by decision, not just the final assignment: the untraced
-// min-incremental policy and the traced one, driven over the same cluster,
-// pick the same server for every request with the same Eq. 17 delta bits.
+// Decision by decision, not just the final assignment: for every scan
+// allocator, the untraced policy and the traced one, driven over the same
+// cluster, pick the same server for every request, and the trace records
+// that server.
 TEST(ScanPolicyTest, UntracedDecisionsMatchTracedStepByStep) {
   const ProblemInstance problem = profiled_instance(29);
   std::vector<VmSpec> order = problem.vms;
@@ -623,36 +624,41 @@ TEST(ScanPolicyTest, UntracedDecisionsMatchTracedStepByStep) {
                    [](const VmSpec& a, const VmSpec& b) {
                      return a.start < b.start;
                    });
-  MemoryTraceSink sink;
-  AllocatorPtr traced_allocator = make_allocator("min-incremental");
-  ObsContext obs;
-  obs.trace = &sink;
-  traced_allocator->set_observability(obs);
-  const std::unique_ptr<PlacementPolicy> traced =
-      traced_allocator->make_policy();
-  const std::unique_ptr<PlacementPolicy> untraced =
-      make_allocator("min-incremental")->make_policy();
-  ASSERT_NE(traced, nullptr);
-  ASSERT_NE(untraced, nullptr);
+  for (const std::string& name : scan_allocators()) {
+    MemoryTraceSink sink;
+    AllocatorPtr traced_allocator = make_allocator(name);
+    ObsContext obs;
+    obs.trace = &sink;
+    traced_allocator->set_observability(obs);
+    const std::unique_ptr<PlacementPolicy> traced =
+        traced_allocator->make_policy();
+    const std::unique_ptr<PlacementPolicy> untraced =
+        make_allocator(name)->make_policy();
+    ASSERT_NE(traced, nullptr) << name;
+    ASSERT_NE(untraced, nullptr) << name;
 
-  ClusterState cluster(problem.servers, /*initial_horizon=*/0);
-  Rng rng(7);
-  traced->begin(cluster, rng);
-  untraced->begin(cluster, rng);
-  std::size_t placed = 0;
-  for (const VmSpec& vm : order) {
-    cluster.ensure_horizon(vm.end);
-    const PlacementDecision expected = traced->place_one(cluster, vm, rng);
-    const PlacementDecision actual = untraced->place_one(cluster, vm, rng);
-    ASSERT_EQ(actual.server, expected.server) << "vm " << vm.id;
-    ASSERT_EQ(actual.has_delta, expected.has_delta) << "vm " << vm.id;
-    EXPECT_EQ(actual.delta, expected.delta) << "vm " << vm.id;
-    if (expected.server == kNoServer) continue;
-    cluster.place(static_cast<std::size_t>(expected.server), vm);
-    ++placed;
+    ClusterState cluster(problem.servers, /*initial_horizon=*/0);
+    Rng rng(7);
+    traced->begin(cluster, rng);
+    untraced->begin(cluster, rng);
+    std::vector<ServerId> chosen;
+    for (const VmSpec& vm : order) {
+      cluster.ensure_horizon(vm.end);
+      const PlacementDecision expected = traced->place_one(cluster, vm, rng);
+      const PlacementDecision actual = untraced->place_one(cluster, vm, rng);
+      ASSERT_EQ(actual.server, expected.server) << name << " vm " << vm.id;
+      chosen.push_back(expected.server);
+      if (expected.server == kNoServer) continue;
+      cluster.place(static_cast<std::size_t>(expected.server), vm);
+    }
+    const std::vector<VmDecisionTrace> records = sink.decisions();
+    ASSERT_EQ(records.size(), order.size()) << name;
+    for (std::size_t k = 0; k < records.size(); ++k)
+      EXPECT_EQ(records[k].chosen, chosen[k]) << name << " vm " << order[k].id;
+    EXPECT_NE(std::count(chosen.begin(), chosen.end(), kNoServer),
+              static_cast<std::ptrdiff_t>(chosen.size()))
+        << name << " placed nothing";
   }
-  EXPECT_EQ(sink.size(), order.size());
-  EXPECT_GT(placed, 0u);
 }
 
 /// A fleet small enough that requests queue for retries, and a fault plan

@@ -15,9 +15,8 @@ using testing::random_problem;
 using testing::server;
 using testing::vm;
 
-Allocation run_alloc(const ProblemInstance& problem,
-                     MinIncrementalAllocator::Options options = {}) {
-  MinIncrementalAllocator allocator(options);
+Allocation run_alloc(const ProblemInstance& problem) {
+  MinIncrementalAllocator allocator;
   Rng rng(1);
   return allocator.allocate(problem, rng);
 }

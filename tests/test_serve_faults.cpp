@@ -1,20 +1,23 @@
 // The serve daemon's halt path, driven by an I/O fault shim.
 //
 // This binary defines write() and fsync(), so every call the esva library
-// makes resolves here first. A call on any file but the armed journal
-// (matched by device and inode) passes straight through to the next
-// definition (dlsym(RTLD_NEXT): libc, or a sanitizer's interceptor). On the
-// journal the shim fails the k-th write with ENOSPC or EIO, makes it short
-// (half the bytes, then ENOSPC on the next write), or fails the k-th fsync
-// with EIO. It can also hold a journal write until the test releases it,
-// which lines up requests on two connections for one poll round.
+// makes resolves here first. A call on any file but the armed one (matched
+// by device and inode: the journal, or a snapshot's `.tmp`) passes straight
+// through to the next definition (dlsym(RTLD_NEXT): libc, or a sanitizer's
+// interceptor). On the armed file the shim fails the k-th write with ENOSPC
+// or EIO, makes it short (half the bytes, then ENOSPC on the next write), or
+// fails the k-th fsync with EIO. It can also hold a journal write until the
+// test releases it, which lines up requests on two connections for one poll
+// round.
 //
 // Each fault runs at --wal-sync-every 1 and 4, through handle_line (a round
 // of one line) and through serve_loop (one round of two connections). No
 // response of the failing round may be ok:true, later requests are refused,
 // serve_loop returns 1, no snapshot is written, and a restart without
 // faults recovers every acked op — at the energy a fault-free daemon had at
-// the recovered seq — dropping and truncating a torn tail.
+// the recovered seq — dropping and truncating a torn tail. ENOSPC on a
+// write, a short write or EIO on fsync of the snapshot's `.tmp` fails only
+// the explicit snapshot op.
 
 #include <dlfcn.h>
 #include <sys/socket.h>
@@ -57,7 +60,7 @@ struct State {
   ino_t ino = 0;
   Fault fault = Fault::kWriteErrno;
   int err = 0;
-  /// Journal calls of the faulted kind (writes, or fsyncs) up to and
+  /// Armed-file calls of the faulted kind (writes, or fsyncs) up to and
   /// including the failing one.
   int countdown = 0;
   /// The write after a short one fails with ENOSPC.
@@ -76,17 +79,18 @@ Fn next_definition(const char* name) {
   return reinterpret_cast<Fn>(::dlsym(RTLD_NEXT, name));
 }
 
-/// Whether `fd` is the armed journal; the caller holds the lock.
-bool is_journal(const State& s, int fd) {
+/// Whether `fd` is the armed file; the caller holds the lock.
+bool is_armed(const State& s, int fd) {
   if (!s.armed) return false;
   struct stat st{};
   return ::fstat(fd, &st) == 0 && st.st_dev == s.dev && st.st_ino == s.ino;
 }
 
-/// The k-th journal write (fsync for kFsyncEio) from now fails as `fault`.
-void arm(const std::string& journal, Fault fault, int k, int err = 0) {
+/// The k-th write (fsync for kFsyncEio) from now on the file at `path`
+/// fails as `fault`.
+void arm(const std::string& path, Fault fault, int k, int err = 0) {
   struct stat st{};
-  ASSERT_EQ(::stat(journal.c_str(), &st), 0) << journal;
+  ASSERT_EQ(::stat(path.c_str(), &st), 0) << path;
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   s.armed = true;
@@ -133,7 +137,7 @@ extern "C" ssize_t write(int fd, const void* buf, size_t count) {
           "write");
   esva::faultshim::State& s = esva::faultshim::state();
   std::unique_lock<std::mutex> lock(s.mu);
-  if (!esva::faultshim::is_journal(s, fd)) {
+  if (!esva::faultshim::is_armed(s, fd)) {
     lock.unlock();
     return real(fd, buf, count);
   }
@@ -167,7 +171,7 @@ extern "C" int fsync(int fd) {
   esva::faultshim::State& s = esva::faultshim::state();
   {
     std::lock_guard<std::mutex> lock(s.mu);
-    if (esva::faultshim::is_journal(s, fd) && s.fault == Fault::kFsyncEio &&
+    if (esva::faultshim::is_armed(s, fd) && s.fault == Fault::kFsyncEio &&
         s.countdown > 0 && --s.countdown == 0) {
       errno = EIO;
       return -1;
@@ -520,6 +524,67 @@ TEST(JournalFaultSnapshot, FailedSyncBeforeAPeriodicSnapshotHalts) {
     expect_recovery(w, o, expected, expected);
     ::unlink(o.wal_path.c_str());
   }
+}
+
+// --- the snapshot file's own write and fsync ----------------------------------
+
+// An explicit snapshot whose file cannot be written answers ok:false naming
+// the error, and nothing else changes: the journal is intact, so the daemon
+// is not halted, the previous snapshot stays as it was and later places are
+// acked. `<snapshot>.tmp` is created first so the shim can be armed on its
+// inode, which the O_TRUNC open keeps.
+TEST(SnapshotFileFault, ExplicitSnapshotNamesTheErrorAndKeepsServing) {
+  struct FileFault {
+    Fault fault;
+    int err;
+    const char* error;
+  };
+  const FileFault faults[] = {
+      {Fault::kWriteErrno, ENOSPC,
+       "snapshot write failed: No space left on device"},
+      {Fault::kShortWrite, 0, "snapshot write failed: No space left on device"},
+      {Fault::kFsyncEio, 0, "snapshot fsync failed: Input/output error"},
+  };
+  const std::string snapshot_op = "{\"op\":\"snapshot\"}";
+  const Workload w = make_workload();
+  const DaemonOptions o = daemon_options("snapshot_file", 1);
+  const std::string tmp = o.snapshot_path + ".tmp";
+  std::size_t next = 0;
+  std::uint64_t seq = 0;
+  Energy energy = 0.0;
+  {
+    Daemon daemon(w.servers, o);
+    ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[next++])));
+    ASSERT_TRUE(is_ok(daemon.handle_line(snapshot_op)));
+    const std::string previous = read_file(o.snapshot_path);
+    ASSERT_FALSE(previous.empty());
+    std::ofstream(tmp).close();
+    for (const FileFault& f : faults) {
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[next++])));
+      faultshim::arm(tmp, f.fault, 1, f.err);
+      const std::string response = daemon.handle_line(snapshot_op);
+      faultshim::disarm();
+      EXPECT_FALSE(is_ok(response)) << response;
+      EXPECT_NE(response.find(f.error), std::string::npos) << response;
+      EXPECT_FALSE(daemon.halted()) << daemon.fatal_error();
+      EXPECT_EQ(read_file(o.snapshot_path), previous) << f.error;
+      EXPECT_TRUE(is_ok(daemon.handle_line(w.lines[next++]))) << f.error;
+    }
+    const std::string response = daemon.handle_line(snapshot_op);
+    EXPECT_TRUE(is_ok(response)) << response;
+    EXPECT_NE(read_file(o.snapshot_path), previous);
+    EXPECT_FALSE(exists(tmp));
+    seq = daemon.last_seq();
+    energy = daemon.engine().total_energy();
+  }
+  Daemon restarted(w.servers, o);
+  EXPECT_TRUE(restarted.recovered_from_snapshot());
+  EXPECT_EQ(restarted.replayed_records(), 0u);
+  EXPECT_EQ(restarted.last_seq(), seq);
+  EXPECT_EQ(serve::hex_double(restarted.engine().total_energy()),
+            serve::hex_double(energy));
+  ::unlink(o.wal_path.c_str());
+  ::unlink(o.snapshot_path.c_str());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "sim/replay.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -162,6 +163,45 @@ TEST(EnergyLedgerConservation, HoldsUnderChaosAndAttributesMigration) {
     if (entry.cause == EnergyCause::kMigration) {
       EXPECT_GT(entry.delta, 0.0);
     }
+  }
+}
+
+// The engine is the one pricer. With a cost other than the default (no
+// charge for a server's first switch-on), a traced and an untraced replay of
+// every built-in allocator (all of them stream) charge every placement the
+// same energy, and the ledger, which prices with the same cost, conserves in
+// both — whatever cost the policy scored with and whether it traced.
+TEST(EnergyLedgerConservation, NonDefaultCostPricesTracedAndUntracedAlike) {
+  const ProblemInstance problem = instance(42, /*profiled=*/false);
+  for (const std::string& name : allocator_names()) {
+    std::vector<ReplayReport> reports;
+    for (const bool traced : {false, true}) {
+      const std::string label = name + (traced ? " traced" : " untraced");
+      AllocatorPtr allocator = make_allocator(name);
+      MemoryTraceSink sink;
+      if (traced) {
+        ObsContext obs;
+        obs.trace = &sink;
+        allocator->set_observability(obs);
+      }
+      const std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
+      ASSERT_NE(policy, nullptr) << label;
+      EnergyLedger ledger;
+      Rng rng(7);
+      VectorArrivalStream arrivals(problem.vms);
+      ReplayOptions options;
+      options.cost.charge_initial_transition = false;
+      options.ledger = &ledger;
+      reports.push_back(
+          replay_stream(arrivals, problem.servers, *policy, rng, options));
+      ASSERT_GT(reports.back().placed, 0u) << label;
+      EXPECT_EQ(sink.size(), traced ? problem.num_vms() : 0u) << label;
+      EXPECT_TRUE(ledger.conserves(reports.back().total_energy))
+          << label << ": ledger " << ledger.total() << " vs engine "
+          << reports.back().total_energy;
+    }
+    EXPECT_EQ(reports[1].assignment, reports[0].assignment) << name;
+    EXPECT_EQ(reports[1].total_energy, reports[0].total_energy) << name;
   }
 }
 

@@ -1,8 +1,8 @@
-#include "baselines/vector_fit.h"
-
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "core/candidate_scan.h"
+#include "core/scan_scores.h"
 #include "test_util.h"
 
 namespace esva {
@@ -18,7 +18,7 @@ TEST(DotProductFit, PrefersAlignedServer) {
   const ProblemInstance p = make_problem(
       {vm(0, 1, 10, 8.0, 1.0)},
       {server(0, 16, 4, 100, 200), server(1, 10, 64, 100, 200)});
-  DotProductFitAllocator allocator;
+  ScanAllocator<DotProductFitScore> allocator;
   Rng rng(1);
   EXPECT_EQ(allocator.allocate(p, rng).assignment[0], 0);
 }
@@ -31,7 +31,7 @@ TEST(DotProductFit, AlignmentUsesRemainingNotTotalCapacity) {
       {vm(0, 1, 20, 1.0, 12.0),   // memory hog, placed first (earlier start)
        vm(1, 5, 15, 8.0, 1.0)},   // CPU-heavy
       {server(0, 16, 16, 100, 200), server(1, 16, 16, 100, 200)});
-  DotProductFitAllocator allocator;
+  ScanAllocator<DotProductFitScore> allocator;
   Rng rng(1);
   const Allocation alloc = allocator.allocate(p, rng);
   EXPECT_EQ(alloc.assignment[0], 0);  // tie -> lower id
@@ -42,7 +42,7 @@ TEST(DotProductFit, SkipsInfeasibleServers) {
   const ProblemInstance p = make_problem(
       {vm(0, 1, 10, 8.0, 8.0)},
       {server(0, 4, 4, 10, 20), server(1, 16, 16, 100, 200)});
-  DotProductFitAllocator allocator;
+  ScanAllocator<DotProductFitScore> allocator;
   Rng rng(1);
   EXPECT_EQ(allocator.allocate(p, rng).assignment[0], 1);
 }
@@ -51,7 +51,7 @@ TEST(DotProductFit, FeasibleOnRandomInstances) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng gen(seed + 7);
     const ProblemInstance p = random_problem(gen, 22, 9);
-    DotProductFitAllocator allocator;
+    ScanAllocator<DotProductFitScore> allocator;
     Rng rng(seed);
     const Allocation alloc = allocator.allocate(p, rng);
     ASSERT_EQ(validate_allocation(p, alloc, false), "") << "seed " << seed;
@@ -81,7 +81,7 @@ TEST(DotProductFit, BalancesDimensionsBetterThanCpuOnlyBestFit) {
   Rng r1(1);
   Rng r2(1);
   const Allocation vector_alloc =
-      DotProductFitAllocator().allocate(p, r1);
+      ScanAllocator<DotProductFitScore>().allocate(p, r1);
   const Allocation cpu_alloc =
       make_allocator("best-fit-cpu")->allocate(p, r2);
   EXPECT_LE(vector_alloc.num_unallocated(), cpu_alloc.num_unallocated());
