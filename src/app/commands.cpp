@@ -500,22 +500,13 @@ int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
            << report.final_resident_time_units << ",\n"
            << "  \"peak_active_vms\": " << report.peak_active_vms << ",\n"
            << "  \"final_frontier\": " << report.final_frontier << ",\n"
-           << "  \"faults\": {\n"
-           << "    \"fault_events\": " << report.faults.fault_events << ",\n"
-           << "    \"late_arrivals\": " << report.faults.late_arrivals << ",\n"
-           << "    \"displaced\": " << report.faults.displaced << ",\n"
-           << "    \"evacuated\": " << report.faults.evacuated << ",\n"
-           << "    \"deferred\": " << report.faults.deferred << ",\n"
-           << "    \"retries\": " << report.faults.retries << ",\n"
-           << "    \"retried_placed\": " << report.faults.retried_placed
-           << ",\n"
-           << "    \"rejected_final\": " << report.faults.rejected_final
-           << ",\n"
-           << "    \"queue_full\": " << report.faults.queue_full << ",\n"
-           << "    \"downtime_units\": " << report.faults.downtime_units
-           << "\n"
-           << "  }\n"
-           << "}\n";
+           << "  \"faults\": {";
+      const char* sep = "\n";
+      for (const auto& [key, member] : kFaultStatsFields) {
+        file << sep << "    \"" << key << "\": " << report.faults.*member;
+        sep = ",\n";
+      }
+      file << "\n  }\n}\n";
       out << "latency report written to " << path << '\n';
     }
     if (trace_sink) {

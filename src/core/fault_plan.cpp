@@ -95,13 +95,6 @@ FaultPlan read_fault_plan(std::istream& in) {
   return FaultPlan(std::move(events));
 }
 
-void save_fault_plan(const std::string& path, const FaultPlan& plan) {
-  std::ofstream file(path);
-  if (!file)
-    throw std::runtime_error("cannot open fault plan '" + path + "'");
-  write_fault_plan(file, plan);
-}
-
 FaultPlan load_fault_plan(const std::string& path) {
   std::ifstream file(path);
   if (!file)

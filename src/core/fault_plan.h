@@ -73,7 +73,6 @@ class FaultPlan {
 /// message on malformed input (same contract as workload/trace.h).
 void write_fault_plan(std::ostream& out, const FaultPlan& plan);
 FaultPlan read_fault_plan(std::istream& in);
-void save_fault_plan(const std::string& path, const FaultPlan& plan);
 FaultPlan load_fault_plan(const std::string& path);
 
 /// Knobs for synthesizing a random fail/recover plan (the bench chaos

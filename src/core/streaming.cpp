@@ -565,18 +565,8 @@ void PlacementEngine::advance_to(Time t) { step_to(t); }
 void PlacementEngine::step_to(Time t) {
   if (options_.faults) {
     const std::vector<FaultEvent>& events = options_.faults->events();
-    while (fault_cursor_ < events.size() && events[fault_cursor_].at <= t) {
-      const FaultEvent& event = events[fault_cursor_++];
-      cluster_.advance_to(event.at);
-      // Retries due strictly before the event fire against the pre-event
-      // cluster; at the exact instant the fault wins (a failure at t
-      // affects placements made at t).
-      drain_retries(event.at - 1);
-      apply_event(event);
-      // Post-event snapshot, so a failure's displaced load and power drop
-      // are visible at the event instant rather than the next cadence tick.
-      maybe_sample();
-    }
+    while (fault_cursor_ < events.size() && events[fault_cursor_].at <= t)
+      fire(events[fault_cursor_++]);
   }
   cluster_.advance_to(t);
   drain_retries(t);
@@ -584,35 +574,24 @@ void PlacementEngine::step_to(Time t) {
 }
 
 void PlacementEngine::finish_stream() {
-  const std::vector<FaultEvent>* events =
-      options_.faults ? &options_.faults->events() : nullptr;
-  while ((events && fault_cursor_ < events->size()) || !retry_queue_.empty()) {
-    Time next = std::numeric_limits<Time>::max();
-    if (events && fault_cursor_ < events->size())
-      next = (*events)[fault_cursor_].at;
-    if (!retry_queue_.empty())
-      next = std::min(next, retry_queue_.front().not_before);
-    step_to(next);
+  if (options_.faults) {
+    const std::vector<FaultEvent>& events = options_.faults->events();
+    while (fault_cursor_ < events.size()) fire(events[fault_cursor_++]);
   }
+  while (!retry_queue_.empty()) step_to(retry_queue_.front().not_before);
 }
 
 void PlacementEngine::apply_fault(const FaultEvent& event) {
-  if (event.at < 1)
-    throw std::invalid_argument("apply_fault: event time " +
-                                std::to_string(event.at) + " precedes time 1");
+  if (event.at < cluster_.frontier())
+    throw std::invalid_argument(
+        "apply_fault: event time " + std::to_string(event.at) +
+        " precedes the frontier " + std::to_string(cluster_.frontier()));
   if (event.server < 0 ||
       static_cast<std::size_t>(event.server) >= cluster_.num_servers())
     throw std::invalid_argument(
         "apply_fault: server " + std::to_string(event.server) +
         " outside the fleet of " + std::to_string(cluster_.num_servers()));
-  // The per-event block of step_to, verbatim: advance to the instant, fire
-  // retries due strictly before it against the pre-event cluster, apply,
-  // then the post-event sample. A later advance_to(t) completes the pattern
-  // exactly as the plan-driven path would.
-  cluster_.advance_to(event.at);
-  drain_retries(event.at - 1);
-  apply_event(event);
-  maybe_sample();
+  fire(event);
 }
 
 ServerId PlacementEngine::retire_vm(VmId vm) {
@@ -641,10 +620,7 @@ EngineStateSnapshot PlacementEngine::export_state() const {
   snap.peak_resident = peak_resident_;
   snap.fault_cursor = fault_cursor_;
   snap.retry_seq = retry_seq_;
-  snap.retry_queue.reserve(retry_queue_.size());
-  for (const PendingRequest& p : retry_queue_)
-    snap.retry_queue.push_back(
-        {p.vm, p.not_before, p.attempts, p.displaced, p.waiting_since, p.seq});
+  snap.retry_queue = retry_queue_;
   snap.fault_stats = faults_;
   snap.resolutions = resolutions_;
   return snap;
@@ -658,23 +634,14 @@ void PlacementEngine::import_state(const EngineStateSnapshot& snap) {
   peak_resident_ = snap.peak_resident;
   fault_cursor_ = snap.fault_cursor;
   retry_seq_ = snap.retry_seq;
-  retry_queue_.clear();
-  retry_queue_.reserve(snap.retry_queue.size());
-  for (const PendingSnapshot& p : snap.retry_queue) {
-    PendingRequest pending;
-    pending.vm = p.vm;
-    pending.not_before = p.not_before;
-    pending.attempts = p.attempts;
-    pending.displaced = p.displaced;
-    pending.waiting_since = p.waiting_since;
-    pending.seq = p.seq;
-    retry_queue_.push_back(std::move(pending));
-  }
+  retry_queue_ = snap.retry_queue;
   faults_ = snap.fault_stats;
   resolutions_ = snap.resolutions;
 }
 
-void PlacementEngine::apply_event(const FaultEvent& event) {
+void PlacementEngine::fire(const FaultEvent& event) {
+  cluster_.advance_to(event.at);
+  drain_retries(event.at - 1);
   ++faults_.fault_events;
   const auto i = static_cast<std::size_t>(event.server);
   switch (event.kind) {
@@ -692,6 +659,9 @@ void PlacementEngine::apply_event(const FaultEvent& event) {
       break;
   }
   peak_resident_ = std::max(peak_resident_, cluster_.resident_time_units());
+  // Post-event sample, so a failure's displaced load and power drop are
+  // visible at the event instant rather than the next cadence tick.
+  maybe_sample();
 }
 
 void PlacementEngine::evacuate(VmSpec vm, Time now) {
@@ -867,6 +837,22 @@ void PlacementEngine::drain_retries(Time now) {
       enqueue(std::move(pending));
     }
   }
+}
+
+EngineOptions streaming_engine_options(const CostOptions& cost,
+                                       const RetryPolicy& retry,
+                                       Energy migration_cost_per_gib) {
+  EngineOptions options;
+  options.initial_horizon = 0;
+  options.auto_advance = true;
+  options.account_energy = true;
+  options.cost = cost;
+  // A straggler in a live feed must not abort the stream; the engine
+  // classifies it (kLateArrival) and counts it.
+  options.tolerate_late_arrivals = true;
+  options.retry = retry;
+  options.migration_cost_per_gib = migration_cost_per_gib;
+  return options;
 }
 
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,

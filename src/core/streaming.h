@@ -38,9 +38,9 @@
 // Why garbage collection cannot change decisions: a future placement's
 // feasibility depends only on usage within its own interval (at or after the
 // frontier), and its structure-cost delta (core/cost_model.h) depends only
-// on the IntervalSet::preview_insert neighborhood — the left neighbor's hi,
-// the right neighbor's lo, the absorbed intervals, and whether the busy set
-// is empty. Every busy interval dropped by GC ends strictly before the
+// on the IntervalSet::preview_insert_view neighborhood — the left neighbor's
+// hi, the right neighbor's lo, the absorbed intervals, and whether the busy
+// set is empty. Every busy interval dropped by GC ends strictly before the
 // frontier, so the only observable trace it could leave on a future delta is
 // the hi of the *latest* dropped interval (as left-gap anchor) and busy
 // non-emptiness. Rebuilding with a unit sentinel interval at that endpoint
@@ -67,6 +67,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/server_spec.h"
@@ -429,6 +430,14 @@ struct EngineOptions {
   ShardOptions shard;
 };
 
+/// The engine configuration `esva stream` (sim/replay.cpp) and the serve
+/// daemon share, so a daemon-fed stream decides what the replay decides: a
+/// horizon grown on demand, auto-advance, energy accounting priced with
+/// `cost`, and late arrivals rejected with kLateArrival instead of a throw.
+EngineOptions streaming_engine_options(const CostOptions& cost,
+                                       const RetryPolicy& retry,
+                                       Energy migration_cost_per_gib);
+
 /// Graceful-degradation counters of one engine run (mirrored into the obs
 /// registry as engine.* when a MetricsRegistry is bound).
 struct FaultStats {
@@ -442,6 +451,23 @@ struct FaultStats {
   std::int64_t rejected_final = 0; ///< terminal rejections (all causes)
   std::int64_t queue_full = 0;     ///< admissions bounced off a full queue
   std::int64_t downtime_units = 0; ///< Σ time units displaced VMs sat unserved
+};
+
+/// Every FaultStats counter with its report key, in declaration order. The
+/// snapshot codec, the daemon's stats op and `esva stream --latency-json`
+/// all walk this one list.
+inline constexpr std::pair<const char*, std::int64_t FaultStats::*>
+    kFaultStatsFields[] = {
+        {"fault_events", &FaultStats::fault_events},
+        {"late_arrivals", &FaultStats::late_arrivals},
+        {"displaced", &FaultStats::displaced},
+        {"evacuated", &FaultStats::evacuated},
+        {"deferred", &FaultStats::deferred},
+        {"retries", &FaultStats::retries},
+        {"retried_placed", &FaultStats::retried_placed},
+        {"rejected_final", &FaultStats::rejected_final},
+        {"queue_full", &FaultStats::queue_full},
+        {"downtime_units", &FaultStats::downtime_units},
 };
 
 /// A late resolution of a request's hosting: evacuation re-placements,
@@ -462,14 +488,15 @@ struct ServerStateSnapshot {
   std::vector<VmSpec> active;
 };
 
-/// A retry-queue entry in restorable form (mirrors PendingRequest).
-struct PendingSnapshot {
+/// A retry-queue entry, live (PlacementEngine) and restorable
+/// (EngineStateSnapshot::retry_queue) alike.
+struct PendingRequest {
   VmSpec vm;
-  Time not_before = 0;
-  int attempts = 0;
-  bool displaced = false;
-  Time waiting_since = 0;
-  std::uint64_t seq = 0;
+  Time not_before = 0;      ///< earliest next attempt
+  int attempts = 0;         ///< placement attempts so far
+  bool displaced = false;   ///< evacuation (vs. fresh infeasible request)
+  Time waiting_since = 0;   ///< displacement instant (downtime accounting)
+  std::uint64_t seq = 0;    ///< admission order — the FIFO tiebreak
 };
 
 /// The complete restorable state of a PlacementEngine, minus the two pieces
@@ -490,7 +517,7 @@ struct EngineStateSnapshot {
   std::size_t fault_cursor = 0;
   std::uint64_t retry_seq = 0;
   /// Sorted by (not_before, seq), exactly the live queue order.
-  std::vector<PendingSnapshot> retry_queue;
+  std::vector<PendingRequest> retry_queue;
   FaultStats fault_stats;
   std::vector<Resolution> resolutions;
 };
@@ -516,18 +543,22 @@ class PlacementEngine {
   /// to `t`.
   void advance_to(Time t);
 
-  /// End-of-stream drain: applies every remaining fault event and gives
-  /// every queued retry its (bounded) remaining attempts, so no request is
-  /// left in limbo. Idempotent.
+  /// End-of-stream drain: fires every remaining plan event in order, then
+  /// steps to the front of the retry queue until it is empty, giving every
+  /// queued retry its (bounded) remaining attempts, so no request is left in
+  /// limbo. That is the order a daemon sees when a client sends a plan's
+  /// tail as fault ops and then drains. Idempotent.
   void finish_stream();
 
   /// Applies one fault event now — the daemon-driven counterpart of a
-  /// FaultPlan bound at construction. Runs exactly the per-event block a
-  /// plan-driven step_to runs (advance the cluster to event.at, fire retries
-  /// due strictly before the instant, then the event), so a journaled fault
-  /// replays byte-identically to the same event in a plan
-  /// (tests/test_serve.cpp pins the equivalence). Throws
-  /// std::invalid_argument on an out-of-fleet server or event.at < 1.
+  /// FaultPlan bound at construction — through the same rule a plan event
+  /// fires by (fire(): advance the cluster to event.at, drain retries due
+  /// strictly before the instant, then the event), so a client fault op
+  /// gives what the same event in a plan gives (tests/test_serve.cpp pins
+  /// the equivalence). Throws std::invalid_argument, changing nothing, on an
+  /// out-of-fleet server or an event.at before the frontier: the frontier
+  /// has passed that instant, so the VMs the event would displace could only
+  /// be re-placed in the past.
   void apply_fault(const FaultEvent& event);
 
   /// Early retirement of VM `vm` (client-requested teardown): if active,
@@ -573,19 +604,14 @@ class PlacementEngine {
   void sample_now();
 
  private:
-  struct PendingRequest {
-    VmSpec vm;
-    Time not_before = 0;      ///< earliest next attempt
-    int attempts = 0;         ///< placement attempts so far
-    bool displaced = false;   ///< evacuation (vs. fresh infeasible request)
-    Time waiting_since = 0;   ///< displacement instant (downtime accounting)
-    std::uint64_t seq = 0;    ///< admission order — the FIFO tiebreak
-  };
-
-  /// Advances the cluster to `t`, interleaving fault events and retry
-  /// drains in deterministic time order.
+  /// Advances the cluster to `t`: fires every plan event due by `t`, then
+  /// drains the retries due by `t`.
   void step_to(Time t);
-  void apply_event(const FaultEvent& event);
+  /// The one fault-event rule, for plan events and apply_fault alike:
+  /// advance the cluster to event.at, drain the retries due strictly before
+  /// it against the pre-event cluster (at the instant itself the fault wins),
+  /// apply the event, then take the post-event sample.
+  void fire(const FaultEvent& event);
   void evacuate(VmSpec vm, Time now);
   /// Commits a policy decision (energy accounting + cluster placement).
   void commit(const PlacementDecision& decision, const VmSpec& vm,

@@ -247,9 +247,4 @@ void MetricsRegistry::reset() {
   timers_.clear();
 }
 
-MetricsRegistry& global_metrics() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace esva

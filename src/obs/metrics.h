@@ -152,8 +152,4 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Timer>> timers_;
 };
 
-/// The process-wide registry used by the CLI; libraries take an explicit
-/// `MetricsRegistry*` and never touch this implicitly.
-MetricsRegistry& global_metrics();
-
 }  // namespace esva

@@ -226,14 +226,6 @@ void DecisionBuilder::add_feasible(ServerId server, Energy delta) {
   decision_.candidates.push_back(std::move(candidate));
 }
 
-void DecisionBuilder::add_considered(ServerId server) {
-  if (!sink_) return;
-  CandidateTrace candidate;
-  candidate.server = server;
-  candidate.feasible = true;
-  decision_.candidates.push_back(std::move(candidate));
-}
-
 void DecisionBuilder::add_rejected(ServerId server, const FitCheck& fit) {
   if (!sink_) return;
   CandidateTrace candidate;

@@ -133,7 +133,6 @@ class DecisionBuilder {
   bool active() const { return sink_ != nullptr; }
 
   void add_feasible(ServerId server, Energy delta);
-  void add_considered(ServerId server);  ///< feasible, delta not evaluated
   void add_rejected(ServerId server, const FitCheck& fit);
   void set_note(std::string note);
 

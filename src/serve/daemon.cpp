@@ -69,27 +69,19 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   header_.num_servers = servers.size();
   header_.retry = options_.retry;
 
-  // The engine mirrors replay_stream's configuration exactly (sim/replay.cpp)
-  // so a daemon-fed stream is byte-identical to `esva stream`: grow-on-demand
-  // horizon, auto-advance GC, energy accounting, tolerated stragglers. Fault
-  // events arrive as ops (PlacementEngine::apply_fault), not a plan.
+  // replay_stream's engine configuration (streaming_engine_options), so a
+  // daemon-fed stream is byte-identical to `esva stream`. Fault events
+  // arrive as ops (PlacementEngine::apply_fault), not a plan.
   allocator_ = make_allocator(options_.allocator);
   allocator_->set_scan_config(options_.scan);
   policy_ = allocator_->make_policy();
   if (!policy_)
     throw std::invalid_argument("allocator '" + options_.allocator +
                                 "' is batch-only (no streaming policy)");
-  EngineOptions eopts;
-  eopts.initial_horizon = 0;
-  eopts.auto_advance = true;
-  eopts.account_energy = true;
-  eopts.cost = options_.cost;
-  eopts.tolerate_late_arrivals = true;
-  eopts.faults = nullptr;
-  eopts.retry = options_.retry;
-  eopts.migration_cost_per_gib = options_.migration_cost_per_gib;
-  engine_ = std::make_unique<PlacementEngine>(std::move(servers), *policy_,
-                                              rng_, eopts);
+  engine_ = std::make_unique<PlacementEngine>(
+      std::move(servers), *policy_, rng_,
+      streaming_engine_options(options_.cost, options_.retry,
+                               options_.migration_cost_per_gib));
 
   // One daemon per journal, decided before recovery reads it: a second
   // writer would ack records under seqs this daemon already used, and the
@@ -173,71 +165,61 @@ Daemon::WalLock::~WalLock() {
   if (fd >= 0) ::close(fd);
 }
 
-PlacementDecision Daemon::apply_place(const VmSpec& vm) {
-  const PlacementDecision decision = engine_->submit(vm);
-  // A submit can drain due retries for *other* requests first; fold those
-  // resolutions in before recording this request's own outcome.
-  sync_resolutions();
-  assignment_[vm.id] = decision.server;
-  return decision;
-}
-
-ServerId Daemon::apply_retire(VmId vm) {
-  const ServerId host = engine_->retire_vm(vm);
-  sync_resolutions();
-  // Trace semantics: a retire journals "chosen":null, so last-write-wins
-  // over the journal resolves this VM to kNoServer — mirror that here.
-  assignment_[vm] = kNoServer;
-  return host;
-}
-
-void Daemon::replay_record(const WalRecord& rec) {
-  const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
-  switch (rec.op) {
-    case WalRecord::Op::kPlace: {
-      const PlacementDecision decision = apply_place(rec.vm);
-      // Fidelity checksums: the deterministic re-run must land exactly where
-      // the live run did — on the same server, at the same cumulative
-      // energy (bit-exact, hence hexfloat). Divergence means the journal
-      // and the engine configuration no longer agree; refusing to serve is
-      // the only safe answer.
-      if (decision.server != rec.chosen)
-        throw std::runtime_error(
-            where + ": replay chose server " +
-            std::to_string(decision.server) + ", journal recorded " +
-            std::to_string(rec.chosen));
-      if (rec.has_energy && engine_->total_energy() != rec.energy_after)
-        throw std::runtime_error(where +
-                                 ": replay energy diverged from the journal");
+PlacementDecision Daemon::apply(const Request& req) {
+  PlacementDecision decision;
+  switch (req.op) {
+    case OpKind::kPlace:
+      decision = engine_->submit(req.vm);
       break;
-    }
-    case WalRecord::Op::kRetire: {
-      const ServerId host = apply_retire(rec.vm_id);
-      if (host != rec.chosen)
-        throw std::runtime_error(
-            where + ": replay retired from server " + std::to_string(host) +
-            ", journal recorded " + std::to_string(rec.chosen));
+    case OpKind::kRetire:
+      decision.server = engine_->retire_vm(req.vm_id);
       break;
-    }
-    case WalRecord::Op::kAdvance:
-      engine_->advance_to(rec.to);
-      sync_resolutions();
+    case OpKind::kAdvance:
+      engine_->advance_to(req.to);
       break;
-    case WalRecord::Op::kFault:
-      engine_->apply_fault(rec.fault);
-      sync_resolutions();
+    case OpKind::kFault:
+      engine_->apply_fault(req.fault);
       break;
-    case WalRecord::Op::kDrain:
+    case OpKind::kDrain:
       engine_->finish_stream();
-      sync_resolutions();
       break;
+    case OpKind::kStats:
+    case OpKind::kSnapshot:
+      break;  // not journaled: they change no engine state
   }
-}
-
-void Daemon::sync_resolutions() {
+  // An op can resolve *other* requests first (a submit drains due retries);
+  // fold those in before recording this request's own outcome.
   const std::vector<Resolution>& rs = engine_->resolutions();
   for (; resolutions_applied_ < rs.size(); ++resolutions_applied_)
     assignment_[rs[resolutions_applied_].vm] = rs[resolutions_applied_].server;
+  if (req.op == OpKind::kPlace) assignment_[req.vm.id] = decision.server;
+  // Trace semantics: a retire journals "chosen":null, so last-write-wins
+  // over the journal resolves this VM to kNoServer — mirror that here.
+  if (req.op == OpKind::kRetire) assignment_[req.vm_id] = kNoServer;
+  return decision;
+}
+
+void Daemon::replay_record(const WalRecord& rec) {
+  const PlacementDecision decision = apply(rec.req);
+  // Fidelity checksums: the deterministic re-run must land exactly where the
+  // live run did — on the same server, at the same cumulative energy
+  // (bit-exact, hence hexfloat). Divergence means the journal and the engine
+  // configuration no longer agree; refusing to serve is the only safe answer.
+  const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
+  if (rec.req.op == OpKind::kPlace) {
+    if (decision.server != rec.chosen)
+      throw std::runtime_error(
+          where + ": replay chose server " + std::to_string(decision.server) +
+          ", journal recorded " + std::to_string(rec.chosen));
+    if (rec.has_energy && engine_->total_energy() != rec.energy_after)
+      throw std::runtime_error(where +
+                               ": replay energy diverged from the journal");
+  } else if (rec.req.op == OpKind::kRetire && decision.server != rec.chosen) {
+    throw std::runtime_error(
+        where + ": replay retired from server " +
+        std::to_string(decision.server) + ", journal recorded " +
+        std::to_string(rec.chosen));
+  }
 }
 
 // A failed journal write or fsync halts the daemon: the engine already
@@ -308,8 +290,9 @@ void Daemon::do_snapshot() {
 
 void Daemon::drain() {
   if (halted()) throw std::runtime_error("daemon halted: " + fatal_);
-  engine_->finish_stream();
-  sync_resolutions();
+  Request req;
+  req.op = OpKind::kDrain;
+  apply(req);
   journal(encode_drain_record(next_seq_));
   wal_sync();
   do_snapshot();
@@ -341,16 +324,8 @@ std::string Daemon::stats_json(bool with_assignment, bool with_id,
   out += ",\"replayed\":" + std::to_string(replayed_);
   out += ",\"torn_tail_recovered\":";
   out += torn_tail_ ? "true" : "false";
-  out += ",\"fault_events\":" + std::to_string(f.fault_events);
-  out += ",\"late_arrivals\":" + std::to_string(f.late_arrivals);
-  out += ",\"displaced\":" + std::to_string(f.displaced);
-  out += ",\"evacuated\":" + std::to_string(f.evacuated);
-  out += ",\"deferred\":" + std::to_string(f.deferred);
-  out += ",\"retries\":" + std::to_string(f.retries);
-  out += ",\"retried_placed\":" + std::to_string(f.retried_placed);
-  out += ",\"rejected_final\":" + std::to_string(f.rejected_final);
-  out += ",\"queue_full\":" + std::to_string(f.queue_full);
-  out += ",\"downtime_units\":" + std::to_string(f.downtime_units);
+  for (const auto& [key, member] : kFaultStatsFields)
+    out += std::string(",\"") + key + "\":" + std::to_string(f.*member);
   if (with_assignment) {
     out += ",\"assignment\":[";
     bool first = true;
@@ -371,7 +346,7 @@ std::string Daemon::dispatch(const Request& req) {
   out += ",\"op\":" + json::escape(to_string(req.op));
   switch (req.op) {
     case OpKind::kPlace: {
-      const PlacementDecision decision = apply_place(req.vm);
+      const PlacementDecision decision = apply(req);
       const std::uint64_t seq = next_seq_;
       journal(encode_place_record(seq, options_.allocator, req.vm, decision,
                                   engine_->total_energy()));
@@ -384,7 +359,7 @@ std::string Daemon::dispatch(const Request& req) {
       break;
     }
     case OpKind::kRetire: {
-      const ServerId host = apply_retire(req.vm_id);
+      const ServerId host = apply(req).server;
       const std::uint64_t seq = next_seq_;
       journal(encode_retire_record(seq, req.vm_id, host));
       out += ",\"seq\":" + u64_field(seq);
@@ -394,8 +369,7 @@ std::string Daemon::dispatch(const Request& req) {
       break;
     }
     case OpKind::kAdvance: {
-      engine_->advance_to(req.to);
-      sync_resolutions();
+      apply(req);
       const std::uint64_t seq = next_seq_;
       journal(encode_advance_record(seq, req.to));
       out += ",\"seq\":" + u64_field(seq);
@@ -404,8 +378,7 @@ std::string Daemon::dispatch(const Request& req) {
       break;
     }
     case OpKind::kFault: {
-      engine_->apply_fault(req.fault);
-      sync_resolutions();
+      apply(req);
       const std::uint64_t seq = next_seq_;
       journal(encode_fault_record(seq, req.fault));
       out += ",\"seq\":" + u64_field(seq);

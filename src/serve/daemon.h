@@ -14,19 +14,19 @@
 // (docs/SERVE.md, "Durability model"). handle_line is a round of one line.
 //
 // A restarted daemon reconstructs its state by loading the latest snapshot
-// (if any) and *re-running the engine* over the journal records after it —
-// the same deterministic policy with the same seed makes replay reproduce
-// every decision bit-for-bit, and the journal's recorded outcomes (chosen
-// server, cumulative energy as hexfloat) are verified as replay-fidelity
-// checksums. tests/test_serve.cpp pins that a daemon-fed stream — including
-// one SIGKILLed and restarted mid-stream — produces assignments and total
-// energy byte-identical to the same workload through `esva stream`
-// (sim/replay.cpp).
+// (if any) and *re-running the engine* over the journal records after it:
+// each record decodes to the Request the live daemon applied, and goes
+// through the same applier (Daemon::apply). The same deterministic policy
+// with the same seed makes replay reproduce every decision bit-for-bit, and
+// the journal's recorded outcomes (chosen server, cumulative energy as
+// hexfloat) are verified as replay-fidelity checksums. tests/test_serve.cpp
+// pins that a daemon-fed stream — including one SIGKILLed and restarted
+// mid-stream — produces assignments and total energy byte-identical to the
+// same workload through `esva stream` (sim/replay.cpp), for every fault plan.
 //
-// Engine configuration mirrors replay_stream exactly (grow-on-demand
-// horizon, auto-advance, energy accounting, tolerated late arrivals); fault
-// events arrive as client ops through PlacementEngine::apply_fault instead
-// of a pre-bound plan, which runs the identical per-event code path.
+// The engine configuration is replay_stream's (streaming_engine_options);
+// fault events arrive as client ops through PlacementEngine::apply_fault
+// instead of a pre-bound plan, which fires them by the same rule.
 //
 // Threading: the daemon is single-threaded; serve_loop multiplexes
 // connections with poll() and handles one round at a time, applying its
@@ -171,12 +171,16 @@ class Daemon {
   /// The request id a response echoes, when the request carried one.
   using LineId = std::optional<long long>;
 
-  PlacementDecision apply_place(const VmSpec& vm);
-  ServerId apply_retire(VmId vm);
+  /// The one applier of a state-changing op (place, retire, advance, fault,
+  /// drain), live and in recovery alike: makes the engine call, folds the
+  /// resolutions it accrued (evacuations, retry placements, unresolved
+  /// displacements) into the assignment map, records the op's own outcome
+  /// there, and returns its decision — a place's outcome, a retire's old
+  /// host (kNoServer when the VM was not active), empty otherwise.
+  PlacementDecision apply(const Request& req);
+  /// Recovery of one record: apply(), then the recorded outcome checked as
+  /// a fidelity checksum.
   void replay_record(const WalRecord& rec);
-  /// Folds engine resolutions (evacuations, retry placements, unresolved
-  /// displacements) accrued since the last call into the assignment map.
-  void sync_resolutions();
   /// Stages `record` for the round's commit, and snapshots when
   /// --snapshot-every is due. A snapshot write that fails there is logged,
   /// not thrown: the op stands.

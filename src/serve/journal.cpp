@@ -63,10 +63,10 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
   rec.seq = require_u64(root, "seq", "wal record");
   const std::string ctx = "wal record";
   if (op == "place") {
-    rec.op = WalRecord::Op::kPlace;
+    rec.req.op = OpKind::kPlace;
     const json::Value* spec = root.find("spec");
     if (!spec) fail_line(line, "place record missing 'spec'");
-    rec.vm = decode_vm(*spec, "wal place spec");
+    rec.req.vm = decode_vm(*spec, "wal place spec");
     if (const json::Value* c = root.find("chosen"); c && c->is_null())
       rec.chosen = kNoServer;
     else
@@ -80,30 +80,30 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
           parse_double_field(e->string, ctx + " field 'energy_hex'");
     }
   } else if (op == "retire") {
-    rec.op = WalRecord::Op::kRetire;
-    rec.vm_id = static_cast<VmId>(json::require_integer(
+    rec.req.op = OpKind::kRetire;
+    rec.req.vm_id = static_cast<VmId>(json::require_integer(
         root, "vm", 0, std::numeric_limits<VmId>::max(), ctx));
     if (const json::Value* s = root.find("server"); s && !s->is_null())
       rec.chosen = static_cast<ServerId>(json::require_integer(
           root, "server", kNoServer, std::numeric_limits<ServerId>::max(),
           ctx));
   } else if (op == "advance") {
-    rec.op = WalRecord::Op::kAdvance;
-    rec.to = static_cast<Time>(json::require_integer(
+    rec.req.op = OpKind::kAdvance;
+    rec.req.to = static_cast<Time>(json::require_integer(
         root, "to", std::numeric_limits<Time>::min(),
         std::numeric_limits<Time>::max(), ctx));
   } else if (op == "fault") {
-    rec.op = WalRecord::Op::kFault;
-    rec.fault.at = static_cast<Time>(json::require_integer(
+    rec.req.op = OpKind::kFault;
+    rec.req.fault.at = static_cast<Time>(json::require_integer(
         root, "at", 1, std::numeric_limits<Time>::max(), ctx));
     const std::string& kind = json::require_string(root, "kind", ctx);
     const std::optional<FaultKind> parsed = parse_fault_kind(kind);
     if (!parsed) fail_line(line, "unknown fault kind '" + kind + "'");
-    rec.fault.kind = *parsed;
-    rec.fault.server = static_cast<ServerId>(json::require_integer(
+    rec.req.fault.kind = *parsed;
+    rec.req.fault.server = static_cast<ServerId>(json::require_integer(
         root, "server", 0, std::numeric_limits<ServerId>::max(), ctx));
   } else if (op == "drain") {
-    rec.op = WalRecord::Op::kDrain;
+    rec.req.op = OpKind::kDrain;
   } else {
     fail_line(line, "unknown record op '" + op + "'");
   }
@@ -299,7 +299,7 @@ std::vector<VmDecisionTrace> decisions_from_wal(
     const std::vector<WalRecord>& records) {
   std::string jsonl;
   for (const WalRecord& rec : records)
-    if (rec.op == WalRecord::Op::kPlace || rec.op == WalRecord::Op::kRetire) {
+    if (rec.req.op == OpKind::kPlace || rec.req.op == OpKind::kRetire) {
       jsonl += rec.raw;
       jsonl += '\n';
     }

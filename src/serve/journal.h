@@ -33,7 +33,8 @@
 // ignored by the trace loader.
 //
 // Recovery does NOT trust recorded outcomes: it re-runs the deterministic
-// engine over the journaled *inputs* (advance and fault records trigger
+// engine over the journaled *inputs*, each decoded into the serve::Request
+// the live daemon applied (advance and fault records trigger
 // policy-invoking retries and evacuations that a record-application scheme
 // could not reproduce). The recorded "chosen" and cumulative "energy_hex"
 // then act as replay-fidelity checksums — any divergence from the live run
@@ -59,6 +60,7 @@
 #include "core/fault_plan.h"
 #include "core/streaming.h"
 #include "obs/trace.h"
+#include "serve/wire.h"
 #include "util/types.h"
 
 namespace esva::serve {
@@ -75,14 +77,11 @@ struct WalHeader {
 
 /// One replayable journal record (the decoded form of the schema above).
 struct WalRecord {
-  enum class Op { kPlace, kRetire, kAdvance, kFault, kDrain };
-  Op op = Op::kPlace;
   std::uint64_t seq = 0;
-  VmSpec vm;                    ///< kPlace: the submitted spec
-  VmId vm_id = 0;               ///< kRetire
-  Time to = 0;                  ///< kAdvance
-  FaultEvent fault;             ///< kFault
-  /// kPlace/kRetire replay checksums: the recorded outcome.
+  /// The journaled op as the client sent it — a place, retire, advance,
+  /// fault or drain — which recovery hands to the daemon's one applier.
+  Request req;
+  /// Place/retire replay checksums: the recorded outcome.
   ServerId chosen = kNoServer;
   bool has_energy = false;
   Energy energy_after = 0.0;    ///< cumulative engine energy after the op

@@ -75,7 +75,7 @@ std::string encode_engine(const EngineStateSnapshot& e) {
   }
   out += "],\"retry_queue\":[";
   for (std::size_t k = 0; k < e.retry_queue.size(); ++k) {
-    const PendingSnapshot& p = e.retry_queue[k];
+    const PendingRequest& p = e.retry_queue[k];
     if (k > 0) out += ',';
     out += "{\"vm\":" + encode_vm(p.vm);
     out += ",\"not_before\":" + std::to_string(p.not_before);
@@ -87,17 +87,11 @@ std::string encode_engine(const EngineStateSnapshot& e) {
     out += '}';
   }
   out += "],\"fault_stats\":{";
-  const FaultStats& f = e.fault_stats;
-  out += "\"fault_events\":" + std::to_string(f.fault_events);
-  out += ",\"late_arrivals\":" + std::to_string(f.late_arrivals);
-  out += ",\"displaced\":" + std::to_string(f.displaced);
-  out += ",\"evacuated\":" + std::to_string(f.evacuated);
-  out += ",\"deferred\":" + std::to_string(f.deferred);
-  out += ",\"retries\":" + std::to_string(f.retries);
-  out += ",\"retried_placed\":" + std::to_string(f.retried_placed);
-  out += ",\"rejected_final\":" + std::to_string(f.rejected_final);
-  out += ",\"queue_full\":" + std::to_string(f.queue_full);
-  out += ",\"downtime_units\":" + std::to_string(f.downtime_units);
+  for (const auto& [key, member] : kFaultStatsFields) {
+    if (out.back() != '{') out += ',';
+    out += std::string("\"") + key + "\":" +
+           std::to_string(e.fault_stats.*member);
+  }
   out += "},\"resolutions\":[";
   for (std::size_t k = 0; k < e.resolutions.size(); ++k) {
     if (k > 0) out += ',';
@@ -142,7 +136,7 @@ EngineStateSnapshot decode_engine(const json::Value& obj) {
   const json::Value& queue =
       require_member(obj, "retry_queue", json::Value::Kind::Array, ctx);
   for (const json::Value& q : queue.array) {
-    PendingSnapshot p;
+    PendingRequest p;
     const json::Value* vm = q.find("vm");
     if (!vm) throw std::runtime_error(ctx + ": retry entry missing 'vm'");
     p.vm = decode_vm(*vm, "snapshot retry vm");
@@ -158,22 +152,8 @@ EngineStateSnapshot decode_engine(const json::Value& obj) {
 
   const json::Value& stats =
       require_member(obj, "fault_stats", json::Value::Kind::Object, ctx);
-  e.fault_stats.fault_events =
-      require_int<std::int64_t>(stats, "fault_events", ctx);
-  e.fault_stats.late_arrivals =
-      require_int<std::int64_t>(stats, "late_arrivals", ctx);
-  e.fault_stats.displaced = require_int<std::int64_t>(stats, "displaced", ctx);
-  e.fault_stats.evacuated = require_int<std::int64_t>(stats, "evacuated", ctx);
-  e.fault_stats.deferred = require_int<std::int64_t>(stats, "deferred", ctx);
-  e.fault_stats.retries = require_int<std::int64_t>(stats, "retries", ctx);
-  e.fault_stats.retried_placed =
-      require_int<std::int64_t>(stats, "retried_placed", ctx);
-  e.fault_stats.rejected_final =
-      require_int<std::int64_t>(stats, "rejected_final", ctx);
-  e.fault_stats.queue_full =
-      require_int<std::int64_t>(stats, "queue_full", ctx);
-  e.fault_stats.downtime_units =
-      require_int<std::int64_t>(stats, "downtime_units", ctx);
+  for (const auto& [key, member] : kFaultStatsFields)
+    e.fault_stats.*member = require_int<std::int64_t>(stats, key, ctx);
 
   const json::Value& resolutions =
       require_member(obj, "resolutions", json::Value::Kind::Array, ctx);

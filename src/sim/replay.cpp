@@ -12,17 +12,10 @@ ReplayReport replay_stream(ArrivalStream& arrivals,
                            const std::vector<ServerSpec>& servers,
                            PlacementPolicy& policy, Rng& rng,
                            const ReplayOptions& options) {
-  EngineOptions engine_options;
-  engine_options.initial_horizon = 0;  // grow on demand with the stream
+  EngineOptions engine_options = streaming_engine_options(
+      options.cost, options.retry, options.migration_cost_per_gib);
   engine_options.auto_advance = options.rolling_gc;
-  engine_options.account_energy = true;
-  engine_options.cost = options.cost;
-  // A straggler in a real arrival feed must not abort the whole replay; the
-  // engine classifies it (kLateArrival) and the report counts it.
-  engine_options.tolerate_late_arrivals = true;
   engine_options.faults = options.faults;
-  engine_options.retry = options.retry;
-  engine_options.migration_cost_per_gib = options.migration_cost_per_gib;
   engine_options.obs = options.obs;
   engine_options.timeseries = options.timeseries;
   engine_options.ledger = options.ledger;
@@ -47,8 +40,8 @@ ReplayReport replay_stream(ArrivalStream& arrivals,
     report.peak_active_vms =
         std::max(report.peak_active_vms, engine.cluster().active_vms());
   }
-  // Give every queued retry its remaining attempts and fire any faults
-  // scheduled past the last arrival, so the counters below are final.
+  // Fire any faults scheduled past the last arrival, then give every queued
+  // retry its remaining attempts, so the counters below are final.
   engine.finish_stream();
   // End-of-stream fleet state, regardless of the sampler's cadence.
   engine.sample_now();

@@ -32,35 +32,6 @@ IntervalSet::InsertDelta IntervalSet::insert(Time lo, Time hi) {
   return delta;
 }
 
-IntervalSet::Preview IntervalSet::preview_insert(Time lo, Time hi) const {
-  assert(lo <= hi);
-  Preview preview;
-  Time merged_lo = lo;
-  Time merged_hi = hi;
-
-  auto first = std::lower_bound(
-      ivs_.begin(), ivs_.end(), lo,
-      [](const Interval& iv, Time value) { return iv.hi < value - 1; });
-  auto last = first;
-  while (last != ivs_.end() && last->lo <= hi + 1) ++last;
-
-  for (auto it = first; it != last; ++it) {
-    preview.absorbed.push_back(*it);
-    merged_lo = std::min(merged_lo, it->lo);
-    merged_hi = std::max(merged_hi, it->hi);
-  }
-  preview.merged = Interval{merged_lo, merged_hi};
-  if (first != ivs_.begin()) {
-    preview.has_left = true;
-    preview.left = *std::prev(first);
-  }
-  if (last != ivs_.end()) {
-    preview.has_right = true;
-    preview.right = *last;
-  }
-  return preview;
-}
-
 IntervalSet::PreviewView IntervalSet::preview_insert_view(Time lo,
                                                           Time hi) const {
   assert(lo <= hi);

@@ -35,31 +35,20 @@ class IntervalSet {
     std::vector<Interval> absorbed;
   };
 
-  /// Like InsertDelta, plus the surviving neighbors of the merged interval
-  /// (if any); this is everything the incremental energy-cost evaluator needs
-  /// to recompute the local busy/idle structure without mutating the set.
-  struct Preview {
-    Interval merged;
-    std::vector<Interval> absorbed;
-    bool has_left = false;
-    bool has_right = false;
-    Interval left;   // valid iff has_left
-    Interval right;  // valid iff has_right
-  };
-
   /// Inserts [lo, hi] (requires lo <= hi), merging with any overlapping or
   /// adjacent intervals. Returns what changed so callers (the incremental
   /// energy-cost evaluator) can update derived quantities in O(|absorbed|).
   InsertDelta insert(Time lo, Time hi);
 
-  /// Computes the effect insert(lo, hi) would have, without mutating.
-  Preview preview_insert(Time lo, Time hi) const;
-
-  /// Allocation-free Preview: the absorbed intervals are always a contiguous
-  /// run of this set's own storage, so `absorbed` is a span into it instead
-  /// of a copy. Valid only until the next mutation of this set — fine for
-  /// the incremental cost evaluator, which consumes it immediately (the
-  /// candidate-scan hot path calls this once per feasible probe).
+  /// The effect insert(lo, hi) would have, computed without mutating: the
+  /// merged interval, the intervals it would absorb and the surviving
+  /// neighbors (if any) — everything the incremental energy-cost evaluator
+  /// needs to recompute the local busy/idle structure. The absorbed
+  /// intervals are always a contiguous run of this set's own storage, so
+  /// `absorbed` is a span into it, not a copy: valid only until the next
+  /// mutation of this set — fine for the evaluator, which consumes it
+  /// immediately (the candidate-scan hot path calls this once per feasible
+  /// probe).
   struct PreviewView {
     Interval merged;
     std::span<const Interval> absorbed;
@@ -69,7 +58,6 @@ class IntervalSet {
     Interval right;  // valid iff has_right
   };
 
-  /// preview_insert without the absorbed-interval copy (see PreviewView).
   PreviewView preview_insert_view(Time lo, Time hi) const;
 
   /// Removes [lo, hi] exactly as previously contributed; only supports

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -31,7 +33,8 @@ namespace {
 class AppTest : public ::testing::Test {
  protected:
   std::string path(const std::string& name) const {
-    return ::testing::TempDir() + "/esva_app_" + name;
+    return ::testing::TempDir() + "/esva_app_" + std::to_string(::getpid()) +
+           "_" + name;
   }
 
   int run(const std::string& command, std::vector<std::string> args) {

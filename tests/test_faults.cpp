@@ -438,6 +438,55 @@ TEST(FaultEngine, ArrivalFarPastTheHorizonRebuildsEmptyWindows) {
   EXPECT_EQ(decision.server, 0);
 }
 
+// A fault dated before the frontier is refused: the frontier has passed its
+// instant, so the VM it would displace could only be re-placed starting in
+// the past. The throw names both times and leaves the engine as it was.
+TEST(FaultEngine, ApplyFaultBeforeTheFrontierThrowsAndChangesNothing) {
+  const std::vector<ServerSpec> servers = {testing::basic_server(0),
+                                           testing::basic_server(1)};
+  std::unique_ptr<PlacementPolicy> policy = min_incremental_policy();
+  Rng rng(7);
+  EngineOptions options;
+  options.auto_advance = true;
+  options.account_energy = true;
+  PlacementEngine engine(servers, *policy, rng, options);
+  ASSERT_EQ(engine.submit(testing::vm(0, 100, 2000)).server, 0);
+  engine.advance_to(1000);
+  const EngineStateSnapshot before = engine.export_state();
+
+  try {
+    engine.apply_fault({10, FaultKind::kFail, 0});
+    ADD_FAILURE() << "a fault before the frontier must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "event time 10 precedes the frontier 1000"),
+              std::string::npos)
+        << e.what();
+  }
+  const EngineStateSnapshot after = engine.export_state();
+  for (const auto& [key, member] : kFaultStatsFields)
+    EXPECT_EQ(after.fault_stats.*member, before.fault_stats.*member) << key;
+  EXPECT_EQ(after.frontier, before.frontier);
+  EXPECT_EQ(after.horizon, before.horizon);
+  EXPECT_EQ(after.energy, before.energy);
+  EXPECT_TRUE(after.resolutions.empty());
+  ASSERT_EQ(after.servers.size(), before.servers.size());
+  for (std::size_t i = 0; i < after.servers.size(); ++i) {
+    EXPECT_EQ(after.servers[i].health, before.servers[i].health) << i;
+    EXPECT_EQ(after.servers[i].retired_hi, before.servers[i].retired_hi) << i;
+    ASSERT_EQ(after.servers[i].active.size(), before.servers[i].active.size());
+    for (std::size_t k = 0; k < after.servers[i].active.size(); ++k) {
+      EXPECT_EQ(after.servers[i].active[k].id, before.servers[i].active[k].id);
+      EXPECT_EQ(after.servers[i].active[k].start,
+                before.servers[i].active[k].start);
+    }
+  }
+
+  engine.apply_fault({1000, FaultKind::kFail, 0});  // at the frontier: applies
+  EXPECT_EQ(engine.cluster().health(0), ServerHealth::kFailed);
+  EXPECT_EQ(engine.fault_stats().displaced, 1);
+}
+
 TEST(RetryQueue, DeferredRequestPlacesOnceCapacityFrees) {
   // One server, fully occupied until t=10; the second request must wait in
   // the queue and land via a retry after the first retires.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <fstream>
 #include <sstream>
 
@@ -157,7 +159,8 @@ TEST(LpExport, MentionsVariablesAndConstraints) {
 }
 
 TEST(LpExport, SaveLpWritesFile) {
-  const std::string path = ::testing::TempDir() + "/esva_test.lp";
+  const std::string path = ::testing::TempDir() + "/esva_test_" +
+                           std::to_string(::getpid()) + ".lp";
   save_lp(path, build_ilp(small_problem()));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -120,24 +120,28 @@ TEST(IntervalSet, PreviewMatchesInsertWithoutMutation) {
   set.insert(7, 9);
   set.insert(15, 20);
 
-  const auto preview = set.preview_insert(4, 8);
+  const auto preview = set.preview_insert_view(4, 8);
   EXPECT_EQ(set.size(), 3u) << "preview must not mutate";
   EXPECT_EQ(preview.merged, (Interval{1, 9}));  // absorbs [1,3] (adjacent) and [7,9]
-  EXPECT_EQ(preview.absorbed, ivs({{1, 3}, {7, 9}}));
+  // Copied out: the span is valid only until the insert below.
+  const std::vector<Interval> absorbed(preview.absorbed.begin(),
+                                       preview.absorbed.end());
+  EXPECT_EQ(absorbed, ivs({{1, 3}, {7, 9}}));
   EXPECT_FALSE(preview.has_left);
   EXPECT_TRUE(preview.has_right);
   EXPECT_EQ(preview.right, (Interval{15, 20}));
 
+  const Interval merged = preview.merged;
   const auto delta = set.insert(4, 8);
-  EXPECT_EQ(delta.merged, preview.merged);
-  EXPECT_EQ(delta.absorbed, preview.absorbed);
+  EXPECT_EQ(delta.merged, merged);
+  EXPECT_EQ(delta.absorbed, absorbed);
 }
 
 TEST(IntervalSet, PreviewNeighborsWhenNothingAbsorbed) {
   IntervalSet set;
   set.insert(1, 2);
   set.insert(10, 12);
-  const auto preview = set.preview_insert(5, 6);
+  const auto preview = set.preview_insert_view(5, 6);
   EXPECT_TRUE(preview.absorbed.empty());
   EXPECT_TRUE(preview.has_left);
   EXPECT_EQ(preview.left, (Interval{1, 2}));

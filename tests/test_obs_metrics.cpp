@@ -164,8 +164,15 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreLossless) {
             kThreads * (kIncrementsPerThread / 1000));
 }
 
-TEST(MetricsRegistry, GlobalRegistryIsASingleton) {
-  EXPECT_EQ(&global_metrics(), &global_metrics());
+// No process-wide registry: callers hand one in explicitly, and two
+// registries share no metric even under the same name.
+TEST(MetricsRegistry, RegistriesShareNoMetrics) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  a.inc("requests", 3);
+  EXPECT_NE(&a.counter("requests"), &b.counter("requests"));
+  EXPECT_EQ(a.counter("requests").value(), 3);
+  EXPECT_EQ(b.counter("requests").value(), 0);
 }
 
 // --- export hygiene: quoting, escaping, exposition format -------------------

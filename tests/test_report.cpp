@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <fstream>
 #include <sstream>
 
@@ -77,7 +79,8 @@ TEST(Report, NoFitWhenUnset) {
 }
 
 TEST(Report, CsvExportRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/esva_fig.csv";
+  const std::string path = ::testing::TempDir() + "/esva_fig_" +
+                           std::to_string(::getpid()) + ".csv";
   Series s = linear_series();
   s.errs = {0.01, 0.02, 0.03, 0.04};
   export_figure_csv(path, basic_spec(), {s});

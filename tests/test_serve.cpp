@@ -350,16 +350,16 @@ TEST(ServeWal, RoundTripsHeaderAndRecords) {
   EXPECT_EQ(wal.header.retry.max_attempts, 2);
   EXPECT_EQ(wal.header.retry.backoff, 2.5);
   ASSERT_EQ(wal.records.size(), 5u);
-  EXPECT_EQ(wal.records[0].op, WalRecord::Op::kPlace);
+  EXPECT_EQ(wal.records[0].req.op, OpKind::kPlace);
   EXPECT_EQ(wal.records[0].chosen, 2);
   EXPECT_TRUE(wal.records[0].has_energy);
   EXPECT_EQ(wal.records[0].energy_after, 123.456);  // hexfloat: bit-exact
-  EXPECT_EQ(wal.records[0].vm.demand.cpu, 0.1);
-  EXPECT_EQ(wal.records[1].op, WalRecord::Op::kRetire);
-  EXPECT_EQ(wal.records[1].vm_id, 7);
-  EXPECT_EQ(wal.records[2].to, 15);
-  EXPECT_EQ(wal.records[3].fault.kind, FaultKind::kFail);
-  EXPECT_EQ(wal.records[4].op, WalRecord::Op::kDrain);
+  EXPECT_EQ(wal.records[0].req.vm.demand.cpu, 0.1);
+  EXPECT_EQ(wal.records[1].req.op, OpKind::kRetire);
+  EXPECT_EQ(wal.records[1].req.vm_id, 7);
+  EXPECT_EQ(wal.records[2].req.to, 15);
+  EXPECT_EQ(wal.records[3].req.fault.kind, FaultKind::kFail);
+  EXPECT_EQ(wal.records[4].req.op, OpKind::kDrain);
   ::unlink(path.c_str());
 }
 
@@ -381,7 +381,7 @@ TEST(ServeWal, TornFinalLineIsDroppedNotFatal) {
   const WalFile wal = serve::read_wal(path);
   EXPECT_TRUE(wal.torn_tail);
   ASSERT_EQ(wal.records.size(), 1u);
-  EXPECT_EQ(wal.records[0].to, 9);
+  EXPECT_EQ(wal.records[0].req.to, 9);
   ::unlink(path.c_str());
 }
 
@@ -401,7 +401,7 @@ TEST(ServeWal, NewlinelessTailIsTornEvenWhenParseable) {
   const WalFile wal = serve::read_wal(path);
   EXPECT_TRUE(wal.torn_tail);
   ASSERT_EQ(wal.records.size(), 1u);
-  EXPECT_EQ(wal.records[0].to, 9);
+  EXPECT_EQ(wal.records[0].req.to, 9);
   EXPECT_EQ(wal.valid_bytes, durable.size());
   serve::truncate_wal(path, wal.valid_bytes);
   const WalFile again = serve::read_wal(path);
@@ -481,7 +481,7 @@ TEST(ServeWal, CompleteRunFormPlaceOnTheLastLineIsKept) {
   ASSERT_EQ(wal.records.size(), 1u);
   EXPECT_NE(wal.records[0].raw.find(R"("profile":[[3,)"), std::string::npos)
       << wal.records[0].raw;
-  expect_same_units(wal.records[0].vm.profile, vm.profile);
+  expect_same_units(wal.records[0].req.vm.profile, vm.profile);
   EXPECT_EQ(wal.records[0].chosen, 1);
   ::unlink(path.c_str());
 }
@@ -566,7 +566,7 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   snap.engine.servers[0].retired_hi = 11;
   snap.engine.servers[0].active.push_back(awkward_vm());
   snap.engine.servers[1].health = ServerHealth::kDrained;
-  PendingSnapshot pending;
+  PendingRequest pending;
   pending.vm = testing::vm(9, 14, 20);
   pending.not_before = 16;
   pending.attempts = 1;
@@ -574,8 +574,9 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   pending.waiting_since = 13;
   pending.seq = 4;
   snap.engine.retry_queue.push_back(pending);
-  snap.engine.fault_stats.fault_events = 3;
-  snap.engine.fault_stats.evacuated = 2;
+  std::int64_t count = 3;  // a distinct value in every counter
+  for (const auto& field : kFaultStatsFields)
+    snap.engine.fault_stats.*field.second = count++;
   snap.engine.resolutions.push_back({5, 1});
   snap.rng = {1, 2, 3, 4};
   snap.assignment = {{0, 1}, {5, 1}, {7, 0}, {9, kNoServer}};
@@ -599,8 +600,9 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   EXPECT_EQ(back.engine.retry_queue[0].vm.id, 9);
   EXPECT_EQ(back.engine.retry_queue[0].not_before, 16);
   EXPECT_TRUE(back.engine.retry_queue[0].displaced);
-  EXPECT_EQ(back.engine.fault_stats.fault_events, 3);
-  EXPECT_EQ(back.engine.fault_stats.evacuated, 2);
+  for (const auto& [key, member] : kFaultStatsFields)
+    EXPECT_EQ(back.engine.fault_stats.*member, snap.engine.fault_stats.*member)
+        << key;
   ASSERT_EQ(back.engine.resolutions.size(), 1u);
   EXPECT_EQ(back.engine.resolutions[0].vm, 5);
   EXPECT_EQ(back.rng, (std::array<std::uint64_t, 4>{1, 2, 3, 4}));
@@ -636,7 +638,7 @@ TEST(ServeSnapshot, UnknownVersionsAreRefused) {
 struct Workload {
   std::vector<VmSpec> vms;
   std::vector<ServerSpec> servers;
-  std::vector<FaultEvent> fault_events;  // all at <= the last arrival start
+  std::vector<FaultEvent> fault_events;  // in time order
 };
 
 Workload make_workload(std::uint64_t seed, bool with_faults) {
@@ -649,14 +651,16 @@ Workload make_workload(std::uint64_t seed, bool with_faults) {
   if (with_faults) {
     Time last_start = 1;
     for (const VmSpec& vm : w.vms) last_start = std::max(last_start, vm.start);
-    // Mid-stream chaos only: events past the last arrival would be fired at
-    // exact retry instants by the plan-driven drain, which a client feeding
-    // the tail cannot reproduce (docs/SERVE.md#fault-semantics).
+    // Mid-stream chaos, then a failure and recovery past the last arrival
+    // that a client sends after every place. The recovery comes after the
+    // first retry of a VM the failure displaces would be due.
     const Time t1 = std::max<Time>(1, last_start / 3);
     const Time t2 = std::max<Time>(1, last_start / 2);
     w.fault_events.push_back({t1, FaultKind::kFail, 1});
     w.fault_events.push_back({t2, FaultKind::kRecover, 1});
     w.fault_events.push_back({t2, FaultKind::kDrain, 2});
+    w.fault_events.push_back({last_start + 1, FaultKind::kFail, 0});
+    w.fault_events.push_back({last_start + 8, FaultKind::kRecover, 0});
   }
   return w;
 }
@@ -738,16 +742,10 @@ void expect_matches_reference(const Daemon& daemon,
         it == daemon.assignment().end() ? kNoServer : it->second;
     EXPECT_EQ(daemon_server, reference.assignment[id]) << "vm " << id;
   }
-  const FaultStats& a = daemon.engine().fault_stats();
-  const FaultStats& b = reference.faults;
-  EXPECT_EQ(a.fault_events, b.fault_events);
-  EXPECT_EQ(a.displaced, b.displaced);
-  EXPECT_EQ(a.evacuated, b.evacuated);
-  EXPECT_EQ(a.deferred, b.deferred);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.retried_placed, b.retried_placed);
-  EXPECT_EQ(a.rejected_final, b.rejected_final);
-  EXPECT_EQ(a.downtime_units, b.downtime_units);
+  for (const auto& [key, member] : kFaultStatsFields)
+    EXPECT_EQ(daemon.engine().fault_stats().*member, reference.faults.*member)
+        << key;
+  EXPECT_EQ(daemon.engine().cluster().frontier(), reference.final_frontier);
 }
 
 DaemonOptions daemon_options(const std::string& allocator, std::uint64_t seed,
@@ -794,6 +792,37 @@ TEST(ServeEquivalence, DaemonMatchesReplayStreamUnderFaultsAndRetries) {
     expect_matches_reference(daemon, reference);
     ::unlink(temp_path("equivf_" + allocator + ".wal").c_str());
   }
+}
+
+// Two 4-CPU servers; VMs 0 and 1 fill them over [1,100], VM 2 arrives at 2
+// and waits in the retry queue. Server 0 fails at 10 and recovers at 20,
+// both past the last arrival while that retry is queued. The plan-driven
+// drain fires both events before it steps through the queue, as a daemon
+// does when a client sends the plan's tail and then drains: VM 2 is given
+// up at 20, and VM 0 waits from 10 until its retry at 28.
+TEST(ServeEquivalence, DaemonMatchesReplayStreamWithFaultsPastTheLastArrival) {
+  Workload w;
+  for (ServerId i = 0; i < 2; ++i)
+    w.servers.push_back(testing::server(i, 4.0, 8.0, 100.0, 200.0, 1.0));
+  w.vms = {testing::vm(0, 1, 100, 4.0, 4.0), testing::vm(1, 1, 100, 4.0, 4.0),
+           testing::vm(2, 2, 50, 4.0, 4.0)};
+  w.fault_events = {{10, FaultKind::kFail, 0}, {20, FaultKind::kRecover, 0}};
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.base_delay = 4;
+  const ReplayReport reference =
+      reference_run(w, "min-incremental", 42, retry);
+  EXPECT_EQ(reference.total_energy, 55300.0);
+  EXPECT_EQ(reference.faults.downtime_units, 18);
+  EXPECT_EQ(reference.final_frontier, 28);
+  EXPECT_EQ(reference.assignment, (std::vector<ServerId>{0, 1, kNoServer}));
+
+  Daemon daemon(w.servers,
+                daemon_options("min-incremental", 42, retry, "equiv_tail"));
+  feed_daemon(daemon, w);
+  daemon.drain();
+  expect_matches_reference(daemon, reference);
+  ::unlink(temp_path("equiv_tail.wal").c_str());
 }
 
 // --- crash recovery ---------------------------------------------------------
@@ -1214,6 +1243,49 @@ std::string energy_hex_of(const std::string& stats) {
   return stats.substr(from, stats.find('"', from) - from);
 }
 
+// A fault dated before the frontier is refused: the frontier has passed its
+// instant, so the VM it would displace could only be re-placed starting in
+// the past, charged again for the units it already ran. Nothing moves and
+// nothing is journaled; the same fault at the frontier is acked.
+TEST(ServeDaemon, FaultBeforeTheFrontierIsRefused) {
+  const std::vector<ServerSpec> servers{testing::basic_server(0),
+                                        testing::basic_server(1)};
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "past_fault");
+  Daemon daemon(servers, options);
+  Request place;
+  place.op = OpKind::kPlace;
+  place.vm = testing::vm(0, 100, 2000, 4.0, 4.0);
+  ASSERT_EQ(daemon.handle_line(serve::encode_request(place))
+                .rfind("{\"ok\":true", 0),
+            0u);
+  ASSERT_EQ(daemon.handle_line(R"({"op":"advance","to":1000})")
+                .rfind("{\"ok\":true", 0),
+            0u);
+  const std::string stats = R"({"op":"stats"})";
+  const std::string before = daemon.handle_line(stats);
+
+  Request fault;
+  fault.op = OpKind::kFault;
+  fault.fault = {10, FaultKind::kFail, daemon.assignment().at(0)};
+  const std::string refused = daemon.handle_line(serve::encode_request(fault));
+  EXPECT_EQ(refused.rfind("{\"ok\":false", 0), 0u) << refused;
+  EXPECT_NE(refused.find("event time 10 precedes the frontier 1000"),
+            std::string::npos)
+      << refused;
+  const std::string after = daemon.handle_line(stats);
+  EXPECT_EQ(energy_hex_of(after), energy_hex_of(before));
+  EXPECT_EQ(after, before) << "wal_seq, counters and energy must not move";
+  EXPECT_EQ(daemon.last_seq(), 2u);
+
+  fault.fault.at = 1000;
+  const std::string acked = daemon.handle_line(serve::encode_request(fault));
+  EXPECT_EQ(acked.rfind("{\"ok\":true", 0), 0u) << acked;
+  EXPECT_EQ(daemon.last_seq(), 3u);
+  EXPECT_EQ(daemon.engine().fault_stats().displaced, 1);
+  ::unlink(options.wal_path.c_str());
+}
+
 // One far-future place must not wedge the daemon. It is refused before the
 // engine sees it (kMaxPlaceDuration), so nothing moves — not the request
 // count, the frontier or the horizon — and nothing is journaled; later VMs
@@ -1470,9 +1542,9 @@ void write_version_one(const DaemonOptions& from, const DaemonOptions& to) {
   out << header << '\n';
   for (const WalRecord& rec : wal.records) {
     std::string line = rec.raw;
-    if (rec.op == WalRecord::Op::kPlace) {
-      ASSERT_TRUE(replace_all(line, serve::encode_vm(rec.vm),
-                              per_unit_vm(rec.vm)));
+    if (rec.req.op == OpKind::kPlace) {
+      ASSERT_TRUE(replace_all(line, serve::encode_vm(rec.req.vm),
+                              per_unit_vm(rec.req.vm)));
     }
     out << line << '\n';
   }
@@ -1490,7 +1562,7 @@ void write_version_one(const DaemonOptions& from, const DaemonOptions& to) {
   };
   for (const ServerStateSnapshot& server : snap.engine.servers)
     for (const VmSpec& vm : server.active) rewrite(vm);
-  for (const PendingSnapshot& pending : snap.engine.retry_queue)
+  for (const PendingRequest& pending : snap.engine.retry_queue)
     rewrite(pending.vm);
   EXPECT_GT(profiled, 0u) << "the snapshot must hold profiled VMs";
   std::ofstream(to.snapshot_path, std::ios::trunc) << text << '\n';

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <sstream>
+#include <string>
 
 #include "test_util.h"
 #include "workload/generator.h"
@@ -110,9 +113,10 @@ TEST(ServerTrace, RejectsInvalidSpec) {
 }
 
 TEST(TraceFiles, SaveAndLoadRoundTrip) {
-  const std::string dir = ::testing::TempDir();
-  const std::string vm_path = dir + "/esva_vms.csv";
-  const std::string server_path = dir + "/esva_servers.csv";
+  const std::string prefix =
+      ::testing::TempDir() + "/esva_" + std::to_string(::getpid());
+  const std::string vm_path = prefix + "_vms.csv";
+  const std::string server_path = prefix + "_servers.csv";
 
   std::vector<VmSpec> vms{vm(0, 2, 9, 4.0, 7.5)};
   vms[0].type_name = "m1.large";
@@ -161,7 +165,8 @@ TEST(AssignmentTrace, AcceptsRowsInAnyOrder) {
 }
 
 TEST(AssignmentTrace, FileRoundTrip) {
-  const std::string p = ::testing::TempDir() + "/esva_assign.csv";
+  const std::string p = ::testing::TempDir() + "/esva_assign_" +
+                        std::to_string(::getpid()) + ".csv";
   Allocation alloc;
   alloc.assignment = {1, 0};
   save_assignment(p, alloc);
