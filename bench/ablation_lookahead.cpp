@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "ext/register.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -17,8 +16,6 @@ int main(int argc, char** argv) {
       "Ablation A5 — lookahead window",
       "window=1 is the paper's greedy; modest further savings from regret "
       "insertion quantify the greedy's myopia");
-
-  register_extension_allocators();
 
   TextTable table;
   table.set_header({"inter-arrival (min)", "greedy (w=1)", "w=4", "w=8",

@@ -9,17 +9,15 @@
 //                          - null-sink overhead: min-incremental with a
 //                            metrics registry bound and no trace sink vs the
 //                            same allocator with no observability context,
-//                            at most --overhead-budget (default 5%) slower
-//                            (always enforced);
+//                            at most 5% slower (always enforced);
 //                          - envelope triage: the SoA classify() sweep at
-//                            least --envelope-budget (default 1.3x) faster
-//                            than the quick_fit loop it replaces (outside
-//                            --quick);
+//                            least 1.3x faster than the quick_fit loop it
+//                            replaces (outside --quick);
 //                          - telemetry and WAL overhead: the full telemetry
 //                            stack, and the serve daemon's journal (tmpfs,
-//                            group commit of 32), each at most
-//                            --overhead-budget over the bare stream replay
-//                            at fig2@500 (outside --quick).
+//                            group commit of 32), each at most 5% over the
+//                            bare stream replay at fig2@500 (outside
+//                            --quick).
 //                        Each gate is paired: time_paired() alternates the
 //                        two variants and gates on the median per-pair
 //                        ratio.
@@ -574,7 +572,7 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
     if (in) report.journal_bytes = static_cast<std::size_t>(in.tellg());
   }
   const std::vector<ServerId> replayed = assignment_from_trace(
-      decisions_from_wal(journal.records), problem.vms.size());
+      serve::decisions_from_wal(journal_path), problem.vms.size());
   report.assignments_match = replayed == stream.assignment;
   report.energy_match = wal_energy == stream.total_energy;
   ::unlink(journal_path.c_str());
@@ -606,38 +604,42 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
   return report;
 }
 
+/// The gates' budgets: the null-sink, telemetry and WAL overhead ceiling and
+/// the envelope triage speedup floor (median paired ratios).
+constexpr double kOverheadBudget = 0.05;
+constexpr double kEnvelopeBudget = 1.3;
+
 int run_perf_report(const std::string& out_path, int num_vms, int reps,
-                    double overhead_budget, double envelope_budget,
                     bool quick) {
   std::printf("measuring null-sink observability overhead (%d VMs)...\n",
               num_vms);
   const OverheadReport overhead = measure_overhead(num_vms, reps);
-  const bool pass = overhead.overhead <= overhead_budget;
+  const bool pass = overhead.overhead <= kOverheadBudget;
 
   std::printf("  no obs context: %8.2f ms (median)\n",
               median(overhead.timing.reference_ms));
   std::printf("  null sink:      %8.2f ms (median)  -> overhead %+.2f%% "
               "(median paired ratio, budget %.0f%%) %s\n",
               median(overhead.timing.measured_ms), 100.0 * overhead.overhead,
-              100.0 * overhead_budget, pass ? "OK" : "FAIL");
+              100.0 * kOverheadBudget, pass ? "OK" : "FAIL");
   std::printf("  live trace:     %8.2f ms (median), %zu decision records\n",
               median(overhead.traced_ms), overhead.trace_records);
   std::printf("  assignments identical: %s\n",
               overhead.assignments_match ? "yes" : "NO (BUG)");
 
   const EnvelopeReport envelope =
-      measure_envelope(num_vms, reps, envelope_budget, quick);
+      measure_envelope(num_vms, reps, kEnvelopeBudget, quick);
 
   // The telemetry gate runs at the fig2@500 acceptance point in full mode
   // (quick keeps the smoke-test scenario size).
   const TelemetryReport telemetry = measure_telemetry(
-      quick ? num_vms : 500, reps, overhead_budget, quick);
+      quick ? num_vms : 500, reps, kOverheadBudget, quick);
 
   // The WAL gate shares the fig2@500 acceptance point (and the telemetry
   // guard's budget): the serve daemon's journal must cost <= 5% over the
   // bare stream replay.
   const WalReport wal =
-      measure_wal(quick ? num_vms : 500, reps, overhead_budget, quick);
+      measure_wal(quick ? num_vms : 500, reps, kOverheadBudget, quick);
 
   std::ofstream out(out_path);
   if (!out) {
@@ -660,7 +662,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << median(overhead.timing.measured_ms) << ",\n"
       << "    \"median_traced_ms\": " << median(overhead.traced_ms) << ",\n"
       << "    \"null_sink_overhead\": " << overhead.overhead << ",\n"
-      << "    \"overhead_budget\": " << overhead_budget << ",\n"
+      << "    \"overhead_budget\": " << kOverheadBudget << ",\n"
       << "    \"trace_records\": " << overhead.trace_records << ",\n"
       << "    \"assignments_match\": "
       << (overhead.assignments_match ? "true" : "false") << ",\n"
@@ -694,7 +696,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"median_telemetry_ms\": "
       << median(telemetry.timing.measured_ms) << ",\n"
       << "    \"overhead\": " << telemetry.overhead << ",\n"
-      << "    \"overhead_budget\": " << overhead_budget << ",\n"
+      << "    \"overhead_budget\": " << kOverheadBudget << ",\n"
       << "    \"overhead_enforced\": "
       << (telemetry.overhead_enforced ? "true" : "false") << ",\n"
       << "    \"samples\": " << telemetry.samples << ",\n"
@@ -718,7 +720,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << ",\n"
       << "    \"median_wal_ms\": " << median(wal.timing.measured_ms) << ",\n"
       << "    \"overhead\": " << wal.overhead << ",\n"
-      << "    \"overhead_budget\": " << overhead_budget << ",\n"
+      << "    \"overhead_budget\": " << kOverheadBudget << ",\n"
       << "    \"overhead_enforced\": "
       << (wal.overhead_enforced ? "true" : "false") << ",\n"
       << "    \"journal_records\": " << wal.journal_records << ",\n"
@@ -740,7 +742,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   if (!pass) {
     std::fprintf(stderr,
                  "FAIL: null-sink overhead %.2f%% exceeds budget %.0f%%\n",
-                 100.0 * overhead.overhead, 100.0 * overhead_budget);
+                 100.0 * overhead.overhead, 100.0 * kOverheadBudget);
     return 1;
   }
   if (!envelope.verdicts_match) {
@@ -771,7 +773,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   if (!telemetry.pass) {
     std::fprintf(stderr,
                  "FAIL: telemetry overhead %.2f%% exceeds budget %.0f%%\n",
-                 100.0 * telemetry.overhead, 100.0 * overhead_budget);
+                 100.0 * telemetry.overhead, 100.0 * kOverheadBudget);
     return 1;
   }
   if (!wal.assignments_match || !wal.energy_match) {
@@ -785,7 +787,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   if (!wal.pass) {
     std::fprintf(stderr,
                  "FAIL: WAL submit overhead %.2f%% exceeds budget %.0f%%\n",
-                 100.0 * wal.overhead, 100.0 * overhead_budget);
+                 100.0 * wal.overhead, 100.0 * kOverheadBudget);
     return 1;
   }
   return 0;
@@ -832,12 +834,6 @@ int main(int argc, char** argv) {
   parser.add_string("out", "BENCH_perf.json", "JSON artifact output path");
   parser.add_int("vms", 1000, "VM count of the overhead-guard scenario");
   parser.add_int("reps", 7, "timed repetitions per variant");
-  parser.add_double("overhead-budget", 0.05,
-                    "max tolerated null-sink, telemetry and WAL slowdown "
-                    "(fraction, median paired ratio)");
-  parser.add_double("envelope-budget", 1.3,
-                    "min required SoA envelope sweep speedup vs the AoS "
-                    "quick_fit loop (enforced in full mode)");
   parser.add_bool("quick", "300-VM scenario, 3 reps (smoke test)");
   if (!parser.parse(static_cast<int>(own_argv.size()), own_argv.data()))
     return parser.parse_error() ? 1 : 0;
@@ -849,11 +845,8 @@ int main(int argc, char** argv) {
     reps = 5;
   }
 
-  const int status =
-      run_perf_report(parser.get_string("out"), num_vms, reps,
-                      parser.get_double("overhead-budget"),
-                      parser.get_double("envelope-budget"),
-                      parser.get_bool("quick"));
+  const int status = run_perf_report(parser.get_string("out"), num_vms, reps,
+                                     parser.get_bool("quick"));
   if (run_gbench) {
     int gbench_argc = static_cast<int>(gbench_argv.size());
     benchmark::Initialize(&gbench_argc, gbench_argv.data());

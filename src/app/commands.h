@@ -1,6 +1,7 @@
 // The `esva` command-line tool, as a library so every subcommand is unit
-// testable. Subcommands operate on the CSV trace formats (workload/trace.h)
-// and the LP/solution formats (ilp/), so a full workflow can be scripted:
+// testable through esva_main. Subcommands operate on the CSV trace formats
+// (workload/trace.h) and the LP/solution formats (ilp/), so a full workflow
+// can be scripted:
 //
 //   esva generate  --vms 200 --out-vms vms.csv --out-servers servers.csv
 //   esva allocate  --vms vms.csv --servers servers.csv
@@ -8,6 +9,9 @@
 //                  --trace decisions.jsonl --stats stats.json
 //   esva stream    --vms vms.csv --servers servers.csv
 //                  --allocator min-incremental --latency-json latency.json
+//   esva top       --vms vms.csv --servers servers.csv --every 2
+//   esva serve     --servers servers.csv --socket esva.sock --wal esva.wal
+//   esva client    --socket esva.sock --place-vms vms.csv --drain --stats
 //   esva evaluate  --vms vms.csv --servers servers.csv --assignment assign.csv
 //   esva simulate  --vms vms.csv --servers servers.csv --assignment assign.csv
 //                  --power-csv power.csv
@@ -15,14 +19,14 @@
 //   esva import-solution --vms vms.csv --servers servers.csv
 //                  --solution instance.sol --out-assignment assign.csv
 //
-// Every function returns a process exit code (0 = success) and writes its
+// One table in commands.cpp names the subcommands; it drives the dispatch,
+// the usage text and the error report. Every subcommand returns a process
+// exit code (0 = success, 1 = runtime error, 2 = usage error) and writes its
 // human-readable report to `out` and errors to `err`.
 
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 namespace esva::app {
 
@@ -30,30 +34,5 @@ namespace esva::app {
 /// subcommands and on `esva help`.
 int esva_main(int argc, const char* const* argv, std::ostream& out,
               std::ostream& err);
-
-/// Individual subcommands (args exclude the program and subcommand names).
-int cmd_generate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_allocate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_stream(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err);
-int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err);
-int cmd_client(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err);
-int cmd_top(const std::vector<std::string>& args, std::ostream& out,
-            std::ostream& err);
-int cmd_evaluate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_simulate(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err);
-int cmd_export_lp(const std::vector<std::string>& args, std::ostream& out,
-                  std::ostream& err);
-int cmd_import_solution(const std::vector<std::string>& args,
-                        std::ostream& out, std::ostream& err);
-
-/// Top-level usage text.
-std::string usage();
 
 }  // namespace esva::app

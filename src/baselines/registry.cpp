@@ -1,6 +1,5 @@
 #include "baselines/registry.h"
 
-#include <map>
 #include <stdexcept>
 
 #include "baselines/ffps.h"
@@ -8,81 +7,65 @@
 #include "core/candidate_scan.h"
 #include "core/min_incremental.h"
 #include "core/scan_scores.h"
+#include "ext/lookahead.h"
 
 namespace esva {
 
 namespace {
 
-const std::vector<std::string>& builtin_names() {
-  static const std::vector<std::string> kNames = {
-      "min-incremental", "ffps",         "ffps-reshuffle",
-      "ffps-noshuffle",  "best-fit-cpu", "dot-product-fit",
-      "random-fit",      "lowest-idle-power"};
-  return kNames;
+template <typename A>
+AllocatorPtr make() {
+  return std::make_unique<A>();
 }
 
-std::map<std::string, AllocatorFactory>& extension_registry() {
-  static std::map<std::string, AllocatorFactory> registry;
-  return registry;
+AllocatorPtr ffps(bool shuffle_servers, bool reshuffle_per_vm) {
+  FfpsAllocator::Options options;
+  options.shuffle_servers = shuffle_servers;
+  options.reshuffle_per_vm = reshuffle_per_vm;
+  return std::make_unique<FfpsAllocator>(options);
 }
 
-// Cached combined name list; rebuilt on registration.
-std::vector<std::string>& combined_names() {
-  static std::vector<std::string> names;
-  return names;
+AllocatorPtr lookahead(int window) {
+  LookaheadAllocator::Options options;
+  options.window = window;
+  return std::make_unique<LookaheadAllocator>(options);
 }
 
-void rebuild_combined_names() {
-  auto& names = combined_names();
-  names = builtin_names();
-  for (const auto& [name, factory] : extension_registry())
-    names.push_back(name);
-}
+struct Entry {
+  const char* name;
+  AllocatorPtr (*make)();
+};
 
-AllocatorPtr make_builtin(const std::string& name) {
-  if (name == "min-incremental")
-    return std::make_unique<MinIncrementalAllocator>();
-  if (name == "ffps") return std::make_unique<FfpsAllocator>();
-  if (name == "ffps-reshuffle") {
-    FfpsAllocator::Options options;
-    options.reshuffle_per_vm = true;
-    return std::make_unique<FfpsAllocator>(options);
-  }
-  if (name == "ffps-noshuffle") {
-    FfpsAllocator::Options options;
-    options.shuffle_servers = false;
-    return std::make_unique<FfpsAllocator>(options);
-  }
-  if (name == "best-fit-cpu")
-    return std::make_unique<ScanAllocator<BestFitCpuScore>>();
-  if (name == "dot-product-fit")
-    return std::make_unique<ScanAllocator<DotProductFitScore>>();
-  if (name == "random-fit") return std::make_unique<RandomFitAllocator>();
-  if (name == "lowest-idle-power")
-    return std::make_unique<ScanAllocator<LowestIdlePowerScore>>();
-  return nullptr;
-}
+// In allocator_names() order.
+constexpr Entry kAllocators[] = {
+    {"min-incremental", make<MinIncrementalAllocator>},
+    {"ffps", make<FfpsAllocator>},
+    {"ffps-reshuffle", [] { return ffps(true, true); }},
+    {"ffps-noshuffle", [] { return ffps(false, false); }},
+    {"best-fit-cpu", make<ScanAllocator<BestFitCpuScore>>},
+    {"dot-product-fit", make<ScanAllocator<DotProductFitScore>>},
+    {"random-fit", make<RandomFitAllocator>},
+    {"lowest-idle-power", make<ScanAllocator<LowestIdlePowerScore>>},
+    {"lookahead-1", [] { return lookahead(1); }},
+    {"lookahead-4", [] { return lookahead(4); }},
+    {"lookahead-8", [] { return lookahead(8); }},
+    {"lookahead-16", [] { return lookahead(16); }},
+};
 
 }  // namespace
 
 const std::vector<std::string>& allocator_names() {
-  if (combined_names().empty()) rebuild_combined_names();
-  return combined_names();
-}
-
-void register_allocator(const std::string& name, AllocatorFactory factory) {
-  if (make_builtin(name) != nullptr)
-    throw std::invalid_argument("cannot override built-in allocator '" + name +
-                                "'");
-  if (!factory) throw std::invalid_argument("null factory for '" + name + "'");
-  extension_registry()[name] = std::move(factory);
-  rebuild_combined_names();
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const Entry& entry : kAllocators) names.emplace_back(entry.name);
+    return names;
+  }();
+  return kNames;
 }
 
 AllocatorPtr make_allocator(const std::string& name) {
-  if (AllocatorPtr builtin = make_builtin(name)) return builtin;
-  const auto& registry = extension_registry();
-  if (auto it = registry.find(name); it != registry.end()) return it->second();
+  for (const Entry& entry : kAllocators)
+    if (name == entry.name) return entry.make();
   throw std::invalid_argument("unknown allocator '" + name + "'");
 }
 

@@ -471,16 +471,13 @@ Time RetryPolicy::retry_at(Time now, int attempts) const {
 RetryPolicy checked_retry_policy(std::int64_t max_attempts,
                                  std::int64_t base_delay, double backoff,
                                  std::int64_t queue_capacity) {
-  if (!std::isfinite(backoff) || backoff <= 0.0)
-    throw std::invalid_argument(
-        "--retry-backoff must be finite and > 0, got " +
-        std::to_string(backoff));
   RetryPolicy policy;
+  policy.backoff =
+      checked_double_flag(backoff, backoff > 0.0, "> 0", "retry-backoff");
   policy.max_attempts = static_cast<int>(checked_flag(
       max_attempts, 0, std::numeric_limits<int>::max(), "retry-max"));
   policy.base_delay = static_cast<Time>(checked_flag(
       base_delay, 0, std::numeric_limits<Time>::max(), "retry-delay"));
-  policy.backoff = backoff;
   policy.queue_capacity = static_cast<std::size_t>(
       checked_flag(queue_capacity, 0, kMaxRetryQueue, "retry-queue"));
   return policy;

@@ -17,11 +17,13 @@ std::vector<Interval> timeout_active_intervals(const IntervalSet& busy,
   for (std::size_t k = 0; k < segments.size(); ++k) {
     // The server lingers for `timeout` units after the segment — unless the
     // next busy segment starts sooner (then it never powered down), or the
-    // horizon cuts the lingering short.
-    Time linger_end = segments[k].hi + policy.timeout;
+    // horizon cuts the lingering short (compared before adding, so a
+    // timeout near the largest Time cannot overflow).
+    Time linger_end = policy.timeout >= horizon - segments[k].hi
+                          ? horizon
+                          : segments[k].hi + policy.timeout;
     if (k + 1 < segments.size())
       linger_end = std::min(linger_end, segments[k + 1].lo - 1);
-    linger_end = std::min(linger_end, horizon);
 
     if (!result.empty() && segments[k].lo <= result.back().hi + 1) {
       // Previous lingering reached (or touched) this segment: coalesce.

@@ -63,8 +63,7 @@ WindowReoptResult window_reoptimize(const ProblemInstance& problem,
       result.energy_before;  // reduced-universe cost == full cost: the
                              // unallocated VMs contribute nothing.
   const auto group = static_cast<std::size_t>(config.group_size);
-  const std::size_t step = config.overlap ? std::max<std::size_t>(1, group / 2)
-                                          : group;
+  const std::size_t step = std::max<std::size_t>(1, group / 2);
 
   for (int pass = 0; pass < config.passes; ++pass) {
     int improved_this_pass = 0;

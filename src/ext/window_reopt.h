@@ -22,16 +22,14 @@ namespace esva {
 
 struct WindowReoptConfig {
   CostOptions cost;
-  /// VMs re-optimized together; >= 1.
+  /// VMs re-optimized together; >= 1. Consecutive windows overlap by half
+  /// a group, which catches improvements that straddle a window boundary.
   int group_size = 6;
   /// Node budget per sub-solve; a window that exhausts it keeps its
   /// original assignment (counted in windows_skipped).
   std::uint64_t node_limit_per_window = 2'000'000;
   /// Passes over the whole instance (later passes see earlier improvements).
   int passes = 1;
-  /// Overlap consecutive windows by half a group (catches improvements that
-  /// straddle a window boundary).
-  bool overlap = true;
   /// Optional observability: every reassigned VM is traced with note
   /// "window-reopt"; counters/timers land under "window_reopt.*".
   ObsContext obs;

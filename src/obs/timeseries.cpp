@@ -1,5 +1,6 @@
 #include "obs/timeseries.h"
 
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -21,7 +22,9 @@ void TimeSeriesSampler::record(const FleetSample& sample) {
     head_ = (head_ + 1) % options_.capacity;
     ++dropped_;
   }
-  next_due_ = sample.t + options_.every;
+  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+  next_due_ = sample.t > kMaxTime - options_.every ? kMaxTime
+                                                   : sample.t + options_.every;
 }
 
 std::size_t TimeSeriesSampler::size() const { return ring_.size(); }

@@ -69,7 +69,8 @@ class TimeSeriesSampler {
   /// first call is always due).
   bool due(Time frontier) const { return frontier >= next_due_; }
 
-  /// Stores a sample and schedules the next one at sample.t + every.
+  /// Stores a sample and schedules the next one at sample.t + every,
+  /// saturating at the largest Time rather than wrapping.
   void record(const FleetSample& sample);
 
   std::size_t size() const;

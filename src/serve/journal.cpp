@@ -57,9 +57,8 @@ WalHeader decode_header(const json::Value& root, std::size_t line) {
 }
 
 WalRecord decode_record(const json::Value& root, const std::string& op,
-                        const std::string& raw, std::size_t line) {
+                        std::size_t line) {
   WalRecord rec;
-  rec.raw = raw;
   rec.seq = require_u64(root, "seq", "wal record");
   const std::string ctx = "wal record";
   if (op == "place") {
@@ -243,7 +242,7 @@ WalFile read_wal(const std::string& path) {
       } else {
         if (!have_header)
           fail_line(lines[k].number, "journal does not start with a header");
-        rec = decode_record(root, op, lines[k].text, lines[k].number);
+        rec = decode_record(root, op, lines[k].number);
       }
     } catch (const std::exception&) {
       if (last) {
@@ -295,14 +294,18 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes) {
   ::close(fd);
 }
 
-std::vector<VmDecisionTrace> decisions_from_wal(
-    const std::vector<WalRecord>& records) {
+std::vector<VmDecisionTrace> decisions_from_wal(const std::string& path) {
+  std::string prefix(read_wal(path).valid_bytes, '\0');
+  std::ifstream(path, std::ios::binary)
+      .read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
+  std::istringstream lines(prefix);
   std::string jsonl;
-  for (const WalRecord& rec : records)
-    if (rec.req.op == OpKind::kPlace || rec.req.op == OpKind::kRetire) {
-      jsonl += rec.raw;
-      jsonl += '\n';
-    }
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    const json::Value root = json::parse(line);
+    const std::string& op = json::require_string(root, "op", "wal record");
+    if (op == "place" || op == "retire") jsonl += line + '\n';
+  }
   std::istringstream in(jsonl);
   return load_trace_jsonl(in);
 }

@@ -85,9 +85,6 @@ struct WalRecord {
   ServerId chosen = kNoServer;
   bool has_energy = false;
   Energy energy_after = 0.0;    ///< cumulative engine energy after the op
-  /// The verbatim journal line (decisions_from_wal re-parses it through the
-  /// decision-trace loader).
-  std::string raw;
 };
 
 struct WalFile {
@@ -130,12 +127,12 @@ WalFile read_wal(const std::string& path);
 /// read_wal reported torn_tail. Throws std::runtime_error on I/O failure.
 void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
 
-/// The place/retire records as decision-trace entries, via the real trace
+/// The place/retire lines of the journal at `path` (its well-formed prefix,
+/// as read_wal finds it) as decision-trace entries, via the real trace
 /// loader (load_trace_jsonl) — pinning that every journal line stays
 /// schema-compatible with obs/trace.h. Last-write-wins over these (e.g.
 /// assignment_from_trace) yields the daemon's final hosting.
-std::vector<VmDecisionTrace> decisions_from_wal(
-    const std::vector<WalRecord>& records);
+std::vector<VmDecisionTrace> decisions_from_wal(const std::string& path);
 
 /// Append-only journal writer over a raw fd (O_APPEND) with group commit.
 /// Records are staged in a user-space buffer; commit() hands every staged

@@ -1,6 +1,7 @@
 #include "util/parse.h"
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 namespace esva {
@@ -84,6 +85,17 @@ std::int64_t checked_flag(std::int64_t value, std::int64_t lo,
                                 std::to_string(lo) + ", " +
                                 std::to_string(hi) + "], got " +
                                 std::to_string(value));
+  return value;
+}
+
+double checked_double_flag(double value, bool in_range,
+                           const std::string& range, const std::string& flag) {
+  if (!std::isfinite(value) || !in_range) {
+    std::ostringstream message;
+    message << "--" << flag << " must be finite and " << range << ", got "
+            << value;
+    throw std::invalid_argument(message.str());
+  }
   return value;
 }
 

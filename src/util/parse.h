@@ -74,6 +74,13 @@ T checked_integer_as(double value, const std::string& context) {
 std::int64_t checked_flag(std::int64_t value, std::int64_t lo,
                           std::int64_t hi, const std::string& flag);
 
+/// `value` when it is finite and `in_range` (the caller's test of it, which
+/// `range` words: "> 0", "in [0, 1)"); otherwise throws std::invalid_argument
+/// "--<flag> must be finite and <range>, got <value>" — checked_flag for a
+/// floating-point option.
+double checked_double_flag(double value, bool in_range,
+                           const std::string& range, const std::string& flag);
+
 /// Parses a decimal std::uint64_t (the snapshot format's 64-bit rng words,
 /// which a double-backed JSON number cannot carry exactly).
 std::uint64_t parse_u64_field(const std::string& field,

@@ -14,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -414,6 +415,113 @@ TEST_F(AppTest, GenerateRejectsMalformedCounts) {
     EXPECT_FALSE(std::ifstream(path("m_vms.csv")).good())
         << flag << " '" << value << "'";
   }
+}
+
+// Every workload number is range-checked before the library sees it: a
+// value the option cannot mean exits 1 naming its flag before anything is
+// written or sent — never a library assert (SIGABRT) in generate, stream or
+// top, and never a wrap into an int32 (4294967298 VMs read as 2, a client
+// advance to 4294967301 sent as 5).
+TEST_F(AppTest, OutOfRangeWorkloadFlagsFailNamingTheFlag) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "10", "--servers", "4", "--out-vms",
+                 path("wf_vms.csv"), "--out-servers", path("wf_srv.csv")}),
+            0);
+  ASSERT_EQ(run("allocate", {"--vms", path("wf_vms.csv"), "--servers",
+                             path("wf_srv.csv"), "--out-assignment",
+                             path("wf_assign.csv")}),
+            0);
+  // {flag, value, whether the flag only counts with --diurnal}
+  const std::vector<std::tuple<std::string, std::string, bool>> workload = {
+      {"interarrival", "0", false}, {"interarrival", "nan", false},
+      {"interarrival", "0", true},  {"duration", "0", false},
+      {"duration", "-1", true},     {"duration", "inf", false},
+      {"amplitude", "1.5", true},   {"amplitude", "-0.1", true}};
+  const std::vector<std::pair<std::string, std::string>> fleet = {
+      {"vms", "-3"},          {"vms", "4294967298"},
+      {"servers", "-1"},      {"servers", "4294967299"},
+      {"transition", "-1"},   {"transition", "inf"},
+      {"server-types", "1-0"}, {"server-types", "1-99"},
+      {"server-types", "1-x"}};
+  const auto expect_flag_error = [&](const std::string& command,
+                                     std::vector<std::string> args,
+                                     const std::string& flag) {
+    EXPECT_EQ(run(command, args), 1) << command << " " << flag << ": " << err();
+    EXPECT_NE(err().find("--" + flag), std::string::npos) << err();
+    EXPECT_EQ(out(), "") << command << " " << flag;
+  };
+  const std::string written = path("wf_out_vms.csv");
+  const auto generate = [&](std::vector<std::string> flags) {
+    flags.insert(flags.end(), {"--out-vms", written, "--out-servers",
+                               path("wf_out_srv.csv")});
+    return flags;
+  };
+  for (const auto& [flag, value, diurnal] : workload) {
+    std::vector<std::string> flags = {"--" + flag, value};
+    if (diurnal) flags.push_back("--diurnal");
+    std::remove(written.c_str());
+    expect_flag_error("generate", generate(flags), flag);
+    EXPECT_FALSE(std::ifstream(written).good()) << flag << " " << value;
+    flags.insert(flags.end(),
+                 {"--generate", "5", "--servers", path("wf_srv.csv")});
+    expect_flag_error("stream", flags, flag);
+    expect_flag_error("top", flags, flag);
+  }
+  for (const auto& [flag, value] : fleet) {
+    std::remove(written.c_str());
+    expect_flag_error("generate", generate({"--" + flag, value}), flag);
+    EXPECT_FALSE(std::ifstream(written).good()) << flag << " " << value;
+  }
+  for (const char* command : {"stream", "top"})
+    expect_flag_error(command,
+                      {"--generate", "4294967298", "--servers",
+                       path("wf_srv.csv")},
+                      "generate");
+  for (const char* timeout : {"2147483648", "4294967296"})
+    expect_flag_error("evaluate",
+                      {"--vms", path("wf_vms.csv"), "--servers",
+                       path("wf_srv.csv"), "--assignment",
+                       path("wf_assign.csv"), "--timeout", timeout},
+                      "timeout");
+  // Checked before connecting: the socket does not exist.
+  expect_flag_error("client",
+                    {"--socket", path("wf_none.sock"), "--advance",
+                     "4294967301"},
+                    "advance");
+  expect_flag_error("client",
+                    {"--socket", path("wf_none.sock"), "--retire",
+                     "4294967297"},
+                    "retire");
+
+  // The largest accepted timeout lingers every server to the horizon, as a
+  // timeout of the horizon itself does.
+  const auto timeout_energy = [&](const std::string& timeout) {
+    EXPECT_EQ(run("evaluate", {"--vms", path("wf_vms.csv"), "--servers",
+                               path("wf_srv.csv"), "--assignment",
+                               path("wf_assign.csv"), "--timeout", timeout}),
+              0)
+        << err();
+    const std::string text = out();
+    return text.substr(text.find(" min: "));
+  };
+  const Time horizon = horizon_of(load_vm_trace(path("wf_vms.csv")));
+  EXPECT_EQ(timeout_energy("2147483647"),
+            timeout_energy(std::to_string(horizon)));
+
+  // A sample interval past the time axis saturates, as a huge sparkline
+  // width does: they mean "one sample" and "every sample", never a wrap to 1
+  // and 8. (The dashboard up to its wall-clock latency line.)
+  const auto dashboard = [&](const std::string& every,
+                             const std::string& width) {
+    EXPECT_EQ(run("top", {"--vms", path("wf_vms.csv"), "--servers",
+                          path("wf_srv.csv"), "--every", every, "--width",
+                          width}),
+              0)
+        << err();
+    return out().substr(0, out().find("submit latency"));
+  };
+  EXPECT_EQ(dashboard("4294967297", "4294967304"),
+            dashboard("2147483647", "2147483647"));
 }
 
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {

@@ -158,6 +158,31 @@ TEST(Registry, KnowsAllNamesAndBuildsThem) {
   EXPECT_EQ(allocator_names().front(), "min-incremental");
 }
 
+// The registry is one fixed table. Under ctest every TEST runs in a fresh
+// process, so the first call here is the process's first; the list is the
+// same after make_allocator has built every name on it (each under its own
+// name where the allocator reports one) and refused every other name.
+TEST(Registry, NamesAreOneFixedTable) {
+  const std::vector<std::string> expected = {
+      "min-incremental", "ffps", "ffps-reshuffle", "ffps-noshuffle",
+      "best-fit-cpu", "dot-product-fit", "random-fit", "lowest-idle-power",
+      "lookahead-1", "lookahead-4", "lookahead-8", "lookahead-16"};
+  const std::vector<std::string>& names = allocator_names();
+  EXPECT_EQ(names, expected);
+  for (const std::string& name : names) {
+    const AllocatorPtr allocator = make_allocator(name);
+    ASSERT_NE(allocator, nullptr) << name;
+    if (name.rfind("ffps-", 0) != 0) {
+      EXPECT_EQ(allocator->name(), name);
+    }
+  }
+  for (const std::string name :
+       {"", "lookahead", "lookahead-2", "lookahead-8 ", "FFPS", "ffps-"})
+    EXPECT_THROW(make_allocator(name), std::invalid_argument) << name;
+  EXPECT_EQ(&allocator_names(), &names);
+  EXPECT_EQ(allocator_names(), expected);
+}
+
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_allocator("definitely-not-an-allocator"),
                std::invalid_argument);

@@ -10,7 +10,6 @@
 #include "cluster/datacenter.h"
 #include "ext/admission.h"
 #include "ext/migration.h"
-#include "ext/register.h"
 #include "ext/timeout_policy.h"
 #include "ilp/validate.h"
 #include "sim/engine.h"
@@ -40,7 +39,6 @@ ProblemInstance diurnal_problem(std::uint64_t seed, int num_vms = 60,
 }
 
 TEST(Differential, CostIdentitiesHoldOnDiurnalHeterogeneousInstances) {
-  register_extension_allocators();
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const ProblemInstance p = diurnal_problem(seed);
     for (const std::string name :

@@ -25,7 +25,6 @@
 #include "core/allocation.h"
 #include "core/cost_model.h"
 #include "core/streaming.h"
-#include "ext/register.h"
 #include "sim/replay.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -144,7 +143,6 @@ ReplayReport replay(const std::string& name, const ProblemInstance& problem,
 }
 
 TEST(FaultDifferential, EmptyPlanBitIdenticalForEveryStreamableAllocator) {
-  register_extension_allocators();
   const FaultPlan empty_plan;
   for (const bool profiled : {false, true}) {
     const ProblemInstance problem = chaos_instance(11, profiled);
@@ -169,7 +167,6 @@ TEST(FaultDifferential, EmptyPlanBitIdenticalForEveryStreamableAllocator) {
 }
 
 TEST(FaultDifferential, SeededChaosReplayIsReproducible) {
-  register_extension_allocators();
   const ProblemInstance problem = chaos_instance(23, /*profiled=*/false);
   ChaosConfig chaos;
   chaos.num_servers = static_cast<std::size_t>(kNumServers);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/min_incremental.h"
-#include "ext/register.h"
 #include "baselines/registry.h"
 #include "test_util.h"
 
@@ -108,8 +107,6 @@ TEST(Lookahead, NeverMuchWorseThanGreedyOnRandomInstances) {
 }
 
 TEST(Lookahead, RegistersWithTheRegistry) {
-  register_extension_allocators();
-  register_extension_allocators();  // idempotent
   AllocatorPtr a = make_allocator("lookahead-8");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->name(), "lookahead-8");
@@ -117,14 +114,6 @@ TEST(Lookahead, RegistersWithTheRegistry) {
   for (const std::string& name : allocator_names())
     found = found || name == "lookahead-8";
   EXPECT_TRUE(found);
-}
-
-TEST(Registry, CannotOverrideBuiltins) {
-  EXPECT_THROW(register_allocator(
-                   "ffps", [] { return make_allocator("random-fit"); }),
-               std::invalid_argument);
-  EXPECT_THROW(register_allocator("custom-null", nullptr),
-               std::invalid_argument);
 }
 
 TEST(Lookahead, InfeasibleVmReportedNotPlaced) {

@@ -24,7 +24,6 @@
 #include "cluster/timeline.h"
 #include "core/allocation.h"
 #include "core/cost_model.h"
-#include "ext/register.h"
 #include "sim/replay.h"
 #include "test_util.h"
 #include "testsupport/historical_min_incremental.h"
@@ -106,7 +105,6 @@ StreamRun stream_run(const std::string& name, const ProblemInstance& problem,
 // --- batch vs stream, every streamable allocator ---------------------------
 
 TEST(StreamingDifferential, ReplayMatchesBatchForEveryStreamableAllocator) {
-  register_extension_allocators();
   std::vector<std::string> streamable;
   for (const bool profiled : {false, true}) {
     const ProblemInstance problem =
@@ -163,7 +161,6 @@ TEST(StreamingDifferential, MinIncrementalAnchoredToHistoricalSerialLoop) {
 // --- advance_to is decision-invariant --------------------------------------
 
 TEST(StreamingProperty, AdvanceToNeverChangesSubsequentDecisions) {
-  register_extension_allocators();
   for (const bool profiled : {false, true}) {
     const ProblemInstance problem =
         profiled ? profiled_instance(29) : stable_instance(29);

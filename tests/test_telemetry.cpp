@@ -168,12 +168,13 @@ TEST(EnergyLedgerConservation, HoldsUnderChaosAndAttributesMigration) {
 
 // The engine is the one pricer. With a cost other than the default (no
 // charge for a server's first switch-on), a traced and an untraced replay of
-// every built-in allocator (all of them stream) charge every placement the
-// same energy, and the ledger, which prices with the same cost, conserves in
-// both — whatever cost the policy scored with and whether it traced.
+// every streamable allocator charge every placement the same energy, and the
+// ledger, which prices with the same cost, conserves in both — whatever cost
+// the policy scored with and whether it traced.
 TEST(EnergyLedgerConservation, NonDefaultCostPricesTracedAndUntracedAlike) {
   const ProblemInstance problem = instance(42, /*profiled=*/false);
   for (const std::string& name : allocator_names()) {
+    if (!make_allocator(name)->make_policy()) continue;  // batch-only ext
     std::vector<ReplayReport> reports;
     for (const bool traced : {false, true}) {
       const std::string label = name + (traced ? " traced" : " untraced");
@@ -382,6 +383,12 @@ TEST(TimeSeries, CadenceGateAndFirstSampleAlwaysDue) {
   sampler.record(s);
   EXPECT_FALSE(sampler.due(13));
   EXPECT_TRUE(sampler.due(14));
+  // An interval reaching past the largest Time saturates there instead of
+  // wrapping into "always due".
+  options.every = std::numeric_limits<Time>::max();
+  TimeSeriesSampler sparse(options);
+  sparse.record(s);
+  EXPECT_FALSE(sparse.due(std::numeric_limits<Time>::max() - 1));
 }
 
 TEST(TimeSeries, RingOverwritesOldestAndCountsDrops) {

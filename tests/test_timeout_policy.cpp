@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/registry.h"
 #include "core/segments.h"
 #include "test_util.h"
@@ -46,6 +48,19 @@ TEST(TimeoutPolicy, LingerClampedToHorizonAndNextSegment) {
   // final linger clamped to horizon 12.
   const auto actives = timeout_active_intervals(busy, 12, {.timeout = 10});
   EXPECT_EQ(actives, (std::vector<Interval>{{1, 12}}));
+}
+
+// A timeout reaching past the horizon lingers to the horizon, up to the
+// largest Time: segment end + timeout must not overflow into a negative
+// interval (`esva evaluate --timeout 2147483647` must price a real energy).
+TEST(TimeoutPolicy, TimeoutUpToTheLargestTimeLingersToTheHorizon) {
+  const IntervalSet busy = busy_of({{1, 5}, {20, 22}});
+  for (const Time timeout : {Time{100}, std::numeric_limits<Time>::max() - 4,
+                             std::numeric_limits<Time>::max()}) {
+    EXPECT_EQ(timeout_active_intervals(busy, 30, {.timeout = timeout}),
+              (std::vector<Interval>{{1, 30}}))
+        << timeout;
+  }
 }
 
 TEST(TimeoutPolicy, BreakdownChargesLingerAsIdle) {

@@ -93,7 +93,8 @@ TEST(WindowReopt, NeverIncreasesEnergy) {
 }
 
 TEST(WindowReopt, RecoversTheOptimumWhenWindowCoversEverything) {
-  // group_size >= m makes the single window an unconditioned exact solve.
+  // group_size >= m makes the first window an unconditioned exact solve;
+  // the overlapping windows after it only keep or improve its optimum.
   Rng gen(5);
   const ProblemInstance p = random_problem(gen, 6, 3, 2.0, 6.0);
   Rng rng(1);
@@ -102,7 +103,6 @@ TEST(WindowReopt, RecoversTheOptimumWhenWindowCoversEverything) {
 
   WindowReoptConfig config;
   config.group_size = 6;
-  config.overlap = false;
   const WindowReoptResult result = window_reoptimize(p, bad, config);
 
   const ExactResult optimum = solve_exact(p);
