@@ -166,12 +166,26 @@ double median(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
+/// The p-quantile of `xs` (0 <= p <= 1), interpolating linearly between
+/// the two nearest order statistics.
+double quantile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double h = p * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(h);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (h - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
 /// Per-pair timings of a reference and a measured variant, and the gate
 /// statistic: the median over pairs of measured_ms[i] / reference_ms[i].
+/// The ratios' quartiles say whether a verdict is resolved: a budget that
+/// lies between q1 and q3 is inside the pairs' own spread.
 struct PairedTiming {
   std::vector<double> reference_ms;
   std::vector<double> measured_ms;
+  double q1_ratio = 0.0;
   double median_ratio = 0.0;
+  double q3_ratio = 0.0;
 };
 
 /// Runs both variants once to warm up, then `pairs` times each, alternating
@@ -195,8 +209,31 @@ PairedTiming time_paired(int pairs, const std::function<void()>& reference,
     }
     ratios.push_back(timing.measured_ms.back() / timing.reference_ms.back());
   }
+  timing.q1_ratio = quantile(ratios, 0.25);
   timing.median_ratio = median(ratios);
+  timing.q3_ratio = quantile(ratios, 0.75);
   return timing;
+}
+
+/// The per-pair ratio quartiles as the artifact's "ratio_quartiles" array:
+/// [q1, median, q3] of measured / reference.
+std::string json_quartiles(const PairedTiming& timing) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "[%.4f, %.4f, %.4f]", timing.q1_ratio,
+                timing.median_ratio, timing.q3_ratio);
+  return buf;
+}
+
+/// The quartiles of an overhead gate's per-pair ratio minus 1, printed
+/// beside its verdict.
+std::string overhead_quartiles(const PairedTiming& timing) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "pairs q1 %+.2f%% / median %+.2f%% / q3 %+.2f%%",
+                100.0 * (timing.q1_ratio - 1.0),
+                100.0 * (timing.median_ratio - 1.0),
+                100.0 * (timing.q3_ratio - 1.0));
+  return buf;
 }
 
 std::string json_array(const std::vector<double>& xs) {
@@ -356,10 +393,12 @@ EnvelopeReport measure_envelope(int num_vms, int reps, double triage_budget,
   report.pass = report.verdicts_match &&
                 (!report.triage_enforced ||
                  report.triage_speedup >= triage_budget);
-  std::printf("  triage speedup %.2fx (budget %.1fx, %s) -> %s\n",
+  std::printf("  triage speedup %.2fx (budget %.1fx, %s; pairs q1 %.2fx / "
+              "median %.2fx / q3 %.2fx) -> %s\n",
               report.triage_speedup, triage_budget,
               report.triage_enforced ? "enforced" : "not enforced in --quick",
-              report.pass ? "OK" : "FAIL");
+              1.0 / report.timing.q3_ratio, report.triage_speedup,
+              1.0 / report.timing.q1_ratio, report.pass ? "OK" : "FAIL");
   return report;
 }
 
@@ -444,10 +483,11 @@ TelemetryReport measure_telemetry(int num_vms, int reps, double budget,
   std::printf("  bare replay:    %8.2f ms (median)\n",
               median(report.timing.reference_ms));
   std::printf("  full telemetry: %8.2f ms (median)  -> overhead %+.2f%% "
-              "(median paired ratio, budget %.0f%%, %s) %s\n",
+              "(median paired ratio, budget %.0f%%, %s; %s) %s\n",
               median(report.timing.measured_ms), 100.0 * report.overhead,
               100.0 * budget,
               report.overhead_enforced ? "enforced" : "not enforced (--quick)",
+              overhead_quartiles(report.timing).c_str(),
               !report.overhead_enforced || report.overhead <= budget
                   ? "OK"
                   : "FAIL");
@@ -473,8 +513,8 @@ struct WalReport {
   /// reference: the bare stream replay; measured: the journaled loop.
   PairedTiming timing;
   double overhead = 0.0;  ///< median paired ratio minus 1
-  /// Journal read back through decisions_from_wal + assignment_from_trace
-  /// equals the batch replay's assignment; always enforced.
+  /// The journal's place records, read back through read_wal, hold the
+  /// batch replay's assignment; always enforced.
   bool assignments_match = false;
   bool energy_match = false;  ///< exact-double total energy; always enforced
   std::size_t journal_records = 0;
@@ -492,7 +532,7 @@ struct WalReport {
 /// `esva stream` replay. The journal lands on tmpfs (/dev/shm, falling back
 /// to TMPDIR) so the gate measures the WAL code path — encode, batch
 /// write, fsync — not a spinning disk. Identity gates always: the journal
-/// must round-trip through the real trace loader to the replay's
+/// must read back through the daemon's recovery reader to the replay's
 /// assignment, and the journaled run's total energy must equal the
 /// replay's exactly. The <= budget overhead gate (median paired ratio,
 /// time_paired) enforces outside --quick.
@@ -561,19 +601,25 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
   report.timing = time_paired(reps, [&] { run_stream(stream); },
                               [&] { run_wal(&wal_energy); });
 
-  // Round-trip the surviving journal through the real trace loader: the WAL
-  // is a decision trace, so last-write-wins folding must reproduce the batch
+  // Read the surviving journal back the way recovery does: it holds one
+  // place record per VM, and their recorded outcomes must be the batch
   // replay's assignment (retries are off here, so submit decisions are
   // final).
   const serve::WalFile journal = serve::read_wal(journal_path);
   report.journal_records = journal.records.size();
-  {
-    std::ifstream in(journal_path, std::ios::binary | std::ios::ate);
-    if (in) report.journal_bytes = static_cast<std::size_t>(in.tellg());
+  report.journal_bytes = journal.valid_bytes;
+  std::vector<ServerId> replayed(problem.vms.size(), kNoServer);
+  report.assignments_match = true;
+  for (const serve::WalRecord& rec : journal.records) {
+    const auto vm = static_cast<std::size_t>(rec.req.vm.id);
+    if (rec.req.op != serve::OpKind::kPlace || vm >= replayed.size()) {
+      report.assignments_match = false;
+      break;
+    }
+    replayed[vm] = rec.chosen;
   }
-  const std::vector<ServerId> replayed = assignment_from_trace(
-      serve::decisions_from_wal(journal_path), problem.vms.size());
-  report.assignments_match = replayed == stream.assignment;
+  report.assignments_match =
+      report.assignments_match && replayed == stream.assignment;
   report.energy_match = wal_energy == stream.total_energy;
   ::unlink(journal_path.c_str());
 
@@ -588,10 +634,11 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
   std::printf("  bare stream:     %8.2f ms (median)\n",
               median(report.timing.reference_ms));
   std::printf("  journaled:       %8.2f ms (median)  -> overhead %+.2f%% "
-              "(median paired ratio, budget %.0f%%, %s) %s\n",
+              "(median paired ratio, budget %.0f%%, %s; %s) %s\n",
               median(report.timing.measured_ms), 100.0 * report.overhead,
               100.0 * budget,
               report.overhead_enforced ? "enforced" : "not enforced (--quick)",
+              overhead_quartiles(report.timing).c_str(),
               !report.overhead_enforced || report.overhead <= budget
                   ? "OK"
                   : "FAIL");
@@ -619,9 +666,11 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
   std::printf("  no obs context: %8.2f ms (median)\n",
               median(overhead.timing.reference_ms));
   std::printf("  null sink:      %8.2f ms (median)  -> overhead %+.2f%% "
-              "(median paired ratio, budget %.0f%%) %s\n",
+              "(median paired ratio, budget %.0f%%; %s) %s\n",
               median(overhead.timing.measured_ms), 100.0 * overhead.overhead,
-              100.0 * kOverheadBudget, pass ? "OK" : "FAIL");
+              100.0 * kOverheadBudget,
+              overhead_quartiles(overhead.timing).c_str(),
+              pass ? "OK" : "FAIL");
   std::printf("  live trace:     %8.2f ms (median), %zu decision records\n",
               median(overhead.traced_ms), overhead.trace_records);
   std::printf("  assignments identical: %s\n",
@@ -662,6 +711,8 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << median(overhead.timing.measured_ms) << ",\n"
       << "    \"median_traced_ms\": " << median(overhead.traced_ms) << ",\n"
       << "    \"null_sink_overhead\": " << overhead.overhead << ",\n"
+      << "    \"ratio_quartiles\": " << json_quartiles(overhead.timing)
+      << ",\n"
       << "    \"overhead_budget\": " << kOverheadBudget << ",\n"
       << "    \"trace_records\": " << overhead.trace_records << ",\n"
       << "    \"assignments_match\": "
@@ -678,6 +729,8 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"median_quickfit_loop_ms\": "
       << median(envelope.timing.reference_ms) << ",\n"
       << "    \"triage_speedup\": " << envelope.triage_speedup << ",\n"
+      << "    \"ratio_quartiles\": " << json_quartiles(envelope.timing)
+      << ",\n"
       << "    \"triage_budget\": " << envelope.triage_budget << ",\n"
       << "    \"triage_enforced\": "
       << (envelope.triage_enforced ? "true" : "false") << ",\n"
@@ -696,6 +749,8 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << "    \"median_telemetry_ms\": "
       << median(telemetry.timing.measured_ms) << ",\n"
       << "    \"overhead\": " << telemetry.overhead << ",\n"
+      << "    \"ratio_quartiles\": " << json_quartiles(telemetry.timing)
+      << ",\n"
       << "    \"overhead_budget\": " << kOverheadBudget << ",\n"
       << "    \"overhead_enforced\": "
       << (telemetry.overhead_enforced ? "true" : "false") << ",\n"
@@ -720,6 +775,7 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
       << ",\n"
       << "    \"median_wal_ms\": " << median(wal.timing.measured_ms) << ",\n"
       << "    \"overhead\": " << wal.overhead << ",\n"
+      << "    \"ratio_quartiles\": " << json_quartiles(wal.timing) << ",\n"
       << "    \"overhead_budget\": " << kOverheadBudget << ",\n"
       << "    \"overhead_enforced\": "
       << (wal.overhead_enforced ? "true" : "false") << ",\n"

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "cluster/resources.h"
@@ -43,7 +44,12 @@ struct ServerSpec {
     return p_idle + (p_peak - p_idle) * utilization;
   }
 
+  /// Positive capacities, 0 <= p_idle <= p_peak, transition_time >= 0, and
+  /// every one of those numbers finite.
   bool valid() const {
+    for (const double x :
+         {capacity.cpu, capacity.mem, p_idle, p_peak, transition_time})
+      if (!std::isfinite(x)) return false;
     return capacity.cpu > 0 && capacity.mem > 0 && p_idle >= 0 &&
            p_peak >= p_idle && transition_time >= 0;
   }

@@ -619,7 +619,6 @@ EngineStateSnapshot PlacementEngine::export_state() const {
   snap.retry_seq = retry_seq_;
   snap.retry_queue = retry_queue_;
   snap.fault_stats = faults_;
-  snap.resolutions = resolutions_;
   return snap;
 }
 
@@ -633,7 +632,7 @@ void PlacementEngine::import_state(const EngineStateSnapshot& snap) {
   retry_seq_ = snap.retry_seq;
   retry_queue_ = snap.retry_queue;
   faults_ = snap.fault_stats;
-  resolutions_ = snap.resolutions;
+  resolutions_.clear();
 }
 
 void PlacementEngine::fire(const FaultEvent& event) {

@@ -505,7 +505,8 @@ struct PendingRequest {
 /// (Rng::set_state). Export on a live engine, import into a freshly
 /// constructed one over the same fleet: the decision stream continues
 /// byte-identically (tests/test_serve.cpp pins this against an
-/// uninterrupted run). src/serve/snapshot.h is the durable serialization.
+/// uninterrupted run). The resolution log is history, not state, and is not
+/// carried. src/serve/snapshot.h is the durable serialization.
 struct EngineStateSnapshot {
   Time frontier = 1;
   Time horizon = 0;
@@ -519,7 +520,6 @@ struct EngineStateSnapshot {
   /// Sorted by (not_before, seq), exactly the live queue order.
   std::vector<PendingRequest> retry_queue;
   FaultStats fault_stats;
-  std::vector<Resolution> resolutions;
 };
 
 /// Stateful streaming allocator: submit requests in non-decreasing
@@ -596,7 +596,7 @@ class PlacementEngine {
   std::size_t peak_resident_time_units() const { return peak_resident_; }
 
   const FaultStats& fault_stats() const { return faults_; }
-  /// Post-submit hosting changes, in application order.
+  /// Post-submit hosting changes since construction or import_state.
   const std::vector<Resolution>& resolutions() const { return resolutions_; }
 
   /// Forces a time-series sample at the current frontier, ignoring the

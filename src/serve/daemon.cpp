@@ -116,7 +116,6 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
       rng_.set_state(snap.rng);
       for (const auto& [vm, server] : snap.assignment)
         assignment_[vm] = server;
-      resolutions_applied_ = engine_->resolutions().size();
       applied = snap.wal_seq;
       from_snapshot_ = true;
     }
@@ -200,12 +199,18 @@ PlacementDecision Daemon::apply(const Request& req) {
 }
 
 void Daemon::replay_record(const WalRecord& rec) {
-  const PlacementDecision decision = apply(rec.req);
+  const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
+  // A daemon never journals an op the engine refused: this one was edited.
+  PlacementDecision decision;
+  try {
+    decision = apply(rec.req);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(where + ": " + e.what());
+  }
   // Fidelity checksums: the deterministic re-run must land exactly where the
   // live run did — on the same server, at the same cumulative energy
   // (bit-exact, hence hexfloat). Divergence means the journal and the engine
   // configuration no longer agree; refusing to serve is the only safe answer.
-  const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
   if (rec.req.op == OpKind::kPlace) {
     if (decision.server != rec.chosen)
       throw std::runtime_error(
@@ -408,7 +413,7 @@ std::string Daemon::dispatch(const Request& req) {
   return out;
 }
 
-std::string Daemon::apply_line(const std::string& line, LineId& id) {
+std::string Daemon::apply_line(std::string_view line, LineId& id) {
   Request req;
   try {
     req = decode_request(line);
@@ -597,9 +602,9 @@ int Daemon::serve_loop(const std::string& socket_path,
           c.closing = true;
           break;
         }
-        std::string line = c.inbuf.substr(consumed, nl - consumed);
+        std::string_view line(c.inbuf.data() + consumed, nl - consumed);
         consumed = nl + 1;
-        if (!line.empty() && line.back() == '\r') line.pop_back();
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
         if (line.empty()) continue;
         LineId id;
         c.out += apply_line(line, id);

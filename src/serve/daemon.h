@@ -51,6 +51,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/allocator.h"
@@ -108,7 +109,8 @@ class Daemon {
   /// (if one exists), then journal replay of every record past it, with
   /// checksum verification. Throws std::runtime_error when another daemon
   /// holds the WAL (before reading it), on header/config mismatches,
-  /// mid-journal corruption, or replay divergence.
+  /// mid-journal corruption, a record the engine refuses, or replay
+  /// divergence.
   Daemon(std::vector<ServerSpec> servers, DaemonOptions options);
   ~Daemon();
   Daemon(const Daemon&) = delete;
@@ -193,7 +195,7 @@ class Daemon {
   /// Applies one line as part of the current round: the engine moves and
   /// its record is staged; the response it returns must wait for
   /// commit_round. `id` receives the request's id.
-  std::string apply_line(const std::string& line, LineId& id);
+  std::string apply_line(std::string_view line, LineId& id);
   /// Ends a round: one write() of the staged records, then the fsync the
   /// schedule calls for. Returns false when the daemon is halted — now or
   /// earlier in the round — and then no response of the round may go out;

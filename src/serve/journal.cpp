@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "serve/wire.h"
 #include "util/json.h"
@@ -56,6 +57,9 @@ WalHeader decode_header(const json::Value& root, std::size_t line) {
   return h;
 }
 
+/// The fields the wire does not carry: the seq, a place's VM under "spec",
+/// and the recorded outcomes recovery checks. Every other op field is read
+/// by decode_request, as the request that made the record was.
 WalRecord decode_record(const json::Value& root, const std::string& op,
                         std::size_t line) {
   WalRecord rec;
@@ -78,35 +82,21 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
       rec.energy_after =
           parse_double_field(e->string, ctx + " field 'energy_hex'");
     }
-  } else if (op == "retire") {
-    rec.req.op = OpKind::kRetire;
-    rec.req.vm_id = static_cast<VmId>(json::require_integer(
-        root, "vm", 0, std::numeric_limits<VmId>::max(), ctx));
-    if (const json::Value* s = root.find("server"); s && !s->is_null())
-      rec.chosen = static_cast<ServerId>(json::require_integer(
-          root, "server", kNoServer, std::numeric_limits<ServerId>::max(),
-          ctx));
-  } else if (op == "advance") {
-    rec.req.op = OpKind::kAdvance;
-    rec.req.to = static_cast<Time>(json::require_integer(
-        root, "to", std::numeric_limits<Time>::min(),
-        std::numeric_limits<Time>::max(), ctx));
-  } else if (op == "fault") {
-    rec.req.op = OpKind::kFault;
-    rec.req.fault.at = static_cast<Time>(json::require_integer(
-        root, "at", 1, std::numeric_limits<Time>::max(), ctx));
-    const std::string& kind = json::require_string(root, "kind", ctx);
-    const std::optional<FaultKind> parsed = parse_fault_kind(kind);
-    if (!parsed) fail_line(line, "unknown fault kind '" + kind + "'");
-    rec.req.fault.kind = *parsed;
-    rec.req.fault.server = static_cast<ServerId>(json::require_integer(
-        root, "server", 0, std::numeric_limits<ServerId>::max(), ctx));
-  } else if (op == "drain") {
-    rec.req.op = OpKind::kDrain;
-  } else {
-    fail_line(line, "unknown record op '" + op + "'");
+    return rec;
   }
+  rec.req = decode_request(root);
+  if (rec.req.op == OpKind::kStats || rec.req.op == OpKind::kSnapshot)
+    fail_line(line, "op '" + op + "' is never journaled");
+  if (const json::Value* s = root.find("server");
+      rec.req.op == OpKind::kRetire && s && !s->is_null())
+    rec.chosen = static_cast<ServerId>(json::require_integer(
+        root, "server", kNoServer, std::numeric_limits<ServerId>::max(), ctx));
   return rec;
+}
+
+/// True when `text` holds a line that is not blank (" \t\r" only).
+bool has_nonblank_line(std::string_view text) {
+  return text.find_first_not_of(" \t\r\n") != std::string_view::npos;
 }
 
 }  // namespace
@@ -188,39 +178,30 @@ WalFile read_wal(const std::string& path) {
   WalFile wal;
   std::ifstream in(path, std::ios::binary);
   if (!in) return wal;  // no journal yet: fresh daemon
-
   std::ostringstream raw;
   raw << in.rdbuf();
-  const std::string data = raw.str();
+  const std::string data = std::move(raw).str();  // the file's one copy
 
-  // Split on '\n' by hand (not getline) so every line keeps its byte-exact
-  // end offset — valid_bytes, the truncate-to point after a torn tail — and
-  // so a missing final newline is observable.
-  struct Line {
-    std::string text;        // without the trailing '\n' (may keep a '\r')
-    std::size_t number = 0;  // 1-based physical line, for error messages
-    std::uint64_t end = 0;   // offset just past this line's '\n'
-    bool newline = false;
-  };
-  std::vector<Line> lines;
-  std::size_t pos = 0, number = 0;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    const bool has_nl = nl != std::string::npos;
-    const std::size_t end = has_nl ? nl + 1 : data.size();
-    ++number;
-    std::string text = data.substr(pos, (has_nl ? nl : data.size()) - pos);
-    if (text.find_first_not_of(" \t\r") != std::string::npos)
-      lines.push_back({std::move(text), number, end, has_nl});
-    pos = end;
-  }
-  if (lines.empty()) return wal;
-
+  // One pass over the buffer, each line parsed where it lies. The split is
+  // on '\n' by hand (not getline), so every line keeps its byte-exact end
+  // offset — valid_bytes, the truncate-to point after a torn tail — and a
+  // missing final newline is observable. Blank lines are skipped, and
+  // "final" below means the last non-blank line.
+  const std::string_view text(data);
   bool have_header = false;
   std::uint64_t prev_seq = 0;
-  for (std::size_t k = 0; k < lines.size(); ++k) {
-    const bool last = k + 1 == lines.size();
-    if (last && !lines[k].newline) {
+  std::size_t pos = 0, number = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const bool has_nl = nl != std::string_view::npos;
+    const std::size_t end = has_nl ? nl + 1 : text.size();
+    // Without its '\n' (it may keep a '\r', which the JSON reader skips).
+    const std::string_view line =
+        text.substr(pos, (has_nl ? nl : text.size()) - pos);
+    ++number;
+    pos = end;
+    if (!has_nonblank_line(line)) continue;
+    if (!has_nl) {
       // A completed append batch always ends in '\n', so a newline-less
       // tail — even one that happens to parse — is a partial write whose op
       // was never acked: drop it.
@@ -230,22 +211,23 @@ WalFile read_wal(const std::string& path) {
     WalRecord rec;
     bool header = false;
     try {
-      const json::Value root = json::parse(lines[k].text);
+      const json::Value root = json::parse(line);
       if (root.kind != json::Value::Kind::Object)
-        fail_line(lines[k].number, "record is not a JSON object");
+        fail_line(number, "record is not a JSON object");
       const std::string& op = json::require_string(root, "op", "wal record");
       header = op == "hdr";
       if (header) {
-        if (have_header) fail_line(lines[k].number, "duplicate header");
-        if (k != 0) fail_line(lines[k].number, "header not on the first line");
-        wal.header = decode_header(root, lines[k].number);
+        // Only a first line can get here without a header: any other
+        // record before it would have failed for want of one.
+        if (have_header) fail_line(number, "duplicate header");
+        wal.header = decode_header(root, number);
       } else {
         if (!have_header)
-          fail_line(lines[k].number, "journal does not start with a header");
-        rec = decode_record(root, op, lines[k].number);
+          fail_line(number, "journal does not start with a header");
+        rec = decode_record(root, op, number);
       }
     } catch (const std::exception&) {
-      if (last) {
+      if (!has_nonblank_line(text.substr(pos))) {
         // The crash window of an append: a torn final line is dropped, not
         // fatal — the op it would have recorded was never acked.
         wal.torn_tail = true;
@@ -261,14 +243,13 @@ WalFile read_wal(const std::string& path) {
       // a seq was written by a second daemon on this journal, and dropping
       // it as torn would lose an op that daemon acked.
       if (rec.seq <= prev_seq)
-        fail_line(lines[k].number,
-                  "sequence numbers must strictly increase (" +
-                      std::to_string(rec.seq) + " after " +
-                      std::to_string(prev_seq) + ")");
+        fail_line(number, "sequence numbers must strictly increase (" +
+                              std::to_string(rec.seq) + " after " +
+                              std::to_string(prev_seq) + ")");
       prev_seq = rec.seq;
       wal.records.push_back(std::move(rec));
     }
-    wal.valid_bytes = lines[k].end;
+    wal.valid_bytes = end;
   }
   return wal;
 }
@@ -292,22 +273,6 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes) {
                              "': " + std::strerror(err));
   }
   ::close(fd);
-}
-
-std::vector<VmDecisionTrace> decisions_from_wal(const std::string& path) {
-  std::string prefix(read_wal(path).valid_bytes, '\0');
-  std::ifstream(path, std::ios::binary)
-      .read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  std::istringstream lines(prefix);
-  std::string jsonl;
-  for (std::string line; std::getline(lines, line);) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const json::Value root = json::parse(line);
-    const std::string& op = json::require_string(root, "op", "wal record");
-    if (op == "place" || op == "retire") jsonl += line + '\n';
-  }
-  std::istringstream in(jsonl);
-  return load_trace_jsonl(in);
 }
 
 WalWriter::WalWriter(const std::string& path, const WalHeader& fresh_header,

@@ -26,19 +26,23 @@
 //
 // place and retire records are deliberate *supersets* of the decision-trace
 // schema (obs/trace.h): they carry "vm" and "chosen" exactly as to_jsonl
-// would, so decisions_from_wal() can feed them straight through
-// load_trace_jsonl and assignment_from_trace — a WAL is also a decision
-// trace of the daemon's lifetime (last-write-wins gives the final hosting,
+// would, so the journal's place/retire lines load through load_trace_jsonl
+// and fold through assignment_from_trace — a WAL is also a decision trace
+// of the daemon's lifetime (last-write-wins gives the final hosting,
 // retires landing as kNoServer). The extra keys (op/seq/spec/energy_hex) are
-// ignored by the trace loader.
+// ignored by the trace loader; tests/test_serve.cpp pins the compatibility
+// by feeding a journal's lines to that loader.
 //
 // Recovery does NOT trust recorded outcomes: it re-runs the deterministic
 // engine over the journaled *inputs*, each decoded into the serve::Request
 // the live daemon applied (advance and fault records trigger
 // policy-invoking retries and evacuations that a record-application scheme
-// could not reproduce). The recorded "chosen" and cumulative "energy_hex"
-// then act as replay-fidelity checksums — any divergence from the live run
-// is a hard error, not silent corruption (serve/daemon.cpp).
+// could not reproduce). A record's op fields are read by the wire's own
+// decoder (serve::decode_request on the parsed line), except a place's VM,
+// which the journal keeps under "spec". The recorded "chosen" and
+// cumulative "energy_hex" then act as replay-fidelity checksums — any
+// divergence from the live run is a hard error, not silent corruption
+// (serve/daemon.cpp).
 //
 // Torn tails: a malformed LAST line, or any final line missing its
 // terminating newline (the crash window of an append — a completed batch
@@ -59,7 +63,6 @@
 #include "cluster/vm.h"
 #include "core/fault_plan.h"
 #include "core/streaming.h"
-#include "obs/trace.h"
 #include "serve/wire.h"
 #include "util/types.h"
 
@@ -114,7 +117,8 @@ std::string encode_advance_record(std::uint64_t seq, Time to);
 std::string encode_fault_record(std::uint64_t seq, const FaultEvent& event);
 std::string encode_drain_record(std::uint64_t seq);
 
-/// Parses a whole journal. Throws std::runtime_error on a missing/invalid
+/// Parses a whole journal in one pass over one copy of the file, each line
+/// parsed where it lies. Throws std::runtime_error on a missing/invalid
 /// header or a malformed non-final record; a malformed final line only sets
 /// torn_tail. An empty path-or-file yields an empty WalFile with a
 /// default-constructed header (records empty) — callers treat that as a
@@ -126,13 +130,6 @@ WalFile read_wal(const std::string& path);
 /// line. Recovery must call this before constructing a WalWriter whenever
 /// read_wal reported torn_tail. Throws std::runtime_error on I/O failure.
 void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
-
-/// The place/retire lines of the journal at `path` (its well-formed prefix,
-/// as read_wal finds it) as decision-trace entries, via the real trace
-/// loader (load_trace_jsonl) — pinning that every journal line stays
-/// schema-compatible with obs/trace.h. Last-write-wins over these (e.g.
-/// assignment_from_trace) yields the daemon's final hosting.
-std::vector<VmDecisionTrace> decisions_from_wal(const std::string& path);
 
 /// Append-only journal writer over a raw fd (O_APPEND) with group commit.
 /// Records are staged in a user-space buffer; commit() hands every staged

@@ -19,9 +19,11 @@ namespace esva::serve {
 
 namespace {
 
-/// Version 2 writes profiles as runs (serve/wire.h); version 1 documents
-/// still load, since the decoder reads both entry forms.
-constexpr int kSnapshotVersion = 2;
+/// Version 3 drops the engine's resolution log, which a restored daemon
+/// never read; version 2 writes profiles as runs (serve/wire.h). Versions 1
+/// and 2 still load: the decoder reads both profile entry forms and skips
+/// their "resolutions".
+constexpr int kSnapshotVersion = 3;
 constexpr int kOldestSnapshotVersion = 1;
 
 template <typename T>
@@ -92,13 +94,7 @@ std::string encode_engine(const EngineStateSnapshot& e) {
     out += std::string("\"") + key + "\":" +
            std::to_string(e.fault_stats.*member);
   }
-  out += "},\"resolutions\":[";
-  for (std::size_t k = 0; k < e.resolutions.size(); ++k) {
-    if (k > 0) out += ',';
-    out += '[' + std::to_string(e.resolutions[k].vm) + ',' +
-           std::to_string(e.resolutions[k].server) + ']';
-  }
-  out += "]}";
+  out += "}}";
   return out;
 }
 
@@ -154,22 +150,6 @@ EngineStateSnapshot decode_engine(const json::Value& obj) {
       require_member(obj, "fault_stats", json::Value::Kind::Object, ctx);
   for (const auto& [key, member] : kFaultStatsFields)
     e.fault_stats.*member = require_int<std::int64_t>(stats, key, ctx);
-
-  const json::Value& resolutions =
-      require_member(obj, "resolutions", json::Value::Kind::Array, ctx);
-  for (const json::Value& r : resolutions.array) {
-    if (r.kind != json::Value::Kind::Array || r.array.size() != 2 ||
-        r.array[0].kind != json::Value::Kind::Number ||
-        r.array[1].kind != json::Value::Kind::Number)
-      throw std::runtime_error(ctx + ": resolutions are [vm,server] pairs");
-    Resolution res;
-    res.vm = checked_integer_as<VmId>(r.array[0].number,
-                                      ctx + " resolution vm");
-    res.server = static_cast<ServerId>(checked_integer(
-        r.array[1].number, kNoServer, std::numeric_limits<ServerId>::max(),
-        ctx + " resolution server"));
-    e.resolutions.push_back(res);
-  }
   return e;
 }
 

@@ -10,8 +10,9 @@
 // energy compares == against WAL checksums); every u64 (seed, sequence
 // numbers, rng words) rides as a decimal string, because a double-backed
 // JSON number cannot carry 64 bits. VMs use serve/wire.h's codec, so
-// version 2 writes profiles as [len,cpu,mem] runs; version 1 documents,
-// with one [cpu,mem] entry per unit, still load.
+// version 2 writes profiles as [len,cpu,mem] runs; version 3 drops the
+// engine's resolution log. Versions 1 (one [cpu,mem] entry per unit) and 2
+// still load, their "resolutions" ignored.
 //
 // A restored daemon replays the WAL records with seq > wal_seq on top of the
 // snapshot — snapshotting just bounds replay work; it never changes state.
@@ -48,7 +49,7 @@ struct SnapshotData {
 
 std::string encode_snapshot(const SnapshotData& snap);
 
-/// Accepts versions 1 and 2. Throws std::runtime_error on malformed input
+/// Accepts versions 1 to 3. Throws std::runtime_error on malformed input
 /// or any other version.
 SnapshotData decode_snapshot(const std::string& text);
 

@@ -324,8 +324,11 @@ std::string encode_request(const Request& req) {
   return out;
 }
 
-Request decode_request(const std::string& line) {
-  const json::Value root = json::parse(line);
+Request decode_request(std::string_view line) {
+  return decode_request(json::parse(line));
+}
+
+Request decode_request(const json::Value& root) {
   if (root.kind != json::Value::Kind::Object)
     throw std::runtime_error("request must be a JSON object");
   const std::string& op = json::require_string(root, "op", "request");

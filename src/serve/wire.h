@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "cluster/vm.h"
 #include "core/fault_plan.h"
@@ -110,6 +111,10 @@ std::string encode_request(const Request& req);
 
 /// Parses and validates one request line. Throws std::runtime_error with a
 /// structured message on malformed JSON, unknown ops, or bad fields.
-Request decode_request(const std::string& line);
+Request decode_request(std::string_view line);
+
+/// decode_request on a parsed line: the one reader of every op's fields,
+/// the journal's retire, advance, fault and drain records included.
+Request decode_request(const json::Value& root);
 
 }  // namespace esva::serve

@@ -20,7 +20,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse() {
     Value value = parse_value();
@@ -55,8 +55,8 @@ class Parser {
     ++pos_;
   }
 
-  bool consume_literal(const std::string& literal) {
-    if (text_.compare(pos_, literal.size(), literal) != 0) return false;
+  bool consume_literal(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) return false;
     pos_ += literal.size();
     return true;
   }
@@ -195,7 +195,7 @@ class Parser {
     if (pos_ == start) fail("expected a value");
     Value v;
     v.kind = Value::Kind::Number;
-    v.string.assign(text_, start, pos_ - start);
+    v.string.assign(text_.substr(start, pos_ - start));
     try {
       v.number = std::stod(v.string);
     } catch (const std::exception&) {
@@ -204,14 +204,14 @@ class Parser {
     return v;
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
 
 }  // namespace
 
-Value parse(const std::string& text) { return Parser(text).parse(); }
+Value parse(std::string_view text) { return Parser(text).parse(); }
 
 std::string escape(const std::string& s) {
   std::string out;

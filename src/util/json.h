@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,8 +42,8 @@ struct Value {
 
 /// Parses one complete JSON document. Throws std::runtime_error
 /// ("json parse error at offset N: ...") on malformed input, trailing
-/// characters, or excessive nesting.
-Value parse(const std::string& text);
+/// characters, or excessive nesting. Reads `text` in place.
+Value parse(std::string_view text);
 
 /// Serializes a string as a JSON string literal, quotes included (control
 /// characters become \uXXXX escapes).

@@ -3,9 +3,41 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace esva {
+
+namespace {
+
+/// The request both generators emit once the arrival clock reads `clock`:
+/// start at the clock rounded up, then draw the duration, then the type.
+/// Throws std::invalid_argument, before any cast to Time, when the request
+/// would end past the largest Time.
+VmSpec draw_request(double clock, double mean_duration,
+                    const std::vector<VmType>& types, int id, Rng& rng) {
+  constexpr double kLastTime = std::numeric_limits<Time>::max();
+  const double start = std::max(1.0, std::ceil(clock));
+  const double end =
+      start + std::max(1.0, std::round(rng.exponential(mean_duration))) - 1.0;
+  if (!(end <= kLastTime))  // negated, so a NaN clock or draw fails too
+    throw std::invalid_argument(
+        "request " + std::to_string(id) + " would end past the largest time " +
+        std::to_string(std::numeric_limits<Time>::max()));
+  const VmType& type = types[rng.index(types.size())];
+  VmSpec vm;
+  vm.id = id;
+  vm.type_name = type.name;
+  vm.demand = type.demand;
+  vm.start = static_cast<Time>(start);
+  vm.end = static_cast<Time>(end);
+  assert(vm.valid());
+  return vm;
+}
+
+}  // namespace
 
 VectorArrivalStream::VectorArrivalStream(std::vector<VmSpec> vms)
     : vms_(std::move(vms)), order_(order_by_start(vms_)) {}
@@ -26,21 +58,8 @@ PoissonArrivalStream::PoissonArrivalStream(const WorkloadConfig& config,
 std::optional<VmSpec> PoissonArrivalStream::next() {
   if (produced_ >= config_.num_vms) return std::nullopt;
   arrival_clock_ += rng_->exponential(config_.mean_interarrival);
-  const Time start =
-      std::max<Time>(1, static_cast<Time>(std::ceil(arrival_clock_)));
-  const Time duration = std::max<Time>(
-      1, static_cast<Time>(
-             std::llround(rng_->exponential(config_.mean_duration))));
-
-  const VmType& type = config_.vm_types[rng_->index(config_.vm_types.size())];
-  VmSpec vm;
-  vm.id = produced_++;
-  vm.type_name = type.name;
-  vm.demand = type.demand;
-  vm.start = start;
-  vm.end = start + duration - 1;
-  assert(vm.valid());
-  return vm;
+  return draw_request(arrival_clock_, config_.mean_duration,
+                      config_.vm_types, produced_++, *rng_);
 }
 
 DiurnalArrivalStream::DiurnalArrivalStream(const DiurnalConfig& config,
@@ -61,23 +80,8 @@ std::optional<VmSpec> DiurnalArrivalStream::next() {
     clock_ += rng_->exponential(1.0 / lambda_max_);
     if (rng_->next_double() * lambda_max_ > diurnal_rate(config_, clock_))
       continue;  // thinned out
-
-    const Time start =
-        std::max<Time>(1, static_cast<Time>(std::ceil(clock_)));
-    const Time duration = std::max<Time>(
-        1, static_cast<Time>(
-               std::llround(rng_->exponential(config_.mean_duration))));
-    const VmType& type =
-        config_.vm_types[rng_->index(config_.vm_types.size())];
-
-    VmSpec vm;
-    vm.id = produced_++;
-    vm.type_name = type.name;
-    vm.demand = type.demand;
-    vm.start = start;
-    vm.end = start + duration - 1;
-    assert(vm.valid());
-    return vm;
+    return draw_request(clock_, config_.mean_duration, config_.vm_types,
+                        produced_++, *rng_);
   }
 }
 

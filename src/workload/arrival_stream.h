@@ -43,7 +43,9 @@ class VectorArrivalStream final : public ArrivalStream {
 
 /// generate_workload (paper §IV-B: homogeneous Poisson arrivals) as a lazy
 /// stream: the j-th next() performs exactly the draws the materializing
-/// generator performs for VM j. `rng` must outlive the stream.
+/// generator performs for VM j. next() throws std::invalid_argument when a
+/// request would end past the largest Time (a mean inter-arrival time or
+/// duration too large for the time axis). `rng` must outlive the stream.
 class PoissonArrivalStream final : public ArrivalStream {
  public:
   PoissonArrivalStream(const WorkloadConfig& config, Rng& rng);
@@ -57,7 +59,8 @@ class PoissonArrivalStream final : public ArrivalStream {
 };
 
 /// generate_diurnal_workload (non-homogeneous Poisson via Lewis–Shedler
-/// thinning) as a lazy stream. `rng` must outlive the stream.
+/// thinning) as a lazy stream; next() throws like PoissonArrivalStream's.
+/// `rng` must outlive the stream.
 class DiurnalArrivalStream final : public ArrivalStream {
  public:
   DiurnalArrivalStream(const DiurnalConfig& config, Rng& rng);

@@ -524,6 +524,53 @@ TEST_F(AppTest, OutOfRangeWorkloadFlagsFailNamingTheFlag) {
             dashboard("2147483647", "2147483647"));
 }
 
+// Finite means can still push the arrival clock (a sum over every request)
+// or a drawn duration past the largest Time. generate drains its stream
+// before it writes, so such a workload exits 1 with no file written rather
+// than wrapping every start into a short horizon.
+TEST_F(AppTest, GenerateRefusesRequestsPastTheLargestTime) {
+  const std::string vms = path("far_vms.csv");
+  const std::string servers = path("far_srv.csv");
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"--interarrival", "1e12"},
+        {"--duration", "1e12"},
+        {"--interarrival", "1e12", "--diurnal"},
+        {"--duration", "1e12", "--diurnal"}}) {
+    std::remove(vms.c_str());
+    std::remove(servers.c_str());
+    std::vector<std::string> args = flags;
+    args.insert(args.end(), {"--out-vms", vms, "--out-servers", servers});
+    EXPECT_EQ(run("generate", args), 1) << flags[0] << " " << err();
+    EXPECT_NE(err().find("past the largest time 2147483647"),
+              std::string::npos)
+        << err();
+    EXPECT_EQ(out(), "");
+    EXPECT_FALSE(std::ifstream(vms).good()) << flags[0];
+    EXPECT_FALSE(std::ifstream(servers).good()) << flags[0];
+  }
+}
+
+// A server row with an infinite transition time used to load, and every VM
+// then went unallocated at 0.0 W*min with exit 0.
+TEST_F(AppTest, AllocateRefusesANonFiniteServerSpec) {
+  ASSERT_EQ(run("generate", {"--vms", "10", "--servers", "3", "--out-vms",
+                             path("inf_vms.csv"), "--out-servers",
+                             path("inf_srv.csv")}),
+            0)
+      << err();
+  std::ifstream in(path("inf_srv.csv"));
+  std::string csv, line;
+  for (int row = 0; std::getline(in, line); ++row)
+    csv += (row == 2 ? line.substr(0, line.rfind(',')) + ",inf" : line) + '\n';
+  std::ofstream(path("inf_srv.csv"), std::ios::trunc) << csv;
+  EXPECT_EQ(run("allocate", {"--vms", path("inf_vms.csv"), "--servers",
+                             path("inf_srv.csv")}),
+            1);
+  EXPECT_NE(err().find("trace line 3: invalid server spec"),
+            std::string::npos)
+      << err();
+}
+
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {
   // The acceptance instance: 220 VMs on 44 servers, replayed end-to-end
   // through the streaming engine with per-request latency metrics.

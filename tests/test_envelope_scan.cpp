@@ -956,6 +956,8 @@ PristineRun run_pristine_heavy(const std::string& name,
       }
     }
     if (k == 2 * vms.size() / 3) {
+      // A restored engine's log starts empty: keep the one before the cut.
+      run.resolutions = engine->resolutions();
       const EngineStateSnapshot snap = engine->export_state();
       const auto words = rng.state();
       policies.push_back(allocator->make_policy());
@@ -971,7 +973,9 @@ PristineRun run_pristine_heavy(const std::string& name,
   engine->finish_stream();
   check("finish");
   for (const auto& policy : policies) policy->finish(0, 0);
-  run.resolutions = engine->resolutions();
+  run.resolutions.insert(run.resolutions.end(),
+                         engine->resolutions().begin(),
+                         engine->resolutions().end());
   run.energy = engine->total_energy();
   run.faults = engine->fault_stats();
   run.feasible =

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
@@ -13,7 +16,10 @@
 #include "core/fault_plan.h"
 #include "ilp/solution_io.h"
 #include "obs/trace.h"
+#include "serve/journal.h"
+#include "serve/snapshot.h"
 #include "serve/wire.h"
+#include "test_util.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -456,6 +462,167 @@ TEST(FuzzParsers, RunFormPlaceRandomMutationsNeverCrash) {
     if (decode_checked(run_place(entries, start, end))) ++accepted;
   }
   EXPECT_GT(accepted, 0u) << "the mutator should also produce valid lines";
+}
+
+// --- durable formats ----------------------------------------------------
+
+/// One random edit of `text`: a byte replaced by any byte, a JSON-ish byte
+/// (or a newline) inserted, or a run of one to four bytes deleted.
+void mutate(std::string& text, Rng& rng) {
+  static const char kInserts[] = "{}[]\":,0123456789.-xp\n\r ";
+  const std::size_t at = rng.index(text.size() + 1);
+  switch (rng.index(3)) {
+    case 0:
+      if (at < text.size())
+        text[at] = static_cast<char>(rng.uniform_int(0, 255));
+      break;
+    case 1:
+      text.insert(at, 1, kInserts[rng.index(sizeof(kInserts) - 1)]);
+      break;
+    default:
+      if (at < text.size()) text.erase(at, 1 + rng.index(4));
+      break;
+  }
+}
+
+std::string mutated(const std::string& text, Rng& rng) {
+  std::string out = text;
+  for (std::size_t edits = 1 + rng.index(3); edits > 0; --edits)
+    mutate(out, rng);
+  return out;
+}
+
+/// A profiled VM whose demand changes phase twice.
+VmSpec phased_vm(VmId id, Time start) {
+  VmSpec vm = testing::vm(id, start, start + 9, 2.0, 4.0);
+  std::vector<Resources> units(10, Resources{2.0, 4.0});
+  for (std::size_t k = 4; k < units.size(); ++k)
+    units[k] = {k < 7 ? 0.5 : 1.25, 3.0};
+  vm.set_profile(units);
+  return vm;
+}
+
+/// A journal holding every record kind: a profiled place, a plain place, a
+/// rejected one, a retire, an advance, a fault and a drain.
+std::string every_record_journal() {
+  serve::WalHeader header;
+  header.allocator = "min-incremental";
+  header.seed = 42;
+  header.num_servers = 3;
+  header.retry.max_attempts = 2;
+  header.retry.base_delay = 8;
+  header.retry.backoff = 2.5;
+  header.retry.queue_capacity = 16;
+  PlacementDecision placed;
+  placed.server = 1;
+  PlacementDecision rejected;
+  rejected.reject = PlacementReject::kNoCapacity;
+  std::string out = serve::encode_wal_header(header) + '\n';
+  for (const std::string& line :
+       {serve::encode_place_record(1, "min-incremental", phased_vm(0, 2),
+                                   placed, 12.5),
+        serve::encode_place_record(2, "min-incremental", testing::vm(1, 3, 8),
+                                   placed, 0.1 + 0.2),
+        serve::encode_place_record(3, "min-incremental", testing::vm(2, 3, 9),
+                                   rejected, 0.1 + 0.2),
+        serve::encode_retire_record(4, 1, 1),
+        serve::encode_advance_record(5, 12),
+        serve::encode_fault_record(6, {13, FaultKind::kFail, 2}),
+        serve::encode_drain_record(7)})
+    out += line + '\n';
+  return out;
+}
+
+// Every mutant of a journal either reads or throws std::runtime_error. One
+// that reads has strictly increasing seqs, valid places, and a valid_bytes
+// on a line boundary within the file — the offset recovery truncates to.
+TEST(FuzzParsers, JournalMutationsReadOrThrow) {
+  const std::string journal = every_record_journal();
+  const std::string path = ::testing::TempDir() + "/esva_fuzz_" +
+                           std::to_string(::getpid()) + ".wal";
+  {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << journal;
+    const serve::WalFile wal = serve::read_wal(path);
+    ASSERT_EQ(wal.records.size(), 7u);
+    ASSERT_EQ(wal.valid_bytes, journal.size());
+  }
+  Rng rng(0x3a1);
+  std::size_t read = 0;
+  const int trials = testing::fuzz_quick() ? 600 : 4000;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::string text = mutated(journal, rng);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    try {
+      const serve::WalFile wal = serve::read_wal(path);
+      ++read;
+      ASSERT_LE(wal.valid_bytes, text.size()) << text;
+      if (wal.valid_bytes > 0) {
+        ASSERT_EQ(text[wal.valid_bytes - 1], '\n') << text;
+      }
+      for (std::size_t k = 0; k < wal.records.size(); ++k) {
+        if (k > 0) {
+          ASSERT_LT(wal.records[k - 1].seq, wal.records[k].seq) << text;
+        }
+        if (wal.records[k].req.op == serve::OpKind::kPlace) {
+          ASSERT_TRUE(wal.records[k].req.vm.valid()) << text;
+        }
+      }
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-runtime_error " << e.what() << " for " << text;
+    }
+  }
+  EXPECT_GT(read, 0u) << "the mutator should also leave readable journals";
+  ::unlink(path.c_str());
+}
+
+// Every mutant of a snapshot either decodes or throws std::runtime_error;
+// one that decodes holds the declared fleet and valid VMs.
+TEST(FuzzParsers, SnapshotMutationsDecodeOrThrow) {
+  serve::SnapshotData snap;
+  snap.allocator = "min-incremental";
+  snap.seed = 42;
+  snap.num_servers = 2;
+  snap.wal_seq = 9;
+  snap.engine.frontier = 4;
+  snap.engine.horizon = 20;
+  snap.engine.requests = 3;
+  snap.engine.placed = 2;
+  snap.engine.energy = 0.1 + 0.2;
+  snap.engine.servers.resize(2);
+  snap.engine.servers[0].active = {phased_vm(0, 2), testing::vm(1, 3, 8)};
+  snap.engine.servers[1].health = ServerHealth::kFailed;
+  PendingRequest pending;
+  pending.vm = phased_vm(2, 5);
+  pending.not_before = 9;
+  pending.attempts = 1;
+  pending.displaced = true;
+  pending.seq = 1;
+  snap.engine.retry_queue.push_back(pending);
+  snap.rng = {1, 2, 3, 4};
+  snap.assignment = {{0, 0}, {1, 0}, {2, kNoServer}};
+  const std::string text = serve::encode_snapshot(snap);
+  ASSERT_EQ(serve::encode_snapshot(serve::decode_snapshot(text)), text);
+
+  Rng rng(0x5a9);
+  std::size_t decoded = 0;
+  const int trials = testing::fuzz_quick() ? 600 : 4000;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::string doc = mutated(text, rng);
+    try {
+      const serve::SnapshotData back = serve::decode_snapshot(doc);
+      ++decoded;
+      ASSERT_EQ(back.engine.servers.size(), back.num_servers) << doc;
+      for (const ServerStateSnapshot& server : back.engine.servers)
+        for (const VmSpec& vm : server.active) ASSERT_TRUE(vm.valid()) << doc;
+      for (const PendingRequest& p : back.engine.retry_queue)
+        ASSERT_TRUE(p.vm.valid()) << doc;
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-runtime_error " << e.what() << " for " << doc;
+    }
+  }
+  EXPECT_GT(decoded, 0u) << "the mutator should also leave decodable ones";
 }
 
 TEST(FuzzParsers, JsonParserBoundsRecursionDepth) {

@@ -532,8 +532,12 @@ TEST(ServeWal, RecordsDoubleAsDecisionTrace) {
                                              20.0));
     writer.append(serve::encode_retire_record(4, 0, 1));
   }
-  const std::vector<VmDecisionTrace> decisions =
-      serve::decisions_from_wal(path);
+  // Every line past the header, through the trace loader itself.
+  std::ifstream journal(path);
+  std::string header;
+  ASSERT_TRUE(std::getline(journal, header));
+  ASSERT_NE(header.find("\"op\":\"hdr\""), std::string::npos) << header;
+  const std::vector<VmDecisionTrace> decisions = load_trace_jsonl(journal);
   ASSERT_EQ(decisions.size(), 4u);
   EXPECT_EQ(decisions[0].vm, 0);
   EXPECT_EQ(decisions[0].chosen, 1);
@@ -578,7 +582,6 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   std::int64_t count = 3;  // a distinct value in every counter
   for (const auto& field : kFaultStatsFields)
     snap.engine.fault_stats.*field.second = count++;
-  snap.engine.resolutions.push_back({5, 1});
   snap.rng = {1, 2, 3, 4};
   snap.assignment = {{0, 1}, {5, 1}, {7, 0}, {9, kNoServer}};
 
@@ -604,11 +607,22 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   for (const auto& [key, member] : kFaultStatsFields)
     EXPECT_EQ(back.engine.fault_stats.*member, snap.engine.fault_stats.*member)
         << key;
-  ASSERT_EQ(back.engine.resolutions.size(), 1u);
-  EXPECT_EQ(back.engine.resolutions[0].vm, 5);
   EXPECT_EQ(back.rng, (std::array<std::uint64_t, 4>{1, 2, 3, 4}));
   ASSERT_EQ(back.assignment.size(), 4u);
   EXPECT_EQ(back.assignment[3].second, kNoServer);
+
+  // Version 3 carries no resolution log. A version 2 document, which wrote
+  // one after the fault counters, still loads to the same state.
+  const std::string text = serve::encode_snapshot(snap);
+  EXPECT_NE(text.find("\"version\":3"), std::string::npos) << text;
+  EXPECT_EQ(text.find("resolutions"), std::string::npos) << text;
+  std::string v2 = text;
+  v2.replace(v2.find("\"version\":3"), 11, "\"version\":2");
+  const std::size_t stats_end = v2.find('}', v2.find("\"fault_stats\":{"));
+  ASSERT_NE(stats_end, std::string::npos) << v2;
+  v2.insert(stats_end + 1, ",\"resolutions\":[[5,1],[9,-1]]");
+  const serve::SnapshotData old = serve::decode_snapshot(v2);
+  EXPECT_EQ(serve::encode_snapshot(old), text);
   ::unlink(path.c_str());
 }
 
@@ -622,11 +636,11 @@ TEST(ServeSnapshot, UnknownVersionsAreRefused) {
   serve::SnapshotData snap;
   snap.allocator = "min-incremental";
   const std::string text = serve::encode_snapshot(snap);
-  ASSERT_NE(text.find("\"version\":2"), std::string::npos) << text;
-  for (const std::string version : {"0", "1", "2", "3"}) {
+  ASSERT_NE(text.find("\"version\":3"), std::string::npos) << text;
+  for (const std::string version : {"0", "1", "2", "3", "4"}) {
     std::string doc = text;
-    doc.replace(doc.find("\"version\":2"), 11, "\"version\":" + version);
-    if (version == "1" || version == "2") {
+    doc.replace(doc.find("\"version\":3"), 11, "\"version\":" + version);
+    if (version == "1" || version == "2" || version == "3") {
       EXPECT_EQ(serve::decode_snapshot(doc).allocator, "min-incremental");
     } else {
       EXPECT_THROW(serve::decode_snapshot(doc), std::runtime_error) << version;
@@ -1117,6 +1131,41 @@ TEST(ServeRecovery, ChecksumDivergenceIsFatal) {
   ::unlink(path.c_str());
 }
 
+// A fault record dated before 1 reads like the wire op it came from (the
+// journal reader shares decode_request), and replay refuses it with the
+// engine's frontier check, naming the record.
+TEST(ServeRecovery, FaultRecordBeforeTheFrontierFailsAtReplay) {
+  const std::string path = temp_path("early_fault.wal");
+  ::unlink(path.c_str());
+  const Workload w = make_workload(0x2719, false);
+  WalHeader header;
+  header.allocator = "min-incremental";
+  header.seed = 42;
+  header.num_servers = w.servers.size();
+  {
+    serve::WalWriter writer(path, header, 1);
+    writer.append(serve::encode_advance_record(1, 5));
+    writer.append(serve::encode_fault_record(2, {0, FaultKind::kFail, 0}));
+  }
+  const WalFile wal = serve::read_wal(path);
+  ASSERT_EQ(wal.records.size(), 2u);
+  EXPECT_EQ(wal.records[1].req.op, OpKind::kFault);
+  EXPECT_EQ(wal.records[1].req.fault.at, 0);
+  DaemonOptions options;
+  options.allocator = "min-incremental";
+  options.seed = 42;
+  options.wal_path = path;
+  try {
+    Daemon daemon(w.servers, options);
+    ADD_FAILURE() << "replayed a fault before the frontier";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("wal replay (seq 2)"), std::string::npos) << what;
+    EXPECT_NE(what.find("precedes the frontier"), std::string::npos) << what;
+  }
+  ::unlink(path.c_str());
+}
+
 // --- retire and handle_line surface ----------------------------------------
 
 TEST(ServeDaemon, RetireFreesCapacityAndPinsAssignment) {
@@ -1558,7 +1607,7 @@ void write_version_one(const DaemonOptions& from, const DaemonOptions& to) {
       serve::load_snapshot(from.snapshot_path, &found);
   ASSERT_TRUE(found);
   std::string text = serve::encode_snapshot(snap);
-  ASSERT_TRUE(replace_all(text, "\"version\":2", "\"version\":1"));
+  ASSERT_TRUE(replace_all(text, "\"version\":3", "\"version\":1"));
   std::size_t profiled = 0;
   const auto rewrite = [&](const VmSpec& vm) {
     if (!vm.has_profile()) return;

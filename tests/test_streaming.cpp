@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -343,6 +344,40 @@ TEST(ArrivalStreams, DiurnalStreamMatchesBatchGenerator) {
   Rng stream_rng(33);
   DiurnalArrivalStream stream(config, stream_rng);
   expect_same_vms(batch, drain(stream));
+}
+
+// The arrival clock and the duration draw are doubles; a request whose start
+// or end would pass the largest Time is refused before anything is cast,
+// by both generators, instead of wrapping the time axis.
+TEST(ArrivalStreams, RequestsPastTheLargestTimeThrow) {
+  for (const bool long_gaps : {true, false}) {
+    WorkloadConfig poisson = workload_config();
+    DiurnalConfig diurnal;
+    diurnal.num_vms = 10;
+    diurnal.vm_types = all_vm_types();
+    if (long_gaps) {
+      poisson.mean_interarrival = 1e12;
+      diurnal.base_rate = 1e-12;
+    } else {
+      poisson.mean_duration = 1e12;
+      diurnal.mean_duration = 1e12;
+    }
+    Rng poisson_rng(5);
+    PoissonArrivalStream poisson_stream(poisson, poisson_rng);
+    EXPECT_THROW(drain(poisson_stream), std::invalid_argument) << long_gaps;
+    Rng diurnal_rng(5);
+    DiurnalArrivalStream diurnal_stream(diurnal, diurnal_rng);
+    EXPECT_THROW(drain(diurnal_stream), std::invalid_argument) << long_gaps;
+  }
+  // A clock that stays on the axis keeps producing requests.
+  WorkloadConfig config = workload_config();
+  config.mean_interarrival = 1e6;
+  Rng rng(5);
+  PoissonArrivalStream stream(config, rng);
+  const std::optional<VmSpec> first = stream.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->valid());
+  EXPECT_GT(first->start, 1000);
 }
 
 TEST(ArrivalStreams, VectorStreamPresentsBatchOrder) {

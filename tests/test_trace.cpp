@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "test_util.h"
 #include "workload/generator.h"
@@ -110,6 +111,32 @@ TEST(ServerTrace, RejectsInvalidSpec) {
   std::istringstream in(
       "id,type,cpu,mem,p_idle,p_peak,transition_time\n0,t,16,32,300,210,1\n");
   EXPECT_THROW(read_server_trace(in), std::runtime_error);
+}
+
+// A non-finite number passes every ordering test valid() makes (inf >= 0),
+// so each field is checked finite: a server with an infinite transition
+// time would otherwise load, cost infinity to wake, and host nothing.
+TEST(ServerTrace, RejectsNonFiniteFieldsNamingTheLine) {
+  const std::vector<std::string> good = {"0", "t", "16", "32", "105", "210",
+                                         "1"};
+  for (std::size_t field = 2; field < good.size(); ++field) {
+    for (const char* value : {"inf", "-inf", "nan"}) {
+      std::vector<std::string> row = good;
+      row[field] = value;
+      std::string csv = "id,type,cpu,mem,p_idle,p_peak,transition_time\n";
+      for (std::size_t k = 0; k < row.size(); ++k)
+        csv += (k ? "," : "") + row[k];
+      std::istringstream in(csv + "\n");
+      try {
+        read_server_trace(in);
+        ADD_FAILURE() << "accepted " << value << " in field " << field;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("trace line 2"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(TraceFiles, SaveAndLoadRoundTrip) {
