@@ -4,6 +4,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstddef>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -613,13 +614,23 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   std::vector<ServerSpec> servers =
       load_server_trace(parser.get_string("servers"));
   serve::Daemon daemon(std::move(servers), dopts);
-  if (daemon.recovered_from_snapshot() || daemon.replayed_records() > 0)
+  if (daemon.recovered_from_snapshot() || daemon.replayed_records() > 0) {
+    // The restart's phases, which sum to its total.
+    const serve::RecoveryTimes& r = daemon.recovery();
+    char phases[192];
+    std::snprintf(phases, sizeof(phases),
+                  " read=%llu total_ms=%.2f (setup %.2f, snapshot %.2f, "
+                  "read_wal %.2f, replay %.2f, reopen %.2f)",
+                  static_cast<unsigned long long>(r.records_read),
+                  r.total_ms(), r.setup_ms, r.snapshot_ms, r.read_ms,
+                  r.replay_ms, r.reopen_ms);
     out << "recovered: snapshot="
         << (daemon.recovered_from_snapshot() ? "yes" : "no")
         << " replayed=" << daemon.replayed_records()
         << " torn_tail=" << (daemon.recovered_torn_tail() ? "yes" : "no")
-        << " wal_seq=" << daemon.last_seq() << '\n'
+        << " wal_seq=" << daemon.last_seq() << phases << '\n'
         << std::flush;
+  }
 
   g_serve_stop.store(false);
   struct sigaction sa{};

@@ -596,8 +596,14 @@ class PlacementEngine {
   std::size_t peak_resident_time_units() const { return peak_resident_; }
 
   const FaultStats& fault_stats() const { return faults_; }
-  /// Post-submit hosting changes since construction or import_state.
+  /// Post-submit hosting changes since construction, import_state or the
+  /// last clear_resolutions.
   const std::vector<Resolution>& resolutions() const { return resolutions_; }
+  /// Drops the log (keeping its capacity). A caller that folds each op's
+  /// resolutions right after the op (the serve daemon) keeps the log from
+  /// growing for the engine's whole life; callers that fold once at the end
+  /// (sim/replay.cpp) never call it.
+  void clear_resolutions() { resolutions_.clear(); }
 
   /// Forces a time-series sample at the current frontier, ignoring the
   /// sampler's cadence (end-of-stream final state). No-op without a sampler.

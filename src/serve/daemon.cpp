@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -50,6 +51,15 @@ std::string fmt_energy17(Energy e) {
 
 Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
     : options_(std::move(options)), rng_(options_.seed) {
+  // Each phase runs from the end of the one before, on one clock, so the
+  // phases sum to the constructor's time.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point phase_start = Clock::now();
+  const auto end_phase = [&phase_start](double& ms) {
+    const Clock::time_point now = Clock::now();
+    ms = std::chrono::duration<double, std::milli>(now - phase_start).count();
+    phase_start = now;
+  };
   // Every check runs before the journal is opened, so a rejected
   // configuration writes no WAL; the retry policy must be one the header
   // reads back unchanged, or the daemon could not restart on its own WAL.
@@ -100,6 +110,8 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
                   "': " + std::strerror(err));
   }
 
+  end_phase(recovery_.setup_ms);
+
   // --- recovery: snapshot restore, then journal replay past it ------------
   std::uint64_t applied = 0;
   if (!options_.snapshot_path.empty()) {
@@ -120,8 +132,11 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
       from_snapshot_ = true;
     }
   }
+  end_phase(recovery_.snapshot_ms);
 
   const WalFile wal = read_wal(options_.wal_path);
+  end_phase(recovery_.read_ms);
+  recovery_.records_read = wal.records.size();
   torn_tail_ = wal.torn_tail;
   if (wal.has_header) {
     if (wal.header.allocator != header_.allocator ||
@@ -144,9 +159,10 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
     last_seq = rec.seq;
     if (rec.seq <= applied) continue;  // already inside the snapshot
     replay_record(rec);
-    ++replayed_;
+    ++recovery_.records_replayed;
   }
   next_seq_ = std::max(applied, last_seq) + 1;
+  end_phase(recovery_.replay_ms);
 
   // A torn tail must be cut off before the O_APPEND writer reopens the
   // file, or the next record would be concatenated onto the torn bytes and
@@ -156,6 +172,7 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
 
   wal_ = std::make_unique<WalWriter>(options_.wal_path, header_,
                                      options_.wal_sync_every);
+  end_phase(recovery_.reopen_ms);
 }
 
 Daemon::~Daemon() = default;
@@ -187,10 +204,11 @@ PlacementDecision Daemon::apply(const Request& req) {
       break;  // not journaled: they change no engine state
   }
   // An op can resolve *other* requests first (a submit drains due retries);
-  // fold those in before recording this request's own outcome.
-  const std::vector<Resolution>& rs = engine_->resolutions();
-  for (; resolutions_applied_ < rs.size(); ++resolutions_applied_)
-    assignment_[rs[resolutions_applied_].vm] = rs[resolutions_applied_].server;
+  // fold those in before recording this request's own outcome. Once folded
+  // they are dropped, so the engine's log never outgrows one op.
+  for (const Resolution& r : engine_->resolutions())
+    assignment_[r.vm] = r.server;
+  engine_->clear_resolutions();
   if (req.op == OpKind::kPlace) assignment_[req.vm.id] = decision.server;
   // Trace semantics: a retire journals "chosen":null, so last-write-wins
   // over the journal resolves this VM to kNoServer — mirror that here.
@@ -326,7 +344,7 @@ std::string Daemon::stats_json(bool with_assignment, bool with_id,
          std::to_string(engine_->peak_resident_time_units());
   out += ",\"wal_seq\":" + u64_field(next_seq_ - 1);
   out += ",\"wal_fsyncs\":" + std::to_string(wal_->fsyncs());
-  out += ",\"replayed\":" + std::to_string(replayed_);
+  out += ",\"replayed\":" + std::to_string(recovery_.records_replayed);
   out += ",\"torn_tail_recovered\":";
   out += torn_tail_ ? "true" : "false";
   for (const auto& [key, member] : kFaultStatsFields)

@@ -77,6 +77,22 @@ inline constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
 /// daemon's output without bound.
 inline constexpr std::size_t kMaxRoundOutputBytes = std::size_t{1} << 20;
 
+/// Where a restart's time went: the Daemon constructor split into
+/// consecutive phases of one steady clock, so they sum to its wall time.
+struct RecoveryTimes {
+  double setup_ms = 0;     ///< option checks, engine build, WAL lock
+  double snapshot_ms = 0;  ///< snapshot read, decode and import
+  double read_ms = 0;      ///< read_wal: the file read, parse and decode
+  double replay_ms = 0;    ///< the records past the snapshot re-run
+  double reopen_ms = 0;    ///< torn-tail truncation, journal writer open
+  std::uint64_t records_read = 0;      ///< records read_wal returned
+  std::uint64_t records_replayed = 0;  ///< of those, the ones re-run
+
+  double total_ms() const {
+    return setup_ms + snapshot_ms + read_ms + replay_ms + reopen_ms;
+  }
+};
+
 struct DaemonOptions {
   std::string allocator = "min-incremental";
   std::uint64_t seed = 42;
@@ -161,7 +177,11 @@ class Daemon {
   const std::map<VmId, ServerId>& assignment() const { return assignment_; }
   std::uint64_t last_seq() const { return next_seq_ - 1; }
   /// Records re-run during recovery and whether a torn tail was dropped.
-  std::uint64_t replayed_records() const { return replayed_; }
+  std::uint64_t replayed_records() const {
+    return recovery_.records_replayed;
+  }
+  /// The constructor's recovery phases, timed.
+  const RecoveryTimes& recovery() const { return recovery_; }
   bool recovered_torn_tail() const { return torn_tail_; }
   bool recovered_from_snapshot() const { return from_snapshot_; }
   /// `with_id`/`id`: echo the client's correlation token like every other
@@ -176,9 +196,10 @@ class Daemon {
   /// The one applier of a state-changing op (place, retire, advance, fault,
   /// drain), live and in recovery alike: makes the engine call, folds the
   /// resolutions it accrued (evacuations, retry placements, unresolved
-  /// displacements) into the assignment map, records the op's own outcome
-  /// there, and returns its decision — a place's outcome, a retire's old
-  /// host (kNoServer when the VM was not active), empty otherwise.
+  /// displacements) into the assignment map and drops them from the
+  /// engine's log, records the op's own outcome there, and returns its
+  /// decision — a place's outcome, a retire's old host (kNoServer when the
+  /// VM was not active), empty otherwise.
   PlacementDecision apply(const Request& req);
   /// Recovery of one record: apply(), then the recorded outcome checked as
   /// a fidelity checksum.
@@ -221,9 +242,8 @@ class Daemon {
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_seq_ = 1;
   std::map<VmId, ServerId> assignment_;
-  std::size_t resolutions_applied_ = 0;
   std::uint64_t ops_since_snapshot_ = 0;
-  std::uint64_t replayed_ = 0;
+  RecoveryTimes recovery_;
   bool torn_tail_ = false;
   bool from_snapshot_ = false;
   /// Set on the first journal write or fsync failure; the daemon refuses

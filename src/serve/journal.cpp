@@ -6,15 +6,12 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 #include "serve/wire.h"
 #include "util/json.h"
-#include "util/parse.h"
 
 namespace esva::serve {
 
@@ -62,9 +59,9 @@ WalHeader decode_header(const json::Value& root, std::size_t line) {
 /// by decode_request, as the request that made the record was.
 WalRecord decode_record(const json::Value& root, const std::string& op,
                         std::size_t line) {
+  constexpr std::string_view ctx = "wal record";
   WalRecord rec;
-  rec.seq = require_u64(root, "seq", "wal record");
-  const std::string ctx = "wal record";
+  rec.seq = require_u64(root, "seq", ctx);
   if (op == "place") {
     rec.req.op = OpKind::kPlace;
     const json::Value* spec = root.find("spec");
@@ -79,8 +76,7 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
     if (const json::Value* e = root.find("energy_hex");
         e && e->kind == json::Value::Kind::String) {
       rec.has_energy = true;
-      rec.energy_after =
-          parse_double_field(e->string, ctx + " field 'energy_hex'");
+      rec.energy_after = require_number_or_hex(root, "energy_hex", ctx);
     }
     return rec;
   }
@@ -174,20 +170,56 @@ std::string encode_drain_record(std::uint64_t seq) {
   return "{\"op\":\"drain\",\"seq\":" + u64_field(seq) + '}';
 }
 
+bool read_whole_file(const std::string& path, const char* what,
+                     std::string& out) {
+  // "cannot read wal '<path>': Input/output error", from errno.
+  const auto refuse = [&](const char* step) {
+    return std::runtime_error(std::string("cannot ") + step + ' ' + what +
+                              " '" + path + "': " + std::strerror(errno));
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return false;
+    throw refuse("open");
+  }
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) throw refuse("stat");
+  // One spare byte past the size fstat saw: the loop stops at the read()
+  // that returns 0, and only a file that grew meanwhile fills the buffer
+  // and doubles it.
+  out.resize(static_cast<std::size_t>(st.st_size > 0 ? st.st_size : 0) + 1);
+  std::size_t used = 0;
+  while (true) {
+    if (used == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(fd, out.data() + used, out.size() - used);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw refuse("read");
+    }
+    used += static_cast<std::size_t>(n);
+  }
+  out.resize(used);
+  return true;
+}
+
 WalFile read_wal(const std::string& path) {
   WalFile wal;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return wal;  // no journal yet: fresh daemon
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string data = std::move(raw).str();  // the file's one copy
+  std::string data;  // the file's one copy
+  if (!read_whole_file(path, "wal", data)) return wal;  // fresh daemon
 
-  // One pass over the buffer, each line parsed where it lies. The split is
-  // on '\n' by hand (not getline), so every line keeps its byte-exact end
-  // offset — valid_bytes, the truncate-to point after a torn tail — and a
-  // missing final newline is observable. Blank lines are skipped, and
-  // "final" below means the last non-blank line.
+  // One pass over the buffer, each line parsed where it lies into one tree
+  // whose storage every line reuses. The split is on '\n' by hand (not
+  // getline), so every line keeps its byte-exact end offset — valid_bytes,
+  // the truncate-to point after a torn tail — and a missing final newline
+  // is observable. Blank lines are skipped, and "final" below means the
+  // last non-blank line.
   const std::string_view text(data);
+  json::Value root;
   bool have_header = false;
   std::uint64_t prev_seq = 0;
   std::size_t pos = 0, number = 0;
@@ -211,7 +243,7 @@ WalFile read_wal(const std::string& path) {
     WalRecord rec;
     bool header = false;
     try {
-      const json::Value root = json::parse(line);
+      json::parse(line, root);
       if (root.kind != json::Value::Kind::Object)
         fail_line(number, "record is not a JSON object");
       const std::string& op = json::require_string(root, "op", "wal record");

@@ -117,12 +117,22 @@ std::string encode_advance_record(std::uint64_t seq, Time to);
 std::string encode_fault_record(std::uint64_t seq, const FaultEvent& event);
 std::string encode_drain_record(std::uint64_t seq);
 
+/// Reads the whole file at `path` into `out` with one read() loop sized by
+/// fstat, retrying EINTR and short reads. Returns false, `out` untouched,
+/// when nothing is at `path` (ENOENT); throws std::runtime_error naming the
+/// `what` ("wal", "snapshot"), the path and the strerror text on any other
+/// failure to open, stat or read it, so an I/O error is never read as a
+/// shorter file. Recovery reads the journal and the snapshot through it.
+bool read_whole_file(const std::string& path, const char* what,
+                     std::string& out);
+
 /// Parses a whole journal in one pass over one copy of the file, each line
-/// parsed where it lies. Throws std::runtime_error on a missing/invalid
-/// header or a malformed non-final record; a malformed final line only sets
-/// torn_tail. An empty path-or-file yields an empty WalFile with a
-/// default-constructed header (records empty) — callers treat that as a
-/// fresh journal.
+/// parsed where it lies into one JSON tree that every line reuses. Throws
+/// std::runtime_error on a missing/invalid header, a malformed non-final
+/// record, or a file that exists but cannot be read (read_whole_file); a
+/// malformed final line only sets torn_tail. An absent or empty file yields
+/// an empty WalFile with a default-constructed header (records empty) —
+/// callers treat that as a fresh journal.
 WalFile read_wal(const std::string& path);
 
 /// Truncates the journal to its well-formed prefix (WalFile::valid_bytes)

@@ -6,11 +6,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
+#include "serve/journal.h"
 #include "serve/wire.h"
 #include "util/json.h"
 #include "util/parse.h"
@@ -271,15 +270,10 @@ void write_snapshot_atomic(const std::string& path, const SnapshotData& snap) {
 }
 
 SnapshotData load_snapshot(const std::string& path, bool* found) {
-  std::ifstream in(path);
-  if (!in) {
-    if (found) *found = false;
-    return SnapshotData{};
-  }
-  if (found) *found = true;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return decode_snapshot(buf.str());
+  std::string text;
+  const bool exists = read_whole_file(path, "snapshot", text);
+  if (found) *found = exists;
+  return exists ? decode_snapshot(text) : SnapshotData{};
 }
 
 }  // namespace esva::serve

@@ -57,7 +57,8 @@ SnapshotData decode_snapshot(const std::string& text);
 void write_snapshot_atomic(const std::string& path, const SnapshotData& snap);
 
 /// Loads and decodes; `found` reports whether the file existed (absent is
-/// not an error — a daemon's first run has no snapshot).
+/// not an error — a daemon's first run has no snapshot). A snapshot that
+/// exists but cannot be read throws (serve::read_whole_file).
 SnapshotData load_snapshot(const std::string& path, bool* found);
 
 }  // namespace esva::serve

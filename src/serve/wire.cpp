@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +14,12 @@
 #include "util/parse.h"
 
 namespace esva::serve {
+
+namespace {
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
 
 std::string to_string(OpKind op) {
   switch (op) {
@@ -89,6 +96,49 @@ std::string hex_double(double value) {
   return out;
 }
 
+bool read_hex_double(std::string_view text, double* out) {
+  std::uint64_t bits = 0;
+  if (!text.empty() && text.front() == '-') {
+    bits = std::uint64_t{1} << 63;
+    text.remove_prefix(1);
+  }
+  if (text == "0x0p+0") {
+    std::memcpy(out, &bits, sizeof bits);
+    return true;
+  }
+  if (text.substr(0, 3) != "0x1") return false;
+  text.remove_prefix(3);
+  std::uint64_t frac = 0;
+  if (!text.empty() && text.front() == '.') {
+    text.remove_prefix(1);
+    int digits = 0;
+    for (; !text.empty() && digits <= 13; text.remove_prefix(1), ++digits) {
+      const char c = text.front();
+      if (is_digit(c))
+        frac = frac << 4 | static_cast<std::uint64_t>(c - '0');
+      else if (c >= 'a' && c <= 'f')
+        frac = frac << 4 | static_cast<std::uint64_t>(c - 'a' + 10);
+      else
+        break;
+    }
+    if (digits == 0 || digits > 13) return false;
+    frac <<= 4 * (13 - digits);
+  }
+  if (text.size() < 3 || text.size() > 6 || text[0] != 'p' ||
+      (text[1] != '+' && text[1] != '-'))
+    return false;
+  int exp = 0;
+  for (const char c : text.substr(2)) {
+    if (!is_digit(c)) return false;
+    exp = exp * 10 + (c - '0');
+  }
+  if (text[1] == '-') exp = -exp;
+  if (exp < -1022 || exp > 1023) return false;
+  bits |= static_cast<std::uint64_t>(exp + 1023) << 52 | frac;
+  std::memcpy(out, &bits, sizeof bits);
+  return true;
+}
+
 std::string u64_field(std::uint64_t value) {
   std::string out(1, '"');
   out += std::to_string(value);
@@ -96,26 +146,39 @@ std::string u64_field(std::uint64_t value) {
   return out;
 }
 
-std::uint64_t require_u64(const json::Value& obj, const std::string& key,
-                          const std::string& context) {
+std::uint64_t require_u64(const json::Value& obj, std::string_view key,
+                          std::string_view context) {
   const json::Value* v = obj.find(key);
   if (!v || v->kind != json::Value::Kind::String)
-    throw std::runtime_error(context + ": missing string field '" + key + "'");
-  return parse_u64_field(v->string, context + " field '" + key + "'");
+    throw std::runtime_error(std::string(context) + ": missing string field '" +
+                             std::string(key) + "'");
+  // A plain decimal is read by from_chars, to the value stoull gives it;
+  // any other spelling (a sign, blanks, a trailing '\r', an overflow) goes
+  // to parse_u64_field, which accepts or refuses it naming the field.
+  const std::string& text = v->string;
+  const char* last = text.data() + text.size();
+  std::uint64_t value = 0;
+  if (const auto [end, ec] = std::from_chars(text.data(), last, value);
+      ec == std::errc{} && end == last)
+    return value;
+  return parse_u64_field(text, std::string(context) + " field '" +
+                                   std::string(key) + "'");
 }
 
 namespace {
 
 /// A number or a hexfloat/decimal string read without building any context
-/// string: strtod straight on the text, refusing what parse_double_field
-/// refuses. False sends the caller to number_or_hex, which throws with its
-/// context (or accepts the one extra spelling it strips, a trailing '\r').
+/// string: the canonical hexfloat by its bits, anything else by strtod
+/// straight on the text, refusing what parse_double_field refuses. False
+/// sends the caller to number_or_hex, which throws with its context (or
+/// accepts the one extra spelling it strips, a trailing '\r').
 bool fast_number(const json::Value& v, double* out) {
   if (v.kind == json::Value::Kind::Number) {
     *out = v.number;
     return true;
   }
   if (v.kind != json::Value::Kind::String || v.string.empty()) return false;
+  if (read_hex_double(v.string, out)) return true;
   const char* text = v.string.c_str();
   char* end = nullptr;
   errno = 0;
@@ -125,8 +188,8 @@ bool fast_number(const json::Value& v, double* out) {
   return true;
 }
 
-Time require_time(const json::Value& obj, const std::string& key,
-                  const std::string& context) {
+Time require_time(const json::Value& obj, std::string_view key,
+                  std::string_view context) {
   return static_cast<Time>(json::require_integer(
       obj, key, std::numeric_limits<Time>::min(),
       std::numeric_limits<Time>::max(), context));
@@ -145,25 +208,25 @@ bool same_bits(const Resources& a, const Resources& b) {
 /// The units one profile entry stands for: 1 for a [cpu,mem] unit, len for
 /// a [len,cpu,mem] run. Throws naming the field for any other shape and for
 /// a len that is not an integer >= 1.
-long long entry_units(const json::Value& entry, const std::string& context) {
+long long entry_units(const json::Value& entry, std::string_view context) {
   if (entry.kind == json::Value::Kind::Array && entry.array.size() == 2)
     return 1;
   if (entry.kind != json::Value::Kind::Array || entry.array.size() != 3)
-    throw std::runtime_error(context +
+    throw std::runtime_error(std::string(context) +
                              ": profile entries are [len,cpu,mem] runs or "
                              "[cpu,mem] units");
   long long len = 0;
   if (!json::exact_integer(entry.array[0], &len) || len < 1)
-    throw std::runtime_error(context +
+    throw std::runtime_error(std::string(context) +
                              ": profile run length must be an integer >= 1");
   return len;
 }
 
-double profile_value(const json::Value& v, const std::string& context,
+double profile_value(const json::Value& v, std::string_view context,
                      const char* what) {
   double value = 0.0;
   if (fast_number(v, &value)) return value;
-  return number_or_hex(v, context + " profile " + what);
+  return number_or_hex(v, std::string(context) + " profile " + what);
 }
 
 /// Expands a profile's entries into `duration` per-unit demands. The first
@@ -173,20 +236,22 @@ double profile_value(const json::Value& v, const std::string& context,
 /// the lengths add up.
 std::vector<Resources> decode_profile(const json::Value& p,
                                       std::int64_t duration,
-                                      const std::string& context) {
+                                      std::string_view context) {
   if (p.kind != json::Value::Kind::Array)
-    throw std::runtime_error(context + ": profile must be an array");
+    throw std::runtime_error(std::string(context) +
+                             ": profile must be an array");
   std::int64_t left = duration;
   for (const json::Value& entry : p.array) {
     const long long len = entry_units(entry, context);
     if (len > left)
-      throw std::runtime_error(context + ": profile covers more than the " +
+      throw std::runtime_error(std::string(context) +
+                               ": profile covers more than the " +
                                std::to_string(duration) +
                                " time units of the vm");
     left -= len;
   }
   if (left != 0)
-    throw std::runtime_error(context + ": profile covers " +
+    throw std::runtime_error(std::string(context) + ": profile covers " +
                              std::to_string(duration - left) + " of the " +
                              std::to_string(duration) +
                              " time units of the vm");
@@ -211,14 +276,16 @@ double number_or_hex(const json::Value& v, const std::string& context) {
   throw std::runtime_error(context + ": expected a number or hexfloat string");
 }
 
-double require_number_or_hex(const json::Value& obj, const std::string& key,
-                             const std::string& context) {
+double require_number_or_hex(const json::Value& obj, std::string_view key,
+                             std::string_view context) {
   const json::Value* v = obj.find(key);
   if (!v)
-    throw std::runtime_error(context + ": missing field '" + key + "'");
+    throw std::runtime_error(std::string(context) + ": missing field '" +
+                             std::string(key) + "'");
   double value = 0.0;
   if (fast_number(*v, &value)) return value;
-  return number_or_hex(*v, context + " field '" + key + "'");
+  return number_or_hex(*v, std::string(context) + " field '" +
+                               std::string(key) + "'");
 }
 
 void append_vm(std::string& out, const VmSpec& vm) {
@@ -264,9 +331,10 @@ std::string encode_vm(const VmSpec& vm) {
   return out;
 }
 
-VmSpec decode_vm(const json::Value& obj, const std::string& context) {
+VmSpec decode_vm(const json::Value& obj, std::string_view context) {
   if (obj.kind != json::Value::Kind::Object)
-    throw std::runtime_error(context + ": vm must be a JSON object");
+    throw std::runtime_error(std::string(context) +
+                             ": vm must be a JSON object");
   VmSpec vm;
   vm.id = static_cast<VmId>(json::require_integer(
       obj, "id", 0, std::numeric_limits<VmId>::max(), context));
@@ -281,7 +349,7 @@ VmSpec decode_vm(const json::Value& obj, const std::string& context) {
   const std::int64_t duration = std::int64_t{vm.end} - vm.start + 1;
   if (duration > kMaxPlaceDuration)
     throw std::runtime_error(
-        context + ": vm " + std::to_string(vm.id) + " spans [" +
+        std::string(context) + ": vm " + std::to_string(vm.id) + " spans [" +
         std::to_string(vm.start) + ", " + std::to_string(vm.end) +
         "], longer than the limit of " + std::to_string(kMaxPlaceDuration) +
         " time units");
@@ -290,8 +358,9 @@ VmSpec decode_vm(const json::Value& obj, const std::string& context) {
       p && !p->is_null() && duration >= 1)
     vm.set_profile(decode_profile(*p, duration, context));
   if (!vm.valid())
-    throw std::runtime_error(context + ": invalid vm spec (interval or "
-                                       "demands malformed)");
+    throw std::runtime_error(std::string(context) +
+                             ": invalid vm spec (interval or demands "
+                             "malformed)");
   return vm;
 }
 

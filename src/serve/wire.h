@@ -68,6 +68,13 @@ struct Request {
 /// Exact double encoding: a JSON string holding the C99 %a hexfloat.
 std::string hex_double(double value);
 
+/// Reads the hexfloat hex_double writes for a normal double or a zero —
+/// [-]0x1[.<1 to 13 lowercase hex digits>]p<+|-><decimal> with an exponent
+/// in [-1022, 1023], or [-]0x0p+0, quotes stripped — by assembling its
+/// bits, which are exactly the bits strtod reads from it. False for every
+/// other spelling, which callers hand to strtod.
+bool read_hex_double(std::string_view text, double* out);
+
 /// Exact u64 encoding (seqs, seeds, rng words): a JSON string holding the
 /// decimal value, since a double-backed JSON number loses exactness past
 /// 2^53.
@@ -75,8 +82,8 @@ std::string u64_field(std::uint64_t value);
 
 /// Reads a u64_field member; throws std::runtime_error("<context>: ...")
 /// when it is missing, not a string, or not a decimal u64.
-std::uint64_t require_u64(const json::Value& obj, const std::string& key,
-                          const std::string& context);
+std::uint64_t require_u64(const json::Value& obj, std::string_view key,
+                          std::string_view context);
 
 /// hex_double appended in place — the journal hot path (encode_place_record
 /// runs once per acked placement) avoids the temporary.
@@ -86,9 +93,11 @@ void append_hex_double(std::string& out, double value);
 /// std::runtime_error("<context>: ...") otherwise.
 double number_or_hex(const json::Value& v, const std::string& context);
 
-/// number_or_hex on a required object member.
-double require_number_or_hex(const json::Value& obj, const std::string& key,
-                             const std::string& context);
+/// number_or_hex on a required object member. The hexfloat hex_double
+/// writes for a normal double or a zero is read by its bits; every other
+/// spelling goes through strtod, with the same accept/reject.
+double require_number_or_hex(const json::Value& obj, std::string_view key,
+                             std::string_view context);
 
 /// VmSpec as a JSON object: {"id","type","cpu","mem","start","end"} plus
 /// "profile":[[len,cpu,mem],...] when profiled, one entry per run of
@@ -104,7 +113,7 @@ void append_vm(std::string& out, const VmSpec& vm);
 /// kMaxPlaceDuration (checked before any profile is expanded), a malformed
 /// profile entry, a run length that is not an integer >= 1, lengths that do
 /// not sum to the duration, or a spec that fails VmSpec::valid().
-VmSpec decode_vm(const json::Value& obj, const std::string& context);
+VmSpec decode_vm(const json::Value& obj, std::string_view context);
 
 /// Serializes a request as one line (no trailing newline).
 std::string encode_request(const Request& req);

@@ -1,8 +1,9 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -10,7 +11,7 @@
 
 namespace esva::json {
 
-const Value* Value::find(const std::string& key) const {
+const Value* Value::find(std::string_view key) const {
   for (const auto& [k, v] : object)
     if (k == key) return &v;
   return nullptr;
@@ -18,15 +19,50 @@ const Value* Value::find(const std::string& key) const {
 
 namespace {
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// The "C" locale's isspace set, ' ' and '\t' through '\r', tested inline
+/// rather than through the locale's table.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// "<context>: missing <kind> field '<key>'", built only on the refusal.
+[[noreturn]] void missing_field(std::string_view context, const char* kind,
+                                std::string_view key) {
+  throw std::runtime_error(std::string(context) + ": missing " + kind +
+                           " field '" + std::string(key) + "'");
+}
+
+/// A plain decimal integer token of at most 15 digits ("-12", "007"). Its
+/// magnitude is below 2^53, so the double its from_chars value converts to
+/// is exactly the double strtod reads, -0 included.
+bool small_integer(std::string_view token, double* out) {
+  const bool negative = !token.empty() && token[0] == '-';
+  const std::string_view digits = token.substr(negative ? 1 : 0);
+  if (digits.empty() || digits.size() > 15) return false;
+  std::uint64_t value = 0;
+  const char* last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, value);
+  if (ec != std::errc{} || end != last) return false;
+  const double magnitude = static_cast<double>(value);
+  *out = negative ? -magnitude : magnitude;
+  return true;
+}
+
+/// Writes the document into a caller's tree. Every node it reaches is reset
+/// to a fresh node of its new kind first, its strings and vectors emptied
+/// but keeping their capacity; an object's members and an array's elements
+/// are parsed over the ones the node already holds, and the surplus is
+/// dropped when the container closes. So a document shaped like the last
+/// one allocates nothing, and the result never depends on what the tree
+/// held.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Value parse() {
-    Value value = parse_value();
+  void parse(Value& out) {
+    parse_value(out);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters");
-    return value;
   }
 
  private:
@@ -40,9 +76,7 @@ class Parser {
   }
 
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
   }
 
   char peek() {
@@ -61,96 +95,96 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
-    if (++depth_ > kMaxDepth) fail("nesting too deep");
-    Value v = parse_value_inner();
-    --depth_;
-    return v;
+  static void reset(Value& v, Value::Kind kind) {
+    v.kind = kind;
+    v.boolean = false;
+    v.number = 0.0;
+    v.string.clear();
+    if (kind != Value::Kind::Array) v.array.clear();
+    if (kind != Value::Kind::Object) v.object.clear();
   }
 
-  Value parse_value_inner() {
+  void parse_value(Value& v) {
+    if (++depth_ > kMaxDepth) fail("nesting too deep");
+    parse_value_inner(v);
+    --depth_;
+  }
+
+  void parse_value_inner(Value& v) {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{') return parse_object(v);
+    if (c == '[') return parse_array(v);
     if (c == '"') {
-      Value v;
-      v.kind = Value::Kind::String;
-      v.string = parse_string();
-      return v;
+      reset(v, Value::Kind::String);
+      return parse_string(v.string);
     }
     if (consume_literal("true")) {
-      Value v;
-      v.kind = Value::Kind::Bool;
+      reset(v, Value::Kind::Bool);
       v.boolean = true;
-      return v;
+      return;
     }
-    if (consume_literal("false")) {
-      Value v;
-      v.kind = Value::Kind::Bool;
-      return v;
-    }
-    if (consume_literal("null")) return Value{};
-    return parse_number();
+    if (consume_literal("false")) return reset(v, Value::Kind::Bool);
+    if (consume_literal("null")) return reset(v, Value::Kind::Null);
+    parse_number(v);
   }
 
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::Object;
+  void parse_object(Value& v) {
+    reset(v, Value::Kind::Object);
     expect('{');
     skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
+    std::size_t n = 0;
+    if (peek() != '}') {
+      while (true) {
+        skip_ws();
+        if (n == v.object.size()) v.object.emplace_back();
+        auto& [key, value] = v.object[n++];
+        parse_string(key);
+        skip_ws();
+        expect(':');
+        parse_value(value);
+        skip_ws();
+        if (peek() != ',') break;
         ++pos_;
-        continue;
       }
-      expect('}');
-      return v;
     }
+    expect('}');
+    v.object.erase(v.object.begin() + static_cast<std::ptrdiff_t>(n),
+                   v.object.end());
   }
 
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::Array;
+  void parse_array(Value& v) {
+    reset(v, Value::Kind::Array);
     expect('[');
     skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
+    std::size_t n = 0;
+    if (peek() != ']') {
+      while (true) {
+        if (n == v.array.size()) v.array.emplace_back();
+        parse_value(v.array[n++]);
+        skip_ws();
+        if (peek() != ',') break;
         ++pos_;
-        continue;
       }
-      expect(']');
-      return v;
     }
+    expect(']');
+    v.array.erase(v.array.begin() + static_cast<std::ptrdiff_t>(n),
+                  v.array.end());
   }
 
-  std::string parse_string() {
+  void parse_string(std::string& out) {
     expect('"');
-    std::string out;
+    out.clear();
     while (true) {
+      // Everything up to the next quote or escape in one append.
+      std::size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\')
+        ++run;
+      out.append(text_.data() + pos_, run - pos_);
+      pos_ = run;
       const char c = peek();
       ++pos_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c == '"') return;
       const char escape = peek();
       ++pos_;
       switch (escape) {
@@ -185,23 +219,23 @@ class Parser {
     }
   }
 
-  Value parse_number() {
+  void parse_number(Value& v) {
     const std::size_t start = pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
+           (is_digit(text_[pos_]) || text_[pos_] == '-' ||
+            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
+            text_[pos_] == 'E'))
       ++pos_;
     if (pos_ == start) fail("expected a value");
-    Value v;
-    v.kind = Value::Kind::Number;
-    v.string.assign(text_.substr(start, pos_ - start));
+    reset(v, Value::Kind::Number);
+    const std::string_view token = text_.substr(start, pos_ - start);
+    v.string.assign(token);
+    if (small_integer(token, &v.number)) return;
     try {
       v.number = std::stod(v.string);
     } catch (const std::exception&) {
       fail("malformed number");
     }
-    return v;
   }
 
   std::string_view text_;
@@ -211,7 +245,13 @@ class Parser {
 
 }  // namespace
 
-Value parse(std::string_view text) { return Parser(text).parse(); }
+void parse(std::string_view text, Value& out) { Parser(text).parse(out); }
+
+Value parse(std::string_view text) {
+  Value value;
+  parse(text, value);
+  return value;
+}
 
 std::string escape(const std::string& s) {
   std::string out;
@@ -238,11 +278,11 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-double require_number(const Value& obj, const std::string& key,
-                      const std::string& context) {
+double require_number(const Value& obj, std::string_view key,
+                      std::string_view context) {
   const Value* v = obj.find(key);
   if (!v || v->kind != Value::Kind::Number)
-    throw std::runtime_error(context + ": missing numeric field '" + key + "'");
+    missing_field(context, "numeric", key);
   return v->number;
 }
 
@@ -267,26 +307,27 @@ bool exact_integer(const Value& v, long long* out) {
   return true;
 }
 
-long long require_integer(const Value& obj, const std::string& key,
+long long require_integer(const Value& obj, std::string_view key,
                           long long lo, long long hi,
-                          const std::string& context) {
+                          std::string_view context) {
   const Value* v = obj.find(key);
   if (!v || v->kind != Value::Kind::Number)
-    throw std::runtime_error(context + ": missing numeric field '" + key + "'");
+    missing_field(context, "numeric", key);
   long long value = 0;
   if (!exact_integer(*v, &value) || value < lo || value > hi)
-    throw std::runtime_error(context + ": field '" + key +
+    throw std::runtime_error(std::string(context) + ": field '" +
+                             std::string(key) +
                              "' must be an integer in [" + std::to_string(lo) +
                              ", " + std::to_string(hi) + "], got " +
                              v->string);
   return value;
 }
 
-const std::string& require_string(const Value& obj, const std::string& key,
-                                  const std::string& context) {
+const std::string& require_string(const Value& obj, std::string_view key,
+                                  std::string_view context) {
   const Value* v = obj.find(key);
   if (!v || v->kind != Value::Kind::String)
-    throw std::runtime_error(context + ": missing string field '" + key + "'");
+    missing_field(context, "string", key);
   return v->string;
 }
 

@@ -5,13 +5,15 @@
 // dependency.
 //
 // Numbers are held as doubles (the JSON model) together with their token
-// text. Consumers that need an exact integer go through exact_integer or the
-// checked accessors below: a plain integer token is read exactly from its
-// text over the whole long long range, so a client's 64-bit correlation id
-// round-trips; any other spelling goes through the double, which must be
-// integral and within +-2^53. Nothing casts blindly. Unsigned 64-bit
-// quantities (rng words, sequence numbers, seeds) are carried as decimal
-// *strings* in our formats.
+// text. A plain decimal integer token of at most 15 digits converts by
+// std::from_chars (every such value is exact in a double, so the bits are
+// strtod's); every other token goes through strtod. Consumers that need an
+// exact integer go through exact_integer or the checked accessors below: a
+// plain integer token is read exactly from its text over the whole long
+// long range, so a client's 64-bit correlation id round-trips; any other
+// spelling goes through the double, which must be integral and within
+// +-2^53. Nothing casts blindly. Unsigned 64-bit quantities (rng words,
+// sequence numbers, seeds) are carried as decimal *strings* in our formats.
 
 #pragma once
 
@@ -35,14 +37,22 @@ struct Value {
 
   /// First member with the given key (objects preserve insertion order);
   /// null when absent or when this value is not an object.
-  const Value* find(const std::string& key) const;
+  const Value* find(std::string_view key) const;
 
   bool is_null() const { return kind == Kind::Null; }
 };
 
-/// Parses one complete JSON document. Throws std::runtime_error
-/// ("json parse error at offset N: ...") on malformed input, trailing
-/// characters, or excessive nesting. Reads `text` in place.
+/// Parses one complete JSON document into `out`, the one parser. Throws
+/// std::runtime_error ("json parse error at offset N: ...") on malformed
+/// input, trailing characters, or excessive nesting. Reads `text` in place
+/// and reuses the string and vector storage `out` already holds, so a
+/// caller that parses many documents of one shape into one tree allocates
+/// only while the tree grows. The result equals a parse into a fresh Value
+/// whatever `out` held before, a tree a throwing parse left half-written
+/// included. `text` must not view a string inside `out`.
+void parse(std::string_view text, Value& out);
+
+/// parse(text, out) on a fresh Value.
 Value parse(std::string_view text);
 
 /// Serializes a string as a JSON string literal, quotes included (control
@@ -62,12 +72,12 @@ bool exact_integer(const Value& v, long long* out);
 // refuses and values outside [lo, hi]. Messages are built only when
 // throwing.
 
-double require_number(const Value& obj, const std::string& key,
-                      const std::string& context);
-long long require_integer(const Value& obj, const std::string& key,
+double require_number(const Value& obj, std::string_view key,
+                      std::string_view context);
+long long require_integer(const Value& obj, std::string_view key,
                           long long lo, long long hi,
-                          const std::string& context);
-const std::string& require_string(const Value& obj, const std::string& key,
-                                  const std::string& context);
+                          std::string_view context);
+const std::string& require_string(const Value& obj, std::string_view key,
+                                  std::string_view context);
 
 }  // namespace esva::json

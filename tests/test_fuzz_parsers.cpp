@@ -6,14 +6,19 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <new>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/fault_plan.h"
+#include "counting_new.h"
 #include "ilp/solution_io.h"
 #include "obs/trace.h"
 #include "serve/journal.h"
@@ -22,55 +27,9 @@
 #include "test_util.h"
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "workload/trace.h"
-
-namespace {
-
-// Bytes requested from operator new while g_counting is set, so the run-form
-// decoder's allocation bound below is measured rather than estimated.
-bool g_counting = false;
-std::size_t g_allocated = 0;
-
-}  // namespace
-
-// Every form of global new in this binary is malloc, and every delete is
-// free: ASan pairs allocations with deallocations, and the library's nothrow
-// new (std::stable_sort's temporary buffer) would otherwise meet this free.
-// noinline keeps GCC from pairing an inlined malloc with an inlined free at
-// call sites (its -Wmismatched-new-delete would then fire on std::vector).
-[[gnu::noinline]] void* operator new(std::size_t size,
-                                     const std::nothrow_t&) noexcept {
-  if (g_counting) g_allocated += size;
-  return std::malloc(size == 0 ? 1 : size);
-}
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  if (void* p = ::operator new(size, std::nothrow)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-[[gnu::noinline]] void* operator new[](std::size_t size,
-                                       const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p,
-                                         const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace esva {
 namespace {
@@ -367,12 +326,12 @@ std::string run_place(const std::string& entries, long long start = 5,
 /// a valid VM with one profile unit per time unit; and a line under 1 KB
 /// may not make it allocate more than 2 MiB. Returns whether it decoded.
 bool decode_checked(const std::string& line) {
-  g_allocated = 0;
-  g_counting = true;
+  testing::allocations = {};
+  testing::counting_allocations = true;
   bool accepted = false;
   try {
     const serve::Request req = serve::decode_request(line);
-    g_counting = false;
+    testing::counting_allocations = false;
     accepted = true;
     EXPECT_EQ(req.op, serve::OpKind::kPlace) << line;
     EXPECT_TRUE(req.vm.valid()) << line;
@@ -382,9 +341,9 @@ bool decode_checked(const std::string& line) {
   } catch (const std::exception& e) {
     ADD_FAILURE() << "non-runtime_error " << e.what() << " for " << line;
   }
-  g_counting = false;
+  testing::counting_allocations = false;
   if (line.size() < 1024) {
-    EXPECT_LE(g_allocated, std::size_t{2} << 20) << line;
+    EXPECT_LE(testing::allocations.bytes, std::size_t{2} << 20) << line;
   }
   return accepted;
 }
@@ -427,7 +386,8 @@ TEST(FuzzParsers, RunFormPlaceMutationsAreCaught) {
                                         1000000000000LL)));
   EXPECT_FALSE(decode_checked(run_place("[100001,2,1]", 1, 100001)));
   EXPECT_TRUE(decode_checked(run_place("[100000,2,1]", 1, 100000)));
-  EXPECT_GE(g_allocated, 100000 * sizeof(Resources)) << "counter is live";
+  EXPECT_GE(testing::allocations.bytes, 100000 * sizeof(Resources))
+      << "counter is live";
   EXPECT_FALSE(decode_checked(run_place("[1,2,1]", 3, 2)));  // inverted
 }
 
@@ -576,9 +536,8 @@ TEST(FuzzParsers, JournalMutationsReadOrThrow) {
   ::unlink(path.c_str());
 }
 
-// Every mutant of a snapshot either decodes or throws std::runtime_error;
-// one that decodes holds the declared fleet and valid VMs.
-TEST(FuzzParsers, SnapshotMutationsDecodeOrThrow) {
+/// A snapshot with profiled active and queued VMs and a failed server.
+std::string mixed_snapshot() {
   serve::SnapshotData snap;
   snap.allocator = "min-incremental";
   snap.seed = 42;
@@ -601,7 +560,13 @@ TEST(FuzzParsers, SnapshotMutationsDecodeOrThrow) {
   snap.engine.retry_queue.push_back(pending);
   snap.rng = {1, 2, 3, 4};
   snap.assignment = {{0, 0}, {1, 0}, {2, kNoServer}};
-  const std::string text = serve::encode_snapshot(snap);
+  return serve::encode_snapshot(snap);
+}
+
+// Every mutant of a snapshot either decodes or throws std::runtime_error;
+// one that decodes holds the declared fleet and valid VMs.
+TEST(FuzzParsers, SnapshotMutationsDecodeOrThrow) {
+  const std::string text = mixed_snapshot();
   ASSERT_EQ(serve::encode_snapshot(serve::decode_snapshot(text)), text);
 
   Rng rng(0x5a9);
@@ -623,6 +588,198 @@ TEST(FuzzParsers, SnapshotMutationsDecodeOrThrow) {
     }
   }
   EXPECT_GT(decoded, 0u) << "the mutator should also leave decodable ones";
+}
+
+/// Mutants of a request line of every op, of each line of the every-record
+/// journal, and of the snapshot, with their unmutated sources first.
+std::vector<std::string> mutation_corpus() {
+  std::vector<std::string> sources;
+  serve::Request req;
+  req.has_id = true;
+  req.id = -7;
+  for (const serve::OpKind op :
+       {serve::OpKind::kPlace, serve::OpKind::kRetire, serve::OpKind::kAdvance,
+        serve::OpKind::kFault, serve::OpKind::kStats, serve::OpKind::kSnapshot,
+        serve::OpKind::kDrain}) {
+    req.op = op;
+    req.vm = phased_vm(4, 3);
+    req.vm_id = 4;
+    req.to = 12;
+    req.fault = {13, FaultKind::kRecover, 2};
+    req.with_assignment = true;
+    sources.push_back(serve::encode_request(req));
+  }
+  const std::string journal = every_record_journal();
+  for (std::size_t pos = 0, nl; (nl = journal.find('\n', pos)) !=
+                                std::string::npos;
+       pos = nl + 1)
+    sources.push_back(journal.substr(pos, nl - pos));
+  sources.push_back(mixed_snapshot());
+
+  std::vector<std::string> corpus = sources;
+  Rng rng(0x7e3);
+  const int per_source = testing::fuzz_quick() ? 150 : 1000;
+  for (const std::string& source : sources)
+    for (int k = 0; k < per_source; ++k) corpus.push_back(mutated(source, rng));
+  // Interleaved, so a tree meets every shape after every other.
+  rng.shuffle(corpus);
+  return corpus;
+}
+
+/// Equal bit for bit: kinds, booleans, number bits, strings (a number's
+/// token text included) and every member and element in order.
+::testing::AssertionResult same_tree(const json::Value& a,
+                                     const json::Value& b) {
+  if (a.kind != b.kind || a.boolean != b.boolean ||
+      std::bit_cast<std::uint64_t>(a.number) !=
+          std::bit_cast<std::uint64_t>(b.number) ||
+      a.string != b.string || a.array.size() != b.array.size() ||
+      a.object.size() != b.object.size())
+    return ::testing::AssertionFailure()
+           << "node differs at token '" << a.string << "' / '" << b.string
+           << "'";
+  for (std::size_t k = 0; k < a.array.size(); ++k)
+    if (auto r = same_tree(a.array[k], b.array[k]); !r) return r;
+  for (std::size_t k = 0; k < a.object.size(); ++k) {
+    if (a.object[k].first != b.object[k].first)
+      return ::testing::AssertionFailure()
+             << "key '" << a.object[k].first << "' / '" << b.object[k].first
+             << "'";
+    if (auto r = same_tree(a.object[k].second, b.object[k].second); !r)
+      return r;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One tree carried through every document of the request, journal and
+// snapshot mutation corpora, a throwing parse's half-written tree included,
+// reads each document exactly as a fresh tree does, or throws its message.
+TEST(FuzzParsers, OneReusedTreeParsesLikeAFreshOne) {
+  json::Value reused;
+  std::size_t parsed = 0, thrown = 0;
+  for (const std::string& doc : mutation_corpus()) {
+    std::string fresh_error, reused_error;
+    json::Value fresh;
+    try {
+      fresh = json::parse(doc);
+    } catch (const std::runtime_error& e) {
+      fresh_error = e.what();
+    }
+    try {
+      json::parse(doc, reused);
+    } catch (const std::runtime_error& e) {
+      reused_error = e.what();
+    }
+    ASSERT_EQ(reused_error, fresh_error) << doc;
+    if (!fresh_error.empty()) {
+      ++thrown;
+      continue;
+    }
+    ++parsed;
+    ASSERT_TRUE(same_tree(reused, fresh)) << doc;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(thrown, 0u);
+}
+
+// Plain integer tokens of up to 15 digits skip strtod; the double is still
+// the one strtod reads, negative zero and leading zeros included, and the
+// token text is kept for exact_integer.
+TEST(FuzzParsers, SmallIntegerTokensReadAsStrtodDoes) {
+  Rng rng(0x1f7);
+  std::vector<std::string> tokens = {"0",  "-0", "007", "-00",
+                                     "999999999999999", "-999999999999999",
+                                     "1000000000000000", "9007199254740993"};
+  for (int k = 0; k < 20000; ++k) {
+    std::string token = rng.bernoulli(0.5) ? "-" : "";
+    const std::size_t digits = 1 + rng.index(17);
+    for (std::size_t d = 0; d < digits; ++d)
+      token += static_cast<char>('0' + rng.index(10));
+    tokens.push_back(token);
+  }
+  for (const std::string& token : tokens) {
+    const json::Value v = json::parse(token);
+    ASSERT_EQ(v.kind, json::Value::Kind::Number) << token;
+    EXPECT_EQ(v.string, token);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.number),
+              std::bit_cast<std::uint64_t>(std::strtod(token.c_str(), nullptr)))
+        << token;
+  }
+}
+
+// The hexfloat hex_double writes for every normal double and both zeros is
+// read by its bits, to the bits strtod reads; subnormals, infinities and
+// NaNs, which it writes through printf, are left to strtod.
+TEST(FuzzParsers, CanonicalHexfloatsReadByBitsAsStrtodDoes) {
+  Rng rng(0x4e7f);
+  std::vector<std::uint64_t> patterns = {
+      0, std::uint64_t{1} << 63,                      // +-0
+      std::bit_cast<std::uint64_t>(1.0), std::bit_cast<std::uint64_t>(-2.5),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::min()),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max()),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::denorm_min()),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity()),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN())};
+  for (int k = 0; k < 1000000; ++k) patterns.push_back(rng.next_u64());
+  std::size_t fast = 0;
+  for (const std::uint64_t bits : patterns) {
+    const double value = std::bit_cast<double>(bits);
+    const std::string quoted = serve::hex_double(value);
+    const std::string text = quoted.substr(1, quoted.size() - 2);
+    double read = 0.0;
+    const bool took = serve::read_hex_double(text, &read);
+    const bool normal_or_zero =
+        std::fpclassify(value) == FP_NORMAL || value == 0.0;
+    ASSERT_EQ(took, normal_or_zero) << text;
+    if (!took) continue;
+    ++fast;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(read), bits) << text;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr)),
+              bits)
+        << text;
+  }
+  EXPECT_GT(fast, 990000u);
+}
+
+// Every spelling but the canonical one goes to strtod, and the decoder
+// accepts or refuses it, and reads its value, by parse_double_field's
+// rules (one trailing '\r' stripped), whatever the fast path reads.
+TEST(FuzzParsers, OtherHexfloatSpellingsKeepTheirAcceptReject) {
+  const std::vector<std::string> spellings = {
+      "0X1.8p+1", "0x1.8P+1", "0x1.ABp+1", "0x1.Abcp-3",   // uppercase
+      "+0x1.8p+1", "+0x0p+0",                              // a + sign
+      "0x18p-3", "0x3p+0", "0x10p-4", "0x1.p+0",          // no '.' + digits
+      "0x1.00000000000000p+0", "0x1.fffffffffffff8p+0",   // 14 digits
+      "0x1.000000000000001p+0",
+      "0x0.0000000000001p-1022", "0x1p-1023", "0x1p-1074",  // subnormals
+      "0x1p-1075", "0x1p+1024", "0x1.8p+99999",             // out of range
+      "inf", "-inf", "nan", "infinity", "NaN",
+      "0x1.8p+1\r", "0x0p+0\r",                            // a trailing \r
+      " 0x1.8p+1", "\t0x1p+0", "  -0x0p+0",                // leading blanks
+      "0x1.8p+1 ", "0x1.8p1", "0x0p-0", "0x0.8p+1", "0x1.8p+00001",
+      "0x1.8q+1", "0x1.8p+", "0x1.8", "0x", "-", "1.5", "", "0x1.g",
+  };
+  for (const std::string& text : spellings) {
+    double ignored = 0.0;
+    EXPECT_FALSE(serve::read_hex_double(text, &ignored)) << text;
+    std::optional<double> want;
+    try {
+      want = parse_double_field(text, "x");
+    } catch (const std::runtime_error&) {
+    }
+    const json::Value doc = json::parse("{\"x\":" + json::escape(text) + "}");
+    std::optional<double> got;
+    try {
+      got = serve::require_number_or_hex(doc, "x", "test");
+    } catch (const std::runtime_error&) {
+    }
+    ASSERT_EQ(got.has_value(), want.has_value()) << text;
+    if (got) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+                std::bit_cast<std::uint64_t>(*want))
+          << text;
+    }
+  }
 }
 
 TEST(FuzzParsers, JsonParserBoundsRecursionDepth) {

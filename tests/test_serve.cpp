@@ -840,6 +840,50 @@ TEST(ServeEquivalence, DaemonMatchesReplayStreamWithFaultsPastTheLastArrival) {
   ::unlink(temp_path("equiv_tail.wal").c_str());
 }
 
+// The daemon folds each op's resolutions into its assignment map and then
+// drops them from the engine's log. Driven through a fail and a recover of
+// some server every few time units, it holds an empty log after every op,
+// still matches esva stream (whose engine keeps its whole log), and a
+// restart replays its journal to the same stats line.
+TEST(ServeEquivalence, ResolutionLogIsEmptyAfterEveryOp) {
+  Workload w = make_workload(0xe7ac, /*with_faults=*/false);
+  Time last_start = 1;
+  for (const VmSpec& vm : w.vms) last_start = std::max(last_start, vm.start);
+  for (Time t = 2; t + 1 <= last_start + 8; t += 3) {
+    const ServerId server = static_cast<ServerId>(t % 5);
+    w.fault_events.push_back({t, FaultKind::kFail, server});
+    w.fault_events.push_back({t + 1, FaultKind::kRecover, server});
+  }
+  const ReplayReport reference =
+      reference_run(w, "min-incremental", 42, test_retry());
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, test_retry(), "resolution_log");
+  std::string stats;
+  {
+    Daemon daemon(w.servers, options);
+    for (const std::string& line : request_lines(w)) {
+      const std::string response = daemon.handle_line(line);
+      ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+      ASSERT_TRUE(daemon.engine().resolutions().empty()) << line;
+    }
+    daemon.drain();
+    EXPECT_TRUE(daemon.engine().resolutions().empty());
+    EXPECT_GT(daemon.engine().fault_stats().evacuated, 10);
+    expect_matches_reference(daemon, reference);
+    stats = daemon.stats_json(/*with_assignment=*/true);
+  }
+  // All but the restart's own counters (wal_fsyncs, replayed).
+  const auto state = [](const std::string& line) {
+    return line.substr(0, line.find(",\"wal_fsyncs\"")) +
+           line.substr(line.find(",\"torn_tail_recovered\""));
+  };
+  Daemon restarted(w.servers, options);
+  EXPECT_TRUE(restarted.engine().resolutions().empty());
+  EXPECT_EQ(state(restarted.stats_json(/*with_assignment=*/true)),
+            state(stats));
+  ::unlink(options.wal_path.c_str());
+}
+
 // --- crash recovery ---------------------------------------------------------
 
 /// Splits the client-visible op sequence at `cut`, runs the first part in one

@@ -1,14 +1,16 @@
-// The serve daemon's halt path, driven by an I/O fault shim.
+// The serve daemon's halt path and its recovery reads, driven by an I/O
+// fault shim.
 //
-// This binary defines write() and fsync(), so every call the esva library
-// makes resolves here first. A call on any file but the armed one (matched
-// by device and inode: the journal, or a snapshot's `.tmp`) passes straight
-// through to the next definition (dlsym(RTLD_NEXT): libc, or a sanitizer's
-// interceptor). On the armed file the shim fails the k-th write with ENOSPC
-// or EIO, makes it short (half the bytes, then ENOSPC on the next write), or
-// fails the k-th fsync with EIO. It can also hold a journal write until the
-// test releases it, which lines up requests on two connections for one poll
-// round.
+// This binary defines write(), fsync() and read(), so every call the esva
+// library makes resolves here first. A call on any file but the armed one
+// (matched by device and inode: the journal, a snapshot, or a snapshot's
+// `.tmp`) passes straight through to the next definition (dlsym(RTLD_NEXT):
+// libc, or a sanitizer's interceptor). On the armed file the shim fails the
+// k-th write with ENOSPC or EIO, makes it short (half the bytes, then
+// ENOSPC on the next write), fails the k-th fsync with EIO, or cuts every
+// read short and fails the k-th with EIO. It can also hold a journal write
+// until the test releases it, which lines up requests on two connections
+// for one poll round.
 //
 // Each fault runs at --wal-sync-every 1 and 4, through handle_line (a round
 // of one line) and through serve_loop (one round of two connections). No
@@ -17,7 +19,12 @@
 // faults recovers every acked op — at the energy a fault-free daemon had at
 // the recovered seq — dropping and truncating a torn tail. ENOSPC on a
 // write, a short write or EIO on fsync of the snapshot's `.tmp` fails only
-// the explicit snapshot op.
+// the explicit snapshot op. A read error while recovery reads the journal
+// or the snapshot makes the Daemon constructor throw and changes neither
+// file.
+//
+// The binary also counts allocations (counting_new.h): read_wal's
+// allocation bound below needs no timing, so it holds on every build.
 
 #include <dlfcn.h>
 #include <sys/socket.h>
@@ -28,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -42,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "counting_new.h"
 #include "serve/daemon.h"
 #include "serve/journal.h"
 #include "serve/wire.h"
@@ -50,7 +59,10 @@
 
 namespace esva::faultshim {
 
-enum class Fault { kWriteErrno, kShortWrite, kFsyncEio };
+enum class Fault { kWriteErrno, kShortWrite, kFsyncEio, kReadEio };
+
+/// The most bytes an armed read() returns, so a file takes many calls.
+constexpr std::size_t kShortRead = 97;
 
 struct State {
   std::mutex mu;
@@ -60,8 +72,8 @@ struct State {
   ino_t ino = 0;
   Fault fault = Fault::kWriteErrno;
   int err = 0;
-  /// Armed-file calls of the faulted kind (writes, or fsyncs) up to and
-  /// including the failing one.
+  /// Armed-file calls of the faulted kind (writes, fsyncs or reads) up to
+  /// and including the failing one; 0 fails none.
   int countdown = 0;
   /// The write after a short one fails with ENOSPC.
   bool fail_next_write = false;
@@ -86,8 +98,8 @@ bool is_armed(const State& s, int fd) {
   return ::fstat(fd, &st) == 0 && st.st_dev == s.dev && st.st_ino == s.ino;
 }
 
-/// The k-th write (fsync for kFsyncEio) from now on the file at `path`
-/// fails as `fault`.
+/// The k-th write (fsync for kFsyncEio, read for kReadEio) from now on the
+/// file at `path` fails as `fault`.
 void arm(const std::string& path, Fault fault, int k, int err = 0) {
   struct stat st{};
   ASSERT_EQ(::stat(path.c_str(), &st), 0) << path;
@@ -152,7 +164,8 @@ extern "C" ssize_t write(int fd, const void* buf, size_t count) {
     errno = ENOSPC;
     return -1;
   }
-  if (s.fault != Fault::kFsyncEio && s.countdown > 0 && --s.countdown == 0) {
+  if ((s.fault == Fault::kWriteErrno || s.fault == Fault::kShortWrite) &&
+      s.countdown > 0 && --s.countdown == 0) {
     if (s.fault == Fault::kWriteErrno) {
       errno = s.err;
       return -1;
@@ -178,6 +191,25 @@ extern "C" int fsync(int fd) {
     }
   }
   return real(fd);
+}
+
+extern "C" ssize_t read(int fd, void* buf, size_t count) {
+  using esva::faultshim::Fault;
+  static const auto real =
+      esva::faultshim::next_definition<ssize_t (*)(int, void*, size_t)>(
+          "read");
+  esva::faultshim::State& s = esva::faultshim::state();
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (s.fault == Fault::kReadEio && esva::faultshim::is_armed(s, fd)) {
+      if (s.countdown > 0 && --s.countdown == 0) {
+        errno = EIO;
+        return -1;
+      }
+      count = std::min(count, esva::faultshim::kShortRead);
+    }
+  }
+  return real(fd, buf, count);
 }
 
 namespace esva {
@@ -585,6 +617,184 @@ TEST(SnapshotFileFault, ExplicitSnapshotNamesTheErrorAndKeepsServing) {
             serve::hex_double(energy));
   ::unlink(o.wal_path.c_str());
   ::unlink(o.snapshot_path.c_str());
+}
+
+// --- the reads of recovery ---------------------------------------------------
+
+// A read error refuses recovery. Read as the end of the file, it would make
+// the journal past it a torn tail, truncated with its acked records. Armed
+// reads return at most kShortRead bytes, so each file takes many calls, and
+// the k-th fails with EIO: the first, the second, and one in the middle of
+// the file. The Daemon constructor throws naming the file and the error and
+// leaves both files as they were. Short reads alone only take more calls.
+TEST(RecoveryReadFault, ReadErrorThrowsAndLeavesBothFilesAlone) {
+  const Workload w = make_workload();
+  const DaemonOptions o = daemon_options("read_eio", 1);
+  constexpr std::size_t kSnapshotAt = 10;
+  {
+    Daemon daemon(w.servers, o);
+    for (std::size_t k = 0; k < w.lines.size(); ++k) {
+      if (k == kSnapshotAt) {
+        ASSERT_TRUE(is_ok(daemon.handle_line("{\"op\":\"snapshot\"}")));
+      }
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[k])));
+    }
+  }
+  const std::string journal = read_file(o.wal_path);
+  const std::string snapshot = read_file(o.snapshot_path);
+  for (const auto& [path, what] :
+       {std::pair{o.wal_path, "wal"}, std::pair{o.snapshot_path, "snapshot"}}) {
+    const int middle = static_cast<int>(read_file(path).size() /
+                                        faultshim::kShortRead / 2);
+    ASSERT_GT(middle, 2) << path;
+    for (const int k : {1, 2, middle}) {
+      faultshim::arm(path, Fault::kReadEio, k);
+      std::string error;
+      try {
+        Daemon recovered(w.servers, o);
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      faultshim::disarm();
+      EXPECT_EQ(error, std::string("cannot read ") + what + " '" + path +
+                           "': Input/output error")
+          << "read " << k;
+      EXPECT_EQ(read_file(o.wal_path), journal) << what << " read " << k;
+      EXPECT_EQ(read_file(o.snapshot_path), snapshot)
+          << what << " read " << k;
+    }
+  }
+  const std::vector<Energy> reference = reference_energies(w);
+  for (const std::string& path : {o.wal_path, o.snapshot_path}) {
+    faultshim::arm(path, Fault::kReadEio, 0);
+    std::unique_ptr<Daemon> recovered;
+    EXPECT_NO_THROW(recovered = std::make_unique<Daemon>(w.servers, o));
+    faultshim::disarm();
+    ASSERT_TRUE(recovered) << path;
+    EXPECT_TRUE(recovered->recovered_from_snapshot());
+    EXPECT_EQ(recovered->last_seq(), w.lines.size());
+    EXPECT_EQ(recovered->replayed_records(), w.lines.size() - kSnapshotAt);
+    EXPECT_EQ(recovered->engine().total_energy(), reference.back());
+  }
+  ::unlink(o.wal_path.c_str());
+  ::unlink(o.snapshot_path.c_str());
+}
+
+// --- read_wal's allocations --------------------------------------------------
+
+/// A journal of `records` records after the header, record k (seq k) made
+/// by `make(k)`.
+template <typename Make>
+std::string journal_of(std::size_t records, Make make) {
+  serve::WalHeader header;
+  header.allocator = "min-incremental";
+  header.seed = 42;
+  header.num_servers = 16;
+  std::string out = serve::encode_wal_header(header) + '\n';
+  for (std::uint64_t seq = 1; seq <= records; ++seq) out += make(seq) + '\n';
+  return out;
+}
+
+/// A stable VM of paper-like shape with full-length hexfloat demands.
+VmSpec stable_vm(Rng& rng, VmId id) {
+  const Time start = static_cast<Time>(1 + id / 4);
+  const Time end = start + 5 + static_cast<Time>(rng.index(90));
+  VmSpec vm = testing::vm(id, start, end, rng.uniform_double(0.5, 8.0),
+                          rng.uniform_double(1.0, 16.0));
+  vm.type_name = "m1.xlarge";
+  return vm;
+}
+
+serve::WalFile read_counted(const std::string& path, const std::string& text,
+                            testing::Allocations* counted) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  testing::allocations = {};
+  testing::counting_allocations = true;
+  serve::WalFile wal = serve::read_wal(path);
+  testing::counting_allocations = false;
+  *counted = testing::allocations;
+  return wal;
+}
+
+// Each line is parsed into one tree that the next line reuses, and the
+// canonical hexfloats and decimal seqs are read without strtod or a
+// context string, so a journal of stable places costs the file buffer, the
+// record vector's growth and one record's tree: under one allocation per
+// hundred records (a fresh tree per line makes about 14). Counted, not
+// timed, so the bound holds on every build.
+TEST(ReadWalAllocations, StablePlacesMakeUnderOnePerHundredRecords) {
+  constexpr std::size_t kRecords = 6000;
+  Rng rng(0xa110c);
+  Energy energy = 0.0;
+  const std::string text = journal_of(kRecords, [&](std::uint64_t seq) {
+    const VmSpec vm = stable_vm(rng, static_cast<VmId>(seq - 1));
+    energy += rng.uniform_double(100.0, 5000.0);
+    PlacementDecision decision;
+    decision.server = static_cast<ServerId>(seq % 16);
+    return serve::encode_place_record(seq, "min-incremental", vm, decision,
+                                      energy);
+  });
+  const std::string path = temp_path("alloc_stable.wal");
+  testing::Allocations counted;
+  const serve::WalFile wal = read_counted(path, text, &counted);
+  ASSERT_EQ(wal.records.size(), kRecords);
+  EXPECT_EQ(wal.records.back().energy_after, energy);
+  EXPECT_LT(counted.calls, kRecords / 100);
+  EXPECT_GT(counted.calls, 0u) << "counter is live";
+  ::unlink(path.c_str());
+}
+
+// Every record kind in turn: a place must rebuild the "spec" member a
+// shorter record before it dropped, and a profiled VM owns its units, but
+// the cost per record stays a small constant.
+TEST(ReadWalAllocations, EveryRecordKindMakesAFewPerRecord) {
+  constexpr std::size_t kRecords = 7000;
+  Rng rng(0xa11c);
+  const std::string text = journal_of(kRecords, [&](std::uint64_t seq) {
+    const VmId id = static_cast<VmId>(seq);
+    PlacementDecision decision;
+    decision.server = static_cast<ServerId>(seq % 16);
+    switch (seq % 7) {
+      case 0: {
+        VmSpec vm = stable_vm(rng, id);
+        std::vector<Resources> units(
+            static_cast<std::size_t>(vm.duration()), vm.demand);
+        for (std::size_t k = units.size() / 2; k < units.size(); ++k)
+          units[k].cpu /= 2;
+        vm.set_profile(units);
+        return serve::encode_place_record(seq, "min-incremental", vm,
+                                          decision, 1.5 * seq);
+      }
+      case 1:
+        return serve::encode_place_record(seq, "min-incremental",
+                                          stable_vm(rng, id), decision,
+                                          1.5 * seq);
+      case 2:
+        decision.server = kNoServer;
+        decision.reject = PlacementReject::kNoCapacity;
+        return serve::encode_place_record(seq, "min-incremental",
+                                          stable_vm(rng, id), decision,
+                                          1.5 * seq);
+      case 3:
+        return serve::encode_retire_record(seq, id - 3, decision.server);
+      case 4:
+        return serve::encode_advance_record(seq, static_cast<Time>(seq));
+      case 5:
+        return serve::encode_fault_record(
+            seq, {static_cast<Time>(seq), FaultKind::kFail, 3});
+      default:
+        return serve::encode_drain_record(seq);
+    }
+  });
+  const std::string path = temp_path("alloc_mixed.wal");
+  testing::Allocations counted;
+  const serve::WalFile wal = read_counted(path, text, &counted);
+  ASSERT_EQ(wal.records.size(), kRecords);
+  EXPECT_LT(counted.calls, 4 * kRecords);
+  ::unlink(path.c_str());
 }
 
 }  // namespace
