@@ -1,5 +1,6 @@
 #include "cluster/timeline.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace esva {
@@ -11,6 +12,7 @@ namespace {
 /// VMs typically hold each demand level for many units (bursts, diurnal
 /// phases), so batching runs turns O(duration) tree calls into O(#runs).
 Time run_end_of(const VmSpec& vm, Time t, const Resources& r) {
+  if (!vm.has_profile()) return vm.end;
   Time e = t;
   while (e < vm.end) {
     const Resources next = vm.demand_at(e + 1);
@@ -18,6 +20,31 @@ Time run_end_of(const VmSpec& vm, Time t, const Resources& r) {
     ++e;
   }
   return e;
+}
+
+/// Earliest index in [lo, hi] whose usage plus `demand` exceeds
+/// `capacity` + kEps, or hi + 1 when none does. The prefix maximum
+/// max(lo, k) never decreases as k grows, so the earliest violating unit is
+/// the least k whose prefix maximum violates: a bisection over k with
+/// O(log(hi - lo)) range-max queries, the first of them over all of
+/// [lo, hi].
+std::size_t first_violation(const RangeAddMaxTree& tree, std::size_t lo,
+                            std::size_t hi, double demand, double capacity) {
+  const auto violates = [&](std::size_t k) {
+    return tree.max(lo, k) + demand > capacity + kEps;
+  };
+  if (!violates(hi)) return hi + 1;
+  std::size_t first = lo;  // units before `first` fit; `last` violates
+  std::size_t last = hi;
+  while (first < last) {
+    const std::size_t mid = first + (last - first) / 2;
+    if (violates(mid)) {
+      last = mid;
+    } else {
+      first = mid + 1;
+    }
+  }
+  return first;
 }
 
 }  // namespace
@@ -110,7 +137,6 @@ bool ServerTimeline::can_fit(const VmSpec& vm) const {
 
 FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
   assert(vm.valid());
-  constexpr std::size_t npos = RangeAddMaxTree::npos;
   FitCheck check;
   if (vm.start < base_ || vm.end > horizon_) {
     check.reject = FitReject::Horizon;
@@ -125,65 +151,24 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
     check.ok = true;
     return check;
   }
-  const std::size_t lo = index_of(vm.start);
-  const std::size_t hi = index_of(vm.end);
-  const auto cpu_pred = [&](double v) {
-    return v + vm.demand.cpu > spec_.capacity.cpu + kEps;
-  };
-  const auto mem_pred = [&](double v) {
-    return v + vm.demand.mem > spec_.capacity.mem + kEps;
-  };
-  if (!vm.has_profile()) {
-    // first_above == npos is bit-for-bit equivalent to the range-max fitting
-    // (see segment_tree.h), so `ok` matches can_fit exactly; a non-npos
-    // result localizes the earliest violating unit by tree descent.
-    const std::size_t cpu_at =
-        cpu_free ? npos : cpu_.first_above(lo, hi, cpu_pred);
-    const std::size_t mem_at =
-        mem_free ? npos : mem_.first_above(lo, hi, mem_pred);
-    if (cpu_at == npos && mem_at == npos) {
-      check.ok = true;
-      return check;
-    }
-    // Earliest unit wins; CPU is diagnosed first on a tie (the historical
-    // per-unit scan checked CPU before memory).
-    if (cpu_at <= mem_at) {
-      check.reject = FitReject::Cpu;
-      check.at = base_ + static_cast<Time>(cpu_at);
-    } else {
-      check.reject = FitReject::Mem;
-      check.at = base_ + static_cast<Time>(mem_at);
-    }
-    return check;
-  }
-  // Profiled VM: mirror can_fit's peak-demand accept, then localize within
-  // equal-demand runs.
-  const bool peak_fits =
-      (cpu_free || cpu_.max(lo, hi) + vm.demand.cpu <= spec_.capacity.cpu + kEps) &&
-      (mem_free || mem_.max(lo, hi) + vm.demand.mem <= spec_.capacity.mem + kEps);
-  if (peak_fits) {
-    check.ok = true;
-    return check;
-  }
+  // Each equal-demand run against its own demand, in time order; a stable
+  // VM is one run, whose first query is can_fit's range max.
   for (Time t = vm.start; t <= vm.end;) {
     const Resources r = vm.demand_at(t);
     const Time e = run_end_of(vm, t, r);
-    const std::size_t k_lo = index_of(t);
-    const std::size_t k_hi = index_of(e);
-    const std::size_t cpu_at = cpu_.first_above(
-        k_lo, k_hi,
-        [&](double v) { return v + r.cpu > spec_.capacity.cpu + kEps; });
-    const std::size_t mem_at = mem_.first_above(
-        k_lo, k_hi,
-        [&](double v) { return v + r.mem > spec_.capacity.mem + kEps; });
-    if (cpu_at != npos || mem_at != npos) {
-      if (cpu_at <= mem_at) {
-        check.reject = FitReject::Cpu;
-        check.at = base_ + static_cast<Time>(cpu_at);
-      } else {
-        check.reject = FitReject::Mem;
-        check.at = base_ + static_cast<Time>(mem_at);
-      }
+    const std::size_t lo = index_of(t);
+    const std::size_t hi = index_of(e);
+    const std::size_t cpu_at =
+        cpu_free ? hi + 1
+                 : first_violation(cpu_, lo, hi, r.cpu, spec_.capacity.cpu);
+    const std::size_t mem_at =
+        mem_free ? hi + 1
+                 : first_violation(mem_, lo, hi, r.mem, spec_.capacity.mem);
+    if (cpu_at <= hi || mem_at <= hi) {
+      // Earliest unit wins; CPU is diagnosed first on a tie (a per-unit
+      // scan checks CPU before memory).
+      check.reject = cpu_at <= mem_at ? FitReject::Cpu : FitReject::Mem;
+      check.at = base_ + static_cast<Time>(std::min(cpu_at, mem_at));
       return check;
     }
     t = e + 1;

@@ -13,7 +13,7 @@
 // usage envelope (max_all / min_all) lets quick_fit() accept a candidate
 // whose demand fits under the window peak, or reject one whose demand
 // exceeds the spare capacity of even the emptiest unit, before any O(log T)
-// descent (docs/PERFORMANCE.md, "Batched feasibility kernel").
+// range query (docs/PERFORMANCE.md, "Batched feasibility kernel").
 //
 // Placements can be undone in LIFO order, which is what the exact
 // branch-and-bound solver uses for backtracking.
@@ -121,9 +121,14 @@ class ServerTimeline {
   QuickFit quick_fit(const VmSpec& vm) const;
 
   /// can_fit with a diagnosis: which dimension failed first, and where.
-  /// Agrees with can_fit on `ok` for every VM (tested); rejection is
-  /// localized by tree descent (RangeAddMaxTree::first_above) in O(log^2 T)
-  /// rather than a per-unit scan.
+  /// After quick_fit's quick-accept, each equal-demand run (a stable VM is
+  /// one) reads the range max can_fit reads and, when it violates, bisects
+  /// over prefix maxima for the earliest violating unit, CPU first on a tie:
+  /// O(log^2 T) per run rather than a per-unit scan. Reads neither the
+  /// usage floor nor anything outside this timeline, so the traced scan it
+  /// serves stays an independent reference for the untraced one. Agrees
+  /// with can_fit on `ok` and with a per-unit scan on the diagnosis
+  /// (tested).
   FitCheck check_fit(const VmSpec& vm) const;
 
   /// Everything needed to undo a placement.

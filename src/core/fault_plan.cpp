@@ -73,10 +73,12 @@ void write_fault_plan(std::ostream& out, const FaultPlan& plan) {
 FaultPlan read_fault_plan(std::istream& in) {
   const auto rows = read_csv(in);
   if (rows.empty()) throw std::runtime_error("fault plan: empty file");
+  require_csv_header(rows[0], {"time", "event", "server"},
+                     /*optional_last=*/false, line_context(rows[0].line));
   std::vector<FaultEvent> events;
-  for (std::size_t r = 1; r < rows.size(); ++r) {  // rows[0] is the header
-    const auto& row = rows[r];
-    const std::size_t line = r + 1;
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    const auto& row = rows[r].fields;
+    const std::size_t line = rows[r].line;
     if (row.size() != 3) fail_line(line, "expected 3 columns");
     FaultEvent e;
     // parse_field_as range-checks the narrowing into Time/ServerId: an

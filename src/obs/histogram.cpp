@@ -59,21 +59,6 @@ void LatencyHistogram::record(double ms) {
   update_extreme(max_ms_, ms, [](double a, double b) { return a > b; });
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  std::uint64_t added = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const std::uint64_t c = other.counts_[b].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    counts_[b].fetch_add(c, std::memory_order_relaxed);
-    added += c;
-  }
-  total_.fetch_add(added, std::memory_order_relaxed);
-  update_extreme(min_ms_, other.min_ms_.load(std::memory_order_relaxed),
-                 [](double a, double b) { return a < b; });
-  update_extreme(max_ms_, other.max_ms_.load(std::memory_order_relaxed),
-                 [](double a, double b) { return a > b; });
-}
-
 HistogramSnapshot LatencyHistogram::snapshot() const {
   HistogramSnapshot snap;
   snap.counts.resize(kNumBuckets);

@@ -68,10 +68,6 @@ class LatencyHistogram {
   /// CAS loop for the exact min/max).
   void record(double ms);
 
-  /// Adds every bucket of `other` into this histogram (relaxed reads — take
-  /// snapshots first if `other` has live writers and exactness matters).
-  void merge(const LatencyHistogram& other);
-
   std::uint64_t total() const {
     return total_.load(std::memory_order_relaxed);
   }

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace esva {
 
@@ -93,32 +93,6 @@ std::string fmt_number(double v) {
   return out.str();
 }
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters need the \u00XX escape.
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 /// Prometheus metric name: [a-zA-Z0-9_] only, prefixed with the esva_
 /// namespace (which also guarantees a legal leading character).
 std::string prometheus_name(const std::string& name) {
@@ -142,7 +116,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, value] : snap.counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
+    out += json::escape(name);
     out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -151,7 +125,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, value] : snap.gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
+    out += json::escape(name);
     out += ": " + fmt_number(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -160,7 +134,7 @@ std::string MetricsRegistry::to_json() const {
   for (const TimerEntry& entry : snap.timers) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, entry.name);
+    out += json::escape(entry.name);
     out += ": {\"count\": " + std::to_string(entry.stats.count) +
            ", \"total_ms\": " + fmt_number(entry.stats.total_ms) +
            ", \"mean_ms\": " + fmt_number(entry.stats.mean_ms()) +

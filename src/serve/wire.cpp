@@ -394,7 +394,7 @@ std::string encode_request(const Request& req) {
 }
 
 Request decode_request(std::string_view line) {
-  return decode_request(json::parse(line));
+  return decode_request(json::parse(line, kMaxRequestValues));
 }
 
 Request decode_request(const json::Value& root) {

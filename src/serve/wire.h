@@ -39,6 +39,16 @@ namespace esva::serve {
 /// docs/SERVE.md gives the per-server tree bytes this bounds.
 inline constexpr Time kMaxPlaceDuration = 100000;
 
+/// The most JSON values decode_request(std::string_view) lets a line
+/// create: the longest legal place, a profile of kMaxPlaceDuration runs at
+/// four values each ([LEN,CPU,MEM]), plus the request, VM and profile
+/// values around it. The line cap (kMaxRequestBytes, serve/daemon.h) bounds
+/// the bytes of a line but not its tree: a JSON value is about 100 B, so
+/// three bytes of "[]," build some 30 times their size. This bounds any
+/// line's tree near that of the longest legal place.
+inline constexpr std::size_t kMaxRequestValues =
+    4 * static_cast<std::size_t>(kMaxPlaceDuration) + 64;
+
 /// Operations a client can request.
 enum class OpKind {
   kPlace,     ///< submit one VM request to the engine
@@ -119,7 +129,8 @@ VmSpec decode_vm(const json::Value& obj, std::string_view context);
 std::string encode_request(const Request& req);
 
 /// Parses and validates one request line. Throws std::runtime_error with a
-/// structured message on malformed JSON, unknown ops, or bad fields.
+/// structured message on malformed JSON, a line of more than
+/// kMaxRequestValues values, unknown ops, or bad fields.
 Request decode_request(std::string_view line);
 
 /// decode_request on a parsed line: the one reader of every op's fields,

@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <algorithm>
 #include <charconv>
 #include <istream>
 #include <stdexcept>
@@ -77,7 +78,7 @@ std::vector<std::string> parse_csv_line(std::string_view line) {
       }
     } else if (c == '"') {
       if (!current.empty())
-        throw std::runtime_error("CSV: quote inside unquoted field");
+        throw std::runtime_error("quote inside unquoted field");
       in_quotes = true;
     } else if (c == ',') {
       fields.push_back(std::move(current));
@@ -89,19 +90,50 @@ std::vector<std::string> parse_csv_line(std::string_view line) {
     }
     ++i;
   }
-  if (in_quotes) throw std::runtime_error("CSV: unterminated quoted field");
+  if (in_quotes) throw std::runtime_error("unterminated quoted field");
   fields.push_back(std::move(current));
   return fields;
 }
 
-std::vector<std::vector<std::string>> read_csv(std::istream& in) {
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line == "\r") continue;
-    rows.push_back(parse_csv_line(line));
+std::vector<CsvRow> read_csv(std::istream& in) {
+  std::vector<CsvRow> rows;
+  std::string text;
+  for (std::size_t line = 1; std::getline(in, text); ++line) {
+    if (text.empty() || text == "\r") continue;
+    try {
+      rows.push_back(CsvRow{line, parse_csv_line(text)});
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("CSV line " + std::to_string(line) + ": " +
+                               e.what());
+    }
   }
   return rows;
+}
+
+void require_csv_header(const CsvRow& header,
+                        std::initializer_list<std::string_view> columns,
+                        bool optional_last, const std::string& context) {
+  const std::size_t n = header.fields.size();
+  const bool sized =
+      n == columns.size() || (optional_last && n + 1 == columns.size());
+  if (sized && std::equal(header.fields.begin(), header.fields.end(),
+                          columns.begin()))
+    return;
+  const auto join = [](auto first, auto last) {
+    std::string out;
+    for (auto it = first; it != last; ++it) {
+      if (it != first) out += ',';
+      out += *it;
+    }
+    return out;
+  };
+  std::string expected = "'" + join(columns.begin(), columns.end()) + "'";
+  if (optional_last)
+    expected = "'" + join(columns.begin(), columns.end() - 1) + "' or " +
+               expected;
+  throw std::runtime_error(
+      context + ": expected the header " + expected + ", got '" +
+      join(header.fields.begin(), header.fields.end()) + "'");
 }
 
 }  // namespace esva

@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -48,7 +50,23 @@ class CsvWriter {
 /// std::runtime_error on malformed quoting.
 std::vector<std::string> parse_csv_line(std::string_view line);
 
-/// Reads all rows from a CSV stream, skipping blank lines.
-std::vector<std::vector<std::string>> read_csv(std::istream& in);
+/// One CSV row and the 1-based line of the stream it was read from.
+struct CsvRow {
+  std::size_t line = 0;
+  std::vector<std::string> fields;
+};
+
+/// Reads all rows from a CSV stream, skipping blank lines. Each row keeps
+/// its line number, so a reader's errors name the line an editor shows;
+/// malformed quoting throws std::runtime_error("CSV line N: ...").
+std::vector<CsvRow> read_csv(std::istream& in);
+
+/// Checks a header row against `columns`, the names its format gives, in
+/// order; with `optional_last` the last column may be left out. Throws
+/// std::runtime_error("<context>: expected the header 'a,b,c', got '...'")
+/// on any other header.
+void require_csv_header(const CsvRow& header,
+                        std::initializer_list<std::string_view> columns,
+                        bool optional_last, const std::string& context);
 
 }  // namespace esva

@@ -57,7 +57,8 @@ bool small_integer(std::string_view token, double* out) {
 /// held.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::size_t max_values)
+      : text_(text), max_values_(max_values) {}
 
   void parse(Value& out) {
     parse_value(out);
@@ -106,6 +107,8 @@ class Parser {
 
   void parse_value(Value& v) {
     if (++depth_ > kMaxDepth) fail("nesting too deep");
+    if (++values_ > max_values_)
+      fail("more than " + std::to_string(max_values_) + " values");
     parse_value_inner(v);
     --depth_;
   }
@@ -239,17 +242,21 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t max_values_;
   std::size_t pos_ = 0;
+  std::size_t values_ = 0;
   int depth_ = 0;
 };
 
 }  // namespace
 
-void parse(std::string_view text, Value& out) { Parser(text).parse(out); }
+void parse(std::string_view text, Value& out) {
+  Parser(text, kNoValueLimit).parse(out);
+}
 
-Value parse(std::string_view text) {
+Value parse(std::string_view text, std::size_t max_values) {
   Value value;
-  parse(text, value);
+  Parser(text, max_values).parse(value);
   return value;
 }
 

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,6 +43,9 @@ struct Value {
   bool is_null() const { return kind == Kind::Null; }
 };
 
+/// No bound on the values one parse may create.
+inline constexpr std::size_t kNoValueLimit = static_cast<std::size_t>(-1);
+
 /// Parses one complete JSON document into `out`, the one parser. Throws
 /// std::runtime_error ("json parse error at offset N: ...") on malformed
 /// input, trailing characters, or excessive nesting. Reads `text` in place
@@ -52,8 +56,11 @@ struct Value {
 /// included. `text` must not view a string inside `out`.
 void parse(std::string_view text, Value& out);
 
-/// parse(text, out) on a fresh Value.
-Value parse(std::string_view text);
+/// parse(text, out) on a fresh Value that may hold at most `max_values`
+/// values (every object member, array element and the root count one):
+/// a document of more throws "more than N values", so a caller can bound
+/// the tree a line of a given length builds.
+Value parse(std::string_view text, std::size_t max_values = kNoValueLimit);
 
 /// Serializes a string as a JSON string literal, quotes included (control
 /// characters become \uXXXX escapes).

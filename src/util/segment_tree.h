@@ -19,21 +19,16 @@
 // canonical nodes, accumulating ancestor deltas as it climbs. No recursion,
 // no per-node [nl, nr] bookkeeping, and 5n doubles instead of 8n.
 //
-// first_above() descends into the earliest canonical node whose (delta
-// corrected) subtree max satisfies a monotone predicate, locating the first
-// violating position in O(log^2 n) — the localization primitive behind
-// ServerTimeline::check_fit. Its top-level node selection reproduces max()'s
-// floating-point arithmetic exactly (per-node left-fold of the same ancestor
-// deltas; IEEE max commutes with monotone rounding), so
-//     first_above(lo, hi, pred) == npos  <=>  !pred(max(lo, hi))
-// holds bit-for-bit, which is what keeps check_fit and can_fit in exact
-// agreement.
+// Range maxima are the only positional query. ServerTimeline::check_fit,
+// which also reports where a VM first fails to fit, finds that unit by
+// bisecting over max(lo, k), the prefix maximum that never decreases as k
+// grows.
 //
 // Storage is lazy: a tree allocates its arrays on its first add(), and until
-// then reads as the all-zero tree it would be if eager — max, max_all,
-// min_all and first_above return exactly the eager zero tree's answers. A
-// server that never hosts a VM (core/streaming.h, "pristine") therefore
-// holds no tree storage at all, whatever its window size.
+// then reads as the all-zero tree it would be if eager — max, max_all and
+// min_all return exactly the eager zero tree's answers. A server that never
+// hosts a VM (core/streaming.h, "pristine") therefore holds no tree storage
+// at all, whatever its window size.
 
 #pragma once
 
@@ -46,9 +41,6 @@ namespace esva {
 
 class RangeAddMaxTree {
  public:
-  /// Returned by first_above when no position satisfies the predicate.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
   /// Tree over positions 0..n-1, all initially 0. n may be 0 (empty tree).
   /// Allocates nothing; the first add() does.
   explicit RangeAddMaxTree(std::size_t n) : n_(n) {}
@@ -121,77 +113,7 @@ class RangeAddMaxTree {
   /// floor (quick-reject when even the emptiest unit lacks spare capacity).
   double min_all() const { return materialized() ? mn_[1] : 0.0; }
 
-  /// First position in [lo, hi] whose value v satisfies pred(v), or npos.
-  /// `pred` must be monotone in v (true stays true as v grows), e.g.
-  /// v + demand > capacity + eps. Requires lo <= hi < size().
-  template <typename Pred>
-  std::size_t first_above(std::size_t lo, std::size_t hi, Pred pred) const {
-    assert(lo <= hi && hi < n_);
-    // All zeros: every position holds the same value, so the first one
-    // fires or none does.
-    if (!materialized()) return pred(0.0) ? lo : npos;
-    // Canonical border nodes with running delta-corrected subtree maxima.
-    // The running values v are folded exactly like max()'s resl/resr, so the
-    // "does any node fire" verdict matches max() bit-for-bit; ctx tracks the
-    // ancestor-delta sum separately for the descent.
-    struct Node {
-      std::size_t x;
-      double v;    // mx_[x] plus ancestor deltas folded in climb order
-      double ctx;  // ancestor-delta sum alone (for descend)
-    };
-    Node ln[kMaxDepth];
-    Node rn[kMaxDepth];
-    int lc = 0;
-    int rc = 0;
-    std::size_t l = lo + n_;
-    std::size_t r = hi + n_ + 1;
-    while (l < r) {
-      if (l & 1) ln[lc++] = Node{l, mx_[l], 0.0}, ++l;
-      if (r & 1) --r, rn[rc++] = Node{r, mx_[r], 0.0};
-      l >>= 1;
-      r >>= 1;
-      if (l - 1 < n_) {
-        for (int i = 0; i < lc; ++i) {
-          ln[i].v += d_[l - 1];
-          ln[i].ctx += d_[l - 1];
-        }
-      }
-      if (r < n_) {
-        for (int i = 0; i < rc; ++i) {
-          rn[i].v += d_[r];
-          rn[i].ctx += d_[r];
-        }
-      }
-    }
-    for (std::size_t x = l - 1; x > 1;) {
-      x >>= 1;
-      for (int i = 0; i < lc; ++i) {
-        ln[i].v += d_[x];
-        ln[i].ctx += d_[x];
-      }
-    }
-    for (std::size_t x = r; x > 1;) {
-      x >>= 1;
-      for (int i = 0; i < rc; ++i) {
-        rn[i].v += d_[x];
-        rn[i].ctx += d_[x];
-      }
-    }
-    // Left-border nodes are consumed in ascending position order and always
-    // precede the right-border nodes (consumed descending); scan in position
-    // order and descend into the first node that fires.
-    for (int i = 0; i < lc; ++i) {
-      if (pred(ln[i].v)) return descend(ln[i].x, ln[i].ctx, pred);
-    }
-    for (int i = rc - 1; i >= 0; --i) {
-      if (pred(rn[i].v)) return descend(rn[i].x, rn[i].ctx, pred);
-    }
-    return npos;
-  }
-
  private:
-  // 64-bit positions: a border chain can never exceed 64 consumed nodes.
-  static constexpr int kMaxDepth = 64;
   static constexpr double kNone = -1e300;
 
   void apply(std::size_t x, double delta) {
@@ -206,18 +128,6 @@ class RangeAddMaxTree {
       mx_[x] = std::max(mx_[2 * x], mx_[2 * x + 1]) + d_[x];
       mn_[x] = std::min(mn_[2 * x], mn_[2 * x + 1]) + d_[x];
     }
-  }
-
-  /// Walks down from node x (whose subtree max satisfies pred) to the
-  /// earliest leaf that fires. `ctx` is the ancestor-delta sum above x.
-  template <typename Pred>
-  std::size_t descend(std::size_t x, double ctx, Pred pred) const {
-    while (x < n_) {
-      ctx += d_[x];
-      x = 2 * x;
-      if (!pred(mx_[x] + ctx)) ++x;
-    }
-    return x - n_;
   }
 
   std::size_t n_;

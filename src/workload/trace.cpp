@@ -97,11 +97,14 @@ void write_server_trace(std::ostream& out,
 std::vector<VmSpec> read_vm_trace(std::istream& in, bool dense_ids) {
   const auto rows = read_csv(in);
   if (rows.empty()) throw std::runtime_error("vm trace: empty file");
+  require_csv_header(rows[0],
+                     {"id", "type", "cpu", "mem", "start", "end", "profile"},
+                     /*optional_last=*/true, line_context(rows[0].line));
   std::vector<VmSpec> vms;
   std::unordered_set<VmId> seen_ids;
-  for (std::size_t r = 1; r < rows.size(); ++r) {  // rows[0] is the header
-    const auto& row = rows[r];
-    const std::size_t line = r + 1;
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    const auto& row = rows[r].fields;
+    const std::size_t line = rows[r].line;
     if (row.size() != 6 && row.size() != 7) fail(line, "expected 6 or 7 columns");
     VmSpec vm;
     vm.id = parse_field_as<VmId>(row[0], line_context(line));
@@ -132,10 +135,14 @@ std::vector<VmSpec> read_vm_trace(std::istream& in, bool dense_ids) {
 std::vector<ServerSpec> read_server_trace(std::istream& in) {
   const auto rows = read_csv(in);
   if (rows.empty()) throw std::runtime_error("server trace: empty file");
+  require_csv_header(rows[0],
+                     {"id", "type", "cpu", "mem", "p_idle", "p_peak",
+                      "transition_time"},
+                     /*optional_last=*/false, line_context(rows[0].line));
   std::vector<ServerSpec> servers;
   for (std::size_t r = 1; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    const std::size_t line = r + 1;
+    const auto& row = rows[r].fields;
+    const std::size_t line = rows[r].line;
     if (row.size() != 7) fail(line, "expected 7 columns");
     ServerSpec s;
     s.id = parse_field_as<ServerId>(row[0], line_context(line));
@@ -163,12 +170,14 @@ void write_assignment(std::ostream& out, const Allocation& alloc) {
 Allocation read_assignment(std::istream& in, std::size_t num_vms) {
   const auto rows = read_csv(in);
   if (rows.empty()) throw std::runtime_error("assignment trace: empty file");
+  require_csv_header(rows[0], {"vm_id", "server_id"}, /*optional_last=*/false,
+                     line_context(rows[0].line));
   Allocation alloc;
   alloc.assignment.assign(num_vms, kNoServer);
   std::vector<bool> seen(num_vms, false);
   for (std::size_t r = 1; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    const std::size_t line = r + 1;
+    const auto& row = rows[r].fields;
+    const std::size_t line = rows[r].line;
     if (row.size() != 2) fail(line, "expected 2 columns");
     const long long vm = parse_field_as<VmId>(row[0], line_context(line));
     const long long server =

@@ -33,9 +33,16 @@ namespace {
 
 class AppTest : public ::testing::Test {
  protected:
-  std::string path(const std::string& name) const {
-    return ::testing::TempDir() + "/esva_app_" + std::to_string(::getpid()) +
-           "_" + name;
+  /// A file name under ::testing::TempDir(), private to this process.
+  /// TearDown removes every name handed out, written or not.
+  std::string path(const std::string& name) {
+    paths_.push_back(::testing::TempDir() + "/esva_app_" +
+                     std::to_string(::getpid()) + "_" + name);
+    return paths_.back();
+  }
+
+  void TearDown() override {
+    for (const std::string& p : paths_) std::remove(p.c_str());
   }
 
   int run(const std::string& command, std::vector<std::string> args) {
@@ -52,6 +59,7 @@ class AppTest : public ::testing::Test {
   std::string err() const { return err_.str(); }
 
  private:
+  std::vector<std::string> paths_;
   std::ostringstream out_;
   std::ostringstream err_;
 };
@@ -674,6 +682,26 @@ TEST_F(AppTest, StreamAppliesFaultPlanWithRetries) {
                  "--faults", path("sf_bad.csv")}),
             1);
   EXPECT_NE(err().find("outside the fleet"), std::string::npos);
+}
+
+// A plan without its header used to stream with its first event dropped.
+TEST_F(AppTest, StreamRefusesAHeaderlessFaultPlan) {
+  ASSERT_EQ(run("generate",
+                {"--vms", "20", "--servers", "4", "--out-vms",
+                 path("sh_vms.csv"), "--out-servers", path("sh_srv.csv")}),
+            0);
+  {
+    std::ofstream plan(path("sh_faults.csv"));
+    plan << "5,fail,0\n40,recover,0\n";
+  }
+  EXPECT_EQ(run("stream",
+                {"--vms", path("sh_vms.csv"), "--servers", path("sh_srv.csv"),
+                 "--faults", path("sh_faults.csv")}),
+            1);
+  EXPECT_NE(err().find("fault plan line 1: expected the header "
+                       "'time,event,server'"),
+            std::string::npos)
+      << err();
 }
 
 TEST_F(AppTest, StreamRejectsBatchOnlyAllocators) {

@@ -77,11 +77,25 @@ TEST(ParseCsvLine, ThrowsOnQuoteInsideUnquotedField) {
 }
 
 TEST(ReadCsv, SkipsBlankLines) {
-  std::istringstream in("a,b\n\nc,d\n\r\n");
+  std::istringstream in("a,b\n\nc,d\n\r\ne,f\r\n");
   const auto rows = read_csv(in);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].fields, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(rows[1].fields, (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(rows[2].fields, (std::vector<std::string>{"e", "f"}));
+  EXPECT_EQ(rows[0].line, 1u);
+  EXPECT_EQ(rows[1].line, 3u);
+  EXPECT_EQ(rows[2].line, 5u);
+}
+
+TEST(ReadCsv, QuotingErrorsNameTheFileLine) {
+  std::istringstream in("a,b\n\n\"c,d\n");
+  try {
+    read_csv(in);
+    FAIL() << "read an unterminated quote";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "CSV line 3: unterminated quoted field");
+  }
 }
 
 TEST(ReadCsv, RoundTripsWriter) {
@@ -91,7 +105,36 @@ TEST(ReadCsv, RoundTripsWriter) {
       {"2", "plain", ""},
   };
   std::istringstream in(write_rows(rows));
-  EXPECT_EQ(read_csv(in), rows);
+  const auto read = read_csv(in);
+  ASSERT_EQ(read.size(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(read[r].fields, rows[r]);
+    EXPECT_EQ(read[r].line, r + 1);
+  }
+}
+
+TEST(ReadCsv, HeaderCheckNamesTheExpectedHeader) {
+  const CsvRow good{4, {"a", "b", "c"}};
+  EXPECT_NO_THROW(require_csv_header(good, {"a", "b", "c"}, false, "t"));
+  EXPECT_NO_THROW(require_csv_header(good, {"a", "b", "c", "d"}, true, "t"));
+  EXPECT_THROW(require_csv_header(good, {"a", "b", "c", "d"}, false, "t"),
+               std::runtime_error);
+  EXPECT_THROW(require_csv_header(good, {"a", "b"}, true, "t"),
+               std::runtime_error);
+  try {
+    require_csv_header(CsvRow{4, {"a", "c", "b"}}, {"a", "b", "c"}, false,
+                       "table line 4");
+    ADD_FAILURE() << "accepted a reordered header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "table line 4: expected the header 'a,b,c', got 'a,c,b'");
+  }
+  try {
+    require_csv_header(CsvRow{1, {"x"}}, {"a", "b"}, true, "t");
+    ADD_FAILURE() << "accepted a wrong header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "t: expected the header 'a' or 'a,b', got 'x'");
+  }
 }
 
 }  // namespace

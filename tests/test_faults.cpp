@@ -82,6 +82,34 @@ TEST(FaultPlanCsv, MalformedInputsThrowWithLineNumbers) {
   }
 }
 
+// The header is checked by name, so a plan written without one is refused
+// instead of losing its first event (a one-event plan used to apply none).
+TEST(FaultPlanCsv, HeaderlessPlansAreRefused) {
+  for (const std::string text : {"5,fail,0\n40,recover,0\n", "5,fail,0\n"}) {
+    std::stringstream in(text);
+    try {
+      read_fault_plan(in);
+      ADD_FAILURE() << "read a headerless plan: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "fault plan line 1: expected the header 'time,event,server', "
+                "got '5,fail,0'");
+    }
+  }
+}
+
+// Errors count lines of the file, blank ones included.
+TEST(FaultPlanCsv, ErrorsNameTheFileLine) {
+  std::stringstream in("time,event,server\n\n\n10,fail,0\n12,nope,1\n");
+  try {
+    read_fault_plan(in);
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "fault plan line 5: unknown event 'nope' (fail|drain|recover)");
+  }
+}
+
 TEST(FaultPlanCsv, ValidateRejectsServersOutsideTheFleet) {
   std::vector<FaultEvent> events;
   events.push_back({10, FaultKind::kFail, 3});

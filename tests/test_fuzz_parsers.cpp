@@ -242,6 +242,12 @@ TEST(FuzzParsers, CrlfLineEndingsParseCleanly) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].end, 5);
   EXPECT_EQ(parsed[0].demand.mem, 1.5);
+
+  std::istringstream profiled(
+      "id,type,cpu,mem,start,end,profile\r\n0,b,2,1,1,2,1:1|2:0.5\r\n");
+  const auto bursty = read_vm_trace(profiled);
+  ASSERT_EQ(bursty.size(), 1u);
+  EXPECT_EQ(bursty[0].demand_at(2).mem, 0.5);
 }
 
 TEST(FuzzParsers, TraceJsonlMutationsAreCaught) {

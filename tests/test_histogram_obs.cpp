@@ -1,8 +1,8 @@
 // The log-bucket latency histogram (obs/histogram.h): bucket-edge geometry,
-// the edge cases the ISSUE calls out (empty, single sample, underflow,
-// overflow, merge), the one-bucket-width agreement between histogram
-// quantiles and the exact sort-based stats::quantile, concurrent recording
-// (this binary runs under TSan in CI), and the Timer/registry integration.
+// the edge cases (empty, single sample, underflow, overflow), the
+// one-bucket-width agreement between histogram quantiles and the exact
+// sort-based stats::quantile, concurrent recording (this binary runs under
+// TSan in CI), and the Timer/registry integration.
 
 #include "obs/histogram.h"
 
@@ -110,29 +110,6 @@ TEST(Histogram, OverflowBucketClampsToObservedMax) {
   // The overflow bin has no finite upper edge; the exact max bounds it.
   EXPECT_EQ(snap.quantile(1.0), huge);
   EXPECT_LE(snap.p99(), huge);
-}
-
-TEST(Histogram, MergeAddsCountsAndExtremes) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.record(0.5);
-  a.record(2.0);
-  b.record(8.0);
-  b.record(0.125);
-  b.record(2.0);
-  a.merge(b);
-  const HistogramSnapshot snap = a.snapshot();
-  EXPECT_EQ(snap.total, 5u);
-  EXPECT_EQ(snap.min_ms, 0.125);
-  EXPECT_EQ(snap.max_ms, 8.0);
-  EXPECT_EQ(snap.counts[static_cast<std::size_t>(
-                LatencyHistogram::bucket_index(2.0))],
-            2u);
-  // Merging an empty histogram changes nothing.
-  LatencyHistogram empty;
-  a.merge(empty);
-  EXPECT_EQ(a.snapshot().total, 5u);
-  EXPECT_EQ(a.snapshot().min_ms, 0.125);
 }
 
 TEST(Histogram, QuantilesAgreeWithExactSortWithinOneBucketWidth) {

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -167,6 +168,7 @@ TEST(LpExport, SaveLpWritesFile) {
   std::string first_line;
   std::getline(in, first_line);
   EXPECT_NE(first_line.find("esva"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -89,11 +90,12 @@ TEST(Report, CsvExportRoundTrips) {
   ASSERT_TRUE(in.good());
   const auto rows = read_csv(in);
   ASSERT_EQ(rows.size(), 5u);  // header + 4 points
-  EXPECT_EQ(rows[0],
+  EXPECT_EQ(rows[0].fields,
             (std::vector<std::string>{"x", "ours", "ours_err"}));
-  EXPECT_EQ(rows[1][0], "1");
-  EXPECT_DOUBLE_EQ(std::stod(rows[4][1]), 0.40);
-  EXPECT_DOUBLE_EQ(std::stod(rows[4][2]), 0.04);
+  EXPECT_EQ(rows[1].fields[0], "1");
+  EXPECT_DOUBLE_EQ(std::stod(rows[4].fields[1]), 0.40);
+  EXPECT_DOUBLE_EQ(std::stod(rows[4].fields[2]), 0.04);
+  std::remove(path.c_str());
 }
 
 TEST(Report, CsvExportFailsOnBadPath) {

@@ -162,6 +162,45 @@ TEST(ServeWire, DecodeRejectsMalformedRequests) {
                std::runtime_error);
 }
 
+/// A JSON array of `n` empty arrays: n + 1 values in 3n + 1 bytes, the
+/// cheapest way to make a parser build a large tree.
+std::string empty_arrays(std::size_t n) {
+  std::string line = "[";
+  for (std::size_t k = 0; k < n; ++k) line += k ? ",[]" : "[]";
+  return line + "]";
+}
+
+// json::parse counts every value it creates against its limit, the root
+// included; without a limit it reads any number.
+TEST(ServeWire, JsonParseStopsAtItsValueLimit) {
+  EXPECT_EQ(json::parse("[0,{\"a\":[1]},2]", 6).array.size(), 3u);
+  EXPECT_THROW(json::parse("[0,{\"a\":[1]},2]", 5), std::runtime_error);
+  EXPECT_EQ(json::parse(empty_arrays(serve::kMaxRequestValues)).array.size(),
+            serve::kMaxRequestValues);
+}
+
+// A request line may create at most kMaxRequestValues values: one of more
+// is refused for its size before anything reads its root, whatever its
+// shape, so a line under the byte cap cannot build a tree many times the
+// size of the longest legal place.
+TEST(ServeWire, RequestLinesOverTheValueLimitAreRefused) {
+  const std::string limit = std::to_string(serve::kMaxRequestValues);
+  for (const std::string& line :
+       {empty_arrays(serve::kMaxRequestValues),
+        "{\"op\":\"stats\",\"pad\":" +
+            empty_arrays(serve::kMaxRequestValues) + "}"}) {
+    ASSERT_LT(line.size(), serve::kMaxRequestBytes);
+    try {
+      serve::decode_request(line);
+      ADD_FAILURE() << "decoded a line of " << line.size() << " bytes";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("more than " + limit + " values"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 /// The profile writer of format version 1: one [cpu,mem] entry per time
 /// unit. The codec only reads this form now, so the old-format tests carry
 /// their own writer.
@@ -307,6 +346,7 @@ TEST(ServeWire, LongestLegalPlaceLineFitsTheRequestCap) {
   const std::string line = serve::encode_request(place);
   EXPECT_GT(line.size(), std::size_t{5} << 20);
   EXPECT_LT(line.size(), serve::kMaxRequestBytes);
+  // Its 100,000 distinct runs sit under the value limit too.
   const Request back = serve::decode_request(line);
   EXPECT_EQ(back.id, place.id);
   expect_same_units(back.vm.profile, units);
@@ -2191,6 +2231,31 @@ TEST(ServeSocket, OverlongLineIsRefusedAndDisconnected) {
   EXPECT_EQ(read_line(bystander), stats_before);
   ::close(flood);
   ::close(bystander);
+}
+
+// A line over the value limit gets an error line, and the connection that
+// sent it stays open: its next request is answered.
+TEST(ServeSocket, OverValueLimitLineIsRefusedAndItsConnectionServed) {
+  ServingDaemon serving(make_workload(0x5a1e, false), "value_limit");
+  const int fd = raw_connect(serving.socket());
+  ASSERT_GE(fd, 0);
+  set_io_timeout(fd, 30);
+  LineReader reader(fd);
+  ASSERT_TRUE(send_line(fd, R"({"op":"stats"})"));
+  const std::string stats_before = reader.next();
+  ASSERT_EQ(stats_before.rfind("{\"ok\":true", 0), 0u) << stats_before;
+
+  ASSERT_TRUE(send_line(fd, empty_arrays(serve::kMaxRequestValues)));
+  const std::string refusal = reader.next();
+  EXPECT_EQ(refusal.rfind("{\"ok\":false,\"error\":", 0), 0u) << refusal;
+  EXPECT_NE(refusal.find("more than " +
+                         std::to_string(serve::kMaxRequestValues) + " values"),
+            std::string::npos)
+      << refusal;
+
+  ASSERT_TRUE(send_line(fd, R"({"op":"stats"})"));
+  EXPECT_EQ(reader.next(), stats_before);
+  ::close(fd);
 }
 
 // A pipelining client: 10,000 lines in one write, answered in order.

@@ -388,6 +388,165 @@ TEST(LazyTimeline, NeverPlacedAnswersLikeAnEagerEmptyTimeline) {
   }
 }
 
+// --- check_fit's diagnosis against a per-unit scan ---------------------------
+
+/// check_fit's contract spelled out unit by unit: the window check, then the
+/// first unit whose usage plus that unit's demand exceeds the capacity +
+/// kEps, CPU before memory.
+FitCheck per_unit_check(const ServerTimeline& timeline, const VmSpec& probe) {
+  FitCheck check;
+  if (probe.start < timeline.base() || probe.end > timeline.horizon()) {
+    check.reject = FitReject::Horizon;
+    return check;
+  }
+  const Resources& capacity = timeline.spec().capacity;
+  for (Time t = probe.start; t <= probe.end; ++t) {
+    const Resources r = probe.demand_at(t);
+    const bool cpu = timeline.cpu_usage_at(t) + r.cpu > capacity.cpu + kEps;
+    const bool mem = timeline.mem_usage_at(t) + r.mem > capacity.mem + kEps;
+    if (cpu || mem) {
+      check.reject = cpu ? FitReject::Cpu : FitReject::Mem;
+      check.at = t;
+      return check;
+    }
+  }
+  check.ok = true;
+  return check;
+}
+
+/// A VM inside [1, horizon + 10], stable or (with probability `profiled`)
+/// made of phases of 1 to 25 equal units, so a violation can fall inside a
+/// run as well as at its first unit.
+VmSpec random_phased_vm(Rng& rng, VmId id, Time horizon, double max_demand,
+                        double profiled) {
+  const Time start = static_cast<Time>(rng.uniform_int(1, horizon + 10));
+  const Time end = start + static_cast<Time>(rng.uniform_int(0, 60));
+  VmSpec spec = vm(id, start, end, rng.uniform_double(0.1, max_demand),
+                   rng.uniform_double(0.1, max_demand));
+  if (rng.bernoulli(profiled)) {
+    std::vector<Resources> profile;
+    const auto units = static_cast<std::size_t>(spec.duration());
+    while (profile.size() < units) {
+      const Resources level{rng.uniform_double(0.0, max_demand),
+                            rng.uniform_double(0.0, max_demand)};
+      const auto length = static_cast<std::size_t>(rng.uniform_int(1, 25));
+      for (std::size_t k = 0; k < length && profile.size() < units; ++k)
+        profile.push_back(level);
+    }
+    spec.set_profile(std::move(profile));
+  }
+  return spec;
+}
+
+// check_fit on timelines shaped by random place/undo interleavings: lazy
+// and eager twins fed the same operations, and the empty-window stub a
+// failed or drained server holds. Every stable or profiled probe gets
+// can_fit's verdict as `ok` and the per-unit scan's reject and unit.
+TEST(CheckFitDiagnosis, MatchesCanFitAndAPerUnitScan) {
+  Rng rng(20261019);
+  constexpr Time kHorizon = 200;
+  const int trials = testing::fuzz_quick() ? 6 : 30;
+  int tree_fits = 0;
+  int rejects_at[4] = {0, 0, 0, 0};
+  int inside_run = 0;
+  int ties = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const Time base =
+        trial % 3 == 0 ? 1 : static_cast<Time>(rng.uniform_int(2, 60));
+    ServerTimeline lazy(basic_server(), base, kHorizon);
+    ServerTimeline eager = eager_empty(basic_server(), base, kHorizon);
+    const ServerTimeline stub(basic_server(), base, base - 1);
+    struct Placed {
+      VmSpec vm;
+      ServerTimeline::PlaceRecord lazy, eager;
+    };
+    std::vector<Placed> stack;
+    for (int op = 0; op < 60; ++op) {
+      if (!stack.empty() && rng.bernoulli(0.35)) {
+        lazy.undo(stack.back().lazy, stack.back().vm);
+        eager.undo(stack.back().eager, stack.back().vm);
+        stack.pop_back();
+      } else {
+        const VmSpec resident =
+            random_phased_vm(rng, 1000 + op, kHorizon, 6.0, 0.5);
+        ASSERT_EQ(lazy.can_fit(resident), eager.can_fit(resident));
+        if (lazy.can_fit(resident))
+          stack.push_back(
+              {resident, lazy.place(resident), eager.place(resident)});
+      }
+      for (int k = 0; k < 20; ++k) {
+        const VmSpec probe = random_phased_vm(rng, 1, kHorizon, 10.0, 0.4);
+        const FitCheck expected = per_unit_check(lazy, probe);
+        for (const ServerTimeline* timeline : {&lazy, &eager}) {
+          const FitCheck fit = timeline->check_fit(probe);
+          ASSERT_EQ(fit.ok, timeline->can_fit(probe))
+              << "trial " << trial << " op " << op << " probe " << k;
+          ASSERT_EQ(fit.ok, expected.ok)
+              << "trial " << trial << " op " << op << " probe " << k;
+          ASSERT_EQ(fit.reject, expected.reject)
+              << "trial " << trial << " op " << op << " probe " << k;
+          ASSERT_EQ(fit.at, expected.at)
+              << "trial " << trial << " op " << op << " probe " << k;
+        }
+        const FitCheck on_stub = stub.check_fit(probe);
+        ASSERT_FALSE(on_stub.ok);
+        ASSERT_FALSE(stub.can_fit(probe));
+        ASSERT_EQ(on_stub.reject, FitReject::Horizon);
+        ASSERT_EQ(on_stub.at, 0);
+
+        ++rejects_at[static_cast<int>(expected.reject)];
+        if (expected.ok && lazy.quick_fit(probe) == QuickFit::kUnknown)
+          ++tree_fits;
+        if (expected.reject == FitReject::Cpu ||
+            expected.reject == FitReject::Mem) {
+          const Time t = expected.at;
+          if (probe.has_profile() && t > probe.start &&
+              probe.demand_at(t - 1).cpu == probe.demand_at(t).cpu &&
+              probe.demand_at(t - 1).mem == probe.demand_at(t).mem)
+            ++inside_run;
+          if (expected.reject == FitReject::Cpu &&
+              lazy.mem_usage_at(t) + probe.demand_at(t).mem >
+                  lazy.spec().capacity.mem + kEps)
+            ++ties;
+        }
+      }
+    }
+  }
+  // Every outcome was exercised: fits decided by the trees, all three
+  // rejects, violations after a run's first unit, and CPU winning a tie.
+  EXPECT_GT(tree_fits, 0);
+  EXPECT_GT(rejects_at[static_cast<int>(FitReject::Horizon)], 0);
+  EXPECT_GT(rejects_at[static_cast<int>(FitReject::Cpu)], 0);
+  EXPECT_GT(rejects_at[static_cast<int>(FitReject::Mem)], 0);
+  EXPECT_GT(inside_run, 0);
+  EXPECT_GT(ties, 0);
+}
+
+// A run that meets the capacity exactly, through a sum that rounds above it
+// (0.3 + 7.9 + 1.8 is 10.000000000000002 in doubles), fits: kEps decides in
+// check_fit's bisection as in can_fit and the per-unit scan.
+TEST(CheckFitDiagnosis, ExactCapacityThroughAnInexactSumFits) {
+  ServerTimeline timeline(basic_server(), 200);
+  timeline.place(vm(0, 20, 40, 0.3, 1.0));
+  timeline.place(vm(1, 20, 40, 7.9, 1.0));
+  timeline.place(vm(2, 100, 110, 9.0, 1.0));  // a peak quick-accept sees
+  ASSERT_GT(timeline.cpu_usage_at(30) + 1.8, 10.0);
+  std::vector<Resources> levels(5, Resources{0.5, 1.0});
+  levels.resize(26, Resources{1.8, 1.0});
+  for (const VmSpec& probe :
+       {vm(3, 20, 40, 1.8, 1.0), profiled_vm(4, 15, levels)}) {
+    ASSERT_EQ(timeline.quick_fit(probe), QuickFit::kUnknown) << probe.id;
+    EXPECT_TRUE(timeline.check_fit(probe).ok) << probe.id;
+    EXPECT_TRUE(timeline.can_fit(probe)) << probe.id;
+    EXPECT_TRUE(per_unit_check(timeline, probe).ok) << probe.id;
+  }
+  // A tenth more is a violation, first at unit 20, inside the probe's run.
+  const FitCheck over = timeline.check_fit(vm(5, 15, 40, 1.9, 1.0));
+  EXPECT_FALSE(over.ok);
+  EXPECT_EQ(over.reject, FitReject::Cpu);
+  EXPECT_EQ(over.at, 20);
+}
+
 // rewindow moves an untouched window without materializing anything; the
 // timeline then answers like one built over the new window, and its first
 // placement materializes trees of exactly that window.

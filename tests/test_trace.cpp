@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +107,64 @@ TEST(VmTrace, RejectsEmptyFile) {
   EXPECT_THROW(read_vm_trace(in), std::runtime_error);
 }
 
+/// The message read_* threw for `text`, or "" when it read.
+template <typename Read>
+std::string refusal(const std::string& text, Read read) {
+  std::istringstream in(text);
+  try {
+    read(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The first row is the header, checked by name: a trace written without
+// one is refused instead of losing its first VM (esva client --place-vms
+// reads with dense_ids = false and used to send 29 of 30 places).
+TEST(VmTrace, HeaderlessTraceIsRefused) {
+  std::string text;
+  for (int j = 0; j < 30; ++j)
+    text += std::to_string(j) + ",m1.small,1,1.7," + std::to_string(j + 1) +
+            "," + std::to_string(j + 9) + "\n";
+  const std::string what = refusal(text, [](std::istream& in) {
+    return read_vm_trace(in, /*dense_ids=*/false);
+  });
+  EXPECT_EQ(what,
+            "trace line 1: expected the header 'id,type,cpu,mem,start,end' "
+            "or 'id,type,cpu,mem,start,end,profile', got "
+            "'0,m1.small,1,1.7,1,9'");
+}
+
+// Errors count lines of the file, blank ones included.
+TEST(VmTrace, ErrorsNameTheFileLine) {
+  const std::string what = refusal(
+      "id,type,cpu,mem,start,end\n\n0,a,1,1,1,5\n\r\n1,b,1,x,2,6\n",
+      [](std::istream& in) { return read_vm_trace(in); });
+  EXPECT_NE(what.find("trace line 5"), std::string::npos) << what;
+}
+
+// A server trace whose header and rows both put mem before cpu used to be
+// read by position, as cpu 72 / mem 30.
+TEST(ServerTrace, ReorderedColumnsAreRefused) {
+  const std::string what = refusal(
+      "id,type,mem,cpu,p_idle,p_peak,transition_time\n0,t,72,30,105,210,1\n",
+      [](std::istream& in) { return read_server_trace(in); });
+  EXPECT_EQ(what,
+            "trace line 1: expected the header "
+            "'id,type,cpu,mem,p_idle,p_peak,transition_time', got "
+            "'id,type,mem,cpu,p_idle,p_peak,transition_time'");
+}
+
+TEST(AssignmentTrace, HeaderlessAssignmentIsRefused) {
+  const std::string what =
+      refusal("\n0,1\n1,0\n", [](std::istream& in) {
+        return read_assignment(in, 2);
+      });
+  EXPECT_EQ(what,
+            "trace line 2: expected the header 'vm_id,server_id', got '0,1'");
+}
+
 TEST(ServerTrace, RejectsInvalidSpec) {
   // p_idle > p_peak.
   std::istringstream in(
@@ -154,6 +213,8 @@ TEST(TraceFiles, SaveAndLoadRoundTrip) {
   EXPECT_EQ(load_vm_trace(vm_path).size(), 1u);
   EXPECT_EQ(load_server_trace(server_path).size(), 1u);
   EXPECT_DOUBLE_EQ(load_server_trace(server_path)[0].p_peak, 340.0);
+  std::remove(vm_path.c_str());
+  std::remove(server_path.c_str());
 }
 
 TEST(AssignmentTrace, RoundTrips) {
@@ -198,6 +259,7 @@ TEST(AssignmentTrace, FileRoundTrip) {
   alloc.assignment = {1, 0};
   save_assignment(p, alloc);
   EXPECT_EQ(load_assignment(p, 2).assignment, alloc.assignment);
+  std::remove(p.c_str());
 }
 
 TEST(TraceFiles, MissingFileThrows) {
