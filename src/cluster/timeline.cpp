@@ -123,16 +123,18 @@ bool ServerTimeline::can_fit(const VmSpec& vm) const {
   if (peak_fits) return true;
   if (!vm.has_profile()) return false;
   // Profiled VM: check each equal-demand run against its own demand R_jt.
-  for (Time t = vm.start; t <= vm.end;) {
+  // The loop stops at the run that ends at vm.end and never forms
+  // vm.end + 1, which overflows when vm.end is the largest Time.
+  for (Time t = vm.start;;) {
     const Resources r = vm.demand_at(t);
     const Time e = run_end_of(vm, t, r);
     const std::size_t k_lo = index_of(t);
     const std::size_t k_hi = index_of(e);
     if (cpu_.max(k_lo, k_hi) + r.cpu > spec_.capacity.cpu + kEps) return false;
     if (mem_.max(k_lo, k_hi) + r.mem > spec_.capacity.mem + kEps) return false;
+    if (e == vm.end) return true;
     t = e + 1;
   }
-  return true;
 }
 
 FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
@@ -152,8 +154,9 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
     return check;
   }
   // Each equal-demand run against its own demand, in time order; a stable
-  // VM is one run, whose first query is can_fit's range max.
-  for (Time t = vm.start; t <= vm.end;) {
+  // VM is one run, whose first query is can_fit's range max. As in
+  // can_fit, the run that ends at vm.end is the last.
+  for (Time t = vm.start;;) {
     const Resources r = vm.demand_at(t);
     const Time e = run_end_of(vm, t, r);
     const std::size_t lo = index_of(t);
@@ -171,6 +174,7 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
       check.at = base_ + static_cast<Time>(std::min(cpu_at, mem_at));
       return check;
     }
+    if (e == vm.end) break;
     t = e + 1;
   }
   check.ok = true;
@@ -202,38 +206,28 @@ void apply_demand(RangeAddMaxTree& cpu, RangeAddMaxTree& mem,
     mem.add(index_of(vm.start), index_of(vm.end), sign * vm.demand.mem);
     return;
   }
-  for (Time t = vm.start; t <= vm.end;) {
+  for (Time t = vm.start;;) {
     const Resources r = vm.demand_at(t);
     const Time e = run_end_of(vm, t, r);
     if (r.cpu != 0.0) cpu.add(index_of(t), index_of(e), sign * r.cpu);
     if (r.mem != 0.0) mem.add(index_of(t), index_of(e), sign * r.mem);
+    if (e == vm.end) return;
     t = e + 1;
   }
 }
 
 }  // namespace
 
-ServerTimeline::PlaceRecord ServerTimeline::place(const VmSpec& vm) {
+void ServerTimeline::place(const VmSpec& vm) {
   assert(can_fit(vm));
   apply_demand(cpu_, mem_, vm, base_, +1.0);
-  PlaceRecord record;
-  record.vm = vm.id;
-  record.busy_delta = busy_.insert(vm.start, vm.end);
-  vms_.push_back(vm.id);
-  return record;
+  busy_.insert(vm.start, vm.end);
 }
 
-void ServerTimeline::undo(const PlaceRecord& record, const VmSpec& vm) {
-  assert(!vms_.empty() && vms_.back() == record.vm &&
-         "placements must be undone in LIFO order");
-  assert(vm.id == record.vm);
-  vms_.pop_back();
+void ServerTimeline::unplace(const VmSpec& vm,
+                             const IntervalSet& busy_before) {
   apply_demand(cpu_, mem_, vm, base_, -1.0);
-  // Restore the busy structure: remove the merged interval, re-add whatever
-  // it absorbed.
-  const Interval& merged = record.busy_delta.merged;
-  busy_.erase_covered(merged.lo, merged.hi);
-  for (const Interval& iv : record.busy_delta.absorbed) busy_.insert(iv.lo, iv.hi);
+  busy_ = busy_before;
 }
 
 double ServerTimeline::max_cpu_usage(Time lo, Time hi) const {

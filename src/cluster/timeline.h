@@ -15,8 +15,9 @@
 // exceeds the spare capacity of even the emptiest unit, before any O(log T)
 // range query (docs/PERFORMANCE.md, "Batched feasibility kernel").
 //
-// Placements can be undone in LIFO order, which is what the exact
-// branch-and-bound solver uses for backtracking.
+// Placement is append-only: place() keeps no record of what it changed.
+// The one caller that backtracks, the exact branch-and-bound solver, saves
+// the busy set before a placement and hands it back to unplace().
 //
 // The trees are lazy (util/segment_tree.h): a timeline that has never hosted
 // a VM holds no tree storage and answers every query as the all-zero window
@@ -89,11 +90,10 @@ class ServerTimeline {
     return cpu_.materialized() || mem_.materialized() ? window_units() : 0;
   }
 
-  /// True while nothing has been placed or seeded: no tree storage, an empty
-  /// busy set and no VMs.
+  /// True while nothing has been placed or seeded: no tree storage and an
+  /// empty busy set (every place() extends the busy set).
   bool untouched() const {
-    return !cpu_.materialized() && !mem_.materialized() && busy_.empty() &&
-           vms_.empty();
+    return !cpu_.materialized() && !mem_.materialized() && busy_.empty();
   }
 
   /// Moves an untouched() timeline's window to base..horizon (same bounds
@@ -131,25 +131,17 @@ class ServerTimeline {
   /// (tested).
   FitCheck check_fit(const VmSpec& vm) const;
 
-  /// Everything needed to undo a placement.
-  struct PlaceRecord {
-    VmId vm = 0;
-    IntervalSet::InsertDelta busy_delta;
-  };
-
   /// Reserves the VM's resources and extends the busy structure. The caller
   /// must have checked can_fit (asserted in debug builds).
-  PlaceRecord place(const VmSpec& vm);
+  void place(const VmSpec& vm);
 
-  /// Reverts a placement. Records must be undone in reverse order of their
-  /// place() calls (LIFO); this is asserted where cheap.
-  void undo(const PlaceRecord& record, const VmSpec& vm);
+  /// Reverts the latest place(vm) that is still in effect: releases the
+  /// VM's resources and restores `busy_before`, the busy set as it was just
+  /// before that place(). Placements must be reverted in reverse order.
+  void unplace(const VmSpec& vm, const IntervalSet& busy_before);
 
   /// Merged busy segments (Fig. 1's busy-segments, in increasing order).
   const IntervalSet& busy() const { return busy_; }
-
-  /// VM ids currently placed here, in placement order.
-  const std::vector<VmId>& vms() const { return vms_; }
 
   /// Peak CPU / memory usage over an inclusive time range (0 if empty range
   /// semantics never arise: requires base <= lo <= hi <= horizon).
@@ -167,9 +159,6 @@ class ServerTimeline {
   double floor_cpu_usage() const { return cpu_.min_all(); }
   double floor_mem_usage() const { return mem_.min_all(); }
 
-  /// Total busy time units.
-  Time busy_time() const { return busy_.total_length(); }
-
  private:
   std::size_t index_of(Time t) const {
     return static_cast<std::size_t>(t - base_);
@@ -181,7 +170,6 @@ class ServerTimeline {
   RangeAddMaxTree cpu_;
   RangeAddMaxTree mem_;
   IntervalSet busy_;
-  std::vector<VmId> vms_;
 };
 
 /// Builds one timeline per server over the instance horizon.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -98,10 +96,7 @@ FaultPlan read_fault_plan(std::istream& in) {
 }
 
 FaultPlan load_fault_plan(const std::string& path) {
-  std::ifstream file(path);
-  if (!file)
-    throw std::runtime_error("cannot open fault plan '" + path + "'");
-  return read_fault_plan(file);
+  return read_csv_file(path, read_fault_plan);
 }
 
 FaultPlan random_fault_plan(const ChaosConfig& config, Rng& rng) {

@@ -70,7 +70,8 @@ class FaultPlan {
 
 /// CSV persistence: header `time,event,server`, one event per row, event in
 /// {fail, drain, recover}. Throws std::runtime_error with a line-numbered
-/// message on malformed input (same contract as workload/trace.h).
+/// message on malformed input (same contract as workload/trace.h), which
+/// load_fault_plan prefixes with "<path>: ".
 void write_fault_plan(std::ostream& out, const FaultPlan& plan);
 FaultPlan read_fault_plan(std::istream& in);
 FaultPlan load_fault_plan(const std::string& path);

@@ -7,6 +7,7 @@
 
 #include "cluster/timeline.h"
 #include "core/power_model.h"
+#include "util/interval_set.h"
 
 namespace esva {
 
@@ -43,6 +44,7 @@ class BnbSearch {
       current_[j] = fixed;
     }
     compute_min_run_costs();
+    saved_busy_.resize(order_.size());
   }
 
   ExactResult run() {
@@ -74,10 +76,10 @@ class BnbSearch {
 
   /// Identical empty servers are interchangeable: branch only on the first.
   bool symmetric_duplicate_of_earlier_empty(std::size_t i) const {
-    if (!timelines_[i].vms().empty()) return false;
+    if (!timelines_[i].busy().empty()) return false;
     const ServerSpec& a = problem_.servers[i];
     for (std::size_t k = 0; k < i; ++k) {
-      if (!timelines_[k].vms().empty()) continue;
+      if (!timelines_[k].busy().empty()) continue;
       const ServerSpec& b = problem_.servers[k];
       if (a.capacity == b.capacity && a.p_idle == b.p_idle &&
           a.p_peak == b.p_peak && a.transition_time == b.transition_time)
@@ -115,13 +117,15 @@ class BnbSearch {
     }
     std::sort(branches.begin(), branches.end());
 
+    IntervalSet& saved = saved_busy_[pos];
     for (const auto& [delta, i] : branches) {
       if (cost_so_far + delta + tail_bound_[pos + 1] >= result_.cost) continue;
-      const auto record = timelines_[i].place(vm);
+      saved = timelines_[i].busy();
+      timelines_[i].place(vm);
       current_[j] = static_cast<ServerId>(i);
       dfs(pos + 1, cost_so_far + delta);
       current_[j] = kNoServer;
-      timelines_[i].undo(record, vm);
+      timelines_[i].unplace(vm, saved);
       if (aborted_) return;
     }
   }
@@ -130,6 +134,9 @@ class BnbSearch {
   const ExactOptions& options_;
   std::vector<std::size_t> order_;  ///< free VMs, in start order
   std::vector<ServerTimeline> timelines_;
+  /// saved_busy_[pos]: the busy set of the server the VM at `pos` is placed
+  /// on, as it was before that placement; reused across branches and nodes.
+  std::vector<IntervalSet> saved_busy_;
   std::vector<ServerId> current_;
   std::vector<Energy> tail_bound_;
   Energy fixed_cost_ = 0.0;

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstddef>
+#include <fstream>
 #include <initializer_list>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,5 +70,21 @@ std::vector<CsvRow> read_csv(std::istream& in);
 void require_csv_header(const CsvRow& header,
                         std::initializer_list<std::string_view> columns,
                         bool optional_last, const std::string& context);
+
+/// Opens the file at `path` and returns read(stream), where `read` parses a
+/// CSV stream. Any std::runtime_error it throws, a quoting error included,
+/// comes back with "<path>: " in front, so a command that reads several
+/// files names the one at fault. Throws std::runtime_error("cannot open for
+/// reading: <path>") when the file cannot be opened.
+template <typename Read>
+auto read_csv_file(const std::string& path, Read&& read) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open for reading: " + path);
+  try {
+    return read(in);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
 
 }  // namespace esva

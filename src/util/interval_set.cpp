@@ -5,31 +5,16 @@
 
 namespace esva {
 
-IntervalSet::InsertDelta IntervalSet::insert(Time lo, Time hi) {
-  assert(lo <= hi);
-  InsertDelta delta;
-  Time merged_lo = lo;
-  Time merged_hi = hi;
-
-  // First interval whose hi >= lo - 1 (i.e. could overlap or be left-adjacent).
-  auto first = std::lower_bound(
-      ivs_.begin(), ivs_.end(), lo,
-      [](const Interval& iv, Time value) { return iv.hi < value - 1; });
-  // Last interval whose lo <= hi + 1 (overlap or right-adjacent); `last` is
-  // one past it.
-  auto last = first;
-  while (last != ivs_.end() && last->lo <= hi + 1) ++last;
-
-  for (auto it = first; it != last; ++it) {
-    delta.absorbed.push_back(*it);
-    merged_lo = std::min(merged_lo, it->lo);
-    merged_hi = std::max(merged_hi, it->hi);
+void IntervalSet::insert(Time lo, Time hi) {
+  assert(lo >= 1);
+  const PreviewView preview = preview_insert_view(lo, hi);
+  const auto first = ivs_.begin() + (preview.absorbed.data() - ivs_.data());
+  if (preview.absorbed.empty()) {
+    ivs_.insert(first, preview.merged);
+    return;
   }
-
-  delta.merged = Interval{merged_lo, merged_hi};
-  auto pos = ivs_.erase(first, last);
-  ivs_.insert(pos, delta.merged);
-  return delta;
+  *first = preview.merged;
+  ivs_.erase(first + 1, first + std::ssize(preview.absorbed));
 }
 
 IntervalSet::PreviewView IntervalSet::preview_insert_view(Time lo,
@@ -39,11 +24,15 @@ IntervalSet::PreviewView IntervalSet::preview_insert_view(Time lo,
   Time merged_lo = lo;
   Time merged_hi = hi;
 
+  // The absorbed run: from the first interval whose hi >= lo - 1 (it
+  // overlaps or is left-adjacent) through the last whose lo - 1 <= hi (it
+  // overlaps or is right-adjacent). Subtracting from a stored lo (>= 1)
+  // rather than adding to hi cannot overflow, even at the largest Time.
   auto first = std::lower_bound(
       ivs_.begin(), ivs_.end(), lo,
       [](const Interval& iv, Time value) { return iv.hi < value - 1; });
   auto last = first;
-  while (last != ivs_.end() && last->lo <= hi + 1) ++last;
+  while (last != ivs_.end() && last->lo - 1 <= hi) ++last;
 
   if (first != last) {
     merged_lo = std::min(merged_lo, first->lo);
@@ -62,32 +51,11 @@ IntervalSet::PreviewView IntervalSet::preview_insert_view(Time lo,
   return preview;
 }
 
-void IntervalSet::erase_covered(Time lo, Time hi) {
-  assert(lo <= hi);
-  auto it = std::lower_bound(
-      ivs_.begin(), ivs_.end(), lo,
-      [](const Interval& iv, Time value) { return iv.hi < value; });
-  assert(it != ivs_.end() && it->lo <= lo && hi <= it->hi &&
-         "erase_covered requires the range to be fully inside one interval");
-  const Interval cover = *it;
-  it = ivs_.erase(it);
-  if (hi < cover.hi) it = ivs_.insert(it, Interval{hi + 1, cover.hi});
-  if (cover.lo < lo) ivs_.insert(it, Interval{cover.lo, lo - 1});
-}
-
 bool IntervalSet::contains(Time t) const {
   auto it = std::lower_bound(
       ivs_.begin(), ivs_.end(), t,
       [](const Interval& iv, Time value) { return iv.hi < value; });
   return it != ivs_.end() && it->lo <= t;
-}
-
-bool IntervalSet::intersects(Time lo, Time hi) const {
-  assert(lo <= hi);
-  auto it = std::lower_bound(
-      ivs_.begin(), ivs_.end(), lo,
-      [](const Interval& iv, Time value) { return iv.hi < value; });
-  return it != ivs_.end() && it->lo <= hi;
 }
 
 Time IntervalSet::total_length() const {
@@ -102,11 +70,6 @@ std::vector<Interval> IntervalSet::gaps() const {
     result.push_back(Interval{ivs_[i - 1].hi + 1, ivs_[i].lo - 1});
   }
   return result;
-}
-
-Interval IntervalSet::span() const {
-  assert(!empty());
-  return Interval{ivs_.front().lo, ivs_.back().hi};
 }
 
 }  // namespace esva

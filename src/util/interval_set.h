@@ -5,6 +5,9 @@
 // [start, finish] intervals, and the idle-segments are the interior gaps.
 // Adjacent intervals ([1,3] and [4,6]) are coalesced because the server is
 // continuously busy across them; a gap must have length >= 1 time unit.
+// Stored times are model times, 1 through the largest Time. An insert keeps
+// no record of what it absorbed, so a caller that must return to an earlier
+// state (the exact solver's backtracking) keeps a copy of the set.
 
 #pragma once
 
@@ -28,17 +31,10 @@ struct Interval {
 
 class IntervalSet {
  public:
-  /// Result of an insertion: the coalesced interval that now covers the
-  /// inserted range, and the pre-existing intervals it absorbed (in order).
-  struct InsertDelta {
-    Interval merged;
-    std::vector<Interval> absorbed;
-  };
-
-  /// Inserts [lo, hi] (requires lo <= hi), merging with any overlapping or
-  /// adjacent intervals. Returns what changed so callers (the incremental
-  /// energy-cost evaluator) can update derived quantities in O(|absorbed|).
-  InsertDelta insert(Time lo, Time hi);
+  /// Inserts [lo, hi] (requires 1 <= lo <= hi), merging with any overlapping
+  /// or adjacent intervals: preview_insert_view(lo, hi) applied, its merged
+  /// interval written over the absorbed run. A merge allocates nothing.
+  void insert(Time lo, Time hi);
 
   /// The effect insert(lo, hi) would have, computed without mutating: the
   /// merged interval, the intervals it would absorb and the surviving
@@ -60,16 +56,8 @@ class IntervalSet {
 
   PreviewView preview_insert_view(Time lo, Time hi) const;
 
-  /// Removes [lo, hi] exactly as previously contributed; only supports
-  /// removing a range that is fully covered (used by what-if rollback).
-  /// Splits a covering interval if needed.
-  void erase_covered(Time lo, Time hi);
-
   /// True iff t lies in some interval.
   bool contains(Time t) const;
-
-  /// True iff [lo, hi] intersects any interval.
-  bool intersects(Time lo, Time hi) const;
 
   /// The disjoint intervals in increasing order.
   const std::vector<Interval>& intervals() const { return ivs_; }
@@ -83,9 +71,6 @@ class IntervalSet {
   bool empty() const { return ivs_.empty(); }
   std::size_t size() const { return ivs_.size(); }
   void clear() { ivs_.clear(); }
-
-  /// Envelope [first.lo, last.hi]. Requires !empty().
-  Interval span() const;
 
  private:
   std::vector<Interval> ivs_;

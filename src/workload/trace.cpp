@@ -100,12 +100,18 @@ std::vector<VmSpec> read_vm_trace(std::istream& in, bool dense_ids) {
   require_csv_header(rows[0],
                      {"id", "type", "cpu", "mem", "start", "end", "profile"},
                      /*optional_last=*/true, line_context(rows[0].line));
+  // Every row has the header's width: a profile column under the 6-column
+  // header, or a missing one under the 7-column header, is a mis-edit.
+  const std::size_t width = rows[0].fields.size();
   std::vector<VmSpec> vms;
   std::unordered_set<VmId> seen_ids;
   for (std::size_t r = 1; r < rows.size(); ++r) {
     const auto& row = rows[r].fields;
     const std::size_t line = rows[r].line;
-    if (row.size() != 6 && row.size() != 7) fail(line, "expected 6 or 7 columns");
+    if (row.size() != width)
+      fail(line, "expected " + std::to_string(width) +
+                     " columns, as in the header, got " +
+                     std::to_string(row.size()));
     VmSpec vm;
     vm.id = parse_field_as<VmId>(row[0], line_context(line));
     vm.type_name = row[1];
@@ -206,12 +212,6 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  return in;
-}
-
 }  // namespace
 
 void save_vm_trace(const std::string& path, const std::vector<VmSpec>& vms) {
@@ -226,13 +226,12 @@ void save_server_trace(const std::string& path,
 }
 
 std::vector<VmSpec> load_vm_trace(const std::string& path, bool dense_ids) {
-  auto in = open_in(path);
-  return read_vm_trace(in, dense_ids);
+  return read_csv_file(
+      path, [&](std::istream& in) { return read_vm_trace(in, dense_ids); });
 }
 
 std::vector<ServerSpec> load_server_trace(const std::string& path) {
-  auto in = open_in(path);
-  return read_server_trace(in);
+  return read_csv_file(path, read_server_trace);
 }
 
 void save_assignment(const std::string& path, const Allocation& alloc) {
@@ -241,8 +240,8 @@ void save_assignment(const std::string& path, const Allocation& alloc) {
 }
 
 Allocation load_assignment(const std::string& path, std::size_t num_vms) {
-  auto in = open_in(path);
-  return read_assignment(in, num_vms);
+  return read_csv_file(
+      path, [&](std::istream& in) { return read_assignment(in, num_vms); });
 }
 
 }  // namespace esva

@@ -38,7 +38,8 @@ void write_assignment(std::ostream& out, const Allocation& alloc);
 Allocation read_assignment(std::istream& in, std::size_t num_vms);
 
 /// File-path convenience wrappers; throw std::runtime_error if the file
-/// cannot be opened.
+/// cannot be opened. The loaders put "<path>: " in front of every error
+/// their reader throws (util/csv.h, read_csv_file).
 void save_vm_trace(const std::string& path, const std::vector<VmSpec>& vms);
 void save_server_trace(const std::string& path,
                        const std::vector<ServerSpec>& servers);

@@ -579,6 +579,73 @@ TEST_F(AppTest, AllocateRefusesANonFiniteServerSpec) {
       << err();
 }
 
+// allocate reads two CSVs; every loader error, a quoting error included,
+// names the file at fault (both used to say only "trace line N").
+TEST_F(AppTest, AllocateErrorsNameTheFileAtFault) {
+  const std::string vms = path("nf_vms.csv");
+  const std::string servers = path("nf_srv.csv");
+  const std::string good_vms = "id,type,cpu,mem,start,end\n0,a,1,1,1,5\n";
+  const std::string good_servers =
+      "id,type,cpu,mem,p_idle,p_peak,transition_time\n0,s,8,16,100,200,1\n";
+  const auto write = [](const std::string& file, const std::string& text) {
+    std::ofstream(file, std::ios::trunc) << text;
+  };
+  write(vms, good_vms);
+  write(servers, "id,type,cpu,mem,p_idle,p_peak,transition_time\n"
+                 "0,s,x,16,100,200,1\n");
+  EXPECT_EQ(run("allocate", {"--vms", vms, "--servers", servers}), 1);
+  EXPECT_NE(err().find("allocate: " + servers +
+                       ": trace line 2: expected a number, got 'x'"),
+            std::string::npos)
+      << err();
+
+  write(servers, good_servers);
+  write(vms, good_vms + "1,b,1,x,2,6\n");
+  EXPECT_EQ(run("allocate", {"--vms", vms, "--servers", servers}), 1);
+  EXPECT_NE(err().find("allocate: " + vms +
+                       ": trace line 3: expected a number, got 'x'"),
+            std::string::npos)
+      << err();
+
+  write(vms, good_vms + "1,\"b,1,1,2,6\n");
+  EXPECT_EQ(run("allocate", {"--vms", vms, "--servers", servers}), 1);
+  EXPECT_NE(err().find("allocate: " + vms +
+                       ": CSV line 3: unterminated quoted field"),
+            std::string::npos)
+      << err();
+
+  write(vms, good_vms);
+  EXPECT_EQ(run("allocate", {"--vms", vms, "--servers", servers}), 0)
+      << err();
+}
+
+// stream --faults reads a third CSV, and its errors name it too.
+TEST_F(AppTest, StreamFaultPlanErrorsNameTheFile) {
+  const std::string vms = path("nff_vms.csv");
+  const std::string servers = path("nff_srv.csv");
+  const std::string faults = path("nff_faults.csv");
+  std::ofstream(vms) << "id,type,cpu,mem,start,end\n0,a,1,1,1,5\n";
+  std::ofstream(servers) << "id,type,cpu,mem,p_idle,p_peak,transition_time\n"
+                            "0,s,8,16,100,200,1\n";
+  std::ofstream(faults) << "time,event,server\n3,fail,0\n4,nope,0\n";
+  EXPECT_EQ(run("stream", {"--vms", vms, "--servers", servers, "--faults",
+                           faults}),
+            1);
+  EXPECT_NE(err().find(faults + ": fault plan line 3: unknown event 'nope' "
+                                "(fail|drain|recover)"),
+            std::string::npos)
+      << err();
+
+  std::ofstream(faults, std::ios::trunc)
+      << "time,event,server\n3,\"fail,0\n";
+  EXPECT_EQ(run("stream", {"--vms", vms, "--servers", servers, "--faults",
+                           faults}),
+            1);
+  EXPECT_NE(err().find(faults + ": CSV line 2: unterminated quoted field"),
+            std::string::npos)
+      << err();
+}
+
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {
   // The acceptance instance: 220 VMs on 44 servers, replayed end-to-end
   // through the streaming engine with per-request latency metrics.

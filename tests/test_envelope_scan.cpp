@@ -5,7 +5,7 @@
 // the envelope store — so it is the reference.
 //
 // Five layers of evidence:
-//   1. timeline-level fuzz: random place/undo interleavings on raw
+//   1. timeline-level fuzz: random place/unplace interleavings on raw
 //      ServerTimelines, classify() vs quick_fit() per server per probe, the
 //      gathered classify() over random row subsets, and decided verdicts
 //      cross-checked against can_fit(); refresh(i) re-reads exactly row i;
@@ -133,7 +133,7 @@ VmSpec random_probe(Rng& rng, Time horizon) {
 
 // --- layer 1: classify() is quick_fit(), bit for bit ------------------------
 
-// Random place/undo interleavings on raw timelines with a manually refreshed
+// Random place/unplace interleavings on raw timelines with a manually refreshed
 // store: every probe's classify() verdict equals quick_fit() per server, the
 // gathered classify() over any subset of rows repeats those verdicts, and
 // every *decided* verdict is consistent with the exact can_fit() answer
@@ -156,10 +156,11 @@ TEST(EnvelopeFuzz, ClassifyMatchesQuickFitUnderRandomInterleavings) {
     EnvelopeStore store;
     store.reset(timelines);
 
-    // LIFO undo stacks, one per server (the timeline contract).
+    // LIFO stacks, one per server, of each placed VM and the busy set it
+    // found (unplace reverts the latest placement first).
     struct Placed {
-      ServerTimeline::PlaceRecord record;
       VmSpec vm;
+      IntervalSet busy_before;
     };
     std::vector<std::vector<Placed>> placed(timelines.size());
 
@@ -169,14 +170,15 @@ TEST(EnvelopeFuzz, ClassifyMatchesQuickFitUnderRandomInterleavings) {
       const std::size_t i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(timelines.size()) - 1));
       if (rng.bernoulli(0.35) && !placed[i].empty()) {
-        timelines[i].undo(placed[i].back().record, placed[i].back().vm);
+        timelines[i].unplace(placed[i].back().vm, placed[i].back().busy_before);
         placed[i].pop_back();
         store.refresh(i, timelines[i]);
       } else {
         VmSpec candidate = random_probe(rng, horizon);
         if (candidate.start >= 1 && candidate.end <= horizon &&
             timelines[i].can_fit(candidate)) {
-          placed[i].push_back({timelines[i].place(candidate), candidate});
+          placed[i].push_back({candidate, timelines[i].busy()});
+          timelines[i].place(candidate);
           store.refresh(i, timelines[i]);
         }
       }
@@ -772,7 +774,7 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // Every scan score of a class representative — a pristine timeline with no
 // trees — is bit-equal to the same score on an eager empty timeline (trees
-// materialized by one placement and its undo) over the same window.
+// materialized by one placement and its unplace) over the same window.
 TEST(PristineClasses, RepresentativeScoresMatchAnEagerEmptyTimeline) {
   ClusterState cluster(make_fleet(30), /*initial_horizon=*/0);
   cluster.ensure_horizon(200);
@@ -787,7 +789,8 @@ TEST(PristineClasses, RepresentativeScoresMatchAnEagerEmptyTimeline) {
     ASSERT_TRUE(rep.untouched());
     ServerTimeline eager(rep.spec(), rep.base(), rep.horizon());
     const VmSpec filler = testing::vm(99999, rep.base(), rep.base(), 1.0, 1.0);
-    eager.undo(eager.place(filler), filler);
+    eager.place(filler);
+    eager.unplace(filler, IntervalSet{});
     ASSERT_FALSE(eager.untouched());
     for (int k = 0; k < 60; ++k) {
       VmSpec vm = random_probe(rng, 700);
@@ -925,13 +928,16 @@ PristineRun run_pristine_heavy(const std::string& name,
   for (std::size_t k = 1; k < vms.size(); ++k) {
     if (k == vms.size() / 4 || k == vms.size() / 3) {
       // One touched host with active VMs and the first class representative.
+      // The active lists say which hosts run VMs: a rebuilt timeline's busy
+      // set keeps a sentinel after its VMs retire.
       const ClusterState& c = engine->cluster();
+      const std::vector<ServerStateSnapshot> states = c.export_servers();
       std::size_t touched = kNone;
       std::size_t pristine = kNone;
       for (const std::size_t i : c.scan_candidates()) {
         if (c.pristine(i)) {
           if (pristine == kNone) pristine = i;
-        } else if (touched == kNone && !c.timelines()[i].vms().empty()) {
+        } else if (touched == kNone && !states[i].active.empty()) {
           touched = i;
         }
       }

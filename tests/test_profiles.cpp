@@ -106,14 +106,16 @@ TEST(VmProfile, PeakReservationWouldHaveRejected) {
   EXPECT_FALSE(timeline.can_fit(b));
 }
 
-TEST(VmProfile, PlaceUndoRoundTripsPerUnitUsage) {
+TEST(VmProfile, PlaceUnplaceRoundTripsPerUnitUsage) {
   ServerTimeline timeline(basic_server(), 20);
   timeline.place(vm(0, 1, 20, 1.0, 1.0));
   const VmSpec p = profiled_vm(1, 3, {{4, 2}, {1, 5}, {3, 3}});
-  const auto record = timeline.place(p);
+  const IntervalSet busy_before = timeline.busy();
+  timeline.place(p);
   EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(3), 5.0);
   EXPECT_DOUBLE_EQ(timeline.mem_usage_at(4), 6.0);
-  timeline.undo(record, p);
+  timeline.unplace(p, busy_before);
+  EXPECT_EQ(timeline.busy().intervals(), busy_before.intervals());
   for (Time t = 1; t <= 20; ++t) {
     EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(t), 1.0) << t;
     EXPECT_DOUBLE_EQ(timeline.mem_usage_at(t), 1.0) << t;

@@ -1252,6 +1252,47 @@ TEST(ServeRecovery, FaultRecordBeforeTheFrontierFailsAtReplay) {
 
 // --- retire and handle_line surface ----------------------------------------
 
+// Places whose VMs end at the largest Time, as raw request lines: two
+// identical stable VMs (one busy interval on the one server) and a profiled
+// one whose runs end there. Each is acked and placed, stats answers, and a
+// restart on the journal replays all three to the same state.
+TEST(ServeDaemon, PlacesEndingAtTheLargestTimeAreAckedAndRecovered) {
+  const std::vector<ServerSpec> servers{testing::basic_server(0)};
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "end_of_time");
+  const std::vector<std::string> lines = {
+      R"({"op":"place","vm":{"id":1,"cpu":1,"mem":1,"start":2147483600,)"
+      R"("end":2147483647}})",
+      R"({"op":"place","vm":{"id":2,"cpu":1,"mem":1,"start":2147483600,)"
+      R"("end":2147483647}})",
+      R"({"op":"place","vm":{"id":3,"cpu":1,"mem":1,"start":2147483640,)"
+      R"("end":2147483647,"profile":[[4,1,1],[4,0.5,1]]}})",
+  };
+  const std::map<VmId, ServerId> placed{{1, 0}, {2, 0}, {3, 0}};
+  Energy energy = 0.0;
+  {
+    Daemon daemon(servers, options);
+    for (const std::string& line : lines) {
+      const std::string response = daemon.handle_line(line);
+      EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+      EXPECT_NE(response.find("\"server\":0"), std::string::npos) << response;
+    }
+    EXPECT_EQ(daemon.assignment(), placed);
+    const std::string stats = daemon.handle_line(R"({"op":"stats"})");
+    EXPECT_EQ(stats.rfind("{\"ok\":true", 0), 0u) << stats;
+    EXPECT_NE(stats.find("\"active_vms\":3"), std::string::npos) << stats;
+    energy = daemon.engine().total_energy();
+    EXPECT_GT(energy, 0.0);
+  }
+  Daemon recovered(servers, options);
+  EXPECT_EQ(recovered.last_seq(), lines.size());
+  EXPECT_EQ(recovered.replayed_records(), lines.size());
+  EXPECT_EQ(recovered.assignment(), placed);
+  EXPECT_EQ(recovered.engine().total_energy(), energy);
+  EXPECT_EQ(recovered.engine().cluster().active_vms(), 3u);
+  ::unlink(options.wal_path.c_str());
+}
+
 TEST(ServeDaemon, RetireFreesCapacityAndPinsAssignment) {
   std::vector<ServerSpec> servers{testing::basic_server(0)};
   DaemonOptions options =

@@ -25,6 +25,7 @@
 #include "cluster/timeline.h"
 #include "core/allocation.h"
 #include "core/cost_model.h"
+#include "core/power_model.h"
 #include "sim/replay.h"
 #include "test_util.h"
 #include "testsupport/historical_min_incremental.h"
@@ -310,6 +311,54 @@ TEST(StreamingEngine, SubmitBehindFrontierThrows) {
   EXPECT_THROW(engine.submit(testing::vm(1, 25, 40)), std::invalid_argument);
   // At the frontier is fine.
   EXPECT_NE(engine.submit(testing::vm(2, 30, 40)).server, kNoServer);
+}
+
+// Requests that end at the largest Time are placed like any others: two
+// identical stable VMs share one busy interval (the second adds only its
+// run energy), and a profiled VM's runs stop at the last unit.
+TEST(StreamingEngine, PlacesRequestsEndingAtTheLargestTime) {
+  constexpr Time kEnd = std::numeric_limits<Time>::max();
+  const ServerSpec server = testing::basic_server(0);
+  const auto make_engine = [&](std::unique_ptr<PlacementPolicy>& policy,
+                               Rng& rng) {
+    policy = make_allocator("min-incremental")->make_policy();
+    EngineOptions options;
+    options.auto_advance = true;
+    options.account_energy = true;
+    return std::make_unique<PlacementEngine>(std::vector<ServerSpec>{server},
+                                             *policy, rng, options);
+  };
+  {
+    std::unique_ptr<PlacementPolicy> policy;
+    Rng rng(7);
+    const auto engine = make_engine(policy, rng);
+    const VmSpec first = testing::vm(1, kEnd - 47, kEnd);
+    const VmSpec second = testing::vm(2, kEnd - 47, kEnd);
+    EXPECT_EQ(engine->submit(first).server, 0);
+    const Energy after_first = engine->total_energy();
+    EXPECT_EQ(engine->submit(second).server, 0);
+    EXPECT_EQ(engine->total_energy(), after_first + run_cost(server, second));
+    EXPECT_EQ(engine->cluster().timelines()[0].busy().intervals(),
+              (std::vector<Interval>{{kEnd - 47, kEnd}}));
+    EXPECT_DOUBLE_EQ(engine->cluster().timelines()[0].cpu_usage_at(kEnd), 2.0);
+  }
+  {
+    std::unique_ptr<PlacementPolicy> policy;
+    Rng rng(7);
+    const auto engine = make_engine(policy, rng);
+    VmSpec phased = testing::vm(3, kEnd - 7, kEnd);
+    std::vector<Resources> units(4, Resources{1.0, 1.0});
+    units.resize(8, Resources{0.5, 1.0});
+    phased.set_profile(units);
+    EXPECT_EQ(engine->submit(phased).server, 0);
+    const ServerTimeline& timeline = engine->cluster().timelines()[0];
+    EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd - 4), 1.0);
+    EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd - 3), 0.5);
+    EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd), 0.5);
+    EXPECT_EQ(timeline.busy().intervals(),
+              (std::vector<Interval>{{kEnd - 7, kEnd}}));
+    EXPECT_GT(engine->total_energy(), 0.0);
+  }
 }
 
 // --- lazy arrival streams == materializing generators ----------------------

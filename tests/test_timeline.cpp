@@ -2,27 +2,28 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "core/streaming.h"
+#include "counting_new.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace esva {
 namespace {
 
-/// Global operator new calls in this test binary (the replacements are at
-/// the end of the file), so a test can show that a call allocates nothing.
-std::atomic<std::size_t> g_allocations{0};
-
-std::size_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
+/// operator new calls this thread makes while `f` runs (counting_new.h).
+template <typename F>
+std::size_t allocations_in(F&& f) {
+  testing::allocations = {};
+  testing::counting_allocations = true;
+  f();
+  testing::counting_allocations = false;
+  return testing::allocations.calls;
 }
 
 using testing::basic_server;
@@ -70,8 +71,6 @@ TEST(ServerTimeline, PlaceUpdatesBusyAndUsage) {
   EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(25), 2.0);
   EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(31), 0.0);
   EXPECT_DOUBLE_EQ(timeline.mem_usage_at(17), 3.0);
-  EXPECT_EQ(timeline.busy_time(), 21);
-  EXPECT_EQ(timeline.vms(), (std::vector<VmId>{0, 1}));
 }
 
 TEST(ServerTimeline, DisjointVmsKeepSeparateBusySegments) {
@@ -83,36 +82,36 @@ TEST(ServerTimeline, DisjointVmsKeepSeparateBusySegments) {
             (std::vector<Interval>{{6, 9}}));
 }
 
-TEST(ServerTimeline, UndoRestoresEverything) {
+TEST(ServerTimeline, UnplaceRestoresEverything) {
   ServerTimeline timeline(basic_server(), 100);
   timeline.place(vm(0, 10, 20, 3.0, 2.0));
-  const auto busy_before = timeline.busy().intervals();
+  const IntervalSet busy_before = timeline.busy();
   const double cpu_before = timeline.max_cpu_usage(1, 100);
 
   const VmSpec second = vm(1, 15, 40, 2.0, 1.0);
-  const auto record = timeline.place(second);
-  timeline.undo(record, second);
+  timeline.place(second);
+  timeline.unplace(second, busy_before);
 
-  EXPECT_EQ(timeline.busy().intervals(), busy_before);
+  EXPECT_EQ(timeline.busy().intervals(), busy_before.intervals());
   EXPECT_DOUBLE_EQ(timeline.max_cpu_usage(1, 100), cpu_before);
   EXPECT_DOUBLE_EQ(timeline.max_mem_usage(21, 100), 0.0);
-  EXPECT_EQ(timeline.vms(), (std::vector<VmId>{0}));
 }
 
-TEST(ServerTimeline, UndoRestoresMergedSegments) {
+TEST(ServerTimeline, UnplaceRestoresMergedSegments) {
   ServerTimeline timeline(basic_server(), 100);
   timeline.place(vm(0, 1, 5));
   timeline.place(vm(1, 10, 15));
-  // Bridge the two segments, then undo the bridge.
+  // Bridge the two segments, then take the bridge back.
+  const IntervalSet busy_before = timeline.busy();
   const VmSpec bridge = vm(2, 4, 12);
-  const auto record = timeline.place(bridge);
+  timeline.place(bridge);
   EXPECT_EQ(timeline.busy().size(), 1u);
-  timeline.undo(record, bridge);
+  timeline.unplace(bridge, busy_before);
   EXPECT_EQ(timeline.busy().intervals(),
             (std::vector<Interval>{{1, 5}, {10, 15}}));
 }
 
-TEST(ServerTimeline, LifoUndoPropertyOnRandomPlacements) {
+TEST(ServerTimeline, LifoUnplacePropertyOnRandomPlacements) {
   Rng rng(77);
   for (int trial = 0; trial < 100; ++trial) {
     ServerTimeline timeline(basic_server(), 200);
@@ -121,8 +120,9 @@ TEST(ServerTimeline, LifoUndoPropertyOnRandomPlacements) {
     timeline.place(vm(1, 100, 130, 2.0, 2.0));
     const auto busy_before = timeline.busy().intervals();
 
-    // Place a random stack of VMs, then unwind it.
-    std::vector<std::pair<ServerTimeline::PlaceRecord, VmSpec>> stack;
+    // Place a random stack of VMs, each with the busy set it found, then
+    // unwind it.
+    std::vector<std::pair<VmSpec, IntervalSet>> stack;
     const int pushes = static_cast<int>(rng.uniform_int(1, 6));
     for (int k = 0; k < pushes; ++k) {
       const Time start = static_cast<Time>(rng.uniform_int(1, 180));
@@ -130,16 +130,50 @@ TEST(ServerTimeline, LifoUndoPropertyOnRandomPlacements) {
           rng.uniform_int(start, std::min<Time>(200, start + 40)));
       const VmSpec extra = vm(10 + k, start, end, 0.5, 0.5);
       if (!timeline.can_fit(extra)) continue;
-      stack.emplace_back(timeline.place(extra), extra);
+      stack.emplace_back(extra, timeline.busy());
+      timeline.place(extra);
     }
     while (!stack.empty()) {
-      timeline.undo(stack.back().first, stack.back().second);
+      timeline.unplace(stack.back().first, stack.back().second);
       stack.pop_back();
     }
     ASSERT_EQ(timeline.busy().intervals(), busy_before) << "trial " << trial;
     ASSERT_DOUBLE_EQ(timeline.max_cpu_usage(1, 19), 0.0);
     ASSERT_DOUBLE_EQ(timeline.max_cpu_usage(61, 99), 0.0);
   }
+}
+
+// A placement that overlaps or touches the busy set, on a timeline whose
+// trees are materialized, allocates nothing: place() keeps no record, and
+// the merge writes over the busy set's own storage. So does the same
+// insert into a copy of that busy set.
+TEST(ServerTimeline, MergingPlaceAllocatesNothing) {
+  ServerTimeline timeline(basic_server(), 200);
+  timeline.place(vm(0, 10, 20, 1.0, 1.0));
+  timeline.place(vm(1, 40, 60, 1.0, 1.0));
+  timeline.place(vm(2, 90, 95, 1.0, 1.0));
+  const std::vector<VmSpec> merging = {
+      vm(3, 15, 30, 1.0, 1.0),  // overlaps [10,20]
+      vm(4, 31, 39, 1.0, 1.0),  // touches [10,30] and [40,60]
+      vm(5, 96, 99, 1.0, 1.0),  // touches [90,95] on the right
+      vm(6, 80, 89, 1.0, 1.0),  // touches [90,99] on the left
+      vm(7, 50, 55, 1.0, 1.0),  // inside [10,60]
+      vm(8, 1, 100, 1.0, 1.0),  // covers everything
+  };
+  for (const VmSpec& v : merging) {
+    ASSERT_TRUE(timeline.can_fit(v)) << v.id;
+    IntervalSet copy = timeline.busy();
+    ASSERT_FALSE(copy.preview_insert_view(v.start, v.end).absorbed.empty())
+        << v.id;
+    EXPECT_EQ(allocations_in([&] { copy.insert(v.start, v.end); }), 0u)
+        << v.id;
+    EXPECT_EQ(allocations_in([&] { timeline.place(v); }), 0u) << v.id;
+    EXPECT_EQ(timeline.busy().intervals(), copy.intervals()) << v.id;
+  }
+  EXPECT_EQ(timeline.busy().intervals(), (std::vector<Interval>{{1, 100}}));
+  // The counter is live: a disjoint interval past a full vector grows it.
+  IntervalSet grown = timeline.busy();
+  EXPECT_GT(allocations_in([&] { grown.insert(150, 160); }), 0u);
 }
 
 // --- quick_fit: the O(1) envelope triage in front of the trees -------------
@@ -263,7 +297,9 @@ VmSpec profiled_vm(VmId id, Time start, std::vector<Resources> levels) {
   spec.id = id;
   spec.type_name = "profiled";
   spec.start = start;
-  spec.end = start + static_cast<Time>(levels.size()) - 1;
+  // Parenthesized so a profile that ends at the largest Time cannot
+  // overflow on the way.
+  spec.end = start + (static_cast<Time>(levels.size()) - 1);
   spec.set_profile(std::move(levels));
   return spec;
 }
@@ -277,7 +313,8 @@ TEST(ProfiledTimeline, CoalescedRunsMatchPerUnitSemantics) {
       {{2, 1}, {2, 1}, {2, 1}, {6, 3}, {6, 3}, {6, 3}, {1, 8}, {1, 8},
        {0, 2}, {0, 2}});
   ASSERT_TRUE(timeline.can_fit(workload));
-  const auto record = timeline.place(workload);
+  const IntervalSet busy_before = timeline.busy();
+  timeline.place(workload);
 
   // Usage at every unit equals the profile level of that unit's run.
   for (Time t = 10; t <= 19; ++t) {
@@ -306,12 +343,61 @@ TEST(ProfiledTimeline, CoalescedRunsMatchPerUnitSemantics) {
   EXPECT_EQ(fit.reject, FitReject::Cpu);
   EXPECT_EQ(fit.at, 13);  // first unit where 6 (resident) + 5 > 10
 
-  // Undo restores the exact pre-placement state.
-  timeline.undo(record, workload);
+  // unplace restores the exact pre-placement state.
+  timeline.unplace(workload, busy_before);
+  EXPECT_TRUE(timeline.busy().empty());
   for (Time t = 9; t <= 20; ++t) {
     EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(t), 0.0) << "t=" << t;
     EXPECT_DOUBLE_EQ(timeline.mem_usage_at(t), 0.0) << "t=" << t;
   }
+}
+
+// A window that ends at the largest Time: probes, placements and their
+// reversal stop at the run that ends there instead of stepping one unit
+// past it, and VMs that end there merge in the busy set.
+TEST(ProfiledTimeline, RunsEndingAtTheLargestTime) {
+  constexpr Time kEnd = std::numeric_limits<Time>::max();
+  ServerTimeline timeline(basic_server(), kEnd - 99, kEnd);
+  timeline.place(vm(0, kEnd - 99, kEnd - 50, 8.0, 1.0));  // the window peak
+  timeline.place(vm(1, kEnd - 7, kEnd - 4, 4.0, 1.0));
+
+  // Stable: not quick-accepted (8 + 5 > 10), so check_fit walks its one
+  // run, which ends at kEnd.
+  const VmSpec stable = vm(2, kEnd - 9, kEnd, 5.0, 1.0);
+  ASSERT_EQ(timeline.quick_fit(stable), QuickFit::kUnknown);
+  EXPECT_TRUE(timeline.check_fit(stable).ok);
+  EXPECT_TRUE(timeline.can_fit(stable));
+
+  // Profiled: its peak (9) over the range max (4) does not fit, each run
+  // against its own demand does; the second run ends at kEnd.
+  const VmSpec phased =
+      profiled_vm(3, kEnd - 7, {{5, 1}, {5, 1}, {5, 1}, {5, 1}, {9, 1}, {9, 1},
+                                {9, 1}, {9, 1}});
+  ASSERT_EQ(phased.end, kEnd);
+  EXPECT_TRUE(timeline.can_fit(phased));
+  EXPECT_TRUE(timeline.check_fit(phased).ok);
+  const IntervalSet busy_before = timeline.busy();
+  timeline.place(phased);
+  EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd - 4), 9.0);
+  EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd), 9.0);
+  EXPECT_EQ(timeline.busy().intervals(),
+            (std::vector<Interval>{{kEnd - 99, kEnd - 50}, {kEnd - 7, kEnd}}));
+  const FitCheck over = timeline.check_fit(vm(4, kEnd - 2, kEnd, 2.0, 1.0));
+  EXPECT_FALSE(over.ok);
+  EXPECT_EQ(over.reject, FitReject::Cpu);
+  EXPECT_EQ(over.at, kEnd - 2);
+
+  timeline.unplace(phased, busy_before);
+  EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd - 4), 4.0);
+  EXPECT_DOUBLE_EQ(timeline.cpu_usage_at(kEnd), 0.0);
+  EXPECT_EQ(timeline.busy().intervals(), busy_before.intervals());
+
+  // The same last-unit VM twice: one busy interval.
+  for (int k = 0; k < 2; ++k) timeline.place(vm(5 + k, kEnd - 1, kEnd));
+  EXPECT_EQ(timeline.busy().intervals(),
+            (std::vector<Interval>{{kEnd - 99, kEnd - 50},
+                                   {kEnd - 7, kEnd - 4},
+                                   {kEnd - 1, kEnd}}));
 }
 
 // --- lazy trees ---------------------------------------------------------------
@@ -319,12 +405,13 @@ TEST(ProfiledTimeline, CoalescedRunsMatchPerUnitSemantics) {
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// The eager twin of a never-placed timeline: trees materialized by one
-/// placement and its undo, so they hold exact zeros, with an empty busy set.
+/// placement and its unplace, so they hold exact zeros, with an empty busy
+/// set.
 ServerTimeline eager_empty(const ServerSpec& spec, Time base, Time horizon) {
   ServerTimeline timeline(spec, base, horizon);
   const VmSpec filler = vm(99999, base, base, 1.0, 1.0);
-  const ServerTimeline::PlaceRecord record = timeline.place(filler);
-  timeline.undo(record, filler);
+  timeline.place(filler);
+  timeline.unplace(filler, IntervalSet{});
   return timeline;
 }
 
@@ -438,7 +525,7 @@ VmSpec random_phased_vm(Rng& rng, VmId id, Time horizon, double max_demand,
   return spec;
 }
 
-// check_fit on timelines shaped by random place/undo interleavings: lazy
+// check_fit on timelines shaped by random place/unplace interleavings: lazy
 // and eager twins fed the same operations, and the empty-window stub a
 // failed or drained server holds. Every stable or profiled probe gets
 // can_fit's verdict as `ok` and the per-unit scan's reject and unit.
@@ -458,21 +545,23 @@ TEST(CheckFitDiagnosis, MatchesCanFitAndAPerUnitScan) {
     const ServerTimeline stub(basic_server(), base, base - 1);
     struct Placed {
       VmSpec vm;
-      ServerTimeline::PlaceRecord lazy, eager;
+      IntervalSet lazy_busy, eager_busy;  // each twin's busy set before it
     };
     std::vector<Placed> stack;
     for (int op = 0; op < 60; ++op) {
       if (!stack.empty() && rng.bernoulli(0.35)) {
-        lazy.undo(stack.back().lazy, stack.back().vm);
-        eager.undo(stack.back().eager, stack.back().vm);
+        lazy.unplace(stack.back().vm, stack.back().lazy_busy);
+        eager.unplace(stack.back().vm, stack.back().eager_busy);
         stack.pop_back();
       } else {
         const VmSpec resident =
             random_phased_vm(rng, 1000 + op, kHorizon, 6.0, 0.5);
         ASSERT_EQ(lazy.can_fit(resident), eager.can_fit(resident));
-        if (lazy.can_fit(resident))
-          stack.push_back(
-              {resident, lazy.place(resident), eager.place(resident)});
+        if (lazy.can_fit(resident)) {
+          stack.push_back({resident, lazy.busy(), eager.busy()});
+          lazy.place(resident);
+          eager.place(resident);
+        }
       }
       for (int k = 0; k < 20; ++k) {
         const VmSpec probe = random_phased_vm(rng, 1, kHorizon, 10.0, 0.4);
@@ -552,9 +641,7 @@ TEST(CheckFitDiagnosis, ExactCapacityThroughAnInexactSumFits) {
 // placement materializes trees of exactly that window.
 TEST(LazyTimeline, RewindowMovesTheWindowOfAnUntouchedTimeline) {
   ServerTimeline timeline(basic_server(), 1, 50);
-  const std::size_t before = allocations();
-  timeline.rewindow(30, 400);
-  EXPECT_EQ(allocations(), before);
+  EXPECT_EQ(allocations_in([&] { timeline.rewindow(30, 400); }), 0u);
   EXPECT_TRUE(timeline.untouched());
   const ServerTimeline fresh(basic_server(), 30, 400);
   EXPECT_EQ(timeline.base(), fresh.base());
@@ -584,13 +671,14 @@ std::vector<ServerSpec> five_class_fleet(std::size_t n) {
 // allocate nothing at all: every window move is a bound update.
 TEST(LazyTimeline, PristineFleetGrowsAndAdvancesWithoutAllocating) {
   ClusterState cluster(five_class_fleet(10000), /*initial_horizon=*/0);
-  const std::size_t before = allocations();
-  cluster.ensure_horizon(300);
-  cluster.advance_to(120);
-  cluster.ensure_horizon(2000);
-  cluster.advance_to(1500);
-  cluster.ensure_horizon(1000000);
-  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(allocations_in([&] {
+              cluster.ensure_horizon(300);
+              cluster.advance_to(120);
+              cluster.ensure_horizon(2000);
+              cluster.advance_to(1500);
+              cluster.ensure_horizon(1000000);
+            }),
+            0u);
   EXPECT_EQ(cluster.resident_time_units(), 0u);
   for (const ServerTimeline& t : cluster.timelines()) {
     ASSERT_TRUE(t.untouched());
@@ -606,12 +694,12 @@ std::size_t allocations_with_one_touched_server(std::size_t n) {
   ClusterState cluster(five_class_fleet(n), /*initial_horizon=*/0);
   cluster.ensure_horizon(100);
   cluster.place(3, vm(1, 1, 60, 2.0, 2.0));
-  const std::size_t before = allocations();
-  cluster.ensure_horizon(400);  // rebuilds the touched server
-  cluster.advance_to(80);       // retires the VM
-  cluster.ensure_horizon(3000);
-  cluster.advance_to(2000);     // GC rebuild of the touched server
-  return allocations() - before;
+  return allocations_in([&] {
+    cluster.ensure_horizon(400);  // rebuilds the touched server
+    cluster.advance_to(80);       // retires the VM
+    cluster.ensure_horizon(3000);
+    cluster.advance_to(2000);     // GC rebuild of the touched server
+  });
 }
 
 // The same growth and retire ticks allocate exactly as much on 10,000
@@ -632,25 +720,3 @@ TEST(MakeTimelines, OnePerServer) {
 
 }  // namespace
 }  // namespace esva
-
-// Counting replacements of the global allocation functions (see
-// g_allocations). The nothrow and aligned forms keep their library
-// definitions, which forward here or to the aligned allocator. noinline
-// keeps GCC from pairing an inlined malloc with an inlined free at call
-// sites (its -Wmismatched-new-delete would then fire on std::vector).
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  esva::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}

@@ -144,6 +144,30 @@ TEST(VmTrace, ErrorsNameTheFileLine) {
   EXPECT_NE(what.find("trace line 5"), std::string::npos) << what;
 }
 
+// Every row has the header's width. Under the 6-column header a 7-field row
+// used to be read as a profiled VM, and under the 7-column header a
+// 6-field row as a stable one.
+TEST(VmTrace, ProfileColumnUnderTheSixColumnHeaderIsRefused) {
+  const std::string what = refusal(
+      "id,type,cpu,mem,start,end\n0,a,2,1,1,2,1:1|2:0.5\n",
+      [](std::istream& in) { return read_vm_trace(in); });
+  EXPECT_EQ(what,
+            "trace line 2: expected 6 columns, as in the header, got 7");
+}
+
+TEST(VmTrace, MissingProfileColumnUnderTheSevenColumnHeaderIsRefused) {
+  const std::string what = refusal(
+      "id,type,cpu,mem,start,end,profile\n0,a,2,1,1,2,2:1|1:1\n"
+      "1,b,1,1,2,3\n",
+      [](std::istream& in) { return read_vm_trace(in); });
+  EXPECT_EQ(what,
+            "trace line 3: expected 7 columns, as in the header, got 6");
+  // A stable VM under that header carries an empty profile field.
+  EXPECT_EQ(refusal("id,type,cpu,mem,start,end,profile\n0,a,2,1,1,2,\n",
+                    [](std::istream& in) { return read_vm_trace(in); }),
+            "");
+}
+
 // A server trace whose header and rows both put mem before cpu used to be
 // read by position, as cpu 72 / mem 30.
 TEST(ServerTrace, ReorderedColumnsAreRefused) {
