@@ -8,7 +8,8 @@ int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
-      "fig2_energy_reduction — reproduce Fig. 2 (reduction vs inter-arrival)");
+      "fig2_energy_reduction — reproduce Fig. 2 (reduction vs inter-arrival)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 2 — energy reduction ratio vs mean inter-arrival time",
       "ratio grows ~linearly with inter-arrival time, reaching ~10% at "

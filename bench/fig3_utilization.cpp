@@ -8,7 +8,8 @@
 int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
-      argc, argv, "fig3_utilization — reproduce Fig. 3 (resource utilization)");
+      argc, argv, "fig3_utilization — reproduce Fig. 3 (resource utilization)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 3 — average CPU / memory utilization (100 VMs)",
       "our algorithm lifts CPU utilization well above FFPS and makes "

@@ -12,7 +12,8 @@
 int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
-      argc, argv, "fig4_memory_load — reproduce Fig. 4 (reduction vs load)");
+      argc, argv, "fig4_memory_load — reproduce Fig. 4 (reduction vs load)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 4 — energy reduction ratio vs memory load",
       "as the load increases the reduction ratio decreases, with a "

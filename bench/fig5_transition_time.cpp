@@ -10,7 +10,8 @@ int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
-      "fig5_transition_time — reproduce Fig. 5 (impact of transition time)");
+      "fig5_transition_time — reproduce Fig. 5 (impact of transition time)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 5 — energy reduction ratio with varying transition time",
       "the shorter the transition time, the more energy the algorithm saves "

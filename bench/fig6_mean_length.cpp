@@ -9,7 +9,8 @@ int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
-      "fig6_mean_length — reproduce Fig. 6 (impact of mean VM length)");
+      "fig6_mean_length — reproduce Fig. 6 (impact of mean VM length)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 6 — energy reduction ratio with varying mean VM length",
       "the shorter the mean length, the lighter/more dynamic the load and "

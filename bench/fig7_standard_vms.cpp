@@ -8,7 +8,8 @@ int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
-      "fig7_standard_vms — reproduce Fig. 7 (standard VMs on types 1-3)");
+      "fig7_standard_vms — reproduce Fig. 7 (standard VMs on types 1-3)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 7 — standard VMs on server types 1-3",
       "savings up to ~20%, decreasing as inter-arrival time shrinks (load "

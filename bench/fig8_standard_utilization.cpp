@@ -3,9 +3,18 @@
 // paper reports the heuristic lifting both utilizations above ~70% on the
 // types-1-3 pool, while FFPS drops to ~30% when big servers are available.
 
+#include <filesystem>
+
 #include "bench_util.h"
 
 namespace {
+
+/// `csv` with "<panel_key>_" before its file name, in the same directory.
+std::string panel_csv(const std::string& csv, const std::string& panel_key) {
+  std::filesystem::path path(csv);
+  path.replace_filename(panel_key + "_" + path.filename().string());
+  return path.string();
+}
 
 void run_panel(const esva::bench::BenchArgs& args, bool all_server_types,
                const std::string& panel_name, const std::string& panel_key) {
@@ -39,7 +48,7 @@ void run_panel(const esva::bench::BenchArgs& args, bool all_server_types,
   spec.y_label = "utilization";
   spec.y_as_percent = true;
   emit_figure(spec, {ours_cpu, ours_mem, ffps_cpu, ffps_mem},
-              args.csv.empty() ? "" : panel_key + "_" + args.csv);
+              args.csv.empty() ? "" : panel_csv(args.csv, panel_key));
 }
 
 }  // namespace
@@ -48,7 +57,8 @@ int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
-      "fig8_standard_utilization — reproduce Fig. 8 (standard-VM utilization)");
+      "fig8_standard_utilization — reproduce Fig. 8 (standard-VM utilization)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 8 — utilization with 100 standard VMs",
       "(a) all server types: FFPS utilization is dragged down by large "

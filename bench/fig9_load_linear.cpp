@@ -54,7 +54,8 @@ LoadSeries sweep(const esva::bench::BenchArgs& args, bool all_server_types) {
 int main(int argc, char** argv) {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
-      argc, argv, "fig9_load_linear — reproduce Fig. 9 (reduction vs load)");
+      argc, argv, "fig9_load_linear — reproduce Fig. 9 (reduction vs load)",
+      /*with_csv=*/true);
   bench::print_banner(
       "Fig. 9 — energy reduction ratio vs system load (standard VMs)",
       "reduction decreases ~linearly with load; higher when all server "

@@ -17,6 +17,11 @@
 # workload in BENCHMARK.json, 10 pairs, 25 s, seed base 1000, and a fresh
 # temporary output directory that keeps each run's JSON and log.
 #
+# Per workload it also prints each side's median [min, max] of the runs'
+# `rounds` and of their timed restarts (`samples.recovery_s`): recovery_s is
+# the fastest restart and ops_rps sums each slice's fastest time across
+# rounds, so a side that fits more rounds into its budget takes more samples.
+#
 # Verdicts per metric: "gain" when at least 10 pairs ran, the change won at
 # least 9 in 10 of them, and its median beats the parent's by more than the
 # parent's interquartile range. Otherwise "unresolved" when either side's
@@ -110,6 +115,7 @@ import sys
 bench = json.load(open(sys.argv[1]))
 out_dir, workloads, seeds = sys.argv[2], sys.argv[3].split(), sys.argv[4].split()
 failures = []
+counts = {}  # (workload, side) -> [(rounds, recovery_s samples), ...]
 
 
 def load(workload, side, seed):
@@ -123,7 +129,13 @@ def load(workload, side, seed):
     if not entry.get("correct", False) or entry.get("failed", 1) != 0:
         failures.append(f"{workload} seed {seed} {side}: correct="
                         f"{entry.get('correct')} failed={entry.get('failed')}")
+    counts.setdefault((workload, side), []).append(
+        (entry.get("rounds", 0), entry.get("samples", {}).get("recovery_s", 0)))
     return {name: m["value"] for name, m in entry["metrics"].items()}
+
+
+def count_cell(xs):
+    return f"{statistics.median(xs):g} [{min(xs)}, {max(xs)}]" if xs else "-"
 
 
 def quartiles(xs):
@@ -174,6 +186,10 @@ for w in workloads:
         c_cell = f"{cq[1]:.5g} [{cq[0]:.5g}, {cq[2]:.5g}]"
         print(f"{w:<16}{name:<14}{p_cell:>38}{c_cell:>38}{ratio:>8.3f}"
               f"{wins:>4}/{len(ps):<3}{bound:>6.2f}  {verdict}")
+    for i, what in enumerate(("rounds", "restarts")):
+        p_cell, c_cell = (count_cell([c[i] for c in counts.get((w, side), [])])
+                          for side in ("parent", "change"))
+        print(f"{w:<16}{what:<14}{p_cell:>38}{c_cell:>38}")
 
 for f in failures:
     print(f"bench_pairs: CORRECTNESS: {f}", file=sys.stderr)

@@ -7,19 +7,25 @@ namespace esva {
 
 namespace {
 
-/// Last time unit (<= vm.end) of the run of consecutive units whose profiled
-/// demand equals `r`, starting at `t`. Stable VMs are a single run; profiled
-/// VMs typically hold each demand level for many units (bursts, diurnal
-/// phases), so batching runs turns O(duration) tree calls into O(#runs).
-Time run_end_of(const VmSpec& vm, Time t, const Resources& r) {
-  if (!vm.has_profile()) return vm.end;
-  Time e = t;
-  while (e < vm.end) {
-    const Resources next = vm.demand_at(e + 1);
-    if (next.cpu != r.cpu || next.mem != r.mem) break;
-    ++e;
+/// Calls visit(first, last, demand) for each run of consecutive units of
+/// equal demand (the demand of the run's first unit), in time order, until
+/// a call returns false; returns whether none did. A stable VM is one run.
+/// A profiled VM's runs are the ones set_profile() stored
+/// (VmSpec::run_ends): profiles typically hold each demand level for many
+/// units (bursts, diurnal phases), so a probe makes O(#runs) tree calls and
+/// never walks the profile. No unit past vm.end is formed, so a VM that
+/// ends at the largest Time does not overflow.
+template <typename Visit>
+bool all_runs(const VmSpec& vm, Visit visit) {
+  if (!vm.has_profile()) return visit(vm.start, vm.end, vm.demand);
+  Time first = 0;  // offset from vm.start of the run's first unit
+  for (const Time last : vm.run_ends) {
+    if (!visit(vm.start + first, vm.start + last,
+               vm.profile[static_cast<std::size_t>(first)]))
+      return false;
+    first = last + 1;
   }
-  return e;
+  return true;
 }
 
 /// Earliest index in [lo, hi] whose usage plus `demand` exceeds
@@ -78,7 +84,6 @@ void ServerTimeline::seed_busy(Time lo, Time hi) {
 }
 
 QuickFit ServerTimeline::quick_fit(const VmSpec& vm) const {
-  assert(vm.valid());
   if (vm.start < base_ || vm.end > horizon_) return QuickFit::kCannotFit;
   // Quick-accept: peak usage anywhere in the window plus peak demand fits,
   // so every unit of the VM's interval fits a fortiori. Exact for profiled
@@ -123,22 +128,15 @@ bool ServerTimeline::can_fit(const VmSpec& vm) const {
   if (peak_fits) return true;
   if (!vm.has_profile()) return false;
   // Profiled VM: check each equal-demand run against its own demand R_jt.
-  // The loop stops at the run that ends at vm.end and never forms
-  // vm.end + 1, which overflows when vm.end is the largest Time.
-  for (Time t = vm.start;;) {
-    const Resources r = vm.demand_at(t);
-    const Time e = run_end_of(vm, t, r);
-    const std::size_t k_lo = index_of(t);
-    const std::size_t k_hi = index_of(e);
-    if (cpu_.max(k_lo, k_hi) + r.cpu > spec_.capacity.cpu + kEps) return false;
-    if (mem_.max(k_lo, k_hi) + r.mem > spec_.capacity.mem + kEps) return false;
-    if (e == vm.end) return true;
-    t = e + 1;
-  }
+  return all_runs(vm, [&](Time first, Time last, const Resources& r) {
+    const std::size_t k_lo = index_of(first);
+    const std::size_t k_hi = index_of(last);
+    return cpu_.max(k_lo, k_hi) + r.cpu <= spec_.capacity.cpu + kEps &&
+           mem_.max(k_lo, k_hi) + r.mem <= spec_.capacity.mem + kEps;
+  });
 }
 
 FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
-  assert(vm.valid());
   FitCheck check;
   if (vm.start < base_ || vm.end > horizon_) {
     check.reject = FitReject::Horizon;
@@ -154,30 +152,23 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
     return check;
   }
   // Each equal-demand run against its own demand, in time order; a stable
-  // VM is one run, whose first query is can_fit's range max. As in
-  // can_fit, the run that ends at vm.end is the last.
-  for (Time t = vm.start;;) {
-    const Resources r = vm.demand_at(t);
-    const Time e = run_end_of(vm, t, r);
-    const std::size_t lo = index_of(t);
-    const std::size_t hi = index_of(e);
+  // VM is one run, whose first query is can_fit's range max.
+  check.ok = all_runs(vm, [&](Time first, Time last, const Resources& r) {
+    const std::size_t lo = index_of(first);
+    const std::size_t hi = index_of(last);
     const std::size_t cpu_at =
         cpu_free ? hi + 1
                  : first_violation(cpu_, lo, hi, r.cpu, spec_.capacity.cpu);
     const std::size_t mem_at =
         mem_free ? hi + 1
                  : first_violation(mem_, lo, hi, r.mem, spec_.capacity.mem);
-    if (cpu_at <= hi || mem_at <= hi) {
-      // Earliest unit wins; CPU is diagnosed first on a tie (a per-unit
-      // scan checks CPU before memory).
-      check.reject = cpu_at <= mem_at ? FitReject::Cpu : FitReject::Mem;
-      check.at = base_ + static_cast<Time>(std::min(cpu_at, mem_at));
-      return check;
-    }
-    if (e == vm.end) break;
-    t = e + 1;
-  }
-  check.ok = true;
+    if (cpu_at > hi && mem_at > hi) return true;
+    // Earliest unit wins; CPU is diagnosed first on a tie (a per-unit scan
+    // checks CPU before memory).
+    check.reject = cpu_at <= mem_at ? FitReject::Cpu : FitReject::Mem;
+    check.at = base_ + static_cast<Time>(std::min(cpu_at, mem_at));
+    return false;
+  });
   return check;
 }
 
@@ -206,14 +197,11 @@ void apply_demand(RangeAddMaxTree& cpu, RangeAddMaxTree& mem,
     mem.add(index_of(vm.start), index_of(vm.end), sign * vm.demand.mem);
     return;
   }
-  for (Time t = vm.start;;) {
-    const Resources r = vm.demand_at(t);
-    const Time e = run_end_of(vm, t, r);
-    if (r.cpu != 0.0) cpu.add(index_of(t), index_of(e), sign * r.cpu);
-    if (r.mem != 0.0) mem.add(index_of(t), index_of(e), sign * r.mem);
-    if (e == vm.end) return;
-    t = e + 1;
-  }
+  all_runs(vm, [&](Time first, Time last, const Resources& r) {
+    if (r.cpu != 0.0) cpu.add(index_of(first), index_of(last), sign * r.cpu);
+    if (r.mem != 0.0) mem.add(index_of(first), index_of(last), sign * r.mem);
+    return true;
+  });
 }
 
 }  // namespace

@@ -132,7 +132,8 @@ class ServerTimeline {
   FitCheck check_fit(const VmSpec& vm) const;
 
   /// Reserves the VM's resources and extends the busy structure. The caller
-  /// must have checked can_fit (asserted in debug builds).
+  /// must have checked can_fit (asserted; asserts are live in every build
+  /// type).
   void place(const VmSpec& vm);
 
   /// Reverts the latest place(vm) that is still in effect: releases the

@@ -7,21 +7,33 @@
 
 namespace esva {
 
-double VmSpec::total_cpu() const {
-  if (!has_profile()) return demand.cpu * static_cast<double>(duration());
-  double total = 0.0;
-  for (const Resources& r : profile) total += r.cpu;
-  return total;
+namespace {
+
+/// True iff unit k of `profile` is the last of its run of equal demand: the
+/// profile's last unit, or one whose successor differs in cpu or mem.
+bool ends_run(const std::vector<Resources>& profile, std::size_t k) {
+  return k + 1 == profile.size() || profile[k + 1].cpu != profile[k].cpu ||
+         profile[k + 1].mem != profile[k].mem;
 }
+
+}  // namespace
 
 void VmSpec::set_profile(std::vector<Resources> new_profile) {
   assert(static_cast<Time>(new_profile.size()) == duration());
   profile = std::move(new_profile);
   demand = Resources{};
-  for (const Resources& r : profile) {
-    demand.cpu = std::max(demand.cpu, r.cpu);
-    demand.mem = std::max(demand.mem, r.mem);
+  profile_cpu = 0.0;
+  std::size_t runs = 0;
+  for (std::size_t k = 0; k < profile.size(); ++k) {
+    demand.cpu = std::max(demand.cpu, profile[k].cpu);
+    demand.mem = std::max(demand.mem, profile[k].mem);
+    profile_cpu += profile[k].cpu;
+    if (ends_run(profile, k)) ++runs;
   }
+  run_ends.clear();
+  run_ends.reserve(runs);
+  for (std::size_t k = 0; k < profile.size(); ++k)
+    if (ends_run(profile, k)) run_ends.push_back(static_cast<Time>(k));
 }
 
 bool VmSpec::valid() const {
@@ -29,12 +41,20 @@ bool VmSpec::valid() const {
   if (!has_profile()) return true;
   if (static_cast<Time>(profile.size()) != duration()) return false;
   Resources peak;
-  for (const Resources& r : profile) {
+  double cpu = 0.0;
+  std::size_t runs = 0;
+  for (std::size_t k = 0; k < profile.size(); ++k) {
+    const Resources& r = profile[k];
     if (!r.non_negative()) return false;
     peak.cpu = std::max(peak.cpu, r.cpu);
     peak.mem = std::max(peak.mem, r.mem);
+    cpu += r.cpu;
+    if (ends_run(profile, k) &&
+        (runs == run_ends.size() || run_ends[runs++] != static_cast<Time>(k)))
+      return false;
   }
-  return std::abs(peak.cpu - demand.cpu) <= kEps &&
+  return runs == run_ends.size() && cpu == profile_cpu &&
+         std::abs(peak.cpu - demand.cpu) <= kEps &&
          std::abs(peak.mem - demand.mem) <= kEps;
 }
 

@@ -2,8 +2,12 @@
 //
 // A VM v_j is a resource demand plus a closed time interval [t^s_j, t^e_j]
 // over which the demand must be reserved on exactly one server (paper §II).
-// Demands are stable over the lifetime (§IV-B1: "The resource demands of each
-// VM is stable"), so a single Resources value suffices.
+// The paper's evaluation keeps demands stable over the lifetime (§IV-B1: "The
+// resource demands of each VM is stable"): one Resources value. A profiled VM
+// carries the general per-unit demand R_jt (Eqs. 3, 9-10) instead, and
+// set_profile() derives from it, once, what no server changes: the peak, the
+// runs of equal demand and Σ_t R^CPU_jt, so a candidate scan reads them
+// rather than walking the profile per server.
 
 #pragma once
 
@@ -29,8 +33,16 @@ struct VmSpec {
   /// Optional per-time-unit demand R_jt (the paper's Eqs. 3/9/10 general
   /// form): empty = stable demand; otherwise profile[k] is the demand at
   /// time start + k and profile.size() == duration(). Use set_profile() to
-  /// keep `demand` consistent.
+  /// keep `demand`, `run_ends` and `profile_cpu` consistent.
   std::vector<Resources> profile;
+  /// Derived by set_profile(): the offset from `start` of the last unit of
+  /// each run of consecutive units with equal demand (cpu and mem compared
+  /// with !=, so +0.0 and -0.0 are one run), in increasing order; the last
+  /// entry is duration() - 1. Read only while has_profile().
+  std::vector<Time> run_ends;
+  /// Derived by set_profile(): Σ_t R^CPU_jt over `profile`, added in index
+  /// order. Read only while has_profile().
+  double profile_cpu = 0.0;
 
   /// Number of occupied time units: end - start + 1.
   Time duration() const { return end - start + 1; }
@@ -43,16 +55,22 @@ struct VmSpec {
                          : demand;
   }
 
-  /// Σ_t R^CPU_jt over the lifetime (the sum in Eq. 3).
-  double total_cpu() const;
+  /// Σ_t R^CPU_jt over the lifetime (the sum in Eq. 3), O(1).
+  double total_cpu() const {
+    return has_profile() ? profile_cpu
+                         : demand.cpu * static_cast<double>(duration());
+  }
 
-  /// Installs a per-unit profile (size must equal duration()) and sets
-  /// `demand` to the component-wise peak.
+  /// Installs a per-unit profile (size must equal duration()), sets
+  /// `demand` to the component-wise peak and derives `run_ends` and
+  /// `profile_cpu`. Allocates at most once, for `run_ends`.
   void set_profile(std::vector<Resources> new_profile);
 
   /// Structural validity: the interval must be well-formed, demands
-  /// non-negative, and — if profiled — the profile sized to the duration
-  /// with `demand` equal to its component-wise peak.
+  /// non-negative, and — if profiled — the profile sized to the duration,
+  /// with `demand`, `run_ends` and `profile_cpu` equal to what
+  /// set_profile() derives from it (so a profile edited in place fails).
+  /// O(duration): callers check a request once, not once per candidate.
   bool valid() const;
 };
 

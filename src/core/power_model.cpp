@@ -5,9 +5,9 @@
 namespace esva {
 
 Energy run_cost(const ServerSpec& server, const VmSpec& vm) {
-  assert(server.valid() && vm.valid());
+  assert(server.valid());
   // W_ij = P¹_i · Σ_t R^CPU_jt (Eq. 3); for stable demand the sum is
-  // demand × duration.
+  // demand × duration, for a profiled VM the sum set_profile() stored.
   return server.unit_run_power() * vm.total_cpu();
 }
 

@@ -544,6 +544,9 @@ PlacementDecision PlacementEngine::submit(const VmSpec& vm) {
     return late;
   }
   cluster_.ensure_horizon(vm.end);
+  // The one validity check per request: the candidate scan does not repeat
+  // it per server.
+  assert(vm.valid());
   PlacementDecision decision = policy_.place_one(cluster_, vm, rng_);
   if (decision.server != kNoServer) {
     commit(decision, vm, /*charge_migration=*/false);
@@ -664,6 +667,7 @@ void PlacementEngine::evacuate(VmSpec vm, Time now) {
   // The VM already ran [start, now); only the remainder needs a new home.
   VmSpec remainder = clip_to(std::move(vm), now);
   cluster_.ensure_horizon(remainder.end);
+  assert(remainder.valid());
   const PlacementDecision decision =
       policy_.place_one(cluster_, remainder, rng_);
   if (decision.server != kNoServer) {
@@ -802,6 +806,7 @@ void PlacementEngine::drain_retries(Time now) {
     }
     const VmSpec attempt_vm = clip_to(pending.vm, at);
     cluster_.ensure_horizon(attempt_vm.end);
+    assert(attempt_vm.valid());
     const PlacementDecision decision =
         policy_.place_one(cluster_, attempt_vm, rng_);
     if (decision.server != kNoServer) {

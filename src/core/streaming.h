@@ -534,7 +534,9 @@ class PlacementEngine {
   /// Places one request. If vm.start is already behind the frontier (its
   /// window may have been collected), throws std::invalid_argument — or,
   /// with EngineOptions::tolerate_late_arrivals, returns a kLateArrival
-  /// rejection instead.
+  /// rejection instead. `vm` must be valid(): the engine asserts it once
+  /// before the policy's scan (and once per evacuation or retry attempt),
+  /// so no candidate probe re-checks it.
   PlacementDecision submit(const VmSpec& vm);
 
   /// Advances the frontier to `t`: fault events scheduled at or before `t`

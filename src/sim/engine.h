@@ -43,8 +43,9 @@ struct SimulationResult {
 
 class SimulationEngine {
  public:
-  /// The allocation must be feasible for the problem (validated in debug
-  /// builds). Unallocated VMs are skipped (they consume no energy).
+  /// The allocation must be feasible for the problem (asserted; asserts are
+  /// live in every build type). Unallocated VMs are skipped (they consume
+  /// no energy).
   SimulationEngine(const ProblemInstance& problem, const Allocation& alloc,
                    const CostOptions& opts = {});
 

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "util/csv.h"
 #include "util/parse.h"
@@ -120,11 +121,14 @@ std::vector<VmSpec> read_vm_trace(std::istream& in, bool dense_ids) {
     vm.start = parse_field_as<Time>(row[4], line_context(line));
     vm.end = parse_field_as<Time>(row[5], line_context(line));
     if (row.size() == 7 && !row[6].empty()) {
-      if (vm.end < vm.start) fail(line, "invalid vm interval");
-      const auto profile = decode_profile(row[6], line);
-      if (static_cast<Time>(profile.size()) != vm.end - vm.start + 1)
+      // Checked before duration() is formed, which overflows Time for a
+      // start below 1.
+      if (vm.start < 1 || vm.end < vm.start)
+        fail(line, "invalid vm interval");
+      std::vector<Resources> profile = decode_profile(row[6], line);
+      if (static_cast<Time>(profile.size()) != vm.duration())
         fail(line, "profile length != duration");
-      vm.set_profile(profile);
+      vm.set_profile(std::move(profile));
     }
     if (!vm.valid()) fail(line, "invalid vm spec");
     if (dense_ids) {

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "baselines/registry.h"
 #include "cluster/timeline.h"
 #include "core/power_model.h"
+#include "core/streaming.h"
 #include "ilp/model.h"
 #include "ilp/validate.h"
 #include "sim/engine.h"
@@ -29,7 +33,9 @@ VmSpec profiled_vm(VmId id, Time start,
   spec.id = id;
   spec.type_name = "profiled";
   spec.start = start;
-  spec.end = start + static_cast<Time>(levels.size()) - 1;
+  // Parenthesized so a profile that ends at the largest Time cannot
+  // overflow on the way.
+  spec.end = start + (static_cast<Time>(levels.size()) - 1);
   spec.set_profile(std::vector<Resources>(levels));
   return spec;
 }
@@ -58,6 +64,129 @@ TEST(VmProfile, ValidityChecks) {
   VmSpec negative = profiled_vm(0, 1, {{1, 1}, {1, 1}});
   negative.profile[1].cpu = -1.0;
   EXPECT_FALSE(negative.valid());
+}
+
+// --- what set_profile() derives: runs of equal demand and the CPU sum ------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Checks `p`'s stored runs and CPU sum against a per-unit recount: a run
+/// ends where the next unit's cpu or mem differs by value (!=), and the sum
+/// is added in index order, so Eq. 3's W_ij keeps its bits.
+void expect_derived_matches_recount(const VmSpec& p) {
+  SCOPED_TRACE("vm " + std::to_string(p.id));
+  ASSERT_TRUE(p.has_profile());
+  std::vector<Time> ends;
+  double cpu = 0.0;
+  for (std::size_t k = 0; k < p.profile.size(); ++k) {
+    cpu += p.profile[k].cpu;
+    if (k + 1 == p.profile.size() || p.profile[k + 1].cpu != p.profile[k].cpu ||
+        p.profile[k + 1].mem != p.profile[k].mem)
+      ends.push_back(static_cast<Time>(k));
+  }
+  EXPECT_EQ(p.run_ends, ends);
+  EXPECT_EQ(bits(p.total_cpu()), bits(cpu));
+  const ServerSpec host = basic_server();
+  EXPECT_EQ(bits(run_cost(host, p)), bits(host.unit_run_power() * cpu));
+  EXPECT_TRUE(p.valid());
+}
+
+TEST(VmProfileRuns, MatchAPerUnitRecount) {
+  constexpr Time kEnd = std::numeric_limits<Time>::max();
+  const struct {
+    const char* name;
+    VmSpec vm;
+    std::vector<Time> runs;
+  } cases[] = {
+      {"one unit", profiled_vm(0, 4, {{3, 2}}), {0}},
+      {"all units equal", profiled_vm(1, 1, {{2, 1}, {2, 1}, {2, 1}, {2, 1}}),
+       {3}},
+      {"every unit distinct",
+       profiled_vm(2, 9, {{1, 1}, {2, 1}, {2, 2}, {1, 2}}), {0, 1, 2, 3}},
+      // One run by value; the wire encoder, which compares bits, makes two.
+      {"+0.0 next to -0.0",
+       profiled_vm(3, 1,
+                   {{0.0, 2}, {-0.0, 2}, {0.0, 2}, {0.0, -0.0}, {-0.0, 0.0}}),
+       {2, 4}},
+      {"zero-demand runs",
+       profiled_vm(4, 2, {{0, 0}, {0, 0}, {2, 1}, {0, 0}, {0, 0}}), {1, 2, 4}},
+      {"a run ending at the largest Time",
+       profiled_vm(5, kEnd - 4, {{1, 1}, {1, 1}, {3, 1}, {3, 1}, {3, 1}}),
+       {1, 4}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.vm.run_ends, c.runs);
+    expect_derived_matches_recount(c.vm);
+  }
+}
+
+TEST(VmProfileRuns, MatchAPerUnitRecountOnRandomBurstyProfiles) {
+  WorkloadConfig config;
+  config.num_vms = 200;
+  config.mean_interarrival = 0.25;
+  config.mean_duration = 50.0;
+  config.vm_types = all_vm_types();
+  Rng rng(2027);
+  for (const VmSpec& v : generate_bursty_workload(config, 4, 0.3, rng))
+    expect_derived_matches_recount(v);
+  // Levels drawn from a small set, signed zeros included, so runs of every
+  // length and value ties between +0.0 and -0.0 occur.
+  const double levels[] = {0.0, -0.0, 1.5, 4.0};
+  const auto level = [&] {
+    return levels[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+  };
+  for (VmId id = 0; id < 200; ++id) {
+    const Time start = static_cast<Time>(rng.uniform_int(1, 100));
+    std::vector<Resources> profile(
+        static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (Resources& r : profile)
+      r = {level(), level()};
+    VmSpec v;
+    v.id = id;
+    v.start = start;
+    v.end = start + static_cast<Time>(profile.size()) - 1;
+    v.set_profile(std::move(profile));
+    expect_derived_matches_recount(v);
+  }
+}
+
+// set_profile() and clip_to() (which re-installs the profile's tail) derive
+// the runs and the sum again instead of keeping the old ones.
+TEST(VmProfileRuns, SetProfileAndClipToDeriveThemAgain) {
+  VmSpec p = profiled_vm(0, 10, {{1, 1}, {1, 1}, {2, 1}, {2, 1}, {3, 3}});
+  ASSERT_EQ(p.run_ends, (std::vector<Time>{1, 3, 4}));
+  for (Time t = p.start + 1; t <= p.end; ++t) {
+    const VmSpec tail = clip_to(p, t);
+    ASSERT_EQ(tail.start, t);
+    expect_derived_matches_recount(tail);
+  }
+  EXPECT_EQ(clip_to(p, 12).run_ends, (std::vector<Time>{1, 2}));
+  p.set_profile({{5, 5}, {5, 5}, {5, 5}, {5, 5}, {0.5, 5}});
+  EXPECT_EQ(p.run_ends, (std::vector<Time>{3, 4}));
+  EXPECT_DOUBLE_EQ(p.total_cpu(), 20.5);
+  expect_derived_matches_recount(p);
+}
+
+// A profile edited in place after set_profile() no longer matches what was
+// derived from it, so valid() refuses it even though its peak is unchanged.
+TEST(VmProfileRuns, ValidRefusesAProfileEditedInPlaceUnderTheSamePeak) {
+  const VmSpec original = profiled_vm(0, 1, {{2, 1}, {2, 1}, {4, 1}, {6, 3}});
+  ASSERT_TRUE(original.valid());
+
+  VmSpec sum_and_runs = original;  // a new run and a new sum
+  sum_and_runs.profile[0].cpu = 1.0;
+  VmSpec runs_only = original;  // the same sum, one run split in two
+  runs_only.profile[1].mem = 0.5;
+  VmSpec sum_only = original;  // the same runs, another sum
+  sum_only.profile[2].cpu = 3.0;
+  for (const VmSpec* edited : {&sum_and_runs, &runs_only, &sum_only}) {
+    EXPECT_EQ(edited->demand, original.demand);
+    EXPECT_FALSE(edited->valid());
+    VmSpec rederived = *edited;
+    rederived.set_profile(edited->profile);
+    EXPECT_TRUE(rederived.valid());
+  }
 }
 
 TEST(VmProfile, StableVmTotalsUnchanged) {

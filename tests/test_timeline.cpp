@@ -352,6 +352,22 @@ TEST(ProfiledTimeline, CoalescedRunsMatchPerUnitSemantics) {
   }
 }
 
+// set_profile() counts the runs, then reserves: installing a profile makes
+// one allocation, for the run list, however many runs it has.
+TEST(ProfiledTimeline, SetProfileAllocatesOnceForTheRuns) {
+  for (const std::size_t runs : {1, 7, 300}) {
+    std::vector<Resources> levels;
+    for (std::size_t r = 0; r < runs; ++r)
+      levels.insert(levels.end(), 3,
+                    Resources{static_cast<double>(r % 2 + 1), 1.0});
+    VmSpec spec = vm(0, 1, static_cast<Time>(levels.size()));
+    EXPECT_EQ(allocations_in([&] { spec.set_profile(std::move(levels)); }),
+              1u)
+        << runs << " runs";
+    EXPECT_EQ(spec.run_ends.size(), runs);
+  }
+}
+
 // A window that ends at the largest Time: probes, placements and their
 // reversal stop at the run that ends there instead of stepping one unit
 // past it, and VMs that end there merge in the busy set.

@@ -168,6 +168,18 @@ TEST(VmTrace, MissingProfileColumnUnderTheSevenColumnHeaderIsRefused) {
             "");
 }
 
+// A profiled row's interval is checked before its duration is formed: with
+// a start below 1, end - start + 1 overflowed Time.
+TEST(VmTrace, ProfiledRowStartingBeforeOneIsRefused) {
+  for (const std::string row :
+       {"0,a,1,1,0,2147483647,1:1", "0,a,1,1,-5,3,1:1"}) {
+    EXPECT_EQ(refusal("id,type,cpu,mem,start,end,profile\n" + row + "\n",
+                      [](std::istream& in) { return read_vm_trace(in); }),
+              "trace line 2: invalid vm interval")
+        << row;
+  }
+}
+
 // A server trace whose header and rows both put mem before cpu used to be
 // read by position, as cpu 72 / mem 30.
 TEST(ServerTrace, ReorderedColumnsAreRefused) {
