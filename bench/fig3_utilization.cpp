@@ -5,7 +5,7 @@
 #include "bench_util.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv, "fig3_utilization — reproduce Fig. 3 (resource utilization)",
@@ -60,4 +60,6 @@ int main(int argc, char** argv) {
       fmt_percent(ours_gap / static_cast<double>(ours_cpu.ys.size())).c_str(),
       fmt_percent(ffps_gap / static_cast<double>(ffps_cpu.ys.size())).c_str());
   return 0;
+} catch (const std::exception& e) {
+  return esva::bench::exit_on_error(e);
 }

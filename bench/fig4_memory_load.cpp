@@ -3,13 +3,11 @@
 // (paper §IV-C). One series per VM count; logarithm fits.
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
-#include "util/csv.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv, "fig4_memory_load — reproduce Fig. 4 (reduction vs load)",
@@ -55,14 +53,10 @@ int main(int argc, char** argv) {
     spec.y_as_percent = false;
     print_figure(std::cout, spec, {s});
   }
-  if (!args.csv.empty()) {
-    // Flat CSV: vm_count,load,reduction.
-    std::ofstream out(args.csv);
-    CsvWriter csv(out);
-    csv.row({"vm_count", "memory_load", "reduction"});
-    for (const Series& s : series)
-      for (std::size_t k = 0; k < s.xs.size(); ++k)
-        csv.typed_row(s.label, s.xs[k], s.ys[k]);
-  }
+  if (!args.csv.empty())
+    export_points_csv(args.csv, {"vm_count", "memory_load", "reduction"},
+                      series);
   return 0;
+} catch (const std::exception& e) {
+  return esva::bench::exit_on_error(e);
 }

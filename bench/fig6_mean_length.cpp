@@ -5,7 +5,7 @@
 #include "bench_util.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
@@ -53,4 +53,6 @@ int main(int argc, char** argv) {
               fmt_percent(mean_short / series.front().ys.size()).c_str(),
               fmt_percent(mean_long / series.back().ys.size()).c_str());
   return 0;
+} catch (const std::exception& e) {
+  return esva::bench::exit_on_error(e);
 }

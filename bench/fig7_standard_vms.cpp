@@ -4,7 +4,7 @@
 
 #include "bench_util.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
   spec.y_as_percent = true;
   emit_figure(spec, series, args.csv);
   return 0;
+} catch (const std::exception& e) {
+  return esva::bench::exit_on_error(e);
 }

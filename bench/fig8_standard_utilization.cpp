@@ -53,7 +53,7 @@ void run_panel(const esva::bench::BenchArgs& args, bool all_server_types,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv,
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
   run_panel(args, /*all_server_types=*/true, "(a) all server types", "fig8a");
   run_panel(args, /*all_server_types=*/false, "(b) server types 1-3", "fig8b");
   return 0;
+} catch (const std::exception& e) {
+  return esva::bench::exit_on_error(e);
 }

@@ -4,12 +4,10 @@
 // close-to-linearly with load and higher when all server types are in play.
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
 #include "util/table.h"
-#include "util/csv.h"
 
 namespace {
 
@@ -51,7 +49,7 @@ LoadSeries sweep(const esva::bench::BenchArgs& args, bool all_server_types) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace esva;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv, "fig9_load_linear — reproduce Fig. 9 (reduction vs load)",
@@ -85,13 +83,10 @@ int main(int argc, char** argv) {
               fmt_percent(mean_all / all.cpu.ys.size()).c_str(),
               fmt_percent(mean_t13 / t13.cpu.ys.size()).c_str());
 
-  if (!args.csv.empty()) {
-    std::ofstream out(args.csv);
-    CsvWriter csv(out);
-    csv.row({"series", "load", "reduction"});
-    for (const Series& s : {all.cpu, all.mem, t13.cpu, t13.mem})
-      for (std::size_t k = 0; k < s.xs.size(); ++k)
-        csv.typed_row(s.label, s.xs[k], s.ys[k]);
-  }
+  if (!args.csv.empty())
+    export_points_csv(args.csv, {"series", "load", "reduction"},
+                      {all.cpu, all.mem, t13.cpu, t13.mem});
   return 0;
+} catch (const std::exception& e) {
+  return esva::bench::exit_on_error(e);
 }

@@ -574,8 +574,8 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
                     "write-ahead journal path (required); an existing journal "
                     "is replayed on startup");
   parser.add_string("snapshot", "",
-                    "snapshot path (optional); bounds startup replay to the "
-                    "journal suffix past the snapshot");
+                    "snapshot path (optional); each snapshot compacts the "
+                    "journal, so a restart reads only the records past it");
   parser.add_int("wal-sync-every", 1,
                  "fsync the journal once N >= 1 records have been written "
                  "since the last fsync; 1 = every ack follows the fsync of "

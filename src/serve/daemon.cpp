@@ -95,19 +95,20 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
 
   // One daemon per journal, decided before recovery reads it: a second
   // writer would ack records under seqs this daemon already used, and the
-  // next recovery would refuse the file.
+  // next recovery would refuse the file. The lock is on `<wal>.lock`, which
+  // no compaction replaces, so it covers every journal the daemon writes.
+  const std::string lock_path = options_.wal_path + ".lock";
   wal_lock_.fd =
-      ::open(options_.wal_path.c_str(), O_RDONLY | O_CREAT | O_CLOEXEC, 0644);
+      ::open(lock_path.c_str(), O_RDONLY | O_CREAT | O_CLOEXEC, 0644);
   if (wal_lock_.fd < 0)
-    throw std::runtime_error("cannot open wal '" + options_.wal_path +
+    throw std::runtime_error("cannot open wal lock file '" + lock_path +
                              "': " + std::strerror(errno));
   if (::flock(wal_lock_.fd, LOCK_EX | LOCK_NB) != 0) {
     const int err = errno;
     throw std::runtime_error(
         err == EWOULDBLOCK
             ? "wal '" + options_.wal_path + "' is locked by another daemon"
-            : "cannot lock wal '" + options_.wal_path +
-                  "': " + std::strerror(err));
+            : "cannot lock '" + lock_path + "': " + std::strerror(err));
   }
 
   end_phase(recovery_.setup_ms);
@@ -126,8 +127,10 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
             "(allocator/seed/fleet mismatch)");
       engine_->import_state(snap.engine);
       rng_.set_state(snap.rng);
+      // The pairs come in vm order, so each goes in at the end, in constant
+      // time; a repeated vm keeps its last server.
       for (const auto& [vm, server] : snap.assignment)
-        assignment_[vm] = server;
+        assignment_.insert_or_assign(assignment_.end(), vm, server);
       applied = snap.wal_seq;
       from_snapshot_ = true;
     }
@@ -150,6 +153,21 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
           "wal '" + options_.wal_path +
           "' was produced by a different daemon configuration "
           "(allocator/seed/fleet/retry mismatch)");
+    // A compacted journal's records up to `after` are only in the snapshot
+    // that compacted it. Without that snapshot or a later one, the records
+    // past `after` would replay onto an engine that never saw the ones
+    // before.
+    if (wal.header.after > applied)
+      throw std::runtime_error(
+          "wal '" + options_.wal_path + "' starts after seq " +
+          std::to_string(wal.header.after) +
+          ", and only a snapshot holds the records before; " +
+          (options_.snapshot_path.empty()
+               ? std::string("the daemon runs without --snapshot")
+           : from_snapshot_ ? "snapshot '" + options_.snapshot_path +
+                                  "' holds only seq " + std::to_string(applied)
+                            : "snapshot '" + options_.snapshot_path +
+                                  "' is missing"));
   } else if (from_snapshot_) {
     throw std::runtime_error("snapshot present but wal '" + options_.wal_path +
                              "' is missing or empty");
@@ -217,13 +235,16 @@ PlacementDecision Daemon::apply(const Request& req) {
 }
 
 void Daemon::replay_record(const WalRecord& rec) {
-  const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
+  // Built on the error paths only: most records replay without one.
+  const auto where = [&rec] {
+    return "wal replay (seq " + std::to_string(rec.seq) + ")";
+  };
   // A daemon never journals an op the engine refused: this one was edited.
   PlacementDecision decision;
   try {
     decision = apply(rec.req);
   } catch (const std::exception& e) {
-    throw std::runtime_error(where + ": " + e.what());
+    throw std::runtime_error(where() + ": " + e.what());
   }
   // Fidelity checksums: the deterministic re-run must land exactly where the
   // live run did — on the same server, at the same cumulative energy
@@ -232,14 +253,14 @@ void Daemon::replay_record(const WalRecord& rec) {
   if (rec.req.op == OpKind::kPlace) {
     if (decision.server != rec.chosen)
       throw std::runtime_error(
-          where + ": replay chose server " + std::to_string(decision.server) +
+          where() + ": replay chose server " + std::to_string(decision.server) +
           ", journal recorded " + std::to_string(rec.chosen));
     if (rec.has_energy && engine_->total_energy() != rec.energy_after)
-      throw std::runtime_error(where +
+      throw std::runtime_error(where() +
                                ": replay energy diverged from the journal");
   } else if (rec.req.op == OpKind::kRetire && decision.server != rec.chosen) {
     throw std::runtime_error(
-        where + ": replay retired from server " +
+        where() + ": replay retired from server " +
         std::to_string(decision.server) + ", journal recorded " +
         std::to_string(rec.chosen));
   }
@@ -281,9 +302,10 @@ void Daemon::journal(const std::string& record) {
       ++ops_since_snapshot_ < options_.snapshot_every)
     return;
   // Once do_snapshot's sync returns, the op is applied and its record
-  // durable; a snapshot file that cannot be written only lengthens the next
-  // replay, so it is logged and the op acked. A failed sync has halted the
-  // daemon and still fails the op.
+  // durable; a snapshot file that cannot be written leaves the journal
+  // whole and only lengthens the next replay, so it is logged and the op
+  // acked. A failed sync, or a compaction whose rename may not be durable,
+  // has halted the daemon and still fails the op.
   try {
     do_snapshot();
   } catch (const std::exception& e) {
@@ -309,6 +331,32 @@ void Daemon::do_snapshot() {
   snap.assignment.assign(assignment_.begin(), assignment_.end());
   write_snapshot_atomic(options_.snapshot_path, snap);
   ops_since_snapshot_ = 0;
+  compact_journal(snap.wal_seq);
+}
+
+void Daemon::compact_journal(std::uint64_t seq) {
+  // The snapshot just written is durable and holds every record up to
+  // `seq`, the last one journaled, so the journal can start over after it.
+  WalHeader fresh = header_;
+  fresh.after = seq;
+  int fd = -1;
+  try {
+    fd = replace_journal(options_.wal_path, fresh);
+  } catch (const std::exception& e) {
+    // Nothing at --wal changed: the whole journal stays in use.
+    log_warn() << "journal compaction failed, the journal keeps its records: "
+               << e.what();
+    return;
+  }
+  wal_->switch_to(fd);
+  // Until the rename is durable, a power loss can bring the old journal
+  // back, and with it lose every record appended to the fresh one.
+  try {
+    fsync_directory_of(options_.wal_path, "wal");
+  } catch (const std::exception& e) {
+    fatal_ = halt_reason(e);
+    throw std::runtime_error(fatal_);
+  }
 }
 
 void Daemon::drain() {

@@ -13,6 +13,12 @@
 // process crash loses no acked op and a power loss at most N-1
 // (docs/SERVE.md, "Durability model"). handle_line is a round of one line.
 //
+// Compaction: a daemon with a snapshot path replaces its journal after every
+// durable snapshot (periodic, the snapshot op, drain, the shutdown
+// checkpoint) with a fresh one whose header names the snapshot's seq, so
+// the snapshot and the journal past it are the source of truth together,
+// and a restart reads only the records past the snapshot.
+//
 // A restarted daemon reconstructs its state by loading the latest snapshot
 // (if any) and *re-running the engine* over the journal records after it:
 // each record decodes to the Request the live daemon applied, and goes
@@ -33,9 +39,11 @@
 // lines one after another, so the engine needs no locking and each
 // connection's responses keep its request order.
 //
-// Exclusivity: a daemon holds an exclusive flock on its WAL for its
-// lifetime, taken before recovery reads the file, and serve_loop replaces
-// an existing socket path only when it is a socket nobody listens on.
+// Exclusivity: a daemon holds an exclusive flock on `<wal>.lock` for its
+// lifetime, taken before recovery reads the WAL; compaction never replaces
+// that file, so the lock covers every journal at the path. serve_loop
+// replaces an existing socket path only when it is a socket nobody listens
+// on.
 //
 // Framing: each connection's input is scanned once, from where the last
 // read stopped, and consumed lines are compacted away once per read, so a
@@ -98,8 +106,8 @@ struct DaemonOptions {
   std::uint64_t seed = 42;
   /// Write-ahead journal path; required.
   std::string wal_path;
-  /// Snapshot path; empty disables snapshots (recovery then replays the
-  /// whole journal).
+  /// Snapshot path; empty disables snapshots, and with them compaction
+  /// (the journal then holds every record, and recovery replays it all).
   std::string snapshot_path;
   /// Journal fsync schedule (WalWriter): 1 = every op fsynced before its
   /// ack; N > 1 = every op written before its ack, fsynced once N records
@@ -124,9 +132,10 @@ class Daemon {
   /// Builds the engine, locks the WAL and runs recovery: snapshot restore
   /// (if one exists), then journal replay of every record past it, with
   /// checksum verification. Throws std::runtime_error when another daemon
-  /// holds the WAL (before reading it), on header/config mismatches,
-  /// mid-journal corruption, a record the engine refuses, or replay
-  /// divergence.
+  /// holds the WAL (before reading it), on header/config mismatches, a
+  /// compacted journal without a snapshot at its start or later (naming
+  /// both files, and changing neither), mid-journal corruption, a record the
+  /// engine refuses, or replay divergence.
   Daemon(std::vector<ServerSpec> servers, DaemonOptions options);
   ~Daemon();
   Daemon(const Daemon&) = delete;
@@ -211,7 +220,14 @@ class Daemon {
   /// WalWriter::sync with halt-on-failure semantics: a throw records fatal_
   /// (the engine is ahead of the journal) and rethrows.
   void wal_sync();
+  /// Syncs the journal, writes the snapshot, then compacts the journal.
+  /// Throws when the sync or the snapshot fails (a failed sync halts).
   void do_snapshot();
+  /// Replaces the journal with a fresh one that starts after `seq`, which
+  /// the snapshot just written holds. A failure before the rename is logged
+  /// and leaves the whole journal in use; a failed directory fsync after it
+  /// halts the daemon and throws.
+  void compact_journal(std::uint64_t seq);
   std::string dispatch(const Request& req);
   /// Applies one line as part of the current round: the engine moves and
   /// its record is staged; the response it returns must wait for
@@ -230,8 +246,8 @@ class Daemon {
   std::unique_ptr<PlacementPolicy> policy_;
   Rng rng_;
   std::unique_ptr<PlacementEngine> engine_;
-  /// The descriptor holding the exclusive flock on the WAL. Declared before
-  /// wal_, so the writer closes before the lock is released.
+  /// The descriptor holding the exclusive flock on `<wal>.lock`. Declared
+  /// before wal_, so the writer closes before the lock is released.
   struct WalLock {
     int fd = -1;
     WalLock() = default;

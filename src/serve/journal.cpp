@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <limits>
@@ -17,12 +18,15 @@ namespace esva::serve {
 
 namespace {
 
-/// Version 2 writes profiles as runs (serve/wire.h); version 1 wrote one
-/// [cpu,mem] entry per unit. The decoder reads both entry forms, so both
-/// versions recover, and the bump stops an older daemon at the header
-/// instead of at the first run-form record.
-constexpr int kWalVersion = 2;
+/// Version 3 names the seq the journal starts after ("after"), which a
+/// compacted journal needs: an older reader would replay its records onto
+/// an empty engine. Version 2 writes profiles as runs (serve/wire.h);
+/// version 1 wrote one [cpu,mem] entry per unit. The decoder reads both
+/// entry forms, so every version recovers, and each bump stops an older
+/// daemon at the header instead of at the first record it cannot read.
+constexpr int kWalVersion = 3;
 constexpr int kOldestWalVersion = 1;
+constexpr int kFirstVersionWithAfter = 3;
 
 [[noreturn]] void fail_line(std::size_t line, const std::string& what) {
   throw std::runtime_error("wal line " + std::to_string(line) + ": " + what);
@@ -51,6 +55,8 @@ WalHeader decode_header(const json::Value& root, std::size_t line) {
   h.retry.queue_capacity = static_cast<std::size_t>(json::require_integer(
       root, "retry_queue", 0, std::numeric_limits<long long>::max(),
       "wal header"));
+  if (version >= kFirstVersionWithAfter)
+    h.after = require_u64(root, "after", "wal header");
   return h;
 }
 
@@ -95,6 +101,20 @@ bool has_nonblank_line(std::string_view text) {
   return text.find_first_not_of(" \t\r\n") != std::string_view::npos;
 }
 
+/// write()s all of `data`, retrying EINTR and short writes; false, with
+/// errno set, on the first failed write.
+bool write_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string encode_wal_header(const WalHeader& header) {
@@ -107,6 +127,7 @@ std::string encode_wal_header(const WalHeader& header) {
   out += ",\"retry_delay\":" + std::to_string(header.retry.base_delay);
   out += ",\"retry_backoff\":" + hex_double(header.retry.backoff);
   out += ",\"retry_queue\":" + std::to_string(header.retry.queue_capacity);
+  out += ",\"after\":" + u64_field(header.after);
   out += '}';
   return out;
 }
@@ -270,6 +291,7 @@ WalFile read_wal(const std::string& path) {
     if (header) {
       wal.has_header = true;
       have_header = true;
+      prev_seq = wal.header.after;
     } else {
       // Checked outside the torn-tail catch: a complete record that reuses
       // a seq was written by a second daemon on this journal, and dropping
@@ -305,6 +327,50 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes) {
                              "': " + std::strerror(err));
   }
   ::close(fd);
+}
+
+void fsync_directory_of(const std::string& path, const char* what) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0)
+    throw std::runtime_error(std::string("cannot open ") + what +
+                             " directory '" + dir +
+                             "': " + std::strerror(errno));
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw std::runtime_error(std::string("cannot fsync ") + what +
+                             " directory '" + dir + "': " + std::strerror(err));
+  }
+  ::close(fd);
+}
+
+int replace_journal(const std::string& path, const WalHeader& header) {
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+             0644);
+  if (fd < 0)
+    throw std::runtime_error("cannot create fresh wal '" + tmp +
+                             "': " + std::strerror(errno));
+  const char* failed = nullptr;
+  if (!write_all(fd, encode_wal_header(header) + '\n'))
+    failed = "write";
+  else if (::fsync(fd) != 0)
+    failed = "fsync";
+  else if (::rename(tmp.c_str(), path.c_str()) != 0)
+    failed = "rename";
+  if (failed) {
+    const int err = errno;
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(std::string("cannot ") + failed + " fresh wal '" +
+                             tmp + "': " + std::strerror(err));
+  }
+  return fd;
 }
 
 WalWriter::WalWriter(const std::string& path, const WalHeader& fresh_header,
@@ -363,20 +429,12 @@ bool WalWriter::commit() {
 }
 
 void WalWriter::flush_pending() {
-  std::size_t off = 0;
-  while (off < pending_.size()) {
-    const ssize_t n = ::write(fd_, pending_.data() + off,
-                              pending_.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      pending_.clear();
-      throw std::runtime_error(std::string("wal append failed: ") +
-                               std::strerror(err));
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  const bool written = write_all(fd_, pending_);
+  const int err = errno;
   pending_.clear();
+  if (!written)
+    throw std::runtime_error(std::string("wal append failed: ") +
+                             std::strerror(err));
 }
 
 void WalWriter::sync() {
@@ -386,6 +444,12 @@ void WalWriter::sync() {
                              std::strerror(errno));
   since_sync_ = 0;
   ++fsyncs_;
+}
+
+void WalWriter::switch_to(int fd) {
+  assert(pending_.empty() && since_sync_ == 0);
+  ::close(fd_);
+  fd_ = fd;
 }
 
 }  // namespace esva::serve

@@ -5,9 +5,9 @@
 //
 // Record schema (docs/FORMATS.md#wal):
 //
-//   header   {"op":"hdr","format":"esva-wal","version":2,"allocator":...,
+//   header   {"op":"hdr","format":"esva-wal","version":3,"allocator":...,
 //             "seed":"S","servers":N,"retry_max":...,"retry_delay":...,
-//             "retry_backoff":"0x...","retry_queue":N}
+//             "retry_backoff":"0x...","retry_queue":N,"after":"A"}
 //   place    {"op":"place","seq":"K","allocator":...,"vm":J,
 //             "chosen":S|null,"reject":"...",?"note":...,
 //             "spec":{...encode_vm...},"energy_hex":"0x..."}
@@ -17,21 +17,28 @@
 //   fault    {"op":"fault","seq":"K","at":T,"kind":"fail","server":S}
 //   drain    {"op":"drain","seq":"K"}
 //
+// "after" (version 3) is the seq the journal starts after: 0 for a journal
+// that starts from an empty engine, and the snapshot's wal_seq for one a
+// snapshot compacted (replace_journal), whose earlier records only that
+// snapshot holds. Its first record's seq is greater than "after".
+//
 // The "spec" is serve/wire.h's VM codec, so version 2 writes a profiled
-// VM's demands as [len,cpu,mem] runs. read_wal accepts versions 1 and 2:
-// version 1 journals wrote one [cpu,mem] entry per unit, which the decoder
-// still reads, so a daemon recovering a version 1 journal appends run-form
-// records to it, and from then on the file needs a reader of version 2 or
-// later (docs/FORMATS.md#wal).
+// VM's demands as [len,cpu,mem] runs. read_wal accepts versions 1 to 3, and
+// reads versions 1 and 2 as starting after 0: version 1 journals wrote one
+// [cpu,mem] entry per unit, which the decoder still reads, so a daemon
+// recovering a version 1 journal appends run-form records to it, and from
+// then on the file needs a reader of version 2 or later until its next
+// compaction (docs/FORMATS.md#wal).
 //
 // place and retire records are deliberate *supersets* of the decision-trace
 // schema (obs/trace.h): they carry "vm" and "chosen" exactly as to_jsonl
 // would, so the journal's place/retire lines load through load_trace_jsonl
 // and fold through assignment_from_trace — a WAL is also a decision trace
-// of the daemon's lifetime (last-write-wins gives the final hosting,
-// retires landing as kNoServer). The extra keys (op/seq/spec/energy_hex) are
-// ignored by the trace loader; tests/test_serve.cpp pins the compatibility
-// by feeding a journal's lines to that loader.
+// of the daemon's ops since its last compaction (last-write-wins gives the
+// final hosting of the VMs those ops touched, retires landing as
+// kNoServer). The extra keys (op/seq/spec/energy_hex) are ignored by the
+// trace loader; tests/test_serve.cpp pins the compatibility by feeding a
+// journal's lines to that loader.
 //
 // Recovery does NOT trust recorded outcomes: it re-runs the deterministic
 // engine over the journaled *inputs*, each decoded into the serve::Request
@@ -76,6 +83,10 @@ struct WalHeader {
   std::uint64_t seed = 0;
   std::size_t num_servers = 0;
   RetryPolicy retry;
+  /// The seq the journal starts after: every record's seq is greater. Not
+  /// identity: a compacted journal names the snapshot that holds the
+  /// records before it (0 for versions 1 and 2).
+  std::uint64_t after = 0;
 };
 
 /// One replayable journal record (the decoded form of the schema above).
@@ -129,11 +140,25 @@ bool read_whole_file(const std::string& path, const char* what,
 /// Parses a whole journal in one pass over one copy of the file, each line
 /// parsed where it lies into one JSON tree that every line reuses. Throws
 /// std::runtime_error on a missing/invalid header, a malformed non-final
-/// record, or a file that exists but cannot be read (read_whole_file); a
-/// malformed final line only sets torn_tail. An absent or empty file yields
-/// an empty WalFile with a default-constructed header (records empty) —
-/// callers treat that as a fresh journal.
+/// record, a seq that is not greater than the one before it (or than the
+/// header's `after`), or a file that exists but cannot be read
+/// (read_whole_file); a malformed final line only sets torn_tail. An absent
+/// or empty file yields an empty WalFile with a default-constructed header
+/// (records empty) — callers treat that as a fresh journal.
 WalFile read_wal(const std::string& path);
+
+/// fsyncs the directory that holds `path`, so a rename into it is durable.
+/// Throws std::runtime_error naming `what` ("wal", "snapshot") and the
+/// directory when it cannot be opened or fsynced.
+void fsync_directory_of(const std::string& path, const char* what);
+
+/// Replaces the journal at `path` with a fresh one that holds only `header`:
+/// written to `<path>.tmp` (truncating a stale one), fsynced and renamed
+/// over `path`. Returns the new journal's descriptor, open for append, for
+/// WalWriter::switch_to. Throws std::runtime_error when any step up to the
+/// rename fails, and `path` then still names the old journal. The rename is
+/// durable only once fsync_directory_of(path) returns.
+int replace_journal(const std::string& path, const WalHeader& header);
 
 /// Truncates the journal to its well-formed prefix (WalFile::valid_bytes)
 /// and fsyncs, discarding a torn tail so the next append starts on a fresh
@@ -178,6 +203,11 @@ class WalWriter {
 
   /// Writes any staged records and fsyncs (drain, snapshot, shutdown).
   void sync();
+
+  /// Goes on over `fd` (replace_journal's) and closes the journal written
+  /// so far. Every staged record must have been synced; the fsync count
+  /// carries on.
+  void switch_to(int fd);
 
   /// fsyncs of the journal since this writer opened it.
   std::uint64_t fsyncs() const { return fsyncs_; }

@@ -259,14 +259,10 @@ void write_snapshot_atomic(const std::string& path, const SnapshotData& snap) {
   if (::rename(tmp.c_str(), path.c_str()) != 0)
     throw std::runtime_error("snapshot rename failed: " +
                              std::string(std::strerror(errno)));
-  // Make the rename itself durable.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
+  // The rename itself must be durable before the daemon compacts its
+  // journal: after a power loss, an undone rename would leave a journal
+  // that starts past the only snapshot on disk.
+  fsync_directory_of(path, "snapshot");
 }
 
 SnapshotData load_snapshot(const std::string& path, bool* found) {

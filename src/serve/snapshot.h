@@ -15,7 +15,10 @@
 // still load, their "resolutions" ignored.
 //
 // A restored daemon replays the WAL records with seq > wal_seq on top of the
-// snapshot — snapshotting just bounds replay work; it never changes state.
+// snapshot. Once the daemon compacts its journal after a snapshot, the
+// snapshot is the only copy of the records up to its wal_seq, so the
+// snapshot and the journal past it are the source of truth together
+// (docs/SERVE.md, "Snapshots and compaction").
 
 #pragma once
 
@@ -54,6 +57,8 @@ std::string encode_snapshot(const SnapshotData& snap);
 SnapshotData decode_snapshot(const std::string& text);
 
 /// Atomic durable write: <path>.tmp + fsync + rename + fsync(dirname).
+/// Throws std::runtime_error when any step fails, the directory's open and
+/// fsync included: a snapshot is written only once its rename is durable.
 void write_snapshot_atomic(const std::string& path, const SnapshotData& snap);
 
 /// Loads and decodes; `found` reports whether the file existed (absent is

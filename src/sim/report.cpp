@@ -90,6 +90,20 @@ void export_figure_csv(const std::string& path, const FigureSpec& spec,
     }
     csv.row(row);
   }
+  if (!file.flush()) throw std::runtime_error("cannot write: " + path);
+}
+
+void export_points_csv(const std::string& path,
+                       const std::array<std::string, 3>& header,
+                       const std::vector<Series>& series) {
+  std::ofstream file(path);
+  if (!file) throw std::runtime_error("cannot open for writing: " + path);
+  CsvWriter csv(file);
+  csv.row({header.begin(), header.end()});
+  for (const Series& s : series)
+    for (std::size_t k = 0; k < s.xs.size(); ++k)
+      csv.typed_row(s.label, s.xs[k], s.ys[k]);
+  if (!file.flush()) throw std::runtime_error("cannot write: " + path);
 }
 
 void emit_figure(const FigureSpec& spec, const std::vector<Series>& series,

@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <array>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -38,8 +39,17 @@ void print_figure(std::ostream& out, const FigureSpec& spec,
                   const std::vector<Series>& series);
 
 /// Writes "x,<label1>,<label1>_err,<label2>,..." rows; series must share xs.
-/// Throws std::runtime_error if the file cannot be opened.
+/// Throws std::runtime_error naming the path if the file cannot be opened
+/// or written.
 void export_figure_csv(const std::string& path, const FigureSpec& spec,
+                       const std::vector<Series>& series);
+
+/// Writes the `header` row, then one "<label>,<x>,<y>" row per point of each
+/// series in turn: the flat form for series that do not share xs. Throws
+/// std::runtime_error naming the path if the file cannot be opened or
+/// written.
+void export_points_csv(const std::string& path,
+                       const std::array<std::string, 3>& header,
                        const std::vector<Series>& series);
 
 /// Shared bench-binary behaviour: print to stdout and, if csv_path is

@@ -227,7 +227,7 @@ TEST_F(AppTest, ThreadsFlagAcceptsOnlyOneAndOnlyOnServe) {
   }
   const std::string wal = path("th.wal");
   for (const std::string threads : {"0", "2", "-3"}) {
-    std::remove(wal.c_str());
+    testing::remove_journal(wal);
     EXPECT_EQ(run("serve", {"--servers", path("th_srv.csv"), "--socket",
                             path("th.sock"), "--wal", wal, "--threads",
                             threads}),
@@ -239,14 +239,14 @@ TEST_F(AppTest, ThreadsFlagAcceptsOnlyOneAndOnlyOnServe) {
   }
   // --threads 1 passes: the daemon starts (journal written) and only the
   // unbindable socket stops it.
-  std::remove(wal.c_str());
+  testing::remove_journal(wal);
   EXPECT_EQ(run("serve", {"--servers", path("th_srv.csv"), "--socket",
                           path("no_such_dir/th.sock"), "--wal", wal,
                           "--threads", "1"}),
             1);
   EXPECT_NE(err().find("bind("), std::string::npos) << err();
   EXPECT_TRUE(std::ifstream(wal).good());
-  std::remove(wal.c_str());
+  testing::remove_journal(wal);
 }
 
 // One daemon per journal: `esva serve` on a journal another daemon holds
@@ -258,7 +258,7 @@ TEST_F(AppTest, ServeRefusesAWalAnotherDaemonHolds) {
                  path("ex_vms.csv"), "--out-servers", path("ex_srv.csv")}),
             0);
   const std::string wal = path("ex.wal");
-  std::remove(wal.c_str());
+  testing::remove_journal(wal);
   serve::DaemonOptions options;
   options.wal_path = wal;
   serve::Daemon holder(load_server_trace(path("ex_srv.csv")), options);
@@ -274,7 +274,7 @@ TEST_F(AppTest, ServeRefusesAWalAnotherDaemonHolds) {
   EXPECT_NE(err().find("wal '" + wal + "' is locked"), std::string::npos)
       << err();
   EXPECT_EQ(contents(), before);
-  std::remove(wal.c_str());
+  testing::remove_journal(wal);
 }
 
 // A retry, WAL-sync or snapshot value the daemon could not restart on (the
@@ -296,7 +296,7 @@ TEST_F(AppTest, OutOfRangeDaemonFlagsFailBeforeWritingAWal) {
       {"snapshot-every", "-1"}};
   const std::string wal = path("rg.wal");
   for (const auto& [flag, value] : cases) {
-    std::remove(wal.c_str());
+    testing::remove_journal(wal);
     EXPECT_EQ(run("serve", {"--servers", path("rg_srv.csv"), "--socket",
                             path("rg.sock"), "--wal", wal, "--snapshot",
                             path("rg.snap"), "--" + flag, value}),
@@ -390,7 +390,7 @@ TEST_F(AppTest, ServeRestartsOnItsOwnWalAtEveryAcceptedBoundary) {
   const std::string wal = path("sb.wal");
   const std::string snap = path("sb.snap");
   for (const auto& [flag, value] : cases) {
-    std::remove(wal.c_str());
+    testing::remove_journal(wal);
     std::remove(snap.c_str());
     for (const char* start : {"first", "restart"}) {
       EXPECT_EQ(run("serve", {"--servers", path("sb_srv.csv"), "--socket",
@@ -403,7 +403,7 @@ TEST_F(AppTest, ServeRestartsOnItsOwnWalAtEveryAcceptedBoundary) {
       EXPECT_TRUE(std::ifstream(wal).good()) << flag << " " << value;
     }
   }
-  std::remove(wal.c_str());
+  testing::remove_journal(wal);
   std::remove(snap.c_str());
 }
 

@@ -66,6 +66,11 @@ std::string temp_path(const std::string& name) {
          "_" + name;
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 VmSpec awkward_vm() {
   VmSpec vm = testing::vm(7, 3, 12, 0.1, 6.8);  // 0.1 is inexact in binary
   vm.type_name = "m1.small \"quoted\"";
@@ -528,19 +533,19 @@ TEST(ServeWal, CompleteRunFormPlaceOnTheLastLineIsKept) {
   ::unlink(path.c_str());
 }
 
-// Versions 1 and 2 read; anything else stops at the header, so a reader
+// Versions 1 to 3 read; anything else stops at the header, so a reader
 // never meets a record form it does not know. (A record follows the header:
 // a malformed last line would read as a torn tail.)
 TEST(ServeWal, UnknownVersionsAreRefused) {
   const std::string path = temp_path("version.wal");
   const std::string header = serve::encode_wal_header(test_header());
-  ASSERT_NE(header.find("\"version\":2"), std::string::npos) << header;
-  for (const std::string version : {"0", "1", "2", "3"}) {
+  ASSERT_NE(header.find("\"version\":3"), std::string::npos) << header;
+  for (const std::string version : {"0", "1", "2", "3", "4"}) {
     std::string line = header;
-    line.replace(line.find("\"version\":2"), 11, "\"version\":" + version);
+    line.replace(line.find("\"version\":3"), 11, "\"version\":" + version);
     std::ofstream(path, std::ios::trunc)
         << line << '\n' << serve::encode_advance_record(1, 5) << '\n';
-    if (version == "1" || version == "2") {
+    if (version == "1" || version == "2" || version == "3") {
       EXPECT_TRUE(serve::read_wal(path).has_header) << version;
     } else {
       EXPECT_THROW(serve::read_wal(path), std::runtime_error) << version;
@@ -549,10 +554,38 @@ TEST(ServeWal, UnknownVersionsAreRefused) {
   ::unlink(path.c_str());
 }
 
+// A version 3 header names the seq its journal starts after, and every
+// record must be past it. Versions 1 and 2 carry no such field and start
+// after 0, whatever their header holds.
+TEST(ServeWal, RecordsStartPastTheHeadersAfter) {
+  const std::string path = temp_path("after.wal");
+  WalHeader compacted = test_header();
+  compacted.after = 5;
+  const std::string header = serve::encode_wal_header(compacted);
+  ASSERT_NE(header.find(",\"after\":\"5\""), std::string::npos) << header;
+  std::ofstream(path, std::ios::trunc)
+      << header << '\n' << serve::encode_advance_record(6, 9) << '\n';
+  WalFile wal = serve::read_wal(path);
+  EXPECT_EQ(wal.header.after, 5u);
+  ASSERT_EQ(wal.records.size(), 1u);
+  EXPECT_EQ(wal.records[0].seq, 6u);
+  std::ofstream(path, std::ios::trunc)
+      << header << '\n' << serve::encode_advance_record(5, 9) << '\n';
+  EXPECT_THROW(serve::read_wal(path), std::runtime_error);
+  std::string v2 = header;
+  v2.replace(v2.find("\"version\":3"), 11, "\"version\":2");
+  std::ofstream(path, std::ios::trunc)
+      << v2 << '\n' << serve::encode_advance_record(1, 9) << '\n';
+  wal = serve::read_wal(path);
+  EXPECT_EQ(wal.header.after, 0u);
+  EXPECT_EQ(wal.records.size(), 1u);
+  ::unlink(path.c_str());
+}
+
 TEST(ServeWal, RecordsDoubleAsDecisionTrace) {
   // The journal's place/retire lines must stay loadable by the *real*
   // decision-trace loader, with last-write-wins resolving a retired VM to
-  // kNoServer — the WAL is also a decision trace of the daemon's lifetime.
+  // kNoServer — the WAL is also a decision trace of the ops it holds.
   const std::string path = temp_path("wal_trace.wal");
   {
     serve::WalWriter writer(path, test_header(), 1);
@@ -803,6 +836,13 @@ void expect_matches_reference(const Daemon& daemon,
   EXPECT_EQ(daemon.engine().cluster().frontier(), reference.final_frontier);
 }
 
+/// A stats line without the counters of the daemon's own restart
+/// (wal_fsyncs, replayed): the state any restart must reproduce.
+std::string stats_state(const std::string& line) {
+  return line.substr(0, line.find(",\"wal_fsyncs\"")) +
+         line.substr(line.find(",\"torn_tail_recovered\""));
+}
+
 DaemonOptions daemon_options(const std::string& allocator, std::uint64_t seed,
                              const RetryPolicy& retry, const std::string& tag,
                              bool with_snapshot = false) {
@@ -812,7 +852,7 @@ DaemonOptions daemon_options(const std::string& allocator, std::uint64_t seed,
   options.retry = retry;
   options.wal_path = temp_path(tag + ".wal");
   if (with_snapshot) options.snapshot_path = temp_path(tag + ".snap");
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
   if (with_snapshot) ::unlink(options.snapshot_path.c_str());
   return options;
 }
@@ -829,7 +869,7 @@ TEST(ServeEquivalence, DaemonMatchesReplayStreamAcrossAllocators) {
     feed_daemon(daemon, w);
     daemon.drain();
     expect_matches_reference(daemon, reference);
-    ::unlink(temp_path("equiv_" + allocator + ".wal").c_str());
+    testing::remove_journal(temp_path("equiv_" + allocator + ".wal"));
   }
 }
 
@@ -845,7 +885,7 @@ TEST(ServeEquivalence, DaemonMatchesReplayStreamUnderFaultsAndRetries) {
     daemon.drain();
     EXPECT_GT(daemon.engine().fault_stats().fault_events, 0);
     expect_matches_reference(daemon, reference);
-    ::unlink(temp_path("equivf_" + allocator + ".wal").c_str());
+    testing::remove_journal(temp_path("equivf_" + allocator + ".wal"));
   }
 }
 
@@ -877,7 +917,7 @@ TEST(ServeEquivalence, DaemonMatchesReplayStreamWithFaultsPastTheLastArrival) {
   feed_daemon(daemon, w);
   daemon.drain();
   expect_matches_reference(daemon, reference);
-  ::unlink(temp_path("equiv_tail.wal").c_str());
+  testing::remove_journal(temp_path("equiv_tail.wal"));
 }
 
 // The daemon folds each op's resolutions into its assignment map and then
@@ -912,16 +952,11 @@ TEST(ServeEquivalence, ResolutionLogIsEmptyAfterEveryOp) {
     expect_matches_reference(daemon, reference);
     stats = daemon.stats_json(/*with_assignment=*/true);
   }
-  // All but the restart's own counters (wal_fsyncs, replayed).
-  const auto state = [](const std::string& line) {
-    return line.substr(0, line.find(",\"wal_fsyncs\"")) +
-           line.substr(line.find(",\"torn_tail_recovered\""));
-  };
   Daemon restarted(w.servers, options);
   EXPECT_TRUE(restarted.engine().resolutions().empty());
-  EXPECT_EQ(state(restarted.stats_json(/*with_assignment=*/true)),
-            state(stats));
-  ::unlink(options.wal_path.c_str());
+  EXPECT_EQ(stats_state(restarted.stats_json(/*with_assignment=*/true)),
+            stats_state(stats));
+  testing::remove_journal(options.wal_path);
 }
 
 // --- crash recovery ---------------------------------------------------------
@@ -998,7 +1033,7 @@ void crash_and_recover(const std::string& allocator, bool with_snapshot,
   second.drain();
   expect_matches_reference(second, reference);
 
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
   if (with_snapshot) ::unlink(options.snapshot_path.c_str());
 }
 
@@ -1072,7 +1107,7 @@ TEST(ServeRecovery, AcceptedBoundaryOptionsRestartOnTheirOwnWal) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "case " << k << ": " << e.what();
     }
-    ::unlink(options.wal_path.c_str());
+    testing::remove_journal(options.wal_path);
     ::unlink(temp_path("bound.snap").c_str());
   }
 }
@@ -1125,7 +1160,7 @@ TEST(ServeRecovery, TornTailIsDroppedAndFlagged) {
   EXPECT_TRUE(recovered.recovered_torn_tail());
   EXPECT_EQ(recovered.last_seq(), acked);
   EXPECT_EQ(recovered.replayed_records(), acked);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeRecovery, TornTailIsTruncatedSoLaterAppendsStayParseable) {
@@ -1168,7 +1203,7 @@ TEST(ServeRecovery, TornTailIsTruncatedSoLaterAppendsStayParseable) {
   EXPECT_EQ(third.last_seq(), after);
   EXPECT_EQ(third.replayed_records(), after);
   EXPECT_EQ(third.assignment().at(w.vms.front().id), kNoServer);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeRecovery, ConfigMismatchRefusesToServe) {
@@ -1185,7 +1220,7 @@ TEST(ServeRecovery, ConfigMismatchRefusesToServe) {
   DaemonOptions reseeded = options;
   reseeded.seed = 43;
   EXPECT_THROW(Daemon(w.servers, reseeded), std::runtime_error);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeRecovery, ChecksumDivergenceIsFatal) {
@@ -1212,7 +1247,7 @@ TEST(ServeRecovery, ChecksumDivergenceIsFatal) {
   options.seed = 42;
   options.wal_path = path;
   EXPECT_THROW(Daemon(w.servers, options), std::runtime_error);
-  ::unlink(path.c_str());
+  testing::remove_journal(path);
 }
 
 // A fault record dated before 1 reads like the wire op it came from (the
@@ -1247,7 +1282,117 @@ TEST(ServeRecovery, FaultRecordBeforeTheFrontierFailsAtReplay) {
     EXPECT_NE(what.find("wal replay (seq 2)"), std::string::npos) << what;
     EXPECT_NE(what.find("precedes the frontier"), std::string::npos) << what;
   }
-  ::unlink(path.c_str());
+  testing::remove_journal(path);
+}
+
+// --- compaction -------------------------------------------------------------
+
+// A compacted journal's records before its start are only in the snapshot
+// that compacted it. Recovery refuses the journal, naming both files and
+// changing neither, when that snapshot is missing, when an older one stands
+// in its place, and when the daemon runs without --snapshot; with the
+// snapshot back, it recovers.
+TEST(ServeRecovery, CompactedJournalWithoutItsSnapshotIsRefused) {
+  const Workload w = make_workload(0xc0de, /*with_faults=*/false);
+  const std::vector<std::string> lines = request_lines(w);
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, RetryPolicy{}, "compacted",
+                     /*with_snapshot=*/true);
+  const std::string wal_tmp = options.wal_path + ".tmp";
+  std::string older;
+  std::string stats;
+  {
+    Daemon daemon(w.servers, options);
+    send_lines(daemon, lines, 0, 10);
+    daemon.checkpoint();
+    older = file_bytes(options.snapshot_path);
+    send_lines(daemon, lines, 10, 20);
+    daemon.checkpoint();
+    send_lines(daemon, lines, 20, 25);
+    stats = daemon.stats_json(/*with_assignment=*/true);
+  }
+  const std::string journal = file_bytes(options.wal_path);
+  const std::string newer = file_bytes(options.snapshot_path);
+  ASSERT_EQ(serve::read_wal(options.wal_path).header.after, 20u);
+  DaemonOptions without = options;
+  without.snapshot_path.clear();
+  const std::string snap = "snapshot '" + options.snapshot_path + "'";
+  struct Refused {
+    const char* name;
+    const DaemonOptions* options;
+    std::string snapshot;  // empty: none
+    std::string error;
+  };
+  const std::vector<Refused> cases = {
+      {"missing snapshot", &options, "", snap + " is missing"},
+      {"older snapshot", &options, older, snap + " holds only seq 10"},
+      {"no --snapshot", &without, newer, "the daemon runs without --snapshot"},
+  };
+  for (const Refused& c : cases) {
+    ::unlink(options.snapshot_path.c_str());
+    if (!c.snapshot.empty())
+      std::ofstream(options.snapshot_path, std::ios::binary) << c.snapshot;
+    std::string error;
+    try {
+      Daemon refused(w.servers, *c.options);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("wal '" + options.wal_path + "' starts after seq 20"),
+              std::string::npos)
+        << c.name << ": " << error;
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << c.name << ": " << error;
+    EXPECT_EQ(file_bytes(options.wal_path), journal) << c.name;
+    EXPECT_EQ(file_bytes(options.snapshot_path), c.snapshot) << c.name;
+    EXPECT_FALSE(std::ifstream(wal_tmp).good()) << c.name;
+  }
+  std::ofstream(options.snapshot_path, std::ios::binary | std::ios::trunc)
+      << newer;
+  Daemon recovered(w.servers, options);
+  EXPECT_EQ(recovered.last_seq(), 25u);
+  EXPECT_EQ(recovered.replayed_records(), 5u);
+  EXPECT_EQ(stats_state(recovered.stats_json(/*with_assignment=*/true)),
+            stats_state(stats));
+  testing::remove_journal(options.wal_path);
+  ::unlink(options.snapshot_path.c_str());
+}
+
+// With a snapshot every K ops the journal never holds K records: each
+// periodic snapshot compacts it, whatever the fsync schedule, and a restart
+// reads only the records past the last snapshot to the same state.
+TEST(ServeRecovery, PeriodicSnapshotsKeepTheJournalUnderTheirPeriod) {
+  const Workload w = make_workload(0xb0d, /*with_faults=*/true);
+  const std::vector<std::string> lines = request_lines(w);
+  constexpr std::uint64_t kEvery = 4;
+  ASSERT_GE(lines.size(), 8 * kEvery);
+  for (const int sync_every : {1, 32}) {
+    DaemonOptions options = daemon_options(
+        "min-incremental", 42, test_retry(),
+        "bounded_" + std::to_string(sync_every), /*with_snapshot=*/true);
+    options.snapshot_every = kEvery;
+    options.wal_sync_every = sync_every;
+    std::string stats;
+    {
+      Daemon daemon(w.servers, options);
+      for (const std::string& line : lines) {
+        const std::string response = daemon.handle_line(line);
+        ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+        const WalFile wal = serve::read_wal(options.wal_path);
+        EXPECT_LT(wal.records.size(), kEvery) << "seq " << daemon.last_seq();
+        EXPECT_EQ(wal.header.after + wal.records.size(), daemon.last_seq());
+      }
+      stats = daemon.stats_json(/*with_assignment=*/true);
+    }
+    Daemon restarted(w.servers, options);
+    EXPECT_TRUE(restarted.recovered_from_snapshot());
+    EXPECT_LT(restarted.recovery().records_read, kEvery);
+    EXPECT_EQ(restarted.recovery().records_read, restarted.replayed_records());
+    EXPECT_EQ(stats_state(restarted.stats_json(/*with_assignment=*/true)),
+              stats_state(stats));
+    testing::remove_journal(options.wal_path);
+    ::unlink(options.snapshot_path.c_str());
+  }
 }
 
 // --- retire and handle_line surface ----------------------------------------
@@ -1290,7 +1435,7 @@ TEST(ServeDaemon, PlacesEndingAtTheLargestTimeAreAckedAndRecovered) {
   EXPECT_EQ(recovered.assignment(), placed);
   EXPECT_EQ(recovered.engine().total_energy(), energy);
   EXPECT_EQ(recovered.engine().cluster().active_vms(), 3u);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeDaemon, RetireFreesCapacityAndPinsAssignment) {
@@ -1354,7 +1499,7 @@ TEST(ServeDaemon, RetireFreesCapacityAndPinsAssignment) {
     EXPECT_EQ(recovered.assignment().at(2), 0);
     EXPECT_EQ(recovered.engine().total_energy(), energy);
   }
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeDaemon, StatsEchoesRequestId) {
@@ -1368,7 +1513,7 @@ TEST(ServeDaemon, StatsEchoesRequestId) {
       << with_id;
   const std::string without = daemon.handle_line(R"({"op":"stats"})");
   EXPECT_EQ(without.rfind("{\"ok\":true,\"op\":\"stats\"", 0), 0u) << without;
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeDaemon, LongLongRequestIdsEchoExactly) {
@@ -1387,7 +1532,7 @@ TEST(ServeDaemon, LongLongRequestIdsEchoExactly) {
       daemon.handle_line(R"({"op":"stats","id":9223372036854775808})");
   EXPECT_EQ(refused.rfind("{\"ok\":false,\"error\":", 0), 0u) << refused;
   EXPECT_NE(refused.find("'id'"), std::string::npos) << refused;
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeDaemon, HandleLineTurnsFailuresIntoStructuredErrors) {
@@ -1406,7 +1551,7 @@ TEST(ServeDaemon, HandleLineTurnsFailuresIntoStructuredErrors) {
       R"({"op":"fault","at":5,"kind":"fail","server":999})");
   EXPECT_EQ(bad_fault.rfind("{\"ok\":false", 0), 0u) << bad_fault;
   EXPECT_EQ(daemon.last_seq(), 0u);  // nothing journaled
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 /// The "energy_hex" field of a stats response.
@@ -1458,7 +1603,7 @@ TEST(ServeDaemon, FaultBeforeTheFrontierIsRefused) {
   EXPECT_EQ(acked.rfind("{\"ok\":true", 0), 0u) << acked;
   EXPECT_EQ(daemon.last_seq(), 3u);
   EXPECT_EQ(daemon.engine().fault_stats().displaced, 1);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 // One far-future place must not wedge the daemon. It is refused before the
@@ -1515,7 +1660,7 @@ TEST(ServeDaemon, OverlongPlaceIsRefusedBeforeTheEngine) {
   EXPECT_EQ(recovered.replayed_records(), 2u);
   EXPECT_EQ(energy_hex_of(recovered.handle_line(R"({"op":"stats"})")),
             energy_hex);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 // A place exactly at the duration limit is accepted.
@@ -1530,7 +1675,7 @@ TEST(ServeDaemon, PlaceAtTheDurationLimitIsAccepted) {
   ASSERT_EQ(place.vm.duration(), serve::kMaxPlaceDuration);
   const std::string placed = daemon.handle_line(serve::encode_request(place));
   EXPECT_NE(placed.find("\"server\":0"), std::string::npos) << placed;
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 // A periodic snapshot that cannot be written (here <snapshot>.tmp is a
@@ -1570,7 +1715,7 @@ TEST(ServeDaemon, FailedPeriodicSnapshotStillAcksTheOp) {
     EXPECT_EQ(energy_hex_of(recovered.handle_line(R"({"op":"stats"})")),
               energy_hex);
   }
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
   ::rmdir(tmp.c_str());
 }
 
@@ -1614,7 +1759,7 @@ TEST(ServeDaemon, FailedPeriodicSnapshotRestartsTheCount) {
   EXPECT_EQ(recovered.last_seq(), 6u);
   EXPECT_EQ(energy_hex_of(recovered.handle_line(R"({"op":"stats"})")),
             energy_hex);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
   ::unlink(options.snapshot_path.c_str());
 }
 
@@ -1650,7 +1795,7 @@ TEST(ServeDaemon, DrainReportsAFailedSnapshot) {
   EXPECT_EQ(recovered.last_seq(), 5u);
   EXPECT_EQ(energy_hex_of(recovered.handle_line(R"({"op":"stats"})")),
             energy_hex);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
   ::unlink(options.snapshot_path.c_str());
 }
 
@@ -1675,11 +1820,11 @@ TEST(ServeDaemon, CheckpointReportsAFailedSnapshot) {
   ASSERT_EQ(::rmdir(tmp.c_str()), 0) << std::strerror(errno);
   EXPECT_NO_THROW(daemon.checkpoint());
   EXPECT_TRUE(std::ifstream(options.snapshot_path).good());
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
   ::unlink(options.snapshot_path.c_str());
 }
 
-// --- format version 1 -------------------------------------------------------
+// --- format versions 1 and 2 -------------------------------------------------
 
 /// make_workload with each VM's demand held in three constant phases (full,
 /// then 0.3x, then 0.65x), so its spec encodes as up to three runs.
@@ -1707,43 +1852,51 @@ bool replace_all(std::string& text, const std::string& from,
   return found;
 }
 
-/// Copies a daemon's WAL and snapshot as format version 1 wrote them:
-/// version 1 headers, and every profiled VM with one entry per unit.
-void write_version_one(const DaemonOptions& from, const DaemonOptions& to) {
-  const WalFile wal = serve::read_wal(from.wal_path);
+/// Copies an uncompacted journal and a snapshot as an older daemon wrote
+/// them: a header of `version` (which has no "after"), and for version 1
+/// every profiled VM with one entry per unit, in the snapshot too, which
+/// then reads version 1 as well.
+void write_old_version(int version, const std::string& wal_from,
+                       const std::string& snapshot_from,
+                       const DaemonOptions& to) {
+  const WalFile wal = serve::read_wal(wal_from);
+  ASSERT_EQ(wal.header.after, 0u);
   std::string header = serve::encode_wal_header(wal.header);
-  ASSERT_TRUE(replace_all(header, "\"version\":2", "\"version\":1"));
+  ASSERT_TRUE(replace_all(header, "\"version\":3",
+                          "\"version\":" + std::to_string(version)));
+  ASSERT_TRUE(replace_all(header, ",\"after\":\"0\"", ""));
   std::ofstream out(to.wal_path, std::ios::trunc);
   out << header << '\n';
   // The daemon writes one line per record after its header line.
-  std::ifstream in(from.wal_path);
+  std::ifstream in(wal_from);
   std::string line;
   std::getline(in, line);
   for (const WalRecord& rec : wal.records) {
     ASSERT_TRUE(std::getline(in, line));
-    if (rec.req.op == OpKind::kPlace) {
+    if (version == 1 && rec.req.op == OpKind::kPlace) {
       ASSERT_TRUE(replace_all(line, serve::encode_vm(rec.req.vm),
                               per_unit_vm(rec.req.vm)));
     }
     out << line << '\n';
   }
   bool found = false;
-  const serve::SnapshotData snap =
-      serve::load_snapshot(from.snapshot_path, &found);
+  const serve::SnapshotData snap = serve::load_snapshot(snapshot_from, &found);
   ASSERT_TRUE(found);
   std::string text = serve::encode_snapshot(snap);
-  ASSERT_TRUE(replace_all(text, "\"version\":3", "\"version\":1"));
-  std::size_t profiled = 0;
-  const auto rewrite = [&](const VmSpec& vm) {
-    if (!vm.has_profile()) return;
-    ++profiled;
-    replace_all(text, serve::encode_vm(vm), per_unit_vm(vm));
-  };
-  for (const ServerStateSnapshot& server : snap.engine.servers)
-    for (const VmSpec& vm : server.active) rewrite(vm);
-  for (const PendingRequest& pending : snap.engine.retry_queue)
-    rewrite(pending.vm);
-  EXPECT_GT(profiled, 0u) << "the snapshot must hold profiled VMs";
+  if (version == 1) {
+    ASSERT_TRUE(replace_all(text, "\"version\":3", "\"version\":1"));
+    std::size_t profiled = 0;
+    const auto rewrite = [&](const VmSpec& vm) {
+      if (!vm.has_profile()) return;
+      ++profiled;
+      replace_all(text, serve::encode_vm(vm), per_unit_vm(vm));
+    };
+    for (const ServerStateSnapshot& server : snap.engine.servers)
+      for (const VmSpec& vm : server.active) rewrite(vm);
+    for (const PendingRequest& pending : snap.engine.retry_queue)
+      rewrite(pending.vm);
+    EXPECT_GT(profiled, 0u) << "the snapshot must hold profiled VMs";
+  }
   std::ofstream(to.snapshot_path, std::ios::trunc) << text << '\n';
 }
 
@@ -1755,33 +1908,42 @@ void expect_same_state(Daemon& got, Daemon& want) {
             energy_hex_of(want.handle_line(stats)));
 }
 
-// A version 1 WAL and snapshot, with per-unit profiles, recover to the state
-// a daemon reached through the current codec; the recovered daemon then
-// appends run-form records to the old journal, and a restart on that mixed
-// file reaches the same state again.
-TEST(ServeRecovery, VersionOneFilesRecoverAndTakeRunFormAppends) {
+/// An older daemon's files — a journal that holds every record since the
+/// first, and a snapshot a third of the way in — recover to the state a
+/// daemon reached through the current codec. The recovered daemon appends
+/// records to the old journal, keeping its header; a restart on that file
+/// reaches the same state again, and its next snapshot compacts the
+/// journal into a version 3 one that starts after it.
+void expect_old_version_recovers(int version) {
   const Workload w = make_profiled_workload(0x01d);
   const std::vector<std::string> lines = request_lines(w);
   const std::size_t third = lines.size() / 3;
-  const DaemonOptions live_options = daemon_options(
-      "min-incremental", 42, test_retry(), "v1_live", /*with_snapshot=*/true);
-  const DaemonOptions old_options = daemon_options(
-      "min-incremental", 42, test_retry(), "v1_old", /*with_snapshot=*/true);
+  const std::string tag = "v" + std::to_string(version);
+  const DaemonOptions full_options =
+      daemon_options("min-incremental", 42, test_retry(), tag + "_full");
+  const DaemonOptions live_options =
+      daemon_options("min-incremental", 42, test_retry(), tag + "_live",
+                     /*with_snapshot=*/true);
+  const DaemonOptions old_options =
+      daemon_options("min-incremental", 42, test_retry(), tag + "_old",
+                     /*with_snapshot=*/true);
 
+  // The live daemon compacts its journal at the snapshot; one without a
+  // snapshot path keeps every record, as an older daemon did.
+  {
+    Daemon full(w.servers, full_options);
+    send_lines(full, lines, 0, 2 * third);
+  }
   Daemon live(w.servers, live_options);
   send_lines(live, lines, 0, third);
   live.checkpoint();
   send_lines(live, lines, third, 2 * third);
-  write_version_one(live_options, old_options);
+  write_old_version(version, full_options.wal_path, live_options.snapshot_path,
+                    old_options);
   const std::regex per_unit_entry(R"("profile":\[\["0x)");
   const std::regex run_entry(R"("profile":\[\[[0-9]+,")");
-  {
-    std::ifstream in(old_options.wal_path);
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_TRUE(std::regex_search(text, per_unit_entry));
-    EXPECT_FALSE(std::regex_search(text, run_entry));
-  }
+  EXPECT_EQ(std::regex_search(file_bytes(old_options.wal_path), run_entry),
+            version > 1);
   {
     Daemon old(w.servers, old_options);
     EXPECT_TRUE(old.recovered_from_snapshot());
@@ -1791,29 +1953,45 @@ TEST(ServeRecovery, VersionOneFilesRecoverAndTakeRunFormAppends) {
   }
   send_lines(live, lines, 2 * third, lines.size());
 
-  std::ifstream in(old_options.wal_path);
-  const std::string mixed((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  EXPECT_EQ(mixed.rfind("{\"op\":\"hdr\",\"format\":\"esva-wal\",\"version\":1",
+  const std::string mixed = file_bytes(old_options.wal_path);
+  EXPECT_EQ(mixed.rfind("{\"op\":\"hdr\",\"format\":\"esva-wal\",\"version\":" +
+                            std::to_string(version) + ',',
                         0),
             0u);
-  EXPECT_TRUE(std::regex_search(mixed, per_unit_entry));
+  EXPECT_EQ(std::regex_search(mixed, per_unit_entry), version == 1);
   EXPECT_TRUE(std::regex_search(mixed, run_entry));
-  Daemon restarted(w.servers, old_options);
-  expect_same_state(restarted, live);
+  {
+    Daemon restarted(w.servers, old_options);
+    expect_same_state(restarted, live);
+    restarted.checkpoint();
+  }
+  const WalFile compacted = serve::read_wal(old_options.wal_path);
+  EXPECT_EQ(file_bytes(old_options.wal_path)
+                .rfind("{\"op\":\"hdr\",\"format\":\"esva-wal\",\"version\":3,",
+                       0),
+            0u);
+  EXPECT_EQ(compacted.header.after, live.last_seq());
+  EXPECT_TRUE(compacted.records.empty());
+  Daemon again(w.servers, old_options);
+  expect_same_state(again, live);
 
-  for (const DaemonOptions* o : {&live_options, &old_options}) {
-    ::unlink(o->wal_path.c_str());
+  for (const DaemonOptions* o : {&full_options, &live_options, &old_options}) {
+    testing::remove_journal(o->wal_path);
     ::unlink(o->snapshot_path.c_str());
   }
 }
 
-// --- crash-point sweep ------------------------------------------------------
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+// Version 1 files hold per-unit profiles; the recovered daemon appends
+// run-form records to the version 1 journal.
+TEST(ServeRecovery, VersionOneFilesRecoverAndTakeRunFormAppends) {
+  expect_old_version_recovers(1);
 }
+
+TEST(ServeRecovery, VersionTwoJournalsRecoverAndCompactToVersionThree) {
+  expect_old_version_recovers(2);
+}
+
+// --- crash-point sweep ------------------------------------------------------
 
 // A crash can cut the journal at any byte. Recovery from every cut of a
 // daemon's journal — faults, evacuations and retries included — never
@@ -1894,64 +2072,102 @@ TEST(ServeCrashSweep, EveryWalCutRecoversTheRecordsBeforeIt) {
     ASSERT_EQ(appended.records.size(), records + 1) << "cut " << cut;
     EXPECT_EQ(appended.records.back().seq, records + 1) << "cut " << cut;
   }
-  ::unlink(options.wal_path.c_str());
-  ::unlink(live_options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
+  testing::remove_journal(live_options.wal_path);
 }
 
-// A snapshot is written to <path>.tmp, fsynced and renamed over <path>. A
-// crash can stop it after part of the .tmp, after the whole .tmp, or after
-// the rename; recovery from each, on the same journal, reaches the state of
-// the daemon that was not interrupted, and can snapshot again.
+// A checkpoint writes the snapshot to <snapshot>.tmp, fsyncs it and renames
+// it over <snapshot>; then it writes a fresh journal, only a header naming
+// the snapshot's seq, to <wal>.tmp, fsyncs it and renames it over <wal>. A
+// crash can stop it after part or all of either .tmp, or after either
+// rename, at the first checkpoint (the journal holds every record) or at a
+// later one (it starts after the earlier snapshot). Recovery from each
+// reaches the state of the daemon that was not interrupted, leaves a stale
+// <wal>.tmp unread, and can snapshot again, after which a restart reads no
+// record.
 TEST(ServeCrashSweep, InterruptedSnapshotsRecoverTheUninterruptedState) {
   const Workload w = make_workload(0x5a9, /*with_faults=*/true);
   const std::vector<std::string> lines = request_lines(w);
+  const std::size_t half = lines.size() / 2;
+  // `first` stands for the live daemon before its first checkpoint.
+  const DaemonOptions first_options = daemon_options(
+      "min-incremental", 42, test_retry(), "snapcut_first");
+  Daemon first(w.servers, first_options);
+  send_lines(first, lines, 0, half);
+  const std::string uncompacted = file_bytes(first_options.wal_path);
   const DaemonOptions live_options = daemon_options(
       "min-incremental", 42, test_retry(), "snapcut_live", true);
   Daemon live(w.servers, live_options);
-  send_lines(live, lines, 0, lines.size() / 2);
+  send_lines(live, lines, 0, half);
+  ASSERT_EQ(file_bytes(live_options.wal_path), uncompacted);
   live.checkpoint();
   const std::string older = file_bytes(live_options.snapshot_path);
-  send_lines(live, lines, lines.size() / 2, lines.size());
+  const std::string first_fresh = file_bytes(live_options.wal_path);
+  send_lines(live, lines, half, lines.size());
+  const std::string tail = file_bytes(live_options.wal_path);
   live.checkpoint();
   const std::string newer = file_bytes(live_options.snapshot_path);
-  const std::string wal = file_bytes(live_options.wal_path);
+  const std::string fresh = file_bytes(live_options.wal_path);
   ASSERT_NE(older, newer);
+  ASSERT_EQ(serve::read_wal(live_options.wal_path).header.after,
+            live.last_seq());
 
   struct Interrupted {
     const char* name;
-    std::string snapshot;  // empty: none
-    std::string tmp;       // empty: none
+    Daemon* want;
+    std::string snapshot;      // empty: none
+    std::string snapshot_tmp;  // empty: none
+    std::string wal;
+    std::string wal_tmp;  // empty: none
   };
   const std::vector<Interrupted> cases = {
-      {"first snapshot, partial tmp", "", older.substr(0, older.size() / 2)},
-      {"partial tmp", older, newer.substr(0, newer.size() / 2)},
-      {"complete tmp", older, newer},
-      {"renamed", newer, ""},
+      {"first: partial snapshot tmp", &first, "",
+       older.substr(0, older.size() / 2), uncompacted, ""},
+      {"first: snapshot renamed", &first, older, "", uncompacted, ""},
+      {"first: partial journal tmp", &first, older, "", uncompacted,
+       first_fresh.substr(0, first_fresh.size() / 2)},
+      {"first: journal renamed", &first, older, "", first_fresh, ""},
+      {"partial snapshot tmp", &live, older, newer.substr(0, newer.size() / 2),
+       tail, ""},
+      {"complete snapshot tmp", &live, older, newer, tail, ""},
+      {"snapshot renamed", &live, newer, "", tail, ""},
+      {"partial journal tmp", &live, newer, "", tail,
+       fresh.substr(0, fresh.size() / 2)},
+      {"complete journal tmp", &live, newer, "", tail, fresh},
+      {"journal renamed", &live, newer, "", fresh, ""},
   };
   for (const Interrupted& c : cases) {
     const DaemonOptions options = daemon_options(
         "min-incremental", 42, test_retry(), "snapcut", true);
-    const std::string tmp = options.snapshot_path + ".tmp";
-    std::ofstream(options.wal_path, std::ios::binary) << wal;
-    if (!c.snapshot.empty())
-      std::ofstream(options.snapshot_path, std::ios::binary) << c.snapshot;
-    ::unlink(tmp.c_str());
-    if (!c.tmp.empty()) std::ofstream(tmp, std::ios::binary) << c.tmp;
+    const std::string snapshot_tmp = options.snapshot_path + ".tmp";
+    const std::string wal_tmp = options.wal_path + ".tmp";
+    const auto put = [](const std::string& path, const std::string& bytes) {
+      ::unlink(path.c_str());
+      if (!bytes.empty()) std::ofstream(path, std::ios::binary) << bytes;
+    };
+    put(options.wal_path, c.wal);
+    put(wal_tmp, c.wal_tmp);
+    put(options.snapshot_path, c.snapshot);
+    put(snapshot_tmp, c.snapshot_tmp);
     {
       Daemon recovered(w.servers, options);
       EXPECT_EQ(recovered.recovered_from_snapshot(), !c.snapshot.empty())
           << c.name;
-      expect_same_state(recovered, live);
+      expect_same_state(recovered, *c.want);
+      EXPECT_EQ(file_bytes(wal_tmp), c.wal_tmp) << c.name;
       recovered.checkpoint();
+      EXPECT_FALSE(std::ifstream(wal_tmp).good()) << c.name;
     }
     Daemon again(w.servers, options);
     EXPECT_TRUE(again.recovered_from_snapshot()) << c.name;
-    EXPECT_EQ(again.replayed_records(), 0u) << c.name;
-    expect_same_state(again, live);
-    for (const std::string& f : {options.wal_path, options.snapshot_path, tmp})
+    EXPECT_EQ(again.recovery().records_read, 0u) << c.name;
+    expect_same_state(again, *c.want);
+    for (const std::string& f : {options.snapshot_path, snapshot_tmp, wal_tmp})
       ::unlink(f.c_str());
+    testing::remove_journal(options.wal_path);
   }
-  ::unlink(live_options.wal_path.c_str());
+  testing::remove_journal(first_options.wal_path);
+  testing::remove_journal(live_options.wal_path);
   ::unlink(live_options.snapshot_path.c_str());
 }
 
@@ -2040,7 +2256,7 @@ TEST(ServeSocket, ServesLineProtocolOverUnixSocket) {
   server.join();
   struct stat st{};
   EXPECT_NE(::stat(socket_path.c_str(), &st), 0) << "socket not cleaned up";
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeSocket, SurvivesClientVanishingBeforeResponse) {
@@ -2085,7 +2301,7 @@ TEST(ServeSocket, SurvivesClientVanishingBeforeResponse) {
 
   stop.store(true);
   server.join();
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeSocket, ConnectionsStayAlignedAcrossCloseAndAcceptInOneRound) {
@@ -2141,7 +2357,7 @@ TEST(ServeSocket, ConnectionsStayAlignedAcrossCloseAndAcceptInOneRound) {
   ::close(d);
   stop.store(true);
   server.join();
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 /// Bounds every blocking read and send on `fd`, so a daemon that stops
@@ -2206,7 +2422,7 @@ class ServingDaemon {
   ~ServingDaemon() {
     stop_.store(true);
     thread_.join();
-    ::unlink(options_.wal_path.c_str());
+    testing::remove_journal(options_.wal_path);
   }
   ServingDaemon(const ServingDaemon&) = delete;
   ServingDaemon& operator=(const ServingDaemon&) = delete;
@@ -2508,7 +2724,7 @@ TEST(ServeExclusive, RegularFileAtTheSocketPathIsLeftAlone) {
   EXPECT_TRUE(error_names([&] { daemon.serve_loop(path, stop); }, path));
   EXPECT_EQ(file_bytes(path), "precious\n");
   ::unlink(path.c_str());
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeExclusive, LiveSocketKeepsItsDaemon) {
@@ -2527,7 +2743,7 @@ TEST(ServeExclusive, LiveSocketKeepsItsDaemon) {
   } catch (const std::exception& e) {
     ADD_FAILURE() << "the first daemon lost its socket: " << e.what();
   }
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 TEST(ServeExclusive, StaleSocketIsReplaced) {
@@ -2575,7 +2791,7 @@ TEST(ServeExclusive, StaleSocketIsReplaced) {
   server.join();
   EXPECT_TRUE(served.load());
   EXPECT_EQ(stats.rfind("{\"ok\":true", 0), 0u) << stats;
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
 }
 
 // Two daemons on one journal would both ack seq 1; the second one refuses
@@ -2596,7 +2812,36 @@ TEST(ServeExclusive, SecondDaemonOnAHeldWalThrowsAndLeavesItAlone) {
   EXPECT_TRUE(error_names([&] { Daemon second(w.servers, options); },
                           options.wal_path));
   EXPECT_EQ(file_bytes(options.wal_path), before);
-  ::unlink(options.wal_path.c_str());
+  testing::remove_journal(options.wal_path);
+}
+
+// Each compaction renames a fresh journal over the path, but the lock is on
+// `<wal>.lock`, which no compaction replaces, so a second daemon is still
+// refused after any number of them, and changes neither file.
+TEST(ServeExclusive, SecondDaemonIsRefusedAfterCompactions) {
+  const Workload w = make_workload(0x10d, false);
+  const DaemonOptions options = daemon_options(
+      "min-incremental", 42, RetryPolicy{}, "held_compacted", true);
+  const std::vector<std::string> lines = request_lines(w);
+  Daemon first(w.servers, options);
+  for (std::size_t k = 0; k < 3; ++k) {
+    send_lines(first, lines, 5 * k, 5 * k + 5);
+    const std::string snapshot = first.handle_line(R"({"op":"snapshot"})");
+    ASSERT_EQ(snapshot.rfind("{\"ok\":true", 0), 0u) << snapshot;
+    ASSERT_EQ(serve::read_wal(options.wal_path).header.after, 5 * k + 5);
+    const std::string journal = file_bytes(options.wal_path);
+    const std::string snap = file_bytes(options.snapshot_path);
+    EXPECT_TRUE(error_names([&] { Daemon second(w.servers, options); },
+                            "wal '" + options.wal_path +
+                                "' is locked by another daemon"))
+        << "after " << k + 1 << " compactions";
+    EXPECT_EQ(file_bytes(options.wal_path), journal);
+    EXPECT_EQ(file_bytes(options.snapshot_path), snap);
+  }
+  send_lines(first, lines, 15, 16);
+  EXPECT_EQ(first.last_seq(), 16u);
+  testing::remove_journal(options.wal_path);
+  ::unlink(options.snapshot_path.c_str());
 }
 
 // --- end-to-end: real process, SIGKILL mid-stream ---------------------------
@@ -2651,7 +2896,7 @@ TEST(ServeEndToEnd, SigkilledDaemonRecoversToByteIdenticalStream) {
   const std::string socket_path = temp_path("e2e.sock");
   const std::string wal_path = temp_path("e2e.wal");
   ::unlink(socket_path.c_str());
-  ::unlink(wal_path.c_str());
+  testing::remove_journal(wal_path);
 
   const std::vector<std::size_t> order = order_by_start(w.vms);
   const std::size_t cut = order.size() / 2;
@@ -2729,7 +2974,7 @@ TEST(ServeEndToEnd, SigkilledDaemonRecoversToByteIdenticalStream) {
 
   ::unlink(servers_csv.c_str());
   ::unlink(socket_path.c_str());
-  ::unlink(wal_path.c_str());
+  testing::remove_journal(wal_path);
 }
 
 // --wal-sync-every 32: every ack follows the write() of its record, so a
@@ -2746,7 +2991,7 @@ TEST(ServeAckContract, SigkillAfterTheAcksLosesNoneAtSyncEvery32) {
   const std::string socket_path = temp_path("acks.sock");
   const std::string wal_path = temp_path("acks.wal");
   ::unlink(socket_path.c_str());
-  ::unlink(wal_path.c_str());
+  testing::remove_journal(wal_path);
   const std::vector<std::string> extra = {"--wal-sync-every", "32"};
 
   pid_t pid = spawn_serve(servers_csv, socket_path, wal_path, extra);
@@ -2798,8 +3043,9 @@ TEST(ServeAckContract, SigkillAfterTheAcksLosesNoneAtSyncEvery32) {
   EXPECT_EQ(stats_seq(recovered), 100u) << recovered;
   EXPECT_EQ(energy_hex_of(recovered), live_energy);
   EXPECT_FALSE(live_energy.empty());
-  for (const std::string& f : {servers_csv, socket_path, wal_path})
+  for (const std::string& f : {servers_csv, socket_path})
     ::unlink(f.c_str());
+  testing::remove_journal(wal_path);
 }
 
 #endif  // ESVA_BIN_PATH

@@ -3,14 +3,14 @@
 //
 // This binary defines write(), fsync() and read(), so every call the esva
 // library makes resolves here first. A call on any file but the armed one
-// (matched by device and inode: the journal, a snapshot, or a snapshot's
-// `.tmp`) passes straight through to the next definition (dlsym(RTLD_NEXT):
-// libc, or a sanitizer's interceptor). On the armed file the shim fails the
-// k-th write with ENOSPC or EIO, makes it short (half the bytes, then
-// ENOSPC on the next write), fails the k-th fsync with EIO, or cuts every
-// read short and fails the k-th with EIO. It can also hold a journal write
-// until the test releases it, which lines up requests on two connections
-// for one poll round.
+// (matched by device and inode: the journal, a snapshot, a `.tmp`, or their
+// directory) passes straight through to the next definition
+// (dlsym(RTLD_NEXT): libc, or a sanitizer's interceptor). On the armed file
+// the shim fails the k-th write with ENOSPC or EIO, makes it short (half the
+// bytes, then ENOSPC on the next write), fails the k-th fsync with EIO, or
+// cuts every read short and fails the k-th with EIO. It can also hold a
+// journal write until the test releases it, which lines up requests on two
+// connections for one poll round.
 //
 // Each fault runs at --wal-sync-every 1 and 4, through handle_line (a round
 // of one line) and through serve_loop (one round of two connections). No
@@ -19,9 +19,12 @@
 // faults recovers every acked op — at the energy a fault-free daemon had at
 // the recovered seq — dropping and truncating a torn tail. ENOSPC on a
 // write, a short write or EIO on fsync of the snapshot's `.tmp` fails only
-// the explicit snapshot op. A read error while recovery reads the journal
-// or the snapshot makes the Daemon constructor throw and changes neither
-// file.
+// the explicit snapshot op, and so does a failed fsync of its directory,
+// which leaves the journal uncompacted. A failed write or fsync of the fresh
+// journal a compaction writes is logged and keeps the old journal; a failed
+// fsync of the journal's directory after the rename halts the daemon. A read
+// error while recovery reads the journal or the snapshot makes the Daemon
+// constructor throw and changes neither file.
 //
 // The binary also counts allocations (counting_new.h): read_wal's
 // allocation bound below needs no timing, so it holds on every build.
@@ -55,6 +58,7 @@
 #include "serve/journal.h"
 #include "serve/wire.h"
 #include "test_util.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace esva::faultshim {
@@ -284,7 +288,7 @@ DaemonOptions daemon_options(const std::string& tag, int sync_every) {
   o.wal_sync_every = sync_every;
   o.wal_path = temp_path(tag + ".wal");
   o.snapshot_path = temp_path(tag + ".snap");
-  ::unlink(o.wal_path.c_str());
+  testing::remove_journal(o.wal_path);
   ::unlink(o.snapshot_path.c_str());
   return o;
 }
@@ -299,7 +303,7 @@ std::vector<Energy> reference_energies(const Workload& w) {
     EXPECT_TRUE(is_ok(daemon.handle_line(line)));
     energy.push_back(daemon.engine().total_energy());
   }
-  ::unlink(o.wal_path.c_str());
+  testing::remove_journal(o.wal_path);
   return energy;
 }
 
@@ -375,7 +379,7 @@ TEST_P(JournalFault, HandleLineHaltsAndKeepsTheAckedPrefix) {
   // failed fsync the record is in the file.
   const std::uint64_t expected = c.fault == Fault::kFsyncEio ? applied : acked;
   expect_recovery(w, o, expected, expected);
-  ::unlink(o.wal_path.c_str());
+  testing::remove_journal(o.wal_path);
 }
 
 // --- serve_loop: one round of two connections --------------------------------
@@ -512,7 +516,7 @@ TEST_P(JournalFault, ServeLoopHaltsTheWholeRound) {
     expect_recovery(w, o, c.fault == Fault::kFsyncEio ? applied : acked,
                     c.fault == Fault::kWriteErrno ? acked : applied);
   }
-  ::unlink(o.wal_path.c_str());
+  testing::remove_journal(o.wal_path);
   ::unlink(socket_path.c_str());
 }
 
@@ -554,7 +558,7 @@ TEST(JournalFaultSnapshot, FailedSyncBeforeAPeriodicSnapshotHalts) {
     EXPECT_FALSE(exists(o.snapshot_path));
     const std::uint64_t expected = fault == Fault::kFsyncEio ? 3 : 2;
     expect_recovery(w, o, expected, expected);
-    ::unlink(o.wal_path.c_str());
+    testing::remove_journal(o.wal_path);
   }
 }
 
@@ -615,8 +619,168 @@ TEST(SnapshotFileFault, ExplicitSnapshotNamesTheErrorAndKeepsServing) {
   EXPECT_EQ(restarted.last_seq(), seq);
   EXPECT_EQ(serve::hex_double(restarted.engine().total_energy()),
             serve::hex_double(energy));
-  ::unlink(o.wal_path.c_str());
+  testing::remove_journal(o.wal_path);
   ::unlink(o.snapshot_path.c_str());
+}
+
+/// Records of the journal at `path`, and the seq it starts after.
+std::pair<std::size_t, std::uint64_t> journal_shape(const std::string& path) {
+  const serve::WalFile wal = serve::read_wal(path);
+  return {wal.records.size(), wal.header.after};
+}
+
+// The snapshot's rename must be durable before compaction relies on it: a
+// failed fsync of its directory fails the snapshot, so the journal is not
+// compacted. The explicit op answers ok:false naming the error; a periodic
+// snapshot logs it and the op that triggered it is acked. The daemon keeps
+// serving, and a restart recovers every op.
+TEST(SnapshotFileFault,
+     FailedDirectoryFsyncFailsTheSnapshotAndKeepsTheJournal) {
+  const Workload w = make_workload();
+  DaemonOptions o = daemon_options("snapshot_dir", 1);
+  o.snapshot_every = 3;
+  const std::string error = "cannot fsync snapshot directory";
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::Warn);
+  std::uint64_t seq = 0;
+  Energy energy = 0.0;
+  {
+    Daemon daemon(w.servers, o);
+    ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[0])));
+    faultshim::arm(::testing::TempDir(), Fault::kFsyncEio, 1);
+    const std::string snapshot = daemon.handle_line("{\"op\":\"snapshot\"}");
+    faultshim::disarm();
+    EXPECT_FALSE(is_ok(snapshot)) << snapshot;
+    EXPECT_NE(snapshot.find(error), std::string::npos) << snapshot;
+    EXPECT_EQ(journal_shape(o.wal_path), std::make_pair(std::size_t{1},
+                                                        std::uint64_t{0}));
+    ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[1])));
+    faultshim::arm(::testing::TempDir(), Fault::kFsyncEio, 1);
+    ::testing::internal::CaptureStderr();
+    const std::string periodic = daemon.handle_line(w.lines[2]);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    faultshim::disarm();
+    EXPECT_TRUE(is_ok(periodic)) << periodic;
+    EXPECT_NE(log.find("periodic snapshot failed: " + error),
+              std::string::npos)
+        << log;
+    EXPECT_FALSE(daemon.halted());
+    EXPECT_EQ(journal_shape(o.wal_path), std::make_pair(std::size_t{3},
+                                                        std::uint64_t{0}));
+    ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[3])));
+    seq = daemon.last_seq();
+    energy = daemon.engine().total_energy();
+  }
+  set_log_level(level);
+  Daemon restarted(w.servers, o);
+  EXPECT_EQ(restarted.last_seq(), seq);
+  EXPECT_EQ(restarted.engine().total_energy(), energy);
+  testing::remove_journal(o.wal_path);
+  ::unlink(o.snapshot_path.c_str());
+}
+
+// A compaction writes the fresh journal to `<wal>.tmp` and fsyncs it before
+// the rename. A failed write or fsync there changes nothing at --wal: the
+// daemon logs it, acks the op (a periodic snapshot's op and the explicit
+// snapshot op alike), goes on appending to the whole journal, and a restart
+// recovers every op. `<wal>.tmp` is created first so the shim can be armed
+// on its inode, which the O_TRUNC open keeps.
+TEST(CompactionFault, FailureBeforeTheRenameKeepsTheWholeJournal) {
+  struct FileFault {
+    Fault fault;
+    int err;
+    const char* error;
+  };
+  const FileFault faults[] = {
+      {Fault::kWriteErrno, ENOSPC, "cannot write fresh wal"},
+      {Fault::kShortWrite, 0, "cannot write fresh wal"},
+      {Fault::kFsyncEio, 0, "cannot fsync fresh wal"},
+  };
+  const Workload w = make_workload();
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::Warn);
+  for (const FileFault& f : faults) {
+    DaemonOptions o = daemon_options("compaction_tmp", 1);
+    o.snapshot_every = 2;
+    const std::string tmp = o.wal_path + ".tmp";
+    std::uint64_t seq = 0;
+    Energy energy = 0.0;
+    {
+      Daemon daemon(w.servers, o);
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[0])));
+      for (const std::string& line :
+           {w.lines[1], std::string("{\"op\":\"snapshot\"}")}) {
+        std::ofstream(tmp).close();
+        faultshim::arm(tmp, f.fault, 1, f.err);
+        ::testing::internal::CaptureStderr();
+        const std::string response = daemon.handle_line(line);
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        faultshim::disarm();
+        EXPECT_TRUE(is_ok(response)) << f.error << ": " << response;
+        EXPECT_NE(log.find("journal compaction failed"), std::string::npos)
+            << log;
+        EXPECT_NE(log.find(f.error), std::string::npos) << log;
+        EXPECT_FALSE(daemon.halted()) << daemon.fatal_error();
+        EXPECT_FALSE(exists(tmp)) << f.error;
+        EXPECT_EQ(journal_shape(o.wal_path),
+                  std::make_pair(std::size_t{2}, std::uint64_t{0}))
+            << f.error;
+      }
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[2])));
+      EXPECT_EQ(journal_shape(o.wal_path),
+                std::make_pair(std::size_t{3}, std::uint64_t{0}));
+      seq = daemon.last_seq();
+      energy = daemon.engine().total_energy();
+    }
+    Daemon restarted(w.servers, o);
+    EXPECT_TRUE(restarted.recovered_from_snapshot());
+    EXPECT_EQ(restarted.last_seq(), seq);
+    EXPECT_EQ(restarted.engine().total_energy(), energy);
+    testing::remove_journal(o.wal_path);
+    ::unlink(o.snapshot_path.c_str());
+  }
+  set_log_level(level);
+}
+
+// Once the fresh journal is renamed over --wal, the rename must be durable
+// before a record is appended to it: a power loss could bring the old
+// journal back and lose them. A failed fsync of the journal's directory
+// (the second directory fsync: the snapshot's comes first) halts the daemon
+// as a failed journal fsync does, for the explicit op and for a periodic
+// snapshot. The fresh journal stays at --wal, and a restart recovers the
+// snapshot's state from it.
+TEST(CompactionFault, FailedDirectoryFsyncAfterTheRenameHalts) {
+  const Workload w = make_workload();
+  const std::vector<Energy> reference = reference_energies(w);
+  for (const bool periodic : {false, true}) {
+    DaemonOptions o = daemon_options("compaction_dir", 1);
+    if (periodic) o.snapshot_every = 3;
+    {
+      Daemon daemon(w.servers, o);
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[0])));
+      ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[1])));
+      faultshim::arm(::testing::TempDir(), Fault::kFsyncEio, 2);
+      const std::string response =
+          periodic ? daemon.handle_line(w.lines[2])
+                   : daemon.handle_line("{\"op\":\"snapshot\",\"id\":2}");
+      faultshim::disarm();
+      EXPECT_TRUE(is_halt_error(response, 2)) << response;
+      EXPECT_NE(response.find("cannot fsync wal directory"), std::string::npos)
+          << response;
+      EXPECT_TRUE(daemon.halted());
+      EXPECT_TRUE(is_halt_error(daemon.handle_line(w.lines[3]), 3));
+      EXPECT_THROW(daemon.checkpoint(), std::runtime_error);
+    }
+    const std::uint64_t seq = periodic ? 3 : 2;
+    EXPECT_EQ(journal_shape(o.wal_path),
+              std::make_pair(std::size_t{0}, std::uint64_t{seq}));
+    Daemon restarted(w.servers, o);
+    EXPECT_TRUE(restarted.recovered_from_snapshot());
+    EXPECT_EQ(restarted.last_seq(), seq);
+    EXPECT_EQ(restarted.engine().total_energy(), reference[seq]);
+    testing::remove_journal(o.wal_path);
+    ::unlink(o.snapshot_path.c_str());
+  }
 }
 
 // --- the reads of recovery ---------------------------------------------------
@@ -676,7 +840,7 @@ TEST(RecoveryReadFault, ReadErrorThrowsAndLeavesBothFilesAlone) {
     EXPECT_EQ(recovered->replayed_records(), w.lines.size() - kSnapshotAt);
     EXPECT_EQ(recovered->engine().total_energy(), reference.back());
   }
-  ::unlink(o.wal_path.c_str());
+  testing::remove_journal(o.wal_path);
   ::unlink(o.snapshot_path.c_str());
 }
 

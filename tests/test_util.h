@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -24,6 +25,13 @@ using esva::testsupport::vm;
 inline bool fuzz_quick() {
   const char* env = std::getenv("ESVA_FUZZ_QUICK");
   return env != nullptr && *env != '\0' && std::string(env) != "0";
+}
+
+/// Removes a serve daemon's journal and the lock file it leaves beside it
+/// (`<wal>.lock`).
+inline void remove_journal(const std::string& wal) {
+  std::remove(wal.c_str());
+  std::remove((wal + ".lock").c_str());
 }
 
 }  // namespace esva::testing
