@@ -35,11 +35,6 @@ std::string error_response(const std::optional<long long>& id,
   return out;
 }
 
-std::string halt_reason(const std::exception& e) {
-  return std::string("journal I/O failed (") + e.what() +
-         "); engine state is ahead of the durable journal, halting";
-}
-
 std::string fmt_energy17(Energy e) {
   std::ostringstream out;
   out.precision(17);
@@ -180,6 +175,9 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
     ++recovery_.records_replayed;
   }
   next_seq_ = std::max(applied, last_seq) + 1;
+  // The records past the snapshot count toward the next periodic one, so a
+  // daemon restarted more often than --snapshot-every still takes it.
+  ops_since_snapshot_ = recovery_.records_replayed;
   end_phase(recovery_.replay_ms);
 
   // A torn tail must be cut off before the O_APPEND writer reopens the
@@ -271,24 +269,24 @@ void Daemon::replay_record(const WalRecord& rec) {
 // journal, and every later record's chosen/energy checksums would be
 // computed from state a replay can never reach. Serving on would be silent
 // divergence.
-void Daemon::wal_sync() {
+template <typename Step>
+bool Daemon::journal_io(Step&& step) {
   try {
-    wal_->sync();
+    step();
+    return true;
   } catch (const std::exception& e) {
-    fatal_ = halt_reason(e);
-    throw std::runtime_error(fatal_);
+    fatal_ = std::string("journal I/O failed (") + e.what() +
+             "); engine state is ahead of the durable journal, halting";
+    return false;
   }
 }
 
+void Daemon::wal_sync() {
+  if (!journal_io([this] { wal_->sync(); })) throw std::runtime_error(fatal_);
+}
+
 bool Daemon::commit_round() {
-  if (halted()) return false;
-  try {
-    wal_->commit();
-    return true;
-  } catch (const std::exception& e) {
-    fatal_ = halt_reason(e);
-    return false;
-  }
+  return !halted() && journal_io([this] { wal_->commit(); });
 }
 
 std::string Daemon::halt_response(const LineId& id) const {
@@ -316,7 +314,6 @@ void Daemon::journal(const std::string& record) {
 }
 
 void Daemon::do_snapshot() {
-  if (options_.snapshot_path.empty()) return;
   // Everything the snapshot claims as applied must be durable in the
   // journal first, or a crash between the two could leave a snapshot ahead
   // of its own journal.
@@ -341,7 +338,8 @@ void Daemon::compact_journal(std::uint64_t seq) {
   fresh.after = seq;
   int fd = -1;
   try {
-    fd = replace_journal(options_.wal_path, fresh);
+    fd = replace_file(options_.wal_path, encode_wal_header(fresh) + '\n',
+                      "fresh wal");
   } catch (const std::exception& e) {
     // Nothing at --wal changed: the whole journal stays in use.
     log_warn() << "journal compaction failed, the journal keeps its records: "
@@ -351,12 +349,8 @@ void Daemon::compact_journal(std::uint64_t seq) {
   wal_->switch_to(fd);
   // Until the rename is durable, a power loss can bring the old journal
   // back, and with it lose every record appended to the fresh one.
-  try {
-    fsync_directory_of(options_.wal_path, "wal");
-  } catch (const std::exception& e) {
-    fatal_ = halt_reason(e);
+  if (!journal_io([this] { fsync_directory_of(options_.wal_path, "wal"); }))
     throw std::runtime_error(fatal_);
-  }
 }
 
 void Daemon::drain() {
@@ -365,14 +359,15 @@ void Daemon::drain() {
   req.op = OpKind::kDrain;
   apply(req);
   journal(encode_drain_record(next_seq_));
-  wal_sync();
-  do_snapshot();
+  checkpoint();
 }
 
 void Daemon::checkpoint() {
   if (halted()) throw std::runtime_error("daemon halted: " + fatal_);
-  wal_sync();
-  do_snapshot();
+  if (options_.snapshot_path.empty())
+    wal_sync();
+  else
+    do_snapshot();
 }
 
 std::string Daemon::stats_json(bool with_assignment, bool with_id,

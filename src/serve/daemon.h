@@ -17,7 +17,9 @@
 // durable snapshot (periodic, the snapshot op, drain, the shutdown
 // checkpoint) with a fresh one whose header names the snapshot's seq, so
 // the snapshot and the journal past it are the source of truth together,
-// and a restart reads only the records past the snapshot.
+// and a restart reads only the records past the snapshot. Records a restart
+// replays count toward the next periodic snapshot. Every durable file
+// appears through serve::replace_file and a directory fsync.
 //
 // A restarted daemon reconstructs its state by loading the latest snapshot
 // (if any) and *re-running the engine* over the journal records after it:
@@ -158,15 +160,15 @@ class Daemon {
   const std::string& fatal_error() const { return fatal_; }
   bool halted() const { return !fatal_.empty(); }
 
-  /// End-of-stream drain: finish_stream + journal + sync + snapshot. The
+  /// End-of-stream drain: finish_stream, journal, then checkpoint(). The
   /// same code path as the wire-level drain op. Throws once halted.
   void drain();
 
-  /// Durability checkpoint without draining: journal sync + snapshot (when
-  /// configured). Called on graceful shutdown — deliberately NOT drain(), so
-  /// a restarted daemon continues the stream with its retry queue intact.
-  /// Throws once halted: a snapshot then would capture state the journal
-  /// never recorded.
+  /// Durability checkpoint without draining: a snapshot when configured
+  /// (its journal sync first), else a journal sync. Called on graceful
+  /// shutdown — deliberately NOT drain(), so a restarted daemon continues
+  /// the stream with its retry queue intact. Throws once halted: a snapshot
+  /// then would capture state the journal never recorded.
   void checkpoint();
 
   /// Serves the wire protocol on a unix stream socket until `stop` becomes
@@ -217,8 +219,11 @@ class Daemon {
   /// --snapshot-every is due. A snapshot write that fails there is logged,
   /// not thrown: the op stands.
   void journal(const std::string& record);
-  /// WalWriter::sync with halt-on-failure semantics: a throw records fatal_
-  /// (the engine is ahead of the journal) and rethrows.
+  /// The one halt path: runs a step that makes journaled ops durable; a
+  /// throw sets fatal_ (the engine is ahead of the journal), returns false.
+  template <typename Step>
+  bool journal_io(Step&& step);
+  /// WalWriter::sync through journal_io; throws fatal_ on failure.
   void wal_sync();
   /// Syncs the journal, writes the snapshot, then compacts the journal.
   /// Throws when the sync or the snapshot fails (a failed sync halts).

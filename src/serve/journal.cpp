@@ -348,16 +348,17 @@ void fsync_directory_of(const std::string& path, const char* what) {
   ::close(fd);
 }
 
-int replace_journal(const std::string& path, const WalHeader& header) {
+int replace_file(const std::string& path, std::string_view bytes,
+                 const char* what) {
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
              0644);
   if (fd < 0)
-    throw std::runtime_error("cannot create fresh wal '" + tmp +
-                             "': " + std::strerror(errno));
+    throw std::runtime_error(std::string("cannot create ") + what + " '" +
+                             tmp + "': " + std::strerror(errno));
   const char* failed = nullptr;
-  if (!write_all(fd, encode_wal_header(header) + '\n'))
+  if (!write_all(fd, bytes))
     failed = "write";
   else if (::fsync(fd) != 0)
     failed = "fsync";
@@ -367,8 +368,8 @@ int replace_journal(const std::string& path, const WalHeader& header) {
     const int err = errno;
     ::close(fd);
     ::unlink(tmp.c_str());
-    throw std::runtime_error(std::string("cannot ") + failed + " fresh wal '" +
-                             tmp + "': " + std::strerror(err));
+    throw std::runtime_error(std::string("cannot ") + failed + ' ' + what +
+                             " '" + tmp + "': " + std::strerror(err));
   }
   return fd;
 }
@@ -376,18 +377,27 @@ int replace_journal(const std::string& path, const WalHeader& header) {
 WalWriter::WalWriter(const std::string& path, const WalHeader& fresh_header,
                      int sync_every)
     : sync_every_(static_cast<std::uint64_t>(sync_every < 1 ? 1 : sync_every)) {
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0)
-    throw std::runtime_error("cannot open wal '" + path +
-                             "': " + std::strerror(errno));
   struct stat st{};
-  if (::fstat(fd_, &st) != 0) {
-    ::close(fd_);
-    throw std::runtime_error("cannot stat wal '" + path + "'");
+  const bool exists = ::stat(path.c_str(), &st) == 0;
+  if (!exists && errno != ENOENT)
+    throw std::runtime_error("cannot stat wal '" + path +
+                             "': " + std::strerror(errno));
+  if (exists && st.st_size > 0) {
+    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd_ < 0)
+      throw std::runtime_error("cannot open wal '" + path +
+                               "': " + std::strerror(errno));
+    return;
   }
-  if (st.st_size == 0) {
-    append(encode_wal_header(fresh_header));
-    sync();
+  // Written in place, a crash could leave a journal holding half a header.
+  fd_ = replace_file(path, encode_wal_header(fresh_header) + '\n',
+                     "fresh wal");
+  fsyncs_ = 1;
+  try {
+    fsync_directory_of(path, "wal");
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
 }
 
@@ -398,7 +408,6 @@ WalWriter::~WalWriter() {
   // destructor's, and destructor errors are swallowed — a crashing daemon
   // never gets here, which is exactly what the SIGKILL recovery tests
   // simulate.
-  if (fd_ < 0) return;
   try {
     flush_pending();
   } catch (...) {
@@ -438,8 +447,9 @@ void WalWriter::flush_pending() {
 }
 
 void WalWriter::sync() {
+  if (since_sync_ == 0 && fsyncs_ > 0) return;  // nothing to flush
   flush_pending();
-  if (fd_ >= 0 && ::fsync(fd_) != 0)
+  if (::fsync(fd_) != 0)
     throw std::runtime_error(std::string("wal fsync failed: ") +
                              std::strerror(errno));
   since_sync_ = 0;

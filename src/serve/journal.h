@@ -19,8 +19,9 @@
 //
 // "after" (version 3) is the seq the journal starts after: 0 for a journal
 // that starts from an empty engine, and the snapshot's wal_seq for one a
-// snapshot compacted (replace_journal), whose earlier records only that
-// snapshot holds. Its first record's seq is greater than "after".
+// snapshot compacted, whose earlier records only that snapshot holds. Its
+// first record's seq is greater than "after". Either appears whole, through
+// replace_file; only appends and truncate_wal write a journal in place.
 //
 // The "spec" is serve/wire.h's VM codec, so version 2 writes a profiled
 // VM's demands as [len,cpu,mem] runs. read_wal accepts versions 1 to 3, and
@@ -65,6 +66,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/vm.h"
@@ -152,13 +154,14 @@ WalFile read_wal(const std::string& path);
 /// directory when it cannot be opened or fsynced.
 void fsync_directory_of(const std::string& path, const char* what);
 
-/// Replaces the journal at `path` with a fresh one that holds only `header`:
-/// written to `<path>.tmp` (truncating a stale one), fsynced and renamed
-/// over `path`. Returns the new journal's descriptor, open for append, for
-/// WalWriter::switch_to. Throws std::runtime_error when any step up to the
-/// rename fails, and `path` then still names the old journal. The rename is
-/// durable only once fsync_directory_of(path) returns.
-int replace_journal(const std::string& path, const WalHeader& header);
+/// Makes a file appear whole — a fresh or compacted journal, a snapshot:
+/// writes `bytes` to `<path>.tmp` (truncating a stale one), fsyncs it and
+/// renames it over `path`; returns its descriptor, open for append. A failed
+/// step throws std::runtime_error naming it, `what` ("fresh wal",
+/// "snapshot"), the `.tmp` and strerror, after removing the `.tmp`. The
+/// rename is durable only once fsync_directory_of(path) returns.
+int replace_file(const std::string& path, std::string_view bytes,
+                 const char* what);
 
 /// Truncates the journal to its well-formed prefix (WalFile::valid_bytes)
 /// and fsyncs, discarding a torn tail so the next append starts on a fresh
@@ -172,15 +175,16 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
 /// have been written since the last fsync. One counter drives that schedule
 /// for both entry points: append() is stage() plus a commit() whenever the
 /// counter reaches `sync_every`, and the daemon stages a whole poll round
-/// and commits once at its end (serve/daemon.h). sync() writes and fsyncs
-/// regardless of the counter. Each commit lands in a single O_APPEND
-/// write(), so concurrent writers never interleave mid-line. A failed
-/// write() drops the batch it was writing and throws: a retry would write a
-/// second copy of the bytes a short write already wrote.
+/// and commits once at its end (serve/daemon.h). sync() flushes regardless
+/// of the counter. Each commit lands in a single O_APPEND write(), so
+/// concurrent writers never interleave mid-line. A failed write() drops the
+/// batch it was writing and throws: a retry would write a second copy of
+/// the bytes a short write already wrote.
 class WalWriter {
  public:
-  /// Opens (creating if absent) for append. `fresh_header` is written — and
-  /// synced — only when the file is empty.
+  /// Opens for append; an absent or empty journal is created holding
+  /// `fresh_header` (replace_file, then a directory fsync), which counts as
+  /// one fsync. Throws std::runtime_error when a step fails.
   WalWriter(const std::string& path, const WalHeader& fresh_header,
             int sync_every);
   /// Best-effort write of any staged records, then close (never throws).
@@ -201,15 +205,17 @@ class WalWriter {
   /// true when it fsynced.
   bool commit();
 
-  /// Writes any staged records and fsyncs (drain, snapshot, shutdown).
+  /// Writes any staged records and fsyncs (drain, snapshot, shutdown); a
+  /// no-op when none was staged since this writer's own last fsync. Until
+  /// its first, it fsyncs: a killed writer may have left records unsynced.
   void sync();
 
-  /// Goes on over `fd` (replace_journal's) and closes the journal written
-  /// so far. Every staged record must have been synced; the fsync count
+  /// Goes on over `fd` (replace_file's) and closes the journal written so
+  /// far. Every staged record must have been synced; the fsync count
   /// carries on.
   void switch_to(int fd);
 
-  /// fsyncs of the journal since this writer opened it.
+  /// fsyncs of the journal since this writer opened or created it.
   std::uint64_t fsyncs() const { return fsyncs_; }
 
  private:

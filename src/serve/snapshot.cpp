@@ -1,11 +1,7 @@
 #include "serve/snapshot.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -230,35 +226,7 @@ SnapshotData decode_snapshot(const std::string& text) {
 }
 
 void write_snapshot_atomic(const std::string& path, const SnapshotData& snap) {
-  const std::string tmp = path + ".tmp";
-  const std::string body = encode_snapshot(snap) + "\n";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0)
-    throw std::runtime_error("cannot open snapshot tmp '" + tmp +
-                             "': " + std::strerror(errno));
-  std::size_t off = 0;
-  while (off < body.size()) {
-    const ssize_t n = ::write(fd, body.data() + off, body.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;  // close() may overwrite it
-      ::close(fd);
-      throw std::runtime_error(std::string("snapshot write failed: ") +
-                               std::strerror(err));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error(std::string("snapshot fsync failed: ") +
-                             std::strerror(err));
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("snapshot rename failed: " +
-                             std::string(std::strerror(errno)));
+  ::close(replace_file(path, encode_snapshot(snap) + "\n", "snapshot"));
   // The rename itself must be durable before the daemon compacts its
   // journal: after a power loss, an undone rename would leave a journal
   // that starts past the only snapshot on disk.

@@ -2,8 +2,9 @@
 // state (core/streaming.h EngineStateSnapshot) plus the pieces the engine
 // cannot carry itself — the Rng's four state words, the daemon's vm->server
 // assignment map, and a config header validated on restore. One JSON
-// document per file, written atomically (tmp + fsync + rename + directory
-// fsync) so a crash mid-snapshot leaves the previous snapshot intact.
+// document per file, written the way every file the daemon makes durable is
+// (serve::replace_file: tmp + fsync + rename, then a directory fsync), so a
+// crash mid-snapshot leaves the previous snapshot intact.
 //
 // Exactness rules (docs/FORMATS.md#snapshot): every double rides as a C99
 // hexfloat string (bit-exact round trip, so the restored engine's cumulative
@@ -56,9 +57,11 @@ std::string encode_snapshot(const SnapshotData& snap);
 /// or any other version.
 SnapshotData decode_snapshot(const std::string& text);
 
-/// Atomic durable write: <path>.tmp + fsync + rename + fsync(dirname).
-/// Throws std::runtime_error when any step fails, the directory's open and
-/// fsync included: a snapshot is written only once its rename is durable.
+/// Atomic durable write: serve::replace_file (<path>.tmp + fsync + rename),
+/// then fsync_directory_of(path). Throws std::runtime_error naming the
+/// failed step and the strerror text when any step fails, the directory's
+/// open and fsync included: a snapshot is written only once its rename is
+/// durable.
 void write_snapshot_atomic(const std::string& path, const SnapshotData& snap);
 
 /// Loads and decodes; `found` reports whether the file existed (absent is

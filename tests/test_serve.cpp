@@ -1395,6 +1395,35 @@ TEST(ServeRecovery, PeriodicSnapshotsKeepTheJournalUnderTheirPeriod) {
   }
 }
 
+// The records a restart replays count toward --snapshot-every, so a daemon
+// restarted more often than its period still snapshots and compacts: at
+// snapshot_every = 4 and a restart after every 3 ops, the snapshots fall on
+// seqs 4, 8 and 12 (the first, second and third op after a restart), as
+// they would without the restarts.
+TEST(ServeRecovery, ReplayedRecordsCountTowardTheSnapshotPeriod) {
+  const Workload w = make_workload(0x5e7, /*with_faults=*/false);
+  const std::vector<std::string> lines = request_lines(w);
+  constexpr std::uint64_t kEvery = 4;
+  constexpr std::size_t kOpsPerRun = 3;
+  ASSERT_GE(lines.size(), 4 * kOpsPerRun);
+  DaemonOptions options = daemon_options("min-incremental", 42, RetryPolicy{},
+                                         "restart_period",
+                                         /*with_snapshot=*/true);
+  options.snapshot_every = kEvery;
+  for (std::size_t from = 0; from < 4 * kOpsPerRun; from += kOpsPerRun) {
+    Daemon daemon(w.servers, options);
+    for (std::size_t k = from; k < from + kOpsPerRun; ++k) {
+      send_lines(daemon, lines, k, k + 1);
+      const std::uint64_t seq = daemon.last_seq();
+      const WalFile wal = serve::read_wal(options.wal_path);
+      EXPECT_EQ(wal.header.after, seq - seq % kEvery) << "seq " << seq;
+      EXPECT_EQ(wal.records.size(), seq % kEvery) << "seq " << seq;
+    }
+  }
+  testing::remove_journal(options.wal_path);
+  ::unlink(options.snapshot_path.c_str());
+}
+
 // --- retire and handle_line surface ----------------------------------------
 
 // Places whose VMs end at the largest Time, as raw request lines: two
@@ -2171,6 +2200,72 @@ TEST(ServeCrashSweep, InterruptedSnapshotsRecoverTheUninterruptedState) {
   ::unlink(live_options.snapshot_path.c_str());
 }
 
+// A fresh journal appears as a compacted one does: its header is written to
+// <wal>.tmp, fsynced and renamed over <wal>. A crash can stop that after
+// part or all of the .tmp, with no <wal> yet or an empty one; the next start
+// creates the journal whole in its place, leaving no .tmp, and serves.
+// Beside an existing journal a stale <wal>.tmp is never read: recovery
+// reaches the journal's state and leaves the .tmp as it was.
+TEST(ServeCrashSweep, InterruptedJournalCreationStartsAFreshJournal) {
+  const Workload w = make_workload(0xc4e, /*with_faults=*/false);
+  const std::vector<std::string> lines = request_lines(w);
+  const DaemonOptions options =
+      daemon_options("min-incremental", 42, test_retry(), "create_cut");
+  const std::string wal_tmp = options.wal_path + ".tmp";
+  const auto put = [](const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  };
+  std::string header;
+  {
+    Daemon fresh(w.servers, options);
+    header = file_bytes(options.wal_path);
+  }
+  ASSERT_EQ(header.find('\n'), header.size() - 1) << header;
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{1}, header.size() / 2, header.size() - 1,
+        header.size()}) {
+    for (const bool empty_wal : {false, true}) {
+      testing::remove_journal(options.wal_path);
+      if (empty_wal) put(options.wal_path, "");
+      put(wal_tmp, header.substr(0, cut));
+      {
+        Daemon created(w.servers, options);
+        EXPECT_EQ(created.last_seq(), 0u) << "cut " << cut;
+        EXPECT_EQ(file_bytes(options.wal_path), header) << "cut " << cut;
+        EXPECT_FALSE(std::ifstream(wal_tmp).good()) << "cut " << cut;
+        send_lines(created, lines, 0, 1);
+      }
+      Daemon again(w.servers, options);
+      EXPECT_EQ(again.replayed_records(), 1u) << "cut " << cut;
+    }
+  }
+
+  testing::remove_journal(options.wal_path);
+  std::string journal;
+  std::string stats;
+  {
+    Daemon live(w.servers, options);
+    send_lines(live, lines, 0, 3);
+    journal = file_bytes(options.wal_path);
+    stats = live.stats_json(/*with_assignment=*/true);
+  }
+  for (const std::string& stale :
+       {header.substr(0, header.size() / 2), header,
+        std::string("not a journal\n")}) {
+    put(wal_tmp, stale);
+    {
+      Daemon recovered(w.servers, options);
+      EXPECT_EQ(recovered.replayed_records(), 3u) << stale;
+      EXPECT_EQ(stats_state(recovered.stats_json(/*with_assignment=*/true)),
+                stats_state(stats));
+    }
+    EXPECT_EQ(file_bytes(wal_tmp), stale);
+    EXPECT_EQ(file_bytes(options.wal_path), journal) << stale;
+  }
+  ::unlink(wal_tmp.c_str());
+  testing::remove_journal(options.wal_path);
+}
+
 // --- socket loop ------------------------------------------------------------
 
 /// Raw client socket (no protocol): tests that need to vanish mid-exchange
@@ -2699,6 +2794,46 @@ TEST(ServeGroupCommit, LargeResponsesEndTheRoundEarly) {
   EXPECT_EQ(fsyncs[crossed_at + 1], fsyncs.front() + 1);
   EXPECT_EQ(fsyncs.back(), fsyncs.front() + 1);
   ::close(fd);
+}
+
+// wal_fsyncs counts the journal's fsyncs, and the journal is fsynced only
+// when there is something to flush. Creating a fresh journal is one fsync at
+// any schedule; a drain journals its record and syncs once, through its
+// snapshot; a snapshot op with nothing staged since the last fsync adds
+// none. A restarted daemon's writer, which has not fsynced the journal it
+// opened (a killed predecessor may have left records written but not
+// fsynced), still fsyncs at its first snapshot.
+TEST(ServeFsyncs, TheJournalIsFsyncedOnlyWithSomethingToFlush) {
+  const Workload w = make_workload(0xf5c, /*with_faults=*/false);
+  const std::vector<std::string> lines = request_lines(w);
+  const auto fsyncs = [](Daemon& daemon, const std::string& line) {
+    const std::string response = daemon.handle_line(line);
+    EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    return stats_field(daemon.handle_line(R"({"op":"stats"})"), "wal_fsyncs");
+  };
+  for (const int sync_every : {1, 32}) {
+    DaemonOptions options = daemon_options(
+        "min-incremental", 42, RetryPolicy{},
+        "fsyncs_" + std::to_string(sync_every), /*with_snapshot=*/true);
+    options.wal_sync_every = sync_every;
+    const std::string at = "N = " + std::to_string(sync_every);
+    {
+      Daemon daemon(w.servers, options);
+      EXPECT_EQ(fsyncs(daemon, R"({"op":"stats"})"), 1) << at;
+      const long long placed = fsyncs(daemon, lines[0]);
+      EXPECT_EQ(placed, sync_every == 1 ? 2 : 1) << at;
+      EXPECT_EQ(fsyncs(daemon, R"({"op":"drain"})"), placed + 1) << at;
+      EXPECT_EQ(fsyncs(daemon, R"({"op":"snapshot"})"), placed + 1) << at;
+    }
+    {
+      Daemon restarted(w.servers, options);
+      EXPECT_EQ(fsyncs(restarted, R"({"op":"stats"})"), 0) << at;
+      EXPECT_EQ(fsyncs(restarted, R"({"op":"snapshot"})"), 1) << at;
+      EXPECT_EQ(fsyncs(restarted, R"({"op":"snapshot"})"), 1) << at;
+    }
+    testing::remove_journal(options.wal_path);
+    ::unlink(options.snapshot_path.c_str());
+  }
 }
 
 // --- one daemon per socket and per journal --------------------------------

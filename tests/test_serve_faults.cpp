@@ -22,9 +22,11 @@
 // the explicit snapshot op, and so does a failed fsync of its directory,
 // which leaves the journal uncompacted. A failed write or fsync of the fresh
 // journal a compaction writes is logged and keeps the old journal; a failed
-// fsync of the journal's directory after the rename halts the daemon. A read
-// error while recovery reads the journal or the snapshot makes the Daemon
-// constructor throw and changes neither file.
+// fsync of the journal's directory after the rename halts the daemon. A new
+// journal is created the same way, and any of those faults while a fresh
+// daemon creates it makes the Daemon constructor throw. A read error while
+// recovery reads the journal or the snapshot makes the Daemon constructor
+// throw and changes neither file.
 //
 // The binary also counts allocations (counting_new.h): read_wal's
 // allocation bound below needs no timing, so it holds on every build.
@@ -565,21 +567,22 @@ TEST(JournalFaultSnapshot, FailedSyncBeforeAPeriodicSnapshotHalts) {
 // --- the snapshot file's own write and fsync ----------------------------------
 
 // An explicit snapshot whose file cannot be written answers ok:false naming
-// the error, and nothing else changes: the journal is intact, so the daemon
-// is not halted, the previous snapshot stays as it was and later places are
-// acked. `<snapshot>.tmp` is created first so the shim can be armed on its
-// inode, which the O_TRUNC open keeps.
+// the failed step, the `.tmp` and the error, and nothing else changes: the
+// journal is intact, so the daemon is not halted, the previous snapshot
+// stays as it was, the `.tmp` is removed and later places are acked.
+// `<snapshot>.tmp` is created first so the shim can be armed on its inode,
+// which the O_TRUNC open keeps.
 TEST(SnapshotFileFault, ExplicitSnapshotNamesTheErrorAndKeepsServing) {
   struct FileFault {
     Fault fault;
     int err;
-    const char* error;
+    const char* step;
+    const char* strerror;
   };
   const FileFault faults[] = {
-      {Fault::kWriteErrno, ENOSPC,
-       "snapshot write failed: No space left on device"},
-      {Fault::kShortWrite, 0, "snapshot write failed: No space left on device"},
-      {Fault::kFsyncEio, 0, "snapshot fsync failed: Input/output error"},
+      {Fault::kWriteErrno, ENOSPC, "write", "No space left on device"},
+      {Fault::kShortWrite, 0, "write", "No space left on device"},
+      {Fault::kFsyncEio, 0, "fsync", "Input/output error"},
   };
   const std::string snapshot_op = "{\"op\":\"snapshot\"}";
   const Workload w = make_workload();
@@ -594,17 +597,20 @@ TEST(SnapshotFileFault, ExplicitSnapshotNamesTheErrorAndKeepsServing) {
     ASSERT_TRUE(is_ok(daemon.handle_line(snapshot_op)));
     const std::string previous = read_file(o.snapshot_path);
     ASSERT_FALSE(previous.empty());
-    std::ofstream(tmp).close();
     for (const FileFault& f : faults) {
       ASSERT_TRUE(is_ok(daemon.handle_line(w.lines[next++])));
+      std::ofstream(tmp).close();
       faultshim::arm(tmp, f.fault, 1, f.err);
       const std::string response = daemon.handle_line(snapshot_op);
       faultshim::disarm();
+      const std::string error = std::string("cannot ") + f.step +
+                                " snapshot '" + tmp + "': " + f.strerror;
       EXPECT_FALSE(is_ok(response)) << response;
-      EXPECT_NE(response.find(f.error), std::string::npos) << response;
+      EXPECT_NE(response.find(error), std::string::npos) << response;
       EXPECT_FALSE(daemon.halted()) << daemon.fatal_error();
-      EXPECT_EQ(read_file(o.snapshot_path), previous) << f.error;
-      EXPECT_TRUE(is_ok(daemon.handle_line(w.lines[next++]))) << f.error;
+      EXPECT_EQ(read_file(o.snapshot_path), previous) << error;
+      EXPECT_FALSE(exists(tmp)) << error;
+      EXPECT_TRUE(is_ok(daemon.handle_line(w.lines[next++]))) << error;
     }
     const std::string response = daemon.handle_line(snapshot_op);
     EXPECT_TRUE(is_ok(response)) << response;
@@ -781,6 +787,88 @@ TEST(CompactionFault, FailedDirectoryFsyncAfterTheRenameHalts) {
     testing::remove_journal(o.wal_path);
     ::unlink(o.snapshot_path.c_str());
   }
+}
+
+// --- the creation of a fresh journal -----------------------------------------
+
+// A daemon on an absent journal creates it as a compaction does: the header
+// goes to `<wal>.tmp`, is fsynced and renamed over --wal. A failed write,
+// short write or fsync of the `.tmp` makes the Daemon constructor throw
+// naming the step, the file and the error, and leaves nothing at --wal and
+// no `.tmp`; a fault-free start afterwards creates the journal and serves.
+// `<wal>.tmp` is created first so the shim can be armed on its inode, which
+// the O_TRUNC open keeps.
+TEST(CreationFault, FailureBeforeTheRenameLeavesNoJournal) {
+  struct FileFault {
+    Fault fault;
+    int err;
+    const char* step;
+    const char* strerror;
+  };
+  const FileFault faults[] = {
+      {Fault::kWriteErrno, ENOSPC, "write", "No space left on device"},
+      {Fault::kShortWrite, 0, "write", "No space left on device"},
+      {Fault::kFsyncEio, 0, "fsync", "Input/output error"},
+  };
+  const Workload w = make_workload();
+  const std::vector<Energy> reference = reference_energies(w);
+  for (const FileFault& f : faults) {
+    const DaemonOptions o = daemon_options("creation_tmp", 1);
+    const std::string tmp = o.wal_path + ".tmp";
+    std::ofstream(tmp).close();
+    faultshim::arm(tmp, f.fault, 1, f.err);
+    std::string error;
+    try {
+      Daemon daemon(w.servers, o);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    faultshim::disarm();
+    const std::string expected = std::string("cannot ") + f.step +
+                                 " fresh wal '" + tmp + "': " + f.strerror;
+    EXPECT_EQ(error, expected);
+    EXPECT_FALSE(exists(o.wal_path)) << expected;
+    EXPECT_FALSE(exists(tmp)) << expected;
+    {
+      Daemon daemon(w.servers, o);
+      EXPECT_TRUE(is_ok(daemon.handle_line(w.lines[0]))) << expected;
+    }
+    Daemon restarted(w.servers, o);
+    EXPECT_EQ(restarted.last_seq(), 1u) << expected;
+    EXPECT_EQ(restarted.engine().total_energy(), reference[1]) << expected;
+    testing::remove_journal(o.wal_path);
+  }
+}
+
+// Once the fresh journal is renamed over --wal, its directory is fsynced
+// before the daemon serves: otherwise a power loss could take the journal,
+// and every op acked to it, away. A failed fsync there makes the Daemon
+// constructor throw naming the wal directory. The journal, only a header,
+// stays at --wal, and a fault-free start recovers it and serves.
+TEST(CreationFault, FailedDirectoryFsyncThrowsNamingTheDirectory) {
+  const Workload w = make_workload();
+  const DaemonOptions o = daemon_options("creation_dir", 1);
+  faultshim::arm(::testing::TempDir(), Fault::kFsyncEio, 1);
+  std::string error;
+  try {
+    Daemon daemon(w.servers, o);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  faultshim::disarm();
+  const std::string dir = o.wal_path.substr(0, o.wal_path.find_last_of('/'));
+  EXPECT_EQ(error, "cannot fsync wal directory '" + dir +
+                       "': Input/output error");
+  EXPECT_EQ(journal_shape(o.wal_path),
+            std::make_pair(std::size_t{0}, std::uint64_t{0}));
+  EXPECT_FALSE(exists(o.wal_path + ".tmp"));
+  {
+    Daemon daemon(w.servers, o);
+    EXPECT_TRUE(is_ok(daemon.handle_line(w.lines[0])));
+  }
+  Daemon restarted(w.servers, o);
+  EXPECT_EQ(restarted.last_seq(), 1u);
+  testing::remove_journal(o.wal_path);
 }
 
 // --- the reads of recovery ---------------------------------------------------
