@@ -1,32 +1,18 @@
-// P1/P2 — allocator performance harness with a machine-readable artifact.
+// P1/P2 — allocator performance gates with a machine-readable artifact.
 //
-// Two modes:
-//   * default          — runs four paired gates and writes
-//                        BENCH_perf.json. Exits nonzero on any identity
-//                        failure (the measured variant's assignment or
-//                        energy diverging from its reference) or when a gate
-//                        misses its budget:
-//                          - null-sink overhead: min-incremental with a
-//                            metrics registry bound and no trace sink vs the
-//                            same allocator with no observability context,
-//                            at most 5% slower (always enforced);
-//                          - envelope triage: the SoA classify() sweep at
-//                            least 1.3x faster than the quick_fit loop it
-//                            replaces (outside --quick);
-//                          - telemetry and WAL overhead: the full telemetry
-//                            stack, and the serve daemon's journal (tmpfs,
-//                            group commit of 32), each at most 5% over the
-//                            bare stream replay at fig2@500 (outside
-//                            --quick).
-//                        Each gate is paired: time_paired() alternates the
-//                        two variants and gates on the median per-pair
-//                        ratio.
-//   * --gbench         — additionally runs the google-benchmark
-//                        microbenchmarks (hot primitives: feasibility probe,
-//                        incremental cost delta), forwarding --benchmark_*
-//                        flags.
-
-#include <benchmark/benchmark.h>
+// Runs four paired gates and writes BENCH_perf.json. Exits nonzero on any
+// identity failure (the measured variant's assignment or energy diverging
+// from its reference) or when a gate misses its budget:
+//   - null-sink overhead: min-incremental with a metrics registry bound and
+//     no trace sink vs the same allocator with no observability context, at
+//     most 5% slower (always enforced);
+//   - envelope triage: the SoA classify() sweep at least 1.3x faster than
+//     the quick_fit loop it replaces (outside --quick);
+//   - telemetry and WAL overhead: the full telemetry stack, and the serve
+//     daemon's journal (tmpfs, group commit of 32), each at most 5% over the
+//     bare stream replay at fig2@500 (outside --quick).
+// Each gate is paired: time_paired() alternates the two variants and gates
+// on the median per-pair ratio.
 
 #include <unistd.h>
 
@@ -38,6 +24,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,8 +40,8 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/journal.h"
-#include "sim/metrics.h"
 #include "sim/replay.h"
+#include "stats/summary.h"
 #include "util/cli.h"
 #include "workload/arrival_stream.h"
 #include "workload/scenarios.h"
@@ -69,86 +56,6 @@ ProblemInstance instance_for(int num_vms, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// google-benchmark microbenchmarks (run with --gbench)
-// ---------------------------------------------------------------------------
-
-void BM_Allocator(benchmark::State& state, const std::string& name) {
-  const ProblemInstance problem =
-      instance_for(static_cast<int>(state.range(0)), 42);
-  for (auto _ : state) {
-    Rng rng(7);
-    AllocatorPtr allocator = make_allocator(name);
-    Allocation alloc = allocator->allocate(problem, rng);
-    benchmark::DoNotOptimize(alloc.assignment.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(problem.num_vms()));
-}
-
-void BM_EvaluateCost(benchmark::State& state) {
-  const ProblemInstance problem =
-      instance_for(static_cast<int>(state.range(0)), 42);
-  Rng rng(7);
-  const Allocation alloc =
-      make_allocator("min-incremental")->allocate(problem, rng);
-  for (auto _ : state) {
-    CostReport report = evaluate_cost(problem, alloc);
-    benchmark::DoNotOptimize(report.breakdown);
-  }
-}
-
-void BM_Metrics(benchmark::State& state) {
-  const ProblemInstance problem =
-      instance_for(static_cast<int>(state.range(0)), 42);
-  Rng rng(7);
-  const Allocation alloc =
-      make_allocator("min-incremental")->allocate(problem, rng);
-  for (auto _ : state) {
-    AllocationMetrics metrics = compute_metrics(problem, alloc);
-    benchmark::DoNotOptimize(metrics.utilization);
-  }
-}
-
-void BM_FeasibilityProbe(benchmark::State& state) {
-  const ProblemInstance problem = instance_for(300, 42);
-  std::vector<ServerTimeline> timelines =
-      make_timelines(problem.servers, problem.horizon);
-  // Pre-load half the VMs round-robin so probes hit non-trivial trees.
-  for (std::size_t j = 0; j < problem.num_vms() / 2; ++j) {
-    auto& timeline = timelines[j % timelines.size()];
-    if (timeline.can_fit(problem.vms[j])) timeline.place(problem.vms[j]);
-  }
-  std::size_t j = problem.num_vms() / 2;
-  for (auto _ : state) {
-    const VmSpec& vm = problem.vms[j % problem.num_vms()];
-    for (const ServerTimeline& timeline : timelines)
-      benchmark::DoNotOptimize(timeline.can_fit(vm));
-    ++j;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(timelines.size()));
-}
-
-void BM_IncrementalCostDelta(benchmark::State& state) {
-  const ProblemInstance problem = instance_for(300, 42);
-  std::vector<ServerTimeline> timelines =
-      make_timelines(problem.servers, problem.horizon);
-  for (std::size_t j = 0; j < problem.num_vms() / 2; ++j) {
-    auto& timeline = timelines[j % timelines.size()];
-    if (timeline.can_fit(problem.vms[j])) timeline.place(problem.vms[j]);
-  }
-  std::size_t j = problem.num_vms() / 2;
-  for (auto _ : state) {
-    const VmSpec& vm = problem.vms[j % problem.num_vms()];
-    for (const ServerTimeline& timeline : timelines)
-      benchmark::DoNotOptimize(incremental_cost(timeline, vm));
-    ++j;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(timelines.size()));
-}
-
-// ---------------------------------------------------------------------------
 // Overhead guard + BENCH_perf.json
 // ---------------------------------------------------------------------------
 
@@ -160,21 +67,11 @@ double time_ms(const std::function<void()>& fn) {
       .count();
 }
 
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
+double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
-/// The p-quantile of `xs` (0 <= p <= 1), interpolating linearly between
-/// the two nearest order statistics.
-double quantile(std::vector<double> xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  const double h = p * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(h);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  return xs[lo] + (h - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
-}
+/// Keeps the optimizer from dropping a timed result that nothing reads: the
+/// empty asm claims to read `p` and all of memory.
+void keep(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
 /// Per-pair timings of a reference and a measured variant, and the gate
 /// statistic: the median over pairs of measured_ms[i] / reference_ms[i].
@@ -187,6 +84,8 @@ struct PairedTiming {
   double median_ratio = 0.0;
   double q3_ratio = 0.0;
 };
+
+constexpr double kQuartiles[] = {0.25, 0.5, 0.75};
 
 /// Runs both variants once to warm up, then `pairs` times each, alternating
 /// which goes first so drift within a pair (a frequency step, load arriving
@@ -209,9 +108,10 @@ PairedTiming time_paired(int pairs, const std::function<void()>& reference,
     }
     ratios.push_back(timing.measured_ms.back() / timing.reference_ms.back());
   }
-  timing.q1_ratio = quantile(ratios, 0.25);
-  timing.median_ratio = median(ratios);
-  timing.q3_ratio = quantile(ratios, 0.75);
+  const std::vector<double> qs = quantiles(ratios, kQuartiles);
+  timing.q1_ratio = qs[0];
+  timing.median_ratio = qs[1];
+  timing.q3_ratio = qs[2];
   return timing;
 }
 
@@ -299,7 +199,7 @@ OverheadReport measure_overhead(int num_vms, int reps) {
       allocator.set_observability(obs);
       Rng rng(7);
       Allocation alloc = allocator.allocate(problem, rng);
-      benchmark::DoNotOptimize(alloc.assignment.data());
+      keep(alloc.assignment.data());
     }));
   }
   report.trace_records = sink.size();
@@ -362,14 +262,14 @@ EnvelopeReport measure_envelope(int num_vms, int reps, double triage_budget,
           for (std::size_t i = 0; i < n; ++i)
             loop_verdicts[i] =
                 static_cast<std::uint8_t>(timelines[i].quick_fit(vm));
-          benchmark::DoNotOptimize(loop_verdicts.data());
+          keep(loop_verdicts.data());
         }
       },
       [&] {
         for (const VmSpec& vm : problem.vms) {
           cluster.envelopes().classify(EnvelopeStore::probe_of(vm),
                                        sweep_verdicts.data());
-          benchmark::DoNotOptimize(sweep_verdicts.data());
+          keep(sweep_verdicts.data());
         }
       });
   report.triage_speedup = 1.0 / report.timing.median_ratio;
@@ -453,7 +353,7 @@ TelemetryReport measure_telemetry(int num_vms, int reps, double budget,
     out_report = replay_stream(arrivals, problem.servers, *policy, rng,
                                options);
     if (samples) *samples = sampler.size();
-    benchmark::DoNotOptimize(out_report.assignment.data());
+    keep(out_report.assignment.data());
   };
 
   ReplayReport plain;
@@ -560,24 +460,22 @@ WalReport measure_wal(int num_vms, int reps, double budget, bool quick) {
     VectorArrivalStream arrivals(problem.vms);
     out_report = replay_stream(arrivals, problem.servers, *policy, rng,
                                ReplayOptions{});
-    benchmark::DoNotOptimize(out_report.assignment.data());
+    keep(out_report.assignment.data());
   };
 
   // The daemon's submit path minus the socket/JSON wire: place in arrival
   // order, journal each decision after the engine applied it, fsync per the
-  // batch policy, drain. EngineOptions mirror serve::Daemon (and thus
-  // replay_stream) exactly.
+  // batch policy, drain. The engine is configured as serve::Daemon's and
+  // replay_stream's are, with their default cost, retry and migration
+  // options.
   const auto run_wal = [&](Energy* out_energy) {
     ::unlink(journal_path.c_str());
     AllocatorPtr allocator = make_allocator("min-incremental");
     std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
     Rng rng(7);
-    EngineOptions eopts;
-    eopts.initial_horizon = 0;
-    eopts.auto_advance = true;
-    eopts.account_energy = true;
-    eopts.tolerate_late_arrivals = true;
-    PlacementEngine engine(problem.servers, *policy, rng, eopts);
+    PlacementEngine engine(
+        problem.servers, *policy, rng,
+        streaming_engine_options(CostOptions{}, RetryPolicy{}, 25.0));
     serve::WalHeader header;
     header.allocator = "min-incremental";
     header.seed = 7;
@@ -851,48 +749,17 @@ int run_perf_report(const std::string& out_path, int num_vms, int reps,
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Allocator, min_incremental, "min-incremental")
-    ->Arg(100)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Allocator, ffps, "ffps")
-    ->Arg(100)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Allocator, best_fit_cpu, "best-fit-cpu")
-    ->Arg(100)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EvaluateCost)->Arg(100)->Arg(500)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Metrics)->Arg(100)->Arg(500)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FeasibilityProbe);
-BENCHMARK(BM_IncrementalCostDelta);
-
 int main(int argc, char** argv) {
-  // Separate our flags from google-benchmark's (--benchmark_*).
-  std::vector<char*> gbench_argv{argv[0]};
-  bool run_gbench = false;
-  std::vector<const char*> own_argv{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--gbench") {
-      run_gbench = true;
-    } else if (arg.rfind("--benchmark_", 0) == 0) {
-      gbench_argv.push_back(argv[i]);
-    } else {
-      own_argv.push_back(argv[i]);
-    }
-  }
-
   esva::CliParser parser(
-      "bench/perf_allocators — paired overhead and envelope gates, "
-      "BENCH_perf.json artifact (add --gbench for microbenchmarks)");
+      "bench/perf_allocators — paired overhead, envelope, telemetry and WAL "
+      "gates, BENCH_perf.json artifact");
   parser.add_string("out", "BENCH_perf.json", "JSON artifact output path");
   parser.add_int("vms", 1000, "VM count of the overhead-guard scenario");
-  parser.add_int("reps", 7, "timed repetitions per variant");
-  parser.add_bool("quick", "300-VM scenario, 3 reps (smoke test)");
-  if (!parser.parse(static_cast<int>(own_argv.size()), own_argv.data()))
-    return parser.parse_error() ? 1 : 0;
+  parser.add_int("reps", 7,
+                 "timed pairs per gate (the null-sink, telemetry and WAL "
+                 "gates run at least 11, 7 and 13)");
+  parser.add_bool("quick", "300-VM scenario, 5 reps (smoke test)");
+  if (!parser.parse(argc, argv)) return parser.parse_error() ? 1 : 0;
 
   int num_vms = static_cast<int>(parser.get_int("vms"));
   int reps = static_cast<int>(parser.get_int("reps"));
@@ -901,13 +768,6 @@ int main(int argc, char** argv) {
     reps = 5;
   }
 
-  const int status = run_perf_report(parser.get_string("out"), num_vms, reps,
-                                     parser.get_bool("quick"));
-  if (run_gbench) {
-    int gbench_argc = static_cast<int>(gbench_argv.size());
-    benchmark::Initialize(&gbench_argc, gbench_argv.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  return status;
+  return run_perf_report(parser.get_string("out"), num_vms, reps,
+                         parser.get_bool("quick"));
 }

@@ -45,9 +45,9 @@ class FfpsPolicy final : public PlacementPolicy {
           ++rejections_;
           continue;
         }
-        const Energy delta = incremental_cost(timelines[i], vm);
-        decision.add_feasible(static_cast<ServerId>(i), delta);
-        decision.commit(static_cast<ServerId>(i), delta);
+        decision.add_feasible(static_cast<ServerId>(i),
+                              incremental_cost(timelines[i], vm));
+        decision.commit(static_cast<ServerId>(i));
       } else if (!timelines[i].can_fit(vm)) {
         ++rejections_;
         continue;

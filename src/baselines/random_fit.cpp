@@ -43,11 +43,9 @@ class RandomFitPolicy final : public PlacementPolicy {
       decision.commit(kNoServer);
       return result;
     }
-    const std::size_t pick = feasible_[rng.index(feasible_.size())];
-    if (decision.active())
-      decision.commit(static_cast<ServerId>(pick),
-                      incremental_cost(timelines[pick], vm));
-    result.server = static_cast<ServerId>(pick);
+    result.server =
+        static_cast<ServerId>(feasible_[rng.index(feasible_.size())]);
+    decision.commit(result.server);
     return result;
   }
 

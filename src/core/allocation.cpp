@@ -60,9 +60,8 @@ void trace_assignment(const ProblemInstance& problem, const Allocation& alloc,
       continue;
     }
     const auto i = static_cast<std::size_t>(server);
-    const Energy delta = incremental_cost(timelines[i], vm, opts);
-    decision.add_feasible(server, delta);
-    decision.commit(server, delta);
+    decision.add_feasible(server, incremental_cost(timelines[i], vm, opts));
+    decision.commit(server);
     timelines[i].place(vm);
   }
 }

@@ -158,10 +158,7 @@ class ScanPolicy final : public PlacementPolicy {
         return result;  // reported as unallocated
       }
       result.server = static_cast<ServerId>(out.best);
-      decision.commit(result.server,
-                      Score::kIsEnergyDelta
-                          ? out.best_score
-                          : incremental_cost(timelines[out.best], vm));
+      decision.commit(result.server);
       return result;
     }
 

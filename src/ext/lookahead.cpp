@@ -101,10 +101,7 @@ Allocation LookaheadAllocator::allocate(const ProblemInstance& problem,
           decision.add_feasible(static_cast<ServerId>(i),
                                 incremental_cost(timelines[i], vm, options_.cost));
       }
-      if (pick_eval.best_server == kNoServer)
-        decision.commit(kNoServer);
-      else
-        decision.commit(pick_eval.best_server, pick_eval.best_delta);
+      decision.commit(pick_eval.best_server);
     }
     if (pick_eval.best_server != kNoServer) {
       timelines[static_cast<std::size_t>(pick_eval.best_server)].place(

@@ -109,7 +109,7 @@ MigrationResult optimize_with_migration(const ProblemInstance& problem,
                                   incremental_cost(timelines[i], vm,
                                                    config.cost));
         }
-        decision.commit(best_target, best_added);
+        decision.commit(best_target);
       }
 
       // Apply the move.

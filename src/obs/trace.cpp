@@ -244,14 +244,14 @@ void DecisionBuilder::set_note(std::string note) {
 void DecisionBuilder::commit(ServerId chosen) {
   if (!sink_) return;
   decision_.chosen = chosen;
+  for (const CandidateTrace& candidate : decision_.candidates) {
+    if (candidate.server == chosen && candidate.has_delta) {
+      decision_.has_chosen_delta = true;
+      decision_.chosen_delta = candidate.delta;
+      break;
+    }
+  }
   sink_->on_decision(decision_);
-}
-
-void DecisionBuilder::commit(ServerId chosen, Energy chosen_delta) {
-  if (!sink_) return;
-  decision_.has_chosen_delta = true;
-  decision_.chosen_delta = chosen_delta;
-  commit(chosen);
 }
 
 }  // namespace esva

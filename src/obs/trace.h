@@ -136,10 +136,11 @@ class DecisionBuilder {
   void add_rejected(ServerId server, const FitCheck& fit);
   void set_note(std::string note);
 
-  /// Finalizes and emits the record (chosen may be kNoServer). Calling
-  /// commit at most once is the caller's responsibility.
+  /// Finalizes and emits the record (chosen may be kNoServer). Its
+  /// chosen_delta is the delta add_feasible recorded for `chosen`, and
+  /// absent when there is none. Calling commit at most once is the caller's
+  /// responsibility.
   void commit(ServerId chosen);
-  void commit(ServerId chosen, Energy chosen_delta);
 
  private:
   TraceSink* sink_ = nullptr;

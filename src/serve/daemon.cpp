@@ -180,11 +180,13 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   ops_since_snapshot_ = recovery_.records_replayed;
   end_phase(recovery_.replay_ms);
 
-  // A torn tail must be cut off before the O_APPEND writer reopens the
-  // file, or the next record would be concatenated onto the torn bytes and
-  // the merged line would read as mid-file corruption on the following
-  // restart.
-  if (wal.torn_tail) truncate_wal(options_.wal_path, wal.valid_bytes);
+  // Whatever lies past the last record is cut off before the O_APPEND
+  // writer reopens the file. Past a torn tail, the next record would merge
+  // with the torn bytes and read as mid-file corruption on the following
+  // restart; a journal of blank lines, cut to nothing, is created afresh
+  // with a header instead of being appended to without one.
+  if (wal.file_bytes > wal.valid_bytes)
+    truncate_wal(options_.wal_path, wal.valid_bytes);
 
   wal_ = std::make_unique<WalWriter>(options_.wal_path, header_,
                                      options_.wal_sync_every);

@@ -232,6 +232,7 @@ WalFile read_wal(const std::string& path) {
   WalFile wal;
   std::string data;  // the file's one copy
   if (!read_whole_file(path, "wal", data)) return wal;  // fresh daemon
+  wal.file_bytes = data.size();
 
   // One pass over the buffer, each line parsed where it lies into one tree
   // whose storage every line reuses. The split is on '\n' by hand (not
@@ -312,8 +313,7 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0)
     throw std::runtime_error("cannot open wal '" + path +
-                             "' to drop its torn tail: " +
-                             std::strerror(errno));
+                             "' to truncate it: " + std::strerror(errno));
   if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
     const int err = errno;
     ::close(fd);

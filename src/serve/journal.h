@@ -58,9 +58,11 @@
 // dropped and flagged; malformed records anywhere else are hard errors.
 // Recovery then truncates the file back to the well-formed prefix
 // (truncate_wal) before appending, so the next record starts a fresh line
-// instead of being concatenated onto the torn bytes. A complete last record
-// whose seq does not increase is no torn append but a second writer's
-// record, and is a hard error like any other seq regression.
+// instead of being concatenated onto the torn bytes. Blank lines past the
+// last record are cut the same way, and a journal of blank lines only is
+// cut to nothing and created afresh. A complete last record whose seq does
+// not increase is no torn append but a second writer's record, and is a
+// hard error like any other seq regression.
 
 #pragma once
 
@@ -111,11 +113,11 @@ struct WalFile {
   /// True when a torn final line was dropped (crash mid-append).
   bool torn_tail = false;
   /// Byte offset just past the last well-formed, newline-terminated line —
-  /// the prefix that survives recovery. With torn_tail set, everything past
-  /// this offset is the torn bytes; truncate_wal must cut them off before a
-  /// WalWriter reopens the file, or the next O_APPEND record would be
-  /// concatenated onto the torn line and corrupt it.
+  /// the prefix that survives recovery; 0 without a header. Everything past
+  /// it, up to file_bytes, is a torn tail or blank lines.
   std::uint64_t valid_bytes = 0;
+  /// The size of the file read (0 when absent).
+  std::uint64_t file_bytes = 0;
 };
 
 // --- record encoders (daemon side) -----------------------------------------
@@ -144,9 +146,10 @@ bool read_whole_file(const std::string& path, const char* what,
 /// std::runtime_error on a missing/invalid header, a malformed non-final
 /// record, a seq that is not greater than the one before it (or than the
 /// header's `after`), or a file that exists but cannot be read
-/// (read_whole_file); a malformed final line only sets torn_tail. An absent
-/// or empty file yields an empty WalFile with a default-constructed header
-/// (records empty) — callers treat that as a fresh journal.
+/// (read_whole_file); a malformed final line only sets torn_tail. An
+/// absent, empty or all-blank file yields an empty WalFile with a
+/// default-constructed header (records empty) — callers treat that as a
+/// fresh journal.
 WalFile read_wal(const std::string& path);
 
 /// fsyncs the directory that holds `path`, so a rename into it is durable.
@@ -164,9 +167,10 @@ int replace_file(const std::string& path, std::string_view bytes,
                  const char* what);
 
 /// Truncates the journal to its well-formed prefix (WalFile::valid_bytes)
-/// and fsyncs, discarding a torn tail so the next append starts on a fresh
-/// line. Recovery must call this before constructing a WalWriter whenever
-/// read_wal reported torn_tail. Throws std::runtime_error on I/O failure.
+/// and fsyncs. Recovery calls this before constructing a WalWriter whenever
+/// bytes lie past valid_bytes (file_bytes is larger), so the next append
+/// starts a fresh line and a header-less journal is created afresh. Throws
+/// std::runtime_error on I/O failure.
 void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
 
 /// Append-only journal writer over a raw fd (O_APPEND) with group commit.

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
 #include "baselines/registry.h"
 #include "cluster/timeline.h"
+#include "core/allocation.h"
 #include "core/cost_model.h"
 #include "core/min_incremental.h"
+#include "ext/migration.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -290,34 +294,82 @@ TEST(AllocatorTrace, EmitsOneDecisionPerVmAndReplaysExactly) {
             0);
 }
 
-TEST(AllocatorTrace, ChosenDeltaIsTheMinimumFeasibleDelta) {
-  Rng seed_rng(5);
-  const ProblemInstance p = random_problem(seed_rng, 25, 5);
-  MemoryTraceSink sink;
-  MinIncrementalAllocator allocator;
-  ObsContext obs;
-  obs.trace = &sink;
-  allocator.set_observability(obs);
-  Rng rng(3);
-  (void)allocator.allocate(p, rng);
-
-  for (const VmDecisionTrace& d : sink.decisions()) {
-    Energy best = kInf;
-    for (const CandidateTrace& c : d.candidates) {
-      if (c.feasible) {
-        ASSERT_TRUE(c.has_delta);
-        best = std::min(best, c.delta);
-      } else {
-        EXPECT_NE(c.reject, FitReject::None);
-      }
-    }
-    if (d.chosen == kNoServer) {
-      EXPECT_EQ(best, kInf);  // no feasible candidate existed
-    } else {
-      ASSERT_TRUE(d.has_chosen_delta);
-      EXPECT_DOUBLE_EQ(d.chosen_delta, best);
+/// Checks that each decision's chosen_delta is the delta recorded for its
+/// chosen candidate, bit for bit, and absent exactly when that candidate has
+/// none (an unallocated VM has no chosen candidate). Returns how many
+/// decisions carried one.
+std::size_t expect_chosen_delta_is_recorded(
+    const std::vector<VmDecisionTrace>& decisions) {
+  std::size_t with_delta = 0;
+  for (const VmDecisionTrace& d : decisions) {
+    const auto chosen = std::find_if(
+        d.candidates.begin(), d.candidates.end(),
+        [&](const CandidateTrace& c) { return c.server == d.chosen; });
+    const bool recorded = chosen != d.candidates.end() && chosen->has_delta;
+    EXPECT_EQ(d.has_chosen_delta, recorded) << "vm " << d.vm;
+    if (recorded && d.has_chosen_delta) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d.chosen_delta),
+                std::bit_cast<std::uint64_t>(chosen->delta))
+          << "vm " << d.vm;
+      ++with_delta;
     }
   }
+  return with_delta;
+}
+
+TEST(AllocatorTrace, ChosenDeltaIsTheMinimumFeasibleDelta) {
+  // Every allocator, trace_assignment and the migration pass price the
+  // chosen server once, as the candidate they recorded; min-incremental's
+  // chosen delta is also the minimum feasible one.
+  Rng seed_rng(5);
+  const ProblemInstance p = random_problem(seed_rng, 25, 5);
+  for (const std::string& name : allocator_names()) {
+    SCOPED_TRACE(name);
+    MemoryTraceSink sink;
+    AllocatorPtr allocator = make_allocator(name);
+    ObsContext obs;
+    obs.trace = &sink;
+    allocator->set_observability(obs);
+    Rng rng(3);
+    (void)allocator->allocate(p, rng);
+    EXPECT_GT(expect_chosen_delta_is_recorded(sink.decisions()), 0u);
+    if (name != "min-incremental") continue;
+
+    for (const VmDecisionTrace& d : sink.decisions()) {
+      Energy best = kInf;
+      for (const CandidateTrace& c : d.candidates) {
+        if (c.feasible) {
+          ASSERT_TRUE(c.has_delta);
+          best = std::min(best, c.delta);
+        } else {
+          EXPECT_NE(c.reject, FitReject::None);
+        }
+      }
+      if (d.chosen == kNoServer) {
+        EXPECT_EQ(best, kInf);  // no feasible candidate existed
+      } else {
+        ASSERT_TRUE(d.has_chosen_delta);
+        EXPECT_DOUBLE_EQ(d.chosen_delta, best);
+      }
+    }
+  }
+
+  Rng rng(3);
+  const Allocation random_fit = make_allocator("random-fit")->allocate(p, rng);
+  MemoryTraceSink assignment_sink;
+  trace_assignment(p, random_fit, assignment_sink);
+  EXPECT_GT(expect_chosen_delta_is_recorded(assignment_sink.decisions()), 0u);
+
+  MemoryTraceSink migration_sink;
+  MigrationConfig config;
+  config.obs.trace = &migration_sink;
+  const MigrationResult migrated =
+      optimize_with_migration(p, random_fit, config);
+  ASSERT_GT(migrated.moves, 0);
+  ASSERT_EQ(migration_sink.size(), static_cast<std::size_t>(migrated.moves));
+  // A move always lands on a priced feasible target.
+  EXPECT_EQ(expect_chosen_delta_is_recorded(migration_sink.decisions()),
+            migration_sink.size());
 }
 
 TEST(AllocatorTrace, TracedAndUntracedRunsProduceIdenticalAssignments) {

@@ -1206,6 +1206,35 @@ TEST(ServeRecovery, TornTailIsTruncatedSoLaterAppendsStayParseable) {
   testing::remove_journal(options.wal_path);
 }
 
+TEST(ServeRecovery, JournalOfBlankLinesIsCreatedAfresh) {
+  // A journal of blank lines has no header, so recovery reads it as fresh.
+  // It must then be written as one too: a writer that appended records to
+  // the blank lines would ack them into a journal the next restart refuses
+  // ("journal does not start with a header").
+  const Workload w = make_workload(0xb1a4, false);
+  for (const std::string blank : {"\n", "\r\n", " \t\n\n"}) {
+    SCOPED_TRACE(::testing::PrintToString(blank));
+    const DaemonOptions options =
+        daemon_options("min-incremental", 42, RetryPolicy{}, "blank");
+    std::ofstream(options.wal_path, std::ios::binary) << blank;
+    std::uint64_t acked = 0;
+    std::map<VmId, ServerId> assignment;
+    Energy energy = 0.0;
+    {
+      Daemon daemon(w.servers, options);
+      feed_daemon(daemon, w);
+      acked = daemon.last_seq();
+      assignment = daemon.assignment();
+      energy = daemon.engine().total_energy();
+    }  // destroyed without a checkpoint
+    Daemon recovered(w.servers, options);
+    EXPECT_EQ(recovered.replayed_records(), acked);
+    EXPECT_EQ(recovered.assignment(), assignment);
+    EXPECT_EQ(recovered.engine().total_energy(), energy);
+    testing::remove_journal(options.wal_path);
+  }
+}
+
 TEST(ServeRecovery, ConfigMismatchRefusesToServe) {
   const Workload w = make_workload(0x3141, false);
   const DaemonOptions options =
